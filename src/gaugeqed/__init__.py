@@ -25,7 +25,8 @@ from .linalg import (
     matrix_function,
     unitary_exp,
 )
-from .qops import FockSpace, SpinSpace, embed, fock_ops, pauli, spin_ops
+from .qops import (FockSpace, SpinSpace, embed, fock_ops, pauli, quadrature_eig,
+                   spin_ops)
 from .rabi import (
     GaugeParam,
     GaugeTheoremReport,
@@ -104,6 +105,7 @@ __all__ = [
     "DimensionOverflowError",
     # qops
     "FockSpace", "SpinSpace", "fock_ops", "spin_ops", "embed", "pauli",
+    "quadrature_eig",
     # rabi
     "RabiParams", "GaugeParam", "build_H_D", "build_H_C_standard",
     "build_H_C_correct", "build_H_C_taylor", "build_H_alpha",

@@ -42,7 +42,6 @@ class RunConfig:
     outdir: str
     threads: int
     emit_plots: bool
-    seed: int
     params: Dict[str, object]
 
 
@@ -60,9 +59,6 @@ _COMMON = (
     Opt("threads", "int", 1, "worker threads for independent sweep points"),
     Opt("emit_plots", "bool", False,
         "also write gnuplot files next to the CSV table"),
-    Opt("seed", "int", 0,
-        "seed reserved for randomized property checks; the shipped "
-        "computations are deterministic and ignore it"),
 )
 
 _CONV = (
@@ -299,9 +295,8 @@ def resolve(ns: argparse.Namespace) -> RunConfig:
     if threads < 1:
         raise ValueError("threads must be >= 1")
     emit_plots = bool(merged.pop("emit_plots"))
-    seed = int(merged.pop("seed"))
     return RunConfig(command=command, outdir=str(outdir), threads=threads,
-                     emit_plots=emit_plots, seed=seed, params=merged)
+                     emit_plots=emit_plots, params=merged)
 
 
 def _outpath(rc: RunConfig, name: str) -> Path:
@@ -528,10 +523,12 @@ def _cmd_full_model(rc: RunConfig) -> int:
         if m > basis.m_levels:
             raise ValueError(f"m_levels {m} exceeds solved levels "
                              f"{basis.m_levels}")
-        hd = particle1d.build_full_H_D(model, basis, field, p["a0"], m)
-        hc = particle1d.build_full_H_C(model, basis, field, p["a0"], m)
-        gap = float(np.abs(_transitions(hd, levels)
-                           - _transitions(hc, levels)).max())
+        # one model at a time: each matrix is freed once its levels are known
+        t_d = _transitions(particle1d.build_full_H_D(model, basis, field, p["a0"], m),
+                           levels)
+        t_c = _transitions(particle1d.build_full_H_C(model, basis, field, p["a0"], m),
+                           levels)
+        gap = float(np.abs(t_d - t_c).max())
         gaps.append(gap)
         print(f"{m:8d}  {gap:.6e}")
         lines.append(f"{m},{gap:.12e}")

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (OperatorMatrix, as_hermitian, conjugate, identity, kron,
-                     matrix_function, unitary_exp)
-from .qops import fock_ops, spin_ops
+from .linalg import (OperatorMatrix, check_dim, conjugate, hermitian_operator,
+                     unitary_exp)
+from .qops import fock_ops, quadrature_cos_sin, spin_ops
 from .rabi import RabiParams
 
 
@@ -44,13 +44,15 @@ class DickeParams(RabiParams):
 
 
 def _parts(p: DickeParams):
-    a, adag, nph = fock_ops(p.cutoff)
-    jx, jy, jz = spin_ops(p.n_dipoles)
+    """Fock and spin matrices as plain complex arrays, after the dimension cap."""
+    check_dim(p.dim)
+    a, adag, nph = (op.arr for op in fock_ops(p.cutoff))
+    jx, jy, jz = (op.arr for op in spin_ops(p.n_dipoles))
     return a, adag, nph, jx, jy, jz
 
 
-def _embed_field(op: OperatorMatrix, p: DickeParams) -> OperatorMatrix:
-    return kron(identity(p.n_dipoles + 1), op)
+def _eye(dim: int) -> np.ndarray:
+    return np.eye(dim, dtype=complex)
 
 
 def build_dicke_standard(p: DickeParams, diamagnetic=None) -> OperatorMatrix:
@@ -62,11 +64,12 @@ def build_dicke_standard(p: DickeParams, diamagnetic=None) -> OperatorMatrix:
     a, adag, nph, jx, jy, jz = _parts(p)
     if diamagnetic is None:
         diamagnetic = p.j * 2.0 * p.g_c ** 2 / p.omega_10
-    X = as_hermitian(a + adag)
-    return (p.omega_c * _embed_field(nph, p)
-            + p.omega_10 * kron(jz, identity(p.cutoff + 1))
-            + 2.0 * p.g_c * kron(jy, X)
-            + diamagnetic * _embed_field(as_hermitian(X @ X), p))
+    X = a + adag
+    Is, If = _eye(p.n_dipoles + 1), _eye(p.cutoff + 1)
+    return hermitian_operator(p.omega_c * np.kron(Is, nph)
+                              + p.omega_10 * np.kron(jz, If)
+                              + 2.0 * p.g_c * np.kron(jy, X)
+                              + diamagnetic * np.kron(Is, X @ X))
 
 
 def build_dicke_correct(p: DickeParams, method: str = "conjugation",
@@ -75,24 +78,23 @@ def build_dicke_correct(p: DickeParams, method: str = "conjugation",
 
     ``method="conjugation"`` (the defining construction, hence the default):
     U_N (omega_10 J_z) U_N^dag + omega_c a^dag a.  ``method="closed_form"``
-    evaluates J_z cos[factor * eta * (a+a^dag)] + J_y sin[...]; the rotation
-    identity fixes factor=2, and factor=4 is accepted only so tests can
-    document that it disagrees with the conjugation route.
+    evaluates J_z cos[factor * eta * (a+a^dag)] + J_y sin[...] from the
+    cached eigendecomposition of a + a^dag; the rotation identity fixes
+    factor=2, and factor=4 is accepted only so tests can document that it
+    disagrees with the conjugation route.
     """
     a, adag, nph, jx, jy, jz = _parts(p)
-    X = a + adag
+    Is, If = _eye(p.n_dipoles + 1), _eye(p.cutoff + 1)
     if method == "conjugation":
-        U = unitary_exp(kron(jx, X), 2.0 * p.eta)
-        H0 = p.omega_10 * kron(jz, identity(p.cutoff + 1))
-        return conjugate(U, H0) + p.omega_c * _embed_field(nph, p)
+        U = unitary_exp(OperatorMatrix(np.kron(jx, a + adag)), 2.0 * p.eta)
+        H0 = hermitian_operator(p.omega_10 * np.kron(jz, If))
+        return hermitian_operator(conjugate(U, H0).arr + p.omega_c * np.kron(Is, nph))
     if method == "closed_form":
         if factor not in (2, 4):
             raise ValueError(f"factor must be 2 or 4, got {factor}")
-        fe = float(factor) * p.eta
-        cosX = matrix_function(X, lambda w: np.cos(fe * w))
-        sinX = matrix_function(X, lambda w: np.sin(fe * w))
-        return (p.omega_c * _embed_field(nph, p)
-                + p.omega_10 * (kron(jz, cosX) + kron(jy, sinX)))
+        cosX, sinX = quadrature_cos_sin(p.cutoff, float(factor) * p.eta)
+        return hermitian_operator(p.omega_c * np.kron(Is, nph)
+                                  + p.omega_10 * (np.kron(jz, cosX) + np.kron(jy, sinX)))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -106,9 +108,9 @@ def build_dicke_dipole(p: DickeParams) -> OperatorMatrix:
     here it is operator-valued and must be kept for spectral equivalence.
     """
     a, adag, nph, jx, jy, jz = _parts(p)
-    coupling = OperatorMatrix(1j * (adag.arr - a.arr), hermitian_hint=True)
-    return (p.omega_c * _embed_field(nph, p)
-            + p.omega_10 * kron(jz, identity(p.cutoff + 1))
-            + 2.0 * p.g_d * kron(jx, coupling)
-            + 4.0 * p.eta ** 2 * p.omega_c * kron(as_hermitian(jx @ jx),
-                                                  identity(p.cutoff + 1)))
+    coupling = 1j * (adag - a)
+    Is, If = _eye(p.n_dipoles + 1), _eye(p.cutoff + 1)
+    return hermitian_operator(p.omega_c * np.kron(Is, nph)
+                              + p.omega_10 * np.kron(jz, If)
+                              + 2.0 * p.g_d * np.kron(jx, coupling)
+                              + 4.0 * p.eta ** 2 * p.omega_c * np.kron(jx @ jx, If))

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (OperatorMatrix, as_hermitian, conjugate, hermitian_eig,
-                     identity, kron, matrix_function, unitary_exp)
+from .linalg import (OperatorMatrix, check_dim, conjugate, hermitian_eig,
+                     hermitian_operator, matrix_function, spectral_matrix,
+                     unitary_exp)
 from .qops import fock_ops, pauli
 
 
@@ -94,16 +95,16 @@ class FluxoniumBasis:
 
 
 def _flux_hamiltonian(p: FluxoniumParams, basis_size: int):
-    b, bdag, nb = fock_ops(basis_size - 1)
+    b, bdag, nb = (op.arr for op in fock_ops(basis_size - 1))
     phi = p.phi_zp * (b + bdag)
     # N = i n_zp (b^dag - b); N^2 = -n_zp^2 (b^dag - b)^2
     n_zp = 1.0 / (2.0 * p.phi_zp)
     bd_minus_b = bdag - b
-    n2 = as_hermitian((-n_zp ** 2) * (bd_minus_b @ bd_minus_b))
-    h = 4.0 * p.e_c * n2 + 0.5 * p.e_l * as_hermitian(phi @ phi)
+    n2 = (-n_zp ** 2) * (bd_minus_b @ bd_minus_b)
+    h = 4.0 * p.e_c * n2 + 0.5 * p.e_l * (phi @ phi)
     if p.e_j != 0.0:
-        h = h - p.e_j * matrix_function(phi, np.cos)
-    return h, phi, n_zp, bd_minus_b
+        h = h - p.e_j * matrix_function(OperatorMatrix(phi), np.cos).arr
+    return hermitian_operator(h), phi, n_zp, bd_minus_b
 
 
 def solve_fluxonium(p: FluxoniumParams) -> FluxoniumBasis:
@@ -122,8 +123,8 @@ def solve_fluxonium(p: FluxoniumParams) -> FluxoniumBasis:
             f"levels move by {shift:.2e} when basis_size doubles; "
             f"increase basis_size from {p.basis_size}")
     vk = spec.eigenvectors[:, :p.n_keep]
-    phi_el = vk.conj().T @ phi.arr @ vk
-    n_op = 1j * n_zp * bd_minus_b.arr
+    phi_el = vk.conj().T @ phi @ vk
+    n_op = 1j * n_zp * bd_minus_b
     n_el = vk.conj().T @ n_op @ vk
     return FluxoniumBasis(energies=spec.eigenvalues[:p.n_keep].copy(),
                           phi_elems=phi_el, n_elems=n_el)
@@ -134,10 +135,13 @@ def coupling_g_c(p: FluxoniumParams, basis: FluxoniumBasis) -> float:
 
 
 def _field_parts(p: FluxoniumParams):
-    a, adag, nph = fock_ops(p.cutoff)
+    """Fock matrices and the quadrature B as plain arrays, after the dimension cap."""
+    check_dim(2 * (p.cutoff + 1))
+    a, adag, nph = (op.arr for op in fock_ops(p.cutoff))
     # Hermitian quadrature B = i(a - a^dag); the charge coupling is along it
-    B = OperatorMatrix(1j * (a.arr - adag.arr), hermitian_hint=True)
-    return a, adag, nph, B
+    B = 1j * (a - adag)
+    sx, sy, sz = (op.arr for op in pauli())
+    return nph, B, sx, sy, sz
 
 
 def build_flux_charge_standard(p: FluxoniumParams,
@@ -149,15 +153,14 @@ def build_flux_charge_standard(p: FluxoniumParams,
     Since (a - a^dag)^2 is negative semidefinite, the last term is a
     nonnegative charging-energy shift (asserted in tests).
     """
-    a, adag, nph, B = _field_parts(p)
-    sx, sy, sz = pauli()
+    nph, B, sx, sy, sz = _field_parts(p)
     g_c = coupling_g_c(p, basis)
-    I2 = identity(2)
-    If = identity(p.cutoff + 1)
-    return (0.5 * basis.omega_10 * kron(sz, If)
-            + p.omega_c * kron(I2, nph)
-            + g_c * kron(sy, B)
-            + 4.0 * p.e_c * p.chi0 ** 2 * kron(I2, as_hermitian(B @ B)))
+    I2 = np.eye(2, dtype=complex)
+    If = np.eye(p.cutoff + 1, dtype=complex)
+    return hermitian_operator(0.5 * basis.omega_10 * np.kron(sz, If)
+                              + p.omega_c * np.kron(I2, nph)
+                              + g_c * np.kron(sy, B)
+                              + 4.0 * p.e_c * p.chi0 ** 2 * np.kron(I2, B @ B))
 
 
 def build_flux_charge_correct(p: FluxoniumParams, basis: FluxoniumBasis,
@@ -172,21 +175,22 @@ def build_flux_charge_correct(p: FluxoniumParams, basis: FluxoniumBasis,
     Hermitian quadrature B = i(a - a^dag); equals the hyperbolic form
     sigma_z cosh[2 theta (a - a^dag)] - i sigma_y sinh[2 theta (a - a^dag)].
     """
-    a, adag, nph, B = _field_parts(p)
-    sx, sy, sz = pauli()
+    nph, B, sx, sy, sz = _field_parts(p)
     g_c = coupling_g_c(p, basis)
     theta = g_c / basis.omega_10
-    I2 = identity(2)
-    If = identity(p.cutoff + 1)
+    I2 = np.eye(2, dtype=complex)
+    If = np.eye(p.cutoff + 1, dtype=complex)
     if method == "conjugation":
         # sigma_x (a - a^dag) = -i sigma_x B, so R = exp[-i theta sigma_x B]
-        R = unitary_exp(kron(sx, B), -theta)
-        H0 = 0.5 * basis.omega_10 * kron(sz, If)
-        return p.omega_c * kron(I2, nph) + conjugate(R, H0)
+        R = unitary_exp(OperatorMatrix(np.kron(sx, B)), -theta)
+        H0 = hermitian_operator(0.5 * basis.omega_10 * np.kron(sz, If))
+        return hermitian_operator(p.omega_c * np.kron(I2, nph) + conjugate(R, H0).arr)
     if method == "closed_form":
         two_t = 2.0 * theta
-        cosB = matrix_function(B, lambda w: np.cos(two_t * w))
-        sinB = matrix_function(B, lambda w: np.sin(two_t * w))
-        return (p.omega_c * kron(I2, nph)
-                + 0.5 * basis.omega_10 * (kron(sz, cosB) - kron(sy, sinB)))
+        spec = hermitian_eig(OperatorMatrix(B))
+        cosB = spectral_matrix(spec, np.cos(two_t * spec.eigenvalues))
+        sinB = spectral_matrix(spec, np.sin(two_t * spec.eigenvalues))
+        return hermitian_operator(p.omega_c * np.kron(I2, nph)
+                                  + 0.5 * basis.omega_10 * (np.kron(sz, cosB)
+                                                            - np.kron(sy, sinB)))
     raise ValueError(f"unknown method {method!r}")

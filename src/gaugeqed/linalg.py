@@ -1,11 +1,14 @@
 """Dense Hermitian linear algebra with explicit invariants.
 
 All operators in the package are finite complex matrices wrapped in
-:class:`OperatorMatrix`.  Eigenproblems go through LAPACK (``numpy.linalg.eigh``)
-behind :func:`hermitian_eig`, which adds a deterministic eigenvector phase
-convention; matrix functions and unitaries are built from the spectral
-decomposition.  Everything is plain double precision, checked against
-tolerances that the tests enforce rather than assume.
+:class:`OperatorMatrix`.  Hamiltonian builders assemble plain complex arrays
+and wrap the finished matrix once with :func:`hermitian_operator`, which is
+where its Hermiticity is checked.  Eigenproblems go through LAPACK
+(``numpy.linalg.eigh``) behind :func:`hermitian_eig`, which adds a
+deterministic eigenvector phase convention; matrix functions and unitaries
+are built from the spectral decomposition.  Everything is plain double
+precision, checked against tolerances that the tests enforce rather than
+assume.
 """
 
 from __future__ import annotations
@@ -64,11 +67,7 @@ class OperatorMatrix:
         if arr.shape[0] < 1:
             raise DimensionMismatchError("operator dimension must be >= 1")
         if self.hermitian_hint:
-            scale = max(float(np.abs(arr).max()), 1.0)
-            dev = float(np.abs(arr - arr.conj().T).max())
-            if dev > HERMITICITY_RTOL * scale:
-                raise NonHermitianError(
-                    f"hermitian_hint set but max|M - M^dag| = {dev:.3e} (scale {scale:.3e})")
+            _check_hermitian(arr, "hermitian_hint set but")
         arr = arr.copy() if arr.flags.writeable else arr
         arr.flags.writeable = False
         object.__setattr__(self, "arr", arr)
@@ -105,6 +104,18 @@ class OperatorMatrix:
         return OperatorMatrix(-self.arr, self.hermitian_hint)
 
 
+def _check_hermitian(arr: np.ndarray, context: str) -> None:
+    """Raise NonHermitianError unless max|M - M^dag| is within HERMITICITY_RTOL
+    of max(max|M|, 1); the difference is formed in one scratch array."""
+    scale = max(float(np.abs(arr).max()), 1.0)
+    diff = arr.conj().T
+    np.subtract(arr, diff, out=diff)
+    dev = float(np.abs(diff).max())
+    if dev > HERMITICITY_RTOL * scale:
+        raise NonHermitianError(
+            f"{context} max|M - M^dag| = {dev:.3e} (scale {scale:.3e})")
+
+
 def _check_same_dim(a: OperatorMatrix, b: OperatorMatrix) -> None:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -112,6 +123,22 @@ def _check_same_dim(a: OperatorMatrix, b: OperatorMatrix) -> None:
 
 def identity(dim: int) -> OperatorMatrix:
     return OperatorMatrix(np.eye(dim, dtype=complex), hermitian_hint=True)
+
+
+def hermitian_operator(arr: np.ndarray) -> OperatorMatrix:
+    """Wrap a freshly assembled complex matrix as a Hermitian operator.
+
+    The constructor runs the Hermiticity check.  ``arr`` is frozen in place
+    rather than copied, so the caller must not hold on to it for writing.
+    """
+    arr.flags.writeable = False
+    return OperatorMatrix(arr, hermitian_hint=True)
+
+
+def check_dim(dim: int, dim_cap: int = DIM_CAP_DEFAULT) -> None:
+    """Raise DimensionOverflowError when a product-space dimension exceeds the cap."""
+    if dim > dim_cap:
+        raise DimensionOverflowError(f"product dimension {dim} exceeds cap {dim_cap}")
 
 
 def as_hermitian(M: OperatorMatrix) -> OperatorMatrix:
@@ -136,15 +163,6 @@ class Spectrum:
         return w[1:stop] - w[0]
 
 
-def _verify_hermitian(M: OperatorMatrix) -> None:
-    if M.hermitian_hint:
-        return
-    scale = max(float(np.abs(M.arr).max()), 1.0)
-    dev = float(np.abs(M.arr - M.arr.conj().T).max())
-    if dev > HERMITICITY_RTOL * scale:
-        raise NonHermitianError(f"matrix is not Hermitian: max|M - M^dag| = {dev:.3e}")
-
-
 def hermitian_eig(M: OperatorMatrix, vectors: bool = True,
                   model_id: str = "", cutoff: Optional[int] = None) -> Spectrum:
     """Full eigendecomposition of a Hermitian operator.
@@ -156,7 +174,8 @@ def hermitian_eig(M: OperatorMatrix, vectors: bool = True,
     Raises NonHermitianError if the matrix fails the Hermiticity check and
     ConvergenceFailureError if LAPACK does not converge.
     """
-    _verify_hermitian(M)
+    if not M.hermitian_hint:
+        _check_hermitian(M.arr, "matrix is not Hermitian:")
     try:
         if vectors:
             w, v = np.linalg.eigh(M.arr)
@@ -177,6 +196,13 @@ def hermitian_eig(M: OperatorMatrix, vectors: bool = True,
     return Spectrum(eigenvalues=w, eigenvectors=v, model_id=model_id, cutoff=cutoff)
 
 
+def spectral_matrix(spec: Spectrum, fw: np.ndarray) -> np.ndarray:
+    """V diag(fw) V^dag for values fw that are real on the spectrum, re-symmetrised."""
+    v = spec.eigenvectors
+    out = (v * fw) @ v.conj().T
+    return (out + out.conj().T) / 2.0
+
+
 def matrix_function(M: OperatorMatrix, f: Callable[[np.ndarray], np.ndarray]) -> OperatorMatrix:
     """f(M) for Hermitian M via the spectral decomposition.
 
@@ -185,12 +211,10 @@ def matrix_function(M: OperatorMatrix, f: Callable[[np.ndarray], np.ndarray]) ->
     """
     spec = hermitian_eig(M)
     fw = np.asarray(f(spec.eigenvalues))
-    v = spec.eigenvectors
-    out = (v * fw) @ v.conj().T
     if np.isrealobj(fw) or np.abs(fw.imag).max() == 0.0:
-        out = (out + out.conj().T) / 2.0
-        return OperatorMatrix(out, hermitian_hint=True)
-    return OperatorMatrix(out, hermitian_hint=False)
+        return hermitian_operator(spectral_matrix(spec, fw))
+    v = spec.eigenvectors
+    return OperatorMatrix((v * fw) @ v.conj().T, hermitian_hint=False)
 
 
 def unitary_exp(A: OperatorMatrix, theta: float) -> OperatorMatrix:
@@ -210,15 +234,12 @@ def conjugate(U: OperatorMatrix, H: OperatorMatrix) -> OperatorMatrix:
         raise NotUnitaryError(f"max|U^dag U - 1| = {dev:.3e} exceeds {UNITARITY_ATOL:.1e}")
     out = U.arr @ H.arr @ U.arr.conj().T
     if H.hermitian_hint:
-        out = (out + out.conj().T) / 2.0
-        return OperatorMatrix(out, hermitian_hint=True)
+        return hermitian_operator((out + out.conj().T) / 2.0)
     return OperatorMatrix(out, hermitian_hint=False)
 
 
 def kron(A: OperatorMatrix, B: OperatorMatrix, dim_cap: int = DIM_CAP_DEFAULT) -> OperatorMatrix:
     """Kronecker product A (x) B; the first factor indexes the slow axis."""
-    dim = A.dim * B.dim
-    if dim > dim_cap:
-        raise DimensionOverflowError(f"kron dimension {dim} exceeds cap {dim_cap}")
+    check_dim(A.dim * B.dim, dim_cap)
     return OperatorMatrix(np.kron(A.arr, B.arr),
                           hermitian_hint=A.hermitian_hint and B.hermitian_hint)

@@ -30,7 +30,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import OperatorMatrix, identity, kron
+from .linalg import OperatorMatrix, check_dim, hermitian_operator
 from .qops import FockSpace, fock_ops
 
 BOUNDARY_AMPLITUDE_MAX = 1e-8
@@ -407,15 +407,20 @@ def check_minimal_coupling_identity(model: ParticleModel, A0: float,
 def _matter_blocks(basis: MatterBasis, m_used: int):
     if not 2 <= m_used <= basis.m_levels:
         raise ValueError(f"m_used must be in [2, {basis.m_levels}], got {m_used}")
-    E = OperatorMatrix(np.diag(basis.energies[:m_used]).astype(complex),
-                       hermitian_hint=True)
-    X = OperatorMatrix(basis.x_elems[:m_used, :m_used].astype(complex),
-                       hermitian_hint=True)
-    X2 = OperatorMatrix(basis.x2_elems[:m_used, :m_used].astype(complex),
-                        hermitian_hint=True)
-    P = OperatorMatrix(basis.p_elems[:m_used, :m_used].astype(complex),
-                       hermitian_hint=True)
+    E = np.diag(basis.energies[:m_used]).astype(complex)
+    X = basis.x_elems[:m_used, :m_used].astype(complex)
+    X2 = basis.x2_elems[:m_used, :m_used].astype(complex)
+    P = basis.p_elems[:m_used, :m_used].astype(complex)
     return E, X, X2, P
+
+
+def _field_parts(field: FockSpace, m_used: int):
+    """Fock matrices as plain arrays plus the matter and field identities,
+    after the dimension cap on the m_used x (cutoff + 1) product space."""
+    nf = field.cutoff + 1
+    check_dim(m_used * nf)
+    a, adag, nph = (op.arr for op in fock_ops(field.cutoff))
+    return a, adag, nph, np.eye(m_used, dtype=complex), np.eye(nf, dtype=complex)
 
 
 def build_full_H_D(model: ParticleModel, basis: MatterBasis, field: FockSpace,
@@ -426,31 +431,29 @@ def build_full_H_D(model: ParticleModel, basis: MatterBasis, field: FockSpace,
     The x^2 term keeps the full matrix elements of x^2 rather than the square
     of the truncated x, so the m_used -> M limit is the untruncated model.
     """
-    a, adag, nph = fock_ops(field.cutoff)
     E, X, X2, _ = _matter_blocks(basis, m_used)
+    a, adag, nph, Im, If = _field_parts(field, m_used)
     q = model.charge
-    nf = field.cutoff + 1
-    coupling = OperatorMatrix(1j * (adag.arr - a.arr), hermitian_hint=True)
-    return (omega_c * kron(identity(m_used), nph)
-            + kron(E, identity(nf))
-            + q ** 2 * A0 ** 2 * omega_c * kron(X2, identity(nf))
-            + q * omega_c * A0 * kron(X, coupling))
+    coupling = 1j * (adag - a)
+    return hermitian_operator(omega_c * np.kron(Im, nph)
+                              + np.kron(E, If)
+                              + q ** 2 * A0 ** 2 * omega_c * np.kron(X2, If)
+                              + q * omega_c * A0 * np.kron(X, coupling))
 
 
 def build_full_H_C(model: ParticleModel, basis: MatterBasis, field: FockSpace,
                    A0: float, m_used: int, omega_c: float = 1.0) -> OperatorMatrix:
     """Coulomb-gauge partner: omega_c a^dag a + H_0 - (q/m) A0 p (a + a^dag)
     + (q^2 A0^2 / 2m)(a + a^dag)^2, with p in the m_used-level eigenbasis."""
-    a, adag, nph = fock_ops(field.cutoff)
     E, _, _, P = _matter_blocks(basis, m_used)
+    a, adag, nph, Im, If = _field_parts(field, m_used)
     q = model.charge
-    nf = field.cutoff + 1
     Xf = a + adag
-    Xf2 = OperatorMatrix((Xf @ Xf).arr, hermitian_hint=True)
-    return (omega_c * kron(identity(m_used), nph)
-            + kron(E, identity(nf))
-            - (q / model.mass) * A0 * kron(P, Xf)
-            + (q ** 2 * A0 ** 2 / (2.0 * model.mass)) * kron(identity(m_used), Xf2))
+    return hermitian_operator(omega_c * np.kron(Im, nph)
+                              + np.kron(E, If)
+                              - (q / model.mass) * A0 * np.kron(P, Xf)
+                              + (q ** 2 * A0 ** 2 / (2.0 * model.mass))
+                              * np.kron(Im, Xf @ Xf))
 
 
 def trk_sum(basis: MatterBasis, model: ParticleModel,

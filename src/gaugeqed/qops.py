@@ -10,17 +10,27 @@ Basis conventions (used everywhere in the package):
 
 Truncation artefact worth remembering: on the truncated space
 [a, a^dag] = 1 everywhere except the top Fock entry, where it is -cutoff.
+
+The eigendecomposition of the field quadrature X = a + a^dag does not depend
+on the coupling, so :func:`quadrature_eig` keeps it per cutoff; its
+eigenvalues are sqrt(2) times the Gauss-Hermite nodes of order cutoff + 1
+(Golub & Welsch, Math. Comp. 23, 221, 1969).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .linalg import (DIM_CAP_DEFAULT, DimensionMismatchError, DimensionOverflowError,
-                     OperatorMatrix, identity, kron)
+from .linalg import (DIM_CAP_DEFAULT, DimensionMismatchError, OperatorMatrix,
+                     Spectrum, hermitian_eig, identity, kron, spectral_matrix)
+
+# cutoffs whose X eigendecomposition is kept; the default convergence
+# policy visits six (40, 80, ..., 1280), so one whole doubling chain fits
+QUADRATURE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,25 @@ def fock_ops(cutoff: int) -> FockOps:
     return FockOps(a=OperatorMatrix(a),
                    adag=OperatorMatrix(a.conj().T),
                    n=OperatorMatrix(np.diag(n.astype(complex)), hermitian_hint=True))
+
+
+@functools.lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
+def quadrature_eig(cutoff: int) -> Spectrum:
+    """Phase-fixed ``hermitian_eig(a + a^dag)`` on Fock levels 0..cutoff.
+
+    Cached per cutoff (the cache is thread-safe); the eigenvalue and
+    eigenvector arrays are read-only, so callers share them safely.
+    """
+    a, adag, _ = fock_ops(cutoff)
+    return hermitian_eig(a + adag)
+
+
+def quadrature_cos_sin(cutoff: int, k: float) -> Tuple[np.ndarray, np.ndarray]:
+    """cos(k X) and sin(k X) for X = a + a^dag, as plain complex arrays built
+    from the cached :func:`quadrature_eig`."""
+    spec = quadrature_eig(cutoff)
+    return (spectral_matrix(spec, np.cos(k * spec.eigenvalues)),
+            spectral_matrix(spec, np.sin(k * spec.eigenvalues)))
 
 
 def spin_ops(two_j: int) -> SpinOps:

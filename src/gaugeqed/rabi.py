@@ -29,9 +29,9 @@ from typing import Optional
 import mpmath as mp
 import numpy as np
 
-from .linalg import (OperatorMatrix, Spectrum, as_hermitian, conjugate, hermitian_eig,
-                     identity, kron, matrix_function, unitary_exp)
-from .qops import fock_ops, pauli
+from .linalg import (OperatorMatrix, Spectrum, check_dim, conjugate, hermitian_eig,
+                     hermitian_operator, spectral_matrix, unitary_exp)
+from .qops import fock_ops, pauli, quadrature_cos_sin, quadrature_eig
 
 # largest |2 eta x| for which the alternating Maclaurin sums stay within
 # double precision's cancellation budget; beyond it the scalar Horner loop
@@ -95,18 +95,24 @@ class GaugeParam:
 
 
 def _parts(p: RabiParams):
-    a, adag, nph = fock_ops(p.cutoff)
-    sx, sy, sz = pauli()
+    """Fock and Pauli matrices as plain complex arrays, after the dimension cap."""
+    check_dim(p.dim)
+    a, adag, nph = (op.arr for op in fock_ops(p.cutoff))
+    sx, sy, sz = (op.arr for op in pauli())
     return a, adag, nph, sx, sy, sz
+
+
+def _eye(dim: int) -> np.ndarray:
+    return np.eye(dim, dtype=complex)
 
 
 def build_H_D(p: RabiParams) -> OperatorMatrix:
     """Dipole-gauge Rabi Hamiltonian (two-level truncation is exact here)."""
     a, adag, nph, sx, sy, sz = _parts(p)
-    coupling = OperatorMatrix(1j * (adag.arr - a.arr), hermitian_hint=True)
-    return (p.omega_c * embed_field(nph, p)
-            + 0.5 * p.omega_10 * embed_matter(sz, p)
-            + p.g_d * kron(sx, coupling))
+    coupling = 1j * (adag - a)
+    return hermitian_operator(p.omega_c * np.kron(_eye(2), nph)
+                              + 0.5 * p.omega_10 * np.kron(sz, _eye(p.cutoff + 1))
+                              + p.g_d * np.kron(sx, coupling))
 
 
 def build_H_C_standard(p: RabiParams, diamagnetic: Optional[float] = None) -> OperatorMatrix:
@@ -119,11 +125,11 @@ def build_H_C_standard(p: RabiParams, diamagnetic: Optional[float] = None) -> Op
     a, adag, nph, sx, sy, sz = _parts(p)
     if diamagnetic is None:
         diamagnetic = p.g_c ** 2 / p.omega_10
-    X = as_hermitian(a + adag)
-    return (p.omega_c * embed_field(nph, p)
-            + 0.5 * p.omega_10 * embed_matter(sz, p)
-            + p.g_c * kron(sy, X)
-            + diamagnetic * embed_field(as_hermitian(X @ X), p))
+    X = a + adag
+    return hermitian_operator(p.omega_c * np.kron(_eye(2), nph)
+                              + 0.5 * p.omega_10 * np.kron(sz, _eye(p.cutoff + 1))
+                              + p.g_c * np.kron(sy, X)
+                              + diamagnetic * np.kron(_eye(2), X @ X))
 
 
 def build_H_C_correct(p: RabiParams, method: str = "closed_form") -> OperatorMatrix:
@@ -131,22 +137,22 @@ def build_H_C_correct(p: RabiParams, method: str = "closed_form") -> OperatorMat
 
     ``method="conjugation"`` builds U = exp[i eta sigma_x (a + a^dag)] and
     conjugates the bare qubit splitting; ``method="closed_form"`` evaluates
-    the equivalent sigma_z cos[2 eta (a+a^dag)] + sigma_y sin[...] form with
-    matrix functions.  Both produce the same matrix to eigensolver roundoff
-    on the truncated space (the rotation identity is exact there).
+    the equivalent sigma_z cos[2 eta (a+a^dag)] + sigma_y sin[...] form from
+    the cached eigendecomposition of a + a^dag.  Both produce the same matrix
+    to eigensolver roundoff on the truncated space (the rotation identity is
+    exact there).
     """
     a, adag, nph, sx, sy, sz = _parts(p)
-    X = a + adag
     if method == "conjugation":
-        U = unitary_exp(kron(sx, X), p.eta)
-        H0 = 0.5 * p.omega_10 * embed_matter(sz, p)
-        return conjugate(U, H0) + p.omega_c * embed_field(nph, p)
+        U = unitary_exp(OperatorMatrix(np.kron(sx, a + adag)), p.eta)
+        H0 = hermitian_operator(0.5 * p.omega_10 * np.kron(sz, _eye(p.cutoff + 1)))
+        return hermitian_operator(conjugate(U, H0).arr
+                                  + p.omega_c * np.kron(_eye(2), nph))
     if method == "closed_form":
-        two_eta = 2.0 * p.eta
-        cosX = matrix_function(X, lambda w: np.cos(two_eta * w))
-        sinX = matrix_function(X, lambda w: np.sin(two_eta * w))
-        return (p.omega_c * embed_field(nph, p)
-                + 0.5 * p.omega_10 * (kron(sz, cosX) + kron(sy, sinX)))
+        cosX, sinX = quadrature_cos_sin(p.cutoff, 2.0 * p.eta)
+        return hermitian_operator(p.omega_c * np.kron(_eye(2), nph)
+                                  + 0.5 * p.omega_10 * (np.kron(sz, cosX)
+                                                        + np.kron(sy, sinX)))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -214,18 +220,11 @@ def build_H_C_taylor(p: RabiParams, order: int) -> OperatorMatrix:
     to ``build_H_C_correct`` at the same cutoff.
     """
     a, adag, nph, sx, sy, sz = _parts(p)
-    X = a + adag
-    spec = hermitian_eig(X)
+    spec = quadrature_eig(p.cutoff)
     cvals, svals = maclaurin_cos_sin(2.0 * p.eta * spec.eigenvalues, order)
-    v = spec.eigenvectors
-    cosX = OperatorMatrix(_resym((v * cvals) @ v.conj().T), hermitian_hint=True)
-    sinX = OperatorMatrix(_resym((v * svals) @ v.conj().T), hermitian_hint=True)
-    return (p.omega_c * embed_field(nph, p)
-            + 0.5 * p.omega_10 * (kron(sz, cosX) + kron(sy, sinX)))
-
-
-def _resym(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    cosX, sinX = spectral_matrix(spec, cvals), spectral_matrix(spec, svals)
+    return hermitian_operator(p.omega_c * np.kron(_eye(2), nph)
+                              + 0.5 * p.omega_10 * (np.kron(sz, cosX) + np.kron(sy, sinX)))
 
 
 def build_H_alpha(p: RabiParams, g) -> OperatorMatrix:
@@ -236,22 +235,11 @@ def build_H_alpha(p: RabiParams, g) -> OperatorMatrix:
     """
     alpha = g.alpha if isinstance(g, GaugeParam) else GaugeParam(float(g)).alpha
     a, adag, nph, sx, sy, sz = _parts(p)
-    X = a + adag
-    two_ae = 2.0 * alpha * p.eta
-    cosX = matrix_function(X, lambda w: np.cos(two_ae * w))
-    sinX = matrix_function(X, lambda w: np.sin(two_ae * w))
-    coupling = OperatorMatrix(1j * (adag.arr - a.arr), hermitian_hint=True)
-    return (p.omega_c * embed_field(nph, p)
-            + (1.0 - alpha) * p.g_d * kron(sx, coupling)
-            + 0.5 * p.omega_10 * (kron(sz, cosX) + kron(sy, sinX)))
-
-
-def embed_matter(op: OperatorMatrix, p: RabiParams) -> OperatorMatrix:
-    return kron(op, identity(p.cutoff + 1))
-
-
-def embed_field(op: OperatorMatrix, p: RabiParams) -> OperatorMatrix:
-    return kron(identity(2), op)
+    cosX, sinX = quadrature_cos_sin(p.cutoff, 2.0 * alpha * p.eta)
+    coupling = 1j * (adag - a)
+    return hermitian_operator(p.omega_c * np.kron(_eye(2), nph)
+                              + (1.0 - alpha) * p.g_d * np.kron(sx, coupling)
+                              + 0.5 * p.omega_10 * (np.kron(sz, cosX) + np.kron(sy, sinX)))
 
 
 def spectrum_of(H: OperatorMatrix, model_id: str = "", cutoff: Optional[int] = None,
@@ -295,9 +283,8 @@ def check_gauge_theorem(p: RabiParams, interior_fraction: float = 0.8,
     if not 0.0 < interior_fraction <= 1.0:
         raise ValueError(f"interior_fraction must be in (0, 1], got {interior_fraction}")
     a, adag, nph, sx, sy, sz = _parts(p)
-    X = a + adag
-    U = unitary_exp(kron(sx, X), p.eta)
-    hd = build_H_D(p) + (p.eta ** 2 * p.omega_c) * identity(p.dim)
+    U = unitary_exp(OperatorMatrix(np.kron(sx, a + adag)), p.eta)
+    hd = hermitian_operator(build_H_D(p).arr + (p.eta ** 2 * p.omega_c) * _eye(p.dim))
     hc = build_H_C_correct(p, method="closed_form")
     dev = conjugate(U, hd).arr - hc.arr
     nf = p.cutoff + 1

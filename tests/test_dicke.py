@@ -7,6 +7,7 @@ import pytest
 import oracles
 from gaugeqed import (
     DickeParams,
+    DimensionOverflowError,
     RabiParams,
     build_dicke_correct,
     build_dicke_dipole,
@@ -186,3 +187,12 @@ def test_builders_hermitian():
     for build in (build_dicke_standard, build_dicke_correct, build_dicke_dipole):
         H = build(p)
         assert H.hermitian_hint
+
+
+def test_builders_enforce_dimension_cap():
+    # (4 + 1) * (1000 + 1) = 5005 exceeds DIM_CAP_DEFAULT = 4096
+    p = DickeParams(eta=0.3, cutoff=1000, n_dipoles=4)
+    for build in (build_dicke_standard, build_dicke_dipole,
+                  lambda q: build_dicke_correct(q, method="closed_form")):
+        with pytest.raises(DimensionOverflowError):
+            build(p)

@@ -9,6 +9,7 @@ import pytest
 
 from gaugeqed import (
     BoundaryLeakError,
+    DimensionOverflowError,
     FockSpace,
     Grid1D,
     GridTooCoarseError,
@@ -294,3 +295,11 @@ def test_full_model_m_used_validation(double_well):
         build_full_H_D(model, basis, field, 0.3, 1)
     with pytest.raises(ValueError):
         build_full_H_C(model, basis, field, 0.3, basis.m_levels + 1)
+
+
+def test_full_model_dimension_cap(harmonic):
+    # 32 matter levels x 201 Fock levels = 6432 exceeds DIM_CAP_DEFAULT = 4096
+    model, basis = harmonic
+    for build in (build_full_H_D, build_full_H_C):
+        with pytest.raises(DimensionOverflowError):
+            build(model, basis, FockSpace(200), 0.3, 32)

@@ -1,5 +1,8 @@
 """Ladder and spin operator algebra, including the truncation artifact."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from gaugeqed import (
     fock_ops,
     hermitian_eig,
     pauli,
+    quadrature_eig,
     spin_ops,
 )
 
@@ -74,6 +78,42 @@ def test_ladder_commutator_top_entry():
     # cutoff 1: sqrt(1) is exact, so the artifact is bitwise here
     a, adag, _ = fock_ops(1)
     assert np.array_equal(comm(a, adag), np.diag([1.0, -1.0]))
+
+
+def test_quadrature_eig_matches_uncached_bitwise():
+    for cutoff in (5, 40, 97):
+        a, adag, _ = fock_ops(cutoff)
+        fresh = hermitian_eig(a + adag)
+        cached = quadrature_eig(cutoff)
+        assert quadrature_eig(cutoff) is cached
+        assert cached.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+        assert cached.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+
+
+def test_quadrature_eig_arrays_read_only():
+    spec = quadrature_eig(12)
+    with pytest.raises(ValueError):
+        spec.eigenvalues[0] = 0.0
+    with pytest.raises(ValueError):
+        spec.eigenvectors[0, 0] = 0.0
+    assert quadrature_eig.cache_info().maxsize == 8
+
+
+def test_quadrature_eig_shared_across_threads():
+    # more threads than cores hammer a cutoff set larger than the cache, so
+    # entries are computed, evicted and recomputed concurrently
+    cutoffs = list(range(3, 3 + 2 * quadrature_eig.cache_info().maxsize))
+    fresh = {c: hermitian_eig(fock_ops(c).a + fock_ops(c).adag) for c in cutoffs}
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(quadrature_eig, cutoffs * 8, timeout=60))
+    finally:
+        sys.setswitchinterval(old_interval)
+    for c, spec in zip(cutoffs * 8, got):
+        assert spec.eigenvectors.tobytes() == fresh[c].eigenvectors.tobytes()
+    assert quadrature_eig.cache_info().currsize <= quadrature_eig.cache_info().maxsize
 
 
 def test_fock_validation():

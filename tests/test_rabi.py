@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gaugeqed import (
+    DimensionOverflowError,
     GaugeParam,
     RabiParams,
     build_H_alpha,
@@ -174,14 +175,14 @@ def test_taylor_order2_structure():
     # sigma_z X^2 term (the printed quadratic form; the sign is fixed by
     # cos(v) = 1 - v^2/2)
     p = RabiParams(eta=0.2, cutoff=30, detuning=0.4)
-    from gaugeqed import as_hermitian, fock_ops, kron, pauli
-    from gaugeqed.rabi import embed_field, embed_matter
+    from gaugeqed import as_hermitian, embed, fock_ops, kron, pauli
     a, adag, nph = fock_ops(p.cutoff)
     sx, sy, sz = pauli()
     X = a + adag
     X2 = as_hermitian(X @ X)
-    manual = (p.omega_c * embed_field(nph, p)
-              + 0.5 * p.omega_10 * embed_matter(sz, p)
+    nf = p.cutoff + 1
+    manual = (p.omega_c * embed(nph, "field", 2, nf)
+              + 0.5 * p.omega_10 * embed(sz, "matter", 2, nf)
               + p.g_c * kron(sy, X)
               - (p.g_c ** 2 / p.omega_10) * kron(sz, X2))
     h2 = build_H_C_taylor(p, 2)
@@ -319,3 +320,12 @@ def test_conjugation_closed_form_any_cutoff(eta, cutoff):
     h1 = build_H_C_correct(p, method="conjugation")
     h2 = build_H_C_correct(p, method="closed_form")
     assert np.abs(h1.arr - h2.arr).max() <= 1e-11 * max(np.abs(h2.arr).max(), 1.0)
+
+
+def test_builders_enforce_dimension_cap():
+    # 2 * (2047 + 1) = 4096 is the cap itself; one Fock level more exceeds it
+    p = RabiParams(eta=0.3, cutoff=2048)
+    for build in (build_H_D, build_H_C_standard, build_H_C_correct,
+                  lambda q: build_H_C_taylor(q, 3), lambda q: build_H_alpha(q, 0.5)):
+        with pytest.raises(DimensionOverflowError):
+            build(p)
