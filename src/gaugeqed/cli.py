@@ -342,11 +342,7 @@ def _run_family_sweep(rc: RunConfig, family: str) -> int:
                                          spec.levels_reported, spec.models)
         written.append(str(gp))
     print(f"wrote {' '.join(written)} ({len(result.points)} points)")
-    bad = result.unconverged()
-    if bad:
-        what = ", ".join(f"{q.model}@eta={q.eta:g}" for q in bad[:8])
-        return _fail(f"CutoffCeiling: {len(bad)} point(s) not converged "
-                     f"below cutoff {spec.policy.cutoff_cap}: {what}")
+    experiments.check_converged(result)
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import (OperatorMatrix, check_dim, conjugate, hermitian_operator,
                      unitary_exp)
-from .qops import fock_ops, quadrature_cos_sin, spin_ops
+from .qops import _fock_arrays, _spin_arrays, quadrature_cos_sin
 from .rabi import RabiParams
 
 
@@ -46,9 +46,7 @@ class DickeParams(RabiParams):
 def _parts(p: DickeParams):
     """Fock and spin matrices as plain complex arrays, after the dimension cap."""
     check_dim(p.dim)
-    a, adag, nph = (op.arr for op in fock_ops(p.cutoff))
-    jx, jy, jz = (op.arr for op in spin_ops(p.n_dipoles))
-    return a, adag, nph, jx, jy, jz
+    return (*_fock_arrays(p.cutoff), *_spin_arrays(p.n_dipoles))
 
 
 def _eye(dim: int) -> np.ndarray:

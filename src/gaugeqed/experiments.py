@@ -181,11 +181,13 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
 
 
 def check_converged(result: SweepResult) -> None:
+    """Raise CutoffCeilingError if any point hit the cutoff cap unconverged."""
     bad = result.unconverged()
     if bad:
         what = ", ".join(f"{p.model}@eta={p.eta:g}" for p in bad[:8])
         raise CutoffCeilingError(
-            f"{len(bad)} sweep point(s) hit the cutoff cap without converging: {what}")
+            f"{len(bad)} sweep point(s) hit the cutoff cap "
+            f"{result.spec.policy.cutoff_cap} without converging: {what}")
 
 
 def default_eta_grid(eta_max: float = 1.5, step: float = 0.025,

@@ -29,7 +29,7 @@ import numpy as np
 from .linalg import (OperatorMatrix, check_dim, conjugate, hermitian_eig,
                      hermitian_operator, matrix_function, spectral_matrix,
                      unitary_exp)
-from .qops import fock_ops, pauli
+from .qops import _fock_arrays, _pauli_arrays
 
 
 class BasisTooSmallError(Exception):
@@ -95,7 +95,7 @@ class FluxoniumBasis:
 
 
 def _flux_hamiltonian(p: FluxoniumParams, basis_size: int):
-    b, bdag, nb = (op.arr for op in fock_ops(basis_size - 1))
+    b, bdag, nb = _fock_arrays(basis_size - 1)
     phi = p.phi_zp * (b + bdag)
     # N = i n_zp (b^dag - b); N^2 = -n_zp^2 (b^dag - b)^2
     n_zp = 1.0 / (2.0 * p.phi_zp)
@@ -137,10 +137,10 @@ def coupling_g_c(p: FluxoniumParams, basis: FluxoniumBasis) -> float:
 def _field_parts(p: FluxoniumParams):
     """Fock matrices and the quadrature B as plain arrays, after the dimension cap."""
     check_dim(2 * (p.cutoff + 1))
-    a, adag, nph = (op.arr for op in fock_ops(p.cutoff))
+    a, adag, nph = _fock_arrays(p.cutoff)
     # Hermitian quadrature B = i(a - a^dag); the charge coupling is along it
     B = 1j * (a - adag)
-    sx, sy, sz = (op.arr for op in pauli())
+    sx, sy, sz = _pauli_arrays()
     return nph, B, sx, sy, sz
 
 

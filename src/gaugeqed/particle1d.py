@@ -31,7 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .linalg import OperatorMatrix, check_dim, hermitian_operator
-from .qops import FockSpace, fock_ops
+from .qops import FockSpace, _fock_arrays
 
 BOUNDARY_AMPLITUDE_MAX = 1e-8
 GRID_SHIFT_MAX = 1e-6
@@ -419,7 +419,7 @@ def _field_parts(field: FockSpace, m_used: int):
     after the dimension cap on the m_used x (cutoff + 1) product space."""
     nf = field.cutoff + 1
     check_dim(m_used * nf)
-    a, adag, nph = (op.arr for op in fock_ops(field.cutoff))
+    a, adag, nph = _fock_arrays(field.cutoff)
     return a, adag, nph, np.eye(m_used, dtype=complex), np.eye(nf, dtype=complex)
 
 

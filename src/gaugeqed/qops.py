@@ -81,16 +81,21 @@ class SpinOps(NamedTuple):
     jz: OperatorMatrix
 
 
-def fock_ops(cutoff: int) -> FockOps:
-    """Annihilation, creation and number operators on dimension cutoff + 1."""
+def _fock_arrays(cutoff: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a, a^dag and n on dimension cutoff + 1 as plain complex arrays."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     n = np.arange(cutoff + 1)
     a = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     a[np.arange(cutoff), np.arange(1, cutoff + 1)] = np.sqrt(n[1:])
-    return FockOps(a=OperatorMatrix(a),
-                   adag=OperatorMatrix(a.conj().T),
-                   n=OperatorMatrix(np.diag(n.astype(complex)), hermitian_hint=True))
+    return a, a.conj().T.copy(), np.diag(n.astype(complex))
+
+
+def fock_ops(cutoff: int) -> FockOps:
+    """Annihilation, creation and number operators on dimension cutoff + 1."""
+    a, adag, n = _fock_arrays(cutoff)
+    return FockOps(a=OperatorMatrix(a), adag=OperatorMatrix(adag),
+                   n=OperatorMatrix(n, hermitian_hint=True))
 
 
 @functools.lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
@@ -100,8 +105,8 @@ def quadrature_eig(cutoff: int) -> Spectrum:
     Cached per cutoff (the cache is thread-safe); the eigenvalue and
     eigenvector arrays are read-only, so callers share them safely.
     """
-    a, adag, _ = fock_ops(cutoff)
-    return hermitian_eig(a + adag)
+    a, adag, _ = _fock_arrays(cutoff)
+    return hermitian_eig(OperatorMatrix(a + adag))
 
 
 def quadrature_cos_sin(cutoff: int, k: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -112,8 +117,8 @@ def quadrature_cos_sin(cutoff: int, k: float) -> Tuple[np.ndarray, np.ndarray]:
             spectral_matrix(spec, np.sin(k * spec.eigenvalues)))
 
 
-def spin_ops(two_j: int) -> SpinOps:
-    """Collective spin operators J_x, J_y, J_z, ascending-m basis."""
+def _spin_arrays(two_j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J_x, J_y, J_z (ascending-m basis) as plain complex arrays."""
     if two_j < 1:
         raise ValueError(f"two_j must be >= 1, got {two_j}")
     j = two_j / 2.0
@@ -121,9 +126,12 @@ def spin_ops(two_j: int) -> SpinOps:
     jp = np.zeros((two_j + 1, two_j + 1), dtype=complex)
     jp[np.arange(1, two_j + 1), np.arange(two_j)] = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
     jm = jp.conj().T
-    return SpinOps(jx=OperatorMatrix((jp + jm) / 2.0, hermitian_hint=True),
-                   jy=OperatorMatrix((jp - jm) / 2.0j, hermitian_hint=True),
-                   jz=OperatorMatrix(np.diag(m.astype(complex)), hermitian_hint=True))
+    return (jp + jm) / 2.0, (jp - jm) / 2.0j, np.diag(m.astype(complex))
+
+
+def spin_ops(two_j: int) -> SpinOps:
+    """Collective spin operators J_x, J_y, J_z, ascending-m basis."""
+    return SpinOps(*(OperatorMatrix(op, hermitian_hint=True) for op in _spin_arrays(two_j)))
 
 
 def embed(op: OperatorMatrix, slot: str, matter_dim: int, field_dim: int,
@@ -142,7 +150,11 @@ def embed(op: OperatorMatrix, slot: str, matter_dim: int, field_dim: int,
     raise ValueError(f"slot must be 'matter' or 'field', got {slot!r}")
 
 
+def _pauli_arrays() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sigma_x, sigma_y, sigma_z = 2 J_k at j = 1/2, as plain complex arrays."""
+    return tuple(2.0 * op for op in _spin_arrays(1))
+
+
 def pauli() -> SpinOps:
     """Pauli matrices in the (ground, excited) ordering: 2 * spin_ops(1)."""
-    jx, jy, jz = spin_ops(1)
-    return SpinOps(jx=2.0 * jx, jy=2.0 * jy, jz=2.0 * jz)
+    return SpinOps(*(OperatorMatrix(op, hermitian_hint=True) for op in _pauli_arrays()))

@@ -5,7 +5,10 @@ problems, 2 on numerical failures (with the violated check named on stderr);
 outputs are byte-identical across reruns and thread counts.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,14 @@ def run(argv, tmp_path, extra=()):
 # ---------------------------------------------------------------------------
 # parser surface
 # ---------------------------------------------------------------------------
+
+def test_import_leaves_mpmath_out():
+    # mpmath is a test-only dependency; the package must not import it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = "import sys, gaugeqed, gaugeqed.cli; sys.exit('mpmath' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
+
 
 def test_version(capsys):
     assert main(["--version"]) == 0

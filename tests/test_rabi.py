@@ -191,8 +191,8 @@ def test_taylor_order2_structure():
 
 
 def test_taylor_high_order_converges_to_correct():
-    # cutoff 80 keeps the polynomial arguments inside the double-precision
-    # window; cutoff 100 pushes them over it and exercises the mpmath path
+    # cutoff 80 keeps every argument |2 eta x| below 18; cutoff 100 takes
+    # some above it, where the alternating sums' peak term exceeds 1e7
     for cutoff, tol in ((80, 1e-8), (100, 1e-8)):
         p = RabiParams(eta=0.5, cutoff=cutoff)
         t400 = transitions(build_H_C_taylor(p, 400), 6)
@@ -223,12 +223,32 @@ def test_maclaurin_mpmath_branch_matches_numpy():
 
 
 def test_maclaurin_branches_consistent():
-    # same value evaluated on both branches (the branch is chosen by the
-    # array maximum); they agree to the double path's cancellation budget
+    # a value's result does not depend on the other values in the array
     c1, s1 = maclaurin_cos_sin(np.array([17.5]), 160)
     c2, s2 = maclaurin_cos_sin(np.array([17.5, 20.0]), 160)
     assert abs(c1[0] - c2[0]) <= 1e-8
     assert abs(s1[0] - s2[0]) <= 1e-8
+
+
+@pytest.mark.parametrize("order", list(range(41)) + [99, 100, 101, 200, 400])
+def test_maclaurin_matches_exact_polynomial(order):
+    # x = +-order is where the head sum hands over to cos/sin minus the tail
+    switch = [order, -order, np.nextafter(order, 0), -np.nextafter(order, 0)]
+    v = np.concatenate([np.linspace(-100.0, 100.0, 101), switch])
+    c, s = maclaurin_cos_sin(v, order)
+    c_ref, s_ref = oracles.maclaurin_cos_sin_exact(v, order)
+    assert np.all(np.abs(c - c_ref) <= 1e-14 * np.maximum(np.abs(c_ref), 1.0))
+    assert np.all(np.abs(s - s_ref) <= 1e-14 * np.maximum(np.abs(s_ref), 1.0))
+    c0, s0 = maclaurin_cos_sin(np.array([]), order)
+    assert c0.shape == s0.shape == (0,)
+
+
+def test_maclaurin_overflow_returns():
+    # the peak term x^m/m! overflows past |x| ~ 700; the sum must still end
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, s = maclaurin_cos_sin(np.array([800.0, 1.0]), 1000)
+    assert not np.isfinite(c[0]) and not np.isfinite(s[0])
+    assert abs(c[1] - np.cos(1.0)) <= 1e-15 and abs(s[1] - np.sin(1.0)) <= 1e-15
 
 
 def test_maclaurin_low_orders():
