@@ -16,6 +16,7 @@ from .linalg import (
     NonHermitianError,
     NotUnitaryError,
     OperatorMatrix,
+    ParityError,
     Spectrum,
     as_hermitian,
     conjugate,
@@ -23,6 +24,7 @@ from .linalg import (
     identity,
     kron,
     matrix_function,
+    parity_eigvalsh,
     unitary_exp,
 )
 from .qops import (FockSpace, SpinSpace, embed, fock_ops, pauli, quadrature_eig,
@@ -100,9 +102,10 @@ __all__ = [
     # linalg
     "OperatorMatrix", "Spectrum", "hermitian_eig", "matrix_function",
     "unitary_exp", "conjugate", "kron", "identity", "as_hermitian",
+    "parity_eigvalsh",
     "LinalgError", "NonHermitianError", "NotUnitaryError",
     "ConvergenceFailureError", "DimensionMismatchError",
-    "DimensionOverflowError",
+    "DimensionOverflowError", "ParityError",
     # qops
     "FockSpace", "SpinSpace", "fock_ops", "spin_ops", "embed", "pauli",
     "quadrature_eig",

@@ -13,6 +13,7 @@ byte-identical for any thread count.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import dicke as dicke_mod
 from . import rabi as rabi_mod
-from .linalg import OperatorMatrix, hermitian_eig
+from .linalg import OperatorMatrix, hermitian_eig, parity_eigvalsh
 
 OMEGA_C = 1.0  # all energies in units of the cavity frequency
 
@@ -44,8 +45,20 @@ class ConvergencePolicy:
             raise ValueError("cutoff_cap below initial cutoff")
 
 
-def lowest_transitions(H: OperatorMatrix, levels: int) -> np.ndarray:
-    w = hermitian_eig(H, vectors=False).eigenvalues
+def lowest_transitions(H: OperatorMatrix, levels: int,
+                       field_dim: Optional[int] = None) -> np.ndarray:
+    """E_n - E_0 for n = 1..levels.
+
+    With ``field_dim`` (the Fock dimension of a matter (x) Fock operator that
+    commutes with the parity sigma_z (-1)^{a^dag a}) the spectrum comes from
+    :func:`~gaugeqed.linalg.parity_eigvalsh`, two real half-size solves that
+    raise ParityError if H does not split; without it, from one dense
+    complex solve.
+    """
+    if field_dim is None:
+        w = hermitian_eig(H, vectors=False).eigenvalues
+    else:
+        w = parity_eigvalsh(H, field_dim)
     if w.size < levels + 1:
         raise ValueError(f"need at least {levels + 1} eigenvalues, got {w.size}")
     return w[1:levels + 1] - w[0]
@@ -57,17 +70,21 @@ def converged_transitions(build: Callable[[int], OperatorMatrix], levels: int,
     move by less than tol; returns (transitions, cutoff, converged flag,
     trail).
 
+    ``build(cutoff)`` must return a parity-symmetric matter (x) Fock operator
+    with Fock dimension cutoff + 1 (every Rabi and Dicke builder does); each
+    build is solved as two real parity blocks.
+
     The trail logs (cutoff reached, max transition shift) for every growth
     step, so monotone convergence is checkable after the fact.  The
     transitions at the last (largest) cutoff are returned even when the cap
     is hit, flagged unconverged rather than dropped.
     """
     cutoff = policy.cutoff0
-    prev = lowest_transitions(build(cutoff), levels)
+    prev = lowest_transitions(build(cutoff), levels, cutoff + 1)
     trail = []
     while cutoff * policy.growth <= policy.cutoff_cap:
         cutoff *= policy.growth
-        cur = lowest_transitions(build(cutoff), levels)
+        cur = lowest_transitions(build(cutoff), levels, cutoff + 1)
         delta = float(np.abs(cur - prev).max())
         trail.append((cutoff, delta))
         if delta < policy.tol * OMEGA_C:
@@ -232,6 +249,8 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
     only make sense at a stated truncation.  The per-order scan stops at the
     first eta whose error exceeds tol; eta_star is the last grid value before
     that, first_bad the value that crossed (None when the grid never crossed).
+    The orders are scanned on ``threads`` workers; the full model is solved
+    only at the etas some scan reaches.
     """
     if eta_grid is None:
         eta_grid = default_eta_grid(1.6, include_zero=False)
@@ -240,38 +259,40 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
     if any(n < 1 for n in orders):
         raise ValueError("orders must be >= 1")
 
-    def exact_for(eta):
-        p = _rabi_params(eta, detuning, cutoff)
-        return lowest_transitions(rabi_mod.build_H_C_correct(p), levels)
+    # exact spectra are solved the first time any order's scan reaches that
+    # eta and shared across orders; the per-index lock makes concurrent
+    # scans wait for one solve instead of repeating it
+    exact = [None] * len(eta_grid)
+    locks = [threading.Lock() for _ in eta_grid]
 
-    exact = _map_ordered(exact_for, eta_grid, threads)
+    def exact_at(i):
+        with locks[i]:
+            if exact[i] is None:
+                p = _rabi_params(eta_grid[i], detuning, cutoff)
+                exact[i] = lowest_transitions(rabi_mod.build_H_C_correct(p), levels,
+                                              cutoff + 1)
+            return exact[i]
 
-    err_rows = []
-    stars = []
-    firsts = []
-    for n in orders:
-        row = []
-        star, first = 0.0, None
-        stopped = False
+    def scan(n):
+        row, star, first = [], 0.0, None
         for i, eta in enumerate(eta_grid):
-            if stopped:
-                row.append(float("nan"))
-                continue
             p = _rabi_params(eta, detuning, cutoff)
-            t = lowest_transitions(rabi_mod.build_H_C_taylor(p, n), levels)
-            err = float(np.max(np.abs(t - exact[i]) / np.maximum(exact[i], OMEGA_C)))
+            t = lowest_transitions(rabi_mod.build_H_C_taylor(p, n), levels, cutoff + 1)
+            ref = exact_at(i)
+            err = float(np.max(np.abs(t - ref) / np.maximum(ref, OMEGA_C)))
             row.append(err)
             if err > tol:
                 first = eta
-                stopped = True
-            else:
-                star = eta
-        err_rows.append(tuple(row))
-        stars.append(star)
-        firsts.append(first)
+                break
+            star = eta
+        row += [float("nan")] * (len(eta_grid) - len(row))
+        return tuple(row), star, first
+
+    scans = _map_ordered(scan, orders, threads)
     return TaylorStudy(orders=orders, eta_grid=eta_grid, cutoff=cutoff,
-                       levels=levels, tol=tol, errors=tuple(err_rows),
-                       eta_star=tuple(stars), first_bad=tuple(firsts))
+                       levels=levels, tol=tol, errors=tuple(s[0] for s in scans),
+                       eta_star=tuple(s[1] for s in scans),
+                       first_bad=tuple(s[2] for s in scans))
 
 
 # ---------------------------------------------------------------------------

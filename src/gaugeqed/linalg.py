@@ -6,9 +6,17 @@ and wrap the finished matrix once with :func:`hermitian_operator`, which is
 where its Hermiticity is checked.  Eigenproblems go through LAPACK
 (``numpy.linalg.eigh``) behind :func:`hermitian_eig`, which adds a
 deterministic eigenvector phase convention; matrix functions and unitaries
-are built from the spectral decomposition.  Everything is plain double
-precision, checked against tolerances that the tests enforce rather than
-assume.
+are built from the spectral decomposition.
+
+Matter (x) Fock operators that commute with the parity
+sigma_z (-1)^{a^dag a} (Braak, PRL 107, 100401, 2011) have a second route,
+:func:`parity_eigvalsh`: a fixed diagonal phase makes both parity blocks
+real symmetric, so the spectrum comes from two real half-size solves, about
+a quarter of the n^3 of one complex solve.  Both claims are checked on every
+call and a failure raises :class:`ParityError`.
+
+Everything is plain double precision, checked against tolerances that the
+tests enforce rather than assume.
 """
 
 from __future__ import annotations
@@ -45,6 +53,10 @@ class DimensionMismatchError(LinalgError):
 
 class DimensionOverflowError(LinalgError):
     pass
+
+
+class ParityError(LinalgError):
+    """An operator that does not split into real parity blocks."""
 
 
 @dataclass(frozen=True)
@@ -194,6 +206,72 @@ def hermitian_eig(M: OperatorMatrix, vectors: bool = True,
     w = np.ascontiguousarray(w)
     w.flags.writeable = False
     return Spectrum(eigenvalues=w, eigenvectors=v, model_id=model_id, cutoff=cutoff)
+
+
+# 1j**m for m = 0..3, exact; 1j**m itself is not for large m (1j**101 has
+# a real part of 4.4e-15), so the matter index is reduced mod 4 into this table
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def parity_eigvalsh(H: OperatorMatrix, field_dim: int) -> np.ndarray:
+    """Ascending eigenvalues of a matter (x) Fock operator, solved as two
+    real symmetric parity blocks.
+
+    Basis index k = m * field_dim + n, with m the matter index (ascending
+    spin projection) and n the Fock index; the parity sigma_z (-1)^{a^dag a}
+    sorts k into the class (m + n) mod 2.  Conjugating by the diagonal phase
+    phi_k = 1j**m turns the sigma_y and i (a^dag - a) couplings of every
+    Rabi and Dicke builder into real entries, so each block is solved in
+    real arithmetic (``numpy.linalg.eigvalsh`` on the real part of the
+    phased block).  The result is read-only.
+
+    Raises ParityError when the off-parity block or the imaginary part of a
+    phased block exceeds HERMITICITY_RTOL * max(max|H|, 1), NonHermitianError
+    for an untagged non-Hermitian matrix, and ConvergenceFailureError if
+    LAPACK does not converge.
+    """
+    arr = H.arr
+    if not H.hermitian_hint:
+        _check_hermitian(arr, "matrix is not Hermitian:")
+    if field_dim < 1 or arr.shape[0] % field_dim:
+        raise DimensionMismatchError(
+            f"dimension {arr.shape[0]} is not a multiple of field_dim {field_dim}")
+    matter = arr.shape[0] // field_dim
+    # H[m, n, m2, n2]; next to matter index m, parity class c holds the Fock
+    # levels n = (m + c) % 2, +2, ..., so every (m, m2) piece of a block is a
+    # strided view and no fancy-index gather is needed
+    h4 = arr.reshape(matter, field_dim, matter, field_dim)
+
+    def fock(m, c):
+        return slice((m + c) % 2, None, 2)
+
+    pairs = [(m, m2) for m in range(matter) for m2 in range(matter)]
+    limit = HERMITICITY_RTOL * max(float(np.abs(arr).max()), 1.0)
+    leak = max(float(np.abs(h4[m, fock(m, 0), m2, fock(m2, 1)]).max(initial=0.0))
+               for m, m2 in pairs)
+    if leak > limit:
+        raise ParityError(f"off-parity block: max|H| = {leak:.3e} exceeds {limit:.3e}")
+    ws = []
+    for c in (0, 1):
+        edges = np.cumsum([0] + [len(range((m + c) % 2, field_dim, 2))
+                                 for m in range(matter)])
+        block = np.empty((edges[-1], edges[-1]))
+        imag = 0.0
+        for m, m2 in pairs:
+            # the phased entry conj(phi_k) H_kl phi_l = 1j**(m2 - m) H_kl
+            piece = h4[m, fock(m, c), m2, fock(m2, c)] * _I_POWERS[(m2 - m) % 4]
+            block[edges[m]:edges[m + 1], edges[m2]:edges[m2 + 1]] = piece.real
+            imag = max(imag, float(np.abs(piece.imag).max(initial=0.0)))
+        if imag > limit:
+            raise ParityError(
+                f"phased parity block: max|Im| = {imag:.3e} exceeds {limit:.3e}")
+        try:
+            ws.append(np.linalg.eigvalsh(block))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailureError(f"eigensolver did not converge: {exc}") from exc
+    w = np.sort(np.concatenate(ws))
+    w.flags.writeable = False
+    return w
 
 
 def spectral_matrix(spec: Spectrum, fw: np.ndarray) -> np.ndarray:

@@ -11,8 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gaugeqed import OperatorMatrix, experiments, pauli
 from gaugeqed.cli import COMMANDS, build_parser, main
 
 TINY_SWEEP = ["rabi-sweep", "--eta-max", "0.1", "--eta-step", "0.05",
@@ -116,6 +118,20 @@ def test_cutoff_ceiling_exit_2(tmp_path, capsys):
     # unconverged rows are still written, flagged 0
     csv = (tmp_path / "rabi_sweep.csv").read_text()
     assert ",8,0," in csv
+
+
+def test_parity_error_exit_2(tmp_path, capsys, monkeypatch):
+    # sigma_x (x) 1 flips the matter index alone, so it breaks the parity
+    build = experiments.RABI_MODELS["D"]
+
+    def broken(eta, detuning, cutoff, n):
+        sx = pauli()[0].arr
+        H = build(eta, detuning, cutoff, n).arr + np.kron(sx, np.eye(cutoff + 1))
+        return OperatorMatrix(H, hermitian_hint=True)
+
+    monkeypatch.setitem(experiments.RABI_MODELS, "D", broken)
+    assert run(TINY_SWEEP, tmp_path) == 2
+    assert "ParityError" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Sweep driver: convergence policy, determinism, studies, table emission."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugeqed import RabiParams, build_H_C_correct, build_H_D
+from gaugeqed import rabi as rabi_mod
 from gaugeqed.experiments import (
     ConvergencePolicy,
     CutoffCeilingError,
@@ -78,6 +82,38 @@ def test_lowest_transitions_needs_levels():
     H = build_H_D(RabiParams(eta=0.1, cutoff=2))
     with pytest.raises(ValueError):
         lowest_transitions(H, 6)
+
+
+@pytest.mark.parametrize("family,models,n_dipoles", [
+    ("rabi", ("D", "Cstd", "Ccorr"), 1),
+    ("dicke", ("std", "corr", "dipole"), 2),
+])
+def test_sweep_solves_real_half_blocks(monkeypatch, family, models, n_dipoles):
+    """Every sweep solve is real and at most half the product dimension,
+    rounded up; the two blocks of one build add up to its dimension."""
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        solves.append((a.shape, a.dtype))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    policy = ConvergencePolicy(cutoff0=5, tol=1e-6)
+    spec = SweepSpec(models=models, eta_grid=SMALL_GRID, family=family,
+                     n_dipoles=n_dipoles, levels_reported=3, policy=policy)
+    result = run_sweep(spec)
+    # threads=1 solves point by point along each point's cutoff chain
+    dims = [(n_dipoles + 1) * (policy.cutoff0 * policy.growth ** k + 1)
+            for p in result.points for k in range(len(p.trail) + 1)]
+    assert len(solves) == 2 * len(dims)
+    for (even, odd), dim in zip(zip(solves[::2], solves[1::2]), dims):
+        for shape, dtype in (even, odd):
+            assert dtype == np.float64
+            assert shape[0] == shape[1] <= math.ceil(dim / 2)
+        assert even[0][0] + odd[0][0] == dim
+    if family == "dicke":
+        assert any(dim % 2 for dim in dims)  # odd dimensions round up
 
 
 @given(eta=st.floats(0.1, 1.2), detuning=st.sampled_from([0.0, 0.5]))
@@ -201,6 +237,35 @@ def test_taylor_study_scan():
         assert (finite[:-1] <= study.tol).all()
     # a higher order survives at least as far
     assert study.eta_star[1] >= study.eta_star[0]
+
+
+def test_taylor_study_threads_and_lazy_exact(monkeypatch):
+    calls = []
+    build = rabi_mod.build_H_C_correct
+
+    def counting(p, *args, **kwargs):
+        calls.append(p.eta)
+        return build(p, *args, **kwargs)
+
+    monkeypatch.setattr(rabi_mod, "build_H_C_correct", counting)
+    grid = tuple(0.1 * k for k in range(1, 16))
+    orders = (2, 3, 4, 5, 6, 10)
+    kw = dict(eta_grid=grid, cutoff=30, levels=3)
+    study = taylor_study(orders, threads=1, **kw)
+    reached = max(int(np.count_nonzero(~np.isnan(row))) for row in study.errors)
+    assert reached < len(grid)  # the longest scan stops inside the grid
+    assert sorted(calls) == sorted(grid[:reached])  # one exact solve per eta reached
+    # more scans than cores, switching threads often: each exact spectrum is
+    # still solved once, and the table does not depend on the thread count
+    calls.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = taylor_study(orders, threads=4, **kw)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == sorted(grid[:reached])
+    assert taylor_csv_lines(threaded) == taylor_csv_lines(study)
 
 
 def test_taylor_study_validation():

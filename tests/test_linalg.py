@@ -8,18 +8,31 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_hermitian
 from gaugeqed import (
+    DickeParams,
     DimensionMismatchError,
     DimensionOverflowError,
+    LinalgError,
     NonHermitianError,
     NotUnitaryError,
     OperatorMatrix,
+    ParityError,
+    RabiParams,
     as_hermitian,
+    build_dicke_correct,
+    build_dicke_dipole,
+    build_dicke_standard,
+    build_H_alpha,
+    build_H_C_correct,
+    build_H_C_standard,
+    build_H_C_taylor,
+    build_H_D,
     conjugate,
     fock_ops,
     hermitian_eig,
     identity,
     kron,
     matrix_function,
+    parity_eigvalsh,
     pauli,
     unitary_exp,
 )
@@ -259,3 +272,73 @@ def test_operator_array_frozen():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         pauli()[0] + identity(3)
+
+
+# ---------------------------------------------------------------------------
+# parity_eigvalsh
+# ---------------------------------------------------------------------------
+
+def parity_models(eta, cutoff):
+    """Every Rabi and Dicke builder the sweeps and studies solve, by name."""
+    p = RabiParams(eta=eta, cutoff=cutoff, detuning=0.3)
+    models = {
+        "D": build_H_D(p),
+        "Cstd": build_H_C_standard(p),
+        "Ccorr/closed_form": build_H_C_correct(p),
+        "Ccorr/conjugation": build_H_C_correct(p, method="conjugation"),
+    }
+    for order in (2, 3, 200):
+        models[f"taylor{order}"] = build_H_C_taylor(p, order)
+    for alpha in (0.0, 0.5, 1.0):
+        models[f"alpha{alpha:g}"] = build_H_alpha(p, alpha)
+    for n in (1, 2, 3, 4):
+        q = DickeParams(eta=eta, cutoff=cutoff, detuning=0.3, n_dipoles=n)
+        models[f"dicke{n}/std"] = build_dicke_standard(q)
+        models[f"dicke{n}/corr/conjugation"] = build_dicke_correct(q)
+        models[f"dicke{n}/corr/closed_form"] = build_dicke_correct(q, method="closed_form")
+        models[f"dicke{n}/dipole"] = build_dicke_dipole(q)
+    return models
+
+
+@pytest.mark.parametrize("cutoff", [15, 16])
+@pytest.mark.parametrize("eta", [0.0, 0.5, 1.5, 3.0])
+def test_parity_eigvalsh_matches_dense(eta, cutoff):
+    for name, H in parity_models(eta, cutoff).items():
+        w = parity_eigvalsh(H, cutoff + 1)
+        w_ref = hermitian_eig(H, vectors=False).eigenvalues
+        assert w.shape == w_ref.shape, name
+        assert not w.flags.writeable
+        dev = np.abs(w - w_ref).max()
+        assert dev <= 1e-12 * max(np.abs(H.arr).max(), 1.0), (name, dev)
+
+
+def _with_term(H, term):
+    return OperatorMatrix(H.arr + term, hermitian_hint=True)
+
+
+def test_parity_error_on_broken_parity():
+    p = RabiParams(eta=0.5, cutoff=6)
+    sx = pauli()[0].arr
+    H = _with_term(build_H_D(p), np.kron(sx, np.eye(p.cutoff + 1)))
+    with pytest.raises(ParityError, match="off-parity block"):
+        parity_eigvalsh(H, p.cutoff + 1)
+    assert issubclass(ParityError, LinalgError)
+
+
+def test_parity_error_on_complex_phased_block():
+    # sigma_y (x) i(a^dag - a) keeps parity, but no diagonal phase of the
+    # matter index makes it real next to the model's sigma_y (x) (a + a^dag)
+    p = RabiParams(eta=0.5, cutoff=6)
+    a, adag, _ = fock_ops(p.cutoff)
+    sy = pauli()[1].arr
+    H = _with_term(build_H_C_standard(p), np.kron(sy, 1j * (adag.arr - a.arr)))
+    with pytest.raises(ParityError, match="phased parity block"):
+        parity_eigvalsh(H, p.cutoff + 1)
+
+
+def test_parity_eigvalsh_checks_its_input():
+    H = build_H_D(RabiParams(eta=0.5, cutoff=6))
+    with pytest.raises(DimensionMismatchError):
+        parity_eigvalsh(H, 5)
+    with pytest.raises(NonHermitianError):
+        parity_eigvalsh(OperatorMatrix(H.arr + np.triu(H.arr, 1)), 7)
