@@ -512,6 +512,8 @@ def _cmd_full_model(rc: RunConfig) -> int:
     basis = particle1d.solve_particle(model)
     field = FockSpace(p["cutoff"])
     levels = p["levels"]
+    # a mirror-parity basis splits both models into real parity blocks
+    field_dim = field.dim if basis.mirror_parity else None
     gaps = []
     print("m_levels  max_transition_gap")
     lines = [_UNITS_LINE, "m_levels,max_transition_gap"]
@@ -520,10 +522,12 @@ def _cmd_full_model(rc: RunConfig) -> int:
             raise ValueError(f"m_levels {m} exceeds solved levels "
                              f"{basis.m_levels}")
         # one model at a time: each matrix is freed once its levels are known
-        t_d = _transitions(particle1d.build_full_H_D(model, basis, field, p["a0"], m),
-                           levels)
-        t_c = _transitions(particle1d.build_full_H_C(model, basis, field, p["a0"], m),
-                           levels)
+        t_d = experiments.lowest_transitions(
+            particle1d.build_full_H_D(model, basis, field, p["a0"], m), levels,
+            field_dim)
+        t_c = experiments.lowest_transitions(
+            particle1d.build_full_H_C(model, basis, field, p["a0"], m), levels,
+            field_dim)
         gap = float(np.abs(t_d - t_c).max())
         gaps.append(gap)
         print(f"{m:8d}  {gap:.6e}")

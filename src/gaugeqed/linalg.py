@@ -9,7 +9,9 @@ deterministic eigenvector phase convention; matrix functions and unitaries
 are built from the spectral decomposition.
 
 Matter (x) Fock operators that commute with the parity
-sigma_z (-1)^{a^dag a} (Braak, PRL 107, 100401, 2011) have a second route,
+sigma_z (-1)^{a^dag a} (Braak, PRL 107, 100401, 2011), or with
+(-1)^i (-1)^{a^dag a} for the mirror-parity levels i of a 1D particle,
+have a second route,
 :func:`parity_eigvalsh`: a fixed diagonal phase makes both parity blocks
 real symmetric, so the spectrum comes from two real half-size solves, about
 a quarter of the n^3 of one complex solve.  Both claims are checked on every
@@ -116,13 +118,21 @@ class OperatorMatrix:
         return OperatorMatrix(-self.arr, self.hermitian_hint)
 
 
+# entries of M - M^dag formed at a time by the Hermiticity check: one block
+# up to dimension 724, and a scratch of 8 MB however large the matrix is
+_CHECK_BLOCK_ENTRIES = 1 << 19
+
+
 def _check_hermitian(arr: np.ndarray, context: str) -> None:
     """Raise NonHermitianError unless max|M - M^dag| is within HERMITICITY_RTOL
-    of max(max|M|, 1); the difference is formed in one scratch array."""
+    of max(max|M|, 1); the difference is formed a block of rows at a time."""
     scale = max(float(np.abs(arr).max()), 1.0)
-    diff = arr.conj().T
-    np.subtract(arr, diff, out=diff)
-    dev = float(np.abs(diff).max())
+    rows = max(1, _CHECK_BLOCK_ENTRIES // arr.shape[0])
+    dev = 0.0
+    for i in range(0, arr.shape[0], rows):
+        diff = arr[:, i:i + rows].conj().T
+        np.subtract(arr[i:i + rows], diff, out=diff)
+        dev = max(dev, float(np.abs(diff).max()))
     if dev > HERMITICITY_RTOL * scale:
         raise NonHermitianError(
             f"{context} max|M - M^dag| = {dev:.3e} (scale {scale:.3e})")
@@ -218,10 +228,12 @@ def parity_eigvalsh(H: OperatorMatrix, field_dim: int) -> np.ndarray:
     real symmetric parity blocks.
 
     Basis index k = m * field_dim + n, with m the matter index (ascending
-    spin projection) and n the Fock index; the parity sigma_z (-1)^{a^dag a}
-    sorts k into the class (m + n) mod 2.  Conjugating by the diagonal phase
-    phi_k = 1j**m turns the sigma_y and i (a^dag - a) couplings of every
-    Rabi and Dicke builder into real entries, so each block is solved in
+    spin projection, or the level of a mirror-parity 1D basis) and n the
+    Fock index; the parity sorts k into the class (m + n) mod 2.
+    Conjugating by the diagonal phase phi_k = 1j**m turns the sigma_y and
+    i (a^dag - a) couplings of every Rabi and Dicke builder, and the
+    x i(a^dag - a) and p (a + a^dag) couplings of the full 1D models, into
+    real entries, so each block is solved in
     real arithmetic (``numpy.linalg.eigvalsh`` on the real part of the
     phased block).  The result is read-only.
 

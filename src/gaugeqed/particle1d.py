@@ -3,7 +3,9 @@
 Provides the matter side of the full (many-level) light-matter models:
 
 * ``solve_particle``                  lowest-M eigenpairs of p^2/2m + W(x) by
-                                      4th-order finite differences
+                                      4th-order finite differences, with a
+                                      grid-refinement check; both grids are
+                                      solved by shift-invert Lanczos
 * ``nonlocal_kernel``                 the projected potential kernel V(x, x')
                                       showing how truncation delocalizes a
                                       local potential
@@ -18,6 +20,12 @@ Units: hbar = 1 throughout; energies in units of omega_c when the field is
 attached.  Grid eigenfunctions are normalized so that sum(psi_i psi_j) dx =
 delta_ij; with the required boundary decay this equals the trapezoid rule to
 roundoff.
+
+For a mirror-symmetric potential on a grid centred on x = 0 the
+eigenfunctions are projected onto exact parity (-1)^i, and the basis is
+marked ``mirror_parity``.  The full models then commute with the parity
+(-1)^i (-1)^{a^dag a} and split into the real blocks that
+``linalg.parity_eigvalsh`` solves.
 """
 
 from __future__ import annotations
@@ -35,6 +43,10 @@ from .qops import FockSpace, _fock_arrays
 
 BOUNDARY_AMPLITUDE_MAX = 1e-8
 GRID_SHIFT_MAX = 1e-6
+# mirror symmetry of the sampled potential (relative to max(max|V|, 1)) and
+# of each eigenfunction (relative to its largest sample)
+MIRROR_POTENTIAL_RTOL = 1e-12
+MIRROR_PSI_RTOL = 1e-8
 
 # 4th-order central stencils
 _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
@@ -156,7 +168,9 @@ class MatterBasis:
 
     ``x_elems`` is real symmetric, ``p_elems`` purely imaginary antisymmetric
     (real eigenfunctions); ``psi`` holds the normalized eigenfunctions as
-    columns on the model grid.
+    columns on the model grid.  ``mirror_parity`` marks a basis whose level
+    i has exact parity (-1)^i, so x and p couple only levels of opposite
+    parity and x^2 only levels of equal parity.
     """
 
     energies: np.ndarray
@@ -165,6 +179,7 @@ class MatterBasis:
     x2_elems: np.ndarray
     psi: np.ndarray
     grid: Grid1D
+    mirror_parity: bool = False
 
     def __post_init__(self):
         for name in ("energies", "x_elems", "p_elems", "x2_elems", "psi"):
@@ -189,22 +204,17 @@ def _grid_bands(model: ParticleModel):
     return bands
 
 
-def _grid_eigvals(model: ParticleModel) -> np.ndarray:
-    return sla.eig_banded(_grid_bands(model), lower=True, select="i",
-                          select_range=(0, model.eigen_count - 1),
-                          eigvals_only=True)
+def _grid_eigsh(model: ParticleModel, vectors: bool):
+    """Lowest eigen_count eigenvalues (and, with ``vectors``, eigenvectors) of
+    the 4th-order pentadiagonal operator by shift-invert Lanczos.
 
-
-def _solve_grid(model: ParticleModel):
-    """4th-order eigensolve; returns (energies, sign-fixed psi columns).
-
-    Eigenvectors come from shift-invert Lanczos on the pentadiagonal operator
-    (the banded LAPACK driver materializes a dense n x n back-transform when
-    asked for vectors, which is prohibitive on refined grids).  A fixed start
-    vector keeps repeated runs bit-identical.
+    The shift sits below the potential minimum, so the wanted levels are the
+    largest of the inverted operator.  A fixed start vector keeps repeated
+    runs bit-identical.  The banded LAPACK driver is avoided: it needs a
+    dense n x n back-transform for vectors and is several times slower even
+    for values on refined grids.
     """
-    g = model.grid
-    n, dx = g.n_points, g.dx
+    n = model.grid.n_points
     bands = _grid_bands(model)
     A = sp.diags(
         [bands[2][: n - 2], bands[1][: n - 1], bands[0],
@@ -212,14 +222,28 @@ def _solve_grid(model: ParticleModel):
         offsets=[-2, -1, 0, 1, 2], format="csc")
     sigma = float(model.potential.min()) - 1.0
     v0 = np.full(n, 1.0 / np.sqrt(n))
-    w, v = spla.eigsh(A, k=model.eigen_count, sigma=sigma, which="LM", v0=v0)
+    return spla.eigsh(A, k=model.eigen_count, sigma=sigma, which="LM", v0=v0,
+                      return_eigenvectors=vectors)
+
+
+def _grid_eigvals(model: ParticleModel) -> np.ndarray:
+    return np.sort(_grid_eigsh(model, False))
+
+
+def _solve_grid(model: ParticleModel):
+    """4th-order eigensolve; returns (energies, sign-fixed psi columns).
+
+    Each column is normalized to sum(psi^2) dx = 1, and its sign is fixed so
+    that its largest-magnitude sample is positive.
+    """
+    w, v = _grid_eigsh(model, True)
     order = np.argsort(w)
     w, v = w[order], v[:, order]
     for i in range(v.shape[1]):
         jmax = np.argmax(np.abs(v[:, i]))
         if v[jmax, i] < 0:
             v[:, i] = -v[:, i]
-    return w, v / np.sqrt(dx)
+    return w, v / np.sqrt(model.grid.dx)
 
 
 def _first_derivative(v: np.ndarray, dx: float) -> np.ndarray:
@@ -233,12 +257,41 @@ def _first_derivative(v: np.ndarray, dx: float) -> np.ndarray:
     return out / dx
 
 
+def _mirror_projected(model: ParticleModel, psi: np.ndarray) -> Optional[np.ndarray]:
+    """Parity-definite copies of the eigenfunctions of a mirror-symmetric
+    model, or None when the model or its eigenfunctions are not.
+
+    The model must sit on a grid centred on x = 0 with
+    max|V - V[::-1]| <= MIRROR_POTENTIAL_RTOL * max(max|V|, 1), and every
+    column must satisfy psi_i ~ (-1)^i psi_i[::-1] to MIRROR_PSI_RTOL of its
+    largest sample: in 1D the bound states alternate in parity.  The
+    projection (psi_i + (-1)^i psi_i[::-1]) / 2 removes the solver's parity
+    leak, so matrix elements between levels of the forbidden parity vanish
+    to roundoff.
+    """
+    g, pot = model.grid, model.potential
+    if g.x_min != -g.x_max:
+        return None
+    if np.abs(pot - pot[::-1]).max() > MIRROR_POTENTIAL_RTOL * max(np.abs(pot).max(), 1.0):
+        return None
+    mirrored = psi[::-1] * (-1.0) ** np.arange(psi.shape[1])
+    dev = np.abs(psi - mirrored).max(axis=0)
+    if np.any(dev > MIRROR_PSI_RTOL * np.abs(psi).max(axis=0)):
+        return None
+    return (psi + mirrored) / 2.0
+
+
 def solve_particle(model: ParticleModel, check_grid: bool = True) -> MatterBasis:
     """Lowest eigen_count eigenpairs with boundary and discretization checks.
 
     Raises BoundaryLeakError when any retained eigenfunction fails to decay
     below 1e-8 at the grid edge, and GridTooCoarseError when halving the grid
-    spacing moves any retained eigenvalue by more than 1e-6.
+    spacing moves any retained eigenvalue by more than 1e-6.  Both grids are
+    solved by the same shift-invert Lanczos routine.
+
+    For a mirror-symmetric model the eigenfunctions are projected onto
+    exact parity (see ``_mirror_projected``) before the matrix elements are
+    formed, and ``mirror_parity`` is set on the result.
     """
     g = model.grid
     w, psi = _solve_grid(model)
@@ -254,6 +307,9 @@ def solve_particle(model: ParticleModel, check_grid: bool = True) -> MatterBasis
             raise GridTooCoarseError(
                 f"eigenvalue shift {shift:.2e} on grid refinement exceeds "
                 f"{GRID_SHIFT_MAX:.1e}; increase n_points")
+    projected = _mirror_projected(model, psi)
+    if projected is not None:
+        psi = projected
     x = g.points
     dx = g.dx
     xpsi = psi * x[:, None]
@@ -264,7 +320,7 @@ def solve_particle(model: ParticleModel, check_grid: bool = True) -> MatterBasis
     praw = psi.T @ _first_derivative(psi, dx) * dx
     p_el = -1j * (praw - praw.T) / 2.0
     return MatterBasis(energies=w, x_elems=x_el, p_elems=p_el, x2_elems=x2_el,
-                       psi=psi, grid=g)
+                       psi=psi, grid=g, mirror_parity=projected is not None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,11 +439,7 @@ def check_minimal_coupling_identity(model: ParticleModel, A0: float,
         res = max(res, float(np.abs(conj_d - subst[off]).max()))
     residual_rel = res / scale
 
-    bands_r = np.zeros((3, n))
-    kin = 1.0 / (2.0 * model.mass * dx ** 2)
-    bands_r[0] = -_D2[2] * kin + model.potential
-    bands_r[1] = -_D2[1] * kin
-    bands_r[2] = -_D2[0] * kin
+    bands_r = _grid_bands(model)
     w_bare = sla.eig_banded(bands_r, lower=True, select="i",
                             select_range=(0, spectrum_levels - 1),
                             eigvals_only=True)
@@ -423,6 +475,30 @@ def _field_parts(field: FockSpace, m_used: int):
     return a, adag, nph, np.eye(m_used, dtype=complex), np.eye(nf, dtype=complex)
 
 
+def _kron_sum(terms) -> np.ndarray:
+    """sum of s * kron(A, B) over the (s, A, B) terms, in their order.
+
+    The sum is formed one matter row block at a time, so beyond the result
+    only a 1/m_used-size scratch block is live.  Every entry is computed as
+    in the plain expression s1 * kron(A1, B1) + s2 * kron(A2, B2) + ...,
+    so the result is bit-identical to it; s = None stands for an unscaled
+    term.
+    """
+    m, nf = terms[0][1].shape[0], terms[0][2].shape[0]
+    H = np.empty((m * nf, m * nf), dtype=complex)
+    for i, row in enumerate(H.reshape(m, nf, m, nf)):
+        for t, (s, A, B) in enumerate(terms):
+            # rows i*nf .. (i+1)*nf - 1 of kron(A, B), as [k, j, l]
+            K = A[i][None, :, None] * B[:, None, :]
+            if s is not None:
+                K *= s
+            if t == 0:
+                row[...] = K
+            else:
+                row += K
+    return H
+
+
 def build_full_H_D(model: ParticleModel, basis: MatterBasis, field: FockSpace,
                    A0: float, m_used: int, omega_c: float = 1.0) -> OperatorMatrix:
     """Dipole-gauge light-matter model with m_used matter levels retained:
@@ -434,11 +510,12 @@ def build_full_H_D(model: ParticleModel, basis: MatterBasis, field: FockSpace,
     E, X, X2, _ = _matter_blocks(basis, m_used)
     a, adag, nph, Im, If = _field_parts(field, m_used)
     q = model.charge
-    coupling = 1j * (adag - a)
-    return hermitian_operator(omega_c * np.kron(Im, nph)
-                              + np.kron(E, If)
-                              + q ** 2 * A0 ** 2 * omega_c * np.kron(X2, If)
-                              + q * omega_c * A0 * np.kron(X, coupling))
+    return hermitian_operator(_kron_sum([
+        (omega_c, Im, nph),
+        (None, E, If),
+        (q ** 2 * A0 ** 2 * omega_c, X2, If),
+        (q * omega_c * A0, X, 1j * (adag - a)),
+    ]))
 
 
 def build_full_H_C(model: ParticleModel, basis: MatterBasis, field: FockSpace,
@@ -449,11 +526,12 @@ def build_full_H_C(model: ParticleModel, basis: MatterBasis, field: FockSpace,
     a, adag, nph, Im, If = _field_parts(field, m_used)
     q = model.charge
     Xf = a + adag
-    return hermitian_operator(omega_c * np.kron(Im, nph)
-                              + np.kron(E, If)
-                              - (q / model.mass) * A0 * np.kron(P, Xf)
-                              + (q ** 2 * A0 ** 2 / (2.0 * model.mass))
-                              * np.kron(Im, Xf @ Xf))
+    return hermitian_operator(_kron_sum([
+        (omega_c, Im, nph),
+        (None, E, If),
+        (-((q / model.mass) * A0), P, Xf),
+        (q ** 2 * A0 ** 2 / (2.0 * model.mass), Im, Xf @ Xf),
+    ]))
 
 
 def trk_sum(basis: MatterBasis, model: ParticleModel,

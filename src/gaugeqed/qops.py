@@ -20,6 +20,7 @@ eigenvalues are sqrt(2) times the Gauss-Hermite nodes of order cutoff + 1
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
@@ -99,14 +100,30 @@ def fock_ops(cutoff: int) -> FockOps:
 
 
 @functools.lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
+def _quadrature_eig_cached(cutoff: int) -> Spectrum:
+    a, adag, _ = _fock_arrays(cutoff)
+    return hermitian_eig(OperatorMatrix(a + adag))
+
+
+# lru_cache holds no lock while a missing entry is computed, so two threads
+# missing on one cutoff would both solve it; this lock makes it one solve
+_QUADRATURE_LOCK = threading.Lock()
+
+
 def quadrature_eig(cutoff: int) -> Spectrum:
     """Phase-fixed ``hermitian_eig(a + a^dag)`` on Fock levels 0..cutoff.
 
-    Cached per cutoff (the cache is thread-safe); the eigenvalue and
-    eigenvector arrays are read-only, so callers share them safely.
+    Cached per cutoff.  Lookups are serialised by a lock, so concurrent
+    callers compute each cutoff once; ``cache_info`` and ``cache_clear`` are
+    those of the underlying ``lru_cache``.  The eigenvalue and eigenvector
+    arrays are read-only, so callers share them safely.
     """
-    a, adag, _ = _fock_arrays(cutoff)
-    return hermitian_eig(OperatorMatrix(a + adag))
+    with _QUADRATURE_LOCK:
+        return _quadrature_eig_cached(cutoff)
+
+
+quadrature_eig.cache_info = _quadrature_eig_cached.cache_info
+quadrature_eig.cache_clear = _quadrature_eig_cached.cache_clear
 
 
 def quadrature_cos_sin(cutoff: int, k: float) -> Tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from gaugeqed import OperatorMatrix, experiments, pauli
+from gaugeqed import OperatorMatrix, cli, experiments, particle1d, pauli
 from gaugeqed.cli import COMMANDS, build_parser, main
 
 TINY_SWEEP = ["rabi-sweep", "--eta-max", "0.1", "--eta-step", "0.05",
@@ -304,6 +305,46 @@ def test_full_model_harmonic_quick(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "gap ratio" in out
     assert (tmp_path / "full_model.csv").exists()
+
+
+def record_solvers(monkeypatch):
+    """Log (dtype, rows) of every eigvalsh input and every eig_banded call."""
+    seen, banded = [], []
+    eigvalsh, eig_banded = np.linalg.eigvalsh, scipy.linalg.eig_banded
+
+    def record(a, *args, **kwargs):
+        seen.append((a.dtype, a.shape[0]))
+        return eigvalsh(a, *args, **kwargs)
+
+    def record_banded(*args, **kwargs):
+        banded.append(args)
+        return eig_banded(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    monkeypatch.setattr(scipy.linalg, "eig_banded", record_banded)
+    return seen, banded
+
+
+def test_full_model_solves_parity_blocks(tmp_path, monkeypatch):
+    seen, banded = record_solvers(monkeypatch)
+    argv = ["full-model", "--model", "harmonic", "--m-levels", "2,4",
+            "--cutoff", "8"]
+    assert run(argv, tmp_path) == 0
+    # D then C at m=2 (dim 18), then at m=4 (dim 36): two real half blocks each
+    assert seen == [(np.float64, 9)] * 4 + [(np.float64, 18)] * 4
+    assert banded == []
+
+
+def test_full_model_tilted_well_stays_dense(tmp_path, monkeypatch):
+    x = np.linspace(-10.0, 10.0, 2001)
+    table = tmp_path / "tilted.dat"
+    np.savetxt(table, np.column_stack([x, 0.5 * x ** 2 + 0.05 * x]))
+    model = particle1d.model_from_table(table, eigen_count=6)
+    monkeypatch.setattr(cli, "_named_model", lambda p: model)
+    seen, _ = record_solvers(monkeypatch)
+    argv = ["full-model", "--m-levels", "2,4", "--cutoff", "8"]
+    assert run(argv, tmp_path) == 0
+    assert seen == [(np.complex128, 18)] * 2 + [(np.complex128, 36)] * 2
 
 
 def test_full_model_bad_m_levels(tmp_path, capsys):

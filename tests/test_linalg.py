@@ -112,6 +112,18 @@ def test_nonhermitian_rejected():
         OperatorMatrix(a.arr, hermitian_hint=True)
 
 
+def test_hermiticity_checked_in_every_row_block():
+    # dimension 1500 is checked in five row blocks; a defect in the last one
+    # and one straddling two blocks must both be found
+    H = random_hermitian(1500, 7)
+    assert OperatorMatrix(H, hermitian_hint=True).dim == 1500
+    for i, j in ((1499, 1450), (348, 350)):
+        bad = H.copy()
+        bad[i, j] += 1e-6
+        with pytest.raises(NonHermitianError):
+            OperatorMatrix(bad, hermitian_hint=True)
+
+
 def test_nonsquare_rejected():
     with pytest.raises(DimensionMismatchError):
         OperatorMatrix(np.zeros((2, 3)))

@@ -6,13 +6,16 @@ via fixtures in conftest.py.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import oracles
 from gaugeqed import (
     BoundaryLeakError,
     DimensionOverflowError,
     FockSpace,
     Grid1D,
     GridTooCoarseError,
+    ParityError,
     ParticleModel,
     build_full_H_C,
     build_full_H_D,
@@ -22,6 +25,8 @@ from gaugeqed import (
     hermitian_eig,
     model_from_table,
     nonlocal_kernel,
+    parity_eigvalsh,
+    particle1d,
     solve_particle,
     trk_sum,
 )
@@ -161,6 +166,41 @@ def test_coarse_grid_detected():
         solve_particle(double_well_model(n_points=4001))
 
 
+def test_grid_eigvals_match_banded_driver():
+    # the refinement check runs shift-invert Lanczos; the banded LAPACK
+    # driver on the same pentadiagonal operator is the reference
+    model = double_well_model(n_points=2001, eigen_count=10)
+    ref = scipy.linalg.eig_banded(particle1d._grid_bands(model), lower=True,
+                                  select="i", select_range=(0, 9),
+                                  eigvals_only=True)
+    assert np.abs(particle1d._grid_eigvals(model) - ref).max() <= 1e-8
+
+
+@pytest.mark.parametrize("preset", ["harmonic", "double_well"])
+def test_mirror_parity_selection_rules(preset, request):
+    _, basis = request.getfixturevalue(preset)
+    assert basis.mirror_parity
+    i = np.arange(basis.m_levels)
+    assert np.array_equal(basis.psi[::-1], basis.psi * (-1.0) ** i)
+    same = (i[:, None] + i[None, :]) % 2 == 0
+    for elems, forbidden in ((basis.x_elems, same), (basis.p_elems, same),
+                             (basis.x2_elems, ~same)):
+        assert np.abs(elems[forbidden]).max() <= 1e-14 * np.abs(elems).max()
+
+
+def test_tilted_table_has_no_mirror_parity(tmp_path):
+    x = np.linspace(-10.0, 10.0, 2001)
+    path = tmp_path / "tilted.dat"
+    np.savetxt(path, np.column_stack([x, 0.5 * x ** 2 + 0.05 * x]))
+    model = model_from_table(path, eigen_count=6)
+    basis = solve_particle(model)
+    assert not basis.mirror_parity
+    # <0|x|0> is finite, so x (x) i(a^dag - a) mixes the parity classes
+    H = build_full_H_D(model, basis, FockSpace(8), 0.3, 6)
+    with pytest.raises(ParityError):
+        parity_eigvalsh(H, 9)
+
+
 def test_checks_can_be_skipped():
     basis = solve_particle(double_well_model(n_points=4001, eigen_count=6),
                            check_grid=False)
@@ -286,6 +326,25 @@ def test_full_model_harmonic_floor(harmonic):
         else:
             assert cur < floor
     assert gaps[-1] < floor
+
+
+def test_full_builders_match_oracles():
+    # charge, mass and omega_c away from 1 exercise every scalar factor
+    model = harmonic_model(omega0=0.8, mass=1.7, charge=-0.6, n_points=2001,
+                           eigen_count=8)
+    basis = solve_particle(model, check_grid=False)
+    for m_used, a0, cutoff in ((2, 0.3, 12), (7, 1.1, 5)):
+        field = FockSpace(cutoff)
+        hd = build_full_H_D(model, basis, field, a0, m_used, omega_c=1.3).arr
+        ref_d = oracles.full_model_dipole(basis.energies, basis.x_elems,
+                                          basis.x2_elems, a0, model.charge,
+                                          1.3, cutoff, m_used)
+        hc = build_full_H_C(model, basis, field, a0, m_used, omega_c=1.3).arr
+        ref_c = oracles.full_model_coulomb(basis.energies, basis.p_elems,
+                                           model.mass, a0, model.charge, 1.3,
+                                           cutoff, m_used)
+        for got, ref in ((hd, ref_d), (hc, ref_c)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_full_model_m_used_validation(double_well):

@@ -1,6 +1,8 @@
 """Ladder and spin operator algebra, including the truncation artifact."""
 
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,6 +18,7 @@ from gaugeqed import (
     fock_ops,
     hermitian_eig,
     pauli,
+    qops,
     quadrature_eig,
     spin_ops,
 )
@@ -114,6 +117,31 @@ def test_quadrature_eig_shared_across_threads():
     for c, spec in zip(cutoffs * 8, got):
         assert spec.eigenvectors.tobytes() == fresh[c].eigenvectors.tobytes()
     assert quadrature_eig.cache_info().currsize <= quadrature_eig.cache_info().maxsize
+
+
+def test_quadrature_eig_computes_a_cutoff_once(monkeypatch):
+    # eight threads miss on one cutoff at once; the slow solve keeps the
+    # window open, and only one of them may run it
+    calls = []
+    solve = qops.hermitian_eig
+
+    def counting(M, *args, **kwargs):
+        calls.append(M.dim)
+        time.sleep(0.05)
+        return solve(M, *args, **kwargs)
+
+    monkeypatch.setattr(qops, "hermitian_eig", counting)
+    quadrature_eig.cache_clear()
+    start = threading.Barrier(8)
+
+    def request(_):
+        start.wait(timeout=60)
+        return quadrature_eig(57)
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        got = list(pool.map(request, range(8), timeout=60))
+    assert calls == [58]
+    assert all(spec is got[0] for spec in got)
 
 
 def test_fock_validation():
