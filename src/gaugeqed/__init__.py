@@ -16,9 +16,11 @@ from .linalg import (
     NonHermitianError,
     NotUnitaryError,
     OperatorMatrix,
+    ParityBands,
     ParityError,
     Spectrum,
     as_hermitian,
+    banded_parity_eigvalsh,
     conjugate,
     hermitian_eig,
     identity,
@@ -33,6 +35,8 @@ from .rabi import (
     GaugeParam,
     GaugeTheoremReport,
     RabiParams,
+    bands_H_C_standard,
+    bands_H_D,
     build_H_alpha,
     build_H_C_correct,
     build_H_C_standard,
@@ -102,7 +106,7 @@ __all__ = [
     # linalg
     "OperatorMatrix", "Spectrum", "hermitian_eig", "matrix_function",
     "unitary_exp", "conjugate", "kron", "identity", "as_hermitian",
-    "parity_eigvalsh",
+    "parity_eigvalsh", "ParityBands", "banded_parity_eigvalsh",
     "LinalgError", "NonHermitianError", "NotUnitaryError",
     "ConvergenceFailureError", "DimensionMismatchError",
     "DimensionOverflowError", "ParityError",
@@ -112,6 +116,7 @@ __all__ = [
     # rabi
     "RabiParams", "GaugeParam", "build_H_D", "build_H_C_standard",
     "build_H_C_correct", "build_H_C_taylor", "build_H_alpha",
+    "bands_H_D", "bands_H_C_standard",
     "maclaurin_cos_sin", "spectrum_of", "check_gauge_theorem",
     "GaugeTheoremReport",
     # dicke

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import dicke as dicke_mod
 from . import rabi as rabi_mod
-from .linalg import OperatorMatrix, hermitian_eig, parity_eigvalsh
+from .linalg import (OperatorMatrix, ParityBands, banded_parity_eigvalsh, hermitian_eig,
+                     parity_eigvalsh)
 
 OMEGA_C = 1.0  # all energies in units of the cavity frequency
 
@@ -45,17 +46,24 @@ class ConvergencePolicy:
             raise ValueError("cutoff_cap below initial cutoff")
 
 
-def lowest_transitions(H: OperatorMatrix, levels: int,
+def lowest_transitions(H: Union[OperatorMatrix, ParityBands], levels: int,
                        field_dim: Optional[int] = None) -> np.ndarray:
     """E_n - E_0 for n = 1..levels.
 
-    With ``field_dim`` (the Fock dimension of a matter (x) Fock operator that
-    commutes with the parity sigma_z (-1)^{a^dag a}) the spectrum comes from
+    ``ParityBands`` (the banded parity chains of the Rabi D and naive
+    Coulomb models) are solved by
+    :func:`~gaugeqed.linalg.banded_parity_eigvalsh` for their lowest
+    levels + 1 eigenvalues only, and ``field_dim`` is ignored.  For a matrix,
+    ``field_dim`` (the Fock dimension of a matter (x) Fock operator that
+    commutes with the parity sigma_z (-1)^{a^dag a}) selects
     :func:`~gaugeqed.linalg.parity_eigvalsh`, two real half-size solves that
-    raise ParityError if H does not split; without it, from one dense
-    complex solve.
+    raise ParityError if H does not split; without it the spectrum comes
+    from one dense complex solve.  Raises ValueError when fewer than
+    levels + 1 eigenvalues exist.
     """
-    if field_dim is None:
+    if isinstance(H, ParityBands):
+        w = banded_parity_eigvalsh(H, levels + 1)
+    elif field_dim is None:
         w = hermitian_eig(H, vectors=False).eigenvalues
     else:
         w = parity_eigvalsh(H, field_dim)
@@ -64,15 +72,17 @@ def lowest_transitions(H: OperatorMatrix, levels: int,
     return w[1:levels + 1] - w[0]
 
 
-def converged_transitions(build: Callable[[int], OperatorMatrix], levels: int,
-                          policy: ConvergencePolicy = ConvergencePolicy()):
+def converged_transitions(build: Callable[[int], Union[OperatorMatrix, ParityBands]],
+                          levels: int, policy: ConvergencePolicy = ConvergencePolicy()):
     """Grow the Fock cutoff geometrically until the reported transitions
     move by less than tol; returns (transitions, cutoff, converged flag,
     trail).
 
-    ``build(cutoff)`` must return a parity-symmetric matter (x) Fock operator
-    with Fock dimension cutoff + 1 (every Rabi and Dicke builder does); each
-    build is solved as two real parity blocks.
+    ``build(cutoff)`` must return either a parity-symmetric matter (x) Fock
+    operator with Fock dimension cutoff + 1 (every Rabi and Dicke matrix
+    builder does), solved as two real dense parity blocks, or its
+    ``ParityBands`` (``rabi.bands_H_D``, ``rabi.bands_H_C_standard``),
+    solved as two banded chains for the lowest levels + 1 eigenvalues.
 
     The trail logs (cutoff reached, max transition shift) for every growth
     step, so monotone convergence is checkable after the fact.  The
@@ -93,14 +103,15 @@ def converged_transitions(build: Callable[[int], OperatorMatrix], levels: int,
     return prev, cutoff, False, tuple(trail)
 
 
-# builder registries; each entry maps (eta, detuning, cutoff, n_dipoles) to a matrix
+# builder registries; each entry maps (eta, detuning, cutoff, n_dipoles) to a
+# matrix, or to the banded parity chains where the model is banded
 def _rabi_params(eta, detuning, cutoff):
     return rabi_mod.RabiParams(eta=eta, cutoff=cutoff, detuning=detuning)
 
 
 RABI_MODELS: Dict[str, Callable] = {
-    "D": lambda e, d, c, n: rabi_mod.build_H_D(_rabi_params(e, d, c)),
-    "Cstd": lambda e, d, c, n: rabi_mod.build_H_C_standard(_rabi_params(e, d, c)),
+    "D": lambda e, d, c, n: rabi_mod.bands_H_D(_rabi_params(e, d, c)),
+    "Cstd": lambda e, d, c, n: rabi_mod.bands_H_C_standard(_rabi_params(e, d, c)),
     "Ccorr": lambda e, d, c, n: rabi_mod.build_H_C_correct(_rabi_params(e, d, c)),
 }
 
@@ -321,7 +332,9 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
     """Spread of transition energies across the gauge family.
 
     With negative_control=True the alpha=1 member is replaced by the naive
-    Coulomb-gauge model, which must break the invariance at strong coupling.
+    Coulomb-gauge model, which must break the invariance at strong coupling;
+    that member is solved from its banded parity chains, the family members
+    from dense real parity blocks.
     """
     alphas = tuple(float(a) for a in alphas)
     eta_grid = tuple(float(e) for e in eta_grid)
@@ -331,7 +344,7 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
     def work(task):
         eta, alpha = task
         if negative_control and alpha == 1.0:
-            build = lambda c: rabi_mod.build_H_C_standard(_rabi_params(eta, detuning, c))
+            build = lambda c: rabi_mod.bands_H_C_standard(_rabi_params(eta, detuning, c))
         else:
             build = lambda c: rabi_mod.build_H_alpha(_rabi_params(eta, detuning, c), alpha)
         t, _, ok, _ = converged_transitions(build, levels, policy)

@@ -1,4 +1,4 @@
-"""Dense Hermitian linear algebra with explicit invariants.
+"""Dense and banded Hermitian linear algebra with explicit invariants.
 
 All operators in the package are finite complex matrices wrapped in
 :class:`OperatorMatrix`.  Hamiltonian builders assemble plain complex arrays
@@ -17,6 +17,15 @@ real symmetric, so the spectrum comes from two real half-size solves, about
 a quarter of the n^3 of one complex solve.  Both claims are checked on every
 call and a failure raises :class:`ParityError`.
 
+Where a model's parity blocks are banded, ordered by Fock index (the
+dipole and naive Coulomb Rabi models are tri- and pentadiagonal chains
+|0,g>, |1,e>, |2,g>, ...), its builder can skip the matrix altogether and
+write the two chains as :class:`ParityBands`, which
+:func:`banded_parity_eigvalsh` solves for the lowest few eigenvalues with
+banded LAPACK (``scipy.linalg.eig_banded``).  A band stores one triangle and
+the chains share no entry, so symmetry and parity hold by construction;
+only finiteness is checked.
+
 Everything is plain double precision, checked against tolerances that the
 tests enforce rather than assume.
 """
@@ -24,9 +33,10 @@ tests enforce rather than assume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
+import scipy.linalg
 
 HERMITICITY_RTOL = 1e-12
 UNITARITY_ATOL = 1e-8
@@ -240,7 +250,10 @@ def parity_eigvalsh(H: OperatorMatrix, field_dim: int) -> np.ndarray:
     Raises ParityError when the off-parity block or the imaginary part of a
     phased block exceeds HERMITICITY_RTOL * max(max|H|, 1), NonHermitianError
     for an untagged non-Hermitian matrix, and ConvergenceFailureError if
-    LAPACK does not converge.
+    LAPACK does not converge.  max|H| is taken from what the solve reads
+    anyway, both off-parity halves and the phased pieces of both blocks, so
+    the checks run once both blocks are gathered and no full-size temporary
+    is formed.
     """
     arr = H.arr
     if not H.hermitian_hint:
@@ -257,13 +270,19 @@ def parity_eigvalsh(H: OperatorMatrix, field_dim: int) -> np.ndarray:
     def fock(m, c):
         return slice((m + c) % 2, None, 2)
 
+    def between(c, c2):
+        # every (m, m2) piece from class c to class c2, as the four strided
+        # views of its matter-parity combinations
+        return [h4[a::2, fock(a, c), b::2, fock(b, c2)] for a in (0, 1) for b in (0, 1)]
+
+    def abs_max(x):
+        return float(np.abs(x).max(initial=0.0))
+
+    leak = max(abs_max(v) for v in between(0, 1))
+    # max|H|, gathered from both off-parity halves and the phased pieces
+    scale = max([leak] + [abs_max(v) for v in between(1, 0)])
     pairs = [(m, m2) for m in range(matter) for m2 in range(matter)]
-    limit = HERMITICITY_RTOL * max(float(np.abs(arr).max()), 1.0)
-    leak = max(float(np.abs(h4[m, fock(m, 0), m2, fock(m2, 1)]).max(initial=0.0))
-               for m, m2 in pairs)
-    if leak > limit:
-        raise ParityError(f"off-parity block: max|H| = {leak:.3e} exceeds {limit:.3e}")
-    ws = []
+    blocks, imags = [], []
     for c in (0, 1):
         edges = np.cumsum([0] + [len(range((m + c) % 2, field_dim, 2))
                                  for m in range(matter)])
@@ -273,15 +292,75 @@ def parity_eigvalsh(H: OperatorMatrix, field_dim: int) -> np.ndarray:
             # the phased entry conj(phi_k) H_kl phi_l = 1j**(m2 - m) H_kl
             piece = h4[m, fock(m, c), m2, fock(m2, c)] * _I_POWERS[(m2 - m) % 4]
             block[edges[m]:edges[m + 1], edges[m2]:edges[m2 + 1]] = piece.real
-            imag = max(imag, float(np.abs(piece.imag).max(initial=0.0)))
+            imag = max(imag, abs_max(piece.imag))
+            scale = max(scale, abs_max(piece))
+        blocks.append(block)
+        imags.append(imag)
+    limit = HERMITICITY_RTOL * max(scale, 1.0)
+    if leak > limit:
+        raise ParityError(f"off-parity block: max|H| = {leak:.3e} exceeds {limit:.3e}")
+    for imag in imags:
         if imag > limit:
             raise ParityError(
                 f"phased parity block: max|Im| = {imag:.3e} exceeds {limit:.3e}")
+    ws = []
+    for block in blocks:
         try:
             ws.append(np.linalg.eigvalsh(block))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailureError(f"eigensolver did not converge: {exc}") from exc
     w = np.sort(np.concatenate(ws))
+    w.flags.writeable = False
+    return w
+
+
+@dataclass(frozen=True)
+class ParityBands:
+    """The real parity blocks of a matter (x) Fock operator as banded chains.
+
+    Each chain is one block in LAPACK lower band storage: ``chain[r, j]`` is
+    the block entry (j + r, j), so row 0 is the diagonal and row r the r-th
+    subdiagonal, padded with zeros at its end.  The arrays are frozen in
+    place, so a builder hands over fresh ones.
+    """
+
+    chains: Tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        for chain in self.chains:
+            if chain.ndim != 2 or chain.dtype != np.float64:
+                raise DimensionMismatchError(
+                    f"a chain must be a 2D float64 band, got {chain.ndim}D {chain.dtype}")
+            chain.flags.writeable = False
+
+
+def banded_parity_eigvalsh(bands: ParityBands, count: int) -> np.ndarray:
+    """The lowest ``count`` eigenvalues of the operator whose parity chains
+    ``bands`` holds, ascending and read-only (fewer when the chains hold
+    fewer).
+
+    Each chain is solved for its own lowest min(count, length) eigenvalues
+    by ``scipy.linalg.eig_banded`` (LAPACK ?sbevx: reduction to tridiagonal
+    form, then bisection for the selected indices; one driver for any
+    bandwidth); the lowest ``count`` of the union are the operator's.
+
+    Raises LinalgError on a non-finite band entry and
+    ConvergenceFailureError if LAPACK does not converge.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    ws = []
+    for c, chain in enumerate(bands.chains):
+        if not np.isfinite(chain).all():
+            raise LinalgError(f"parity chain {c} has a non-finite entry")
+        top = min(count, chain.shape[1]) - 1
+        try:
+            ws.append(scipy.linalg.eig_banded(chain, lower=True, eigvals_only=True,
+                                              select="i", select_range=(0, top),
+                                              check_finite=False))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailureError(f"eigensolver did not converge: {exc}") from exc
+    w = np.sort(np.concatenate(ws))[:count]
     w.flags.writeable = False
     return w
 

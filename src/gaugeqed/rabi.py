@@ -14,6 +14,10 @@ of omega_c with hbar = 1:
 * ``build_H_alpha``       one-parameter gauge family interpolating D (alpha=0)
                           and corrected C (alpha=1)
 
+``bands_H_D`` and ``bands_H_C_standard`` write the same D and naive Coulomb
+models as their two real parity chains in band storage (tri- and
+pentadiagonal), straight from closed forms, for the sweeps' banded solve.
+
 Derived couplings: g_D = eta * omega_c and g_C = g_D * omega_10 / omega_c.
 Every builder drops state-independent constants, so physical statements are
 about transition energies E_n - E_0; raw eigenvalues of different gauges
@@ -28,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import (OperatorMatrix, Spectrum, check_dim, conjugate, hermitian_eig,
-                     hermitian_operator, spectral_matrix, unitary_exp)
+from .linalg import (OperatorMatrix, ParityBands, Spectrum, check_dim, conjugate,
+                     hermitian_eig, hermitian_operator, spectral_matrix, unitary_exp)
 from .qops import _fock_arrays, _pauli_arrays, quadrature_cos_sin, quadrature_eig
 
 # the omitted Maclaurin tail is summed until a term falls below this
@@ -120,12 +124,64 @@ def build_H_C_standard(p: RabiParams, diamagnetic: Optional[float] = None) -> Op
     """
     a, adag, nph, sx, sy, sz = _parts(p)
     if diamagnetic is None:
-        diamagnetic = p.g_c ** 2 / p.omega_10
+        diamagnetic = _sum_rule_diamagnetic(p)
     X = a + adag
     return hermitian_operator(p.omega_c * np.kron(_eye(2), nph)
                               + 0.5 * p.omega_10 * np.kron(sz, _eye(p.cutoff + 1))
                               + p.g_c * np.kron(sy, X)
                               + diamagnetic * np.kron(_eye(2), X @ X))
+
+
+def _sum_rule_diamagnetic(p: RabiParams) -> float:
+    return p.g_c ** 2 / p.omega_10
+
+
+def _parity_chains(p: RabiParams, bandwidth: int):
+    """Per parity class c = 0, 1: the Fock index n along the chain, the
+    matter index m = (n + c) mod 2 next to it, and a lower band of the given
+    bandwidth holding the uncoupled diagonal omega_c n + (omega_10/2) sigma_z.
+
+    The chain |0, m(0)>, |1, m(1)>, ... is the parity block that
+    ``linalg.parity_eigvalsh`` solves, reordered by n; its entries are the
+    phased ones, 1j**(m2 - m) H_kl.
+    """
+    check_dim(p.dim)
+    n = np.arange(p.cutoff + 1, dtype=float)
+    for c in (0, 1):
+        m = (n + c) % 2
+        band = np.zeros((bandwidth + 1, n.size))
+        band[0] = p.omega_c * n + 0.5 * p.omega_10 * (2 * m - 1)
+        yield n, m, band
+
+
+def bands_H_D(p: RabiParams) -> ParityBands:
+    """The parity chains of ``build_H_D``: tridiagonal, with subdiagonal
+    (-1)^m g_D sqrt(n + 1) between levels n and n + 1 (m that of level n)."""
+    chains = []
+    for n, m, band in _parity_chains(p, 1):
+        band[1, :-1] = (1 - 2 * m[:-1]) * (p.g_d * np.sqrt(n[1:]))
+        chains.append(band)
+    return ParityBands(tuple(chains))
+
+
+def bands_H_C_standard(p: RabiParams, diamagnetic: Optional[float] = None) -> ParityBands:
+    """The parity chains of ``build_H_C_standard``: pentadiagonal, with
+    diagonal omega_c n + (omega_10/2) sigma_z + diamagnetic (X^2)_nn,
+    subdiagonal -g_C sqrt(n + 1) and second subdiagonal
+    diamagnetic sqrt((n + 1)(n + 2)), X = a + a^dag.  (X^2)_nn = 2n + 1
+    except at the top level, where the truncated X @ X has n = cutoff.
+    """
+    if diamagnetic is None:
+        diamagnetic = _sum_rule_diamagnetic(p)
+    chains = []
+    for n, m, band in _parity_chains(p, 2):
+        x2 = 2.0 * n + 1.0
+        x2[-1] = p.cutoff
+        band[0] += diamagnetic * x2
+        band[1, :-1] = -p.g_c * np.sqrt(n[1:])
+        band[2, :-2] = diamagnetic * np.sqrt(n[1:-1] * n[2:])
+        chains.append(band)
+    return ParityBands(tuple(chains))
 
 
 def build_H_C_correct(p: RabiParams, method: str = "closed_form") -> OperatorMatrix:

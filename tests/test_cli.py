@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gaugeqed import OperatorMatrix, cli, experiments, particle1d, pauli
+from gaugeqed import OperatorMatrix, ParityBands, cli, experiments, particle1d, pauli, rabi
 from gaugeqed.cli import COMMANDS, build_parser, main
 
 TINY_SWEEP = ["rabi-sweep", "--eta-max", "0.1", "--eta-step", "0.05",
@@ -123,16 +123,29 @@ def test_cutoff_ceiling_exit_2(tmp_path, capsys):
 
 def test_parity_error_exit_2(tmp_path, capsys, monkeypatch):
     # sigma_x (x) 1 flips the matter index alone, so it breaks the parity
-    build = experiments.RABI_MODELS["D"]
-
     def broken(eta, detuning, cutoff, n):
         sx = pauli()[0].arr
-        H = build(eta, detuning, cutoff, n).arr + np.kron(sx, np.eye(cutoff + 1))
+        p = rabi.RabiParams(eta=eta, cutoff=cutoff, detuning=detuning)
+        H = rabi.build_H_D(p).arr + np.kron(sx, np.eye(cutoff + 1))
         return OperatorMatrix(H, hermitian_hint=True)
 
     monkeypatch.setitem(experiments.RABI_MODELS, "D", broken)
     assert run(TINY_SWEEP, tmp_path) == 2
     assert "ParityError" in capsys.readouterr().err
+
+
+def test_non_finite_band_exit_2(tmp_path, capsys, monkeypatch):
+    build = experiments.RABI_MODELS["D"]
+
+    def broken(eta, detuning, cutoff, n):
+        even, odd = (chain.copy() for chain in build(eta, detuning, cutoff, n).chains)
+        odd[1, 3] = np.nan
+        return ParityBands((even, odd))
+
+    monkeypatch.setitem(experiments.RABI_MODELS, "D", broken)
+    assert run(TINY_SWEEP, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "LinalgError" in err and "non-finite" in err
 
 
 # ---------------------------------------------------------------------------

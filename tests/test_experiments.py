@@ -5,10 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugeqed import RabiParams, build_H_C_correct, build_H_D
+from gaugeqed import RabiParams, bands_H_D, build_H_C_correct, build_H_D
 from gaugeqed import rabi as rabi_mod
 from gaugeqed.experiments import (
     ConvergencePolicy,
@@ -27,6 +28,8 @@ from gaugeqed.experiments import (
 )
 
 SMALL_GRID = (0.0, 0.2, 0.4)
+# the registry entries that return ParityBands rather than a matrix
+BANDED_RABI_MODELS = ("D", "Cstd")
 
 
 def small_sweep(models=("D", "Ccorr"), threads=1, **kw):
@@ -79,9 +82,11 @@ def test_check_converged_raises():
 
 
 def test_lowest_transitions_needs_levels():
-    H = build_H_D(RabiParams(eta=0.1, cutoff=2))
-    with pytest.raises(ValueError):
-        lowest_transitions(H, 6)
+    for build in (build_H_D, bands_H_D):
+        H = build(RabiParams(eta=0.1, cutoff=2))
+        assert lowest_transitions(H, 5, 3).shape == (5,)
+        with pytest.raises(ValueError):
+            lowest_transitions(H, 6)
 
 
 @pytest.mark.parametrize("family,models,n_dipoles", [
@@ -89,8 +94,9 @@ def test_lowest_transitions_needs_levels():
     ("dicke", ("std", "corr", "dipole"), 2),
 ])
 def test_sweep_solves_real_half_blocks(monkeypatch, family, models, n_dipoles):
-    """Every sweep solve is real and at most half the product dimension,
-    rounded up; the two blocks of one build add up to its dimension."""
+    """Every dense sweep solve is real and at most half the product
+    dimension, rounded up; the two blocks of one build add up to its
+    dimension.  The banded Rabi models make no dense solve."""
     solves = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -105,7 +111,8 @@ def test_sweep_solves_real_half_blocks(monkeypatch, family, models, n_dipoles):
     result = run_sweep(spec)
     # threads=1 solves point by point along each point's cutoff chain
     dims = [(n_dipoles + 1) * (policy.cutoff0 * policy.growth ** k + 1)
-            for p in result.points for k in range(len(p.trail) + 1)]
+            for p in result.points if p.model not in BANDED_RABI_MODELS
+            for k in range(len(p.trail) + 1)]
     assert len(solves) == 2 * len(dims)
     for (even, odd), dim in zip(zip(solves[::2], solves[1::2]), dims):
         for shape, dtype in (even, odd):
@@ -114,6 +121,34 @@ def test_sweep_solves_real_half_blocks(monkeypatch, family, models, n_dipoles):
         assert even[0][0] + odd[0][0] == dim
     if family == "dicke":
         assert any(dim % 2 for dim in dims)  # odd dimensions round up
+
+
+def test_rabi_sweep_solves_d_and_cstd_as_bands(monkeypatch):
+    """A Rabi sweep never assembles or densely solves D or Cstd: each build
+    is two chains handed to eig_banded, tridiagonal for D and pentadiagonal
+    for Cstd, each solved for the lowest levels + 1 eigenvalues."""
+    def dense(*args, **kwargs):
+        raise AssertionError("dense path taken")
+
+    for name in ("build_H_D", "build_H_C_standard"):
+        monkeypatch.setattr(rabi_mod, name, dense)
+    monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+    solves = []
+    eig_banded = scipy.linalg.eig_banded
+
+    def recording(a_band, *args, **kwargs):
+        solves.append((a_band.shape, kwargs["select"], kwargs["select_range"]))
+        return eig_banded(a_band, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", recording)
+    policy = ConvergencePolicy(cutoff0=5, tol=1e-6)
+    result = run_sweep(SweepSpec(models=("D", "Cstd"), eta_grid=SMALL_GRID,
+                                 levels_reported=3, policy=policy))
+    assert all(p.converged for p in result.points)
+    want = [((2 if p.model == "D" else 3, policy.cutoff0 * policy.growth ** k + 1),
+             "i", (0, 3))
+            for p in result.points for k in range(len(p.trail) + 1) for _ in (0, 1)]
+    assert solves == want
 
 
 @given(eta=st.floats(0.1, 1.2), detuning=st.sampled_from([0.0, 0.5]))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,13 +12,17 @@ from gaugeqed import (
     DickeParams,
     DimensionMismatchError,
     DimensionOverflowError,
+    ConvergenceFailureError,
     LinalgError,
     NonHermitianError,
     NotUnitaryError,
     OperatorMatrix,
+    ParityBands,
     ParityError,
     RabiParams,
     as_hermitian,
+    bands_H_D,
+    banded_parity_eigvalsh,
     build_dicke_correct,
     build_dicke_dipole,
     build_dicke_standard,
@@ -354,3 +359,40 @@ def test_parity_eigvalsh_checks_its_input():
         parity_eigvalsh(H, 5)
     with pytest.raises(NonHermitianError):
         parity_eigvalsh(OperatorMatrix(H.arr + np.triu(H.arr, 1)), 7)
+
+
+@pytest.mark.parametrize("kind", ["off-parity block", "phased parity block"])
+def test_parity_limit_is_matrix_scale(kind):
+    # the largest entries sit in the off-parity halves, or are imaginary
+    # after phasing, so a limit taken from the real parts of the blocks alone
+    # would come out smaller than 1e-12 max|H|
+    p = RabiParams(eta=0.5, cutoff=6)
+    sx, sy = pauli()[0].arr, pauli()[1].arr
+    if kind == "off-parity block":
+        H = _with_term(build_H_D(p), 40.0 * np.kron(sx, np.eye(p.cutoff + 1)))
+    else:
+        a, adag, _ = fock_ops(p.cutoff)
+        H = _with_term(build_H_C_standard(p), 40.0 * np.kron(sy, 1j * (adag.arr - a.arr)))
+    limit = 1e-12 * max(np.abs(H.arr).max(), 1.0)
+    with pytest.raises(ParityError, match=f"{kind}: .* exceeds {limit:.3e}$"):
+        parity_eigvalsh(H, p.cutoff + 1)
+
+
+def test_banded_parity_eigvalsh_errors(monkeypatch):
+    even, odd = (chain.copy() for chain in bands_H_D(RabiParams(eta=0.5, cutoff=6)).chains)
+    with pytest.raises(ValueError):
+        banded_parity_eigvalsh(ParityBands((even, odd)), 0)
+    with pytest.raises(DimensionMismatchError):
+        ParityBands((even[0].copy(), odd))
+    for bad in (np.nan, np.inf):
+        broken = odd.copy()
+        broken[1, 2] = bad
+        with pytest.raises(LinalgError, match="non-finite"):
+            banded_parity_eigvalsh(ParityBands((even, broken)), 3)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", failing)
+    with pytest.raises(ConvergenceFailureError):
+        banded_parity_eigvalsh(ParityBands((even, odd)), 3)

@@ -14,6 +14,9 @@ from gaugeqed import (
     DimensionOverflowError,
     GaugeParam,
     RabiParams,
+    bands_H_C_standard,
+    bands_H_D,
+    banded_parity_eigvalsh,
     build_H_alpha,
     build_H_C_correct,
     build_H_C_standard,
@@ -22,6 +25,7 @@ from gaugeqed import (
     check_gauge_theorem,
     hermitian_eig,
     maclaurin_cos_sin,
+    parity_eigvalsh,
     spectrum_of,
 )
 from gaugeqed.experiments import ConvergencePolicy, converged_transitions, lowest_transitions
@@ -346,6 +350,64 @@ def test_builders_enforce_dimension_cap():
     # 2 * (2047 + 1) = 4096 is the cap itself; one Fock level more exceeds it
     p = RabiParams(eta=0.3, cutoff=2048)
     for build in (build_H_D, build_H_C_standard, build_H_C_correct,
-                  lambda q: build_H_C_taylor(q, 3), lambda q: build_H_alpha(q, 0.5)):
+                  lambda q: build_H_C_taylor(q, 3), lambda q: build_H_alpha(q, 0.5),
+                  bands_H_D, bands_H_C_standard):
         with pytest.raises(DimensionOverflowError):
             build(p)
+
+
+# ---------------------------------------------------------------------------
+# banded parity chains
+# ---------------------------------------------------------------------------
+
+def phased_chains(H, cutoff):
+    """The phased parity blocks of a dense Rabi matrix as parity_eigvalsh
+    forms them, 1j**(m2 - m) H_kl, with each block ordered by Fock index n
+    (matter index m = (n + c) mod 2); returns (real blocks, max|Im|)."""
+    nf = cutoff + 1
+    n = np.arange(nf)
+    blocks, imag = [], 0.0
+    for c in (0, 1):
+        m = (n + c) % 2
+        phase = np.where(m == 1, 1j, 1.0)
+        block = phase.conj()[:, None] * H.arr[np.ix_(m * nf + n, m * nf + n)] * phase
+        blocks.append(block.real)
+        imag = max(imag, float(np.abs(block.imag).max()))
+    return blocks, imag
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 15, 16, 320])
+@pytest.mark.parametrize("eta", [0.0, 0.5, 1.5, 3.0])
+def test_bands_match_dense_builders(eta, cutoff):
+    """Band entries equal the phased parity blocks of the dense builders and
+    nothing lies outside the band; the lowest eigenvalues equal the dense
+    parity solve's.  Detuned (omega_10 = 1.1 != omega_c = 0.8), and Cstd
+    also with a diamagnetic coefficient away from the sum rule."""
+    p = RabiParams(eta=eta, cutoff=cutoff, omega_c=0.8, detuning=0.3)
+    models = {
+        "D": (build_H_D(p), bands_H_D(p), 1),
+        "Cstd": (build_H_C_standard(p), bands_H_C_standard(p), 2),
+        "Cstd/diamagnetic=0.7": (build_H_C_standard(p, 0.7),
+                                 bands_H_C_standard(p, diamagnetic=0.7), 2),
+    }
+    for name, (H, bands, width) in models.items():
+        bound = 1e-12 * max(np.abs(H.arr).max(), 1.0)
+        blocks, imag = phased_chains(H, cutoff)
+        assert imag <= bound, name
+        assert len(bands.chains) == 2
+        for block, chain in zip(blocks, bands.chains):
+            assert chain.shape == (width + 1, cutoff + 1), name
+            assert not chain.flags.writeable
+            assert not np.tril(block, -width - 1).any(), name
+            for r in range(width + 1):
+                d = np.diagonal(block, -r)
+                dev = np.abs(chain[r, :d.size] - d).max(initial=0.0)
+                assert dev <= bound, (name, r, dev)
+                assert not chain[r, d.size:].any(), name
+        w = parity_eigvalsh(H, cutoff + 1)
+        for count in (1, 7, w.size + 3):
+            wb = banded_parity_eigvalsh(bands, count)
+            k = min(count, w.size)
+            assert wb.shape == (k,) and not wb.flags.writeable
+            dev = np.abs(wb - w[:k]).max()
+            assert dev <= bound, (name, count, dev)
