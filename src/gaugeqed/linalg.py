@@ -250,10 +250,7 @@ def parity_eigvalsh(H: OperatorMatrix, field_dim: int) -> np.ndarray:
     Raises ParityError when the off-parity block or the imaginary part of a
     phased block exceeds HERMITICITY_RTOL * max(max|H|, 1), NonHermitianError
     for an untagged non-Hermitian matrix, and ConvergenceFailureError if
-    LAPACK does not converge.  max|H| is taken from what the solve reads
-    anyway, both off-parity halves and the phased pieces of both blocks, so
-    the checks run once both blocks are gathered and no full-size temporary
-    is formed.
+    LAPACK does not converge.
     """
     arr = H.arr
     if not H.hermitian_hint:
@@ -270,19 +267,13 @@ def parity_eigvalsh(H: OperatorMatrix, field_dim: int) -> np.ndarray:
     def fock(m, c):
         return slice((m + c) % 2, None, 2)
 
-    def between(c, c2):
-        # every (m, m2) piece from class c to class c2, as the four strided
-        # views of its matter-parity combinations
-        return [h4[a::2, fock(a, c), b::2, fock(b, c2)] for a in (0, 1) for b in (0, 1)]
-
-    def abs_max(x):
-        return float(np.abs(x).max(initial=0.0))
-
-    leak = max(abs_max(v) for v in between(0, 1))
-    # max|H|, gathered from both off-parity halves and the phased pieces
-    scale = max([leak] + [abs_max(v) for v in between(1, 0)])
     pairs = [(m, m2) for m in range(matter) for m2 in range(matter)]
-    blocks, imags = [], []
+    limit = HERMITICITY_RTOL * max(float(np.abs(arr).max()), 1.0)
+    leak = max(float(np.abs(h4[m, fock(m, 0), m2, fock(m2, 1)]).max(initial=0.0))
+               for m, m2 in pairs)
+    if leak > limit:
+        raise ParityError(f"off-parity block: max|H| = {leak:.3e} exceeds {limit:.3e}")
+    ws = []
     for c in (0, 1):
         edges = np.cumsum([0] + [len(range((m + c) % 2, field_dim, 2))
                                  for m in range(matter)])
@@ -292,19 +283,10 @@ def parity_eigvalsh(H: OperatorMatrix, field_dim: int) -> np.ndarray:
             # the phased entry conj(phi_k) H_kl phi_l = 1j**(m2 - m) H_kl
             piece = h4[m, fock(m, c), m2, fock(m2, c)] * _I_POWERS[(m2 - m) % 4]
             block[edges[m]:edges[m + 1], edges[m2]:edges[m2 + 1]] = piece.real
-            imag = max(imag, abs_max(piece.imag))
-            scale = max(scale, abs_max(piece))
-        blocks.append(block)
-        imags.append(imag)
-    limit = HERMITICITY_RTOL * max(scale, 1.0)
-    if leak > limit:
-        raise ParityError(f"off-parity block: max|H| = {leak:.3e} exceeds {limit:.3e}")
-    for imag in imags:
+            imag = max(imag, float(np.abs(piece.imag).max(initial=0.0)))
         if imag > limit:
             raise ParityError(
                 f"phased parity block: max|Im| = {imag:.3e} exceeds {limit:.3e}")
-    ws = []
-    for block in blocks:
         try:
             ws.append(np.linalg.eigvalsh(block))
         except np.linalg.LinAlgError as exc:

@@ -164,15 +164,15 @@ def bands_H_D(p: RabiParams) -> ParityBands:
     return ParityBands(tuple(chains))
 
 
-def bands_H_C_standard(p: RabiParams, diamagnetic: Optional[float] = None) -> ParityBands:
-    """The parity chains of ``build_H_C_standard``: pentadiagonal, with
-    diagonal omega_c n + (omega_10/2) sigma_z + diamagnetic (X^2)_nn,
-    subdiagonal -g_C sqrt(n + 1) and second subdiagonal
-    diamagnetic sqrt((n + 1)(n + 2)), X = a + a^dag.  (X^2)_nn = 2n + 1
-    except at the top level, where the truncated X @ X has n = cutoff.
+def bands_H_C_standard(p: RabiParams) -> ParityBands:
+    """The parity chains of ``build_H_C_standard`` at its sum-rule
+    diamagnetic coefficient D = g_C^2 / omega_10: pentadiagonal, with
+    diagonal omega_c n + (omega_10/2) sigma_z + D (X^2)_nn, subdiagonal
+    -g_C sqrt(n + 1) and second subdiagonal D sqrt((n + 1)(n + 2)),
+    X = a + a^dag.  (X^2)_nn = 2n + 1 except at the top level, where the
+    truncated X @ X has n = cutoff.
     """
-    if diamagnetic is None:
-        diamagnetic = _sum_rule_diamagnetic(p)
+    diamagnetic = _sum_rule_diamagnetic(p)
     chains = []
     for n, m, band in _parity_chains(p, 2):
         x2 = 2.0 * n + 1.0
