@@ -19,7 +19,6 @@ from .linalg import (
     ParityBands,
     ParityError,
     Spectrum,
-    as_hermitian,
     banded_parity_eigvalsh,
     conjugate,
     hermitian_eig,
@@ -29,8 +28,7 @@ from .linalg import (
     parity_eigvalsh,
     unitary_exp,
 )
-from .qops import (FockSpace, SpinSpace, embed, fock_ops, pauli, quadrature_eig,
-                   spin_ops)
+from .qops import FockSpace, embed, fock_ops, pauli, quadrature_eig, spin_ops
 from .rabi import (
     GaugeParam,
     GaugeTheoremReport,
@@ -44,7 +42,6 @@ from .rabi import (
     build_H_D,
     check_gauge_theorem,
     maclaurin_cos_sin,
-    spectrum_of,
 )
 from .dicke import (
     DickeParams,
@@ -105,19 +102,19 @@ __all__ = [
     "__version__",
     # linalg
     "OperatorMatrix", "Spectrum", "hermitian_eig", "matrix_function",
-    "unitary_exp", "conjugate", "kron", "identity", "as_hermitian",
+    "unitary_exp", "conjugate", "kron", "identity",
     "parity_eigvalsh", "ParityBands", "banded_parity_eigvalsh",
     "LinalgError", "NonHermitianError", "NotUnitaryError",
     "ConvergenceFailureError", "DimensionMismatchError",
     "DimensionOverflowError", "ParityError",
     # qops
-    "FockSpace", "SpinSpace", "fock_ops", "spin_ops", "embed", "pauli",
+    "FockSpace", "fock_ops", "spin_ops", "embed", "pauli",
     "quadrature_eig",
     # rabi
     "RabiParams", "GaugeParam", "build_H_D", "build_H_C_standard",
     "build_H_C_correct", "build_H_C_taylor", "build_H_alpha",
     "bands_H_D", "bands_H_C_standard",
-    "maclaurin_cos_sin", "spectrum_of", "check_gauge_theorem",
+    "maclaurin_cos_sin", "check_gauge_theorem",
     "GaugeTheoremReport",
     # dicke
     "DickeParams", "build_dicke_standard", "build_dicke_correct",

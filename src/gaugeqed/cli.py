@@ -316,10 +316,6 @@ def _fail(msg: str) -> int:
     return 2
 
 
-def _transitions(H, levels: int) -> np.ndarray:
-    return experiments.lowest_transitions(H, levels)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -417,8 +413,7 @@ def _cmd_gauge_theorem(rc: RunConfig) -> int:
                      f"{r.max_dev_full:.12e},{r.max_dev_full_rel:.12e},"
                      f"{int(r.passed)}")
     out = _outpath(rc, p["out"])
-    with open(out, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    experiments._write_lines(out, lines)
     print(f"wrote {out}")
     final = reports[-1]
     if not final.passed:
@@ -441,8 +436,8 @@ def _cmd_fluxonium(rc: RunConfig) -> int:
     g_c = fluxonium.coupling_g_c(params, basis)
     h_std = fluxonium.build_flux_charge_standard(params, basis)
     h_cor = fluxonium.build_flux_charge_correct(params, basis)
-    t_std = _transitions(h_std, levels)
-    t_cor = _transitions(h_cor, levels)
+    t_std = experiments.lowest_transitions(h_std, levels)
+    t_cor = experiments.lowest_transitions(h_cor, levels)
     rel = np.abs(t_std - t_cor) / np.maximum(t_cor, params.omega_c)
     print(f"omega_10 = {basis.omega_10:.9e}  |phi_10| = "
           f"{abs(basis.phi_10):.9e}  g_C = {g_c:.9e}")
@@ -454,8 +449,7 @@ def _cmd_fluxonium(rc: RunConfig) -> int:
         print(f"{i + 1:5d}  {t_std[i]:.6e}  {t_cor[i]:.6e}  {rel[i]:.3e}")
         lines.append(f"{i + 1},{t_std[i]:.12e},{t_cor[i]:.12e},{rel[i]:.12e}")
     out = _outpath(rc, p["out"])
-    with open(out, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    experiments._write_lines(out, lines)
     print(f"wrote {out}")
     return 0
 
@@ -497,8 +491,7 @@ def _cmd_particle_demo(rc: RunConfig) -> int:
           f"{report.spectrum_dev:.3e}: "
           + ("PASS" if report.passed else "FAIL"))
     out = _outpath(rc, p["out"])
-    with open(out, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    experiments._write_lines(out, lines)
     print(f"wrote {out}")
     if not report.passed:
         return _fail(f"minimal-coupling identity violated: residual "
@@ -533,8 +526,7 @@ def _cmd_full_model(rc: RunConfig) -> int:
         print(f"{m:8d}  {gap:.6e}")
         lines.append(f"{m},{gap:.12e}")
     out = _outpath(rc, p["out"])
-    with open(out, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    experiments._write_lines(out, lines)
     ratio = gaps[0] / max(gaps[-1], 1e-300)
     print(f"gap ratio first/last: {ratio:.3e}")
     print(f"wrote {out}")

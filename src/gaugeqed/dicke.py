@@ -1,8 +1,9 @@
 """N-dipole (Dicke) Hamiltonians in the collective spin-j representation.
 
 Everything lives in the symmetric sector j = N/2 (dimension N+1); the full
-2^N product space adds nothing to the spectrum there.  At N=1 the builders
-reduce entry-for-entry to the Rabi builders (2 J_k = sigma_k at j=1/2).
+2^N product space adds nothing to the spectrum there.  The builders are the
+spin-j gauge core of ``gaugeqed.rabi`` at two_j = N with Q = a + a^dag, so
+at N=1 they reduce to the Rabi matrices (2 J_k = sigma_k at j=1/2).
 
 The truncation-consistent construction conjugates the bare splitting
 omega_10 J_z by U_N = exp[i 2 eta (a + a^dag) J_x]; the equivalent closed
@@ -17,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (OperatorMatrix, check_dim, conjugate, hermitian_operator,
-                     unitary_exp)
-from .qops import _fock_arrays, _spin_arrays, quadrature_cos_sin
-from .rabi import RabiParams
+from .linalg import OperatorMatrix, hermitian_operator
+from .qops import quadrature_cos_sin
+from .rabi import RabiParams, _bare, _conjugated, _parts, _rotated
 
 
 @dataclass(frozen=True)
@@ -43,31 +43,19 @@ class DickeParams(RabiParams):
         return (self.n_dipoles + 1) * (self.cutoff + 1)
 
 
-def _parts(p: DickeParams):
-    """Fock and spin matrices as plain complex arrays, after the dimension cap."""
-    check_dim(p.dim)
-    return (*_fock_arrays(p.cutoff), *_spin_arrays(p.n_dipoles))
-
-
-def _eye(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
 def build_dicke_standard(p: DickeParams, diamagnetic=None) -> OperatorMatrix:
     """Naive two-level-per-dipole Coulomb-gauge Dicke model.
 
     The diamagnetic coefficient defaults to j * 2 g_C^2 / omega_10, the
     per-dipole sum-rule-saturated value (N times the Rabi default).
     """
-    a, adag, nph, jx, jy, jz = _parts(p)
+    s = _parts(p.n_dipoles, p.cutoff)
     if diamagnetic is None:
         diamagnetic = p.j * 2.0 * p.g_c ** 2 / p.omega_10
-    X = a + adag
-    Is, If = _eye(p.n_dipoles + 1), _eye(p.cutoff + 1)
-    return hermitian_operator(p.omega_c * np.kron(Is, nph)
-                              + p.omega_10 * np.kron(jz, If)
-                              + 2.0 * p.g_c * np.kron(jy, X)
-                              + diamagnetic * np.kron(Is, X @ X))
+    X = s.a + s.adag
+    return hermitian_operator(_bare(s, p.omega_c, p.omega_10)
+                              + 2.0 * p.g_c * np.kron(s.jy, X)
+                              + diamagnetic * np.kron(s.eye_spin, X @ X))
 
 
 def build_dicke_correct(p: DickeParams, method: str = "conjugation",
@@ -81,18 +69,15 @@ def build_dicke_correct(p: DickeParams, method: str = "conjugation",
     factor=2, and factor=4 is accepted only so tests can document that it
     disagrees with the conjugation route.
     """
-    a, adag, nph, jx, jy, jz = _parts(p)
-    Is, If = _eye(p.n_dipoles + 1), _eye(p.cutoff + 1)
+    s = _parts(p.n_dipoles, p.cutoff)
     if method == "conjugation":
-        U = unitary_exp(OperatorMatrix(np.kron(jx, a + adag)), 2.0 * p.eta)
-        H0 = hermitian_operator(p.omega_10 * np.kron(jz, If))
-        return hermitian_operator(conjugate(U, H0).arr + p.omega_c * np.kron(Is, nph))
+        return hermitian_operator(_conjugated(s, p.omega_c, p.omega_10, s.a + s.adag,
+                                              2.0 * p.eta))
     if method == "closed_form":
         if factor not in (2, 4):
             raise ValueError(f"factor must be 2 or 4, got {factor}")
         cosX, sinX = quadrature_cos_sin(p.cutoff, float(factor) * p.eta)
-        return hermitian_operator(p.omega_c * np.kron(Is, nph)
-                                  + p.omega_10 * (np.kron(jz, cosX) + np.kron(jy, sinX)))
+        return hermitian_operator(_rotated(s, p.omega_c, p.omega_10, cosX, sinX))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -105,10 +90,8 @@ def build_dicke_dipole(p: DickeParams) -> OperatorMatrix:
     scalar the Rabi builder drops (at N=1 it is eta^2 omega_c times identity);
     here it is operator-valued and must be kept for spectral equivalence.
     """
-    a, adag, nph, jx, jy, jz = _parts(p)
-    coupling = 1j * (adag - a)
-    Is, If = _eye(p.n_dipoles + 1), _eye(p.cutoff + 1)
-    return hermitian_operator(p.omega_c * np.kron(Is, nph)
-                              + p.omega_10 * np.kron(jz, If)
-                              + 2.0 * p.g_d * np.kron(jx, coupling)
-                              + 4.0 * p.eta ** 2 * p.omega_c * np.kron(jx @ jx, If))
+    s = _parts(p.n_dipoles, p.cutoff)
+    return hermitian_operator(_bare(s, p.omega_c, p.omega_10)
+                              + 2.0 * p.g_d * np.kron(s.jx, 1j * (s.adag - s.a))
+                              + 4.0 * p.eta ** 2 * p.omega_c
+                              * np.kron(s.jx @ s.jx, s.eye_field))

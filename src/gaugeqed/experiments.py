@@ -13,9 +13,11 @@ byte-identical for any thread count.
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -466,5 +468,15 @@ def write_gnuplot_script(csv_path, gp_path, title: str, levels: int,
 
 
 def _write_lines(path, lines) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write ``lines`` to ``path`` atomically: into a temporary file in the
+    same directory, then renamed over ``path``, so a failed write leaves any
+    earlier file intact and no half-written table behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

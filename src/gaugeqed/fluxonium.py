@@ -12,9 +12,11 @@ charge-gauge analogues of the Rabi builders:
 
 with g_C = omega_10 phi_10 chi0 and chi0 the reduced-charge zero-point
 amplitude of the oscillator.  The coupling enters through the a - a^dag
-quadrature here (capacitive coupling); a photon-number phase rotation maps
-these models onto the a + a^dag Rabi family, which is how the E_J = 0 limit
-is cross-checked in the tests.
+quadrature here (capacitive coupling).  Both builders are the spin-j gauge
+core of ``gaugeqed.rabi`` at two_j = 1 under a -> ia: the quadrature is
+B = i(a - a^dag) and the rotation angle phi = -2 g_C/omega_10.  A
+photon-number phase rotation maps these models onto the a + a^dag Rabi
+family, which is how the E_J = 0 limit is cross-checked in the tests.
 
 All energies in units of the LC frequency omega_c (hbar = 1).  The sign of
 phi_10 is a basis convention (spectra are invariant under phi_10 -> -phi_10).
@@ -26,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (OperatorMatrix, check_dim, conjugate, hermitian_eig,
-                     hermitian_operator, matrix_function, spectral_matrix,
-                     unitary_exp)
-from .qops import _fock_arrays, _pauli_arrays
+from .linalg import (OperatorMatrix, hermitian_eig, hermitian_operator, matrix_function,
+                     spectral_matrix)
+from .qops import _fock_arrays
+from .rabi import _bare, _conjugated, _parts, _rotated
 
 
 class BasisTooSmallError(Exception):
@@ -134,16 +136,6 @@ def coupling_g_c(p: FluxoniumParams, basis: FluxoniumBasis) -> float:
     return basis.omega_10 * basis.phi_10 * p.chi0
 
 
-def _field_parts(p: FluxoniumParams):
-    """Fock matrices and the quadrature B as plain arrays, after the dimension cap."""
-    check_dim(2 * (p.cutoff + 1))
-    a, adag, nph = _fock_arrays(p.cutoff)
-    # Hermitian quadrature B = i(a - a^dag); the charge coupling is along it
-    B = 1j * (a - adag)
-    sx, sy, sz = _pauli_arrays()
-    return nph, B, sx, sy, sz
-
-
 def build_flux_charge_standard(p: FluxoniumParams,
                                basis: FluxoniumBasis) -> OperatorMatrix:
     """Naive two-level charge-gauge model:
@@ -153,14 +145,12 @@ def build_flux_charge_standard(p: FluxoniumParams,
     Since (a - a^dag)^2 is negative semidefinite, the last term is a
     nonnegative charging-energy shift (asserted in tests).
     """
-    nph, B, sx, sy, sz = _field_parts(p)
+    s = _parts(1, p.cutoff)
+    B = 1j * (s.a - s.adag)  # Hermitian; the charge coupling runs along it
     g_c = coupling_g_c(p, basis)
-    I2 = np.eye(2, dtype=complex)
-    If = np.eye(p.cutoff + 1, dtype=complex)
-    return hermitian_operator(0.5 * basis.omega_10 * np.kron(sz, If)
-                              + p.omega_c * np.kron(I2, nph)
-                              + g_c * np.kron(sy, B)
-                              + 4.0 * p.e_c * p.chi0 ** 2 * np.kron(I2, B @ B))
+    return hermitian_operator(_bare(s, p.omega_c, basis.omega_10)
+                              + 2.0 * g_c * np.kron(s.jy, B)
+                              + 4.0 * p.e_c * p.chi0 ** 2 * np.kron(s.eye_spin, B @ B))
 
 
 def build_flux_charge_correct(p: FluxoniumParams, basis: FluxoniumBasis,
@@ -175,22 +165,16 @@ def build_flux_charge_correct(p: FluxoniumParams, basis: FluxoniumBasis,
     Hermitian quadrature B = i(a - a^dag); equals the hyperbolic form
     sigma_z cosh[2 theta (a - a^dag)] - i sigma_y sinh[2 theta (a - a^dag)].
     """
-    nph, B, sx, sy, sz = _field_parts(p)
-    g_c = coupling_g_c(p, basis)
-    theta = g_c / basis.omega_10
-    I2 = np.eye(2, dtype=complex)
-    If = np.eye(p.cutoff + 1, dtype=complex)
+    s = _parts(1, p.cutoff)
+    B = 1j * (s.a - s.adag)
+    two_t = 2.0 * coupling_g_c(p, basis) / basis.omega_10
     if method == "conjugation":
-        # sigma_x (a - a^dag) = -i sigma_x B, so R = exp[-i theta sigma_x B]
-        R = unitary_exp(OperatorMatrix(np.kron(sx, B)), -theta)
-        H0 = hermitian_operator(0.5 * basis.omega_10 * np.kron(sz, If))
-        return hermitian_operator(p.omega_c * np.kron(I2, nph) + conjugate(R, H0).arr)
+        # sigma_x (a - a^dag) = -i sigma_x B = -2i J_x B, so R = exp[-i 2 theta J_x B]
+        return hermitian_operator(_conjugated(s, p.omega_c, basis.omega_10, B, -two_t))
     if method == "closed_form":
-        two_t = 2.0 * theta
+        # at phi = -2 theta: cos(phi B) = cos(2 theta B), sin(phi B) = -sin(2 theta B)
         spec = hermitian_eig(OperatorMatrix(B))
         cosB = spectral_matrix(spec, np.cos(two_t * spec.eigenvalues))
         sinB = spectral_matrix(spec, np.sin(two_t * spec.eigenvalues))
-        return hermitian_operator(p.omega_c * np.kron(I2, nph)
-                                  + 0.5 * basis.omega_10 * (np.kron(sz, cosB)
-                                                            - np.kron(sy, sinB)))
+        return hermitian_operator(_rotated(s, p.omega_c, basis.omega_10, cosB, -sinB))
     raise ValueError(f"unknown method {method!r}")

@@ -173,12 +173,6 @@ def check_dim(dim: int, dim_cap: int = DIM_CAP_DEFAULT) -> None:
         raise DimensionOverflowError(f"product dimension {dim} exceeds cap {dim_cap}")
 
 
-def as_hermitian(M: OperatorMatrix) -> OperatorMatrix:
-    """Re-tag a matrix known to be Hermitian (e.g. a product X @ X of a
-    Hermitian X with itself); the constructor verifies the claim."""
-    return OperatorMatrix(M.arr, hermitian_hint=True)
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Ascending eigenvalues, optional phase-fixed eigenvectors, provenance tags."""

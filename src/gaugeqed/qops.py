@@ -48,27 +48,6 @@ class FockSpace:
     def dim(self) -> int:
         return self.cutoff + 1
 
-    def ops(self) -> "FockOps":
-        return fock_ops(self.cutoff)
-
-
-@dataclass(frozen=True)
-class SpinSpace:
-    """Collective spin j = two_j / 2 for two_j two-level dipoles."""
-
-    two_j: int
-
-    def __post_init__(self):
-        if self.two_j < 1:
-            raise ValueError(f"two_j must be >= 1, got {self.two_j}")
-
-    @property
-    def dim(self) -> int:
-        return self.two_j + 1
-
-    def ops(self) -> "SpinOps":
-        return spin_ops(self.two_j)
-
 
 class FockOps(NamedTuple):
     a: OperatorMatrix
@@ -167,11 +146,7 @@ def embed(op: OperatorMatrix, slot: str, matter_dim: int, field_dim: int,
     raise ValueError(f"slot must be 'matter' or 'field', got {slot!r}")
 
 
-def _pauli_arrays() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sigma_x, sigma_y, sigma_z = 2 J_k at j = 1/2, as plain complex arrays."""
-    return tuple(2.0 * op for op in _spin_arrays(1))
-
-
 def pauli() -> SpinOps:
     """Pauli matrices in the (ground, excited) ordering: 2 * spin_ops(1)."""
-    return SpinOps(*(OperatorMatrix(op, hermitian_hint=True) for op in _pauli_arrays()))
+    return SpinOps(*(OperatorMatrix(2.0 * op, hermitian_hint=True)
+                     for op in _spin_arrays(1)))

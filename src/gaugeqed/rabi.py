@@ -1,4 +1,5 @@
-"""Single-dipole (quantum Rabi) Hamiltonians across gauges.
+"""Single-dipole (quantum Rabi) Hamiltonians across gauges, and the spin-j
+gauge core that every dense gauge matrix of the package is built from.
 
 Builders return the matter (x) field matrix of each model, energies in units
 of omega_c with hbar = 1:
@@ -14,6 +15,16 @@ of omega_c with hbar = 1:
 * ``build_H_alpha``       one-parameter gauge family interpolating D (alpha=0)
                           and corrected C (alpha=1)
 
+The core works on matter (x) field with a collective spin j = two_j / 2 and
+a Hermitian field quadrature Q.  Its parts are the bare term
+omega_c 1 (x) n + omega_10 J_z (x) 1, the rotated splitting
+omega_10 (J_z (x) cos phi Q + J_y (x) sin phi Q) and the reference
+conjugation U = exp(i phi J_x (x) Q).  The Rabi model is two_j = 1 (the
+j = 1/2 case: sigma_k = 2 J_k, so 0.5 omega_10 sigma_z = omega_10 J_z and
+g sigma_k = 2 g J_k bit for bit), ``gaugeqed.dicke`` is two_j = N, and
+``gaugeqed.fluxonium``'s charge gauge is the a -> ia case,
+Q = i(a - a^dag).
+
 ``bands_H_D`` and ``bands_H_C_standard`` write the same D and naive Coulomb
 models as their two real parity chains in band storage (tri- and
 pentadiagonal), straight from closed forms, for the sweeps' banded solve.
@@ -28,13 +39,15 @@ differ by exactly those dropped scalars (for example spec(H_C) = spec(H_D)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import (OperatorMatrix, ParityBands, Spectrum, check_dim, conjugate,
+# hermitian_eig is not called here; it stays importable as rabi.hermitian_eig,
+# which the benchmark tracer's tests rebind and restore
+from .linalg import (OperatorMatrix, ParityBands, check_dim, conjugate,
                      hermitian_eig, hermitian_operator, spectral_matrix, unitary_exp)
-from .qops import _fock_arrays, _pauli_arrays, quadrature_cos_sin, quadrature_eig
+from .qops import _fock_arrays, _spin_arrays, quadrature_cos_sin, quadrature_eig
 
 # the omitted Maclaurin tail is summed until a term falls below this
 # fraction of max(|tail|, 1), far under double precision's 2^-53
@@ -96,23 +109,65 @@ class GaugeParam:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
 
-def _parts(p: RabiParams):
-    """Fock and Pauli matrices as plain complex arrays, after the dimension cap."""
-    check_dim(p.dim)
-    return (*_fock_arrays(p.cutoff), *_pauli_arrays())
+# ---------------------------------------------------------------------------
+# the spin-j gauge core: plain complex arrays on matter (x) field
+# ---------------------------------------------------------------------------
+
+class _Parts(NamedTuple):
+    a: np.ndarray
+    adag: np.ndarray
+    n: np.ndarray
+    jx: np.ndarray
+    jy: np.ndarray
+    jz: np.ndarray
+    eye_spin: np.ndarray
+    eye_field: np.ndarray
 
 
-def _eye(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
+def _parts(two_j: int, cutoff: int) -> _Parts:
+    """Fock and spin-(two_j / 2) arrays and both identities, after the
+    dimension cap on (two_j + 1) (cutoff + 1)."""
+    check_dim((two_j + 1) * (cutoff + 1))
+    return _Parts(*_fock_arrays(cutoff), *_spin_arrays(two_j),
+                  np.eye(two_j + 1, dtype=complex), np.eye(cutoff + 1, dtype=complex))
 
+
+def _bare(s: _Parts, omega_c: float, omega_10: float) -> np.ndarray:
+    """omega_c 1 (x) n + omega_10 J_z (x) 1."""
+    return omega_c * np.kron(s.eye_spin, s.n) + omega_10 * np.kron(s.jz, s.eye_field)
+
+
+def _rotated(s: _Parts, omega_c: float, omega_10: float, cos: np.ndarray,
+             sin: np.ndarray) -> np.ndarray:
+    """omega_c 1 (x) n + omega_10 (J_z (x) cos + J_y (x) sin): the bare
+    splitting turned about J_x, given cos(phi Q) and sin(phi Q) (or their
+    Maclaurin polynomials)."""
+    return omega_c * np.kron(s.eye_spin, s.n) + omega_10 * (np.kron(s.jz, cos)
+                                                             + np.kron(s.jy, sin))
+
+
+def _rotation(s: _Parts, Q: np.ndarray, phi: float) -> OperatorMatrix:
+    """The reference conjugation U = exp(i phi J_x (x) Q)."""
+    return unitary_exp(OperatorMatrix(np.kron(s.jx, Q)), phi)
+
+
+def _conjugated(s: _Parts, omega_c: float, omega_10: float, Q: np.ndarray,
+                phi: float) -> np.ndarray:
+    """U (omega_10 J_z (x) 1) U^dag + omega_c 1 (x) n, with U = exp(i phi J_x (x) Q);
+    equal to the rotated splitting at cos(phi Q), sin(phi Q) up to roundoff."""
+    H0 = hermitian_operator(omega_10 * np.kron(s.jz, s.eye_field))
+    return conjugate(_rotation(s, Q, phi), H0).arr + omega_c * np.kron(s.eye_spin, s.n)
+
+
+# ---------------------------------------------------------------------------
+# Rabi builders: the core at two_j = 1 with Q = a + a^dag
+# ---------------------------------------------------------------------------
 
 def build_H_D(p: RabiParams) -> OperatorMatrix:
     """Dipole-gauge Rabi Hamiltonian (two-level truncation is exact here)."""
-    a, adag, nph, sx, sy, sz = _parts(p)
-    coupling = 1j * (adag - a)
-    return hermitian_operator(p.omega_c * np.kron(_eye(2), nph)
-                              + 0.5 * p.omega_10 * np.kron(sz, _eye(p.cutoff + 1))
-                              + p.g_d * np.kron(sx, coupling))
+    s = _parts(1, p.cutoff)
+    return hermitian_operator(_bare(s, p.omega_c, p.omega_10)
+                              + 2.0 * p.g_d * np.kron(s.jx, 1j * (s.adag - s.a)))
 
 
 def build_H_C_standard(p: RabiParams, diamagnetic: Optional[float] = None) -> OperatorMatrix:
@@ -122,14 +177,13 @@ def build_H_C_standard(p: RabiParams, diamagnetic: Optional[float] = None) -> Op
     default g_C^2 / omega_10 saturates the oscillator-strength sum rule with
     the single retained transition.
     """
-    a, adag, nph, sx, sy, sz = _parts(p)
+    s = _parts(1, p.cutoff)
     if diamagnetic is None:
         diamagnetic = _sum_rule_diamagnetic(p)
-    X = a + adag
-    return hermitian_operator(p.omega_c * np.kron(_eye(2), nph)
-                              + 0.5 * p.omega_10 * np.kron(sz, _eye(p.cutoff + 1))
-                              + p.g_c * np.kron(sy, X)
-                              + diamagnetic * np.kron(_eye(2), X @ X))
+    X = s.a + s.adag
+    return hermitian_operator(_bare(s, p.omega_c, p.omega_10)
+                              + 2.0 * p.g_c * np.kron(s.jy, X)
+                              + diamagnetic * np.kron(s.eye_spin, X @ X))
 
 
 def _sum_rule_diamagnetic(p: RabiParams) -> float:
@@ -194,17 +248,13 @@ def build_H_C_correct(p: RabiParams, method: str = "closed_form") -> OperatorMat
     to eigensolver roundoff on the truncated space (the rotation identity is
     exact there).
     """
-    a, adag, nph, sx, sy, sz = _parts(p)
+    s = _parts(1, p.cutoff)
     if method == "conjugation":
-        U = unitary_exp(OperatorMatrix(np.kron(sx, a + adag)), p.eta)
-        H0 = hermitian_operator(0.5 * p.omega_10 * np.kron(sz, _eye(p.cutoff + 1)))
-        return hermitian_operator(conjugate(U, H0).arr
-                                  + p.omega_c * np.kron(_eye(2), nph))
+        return hermitian_operator(_conjugated(s, p.omega_c, p.omega_10, s.a + s.adag,
+                                              2.0 * p.eta))
     if method == "closed_form":
         cosX, sinX = quadrature_cos_sin(p.cutoff, 2.0 * p.eta)
-        return hermitian_operator(p.omega_c * np.kron(_eye(2), nph)
-                                  + 0.5 * p.omega_10 * (np.kron(sz, cosX)
-                                                        + np.kron(sy, sinX)))
+        return hermitian_operator(_rotated(s, p.omega_c, p.omega_10, cosX, sinX))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -261,12 +311,12 @@ def build_H_C_taylor(p: RabiParams, order: int) -> OperatorMatrix:
     sum-rule-corrected quadratic model; as order grows the spectrum converges
     to ``build_H_C_correct`` at the same cutoff.
     """
-    a, adag, nph, sx, sy, sz = _parts(p)
+    s = _parts(1, p.cutoff)
     spec = quadrature_eig(p.cutoff)
     cvals, svals = maclaurin_cos_sin(2.0 * p.eta * spec.eigenvalues, order)
-    cosX, sinX = spectral_matrix(spec, cvals), spectral_matrix(spec, svals)
-    return hermitian_operator(p.omega_c * np.kron(_eye(2), nph)
-                              + 0.5 * p.omega_10 * (np.kron(sz, cosX) + np.kron(sy, sinX)))
+    return hermitian_operator(_rotated(s, p.omega_c, p.omega_10,
+                                       spectral_matrix(spec, cvals),
+                                       spectral_matrix(spec, svals)))
 
 
 def build_H_alpha(p: RabiParams, g) -> OperatorMatrix:
@@ -276,17 +326,13 @@ def build_H_alpha(p: RabiParams, g) -> OperatorMatrix:
     ``g`` is a GaugeParam or a bare float in [0, 1].
     """
     alpha = g.alpha if isinstance(g, GaugeParam) else GaugeParam(float(g)).alpha
-    a, adag, nph, sx, sy, sz = _parts(p)
+    s = _parts(1, p.cutoff)
     cosX, sinX = quadrature_cos_sin(p.cutoff, 2.0 * alpha * p.eta)
-    coupling = 1j * (adag - a)
-    return hermitian_operator(p.omega_c * np.kron(_eye(2), nph)
-                              + (1.0 - alpha) * p.g_d * np.kron(sx, coupling)
-                              + 0.5 * p.omega_10 * (np.kron(sz, cosX) + np.kron(sy, sinX)))
-
-
-def spectrum_of(H: OperatorMatrix, model_id: str = "", cutoff: Optional[int] = None,
-                vectors: bool = False) -> Spectrum:
-    return hermitian_eig(H, vectors=vectors, model_id=model_id, cutoff=cutoff)
+    # the dipole coupling meets no nonzero entry of the omega_c n diagonal,
+    # so adding it last gives the same sum as adding it second
+    return hermitian_operator(_rotated(s, p.omega_c, p.omega_10, cosX, sinX)
+                              + (1.0 - alpha) * 2.0 * p.g_d
+                              * np.kron(s.jx, 1j * (s.adag - s.a)))
 
 
 @dataclass(frozen=True)
@@ -324,9 +370,10 @@ def check_gauge_theorem(p: RabiParams, interior_fraction: float = 0.8,
     """
     if not 0.0 < interior_fraction <= 1.0:
         raise ValueError(f"interior_fraction must be in (0, 1], got {interior_fraction}")
-    a, adag, nph, sx, sy, sz = _parts(p)
-    U = unitary_exp(OperatorMatrix(np.kron(sx, a + adag)), p.eta)
-    hd = hermitian_operator(build_H_D(p).arr + (p.eta ** 2 * p.omega_c) * _eye(p.dim))
+    s = _parts(1, p.cutoff)
+    U = _rotation(s, s.a + s.adag, 2.0 * p.eta)
+    hd = hermitian_operator(build_H_D(p).arr
+                            + (p.eta ** 2 * p.omega_c) * np.eye(p.dim, dtype=complex))
     hc = build_H_C_correct(p, method="closed_form")
     dev = conjugate(U, hd).arr - hc.arr
     nf = p.cutoff + 1

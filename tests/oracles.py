@@ -180,6 +180,20 @@ def dicke_correct(n_dipoles, eta, detuning, cutoff, omega_c=1.0):
     return U @ H0 @ U.conj().T + omega_c * np.kron(np.eye(n_dipoles + 1), nph)
 
 
+def dicke_dipole(n_dipoles, eta, detuning, cutoff, omega_c=1.0):
+    """omega_c a^dag a + omega_10 J_z + 2 i g_D (a^dag - a) J_x + 4 eta^2 omega_c J_x^2."""
+    a, ad, nph = fock(cutoff)
+    jx, jy, jz = spin(n_dipoles)
+    w10 = omega_c + detuning
+    g_d = eta * omega_c
+    Im = np.eye(n_dipoles + 1)
+    If = np.eye(cutoff + 1)
+    return (omega_c * np.kron(Im, nph)
+            + w10 * np.kron(jz, If)
+            + 2j * g_d * np.kron(jx, ad - a)
+            + 4.0 * eta ** 2 * omega_c * np.kron(jx @ jx, If))
+
+
 def lowest_transitions(H, k):
     w = np.linalg.eigvalsh(H)
     return w[1:k + 1] - w[0]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugeqed import RabiParams, bands_H_D, build_H_C_correct, build_H_D
+from gaugeqed import experiments as experiments_mod
 from gaugeqed import rabi as rabi_mod
 from gaugeqed.experiments import (
     ConvergencePolicy,
@@ -376,3 +377,36 @@ def test_gnuplot_script(tmp_path):
     text = gp.read_text()
     assert "strcol(1) eq 'D'" in text
     assert "$5" in text and "$6" in text
+
+
+def test_write_lines_replaces_atomically(tmp_path, monkeypatch):
+    path = tmp_path / "table.csv"
+    experiments_mod._write_lines(path, ["old", "rows"])
+    experiments_mod._write_lines(path, ["new"])
+    assert path.read_bytes() == b"new\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["table.csv"]
+
+    class HalfWrite:
+        """A file that takes half of what it is given, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+            return False
+
+    builtin_open = open
+    monkeypatch.setattr(experiments_mod, "open",
+                        lambda *a, **kw: HalfWrite(builtin_open(*a, **kw)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        experiments_mod._write_lines(path, ["a longer table", "that never lands"])
+    assert path.read_bytes() == b"new\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["table.csv"]

@@ -20,7 +20,6 @@ from gaugeqed import (
     ParityBands,
     ParityError,
     RabiParams,
-    as_hermitian,
     bands_H_D,
     banded_parity_eigvalsh,
     build_dicke_correct,
@@ -275,9 +274,9 @@ def test_operator_algebra_hints():
     assert not (1j * sx).hermitian_hint
     assert not (sx @ sy).hermitian_hint
     assert (-sx).hermitian_hint
-    assert as_hermitian(sx @ sx).hermitian_hint
+    assert OperatorMatrix((sx @ sx).arr, hermitian_hint=True).hermitian_hint
     with pytest.raises(NonHermitianError):
-        as_hermitian(sx @ sy)
+        OperatorMatrix((sx @ sy).arr, hermitian_hint=True)
 
 
 def test_operator_array_frozen():
