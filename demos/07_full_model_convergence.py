@@ -10,16 +10,16 @@ confirming that the gauge ambiguity is purely an artifact of truncation.
 
 import numpy as np
 
-from gaugeqed import (FockSpace, build_full_H_C, build_full_H_D,
-                      double_well_model, lowest_transitions, solve_particle)
+from gaugeqed import (build_full_H_C, build_full_H_D, double_well_model,
+                      lowest_transitions, solve_particle)
 
 model = double_well_model()
-basis = solve_particle(model, check_grid=False)
-field = FockSpace(48)
+basis = solve_particle(model)  # also checks the grid by refining it once
+cutoff = 48  # cavity Fock levels 0..48
 
 print("M    max gap between gauges (lowest 4 transitions)")
 for m in (2, 4, 8, 16, 32):
-    hd = build_full_H_D(model, basis, field, A0=0.3, m_used=m)
-    hc = build_full_H_C(model, basis, field, A0=0.3, m_used=m)
+    hd = build_full_H_D(model, basis, cutoff, A0=0.3, m_used=m)
+    hc = build_full_H_C(model, basis, cutoff, A0=0.3, m_used=m)
     gap = np.abs(lowest_transitions(hd, 4) - lowest_transitions(hc, 4)).max()
     print(f"{m:2d}   {gap:.3e}")

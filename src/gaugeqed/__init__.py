@@ -22,15 +22,13 @@ from .linalg import (
     banded_parity_eigvalsh,
     conjugate,
     hermitian_eig,
-    identity,
     kron,
     matrix_function,
     parity_eigvalsh,
     unitary_exp,
 )
-from .qops import FockSpace, embed, fock_ops, pauli, quadrature_eig, spin_ops
+from .qops import fock_ops, quadrature_eig, spin_ops
 from .rabi import (
-    GaugeParam,
     GaugeTheoremReport,
     RabiParams,
     bands_H_C_standard,
@@ -93,7 +91,6 @@ from .experiments import (
     taylor_study,
     write_alpha_csv,
     write_gnuplot_script,
-    write_gnuplot_table,
     write_sweep_csv,
     write_taylor_csv,
 )
@@ -102,16 +99,15 @@ __all__ = [
     "__version__",
     # linalg
     "OperatorMatrix", "Spectrum", "hermitian_eig", "matrix_function",
-    "unitary_exp", "conjugate", "kron", "identity",
+    "unitary_exp", "conjugate", "kron",
     "parity_eigvalsh", "ParityBands", "banded_parity_eigvalsh",
     "LinalgError", "NonHermitianError", "NotUnitaryError",
     "ConvergenceFailureError", "DimensionMismatchError",
     "DimensionOverflowError", "ParityError",
     # qops
-    "FockSpace", "fock_ops", "spin_ops", "embed", "pauli",
-    "quadrature_eig",
+    "fock_ops", "spin_ops", "quadrature_eig",
     # rabi
-    "RabiParams", "GaugeParam", "build_H_D", "build_H_C_standard",
+    "RabiParams", "build_H_D", "build_H_C_standard",
     "build_H_C_correct", "build_H_C_taylor", "build_H_alpha",
     "bands_H_D", "bands_H_C_standard",
     "maclaurin_cos_sin", "check_gauge_theorem",
@@ -135,5 +131,5 @@ __all__ = [
     "default_eta_grid", "taylor_study", "TaylorStudy",
     "alpha_invariance_study", "AlphaStudy", "CutoffCeilingError",
     "write_sweep_csv", "write_taylor_csv", "write_alpha_csv",
-    "write_gnuplot_table", "write_gnuplot_script",
+    "write_gnuplot_script",
 ]

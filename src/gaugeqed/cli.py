@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__, experiments, fluxonium, particle1d, rabi
 from .linalg import LinalgError
-from .qops import FockSpace
 
 ENV_OUTDIR = "GAUGEQED_OUTDIR"
 
@@ -503,10 +502,10 @@ def _cmd_full_model(rc: RunConfig) -> int:
     p = rc.params
     model = _named_model(p)
     basis = particle1d.solve_particle(model)
-    field = FockSpace(p["cutoff"])
+    cutoff = p["cutoff"]
     levels = p["levels"]
     # a mirror-parity basis splits both models into real parity blocks
-    field_dim = field.dim if basis.mirror_parity else None
+    field_dim = cutoff + 1 if basis.mirror_parity else None
     gaps = []
     print("m_levels  max_transition_gap")
     lines = [_UNITS_LINE, "m_levels,max_transition_gap"]
@@ -516,10 +515,10 @@ def _cmd_full_model(rc: RunConfig) -> int:
                              f"{basis.m_levels}")
         # one model at a time: each matrix is freed once its levels are known
         t_d = experiments.lowest_transitions(
-            particle1d.build_full_H_D(model, basis, field, p["a0"], m), levels,
+            particle1d.build_full_H_D(model, basis, cutoff, p["a0"], m), levels,
             field_dim)
         t_c = experiments.lowest_transitions(
-            particle1d.build_full_H_C(model, basis, field, p["a0"], m), levels,
+            particle1d.build_full_H_C(model, basis, cutoff, p["a0"], m), levels,
             field_dim)
         gap = float(np.abs(t_d - t_c).max())
         gaps.append(gap)

@@ -43,15 +43,14 @@ class DickeParams(RabiParams):
         return (self.n_dipoles + 1) * (self.cutoff + 1)
 
 
-def build_dicke_standard(p: DickeParams, diamagnetic=None) -> OperatorMatrix:
+def build_dicke_standard(p: DickeParams) -> OperatorMatrix:
     """Naive two-level-per-dipole Coulomb-gauge Dicke model.
 
-    The diamagnetic coefficient defaults to j * 2 g_C^2 / omega_10, the
-    per-dipole sum-rule-saturated value (N times the Rabi default).
+    The diamagnetic coefficient is j * 2 g_C^2 / omega_10, the per-dipole
+    sum-rule-saturated value (N times the Rabi one).
     """
     s = _parts(p.n_dipoles, p.cutoff)
-    if diamagnetic is None:
-        diamagnetic = p.j * 2.0 * p.g_c ** 2 / p.omega_10
+    diamagnetic = p.j * 2.0 * p.g_c ** 2 / p.omega_10
     X = s.a + s.adag
     return hermitian_operator(_bare(s, p.omega_c, p.omega_10)
                               + 2.0 * p.g_c * np.kron(s.jy, X)

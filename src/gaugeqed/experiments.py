@@ -149,6 +149,8 @@ class SweepSpec:
                 raise ValueError(f"unknown model {m!r}; choose from {sorted(known)}")
         if not self.models:
             raise ValueError("empty model set")
+        if len(set(self.models)) != len(self.models):
+            raise ValueError(f"repeated model in {','.join(self.models)}")
         grid = tuple(float(e) for e in self.eta_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("eta_grid must be nonempty and strictly ascending")
@@ -181,10 +183,6 @@ class SweepResult:
 
     def unconverged(self) -> Tuple[SweepPoint, ...]:
         return tuple(p for p in self.points if not p.converged)
-
-    def transitions_of(self, model: str) -> np.ndarray:
-        rows = [p.transitions for p in self.points if p.model == model]
-        return np.array(rows)
 
 
 def _map_ordered(fn, items, threads: int):
@@ -336,12 +334,16 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
     With negative_control=True the alpha=1 member is replaced by the naive
     Coulomb-gauge model, which must break the invariance at strong coupling;
     that member is solved from its banded parity chains, the family members
-    from dense real parity blocks.
+    from dense real parity blocks.  Raises ValueError when negative_control
+    is set and 1 is not among the alphas, since nothing would be replaced.
     """
     alphas = tuple(float(a) for a in alphas)
     eta_grid = tuple(float(e) for e in eta_grid)
     if not alphas or not eta_grid:
         raise ValueError("alphas and eta_grid must be nonempty")
+    if negative_control and 1.0 not in alphas:
+        raise ValueError("the negative control replaces the alpha=1 member; "
+                         "alphas must include 1")
 
     def work(task):
         eta, alpha = task
@@ -430,23 +432,6 @@ def alpha_csv_lines(study: AlphaStudy) -> list:
 
 def write_alpha_csv(study: AlphaStudy, path) -> None:
     _write_lines(path, alpha_csv_lines(study))
-
-
-def write_gnuplot_table(result: SweepResult, path) -> None:
-    """Whitespace table, one block per model separated by blank lines."""
-    spec = result.spec
-    k = spec.levels_reported
-    lines = [_UNITS_NOTE,
-             "# columns: eta cutoff converged t1..t" + str(k)]
-    for m in spec.models:
-        lines.append(f"# model {m}")
-        for p in result.points:
-            if p.model != m:
-                continue
-            lines.append(" ".join([f"{p.eta:.6g}", str(p.cutoff), str(int(p.converged))]
-                                  + [_fmt(t) for t in p.transitions]))
-        lines.append("")
-    _write_lines(path, lines)
 
 
 def write_gnuplot_script(csv_path, gp_path, title: str, levels: int,

@@ -1,7 +1,8 @@
 """Dense and banded Hermitian linear algebra with explicit invariants.
 
 All operators in the package are finite complex matrices wrapped in
-:class:`OperatorMatrix`.  Hamiltonian builders assemble plain complex arrays
+:class:`OperatorMatrix`, a frozen holder with no arithmetic of its own.
+Hamiltonian builders assemble plain complex arrays (``.arr`` is the array)
 and wrap the finished matrix once with :func:`hermitian_operator`, which is
 where its Hermiticity is checked.  Eigenproblems go through LAPACK
 (``numpy.linalg.eigh``) behind :func:`hermitian_eig`, which adds a
@@ -100,34 +101,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.arr.shape[0]
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.arr.conj().T, self.hermitian_hint)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        _check_same_dim(self, other)
-        return OperatorMatrix(self.arr + other.arr,
-                              self.hermitian_hint and other.hermitian_hint)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        _check_same_dim(self, other)
-        return OperatorMatrix(self.arr - other.arr,
-                              self.hermitian_hint and other.hermitian_hint)
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        _check_same_dim(self, other)
-        return OperatorMatrix(self.arr @ other.arr, hermitian_hint=False)
-
-    def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        scalar = complex(scalar)
-        return OperatorMatrix(self.arr * scalar,
-                              self.hermitian_hint and scalar.imag == 0.0)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(-self.arr, self.hermitian_hint)
-
-
 # entries of M - M^dag formed at a time by the Hermiticity check: one block
 # up to dimension 724, and a scratch of 8 MB however large the matrix is
 _CHECK_BLOCK_ENTRIES = 1 << 19
@@ -148,15 +121,6 @@ def _check_hermitian(arr: np.ndarray, context: str) -> None:
             f"{context} max|M - M^dag| = {dev:.3e} (scale {scale:.3e})")
 
 
-def _check_same_dim(a: OperatorMatrix, b: OperatorMatrix) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def identity(dim: int) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(dim, dtype=complex), hermitian_hint=True)
-
-
 def hermitian_operator(arr: np.ndarray) -> OperatorMatrix:
     """Wrap a freshly assembled complex matrix as a Hermitian operator.
 
@@ -175,12 +139,10 @@ def check_dim(dim: int, dim_cap: int = DIM_CAP_DEFAULT) -> None:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues, optional phase-fixed eigenvectors, provenance tags."""
+    """Ascending eigenvalues and optional phase-fixed eigenvectors."""
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray]
-    model_id: str = ""
-    cutoff: Optional[int] = None
 
     def transitions(self, k: Optional[int] = None) -> np.ndarray:
         """E_n - E_0 for n = 1..k (all levels when k is None)."""
@@ -189,8 +151,7 @@ class Spectrum:
         return w[1:stop] - w[0]
 
 
-def hermitian_eig(M: OperatorMatrix, vectors: bool = True,
-                  model_id: str = "", cutoff: Optional[int] = None) -> Spectrum:
+def hermitian_eig(M: OperatorMatrix, vectors: bool = True) -> Spectrum:
     """Full eigendecomposition of a Hermitian operator.
 
     Eigenvalues ascend.  Each eigenvector is phase-fixed so its
@@ -219,7 +180,7 @@ def hermitian_eig(M: OperatorMatrix, vectors: bool = True,
         v.flags.writeable = False
     w = np.ascontiguousarray(w)
     w.flags.writeable = False
-    return Spectrum(eigenvalues=w, eigenvectors=v, model_id=model_id, cutoff=cutoff)
+    return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
 # 1j**m for m = 0..3, exact; 1j**m itself is not for large m (1j**101 has
@@ -372,7 +333,8 @@ def unitary_exp(A: OperatorMatrix, theta: float) -> OperatorMatrix:
 
 def conjugate(U: OperatorMatrix, H: OperatorMatrix) -> OperatorMatrix:
     """U H U^dag after verifying that U is unitary to UNITARITY_ATOL."""
-    _check_same_dim(U, H)
+    if U.dim != H.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {U.dim} vs {H.dim}")
     gram = U.arr.conj().T @ U.arr
     dev = float(np.abs(gram - np.eye(U.dim)).max())
     if dev > UNITARITY_ATOL:

@@ -39,7 +39,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .linalg import OperatorMatrix, check_dim, hermitian_operator
-from .qops import FockSpace, _fock_arrays
+from .qops import _fock_arrays
 
 BOUNDARY_AMPLITUDE_MAX = 1e-8
 GRID_SHIFT_MAX = 1e-6
@@ -47,6 +47,12 @@ GRID_SHIFT_MAX = 1e-6
 # of each eigenfunction (relative to its largest sample)
 MIRROR_POTENTIAL_RTOL = 1e-12
 MIRROR_PSI_RTOL = 1e-8
+# projected-kernel samples per axis (the grid is stride-decimated to fit)
+KERNEL_EVAL_POINTS = 801
+# minimal-coupling check: largest entry residual, relative to the bare
+# operator, and the number of lowest levels whose spectra are compared
+MINIMAL_COUPLING_RTOL = 1e-6
+MINIMAL_COUPLING_LEVELS = 8
 
 # 4th-order central stencils
 _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
@@ -281,7 +287,7 @@ def _mirror_projected(model: ParticleModel, psi: np.ndarray) -> Optional[np.ndar
     return (psi + mirrored) / 2.0
 
 
-def solve_particle(model: ParticleModel, check_grid: bool = True) -> MatterBasis:
+def solve_particle(model: ParticleModel) -> MatterBasis:
     """Lowest eigen_count eigenpairs with boundary and discretization checks.
 
     Raises BoundaryLeakError when any retained eigenfunction fails to decay
@@ -300,13 +306,12 @@ def solve_particle(model: ParticleModel, check_grid: bool = True) -> MatterBasis
         raise BoundaryLeakError(
             f"eigenfunction amplitude {edge:.2e} at the grid edge exceeds "
             f"{BOUNDARY_AMPLITUDE_MAX:.1e}; widen the grid")
-    if check_grid:
-        w_fine = _grid_eigvals(model.refined())
-        shift = float(np.abs(w - w_fine).max())
-        if shift > GRID_SHIFT_MAX:
-            raise GridTooCoarseError(
-                f"eigenvalue shift {shift:.2e} on grid refinement exceeds "
-                f"{GRID_SHIFT_MAX:.1e}; increase n_points")
+    w_fine = _grid_eigvals(model.refined())
+    shift = float(np.abs(w - w_fine).max())
+    if shift > GRID_SHIFT_MAX:
+        raise GridTooCoarseError(
+            f"eigenvalue shift {shift:.2e} on grid refinement exceeds "
+            f"{GRID_SHIFT_MAX:.1e}; increase n_points")
     projected = _mirror_projected(model, psi)
     if projected is not None:
         psi = projected
@@ -340,8 +345,7 @@ class NonlocalKernel:
 
 
 def nonlocal_kernel(basis: MatterBasis, model: ParticleModel, k: int,
-                    part: str = "full", band_width: Optional[float] = None,
-                    max_eval_points: int = 801) -> NonlocalKernel:
+                    part: str = "full") -> NonlocalKernel:
     """k-level projected potential kernel V_k(x, x') = sum_ij psi_i(x) W_ij psi_j(x').
 
     ``part="full"`` projects the whole potential operator (P W P); its k -> M
@@ -350,11 +354,11 @@ def nonlocal_kernel(basis: MatterBasis, model: ParticleModel, k: int,
     ``part="cross"`` drops the i = j terms, leaving the interlevel outer
     products only; at k=2 that is the familiar
     W_10 [psi_0(x') psi_1(x) + psi_1(x') psi_0(x)] rank-2 form.
-    The default band width is the oscillator length 1/sqrt(m omega_10) of the
+    The band width is the oscillator length 1/sqrt(m omega_10) of the
     model's first transition.
 
     The kernel is evaluated on a stride-decimated subgrid (at most
-    max_eval_points per axis); the measure integrals use the same subgrid.
+    KERNEL_EVAL_POINTS per axis); the measure integrals use the same subgrid.
     """
     if not 2 <= k <= basis.m_levels:
         raise ValueError(f"k must be in [2, {basis.m_levels}], got {k}")
@@ -366,12 +370,11 @@ def nonlocal_kernel(basis: MatterBasis, model: ParticleModel, k: int,
     W = (W + W.T) / 2.0
     if part == "cross":
         W = W - np.diag(np.diag(W))
-    if band_width is None:
-        w10 = basis.omega(1, 0)
-        if w10 <= 0:
-            raise ValueError("degenerate lowest levels; pass band_width explicitly")
-        band_width = 1.0 / np.sqrt(model.mass * w10)
-    stride = max(1, -((model.grid.n_points - 1) // -(max_eval_points - 1)))
+    w10 = basis.omega(1, 0)
+    if w10 <= 0:
+        raise ValueError("degenerate lowest levels: the band width is undefined")
+    band_width = 1.0 / np.sqrt(model.mass * w10)
+    stride = max(1, -((model.grid.n_points - 1) // -(KERNEL_EVAL_POINTS - 1)))
     idx = np.arange(0, model.grid.n_points, stride)
     xs = model.grid.points[idx]
     K = psi_k[idx] @ W @ psi_k[idx].T
@@ -413,18 +416,17 @@ def _operator_diagonals(model: ParticleModel, q_a0: float):
     return diags
 
 
-def check_minimal_coupling_identity(model: ParticleModel, A0: float,
-                                    tol: float = 1e-6,
-                                    spectrum_levels: int = 8) -> MinimalCouplingReport:
+def check_minimal_coupling_identity(model: ParticleModel, A0: float) -> MinimalCouplingReport:
     """Verify that conjugating p^2/2m + W by the diagonal phase exp(i q A0 x)
     reproduces the minimal-coupling substitution (p - q A0)^2/2m + W.
 
     Both routes are exact in the continuum; on the grid they differ by the
     finite-difference representation error, which scales as (q A0 dx)^2.  The
     residual is the largest entry mismatch relative to the largest entry of
-    the bare operator.  The phase conjugation leaves the spectrum exactly
-    invariant, so the lowest eigenvalues of the conjugated operator are also
-    compared against the bare ones.
+    the bare operator; the check passes when it is within
+    MINIMAL_COUPLING_RTOL.  The phase conjugation leaves the spectrum exactly
+    invariant, so the lowest MINIMAL_COUPLING_LEVELS eigenvalues of the
+    conjugated operator are also compared against the bare ones.
     """
     g = model.grid
     n, dx = g.n_points, g.dx
@@ -441,19 +443,19 @@ def check_minimal_coupling_identity(model: ParticleModel, A0: float,
 
     bands_r = _grid_bands(model)
     w_bare = sla.eig_banded(bands_r, lower=True, select="i",
-                            select_range=(0, spectrum_levels - 1),
+                            select_range=(0, MINIMAL_COUPLING_LEVELS - 1),
                             eigvals_only=True)
     bands_c = np.zeros((3, n), dtype=complex)
     bands_c[0] = bands_r[0]
     bands_c[1] = bands_r[1] * np.exp(1j * q_a0 * dx)
     bands_c[2] = bands_r[2] * np.exp(2j * q_a0 * dx)
     w_conj = sla.eig_banded(bands_c, lower=True, select="i",
-                            select_range=(0, spectrum_levels - 1),
+                            select_range=(0, MINIMAL_COUPLING_LEVELS - 1),
                             eigvals_only=True)
     spectrum_dev = float(np.abs(w_bare - w_conj).max())
     return MinimalCouplingReport(q_a0=q_a0, residual_rel=residual_rel,
                                  spectrum_dev=spectrum_dev, n_points=n,
-                                 passed=residual_rel <= tol)
+                                 passed=residual_rel <= MINIMAL_COUPLING_RTOL)
 
 
 def _matter_blocks(basis: MatterBasis, m_used: int):
@@ -466,12 +468,12 @@ def _matter_blocks(basis: MatterBasis, m_used: int):
     return E, X, X2, P
 
 
-def _field_parts(field: FockSpace, m_used: int):
+def _field_parts(cutoff: int, m_used: int):
     """Fock matrices as plain arrays plus the matter and field identities,
     after the dimension cap on the m_used x (cutoff + 1) product space."""
-    nf = field.cutoff + 1
+    nf = cutoff + 1
     check_dim(m_used * nf)
-    a, adag, nph = _fock_arrays(field.cutoff)
+    a, adag, nph = _fock_arrays(cutoff)
     return a, adag, nph, np.eye(m_used, dtype=complex), np.eye(nf, dtype=complex)
 
 
@@ -499,16 +501,17 @@ def _kron_sum(terms) -> np.ndarray:
     return H
 
 
-def build_full_H_D(model: ParticleModel, basis: MatterBasis, field: FockSpace,
+def build_full_H_D(model: ParticleModel, basis: MatterBasis, cutoff: int,
                    A0: float, m_used: int, omega_c: float = 1.0) -> OperatorMatrix:
-    """Dipole-gauge light-matter model with m_used matter levels retained:
+    """Dipole-gauge light-matter model with m_used matter levels and Fock
+    levels 0..cutoff retained:
     omega_c a^dag a + H_0 + q^2 A0^2 omega_c x^2 + i q omega_c A0 x (a^dag - a).
 
     The x^2 term keeps the full matrix elements of x^2 rather than the square
     of the truncated x, so the m_used -> M limit is the untruncated model.
     """
     E, X, X2, _ = _matter_blocks(basis, m_used)
-    a, adag, nph, Im, If = _field_parts(field, m_used)
+    a, adag, nph, Im, If = _field_parts(cutoff, m_used)
     q = model.charge
     return hermitian_operator(_kron_sum([
         (omega_c, Im, nph),
@@ -518,12 +521,12 @@ def build_full_H_D(model: ParticleModel, basis: MatterBasis, field: FockSpace,
     ]))
 
 
-def build_full_H_C(model: ParticleModel, basis: MatterBasis, field: FockSpace,
+def build_full_H_C(model: ParticleModel, basis: MatterBasis, cutoff: int,
                    A0: float, m_used: int, omega_c: float = 1.0) -> OperatorMatrix:
     """Coulomb-gauge partner: omega_c a^dag a + H_0 - (q/m) A0 p (a + a^dag)
     + (q^2 A0^2 / 2m)(a + a^dag)^2, with p in the m_used-level eigenbasis."""
     E, _, _, P = _matter_blocks(basis, m_used)
-    a, adag, nph, Im, If = _field_parts(field, m_used)
+    a, adag, nph, Im, If = _field_parts(cutoff, m_used)
     q = model.charge
     Xf = a + adag
     return hermitian_operator(_kron_sum([

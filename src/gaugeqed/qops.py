@@ -1,5 +1,10 @@
 """Bosonic and collective-spin operators on truncated spaces.
 
+The builders take the plain complex arrays of ``_fock_arrays`` and
+``_spin_arrays`` and combine them with numpy; :func:`fock_ops` and
+:func:`spin_ops` return the same matrices wrapped as ``OperatorMatrix``.
+A cutoff is a plain ``int`` everywhere.
+
 Basis conventions (used everywhere in the package):
 
 * Fock space keeps levels 0..cutoff, dimension cutoff + 1.
@@ -21,32 +26,15 @@ from __future__ import annotations
 
 import functools
 import threading
-from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .linalg import (DIM_CAP_DEFAULT, DimensionMismatchError, OperatorMatrix,
-                     Spectrum, hermitian_eig, identity, kron, spectral_matrix)
+from .linalg import OperatorMatrix, Spectrum, hermitian_eig, spectral_matrix
 
 # cutoffs whose X eigendecomposition is kept; the default convergence
 # policy visits six (40, 80, ..., 1280), so one whole doubling chain fits
 QUADRATURE_CACHE_SIZE = 8
-
-
-@dataclass(frozen=True)
-class FockSpace:
-    """Photon mode truncated at Fock level ``cutoff`` (dimension cutoff + 1)."""
-
-    cutoff: int
-
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-
-    @property
-    def dim(self) -> int:
-        return self.cutoff + 1
 
 
 class FockOps(NamedTuple):
@@ -128,25 +116,3 @@ def _spin_arrays(two_j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def spin_ops(two_j: int) -> SpinOps:
     """Collective spin operators J_x, J_y, J_z, ascending-m basis."""
     return SpinOps(*(OperatorMatrix(op, hermitian_hint=True) for op in _spin_arrays(two_j)))
-
-
-def embed(op: OperatorMatrix, slot: str, matter_dim: int, field_dim: int,
-          dim_cap: int = DIM_CAP_DEFAULT) -> OperatorMatrix:
-    """Lift a single-space operator into the matter (x) field product space."""
-    if slot == "matter":
-        if op.dim != matter_dim:
-            raise DimensionMismatchError(
-                f"matter operator has dim {op.dim}, expected {matter_dim}")
-        return kron(op, identity(field_dim), dim_cap=dim_cap)
-    if slot == "field":
-        if op.dim != field_dim:
-            raise DimensionMismatchError(
-                f"field operator has dim {op.dim}, expected {field_dim}")
-        return kron(identity(matter_dim), op, dim_cap=dim_cap)
-    raise ValueError(f"slot must be 'matter' or 'field', got {slot!r}")
-
-
-def pauli() -> SpinOps:
-    """Pauli matrices in the (ground, excited) ordering: 2 * spin_ops(1)."""
-    return SpinOps(*(OperatorMatrix(2.0 * op, hermitian_hint=True)
-                     for op in _spin_arrays(1)))

@@ -98,17 +98,6 @@ class RabiParams:
         return 2 * (self.cutoff + 1)
 
 
-@dataclass(frozen=True)
-class GaugeParam:
-    """Interpolation parameter: alpha=0 is the dipole form, alpha=1 the Coulomb form."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-
-
 # ---------------------------------------------------------------------------
 # the spin-j gauge core: plain complex arrays on matter (x) field
 # ---------------------------------------------------------------------------
@@ -170,20 +159,18 @@ def build_H_D(p: RabiParams) -> OperatorMatrix:
                               + 2.0 * p.g_d * np.kron(s.jx, 1j * (s.adag - s.a)))
 
 
-def build_H_C_standard(p: RabiParams, diamagnetic: Optional[float] = None) -> OperatorMatrix:
+def build_H_C_standard(p: RabiParams) -> OperatorMatrix:
     """Coulomb-gauge Rabi model from the naive two-level projection.
 
-    ``diamagnetic`` is the coefficient of the scalar (a + a^dag)^2 term; the
-    default g_C^2 / omega_10 saturates the oscillator-strength sum rule with
-    the single retained transition.
+    The scalar (a + a^dag)^2 term has the coefficient g_C^2 / omega_10, which
+    saturates the oscillator-strength sum rule with the single retained
+    transition.
     """
     s = _parts(1, p.cutoff)
-    if diamagnetic is None:
-        diamagnetic = _sum_rule_diamagnetic(p)
     X = s.a + s.adag
     return hermitian_operator(_bare(s, p.omega_c, p.omega_10)
                               + 2.0 * p.g_c * np.kron(s.jy, X)
-                              + diamagnetic * np.kron(s.eye_spin, X @ X))
+                              + _sum_rule_diamagnetic(p) * np.kron(s.eye_spin, X @ X))
 
 
 def _sum_rule_diamagnetic(p: RabiParams) -> float:
@@ -319,13 +306,15 @@ def build_H_C_taylor(p: RabiParams, order: int) -> OperatorMatrix:
                                        spectral_matrix(spec, svals)))
 
 
-def build_H_alpha(p: RabiParams, g) -> OperatorMatrix:
+def build_H_alpha(p: RabiParams, alpha: float) -> OperatorMatrix:
     """Gauge family interpolating the dipole (alpha=0) and corrected Coulomb
     (alpha=1) forms; transition energies are alpha-independent.
 
-    ``g`` is a GaugeParam or a bare float in [0, 1].
+    Raises ValueError unless 0 <= alpha <= 1.
     """
-    alpha = g.alpha if isinstance(g, GaugeParam) else GaugeParam(float(g)).alpha
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     s = _parts(1, p.cutoff)
     cosX, sinX = quadrature_cos_sin(p.cutoff, 2.0 * alpha * p.eta)
     # the dipole coupling meets no nonzero entry of the omega_c n diagonal,

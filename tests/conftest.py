@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from gaugeqed import double_well_model, harmonic_model, solve_particle
+from gaugeqed import OperatorMatrix, double_well_model, harmonic_model, solve_particle
 
 settings.register_profile("suite", deadline=None, max_examples=25,
                           derandomize=True)
@@ -13,6 +13,18 @@ settings.load_profile("suite")
 
 def rng(seed):
     return np.random.default_rng(seed)
+
+
+# Pauli matrices in the package's (ground, excited) qubit ordering, where
+# sigma_z = diag(-1, +1) and sigma_k = 2 J_k at j = 1/2
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, 1j], [-1j, 0]])
+SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)
+
+
+def pauli():
+    """sigma_x, sigma_y, sigma_z as Hermitian-tagged operators."""
+    return tuple(OperatorMatrix(s, hermitian_hint=True) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
 
 
 def random_hermitian(dim, seed, scale=1.0):

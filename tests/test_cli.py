@@ -5,6 +5,7 @@ problems, 2 on numerical failures (with the violated check named on stderr);
 outputs are byte-identical across reruns and thread counts.
 """
 
+import configparser
 import os
 import re
 import subprocess
@@ -15,9 +16,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gaugeqed import OperatorMatrix, ParityBands, cli, experiments, particle1d, pauli, rabi
+from conftest import SIGMA_X
+from gaugeqed import OperatorMatrix, ParityBands, cli, experiments, particle1d, rabi
 from gaugeqed.cli import COMMANDS, build_parser, main
 
+EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.ini"
 TINY_SWEEP = ["rabi-sweep", "--eta-max", "0.1", "--eta-step", "0.05",
               "--levels", "3", "--models", "D,Ccorr"]
 
@@ -36,6 +39,14 @@ def test_import_leaves_mpmath_out():
     code = "import sys, gaugeqed, gaugeqed.cli; sys.exit('mpmath' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env,
                           timeout=120).returncode == 0
+
+
+def test_export_list_resolves():
+    # a stale entry in __all__ would break `from gaugeqed import *`
+    import gaugeqed
+    names = gaugeqed.__all__
+    assert len(set(names)) == len(names), sorted(n for n in names if names.count(n) > 1)
+    assert [n for n in names if not hasattr(gaugeqed, n)] == []
 
 
 def test_version(capsys):
@@ -109,6 +120,13 @@ def test_dicke_sweep_tiny(tmp_path):
     assert (tmp_path / "dicke_sweep.csv").exists()
 
 
+def test_repeated_sweep_model_exits_1(tmp_path, capsys):
+    argv = ["rabi-sweep", "--models", "D,D", "--eta-max", "0.05"]
+    assert run(argv, tmp_path) == 1
+    assert "repeated model in D,D" in capsys.readouterr().err
+    assert not (tmp_path / "rabi_sweep.csv").exists()
+
+
 def test_cutoff_ceiling_exit_2(tmp_path, capsys):
     argv = ["rabi-sweep", "--eta-max", "1.0", "--eta-step", "1.0",
             "--levels", "3", "--models", "D",
@@ -124,9 +142,8 @@ def test_cutoff_ceiling_exit_2(tmp_path, capsys):
 def test_parity_error_exit_2(tmp_path, capsys, monkeypatch):
     # sigma_x (x) 1 flips the matter index alone, so it breaks the parity
     def broken(eta, detuning, cutoff, n):
-        sx = pauli()[0].arr
         p = rabi.RabiParams(eta=eta, cutoff=cutoff, detuning=detuning)
-        H = rabi.build_H_D(p).arr + np.kron(sx, np.eye(cutoff + 1))
+        H = rabi.build_H_D(p).arr + np.kron(SIGMA_X, np.eye(cutoff + 1))
         return OperatorMatrix(H, hermitian_hint=True)
 
     monkeypatch.setitem(experiments.RABI_MODELS, "D", broken)
@@ -218,6 +235,21 @@ def test_missing_config_exits_1(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_example_config_resolves():
+    # the README points users to the shipped config: every section in it
+    # must resolve, with its values taking the place of the defaults
+    cp = configparser.ConfigParser()
+    assert cp.read(EXAMPLE_CONFIG)
+    commands = [s for s in cp.sections() if s != "common"]
+    assert sorted(commands) == ["alpha-check", "dicke-sweep", "fluxonium", "rabi-sweep"]
+    for command in commands:
+        rc = cli.resolve(build_parser().parse_args([command, "--config", str(EXAMPLE_CONFIG)]))
+        assert (rc.command, rc.outdir, rc.threads, rc.emit_plots) == (command, "runs", 1, True)
+        kinds = {o.key: o.kind for o in COMMANDS[command][0]}
+        for key, raw in cp.items(command):
+            assert rc.params[key] == cli._parse_str(kinds[key], raw, key), (command, key)
+
+
 def test_common_key_in_command_section_ok(tmp_path):
     cfg = write_config(tmp_path, f"""
 [rabi-sweep]
@@ -259,6 +291,16 @@ def test_alpha_negative_control(tmp_path, capsys):
     # an absurd break threshold turns the control into a failure
     assert run(argv, tmp_path, ["--break-min", "10"]) == 2
     assert "negative control failed" in capsys.readouterr().err
+
+
+def test_negative_control_without_alpha_one_exits_1(tmp_path, capsys):
+    # only the alpha=1 member is swapped for the naive model; with none in
+    # the list there is no control, which is an argument error, not a
+    # numerical failure
+    argv = ["alpha-check", "--alphas", "0,0.5", "--negative-control"]
+    assert run(argv, tmp_path) == 1
+    assert "alphas must include 1" in capsys.readouterr().err
+    assert not (tmp_path / "alpha_check.csv").exists()
 
 
 def test_gauge_theorem_passes(tmp_path, capsys):

@@ -8,6 +8,7 @@ import oracles
 from gaugeqed import (
     DickeParams,
     DimensionOverflowError,
+    OperatorMatrix,
     RabiParams,
     build_dicke_correct,
     build_dicke_dipole,
@@ -18,7 +19,6 @@ from gaugeqed import (
     conjugate,
     fock_ops,
     hermitian_eig,
-    identity,
     kron,
     spin_ops,
     unitary_exp,
@@ -158,7 +158,7 @@ def test_standard_fails_at_strong_coupling():
 def test_collective_spin_conserved():
     p = DickeParams(eta=0.35, cutoff=40, detuning=0.2, n_dipoles=4)
     jx, jy, jz = spin_ops(p.n_dipoles)
-    j2 = (jx @ jx + jy @ jy + jz @ jz).arr
+    j2 = jx.arr @ jx.arr + jy.arr @ jy.arr + jz.arr @ jz.arr
     j2_emb = np.kron(j2, np.eye(p.cutoff + 1))
     for build in (build_dicke_standard, build_dicke_correct, build_dicke_dipole):
         H = build(p).arr
@@ -173,7 +173,7 @@ def test_spectrum_invariant_under_further_rotation():
     H = build_dicke_correct(p)
     jx, _, _ = spin_ops(p.n_dipoles)
     a, adag, _ = fock_ops(p.cutoff)
-    gen = kron(jx, a + adag)
+    gen = kron(jx, OperatorMatrix(a.arr + adag.arr))
     U = unitary_exp(gen, 0.37)
     w0 = hermitian_eig(H, vectors=False).eigenvalues
     w1 = hermitian_eig(conjugate(U, H), vectors=False).eigenvalues

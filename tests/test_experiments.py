@@ -38,6 +38,11 @@ def small_sweep(models=("D", "Ccorr"), threads=1, **kw):
     return run_sweep(spec, threads=threads)
 
 
+def transitions_of(result, model):
+    """One row of transitions per eta point of ``model``."""
+    return np.array([p.transitions for p in result.points if p.model == model])
+
+
 # ---------------------------------------------------------------------------
 # convergence machinery
 # ---------------------------------------------------------------------------
@@ -187,6 +192,14 @@ def test_spec_validation():
     SweepSpec(models=("std", "corr"), eta_grid=(0.1,), family="dicke", n_dipoles=2)
 
 
+def test_spec_rejects_repeated_models():
+    # a repeated model would be solved, and written, once per repetition
+    with pytest.raises(ValueError, match="repeated model in D,D"):
+        SweepSpec(models=("D", "D"), eta_grid=(0.1,))
+    with pytest.raises(ValueError, match="repeated model"):
+        SweepSpec(models=("std", "corr", "std"), eta_grid=(0.1,), family="dicke")
+
+
 def test_sweep_points_in_grid_order():
     result = small_sweep()
     assert [p.model for p in result.points[:3]] == ["D", "D", "D"]
@@ -204,16 +217,16 @@ def test_eta_zero_row_is_ladder():
 
 def test_dipole_and_corrected_agree_along_grid():
     result = small_sweep()
-    t_d = result.transitions_of("D")
-    t_c = result.transitions_of("Ccorr")
+    t_d = transitions_of(result, "D")
+    t_c = transitions_of(result, "Ccorr")
     assert np.abs(t_d - t_c).max() <= 1e-6
 
 
 def test_standard_already_off_at_eta_tenth():
     spec = SweepSpec(models=("D", "Cstd"), eta_grid=(0.1,))
     result = run_sweep(spec)
-    t_d = result.transitions_of("D")[0]
-    t_c = result.transitions_of("Cstd")[0]
+    t_d = transitions_of(result, "D")[0]
+    t_c = transitions_of(result, "Cstd")[0]
     rel = np.abs(t_c - t_d) / t_d
     assert rel.max() > 0.008  # visible at the percent level
 
@@ -327,6 +340,10 @@ def test_alpha_negative_control_breaks():
 def test_alpha_study_validation():
     with pytest.raises(ValueError):
         alpha_invariance_study((), (0.5,))
+    # the negative control swaps the alpha=1 member; without one it has
+    # nothing to swap, and must not be reported as a failed control
+    with pytest.raises(ValueError, match="alphas must include 1"):
+        alpha_invariance_study((0.0, 0.5), (0.8,), negative_control=True)
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +374,6 @@ def test_alpha_csv_shape():
     lines = alpha_csv_lines(study)
     assert lines[-1].startswith("0.3,")
     assert any("PASS" in l for l in lines)
-
-
-def test_gnuplot_table_blocks(tmp_path):
-    from gaugeqed.experiments import write_gnuplot_table
-    result = small_sweep(models=("D", "Ccorr"), levels_reported=2)
-    path = tmp_path / "table.dat"
-    write_gnuplot_table(result, path)
-    text = path.read_text()
-    assert "# model D" in text and "# model Ccorr" in text
-    blocks = text.rstrip("\n").split("\n\n")
-    assert len(blocks) == 2
 
 
 def test_gnuplot_script(tmp_path):

@@ -133,7 +133,8 @@ def test_charge_term_nonnegative(basis):
     # shifts energies up
     from gaugeqed import fock_ops
     a, adag, _ = fock_ops(40)
-    B2 = (1j * (a - adag).arr) @ (1j * (a - adag).arr)
+    B = 1j * (a.arr - adag.arr)
+    B2 = B @ B
     w = np.linalg.eigvalsh(B2)
     assert w.min() >= -1e-12
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_hermitian
+from conftest import pauli, random_hermitian
 from gaugeqed import (
     DickeParams,
     DimensionMismatchError,
@@ -33,18 +33,20 @@ from gaugeqed import (
     conjugate,
     fock_ops,
     hermitian_eig,
-    identity,
     kron,
     matrix_function,
     parity_eigvalsh,
-    pauli,
     unitary_exp,
 )
 
 
 def X_op(cutoff):
     a, adag, _ = fock_ops(cutoff)
-    return a + adag
+    return OperatorMatrix(a.arr + adag.arr)
+
+
+def eye(dim, scale=1.0):
+    return OperatorMatrix(scale * np.eye(dim), hermitian_hint=True)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +54,7 @@ def X_op(cutoff):
 # ---------------------------------------------------------------------------
 
 def test_eig_identity():
-    w = hermitian_eig(identity(3), vectors=False).eigenvalues
+    w = hermitian_eig(eye(3), vectors=False).eigenvalues
     assert np.allclose(w, [1.0, 1.0, 1.0], atol=1e-15)
 
 
@@ -103,7 +105,7 @@ def test_eig_deterministic_vectors():
 
 def test_transitions():
     _, _, n = fock_ops(5)
-    spec = hermitian_eig(2.0 * n, vectors=False)
+    spec = hermitian_eig(OperatorMatrix(2.0 * n.arr, hermitian_hint=True), vectors=False)
     assert np.allclose(spec.transitions(3), [2.0, 4.0, 6.0], atol=1e-14)
     assert spec.transitions().size == 5
 
@@ -160,7 +162,7 @@ def test_cos_sin_pythagorean():
     X = X_op(60)
     c = matrix_function(X, np.cos)
     s = matrix_function(X, np.sin)
-    total = (c @ c).arr + (s @ s).arr
+    total = c.arr @ c.arr + s.arr @ s.arr
     assert np.abs(total - np.eye(X.dim)).max() <= 1e-10
 
 
@@ -205,7 +207,7 @@ def test_unitary_exp_against_taylor_oracle():
 
 def test_conjugate_by_identity():
     H = OperatorMatrix(random_hermitian(12, seed=2), hermitian_hint=True)
-    out = conjugate(identity(12), H)
+    out = conjugate(eye(12), H)
     assert np.abs(out.arr - H.arr).max() <= 1e-14
     assert out.hermitian_hint
 
@@ -228,7 +230,7 @@ def test_conjugate_preserves_spectrum():
 def test_conjugate_rejects_nonunitary():
     H = OperatorMatrix(random_hermitian(6, seed=1), hermitian_hint=True)
     with pytest.raises(NotUnitaryError):
-        conjugate(2.0 * identity(6), H)
+        conjugate(eye(6, 2.0), H)
 
 
 @given(dim=st.integers(2, 50), seed=st.integers(0, 2 ** 31),
@@ -244,16 +246,16 @@ def test_conjugate_preserves_spectrum_random(dim, seed, theta):
 
 
 # ---------------------------------------------------------------------------
-# kron and OperatorMatrix algebra
+# kron and OperatorMatrix construction
 # ---------------------------------------------------------------------------
 
 def test_kron_identities():
-    assert np.array_equal(kron(identity(2), identity(3)).arr, np.eye(6))
+    assert np.array_equal(kron(eye(2), eye(3)).arr, np.eye(6))
     g = np.random.default_rng(4)
     A, B = g.standard_normal((3, 3)), g.standard_normal((4, 4))
     C, D = g.standard_normal((3, 3)), g.standard_normal((4, 4))
     wrap = lambda m: OperatorMatrix(m.astype(complex))
-    lhs = (kron(wrap(A), wrap(B)) @ kron(wrap(C), wrap(D))).arr
+    lhs = kron(wrap(A), wrap(B)).arr @ kron(wrap(C), wrap(D)).arr
     rhs = kron(wrap(A @ C), wrap(B @ D)).arr
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(rhs).max(), 1.0)
     tr = np.trace(kron(wrap(A), wrap(B)).arr)
@@ -262,21 +264,16 @@ def test_kron_identities():
 
 def test_kron_dimension_cap():
     with pytest.raises(DimensionOverflowError):
-        kron(identity(70), identity(70))
+        kron(eye(70), eye(70))
     # a raised cap admits the same product
-    assert kron(identity(70), identity(70), dim_cap=4900).dim == 4900
+    assert kron(eye(70), eye(70), dim_cap=4900).dim == 4900
 
 
 def test_operator_algebra_hints():
-    sx, sy, sz = pauli()
-    assert (sx + sz).hermitian_hint
-    assert (2.0 * sx).hermitian_hint
-    assert not (1j * sx).hermitian_hint
-    assert not (sx @ sy).hermitian_hint
-    assert (-sx).hermitian_hint
-    assert OperatorMatrix((sx @ sx).arr, hermitian_hint=True).hermitian_hint
+    sx, sy, _ = pauli()
+    assert OperatorMatrix(sx.arr @ sx.arr, hermitian_hint=True).hermitian_hint
     with pytest.raises(NonHermitianError):
-        OperatorMatrix((sx @ sy).arr, hermitian_hint=True)
+        OperatorMatrix(sx.arr @ sy.arr, hermitian_hint=True)
 
 
 def test_operator_array_frozen():
@@ -286,8 +283,8 @@ def test_operator_array_frozen():
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        pauli()[0] + identity(3)
+    with pytest.raises(DimensionMismatchError, match="dimension mismatch: 2 vs 3"):
+        conjugate(pauli()[0], eye(3))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import oracles
 from gaugeqed import (
     BoundaryLeakError,
     DimensionOverflowError,
-    FockSpace,
     Grid1D,
     GridTooCoarseError,
     ParityError,
@@ -196,15 +195,9 @@ def test_tilted_table_has_no_mirror_parity(tmp_path):
     basis = solve_particle(model)
     assert not basis.mirror_parity
     # <0|x|0> is finite, so x (x) i(a^dag - a) mixes the parity classes
-    H = build_full_H_D(model, basis, FockSpace(8), 0.3, 6)
+    H = build_full_H_D(model, basis, 8, 0.3, 6)
     with pytest.raises(ParityError):
         parity_eigvalsh(H, 9)
-
-
-def test_checks_can_be_skipped():
-    basis = solve_particle(double_well_model(n_points=4001, eigen_count=6),
-                           check_grid=False)
-    assert basis.energies.size == 6
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +285,8 @@ def test_minimal_coupling_residual_is_discretization(harmonic):
 # ---------------------------------------------------------------------------
 
 def gauge_gap(model, basis, m_used, a0=0.3, cutoff=48, levels=4):
-    field = FockSpace(cutoff)
-    hd = build_full_H_D(model, basis, field, a0, m_used)
-    hc = build_full_H_C(model, basis, field, a0, m_used)
+    hd = build_full_H_D(model, basis, cutoff, a0, m_used)
+    hc = build_full_H_C(model, basis, cutoff, a0, m_used)
     td = hermitian_eig(hd, vectors=False).transitions(levels)
     tc = hermitian_eig(hc, vectors=False).transitions(levels)
     return float(np.abs(td - tc).max())
@@ -332,14 +324,13 @@ def test_full_builders_match_oracles():
     # charge, mass and omega_c away from 1 exercise every scalar factor
     model = harmonic_model(omega0=0.8, mass=1.7, charge=-0.6, n_points=2001,
                            eigen_count=8)
-    basis = solve_particle(model, check_grid=False)
+    basis = solve_particle(model)
     for m_used, a0, cutoff in ((2, 0.3, 12), (7, 1.1, 5)):
-        field = FockSpace(cutoff)
-        hd = build_full_H_D(model, basis, field, a0, m_used, omega_c=1.3).arr
+        hd = build_full_H_D(model, basis, cutoff, a0, m_used, omega_c=1.3).arr
         ref_d = oracles.full_model_dipole(basis.energies, basis.x_elems,
                                           basis.x2_elems, a0, model.charge,
                                           1.3, cutoff, m_used)
-        hc = build_full_H_C(model, basis, field, a0, m_used, omega_c=1.3).arr
+        hc = build_full_H_C(model, basis, cutoff, a0, m_used, omega_c=1.3).arr
         ref_c = oracles.full_model_coulomb(basis.energies, basis.p_elems,
                                            model.mass, a0, model.charge, 1.3,
                                            cutoff, m_used)
@@ -349,11 +340,10 @@ def test_full_builders_match_oracles():
 
 def test_full_model_m_used_validation(double_well):
     model, basis = double_well
-    field = FockSpace(10)
     with pytest.raises(ValueError):
-        build_full_H_D(model, basis, field, 0.3, 1)
+        build_full_H_D(model, basis, 10, 0.3, 1)
     with pytest.raises(ValueError):
-        build_full_H_C(model, basis, field, 0.3, basis.m_levels + 1)
+        build_full_H_C(model, basis, 10, 0.3, basis.m_levels + 1)
 
 
 def test_full_model_dimension_cap(harmonic):
@@ -361,4 +351,4 @@ def test_full_model_dimension_cap(harmonic):
     model, basis = harmonic
     for build in (build_full_H_D, build_full_H_C):
         with pytest.raises(DimensionOverflowError):
-            build(model, basis, FockSpace(200), 0.3, 32)
+            build(model, basis, 200, 0.3, 32)

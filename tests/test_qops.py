@@ -10,14 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian
+from conftest import pauli, random_hermitian
 from gaugeqed import (
-    DimensionMismatchError,
     OperatorMatrix,
-    embed,
     fock_ops,
     hermitian_eig,
-    pauli,
+    kron,
     qops,
     quadrature_eig,
     spin_ops,
@@ -48,7 +46,7 @@ def test_fock_smallest():
 
 def test_quadrature_tridiagonal():
     a, adag, _ = fock_ops(3)
-    X = (a + adag).arr
+    X = a.arr + adag.arr
     off = np.diag(X, 1)
     assert np.allclose(off, [1.0, np.sqrt(2.0), np.sqrt(3.0)], atol=0)
     assert np.abs(np.diag(X)).max() == 0.0
@@ -86,7 +84,7 @@ def test_ladder_commutator_top_entry():
 def test_quadrature_eig_matches_uncached_bitwise():
     for cutoff in (5, 40, 97):
         a, adag, _ = fock_ops(cutoff)
-        fresh = hermitian_eig(a + adag)
+        fresh = hermitian_eig(OperatorMatrix(a.arr + adag.arr))
         cached = quadrature_eig(cutoff)
         assert quadrature_eig(cutoff) is cached
         assert cached.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
@@ -106,7 +104,8 @@ def test_quadrature_eig_shared_across_threads():
     # more threads than cores hammer a cutoff set larger than the cache, so
     # entries are computed, evicted and recomputed concurrently
     cutoffs = list(range(3, 3 + 2 * quadrature_eig.cache_info().maxsize))
-    fresh = {c: hermitian_eig(fock_ops(c).a + fock_ops(c).adag) for c in cutoffs}
+    fresh = {c: hermitian_eig(OperatorMatrix(fock_ops(c).a.arr + fock_ops(c).adag.arr))
+             for c in cutoffs}
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -188,43 +187,25 @@ def test_spin_half_matches_pauli():
     assert np.array_equal(2.0 * jz.arr, sz.arr)
 
 
-def test_pauli_algebra():
-    sx, sy, sz = pauli()
-    assert np.array_equal(sz.arr, np.diag([-1.0, 1.0]))  # ground state first
-    assert np.array_equal(sx.arr @ sy.arr, 1j * sz.arr)
-    assert np.array_equal(sy.arr @ sz.arr, 1j * sx.arr)
-    assert np.array_equal(sz.arr @ sx.arr, 1j * sy.arr)
-    for s in (sx, sy, sz):
-        assert np.array_equal(s.arr @ s.arr, np.eye(2))
-        assert s.hermitian_hint
-
-
 def test_spin_validation():
     with pytest.raises(ValueError):
         spin_ops(0)
 
 
 # ---------------------------------------------------------------------------
-# embed
+# matter (x) field slots
 # ---------------------------------------------------------------------------
 
-def test_embed_matter_is_kron_left():
-    _, _, sz = pauli()
-    out = embed(sz, "matter", 2, 3)
-    assert np.array_equal(out.arr, np.kron(sz.arr, np.eye(3)))
-
-
-def test_embed_field_is_kron_right():
-    _, _, n = fock_ops(2)
-    out = embed(n, "field", 2, 3)
-    assert np.array_equal(out.arr, np.kron(np.eye(2), n.arr))
+def _slots(A, B):
+    """A on the matter slot and B on the field slot of matter (x) field."""
+    return (kron(A, OperatorMatrix(np.eye(B.dim))),
+            kron(OperatorMatrix(np.eye(A.dim)), B))
 
 
 def test_embedded_slots_commute():
     A = OperatorMatrix(random_hermitian(3, seed=21), hermitian_hint=True)
     B = OperatorMatrix(random_hermitian(4, seed=22), hermitian_hint=True)
-    Am = embed(A, "matter", 3, 4)
-    Bf = embed(B, "field", 3, 4)
+    Am, Bf = _slots(A, B)
     assert np.abs(comm(Am, Bf)).max() <= 1e-14
 
 
@@ -233,16 +214,6 @@ def test_embedded_slots_commute():
 def test_embedded_slots_commute_random(seed, md, fd):
     A = OperatorMatrix(random_hermitian(md, seed), hermitian_hint=True)
     B = OperatorMatrix(random_hermitian(fd, seed + 1), hermitian_hint=True)
-    dev = np.abs(comm(embed(A, "matter", md, fd), embed(B, "field", md, fd))).max()
+    dev = np.abs(comm(*_slots(A, B))).max()
     scale = np.abs(A.arr).max() * np.abs(B.arr).max()
     assert dev <= 1e-14 * max(scale, 1.0)
-
-
-def test_embed_validation():
-    _, _, sz = pauli()
-    with pytest.raises(DimensionMismatchError):
-        embed(sz, "matter", 3, 4)
-    with pytest.raises(DimensionMismatchError):
-        embed(sz, "field", 3, 4)
-    with pytest.raises(ValueError):
-        embed(sz, "both", 2, 2)

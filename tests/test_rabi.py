@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import SIGMA_Y, SIGMA_Z
 from gaugeqed import (
     DimensionOverflowError,
-    GaugeParam,
     RabiParams,
     bands_H_C_standard,
     bands_H_D,
@@ -75,10 +75,9 @@ def test_params_validation():
         RabiParams(eta=0.1, cutoff=0)
     with pytest.raises(ValueError):
         RabiParams(eta=0.1, omega_c=0.0)
-    with pytest.raises(ValueError):
-        GaugeParam(1.2)
-    with pytest.raises(ValueError):
-        GaugeParam(-0.1)
+    for alpha in (1.2, -0.1):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            build_H_alpha(RabiParams(eta=0.1, cutoff=2), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +177,18 @@ def test_taylor_order2_structure():
     # sigma_z X^2 term (the printed quadratic form; the sign is fixed by
     # cos(v) = 1 - v^2/2)
     p = RabiParams(eta=0.2, cutoff=30, detuning=0.4)
-    from gaugeqed import embed, fock_ops, kron, pauli
+    from gaugeqed import fock_ops
     a, adag, nph = fock_ops(p.cutoff)
-    sx, sy, sz = pauli()
-    X = a + adag
+    X = a.arr + adag.arr
     X2 = X @ X
     nf = p.cutoff + 1
-    manual = (p.omega_c * embed(nph, "field", 2, nf)
-              + 0.5 * p.omega_10 * embed(sz, "matter", 2, nf)
-              + p.g_c * kron(sy, X)
-              - (p.g_c ** 2 / p.omega_10) * kron(sz, X2))
+    manual = (p.omega_c * np.kron(np.eye(2), nph.arr)
+              + 0.5 * p.omega_10 * np.kron(SIGMA_Z, np.eye(nf))
+              + p.g_c * np.kron(SIGMA_Y, X)
+              - (p.g_c ** 2 / p.omega_10) * np.kron(SIGMA_Z, X2))
     h2 = build_H_C_taylor(p, 2)
-    scale = np.abs(manual.arr).max()
-    assert np.abs(h2.arr - manual.arr).max() <= 1e-12 * scale
+    scale = np.abs(manual).max()
+    assert np.abs(h2.arr - manual).max() <= 1e-12 * scale
 
 
 def test_taylor_high_order_converges_to_correct():
@@ -274,7 +272,7 @@ def test_alpha_endpoints():
     hd = build_H_D(p)
     scale = np.abs(hd.arr).max()
     assert np.abs(h0.arr - hd.arr).max() <= 1e-13 * scale
-    h1 = build_H_alpha(p, GaugeParam(1.0))
+    h1 = build_H_alpha(p, 1.0)
     hc = build_H_C_correct(p, method="closed_form")
     assert np.abs(h1.arr - hc.arr).max() <= 1e-13 * scale
 
