@@ -17,9 +17,11 @@ from .linalg import (
     NotUnitaryError,
     OperatorMatrix,
     ParityBands,
+    ParityBlocks,
     ParityError,
     Spectrum,
     banded_parity_eigvalsh,
+    block_parity_eigvalsh,
     conjugate,
     hermitian_eig,
     kron,
@@ -33,6 +35,9 @@ from .rabi import (
     RabiParams,
     bands_H_C_standard,
     bands_H_D,
+    blocks_H_alpha,
+    blocks_H_C_correct,
+    blocks_H_C_taylor,
     build_H_alpha,
     build_H_C_correct,
     build_H_C_standard,
@@ -43,6 +48,9 @@ from .rabi import (
 )
 from .dicke import (
     DickeParams,
+    blocks_dicke_correct,
+    blocks_dicke_dipole,
+    blocks_dicke_standard,
     build_dicke_correct,
     build_dicke_dipole,
     build_dicke_standard,
@@ -100,7 +108,8 @@ __all__ = [
     # linalg
     "OperatorMatrix", "Spectrum", "hermitian_eig", "matrix_function",
     "unitary_exp", "conjugate", "kron",
-    "parity_eigvalsh", "ParityBands", "banded_parity_eigvalsh",
+    "parity_eigvalsh", "ParityBlocks", "block_parity_eigvalsh",
+    "ParityBands", "banded_parity_eigvalsh",
     "LinalgError", "NonHermitianError", "NotUnitaryError",
     "ConvergenceFailureError", "DimensionMismatchError",
     "DimensionOverflowError", "ParityError",
@@ -110,11 +119,13 @@ __all__ = [
     "RabiParams", "build_H_D", "build_H_C_standard",
     "build_H_C_correct", "build_H_C_taylor", "build_H_alpha",
     "bands_H_D", "bands_H_C_standard",
+    "blocks_H_C_correct", "blocks_H_C_taylor", "blocks_H_alpha",
     "maclaurin_cos_sin", "check_gauge_theorem",
     "GaugeTheoremReport",
     # dicke
     "DickeParams", "build_dicke_standard", "build_dicke_correct",
-    "build_dicke_dipole",
+    "build_dicke_dipole", "blocks_dicke_standard", "blocks_dicke_correct",
+    "blocks_dicke_dipole",
     # particle1d
     "Grid1D", "ParticleModel", "MatterBasis", "harmonic_model",
     "double_well_model", "model_from_table", "solve_particle",

@@ -193,25 +193,25 @@ def build_parser() -> _Parser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, (opts, blurb) in COMMANDS.items():
-        sp = sub.add_parser(name, help=blurb, description=blurb,
-                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        sp = sub.add_parser(name, help=blurb, description=blurb)
         sp.add_argument("--config", default=None, metavar="FILE",
                         help="INI file with [common] and per-command sections")
         for opt in _COMMON + opts:
+            # every flag defaults to None, so that an unset flag can fall back
+            # to the config file; the help shows the registry default instead
+            help_text = opt.help if opt.default is None \
+                else f"{opt.help} (default: {_fmt_default(opt.default)})"
             if opt.kind == "bool":
                 sp.add_argument(_flag(opt.key), default=None,
                                 action=argparse.BooleanOptionalAction,
-                                help=opt.help)
+                                help=help_text)
             elif opt.kind in ("ints", "floats", "strs"):
                 sp.add_argument(_flag(opt.key), default=None, type=str,
-                                metavar="LIST",
-                                help=opt.help + f" (default: "
-                                f"{_fmt_default(opt.default)})")
+                                metavar="LIST", help=help_text)
             else:
                 typ = {"int": int, "float": float, "str": str}[opt.kind]
                 sp.add_argument(_flag(opt.key), default=None, type=typ,
-                                help=opt.help + f" (default: "
-                                f"{_fmt_default(opt.default)})")
+                                help=help_text)
     return parser
 
 

@@ -10,6 +10,11 @@ omega_10 J_z by U_N = exp[i 2 eta (a + a^dag) J_x]; the equivalent closed
 form carries cos/sin of factor * eta * (a + a^dag) with factor 2 (the spin
 rotation identity; a printed variant with factor 4 is accepted for
 comparison and does not match the conjugation).
+
+``blocks_dicke_standard``, ``blocks_dicke_correct`` (the closed form at
+factor 2) and ``blocks_dicke_dipole`` write the real parity blocks of the
+same models through the core's block writer, for the sweeps; the dense
+builders stay the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import OperatorMatrix, hermitian_operator
+from .linalg import OperatorMatrix, ParityBlocks, hermitian_operator
 from .qops import quadrature_cos_sin
-from .rabi import RabiParams, _bare, _conjugated, _parts, _rotated
+from .rabi import (RabiParams, _bare, _bare_terms, _blocks, _conjugated, _parts, _real_cos_sin,
+                   _real_parts, _rotated, _rotated_terms)
 
 
 @dataclass(frozen=True)
@@ -50,11 +56,21 @@ def build_dicke_standard(p: DickeParams) -> OperatorMatrix:
     sum-rule-saturated value (N times the Rabi one).
     """
     s = _parts(p.n_dipoles, p.cutoff)
-    diamagnetic = p.j * 2.0 * p.g_c ** 2 / p.omega_10
     X = s.a + s.adag
     return hermitian_operator(_bare(s, p.omega_c, p.omega_10)
                               + 2.0 * p.g_c * np.kron(s.jy, X)
-                              + diamagnetic * np.kron(s.eye_spin, X @ X))
+                              + _diamagnetic(p) * np.kron(s.eye_spin, X @ X))
+
+
+def _diamagnetic(p: DickeParams) -> float:
+    return p.j * 2.0 * p.g_c ** 2 / p.omega_10
+
+
+def blocks_dicke_standard(p: DickeParams) -> ParityBlocks:
+    """The real parity blocks of ``build_dicke_standard``."""
+    s = _real_parts(p.n_dipoles, p.cutoff)
+    return _blocks(p.n_dipoles, p.cutoff, _bare_terms(s, p.omega_c, p.omega_10)
+                   + [(2.0 * p.g_c * s.jy, s.X), (_diamagnetic(p) * s.eye_spin, s.X @ s.X)])
 
 
 def build_dicke_correct(p: DickeParams, method: str = "conjugation",
@@ -80,6 +96,14 @@ def build_dicke_correct(p: DickeParams, method: str = "conjugation",
     raise ValueError(f"unknown method {method!r}")
 
 
+def blocks_dicke_correct(p: DickeParams) -> ParityBlocks:
+    """The real parity blocks of ``build_dicke_correct`` by the closed form
+    at factor 2, written by the core from real cos/sin of 2 eta (a + a^dag)."""
+    s = _real_parts(p.n_dipoles, p.cutoff)
+    cos, sin = _real_cos_sin(p.cutoff, 2.0 * p.eta)
+    return _blocks(p.n_dipoles, p.cutoff, _rotated_terms(s, p.omega_c, p.omega_10, cos, sin))
+
+
 def build_dicke_dipole(p: DickeParams) -> OperatorMatrix:
     """Dipole-gauge partner of the corrected Dicke model.
 
@@ -94,3 +118,12 @@ def build_dicke_dipole(p: DickeParams) -> OperatorMatrix:
                               + 2.0 * p.g_d * np.kron(s.jx, 1j * (s.adag - s.a))
                               + 4.0 * p.eta ** 2 * p.omega_c
                               * np.kron(s.jx @ s.jx, s.eye_field))
+
+
+def blocks_dicke_dipole(p: DickeParams) -> ParityBlocks:
+    """The real parity blocks of ``build_dicke_dipole``; the coupling enters
+    as i J_x (x) (a^dag - a), whose phased spin part is real."""
+    s = _real_parts(p.n_dipoles, p.cutoff)
+    return _blocks(p.n_dipoles, p.cutoff, _bare_terms(s, p.omega_c, p.omega_10)
+                   + [(2.0 * p.g_d * 1j * s.jx, s.P),
+                      (4.0 * p.eta ** 2 * p.omega_c * (s.jx @ s.jx), s.eye_field)])

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import dicke as dicke_mod
 from . import rabi as rabi_mod
-from .linalg import (OperatorMatrix, ParityBands, banded_parity_eigvalsh, hermitian_eig,
-                     parity_eigvalsh)
+from .linalg import (OperatorMatrix, ParityBands, ParityBlocks, banded_parity_eigvalsh,
+                     block_parity_eigvalsh, hermitian_eig, parity_eigvalsh)
 
 OMEGA_C = 1.0  # all energies in units of the cavity frequency
 
@@ -48,22 +48,26 @@ class ConvergencePolicy:
             raise ValueError("cutoff_cap below initial cutoff")
 
 
-def lowest_transitions(H: Union[OperatorMatrix, ParityBands], levels: int,
+def lowest_transitions(H: Union[OperatorMatrix, ParityBlocks, ParityBands], levels: int,
                        field_dim: Optional[int] = None) -> np.ndarray:
-    """E_n - E_0 for n = 1..levels.
+    """E_n - E_0 for n = 1..levels, by the solver the holder's type selects.
 
-    ``ParityBands`` (the banded parity chains of the Rabi D and naive
-    Coulomb models) are solved by
-    :func:`~gaugeqed.linalg.banded_parity_eigvalsh` for their lowest
-    levels + 1 eigenvalues only, and ``field_dim`` is ignored.  For a matrix,
-    ``field_dim`` (the Fock dimension of a matter (x) Fock operator that
-    commutes with the parity sigma_z (-1)^{a^dag a}) selects
-    :func:`~gaugeqed.linalg.parity_eigvalsh`, two real half-size solves that
-    raise ParityError if H does not split; without it the spectrum comes
-    from one dense complex solve.  Raises ValueError when fewer than
-    levels + 1 eigenvalues exist.
+    ``ParityBlocks`` (the real parity blocks the gauge core writes for the
+    corrected Coulomb, Taylor-order, alpha-family and Dicke models) are
+    solved whole by :func:`~gaugeqed.linalg.block_parity_eigvalsh`.
+    ``ParityBands`` (the banded chains of the Rabi D and naive Coulomb
+    models) are solved by :func:`~gaugeqed.linalg.banded_parity_eigvalsh`
+    for their lowest levels + 1 eigenvalues only.  ``field_dim`` is ignored
+    for both.  For a matrix, ``field_dim`` (the Fock dimension of a
+    matter (x) Fock operator that commutes with the parity
+    sigma_z (-1)^{a^dag a}) selects :func:`~gaugeqed.linalg.parity_eigvalsh`,
+    two real half-size solves that raise ParityError if H does not split;
+    without it the spectrum comes from one dense complex solve.  Raises
+    ValueError when fewer than levels + 1 eigenvalues exist.
     """
-    if isinstance(H, ParityBands):
+    if isinstance(H, ParityBlocks):
+        w = block_parity_eigvalsh(H)
+    elif isinstance(H, ParityBands):
         w = banded_parity_eigvalsh(H, levels + 1)
     elif field_dim is None:
         w = hermitian_eig(H, vectors=False).eigenvalues
@@ -74,17 +78,18 @@ def lowest_transitions(H: Union[OperatorMatrix, ParityBands], levels: int,
     return w[1:levels + 1] - w[0]
 
 
-def converged_transitions(build: Callable[[int], Union[OperatorMatrix, ParityBands]],
+def converged_transitions(build: Callable[[int], Union[OperatorMatrix, ParityBlocks,
+                                                       ParityBands]],
                           levels: int, policy: ConvergencePolicy = ConvergencePolicy()):
     """Grow the Fock cutoff geometrically until the reported transitions
     move by less than tol; returns (transitions, cutoff, converged flag,
     trail).
 
-    ``build(cutoff)`` must return either a parity-symmetric matter (x) Fock
-    operator with Fock dimension cutoff + 1 (every Rabi and Dicke matrix
-    builder does), solved as two real dense parity blocks, or its
-    ``ParityBands`` (``rabi.bands_H_D``, ``rabi.bands_H_C_standard``),
-    solved as two banded chains for the lowest levels + 1 eigenvalues.
+    ``build(cutoff)`` returns the model at that Fock cutoff in any form
+    :func:`lowest_transitions` solves: the real parity blocks of a block
+    builder (``rabi.blocks_H_C_correct`` and the other ``blocks_*``), the
+    banded chains of ``rabi.bands_H_D`` or ``rabi.bands_H_C_standard``, or a
+    full matrix, which is solved densely.
 
     The trail logs (cutoff reached, max transition shift) for every growth
     step, so monotone convergence is checkable after the fact.  The
@@ -92,11 +97,11 @@ def converged_transitions(build: Callable[[int], Union[OperatorMatrix, ParityBan
     is hit, flagged unconverged rather than dropped.
     """
     cutoff = policy.cutoff0
-    prev = lowest_transitions(build(cutoff), levels, cutoff + 1)
+    prev = lowest_transitions(build(cutoff), levels)
     trail = []
     while cutoff * policy.growth <= policy.cutoff_cap:
         cutoff *= policy.growth
-        cur = lowest_transitions(build(cutoff), levels, cutoff + 1)
+        cur = lowest_transitions(build(cutoff), levels)
         delta = float(np.abs(cur - prev).max())
         trail.append((cutoff, delta))
         if delta < policy.tol * OMEGA_C:
@@ -105,8 +110,8 @@ def converged_transitions(build: Callable[[int], Union[OperatorMatrix, ParityBan
     return prev, cutoff, False, tuple(trail)
 
 
-# builder registries; each entry maps (eta, detuning, cutoff, n_dipoles) to a
-# matrix, or to the banded parity chains where the model is banded
+# builder registries; each entry maps (eta, detuning, cutoff, n_dipoles) to
+# the model's real parity blocks, or to its banded chains where it is banded
 def _rabi_params(eta, detuning, cutoff):
     return rabi_mod.RabiParams(eta=eta, cutoff=cutoff, detuning=detuning)
 
@@ -114,20 +119,27 @@ def _rabi_params(eta, detuning, cutoff):
 RABI_MODELS: Dict[str, Callable] = {
     "D": lambda e, d, c, n: rabi_mod.bands_H_D(_rabi_params(e, d, c)),
     "Cstd": lambda e, d, c, n: rabi_mod.bands_H_C_standard(_rabi_params(e, d, c)),
-    "Ccorr": lambda e, d, c, n: rabi_mod.build_H_C_correct(_rabi_params(e, d, c)),
+    "Ccorr": lambda e, d, c, n: rabi_mod.blocks_H_C_correct(_rabi_params(e, d, c)),
 }
 
 DICKE_MODELS: Dict[str, Callable] = {
-    "std": lambda e, d, c, n: dicke_mod.build_dicke_standard(
+    "std": lambda e, d, c, n: dicke_mod.blocks_dicke_standard(
         dicke_mod.DickeParams(eta=e, cutoff=c, detuning=d, n_dipoles=n)),
-    "corr": lambda e, d, c, n: dicke_mod.build_dicke_correct(
-        dicke_mod.DickeParams(eta=e, cutoff=c, detuning=d, n_dipoles=n),
-        method="closed_form"),
-    "dipole": lambda e, d, c, n: dicke_mod.build_dicke_dipole(
+    "corr": lambda e, d, c, n: dicke_mod.blocks_dicke_correct(
+        dicke_mod.DickeParams(eta=e, cutoff=c, detuning=d, n_dipoles=n)),
+    "dipole": lambda e, d, c, n: dicke_mod.blocks_dicke_dipole(
         dicke_mod.DickeParams(eta=e, cutoff=c, detuning=d, n_dipoles=n)),
 }
 
 FAMILIES = {"rabi": RABI_MODELS, "dicke": DICKE_MODELS}
+
+
+def _reject_repeats(what: str, values: Sequence) -> None:
+    """Raise ValueError when ``values`` holds one entry twice: a repeated
+    model, order or alpha would be solved twice and reported twice."""
+    if len(set(values)) != len(values):
+        shown = ",".join(v if isinstance(v, str) else f"{v:g}" for v in values)
+        raise ValueError(f"repeated {what} in {shown}")
 
 
 @dataclass(frozen=True)
@@ -149,8 +161,7 @@ class SweepSpec:
                 raise ValueError(f"unknown model {m!r}; choose from {sorted(known)}")
         if not self.models:
             raise ValueError("empty model set")
-        if len(set(self.models)) != len(self.models):
-            raise ValueError(f"repeated model in {','.join(self.models)}")
+        _reject_repeats("model", self.models)
         grid = tuple(float(e) for e in self.eta_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("eta_grid must be nonempty and strictly ascending")
@@ -261,7 +272,10 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
     first eta whose error exceeds tol; eta_star is the last grid value before
     that, first_bad the value that crossed (None when the grid never crossed).
     The orders are scanned on ``threads`` workers; the full model is solved
-    only at the etas some scan reaches.
+    only at the etas some scan reaches.  Both models are solved from the
+    real parity blocks the core writes (``rabi.blocks_H_C_taylor``,
+    ``rabi.blocks_H_C_correct``).  Raises ValueError for an order below 1
+    or a repeated order.
     """
     if eta_grid is None:
         eta_grid = default_eta_grid(1.6, include_zero=False)
@@ -269,6 +283,7 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
     orders = tuple(int(n) for n in orders)
     if any(n < 1 for n in orders):
         raise ValueError("orders must be >= 1")
+    _reject_repeats("order", orders)
 
     # exact spectra are solved the first time any order's scan reaches that
     # eta and shared across orders; the per-index lock makes concurrent
@@ -280,15 +295,14 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
         with locks[i]:
             if exact[i] is None:
                 p = _rabi_params(eta_grid[i], detuning, cutoff)
-                exact[i] = lowest_transitions(rabi_mod.build_H_C_correct(p), levels,
-                                              cutoff + 1)
+                exact[i] = lowest_transitions(rabi_mod.blocks_H_C_correct(p), levels)
             return exact[i]
 
     def scan(n):
         row, star, first = [], 0.0, None
         for i, eta in enumerate(eta_grid):
             p = _rabi_params(eta, detuning, cutoff)
-            t = lowest_transitions(rabi_mod.build_H_C_taylor(p, n), levels, cutoff + 1)
+            t = lowest_transitions(rabi_mod.blocks_H_C_taylor(p, n), levels)
             ref = exact_at(i)
             err = float(np.max(np.abs(t - ref) / np.maximum(ref, OMEGA_C)))
             row.append(err)
@@ -334,13 +348,15 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
     With negative_control=True the alpha=1 member is replaced by the naive
     Coulomb-gauge model, which must break the invariance at strong coupling;
     that member is solved from its banded parity chains, the family members
-    from dense real parity blocks.  Raises ValueError when negative_control
-    is set and 1 is not among the alphas, since nothing would be replaced.
+    from the real parity blocks ``rabi.blocks_H_alpha`` writes.  Raises
+    ValueError when negative_control is set and 1 is not among the alphas,
+    since nothing would be replaced, and when an alpha repeats.
     """
     alphas = tuple(float(a) for a in alphas)
     eta_grid = tuple(float(e) for e in eta_grid)
     if not alphas or not eta_grid:
         raise ValueError("alphas and eta_grid must be nonempty")
+    _reject_repeats("alpha", alphas)
     if negative_control and 1.0 not in alphas:
         raise ValueError("the negative control replaces the alpha=1 member; "
                          "alphas must include 1")
@@ -350,7 +366,7 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
         if negative_control and alpha == 1.0:
             build = lambda c: rabi_mod.bands_H_C_standard(_rabi_params(eta, detuning, c))
         else:
-            build = lambda c: rabi_mod.build_H_alpha(_rabi_params(eta, detuning, c), alpha)
+            build = lambda c: rabi_mod.blocks_H_alpha(_rabi_params(eta, detuning, c), alpha)
         t, _, ok, _ = converged_transitions(build, levels, policy)
         return t, ok
 

@@ -1,6 +1,6 @@
 """Dense and banded Hermitian linear algebra with explicit invariants.
 
-All operators in the package are finite complex matrices wrapped in
+Full operators in the package are finite complex matrices wrapped in
 :class:`OperatorMatrix`, a frozen holder with no arithmetic of its own.
 Hamiltonian builders assemble plain complex arrays (``.arr`` is the array)
 and wrap the finished matrix once with :func:`hermitian_operator`, which is
@@ -18,14 +18,18 @@ real symmetric, so the spectrum comes from two real half-size solves, about
 a quarter of the n^3 of one complex solve.  Both claims are checked on every
 call and a failure raises :class:`ParityError`.
 
-Where a model's parity blocks are banded, ordered by Fock index (the
-dipole and naive Coulomb Rabi models are tri- and pentadiagonal chains
-|0,g>, |1,e>, |2,g>, ...), its builder can skip the matrix altogether and
-write the two chains as :class:`ParityBands`, which
+A builder that knows its model's parity can skip the complex matrix
+altogether and write the real blocks itself.  Dense blocks (the corrected
+Coulomb, Taylor-order, alpha-family and Dicke models) come as
+:class:`ParityBlocks`, which :func:`block_parity_eigvalsh` checks once each
+for finiteness and symmetry and solves with ``numpy.linalg.eigvalsh``.
+Where the blocks are banded, ordered by Fock index (the dipole and naive
+Coulomb Rabi models are tri- and pentadiagonal chains |0,g>, |1,e>, |2,g>,
+...), the builder writes the two chains as :class:`ParityBands`, which
 :func:`banded_parity_eigvalsh` solves for the lowest few eigenvalues with
-banded LAPACK (``scipy.linalg.eig_banded``).  A band stores one triangle and
-the chains share no entry, so symmetry and parity hold by construction;
-only finiteness is checked.
+banded LAPACK (``scipy.linalg.eig_banded``).  A band stores one triangle, so
+its symmetry holds by construction and only finiteness is checked.  Blocks
+and bands have no off-parity half, so parity holds by construction too.
 
 Everything is plain double precision, checked against tolerances that the
 tests enforce rather than assume.
@@ -269,6 +273,55 @@ class ParityBands:
                 raise DimensionMismatchError(
                     f"a chain must be a 2D float64 band, got {chain.ndim}D {chain.dtype}")
             chain.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class ParityBlocks:
+    """The real parity blocks of a matter (x) Fock operator, written
+    directly: block c holds the phased entries 1j**(m2 - m) H_kl of parity
+    class c, ordered as :func:`parity_eigvalsh` gathers them (matter index m
+    slowest, the Fock levels n = (m + c) mod 2, +2, ... next to it).  The
+    arrays are frozen in place, so a builder hands over fresh ones.
+    """
+
+    blocks: Tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        for block in self.blocks:
+            if block.ndim != 2 or block.shape[0] != block.shape[1] \
+                    or block.dtype != np.float64:
+                raise DimensionMismatchError(
+                    f"a block must be a square float64 matrix, got shape "
+                    f"{block.shape} {block.dtype}")
+            block.flags.writeable = False
+
+
+def block_parity_eigvalsh(blocks: ParityBlocks) -> np.ndarray:
+    """Ascending, read-only eigenvalues of the operator whose real parity
+    blocks ``blocks`` holds: ``numpy.linalg.eigvalsh`` on each block.
+
+    Each block is checked once before its solve.  Raises LinalgError on a
+    non-finite entry, NonHermitianError when max|B - B^T| exceeds
+    HERMITICITY_RTOL * max(max|B|, 1), and ConvergenceFailureError if LAPACK
+    does not converge.
+    """
+    ws = []
+    for c, block in enumerate(blocks.blocks):
+        if not np.isfinite(block).all():
+            raise LinalgError(f"parity block {c} has a non-finite entry")
+        scale = max(float(np.abs(block).max(initial=0.0)), 1.0)
+        dev = float(np.abs(block - block.T).max(initial=0.0))
+        if dev > HERMITICITY_RTOL * scale:
+            raise NonHermitianError(
+                f"parity block {c} is not symmetric: max|B - B^T| = {dev:.3e} "
+                f"(scale {scale:.3e})")
+        try:
+            ws.append(np.linalg.eigvalsh(block))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailureError(f"eigensolver did not converge: {exc}") from exc
+    w = np.sort(np.concatenate(ws))
+    w.flags.writeable = False
+    return w
 
 
 def banded_parity_eigvalsh(bands: ParityBands, count: int) -> np.ndarray:

@@ -19,7 +19,9 @@ Truncation artefact worth remembering: on the truncated space
 The eigendecomposition of the field quadrature X = a + a^dag does not depend
 on the coupling, so :func:`quadrature_eig` keeps it per cutoff; its
 eigenvalues are sqrt(2) times the Gauss-Hermite nodes of order cutoff + 1
-(Golub & Welsch, Math. Comp. 23, 221, 1969).
+(Golub & Welsch, Math. Comp. 23, 221, 1969).  X is real symmetric and its
+phase-fixed eigenvectors are real, so :func:`real_quadrature_functions`
+forms cos/sin(k X), or any other function of X, as real arrays from them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .linalg import OperatorMatrix, Spectrum, hermitian_eig, spectral_matrix
+from .linalg import (HERMITICITY_RTOL, OperatorMatrix, ParityError, Spectrum, hermitian_eig,
+                     spectral_matrix)
 
 # cutoffs whose X eigendecomposition is kept; the default convergence
 # policy visits six (40, 80, ..., 1280), so one whole doubling chain fits
@@ -99,6 +102,28 @@ def quadrature_cos_sin(cutoff: int, k: float) -> Tuple[np.ndarray, np.ndarray]:
     spec = quadrature_eig(cutoff)
     return (spectral_matrix(spec, np.cos(k * spec.eigenvalues)),
             spectral_matrix(spec, np.sin(k * spec.eigenvalues)))
+
+
+def real_quadrature_functions(cutoff: int, f) -> Tuple[np.ndarray, ...]:
+    """g(X) for X = a + a^dag and each value array g(x) that ``f`` returns
+    on the eigenvalues x of X, as real symmetric float64 arrays built from
+    the cached :func:`quadrature_eig`.
+
+    X is real symmetric, so its phase-fixed eigenvectors are real; their
+    imaginary part is checked to be within HERMITICITY_RTOL of zero (a unit
+    vector's scale) before the real part is used, and ParityError is raised
+    otherwise.
+    """
+    spec = quadrature_eig(cutoff)
+    imag = float(np.abs(spec.eigenvectors.imag).max())
+    if imag > HERMITICITY_RTOL:
+        raise ParityError(f"eigenvectors of a + a^dag are not real: max|Im| = {imag:.3e}")
+    v = np.ascontiguousarray(spec.eigenvectors.real)
+    out = []
+    for fw in f(spec.eigenvalues):
+        g = (v * fw) @ v.T
+        out.append((g + g.T) / 2.0)
+    return tuple(out)
 
 
 def _spin_arrays(two_j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 """Single-dipole (quantum Rabi) Hamiltonians across gauges, and the spin-j
-gauge core that every dense gauge matrix of the package is built from.
+gauge core that every gauge matrix and real parity block of the package is
+built from.
 
 Builders return the matter (x) field matrix of each model, energies in units
 of omega_c with hbar = 1:
@@ -25,9 +26,19 @@ g sigma_k = 2 g J_k bit for bit), ``gaugeqed.dicke`` is two_j = N, and
 ``gaugeqed.fluxonium``'s charge gauge is the a -> ia case,
 Q = i(a - a^dag).
 
-``bands_H_D`` and ``bands_H_C_standard`` write the same D and naive Coulomb
-models as their two real parity chains in band storage (tri- and
-pentadiagonal), straight from closed forms, for the sweeps' banded solve.
+The sweeps and studies never assemble these matrices.  The core's block
+writer takes the same terms as a list of (spin operator, real field
+operator) pairs and writes the two real parity blocks (``linalg.ParityBlocks``)
+straight from them: the 1j**m phase that makes a parity block real becomes
+a sign on each spin entry, only the one to three nonzero diagonals of J_z,
+J_y, J_x and J_x^2 are visited, and cos/sin of 2 eta (a + a^dag) are real
+arrays from the real eigenvectors of a + a^dag.  ``blocks_H_C_correct``,
+``blocks_H_C_taylor`` and ``blocks_H_alpha`` (and the ``blocks_dicke_*`` of
+``gaugeqed.dicke``) each sit next to their dense builder, which stays the
+reference the tests compare them with.  ``bands_H_D`` and
+``bands_H_C_standard`` write the D and naive Coulomb models as their two
+real parity chains in band storage (tri- and pentadiagonal), straight from
+closed forms, for the sweeps' banded solve.
 
 Derived couplings: g_D = eta * omega_c and g_C = g_D * omega_10 / omega_c.
 Every builder drops state-independent constants, so physical statements are
@@ -45,9 +56,11 @@ import numpy as np
 
 # hermitian_eig is not called here; it stays importable as rabi.hermitian_eig,
 # which the benchmark tracer's tests rebind and restore
-from .linalg import (OperatorMatrix, ParityBands, check_dim, conjugate,
-                     hermitian_eig, hermitian_operator, spectral_matrix, unitary_exp)
-from .qops import _fock_arrays, _spin_arrays, quadrature_cos_sin, quadrature_eig
+from .linalg import (_I_POWERS, HERMITICITY_RTOL, OperatorMatrix, ParityBands, ParityBlocks,
+                     ParityError, check_dim, conjugate, hermitian_eig, hermitian_operator,
+                     spectral_matrix, unitary_exp)
+from .qops import (_fock_arrays, _spin_arrays, quadrature_cos_sin, quadrature_eig,
+                   real_quadrature_functions)
 
 # the omitted Maclaurin tail is summed until a term falls below this
 # fraction of max(|tail|, 1), far under double precision's 2^-53
@@ -149,6 +162,80 @@ def _conjugated(s: _Parts, omega_c: float, omega_10: float, Q: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# the core's real parity blocks: the same terms, never the complex matrix
+# ---------------------------------------------------------------------------
+
+class _RealParts(NamedTuple):
+    n: np.ndarray          # a^dag a
+    X: np.ndarray          # a + a^dag
+    P: np.ndarray          # a^dag - a, real antisymmetric
+    eye_field: np.ndarray
+    jx: np.ndarray
+    jy: np.ndarray
+    jz: np.ndarray
+    eye_spin: np.ndarray
+
+
+def _real_parts(two_j: int, cutoff: int) -> _RealParts:
+    """Real Fock arrays and the complex spin-(two_j / 2) arrays, after the
+    dimension cap on (two_j + 1) (cutoff + 1)."""
+    check_dim((two_j + 1) * (cutoff + 1))
+    a, _, n = _fock_arrays(cutoff)
+    a = a.real
+    return _RealParts(n.real, a + a.T, a.T - a, np.eye(cutoff + 1), *_spin_arrays(two_j),
+                      np.eye(two_j + 1, dtype=complex))
+
+
+def _blocks(two_j: int, cutoff: int, terms) -> ParityBlocks:
+    """The real parity blocks of sum_t S_t (x) F_t, for spin-(two_j / 2)
+    operators S_t and real field operators F_t on Fock levels 0..cutoff.
+
+    Block c is laid out as ``linalg.parity_eigvalsh`` gathers it: the matter
+    index m is slowest, and the Fock levels n = (m + c) mod 2, +2, ... sit
+    next to m.  Each S_t enters phased by the 1j**m rule,
+    1j**(m2 - m) S_t[m, m2], which must come out real (ParityError
+    otherwise), and only its nonzero entries are visited: J_z is one
+    diagonal, J_x and J_y are two and J_x^2 is three.  Every term must keep the parity
+    (m + n) mod 2, since a block has no room for the entries that would not.
+    """
+    phased = []
+    for spin, field in terms:
+        m, m2 = np.nonzero(spin)
+        s = spin[m, m2] * _I_POWERS[(m2 - m) % 4]
+        limit = HERMITICITY_RTOL * max(float(np.abs(s).max(initial=0.0)), 1.0)
+        if np.abs(s.imag).max(initial=0.0) > limit:
+            raise ParityError("a spin operator is not real after the 1j**m phase")
+        phased.append((m, m2, s.real, field))
+    nf = cutoff + 1
+    blocks = []
+    for c in (0, 1):
+        edges = np.cumsum([0] + [len(range((m + c) % 2, nf, 2)) for m in range(two_j + 1)])
+        block = np.zeros((edges[-1], edges[-1]))
+        for m, m2, s, field in phased:
+            for i, i2, v in zip(m, m2, s):
+                block[edges[i]:edges[i + 1], edges[i2]:edges[i2 + 1]] += \
+                    v * field[(i + c) % 2::2, (i2 + c) % 2::2]
+        blocks.append(block)
+    return ParityBlocks(tuple(blocks))
+
+
+def _bare_terms(s: _RealParts, omega_c: float, omega_10: float) -> list:
+    """omega_c 1 (x) n + omega_10 J_z (x) 1, as block terms."""
+    return [(s.eye_spin, omega_c * s.n), (omega_10 * s.jz, s.eye_field)]
+
+
+def _rotated_terms(s: _RealParts, omega_c: float, omega_10: float, cos: np.ndarray,
+                   sin: np.ndarray) -> list:
+    """omega_c 1 (x) n + omega_10 (J_z (x) cos + J_y (x) sin), as block terms."""
+    return [(s.eye_spin, omega_c * s.n), (omega_10 * s.jz, cos), (omega_10 * s.jy, sin)]
+
+
+def _real_cos_sin(cutoff: int, k: float):
+    """cos(k X) and sin(k X), real, for X = a + a^dag."""
+    return real_quadrature_functions(cutoff, lambda x: (np.cos(k * x), np.sin(k * x)))
+
+
+# ---------------------------------------------------------------------------
 # Rabi builders: the core at two_j = 1 with Q = a + a^dag
 # ---------------------------------------------------------------------------
 
@@ -245,6 +332,14 @@ def build_H_C_correct(p: RabiParams, method: str = "closed_form") -> OperatorMat
     raise ValueError(f"unknown method {method!r}")
 
 
+def blocks_H_C_correct(p: RabiParams) -> ParityBlocks:
+    """The real parity blocks of ``build_H_C_correct`` (closed form), written
+    by the core from real cos/sin of 2 eta (a + a^dag)."""
+    s = _real_parts(1, p.cutoff)
+    cos, sin = _real_cos_sin(p.cutoff, 2.0 * p.eta)
+    return _blocks(1, p.cutoff, _rotated_terms(s, p.omega_c, p.omega_10, cos, sin))
+
+
 def maclaurin_cos_sin(values: np.ndarray, order: int):
     """Order-n Maclaurin polynomials of cos and sin evaluated on real values.
 
@@ -306,15 +401,28 @@ def build_H_C_taylor(p: RabiParams, order: int) -> OperatorMatrix:
                                        spectral_matrix(spec, svals)))
 
 
+def blocks_H_C_taylor(p: RabiParams, order: int) -> ParityBlocks:
+    """The real parity blocks of ``build_H_C_taylor``."""
+    s = _real_parts(1, p.cutoff)
+    cos, sin = real_quadrature_functions(
+        p.cutoff, lambda x: maclaurin_cos_sin(2.0 * p.eta * x, order))
+    return _blocks(1, p.cutoff, _rotated_terms(s, p.omega_c, p.omega_10, cos, sin))
+
+
+def _check_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    return alpha
+
+
 def build_H_alpha(p: RabiParams, alpha: float) -> OperatorMatrix:
     """Gauge family interpolating the dipole (alpha=0) and corrected Coulomb
     (alpha=1) forms; transition energies are alpha-independent.
 
     Raises ValueError unless 0 <= alpha <= 1.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    alpha = _check_alpha(alpha)
     s = _parts(1, p.cutoff)
     cosX, sinX = quadrature_cos_sin(p.cutoff, 2.0 * alpha * p.eta)
     # the dipole coupling meets no nonzero entry of the omega_c n diagonal,
@@ -322,6 +430,16 @@ def build_H_alpha(p: RabiParams, alpha: float) -> OperatorMatrix:
     return hermitian_operator(_rotated(s, p.omega_c, p.omega_10, cosX, sinX)
                               + (1.0 - alpha) * 2.0 * p.g_d
                               * np.kron(s.jx, 1j * (s.adag - s.a)))
+
+
+def blocks_H_alpha(p: RabiParams, alpha: float) -> ParityBlocks:
+    """The real parity blocks of ``build_H_alpha``; the dipole coupling
+    enters as i J_x (x) (a^dag - a), whose phased spin part is real."""
+    alpha = _check_alpha(alpha)
+    s = _real_parts(1, p.cutoff)
+    cos, sin = _real_cos_sin(p.cutoff, 2.0 * alpha * p.eta)
+    return _blocks(1, p.cutoff, _rotated_terms(s, p.omega_c, p.omega_10, cos, sin)
+                   + [((1.0 - alpha) * 2.0 * p.g_d * 1j * s.jx, s.P)])
 
 
 @dataclass(frozen=True)

@@ -213,6 +213,77 @@ def converged_transitions(build, k, cutoff0=40, tol=1e-9, cap=2000):
 
 
 # ---------------------------------------------------------------------------
+# the exact Rabi spectrum, free of any Fock truncation (Braak's G-function)
+# ---------------------------------------------------------------------------
+
+def braak_G(x, g, delta, sign):
+    """Braak's G_sign(x) = sum_n K_n(x) [1 - sign delta / (x - n)] g^n for
+    H = a^dag a + g sigma_x (a + a^dag) + delta sigma_z (PRL 107, 100401,
+    2011), vectorised over x away from the poles x = 0, 1, 2, ...
+
+    K_0 = 1, K_1 = f_0 and n K_n = f_{n-1} K_{n-1} - K_{n-2}, with
+    f_n = 2g + (n - x + delta^2 / (x - n)) / (2g).  The recurrence runs on
+    c_n = K_n g^n, so g^n never overflows on its own; the series is summed
+    until a term falls below double precision's eps times the sum of |terms|
+    (past n = 2 g^2, where the terms peak).  Raises OverflowError when a
+    term leaves the double range, which happens from about g = 19 (the sum
+    of |terms| is 2e271 at g = 18).
+    """
+    x = np.asarray(x, dtype=float)
+    eps = np.finfo(float).eps
+    c_prev, c = np.zeros_like(x), np.ones_like(x)
+    total = 1.0 - sign * delta / x
+    size = np.abs(total)
+    n = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            n += 1
+            f = 2.0 * g + (n - 1 - x + delta ** 2 / (x - n + 1)) / (2.0 * g)
+            c_prev, c = c, (g * f * c - g * g * c_prev) / n
+            term = c * (1.0 - sign * delta / (x - n))
+            total = total + term
+            size = size + np.abs(term)
+            if not np.isfinite(size).all():
+                raise OverflowError(f"G-function terms leave the double range at g = {g}")
+            if n > 2 * g * g and (np.abs(term) <= eps * size).all():
+                return total
+
+
+# points per unit interval between two poles of G: uniform inside, and
+# geometric towards both poles, where a zero can sit within 1e-3 of one
+_BRAAK_T = np.concatenate([np.geomspace(1e-13, 1e-3, 40), np.linspace(1e-3, 1 - 1e-3, 2001)[1:-1],
+                           1.0 - np.geomspace(1e-13, 1e-3, 40)[::-1]])
+
+
+def braak_rabi_levels(g, delta, count):
+    """The lowest ``count`` eigenvalues E = x - g^2 of the quantum Rabi
+    model a^dag a + g sigma_x (a + a^dag) + delta sigma_z, from the zeros x
+    of G_+ and G_- (one per parity).  Each interval (n, n + 1) between poles,
+    from x = -delta - 1 up, is scanned for sign changes on ``_BRAAK_T`` and
+    each change is refined by ``brentq``; the regular spectrum only (a
+    Juddian level, a zero that sits exactly on a pole, would be missed).
+    """
+    from scipy.optimize import brentq
+
+    xs = []
+    for sign in (1.0, -1.0):
+        lo = -delta - 1.0
+        n = int(np.floor(lo))
+        found = []
+        while len(found) < count:
+            grid = n + _BRAAK_T
+            grid = grid[grid > lo]
+            vals = braak_G(grid, g, delta, sign)
+            for x1, x2, v1, v2 in zip(grid, grid[1:], vals, vals[1:]):
+                if np.sign(v1) != np.sign(v2):
+                    found.append(brentq(lambda x: float(braak_G(x, g, delta, sign)), x1, x2,
+                                        xtol=1e-15, rtol=1e-15))
+            n += 1
+        xs += found
+    return np.sort(xs)[:count] - g * g
+
+
+# ---------------------------------------------------------------------------
 # Maclaurin-truncated trig (exact scalar evaluation, for the Taylor study)
 # ---------------------------------------------------------------------------
 

@@ -5,6 +5,7 @@ problems, 2 on numerical failures (with the violated check named on stderr);
 outputs are byte-identical across reruns and thread counts.
 """
 
+import argparse
 import configparser
 import os
 import re
@@ -16,8 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import SIGMA_X
-from gaugeqed import OperatorMatrix, ParityBands, cli, experiments, particle1d, rabi
+from gaugeqed import OperatorMatrix, ParityBands, ParityBlocks, cli, experiments, particle1d
 from gaugeqed.cli import COMMANDS, build_parser, main
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.ini"
@@ -84,6 +84,26 @@ def test_every_command_has_help(capsys):
         assert "--outdir" in out and "--config" in out
 
 
+def test_help_shows_each_registry_default_once(capsys):
+    # flags default to None so that the config file can fill them; the help
+    # must show the registry default, once, and never that None
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, (opts, _) in COMMANDS.items():
+        with pytest.raises(SystemExit):
+            parser.parse_args([name, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default: None)" not in text, name
+        helps = {a.dest: a.help for a in sub.choices[name]._actions}
+        for opt in cli._COMMON + opts:
+            assert helps[opt.key].count("(default:") <= 1, (name, opt.key)
+            if opt.default is not None:
+                assert helps[opt.key].endswith(
+                    f"(default: {cli._fmt_default(opt.default)})"), (name, opt.key)
+        assert text.count("(default:") == sum(h.count("(default:")
+                                               for h in helps.values()), name
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -140,15 +160,38 @@ def test_cutoff_ceiling_exit_2(tmp_path, capsys):
 
 
 def test_parity_error_exit_2(tmp_path, capsys, monkeypatch):
-    # sigma_x (x) 1 flips the matter index alone, so it breaks the parity
-    def broken(eta, detuning, cutoff, n):
-        p = rabi.RabiParams(eta=eta, cutoff=cutoff, detuning=detuning)
-        H = rabi.build_H_D(p).arr + np.kron(SIGMA_X, np.eye(cutoff + 1))
+    # the sweeps' blocks have no off-parity half, but a full model of a
+    # mirror-symmetric well is still split by parity_eigvalsh; a term that
+    # couples matter levels 0 and 1 alone flips the mirror parity
+    build = particle1d.build_full_H_D
+
+    def broken(model, basis, cutoff, a0, m):
+        flip = np.zeros((m, m))
+        flip[0, 1] = flip[1, 0] = 1.0
+        H = build(model, basis, cutoff, a0, m).arr + np.kron(flip, np.eye(cutoff + 1))
         return OperatorMatrix(H, hermitian_hint=True)
 
-    monkeypatch.setitem(experiments.RABI_MODELS, "D", broken)
-    assert run(TINY_SWEEP, tmp_path) == 2
+    monkeypatch.setattr(particle1d, "build_full_H_D", broken)
+    argv = ["full-model", "--model", "harmonic", "--m-levels", "2", "--cutoff", "8"]
+    assert run(argv, tmp_path) == 2
     assert "ParityError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defect,error", [("nan", "LinalgError: parity block 1 has a "
+                                                   "non-finite entry"),
+                                          ("asymmetric", "NonHermitianError: parity "
+                                                         "block 1 is not symmetric")])
+def test_broken_block_exit_2(tmp_path, capsys, monkeypatch, defect, error):
+    build = experiments.RABI_MODELS["Ccorr"]
+
+    def broken(eta, detuning, cutoff, n):
+        even, odd = (block.copy() for block in build(eta, detuning, cutoff, n).blocks)
+        odd[2, 1] = np.nan if defect == "nan" else odd[2, 1] + 1e-6
+        return ParityBlocks((even, odd))
+
+    monkeypatch.setitem(experiments.RABI_MODELS, "Ccorr", broken)
+    assert run(TINY_SWEEP, tmp_path) == 2
+    assert error in capsys.readouterr().err
 
 
 def test_non_finite_band_exit_2(tmp_path, capsys, monkeypatch):
@@ -274,6 +317,21 @@ def test_taylor_study_quick(tmp_path, capsys):
     out = capsys.readouterr().out
     assert re.search(r"order 2: eta_star = ", out)
     assert (tmp_path / "taylor_study.csv").exists()
+
+
+def test_repeated_taylor_order_exits_1(tmp_path, capsys):
+    argv = ["taylor-study", "--orders", "2,2", "--eta-max", "0.1", "--cutoff", "40",
+            "--levels", "3"]
+    assert run(argv, tmp_path) == 1
+    assert "repeated order in 2,2" in capsys.readouterr().err
+    assert not (tmp_path / "taylor_study.csv").exists()
+
+
+def test_repeated_alpha_exits_1(tmp_path, capsys):
+    argv = ["alpha-check", "--alphas", "0,0,1", "--levels", "3"]
+    assert run(argv, tmp_path) == 1
+    assert "repeated alpha in 0,0,1" in capsys.readouterr().err
+    assert not (tmp_path / "alpha_check.csv").exists()
 
 
 def test_alpha_check_passes(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugeqed import RabiParams, bands_H_D, build_H_C_correct, build_H_D
+from gaugeqed import dicke as dicke_mod
 from gaugeqed import experiments as experiments_mod
 from gaugeqed import rabi as rabi_mod
 from gaugeqed.experiments import (
@@ -157,6 +158,34 @@ def test_rabi_sweep_solves_d_and_cstd_as_bands(monkeypatch):
     assert solves == want
 
 
+def test_block_models_never_assemble_the_matrix(monkeypatch):
+    """Ccorr, the Dicke models, the Taylor study and the alpha study solve
+    the real blocks the core writes: no dense builder, no Kronecker product,
+    no parity_eigvalsh gather and no complex solve is reached."""
+    def dense(*args, **kwargs):
+        raise AssertionError("dense path taken")
+
+    for name in ("build_H_C_correct", "build_H_C_taylor", "build_H_alpha", "_parts"):
+        monkeypatch.setattr(rabi_mod, name, dense)
+    for name in ("build_dicke_standard", "build_dicke_correct", "build_dicke_dipole",
+                 "_parts"):
+        monkeypatch.setattr(dicke_mod, name, dense)
+    for name in ("parity_eigvalsh", "hermitian_eig"):
+        monkeypatch.setattr(experiments_mod, name, dense)
+    monkeypatch.setattr(np, "kron", dense)
+    policy = ConvergencePolicy(cutoff0=5, tol=1e-6)
+    result = run_sweep(SweepSpec(models=("Ccorr",), eta_grid=SMALL_GRID,
+                                 levels_reported=3, policy=policy))
+    assert all(p.converged for p in result.points)
+    result = run_sweep(SweepSpec(models=("std", "corr", "dipole"), eta_grid=SMALL_GRID,
+                                 family="dicke", n_dipoles=2, levels_reported=3,
+                                 policy=policy))
+    assert all(p.converged for p in result.points)
+    study = taylor_study((2, 10), eta_grid=(0.1, 0.2), cutoff=20, levels=3)
+    assert not np.isnan(study.errors[1]).any()
+    assert alpha_invariance_study((0.0, 0.5, 1.0), (0.4,), levels=3, policy=policy).passed
+
+
 @given(eta=st.floats(0.1, 1.2), detuning=st.sampled_from([0.0, 0.5]))
 @settings(max_examples=8)
 def test_trail_deltas_shrink(eta, detuning):
@@ -290,13 +319,13 @@ def test_taylor_study_scan():
 
 def test_taylor_study_threads_and_lazy_exact(monkeypatch):
     calls = []
-    build = rabi_mod.build_H_C_correct
+    build = rabi_mod.blocks_H_C_correct
 
     def counting(p, *args, **kwargs):
         calls.append(p.eta)
         return build(p, *args, **kwargs)
 
-    monkeypatch.setattr(rabi_mod, "build_H_C_correct", counting)
+    monkeypatch.setattr(rabi_mod, "blocks_H_C_correct", counting)
     grid = tuple(0.1 * k for k in range(1, 16))
     orders = (2, 3, 4, 5, 6, 10)
     kw = dict(eta_grid=grid, cutoff=30, levels=3)
@@ -320,6 +349,9 @@ def test_taylor_study_threads_and_lazy_exact(monkeypatch):
 def test_taylor_study_validation():
     with pytest.raises(ValueError):
         taylor_study((0,), eta_grid=(0.1,))
+    # a repeated order would be scanned twice and written twice
+    with pytest.raises(ValueError, match="repeated order in 2,3,2"):
+        taylor_study((2, 3, 2), eta_grid=(0.1,), cutoff=10)
 
 
 def test_alpha_invariance():
@@ -344,6 +376,8 @@ def test_alpha_study_validation():
     # nothing to swap, and must not be reported as a failed control
     with pytest.raises(ValueError, match="alphas must include 1"):
         alpha_invariance_study((0.0, 0.5), (0.8,), negative_control=True)
+    with pytest.raises(ValueError, match="repeated alpha in 0,0.5,0"):
+        alpha_invariance_study((0.0, 0.5, 0.0), (0.8,))
 
 
 # ---------------------------------------------------------------------------

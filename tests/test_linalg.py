@@ -18,10 +18,13 @@ from gaugeqed import (
     NotUnitaryError,
     OperatorMatrix,
     ParityBands,
+    ParityBlocks,
     ParityError,
     RabiParams,
     bands_H_D,
     banded_parity_eigvalsh,
+    block_parity_eigvalsh,
+    blocks_H_C_correct,
     build_dicke_correct,
     build_dicke_dipole,
     build_dicke_standard,
@@ -392,3 +395,36 @@ def test_banded_parity_eigvalsh_errors(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eig_banded", failing)
     with pytest.raises(ConvergenceFailureError):
         banded_parity_eigvalsh(ParityBands((even, odd)), 3)
+
+
+def test_block_parity_eigvalsh_checks_each_block(monkeypatch):
+    even, odd = (b.copy() for b in blocks_H_C_correct(RabiParams(eta=0.5, cutoff=6)).blocks)
+    w = block_parity_eigvalsh(ParityBlocks((even.copy(), odd.copy())))
+    assert not w.flags.writeable and np.all(np.diff(w) >= 0) and w.size == 14
+    with pytest.raises(DimensionMismatchError):
+        ParityBlocks((even[:, :-1].copy(), odd))
+    with pytest.raises(DimensionMismatchError):
+        ParityBlocks((even.astype(complex), odd))
+    for bad in (np.nan, np.inf):
+        broken = odd.copy()
+        broken[2, 1] = bad
+        with pytest.raises(LinalgError, match="parity block 1 has a non-finite entry"):
+            block_parity_eigvalsh(ParityBlocks((even.copy(), broken)))
+    # the symmetry limit is HERMITICITY_RTOL times max(max|B|, 1)
+    scale = max(float(np.abs(odd).max()), 1.0)
+    for shift, fails in ((0.5e-12 * scale, False), (2e-12 * scale, True)):
+        skew = odd.copy()
+        skew[2, 1] += shift
+        blocks = ParityBlocks((even.copy(), skew))
+        if fails:
+            with pytest.raises(NonHermitianError, match="parity block 1 is not symmetric"):
+                block_parity_eigvalsh(blocks)
+        else:
+            block_parity_eigvalsh(blocks)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(ConvergenceFailureError):
+        block_parity_eigvalsh(ParityBlocks((even.copy(), odd.copy())))

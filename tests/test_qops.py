@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from conftest import pauli, random_hermitian
 from gaugeqed import (
     OperatorMatrix,
+    ParityError,
+    Spectrum,
     fock_ops,
     hermitian_eig,
     kron,
@@ -141,6 +143,30 @@ def test_quadrature_eig_computes_a_cutoff_once(monkeypatch):
         got = list(pool.map(request, range(8), timeout=60))
     assert calls == [58]
     assert all(spec is got[0] for spec in got)
+
+
+@pytest.mark.parametrize("cutoff", [1, 8, 41])
+def test_real_quadrature_functions_match_complex(cutoff):
+    # cos/sin of k X from the real eigenvectors equal the complex spectral
+    # matrices, and X itself comes back exactly tridiagonal up to roundoff
+    k = 1.3
+    cos, sin, X = qops.real_quadrature_functions(
+        cutoff, lambda x: (np.cos(k * x), np.sin(k * x), x))
+    ref_cos, ref_sin = qops.quadrature_cos_sin(cutoff, k)
+    a, adag, _ = fock_ops(cutoff)
+    for got, want in ((cos, ref_cos), (sin, ref_sin), (X, a.arr + adag.arr)):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, got.T)
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+def test_real_quadrature_functions_reject_complex_vectors(monkeypatch):
+    spec = quadrature_eig(6)
+    # a phase of 1j on every eigenvector keeps them eigenvectors, but not real
+    turned = Spectrum(spec.eigenvalues, spec.eigenvectors * 1j)
+    monkeypatch.setattr(qops, "quadrature_eig", lambda cutoff: turned)
+    with pytest.raises(ParityError, match="eigenvectors of a \\+ a\\^dag are not real"):
+        qops.real_quadrature_functions(6, lambda x: (np.cos(x),))
 
 
 def test_fock_validation():

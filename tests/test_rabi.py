@@ -406,3 +406,30 @@ def test_bands_match_dense_builders(eta, cutoff):
             assert wb.shape == (k,) and not wb.flags.writeable
             dev = np.abs(wb - w[:k]).max()
             assert dev <= bound, (name, count, dev)
+
+
+# ---------------------------------------------------------------------------
+# the truncation-free oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("eta", [0.25, 1.5, 3.0, 10.0])
+def test_braak_oracle_matches_dipole_chains(eta):
+    """Braak's G-function zeros are the dipole model's levels, here solved
+    at the largest cutoff the dimension cap allows.  The lowest seven agree
+    to within 1e-12 max(|E|, 1).  Measured, they agree to 1.3 eps max|E|
+    everywhere but at eta = 1.5 on resonance, where a zero 2.8e-5 from the
+    pole x = 1 is off by 8.0e-14; and they still agree to 1.3 eps max|E| at
+    eta = 18, which takes 4 s and is left out here."""
+    for detuning in (0.0, 0.2):
+        exact = oracles.braak_rabi_levels(eta, (1.0 + detuning) / 2.0, 7)
+        w = banded_parity_eigvalsh(bands_H_D(RabiParams(eta=eta, cutoff=2047,
+                                                        detuning=detuning)), 7)
+        dev = float(np.abs(exact - w).max())
+        assert dev <= 1e-12 * max(float(np.abs(w).max()), 1.0), (eta, detuning, dev)
+
+
+def test_braak_oracle_range():
+    # the sum of |K_n g^n| grows like exp(1.7 g^2): 2e271 at g = 18; from
+    # g = 19 a term overflows, and the oracle says so instead of returning NaN
+    with pytest.raises(OverflowError, match="leave the double range"):
+        oracles.braak_rabi_levels(19.0, 0.5, 7)
