@@ -26,7 +26,6 @@ from .linalg import (
     hermitian_eig,
     kron,
     matrix_function,
-    parity_eigvalsh,
     unitary_exp,
 )
 from .qops import fock_ops, quadrature_eig, spin_ops
@@ -64,6 +63,8 @@ from .particle1d import (
     NonlocalKernel,
     ParticleError,
     ParticleModel,
+    blocks_full_H_C,
+    blocks_full_H_D,
     build_full_H_C,
     build_full_H_D,
     check_minimal_coupling_identity,
@@ -108,7 +109,7 @@ __all__ = [
     # linalg
     "OperatorMatrix", "Spectrum", "hermitian_eig", "matrix_function",
     "unitary_exp", "conjugate", "kron",
-    "parity_eigvalsh", "ParityBlocks", "block_parity_eigvalsh",
+    "ParityBlocks", "block_parity_eigvalsh",
     "ParityBands", "banded_parity_eigvalsh",
     "LinalgError", "NonHermitianError", "NotUnitaryError",
     "ConvergenceFailureError", "DimensionMismatchError",
@@ -130,7 +131,8 @@ __all__ = [
     "Grid1D", "ParticleModel", "MatterBasis", "harmonic_model",
     "double_well_model", "model_from_table", "solve_particle",
     "nonlocal_kernel", "NonlocalKernel", "check_minimal_coupling_identity",
-    "MinimalCouplingReport", "build_full_H_D", "build_full_H_C", "trk_sum",
+    "MinimalCouplingReport", "build_full_H_D", "build_full_H_C",
+    "blocks_full_H_D", "blocks_full_H_C", "trk_sum",
     "ParticleError", "GridTooCoarseError", "BoundaryLeakError",
     # fluxonium
     "FluxoniumParams", "FluxoniumBasis", "solve_fluxonium", "coupling_g_c",

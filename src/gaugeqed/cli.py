@@ -394,8 +394,17 @@ def _cmd_alpha_check(rc: RunConfig) -> int:
 _UNITS_LINE = "# unit convention: hbar = 1, energies in units of omega_c"
 
 
+def _ascending(name: str, values) -> None:
+    """Raise ValueError unless ``values`` ascends strictly: each verdict
+    compares the first and last entries, or reads the last one."""
+    if any(b <= a for a, b in zip(values, values[1:])):
+        shown = ",".join(f"{v:g}" for v in values)
+        raise ValueError(f"{name} must be strictly ascending, got {shown}")
+
+
 def _cmd_gauge_theorem(rc: RunConfig) -> int:
     p = rc.params
+    _ascending("cutoffs", p["cutoffs"])
     reports = []
     for c in p["cutoffs"]:
         params = rabi.RabiParams(eta=p["eta"], cutoff=c, detuning=p["detuning"])
@@ -500,12 +509,16 @@ def _cmd_particle_demo(rc: RunConfig) -> int:
 
 def _cmd_full_model(rc: RunConfig) -> int:
     p = rc.params
+    _ascending("m_levels", p["m_levels"])
     model = _named_model(p)
     basis = particle1d.solve_particle(model)
     cutoff = p["cutoff"]
     levels = p["levels"]
     # a mirror-parity basis splits both models into real parity blocks
-    field_dim = cutoff + 1 if basis.mirror_parity else None
+    if basis.mirror_parity:
+        build_d, build_c = particle1d.blocks_full_H_D, particle1d.blocks_full_H_C
+    else:
+        build_d, build_c = particle1d.build_full_H_D, particle1d.build_full_H_C
     gaps = []
     print("m_levels  max_transition_gap")
     lines = [_UNITS_LINE, "m_levels,max_transition_gap"]
@@ -513,13 +526,9 @@ def _cmd_full_model(rc: RunConfig) -> int:
         if m > basis.m_levels:
             raise ValueError(f"m_levels {m} exceeds solved levels "
                              f"{basis.m_levels}")
-        # one model at a time: each matrix is freed once its levels are known
-        t_d = experiments.lowest_transitions(
-            particle1d.build_full_H_D(model, basis, cutoff, p["a0"], m), levels,
-            field_dim)
-        t_c = experiments.lowest_transitions(
-            particle1d.build_full_H_C(model, basis, cutoff, p["a0"], m), levels,
-            field_dim)
+        # one model at a time: each is freed once its levels are known
+        t_d = experiments.lowest_transitions(build_d(model, basis, cutoff, p["a0"], m), levels)
+        t_c = experiments.lowest_transitions(build_c(model, basis, cutoff, p["a0"], m), levels)
         gap = float(np.abs(t_d - t_c).max())
         gaps.append(gap)
         print(f"{m:8d}  {gap:.6e}")

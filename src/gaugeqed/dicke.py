@@ -7,26 +7,20 @@ at N=1 they reduce to the Rabi matrices (2 J_k = sigma_k at j=1/2).
 
 The truncation-consistent construction conjugates the bare splitting
 omega_10 J_z by U_N = exp[i 2 eta (a + a^dag) J_x]; the equivalent closed
-form carries cos/sin of factor * eta * (a + a^dag) with factor 2 (the spin
-rotation identity; a printed variant with factor 4 is accepted for
-comparison and does not match the conjugation).
+form carries cos/sin of 2 eta (a + a^dag) (the spin rotation identity).
 
-``blocks_dicke_standard``, ``blocks_dicke_correct`` (the closed form at
-factor 2) and ``blocks_dicke_dipole`` write the real parity blocks of the
-same models through the core's block writer, for the sweeps; the dense
-builders stay the reference they are tested against.
+Each model is the core's term list at two_j = N: ``build_dicke_*`` writes
+it as a dense matrix and ``blocks_dicke_*`` as the two real parity blocks
+the sweeps solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .linalg import OperatorMatrix, ParityBlocks, hermitian_operator
-from .qops import quadrature_cos_sin
-from .rabi import (RabiParams, _bare, _bare_terms, _blocks, _conjugated, _parts, _real_cos_sin,
-                   _real_parts, _rotated, _rotated_terms)
+from .linalg import OperatorMatrix, ParityBlocks, hermitian_operator, kron_sum, parity_block_sum
+from .rabi import (RabiParams, _conjugated, _correct_terms, _dipole_terms, _real_parts,
+                   _standard_terms)
 
 
 @dataclass(frozen=True)
@@ -52,56 +46,43 @@ class DickeParams(RabiParams):
 def build_dicke_standard(p: DickeParams) -> OperatorMatrix:
     """Naive two-level-per-dipole Coulomb-gauge Dicke model.
 
-    The diamagnetic coefficient is j * 2 g_C^2 / omega_10, the per-dipole
+    The diamagnetic coefficient is N g_C^2 / omega_10, the per-dipole
     sum-rule-saturated value (N times the Rabi one).
     """
-    s = _parts(p.n_dipoles, p.cutoff)
-    X = s.a + s.adag
-    return hermitian_operator(_bare(s, p.omega_c, p.omega_10)
-                              + 2.0 * p.g_c * np.kron(s.jy, X)
-                              + _diamagnetic(p) * np.kron(s.eye_spin, X @ X))
-
-
-def _diamagnetic(p: DickeParams) -> float:
-    return p.j * 2.0 * p.g_c ** 2 / p.omega_10
+    return kron_sum(_standard_terms(_real_parts(p.n_dipoles, p.cutoff), p))
 
 
 def blocks_dicke_standard(p: DickeParams) -> ParityBlocks:
     """The real parity blocks of ``build_dicke_standard``."""
-    s = _real_parts(p.n_dipoles, p.cutoff)
-    return _blocks(p.n_dipoles, p.cutoff, _bare_terms(s, p.omega_c, p.omega_10)
-                   + [(2.0 * p.g_c * s.jy, s.X), (_diamagnetic(p) * s.eye_spin, s.X @ s.X)])
+    return parity_block_sum(_standard_terms(_real_parts(p.n_dipoles, p.cutoff), p))
 
 
-def build_dicke_correct(p: DickeParams, method: str = "conjugation",
-                        factor: int = 2) -> OperatorMatrix:
+def build_dicke_correct(p: DickeParams, method: str = "conjugation") -> OperatorMatrix:
     """Truncation-consistent Coulomb-gauge Dicke model.
 
     ``method="conjugation"`` (the defining construction, hence the default):
     U_N (omega_10 J_z) U_N^dag + omega_c a^dag a.  ``method="closed_form"``
-    evaluates J_z cos[factor * eta * (a+a^dag)] + J_y sin[...] from the
-    cached eigendecomposition of a + a^dag; the rotation identity fixes
-    factor=2, and factor=4 is accepted only so tests can document that it
-    disagrees with the conjugation route.
+    evaluates J_z cos[2 eta (a+a^dag)] + J_y sin[...] from the cached
+    eigendecomposition of a + a^dag; the rotation identity fixes the
+    argument at 2 eta.
     """
-    s = _parts(p.n_dipoles, p.cutoff)
+    s = _real_parts(p.n_dipoles, p.cutoff)
     if method == "conjugation":
-        return hermitian_operator(_conjugated(s, p.omega_c, p.omega_10, s.a + s.adag,
-                                              2.0 * p.eta))
+        return hermitian_operator(_conjugated(s, p.omega_c, p.omega_10, s.X, 2.0 * p.eta))
     if method == "closed_form":
-        if factor not in (2, 4):
-            raise ValueError(f"factor must be 2 or 4, got {factor}")
-        cosX, sinX = quadrature_cos_sin(p.cutoff, float(factor) * p.eta)
-        return hermitian_operator(_rotated(s, p.omega_c, p.omega_10, cosX, sinX))
+        return kron_sum(_correct_terms(s, p))
     raise ValueError(f"unknown method {method!r}")
 
 
 def blocks_dicke_correct(p: DickeParams) -> ParityBlocks:
-    """The real parity blocks of ``build_dicke_correct`` by the closed form
-    at factor 2, written by the core from real cos/sin of 2 eta (a + a^dag)."""
+    """The real parity blocks of ``build_dicke_correct`` by the closed form."""
+    return parity_block_sum(_correct_terms(_real_parts(p.n_dipoles, p.cutoff), p))
+
+
+def _dicke_dipole_terms(p: DickeParams) -> list:
     s = _real_parts(p.n_dipoles, p.cutoff)
-    cos, sin = _real_cos_sin(p.cutoff, 2.0 * p.eta)
-    return _blocks(p.n_dipoles, p.cutoff, _rotated_terms(s, p.omega_c, p.omega_10, cos, sin))
+    return _dipole_terms(s, p) + [
+        (4.0 * p.eta ** 2 * p.omega_c * (s.jx @ s.jx), s.eye_field)]
 
 
 def build_dicke_dipole(p: DickeParams) -> OperatorMatrix:
@@ -113,17 +94,9 @@ def build_dicke_dipole(p: DickeParams) -> OperatorMatrix:
     scalar the Rabi builder drops (at N=1 it is eta^2 omega_c times identity);
     here it is operator-valued and must be kept for spectral equivalence.
     """
-    s = _parts(p.n_dipoles, p.cutoff)
-    return hermitian_operator(_bare(s, p.omega_c, p.omega_10)
-                              + 2.0 * p.g_d * np.kron(s.jx, 1j * (s.adag - s.a))
-                              + 4.0 * p.eta ** 2 * p.omega_c
-                              * np.kron(s.jx @ s.jx, s.eye_field))
+    return kron_sum(_dicke_dipole_terms(p))
 
 
 def blocks_dicke_dipole(p: DickeParams) -> ParityBlocks:
-    """The real parity blocks of ``build_dicke_dipole``; the coupling enters
-    as i J_x (x) (a^dag - a), whose phased spin part is real."""
-    s = _real_parts(p.n_dipoles, p.cutoff)
-    return _blocks(p.n_dipoles, p.cutoff, _bare_terms(s, p.omega_c, p.omega_10)
-                   + [(2.0 * p.g_d * 1j * s.jx, s.P),
-                      (4.0 * p.eta ** 2 * p.omega_c * (s.jx @ s.jx), s.eye_field)])
+    """The real parity blocks of ``build_dicke_dipole``."""
+    return parity_block_sum(_dicke_dipole_terms(p))

@@ -25,7 +25,7 @@ import numpy as np
 from . import dicke as dicke_mod
 from . import rabi as rabi_mod
 from .linalg import (OperatorMatrix, ParityBands, ParityBlocks, banded_parity_eigvalsh,
-                     block_parity_eigvalsh, hermitian_eig, parity_eigvalsh)
+                     block_parity_eigvalsh, hermitian_eig)
 
 OMEGA_C = 1.0  # all energies in units of the cavity frequency
 
@@ -48,31 +48,26 @@ class ConvergencePolicy:
             raise ValueError("cutoff_cap below initial cutoff")
 
 
-def lowest_transitions(H: Union[OperatorMatrix, ParityBlocks, ParityBands], levels: int,
-                       field_dim: Optional[int] = None) -> np.ndarray:
+def lowest_transitions(H: Union[OperatorMatrix, ParityBlocks, ParityBands],
+                       levels: int) -> np.ndarray:
     """E_n - E_0 for n = 1..levels, by the solver the holder's type selects.
 
-    ``ParityBlocks`` (the real parity blocks the gauge core writes for the
-    corrected Coulomb, Taylor-order, alpha-family and Dicke models) are
-    solved whole by :func:`~gaugeqed.linalg.block_parity_eigvalsh`.
-    ``ParityBands`` (the banded chains of the Rabi D and naive Coulomb
-    models) are solved by :func:`~gaugeqed.linalg.banded_parity_eigvalsh`
-    for their lowest levels + 1 eigenvalues only.  ``field_dim`` is ignored
-    for both.  For a matrix, ``field_dim`` (the Fock dimension of a
-    matter (x) Fock operator that commutes with the parity
-    sigma_z (-1)^{a^dag a}) selects :func:`~gaugeqed.linalg.parity_eigvalsh`,
-    two real half-size solves that raise ParityError if H does not split;
-    without it the spectrum comes from one dense complex solve.  Raises
-    ValueError when fewer than levels + 1 eigenvalues exist.
+    ``ParityBlocks`` (the real parity blocks that ``linalg.parity_block_sum``
+    writes for the corrected Coulomb, Taylor-order, alpha-family, Dicke and
+    mirror-parity full models) are solved whole by
+    :func:`~gaugeqed.linalg.block_parity_eigvalsh`.  ``ParityBands`` (the
+    banded chains of the Rabi D and naive Coulomb models) are solved by
+    :func:`~gaugeqed.linalg.banded_parity_eigvalsh` for their lowest
+    levels + 1 eigenvalues only.  A matrix is solved by one dense complex
+    solve, :func:`~gaugeqed.linalg.hermitian_eig`.  Raises ValueError when
+    fewer than levels + 1 eigenvalues exist.
     """
     if isinstance(H, ParityBlocks):
         w = block_parity_eigvalsh(H)
     elif isinstance(H, ParityBands):
         w = banded_parity_eigvalsh(H, levels + 1)
-    elif field_dim is None:
-        w = hermitian_eig(H, vectors=False).eigenvalues
     else:
-        w = parity_eigvalsh(H, field_dim)
+        w = hermitian_eig(H, vectors=False).eigenvalues
     if w.size < levels + 1:
         raise ValueError(f"need at least {levels + 1} eigenvalues, got {w.size}")
     return w[1:levels + 1] - w[0]
@@ -86,10 +81,11 @@ def converged_transitions(build: Callable[[int], Union[OperatorMatrix, ParityBlo
     trail).
 
     ``build(cutoff)`` returns the model at that Fock cutoff in any form
-    :func:`lowest_transitions` solves: the real parity blocks of a block
-    builder (``rabi.blocks_H_C_correct`` and the other ``blocks_*``), the
-    banded chains of ``rabi.bands_H_D`` or ``rabi.bands_H_C_standard``, or a
-    full matrix, which is solved densely.
+    :func:`lowest_transitions` solves: the real parity blocks that a
+    ``blocks_*`` builder has the block writer make of the model's terms
+    (``rabi.blocks_H_C_correct`` and the others), the banded chains of
+    ``rabi.bands_H_D`` or ``rabi.bands_H_C_standard``, or the dense matrix
+    of a ``build_*`` builder, which is solved by one complex solve.
 
     The trail logs (cutoff reached, max transition shift) for every growth
     step, so monotone convergence is checkable after the fact.  The
@@ -350,13 +346,14 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
     that member is solved from its banded parity chains, the family members
     from the real parity blocks ``rabi.blocks_H_alpha`` writes.  Raises
     ValueError when negative_control is set and 1 is not among the alphas,
-    since nothing would be replaced, and when an alpha repeats.
+    since nothing would be replaced, and when an alpha or an eta repeats.
     """
     alphas = tuple(float(a) for a in alphas)
     eta_grid = tuple(float(e) for e in eta_grid)
     if not alphas or not eta_grid:
         raise ValueError("alphas and eta_grid must be nonempty")
     _reject_repeats("alpha", alphas)
+    _reject_repeats("eta", eta_grid)
     if negative_control and 1.0 not in alphas:
         raise ValueError("the negative control replaces the alpha=1 member; "
                          "alphas must include 1")

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (OperatorMatrix, hermitian_eig, hermitian_operator, matrix_function,
-                     spectral_matrix)
+from .linalg import (OperatorMatrix, hermitian_eig, hermitian_operator, kron_sum,
+                     matrix_function, spectral_matrix)
 from .qops import _fock_arrays
-from .rabi import _bare, _conjugated, _parts, _rotated
+from .rabi import _bare_terms, _conjugated, _real_parts, _rotated_terms
 
 
 class BasisTooSmallError(Exception):
@@ -145,12 +145,11 @@ def build_flux_charge_standard(p: FluxoniumParams,
     Since (a - a^dag)^2 is negative semidefinite, the last term is a
     nonnegative charging-energy shift (asserted in tests).
     """
-    s = _parts(1, p.cutoff)
-    B = 1j * (s.a - s.adag)  # Hermitian; the charge coupling runs along it
+    s = _real_parts(1, p.cutoff)
+    B = -1j * s.P  # i(a - a^dag), Hermitian; the charge coupling runs along it
     g_c = coupling_g_c(p, basis)
-    return hermitian_operator(_bare(s, p.omega_c, basis.omega_10)
-                              + 2.0 * g_c * np.kron(s.jy, B)
-                              + 4.0 * p.e_c * p.chi0 ** 2 * np.kron(s.eye_spin, B @ B))
+    return kron_sum(_bare_terms(s, p.omega_c, basis.omega_10)
+                    + [(2.0 * g_c * s.jy, B), (4.0 * p.e_c * p.chi0 ** 2 * s.eye_spin, B @ B)])
 
 
 def build_flux_charge_correct(p: FluxoniumParams, basis: FluxoniumBasis,
@@ -165,8 +164,8 @@ def build_flux_charge_correct(p: FluxoniumParams, basis: FluxoniumBasis,
     Hermitian quadrature B = i(a - a^dag); equals the hyperbolic form
     sigma_z cosh[2 theta (a - a^dag)] - i sigma_y sinh[2 theta (a - a^dag)].
     """
-    s = _parts(1, p.cutoff)
-    B = 1j * (s.a - s.adag)
+    s = _real_parts(1, p.cutoff)
+    B = -1j * s.P
     two_t = 2.0 * coupling_g_c(p, basis) / basis.omega_10
     if method == "conjugation":
         # sigma_x (a - a^dag) = -i sigma_x B = -2i J_x B, so R = exp[-i 2 theta J_x B]
@@ -176,5 +175,5 @@ def build_flux_charge_correct(p: FluxoniumParams, basis: FluxoniumBasis,
         spec = hermitian_eig(OperatorMatrix(B))
         cosB = spectral_matrix(spec, np.cos(two_t * spec.eigenvalues))
         sinB = spectral_matrix(spec, np.sin(two_t * spec.eigenvalues))
-        return hermitian_operator(_rotated(s, p.omega_c, basis.omega_10, cosB, -sinB))
+        return kron_sum(_rotated_terms(s, p.omega_c, basis.omega_10, cosB, -sinB))
     raise ValueError(f"unknown method {method!r}")

@@ -2,27 +2,26 @@
 
 Full operators in the package are finite complex matrices wrapped in
 :class:`OperatorMatrix`, a frozen holder with no arithmetic of its own.
-Hamiltonian builders assemble plain complex arrays (``.arr`` is the array)
-and wrap the finished matrix once with :func:`hermitian_operator`, which is
-where its Hermiticity is checked.  Eigenproblems go through LAPACK
-(``numpy.linalg.eigh``) behind :func:`hermitian_eig`, which adds a
-deterministic eigenvector phase convention; matrix functions and unitaries
-are built from the spectral decomposition.
+Eigenproblems go through LAPACK (``numpy.linalg.eigh``) behind
+:func:`hermitian_eig`, which adds a deterministic eigenvector phase
+convention; matrix functions and unitaries are built from the spectral
+decomposition.
 
-Matter (x) Fock operators that commute with the parity
-sigma_z (-1)^{a^dag a} (Braak, PRL 107, 100401, 2011), or with
-(-1)^i (-1)^{a^dag a} for the mirror-parity levels i of a 1D particle,
-have a second route,
-:func:`parity_eigvalsh`: a fixed diagonal phase makes both parity blocks
-real symmetric, so the spectrum comes from two real half-size solves, about
-a quarter of the n^3 of one complex solve.  Both claims are checked on every
-call and a failure raises :class:`ParityError`.
+Every Hamiltonian of the package is written once, as a list of
+(matter operator, field operator) terms for sum_t S_t (x) F_t, the matter
+index slowest.  Two writers take such a list.  :func:`kron_sum` writes the
+dense complex matrix one matter row block at a time and wraps it once with
+:func:`hermitian_operator`, which is where its Hermiticity is checked.
+:func:`parity_block_sum` writes the two real parity blocks instead, for
+models that commute with the parity sigma_z (-1)^{a^dag a} (Braak, PRL 107,
+100401, 2011), or with (-1)^i (-1)^{a^dag a} for the mirror-parity levels i
+of a 1D particle: a fixed diagonal phase 1j**m makes both blocks real
+symmetric, so the spectrum comes from two real half-size solves, about a
+quarter of the n^3 of one complex solve.  The writer checks both claims for
+each term and raises :class:`ParityError` when one fails.  The blocks come
+as :class:`ParityBlocks`, which :func:`block_parity_eigvalsh` checks once
+each for finiteness and symmetry and solves with ``numpy.linalg.eigvalsh``.
 
-A builder that knows its model's parity can skip the complex matrix
-altogether and write the real blocks itself.  Dense blocks (the corrected
-Coulomb, Taylor-order, alpha-family and Dicke models) come as
-:class:`ParityBlocks`, which :func:`block_parity_eigvalsh` checks once each
-for finiteness and symmetry and solves with ``numpy.linalg.eigvalsh``.
 Where the blocks are banded, ordered by Fock index (the dipole and naive
 Coulomb Rabi models are tri- and pentadiagonal chains |0,g>, |1,e>, |2,g>,
 ...), the builder writes the two chains as :class:`ParityBands`, which
@@ -187,74 +186,6 @@ def hermitian_eig(M: OperatorMatrix, vectors: bool = True) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
-# 1j**m for m = 0..3, exact; 1j**m itself is not for large m (1j**101 has
-# a real part of 4.4e-15), so the matter index is reduced mod 4 into this table
-_I_POWERS = np.array([1, 1j, -1, -1j])
-
-
-def parity_eigvalsh(H: OperatorMatrix, field_dim: int) -> np.ndarray:
-    """Ascending eigenvalues of a matter (x) Fock operator, solved as two
-    real symmetric parity blocks.
-
-    Basis index k = m * field_dim + n, with m the matter index (ascending
-    spin projection, or the level of a mirror-parity 1D basis) and n the
-    Fock index; the parity sorts k into the class (m + n) mod 2.
-    Conjugating by the diagonal phase phi_k = 1j**m turns the sigma_y and
-    i (a^dag - a) couplings of every Rabi and Dicke builder, and the
-    x i(a^dag - a) and p (a + a^dag) couplings of the full 1D models, into
-    real entries, so each block is solved in
-    real arithmetic (``numpy.linalg.eigvalsh`` on the real part of the
-    phased block).  The result is read-only.
-
-    Raises ParityError when the off-parity block or the imaginary part of a
-    phased block exceeds HERMITICITY_RTOL * max(max|H|, 1), NonHermitianError
-    for an untagged non-Hermitian matrix, and ConvergenceFailureError if
-    LAPACK does not converge.
-    """
-    arr = H.arr
-    if not H.hermitian_hint:
-        _check_hermitian(arr, "matrix is not Hermitian:")
-    if field_dim < 1 or arr.shape[0] % field_dim:
-        raise DimensionMismatchError(
-            f"dimension {arr.shape[0]} is not a multiple of field_dim {field_dim}")
-    matter = arr.shape[0] // field_dim
-    # H[m, n, m2, n2]; next to matter index m, parity class c holds the Fock
-    # levels n = (m + c) % 2, +2, ..., so every (m, m2) piece of a block is a
-    # strided view and no fancy-index gather is needed
-    h4 = arr.reshape(matter, field_dim, matter, field_dim)
-
-    def fock(m, c):
-        return slice((m + c) % 2, None, 2)
-
-    pairs = [(m, m2) for m in range(matter) for m2 in range(matter)]
-    limit = HERMITICITY_RTOL * max(float(np.abs(arr).max()), 1.0)
-    leak = max(float(np.abs(h4[m, fock(m, 0), m2, fock(m2, 1)]).max(initial=0.0))
-               for m, m2 in pairs)
-    if leak > limit:
-        raise ParityError(f"off-parity block: max|H| = {leak:.3e} exceeds {limit:.3e}")
-    ws = []
-    for c in (0, 1):
-        edges = np.cumsum([0] + [len(range((m + c) % 2, field_dim, 2))
-                                 for m in range(matter)])
-        block = np.empty((edges[-1], edges[-1]))
-        imag = 0.0
-        for m, m2 in pairs:
-            # the phased entry conj(phi_k) H_kl phi_l = 1j**(m2 - m) H_kl
-            piece = h4[m, fock(m, c), m2, fock(m2, c)] * _I_POWERS[(m2 - m) % 4]
-            block[edges[m]:edges[m + 1], edges[m2]:edges[m2 + 1]] = piece.real
-            imag = max(imag, float(np.abs(piece.imag).max(initial=0.0)))
-        if imag > limit:
-            raise ParityError(
-                f"phased parity block: max|Im| = {imag:.3e} exceeds {limit:.3e}")
-        try:
-            ws.append(np.linalg.eigvalsh(block))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailureError(f"eigensolver did not converge: {exc}") from exc
-    w = np.sort(np.concatenate(ws))
-    w.flags.writeable = False
-    return w
-
-
 @dataclass(frozen=True)
 class ParityBands:
     """The real parity blocks of a matter (x) Fock operator as banded chains.
@@ -277,11 +208,11 @@ class ParityBands:
 
 @dataclass(frozen=True)
 class ParityBlocks:
-    """The real parity blocks of a matter (x) Fock operator, written
-    directly: block c holds the phased entries 1j**(m2 - m) H_kl of parity
-    class c, ordered as :func:`parity_eigvalsh` gathers them (matter index m
-    slowest, the Fock levels n = (m + c) mod 2, +2, ... next to it).  The
-    arrays are frozen in place, so a builder hands over fresh ones.
+    """The real parity blocks of a matter (x) Fock operator, as
+    :func:`parity_block_sum` writes them: block c holds the phased entries
+    1j**(m2 - m) H_kl of parity class c, the matter index m slowest and the
+    Fock levels n = (m + c) mod 2, +2, ... next to it.  The arrays are
+    frozen in place, so a builder hands over fresh ones.
     """
 
     blocks: Tuple[np.ndarray, ...]
@@ -294,6 +225,103 @@ class ParityBlocks:
                     f"a block must be a square float64 matrix, got shape "
                     f"{block.shape} {block.dtype}")
             block.flags.writeable = False
+
+
+def _term_dims(terms) -> Tuple[int, int]:
+    """The matter and field dimensions that every (S, F) term shares."""
+    matter, field = terms[0][0].shape[0], terms[0][1].shape[0]
+    for S, F in terms:
+        if S.shape != (matter, matter) or F.shape != (field, field):
+            raise DimensionMismatchError(
+                f"term shapes {S.shape} (x) {F.shape} do not match "
+                f"({matter}, {matter}) (x) ({field}, {field})")
+    return matter, field
+
+
+def kron_sum(terms) -> OperatorMatrix:
+    """The Hermitian operator sum_t S_t (x) F_t of the (S, F) terms, the
+    first factor on the slow axis, summed in the order of the terms.
+
+    The matrix is formed one matter row block at a time, so beyond the
+    result only a 1/matter-size scratch block is live, and every entry is
+    the one np.kron(S1, F1) + np.kron(S2, F2) + ... gives.  Raises
+    DimensionMismatchError when the terms disagree in shape and
+    NonHermitianError when the sum is not Hermitian.
+    """
+    matter, field = _term_dims(terms)
+    H = np.empty((matter * field, matter * field), dtype=complex)
+    for i, row in enumerate(H.reshape(matter, field, matter, field)):
+        for t, (S, F) in enumerate(terms):
+            # rows i*field .. (i+1)*field - 1 of kron(S, F), as [k, j, l]
+            K = S[i][None, :, None] * F[:, None, :]
+            if t == 0:
+                row[...] = K
+            else:
+                row += K
+    return hermitian_operator(H)
+
+
+def _parity_maxima(op: np.ndarray) -> Tuple[float, float]:
+    """max|op| over the entries whose two indices differ by an even number,
+    and over those that differ by an odd number."""
+    a = np.abs(op)
+    even = max(a[0::2, 0::2].max(initial=0.0), a[1::2, 1::2].max(initial=0.0))
+    odd = max(a[0::2, 1::2].max(initial=0.0), a[1::2, 0::2].max(initial=0.0))
+    return float(even), float(odd)
+
+
+# 1j**m for m = 0..3, exact; 1j**m itself is not for large m (1j**101 has
+# a real part of 4.4e-15), so the matter index is reduced mod 4 into this table
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def parity_block_sum(terms) -> ParityBlocks:
+    """The real parity blocks of sum_t S_t (x) F_t, for matter operators S_t
+    and real field operators F_t on Fock levels 0, 1, ...
+
+    Block c holds the basis states of parity (m + n) mod 2 = c: the matter
+    index m is slowest, and the Fock levels n = (m + c) mod 2, +2, ... sit
+    next to m.  Each S_t enters phased by the 1j**m rule,
+    1j**(m2 - m) S_t[m, m2], and only its nonzero entries are visited: J_z
+    is one diagonal, J_x and J_y are two and J_x^2 is three.
+
+    Each term is checked before it is written.  It must keep the parity: the
+    entries a block has no room for, those with m + n + m2 + n2 odd, are
+    dropped, and ParityError is raised when max|S_mm2| max|F_nn2| over them
+    exceeds HERMITICITY_RTOL * max(max|S| max|F|, 1).  Its phased matter
+    entries must be real to HERMITICITY_RTOL * max(max|S|, 1), or
+    ParityError is raised too.  DimensionMismatchError is raised when the
+    terms disagree in shape.
+    """
+    matter, field = _term_dims(terms)
+    phased = []
+    for t, (S, F) in enumerate(terms):
+        s_even, s_odd = _parity_maxima(S)
+        f_even, f_odd = _parity_maxima(F)
+        s_max = max(s_even, s_odd)
+        leak = max(s_even * f_odd, s_odd * f_even)
+        limit = HERMITICITY_RTOL * max(s_max * max(f_even, f_odd), 1.0)
+        if leak > limit:
+            raise ParityError(f"term {t} leaves the parity blocks: max|S| max|F| = "
+                              f"{leak:.3e} over the dropped entries exceeds {limit:.3e}")
+        m, m2 = np.nonzero(S)
+        s = S[m, m2] * _I_POWERS[(m2 - m) % 4]
+        limit = HERMITICITY_RTOL * max(s_max, 1.0)
+        imag = float(np.abs(s.imag).max(initial=0.0))
+        if imag > limit:
+            raise ParityError(f"term {t}: the matter operator is not real after the 1j**m "
+                              f"phase: max|Im| = {imag:.3e} exceeds {limit:.3e}")
+        phased.append((m, m2, s.real, F))
+    blocks = []
+    for c in (0, 1):
+        edges = np.cumsum([0] + [len(range((m + c) % 2, field, 2)) for m in range(matter)])
+        block = np.zeros((edges[-1], edges[-1]))
+        for m, m2, s, F in phased:
+            for i, i2, v in zip(m, m2, s):
+                block[edges[i]:edges[i + 1], edges[i2]:edges[i2 + 1]] += \
+                    v * F[(i + c) % 2::2, (i2 + c) % 2::2]
+        blocks.append(block)
+    return ParityBlocks(tuple(blocks))
 
 
 def block_parity_eigvalsh(blocks: ParityBlocks) -> np.ndarray:

@@ -12,7 +12,9 @@ Provides the matter side of the full (many-level) light-matter models:
 * ``check_minimal_coupling_identity`` phase-conjugation route vs direct
                                       p -> p - qA0 substitution on the grid
 * ``build_full_H_D`` / ``build_full_H_C``   untruncated-matter gauge partners
-                                      in the M_used-level eigenbasis
+                                      in the M_used-level eigenbasis, and
+                                      ``blocks_full_H_D`` / ``blocks_full_H_C``
+                                      their real parity blocks
 * ``trk_sum``                         oscillator-strength sum over retained
                                       levels
 
@@ -24,8 +26,9 @@ roundoff.
 For a mirror-symmetric potential on a grid centred on x = 0 the
 eigenfunctions are projected onto exact parity (-1)^i, and the basis is
 marked ``mirror_parity``.  The full models then commute with the parity
-(-1)^i (-1)^{a^dag a} and split into the real blocks that
-``linalg.parity_eigvalsh`` solves.
+(-1)^i (-1)^{a^dag a}, and ``blocks_full_H_*`` writes their two real
+parity blocks from the same (matter, field) terms that ``build_full_H_*``
+writes as a dense matrix.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import OperatorMatrix, check_dim, hermitian_operator
-from .qops import _fock_arrays
+from .linalg import OperatorMatrix, ParityBlocks, check_dim, kron_sum, parity_block_sum
+from .qops import _real_fock_arrays
 
 BOUNDARY_AMPLITUDE_MAX = 1e-8
 GRID_SHIFT_MAX = 1e-6
@@ -458,47 +461,40 @@ def check_minimal_coupling_identity(model: ParticleModel, A0: float) -> MinimalC
                                  passed=residual_rel <= MINIMAL_COUPLING_RTOL)
 
 
-def _matter_blocks(basis: MatterBasis, m_used: int):
+def _check_m_used(basis: MatterBasis, m_used: int) -> None:
     if not 2 <= m_used <= basis.m_levels:
         raise ValueError(f"m_used must be in [2, {basis.m_levels}], got {m_used}")
-    E = np.diag(basis.energies[:m_used]).astype(complex)
-    X = basis.x_elems[:m_used, :m_used].astype(complex)
-    X2 = basis.x2_elems[:m_used, :m_used].astype(complex)
-    P = basis.p_elems[:m_used, :m_used].astype(complex)
-    return E, X, X2, P
 
 
-def _field_parts(cutoff: int, m_used: int):
-    """Fock matrices as plain arrays plus the matter and field identities,
-    after the dimension cap on the m_used x (cutoff + 1) product space."""
-    nf = cutoff + 1
-    check_dim(m_used * nf)
-    a, adag, nph = _fock_arrays(cutoff)
-    return a, adag, nph, np.eye(m_used, dtype=complex), np.eye(nf, dtype=complex)
+def _full_D_terms(model: ParticleModel, basis: MatterBasis, cutoff: int, A0: float,
+                  m_used: int, omega_c: float) -> list:
+    """The dipole-gauge full model as (matter, real field) terms:
+    omega_c 1 (x) n + H_0 (x) 1 + q^2 A0^2 omega_c x^2 (x) 1
+    + q omega_c A0 i x (x) (a^dag - a), after the dimension cap."""
+    _check_m_used(basis, m_used)
+    check_dim(m_used * (cutoff + 1))
+    n, _, P = _real_fock_arrays(cutoff)
+    q = model.charge
+    return [(np.eye(m_used), omega_c * n),
+            (np.diag(basis.energies[:m_used]), np.eye(cutoff + 1)),
+            (q ** 2 * A0 ** 2 * omega_c * basis.x2_elems[:m_used, :m_used],
+             np.eye(cutoff + 1)),
+            (q * omega_c * A0 * 1j * basis.x_elems[:m_used, :m_used], P)]
 
 
-def _kron_sum(terms) -> np.ndarray:
-    """sum of s * kron(A, B) over the (s, A, B) terms, in their order.
-
-    The sum is formed one matter row block at a time, so beyond the result
-    only a 1/m_used-size scratch block is live.  Every entry is computed as
-    in the plain expression s1 * kron(A1, B1) + s2 * kron(A2, B2) + ...,
-    so the result is bit-identical to it; s = None stands for an unscaled
-    term.
-    """
-    m, nf = terms[0][1].shape[0], terms[0][2].shape[0]
-    H = np.empty((m * nf, m * nf), dtype=complex)
-    for i, row in enumerate(H.reshape(m, nf, m, nf)):
-        for t, (s, A, B) in enumerate(terms):
-            # rows i*nf .. (i+1)*nf - 1 of kron(A, B), as [k, j, l]
-            K = A[i][None, :, None] * B[:, None, :]
-            if s is not None:
-                K *= s
-            if t == 0:
-                row[...] = K
-            else:
-                row += K
-    return H
+def _full_C_terms(model: ParticleModel, basis: MatterBasis, cutoff: int, A0: float,
+                  m_used: int, omega_c: float) -> list:
+    """The Coulomb-gauge full model as (matter, real field) terms:
+    omega_c 1 (x) n + H_0 (x) 1 - (q/m) A0 p (x) X
+    + (q^2 A0^2 / 2m) 1 (x) X^2, X = a + a^dag, after the dimension cap."""
+    _check_m_used(basis, m_used)
+    check_dim(m_used * (cutoff + 1))
+    n, X, _ = _real_fock_arrays(cutoff)
+    q = model.charge
+    return [(np.eye(m_used), omega_c * n),
+            (np.diag(basis.energies[:m_used]), np.eye(cutoff + 1)),
+            (-((q / model.mass) * A0) * basis.p_elems[:m_used, :m_used], X),
+            (q ** 2 * A0 ** 2 / (2.0 * model.mass) * np.eye(m_used), X @ X)]
 
 
 def build_full_H_D(model: ParticleModel, basis: MatterBasis, cutoff: int,
@@ -510,31 +506,28 @@ def build_full_H_D(model: ParticleModel, basis: MatterBasis, cutoff: int,
     The x^2 term keeps the full matrix elements of x^2 rather than the square
     of the truncated x, so the m_used -> M limit is the untruncated model.
     """
-    E, X, X2, _ = _matter_blocks(basis, m_used)
-    a, adag, nph, Im, If = _field_parts(cutoff, m_used)
-    q = model.charge
-    return hermitian_operator(_kron_sum([
-        (omega_c, Im, nph),
-        (None, E, If),
-        (q ** 2 * A0 ** 2 * omega_c, X2, If),
-        (q * omega_c * A0, X, 1j * (adag - a)),
-    ]))
+    return kron_sum(_full_D_terms(model, basis, cutoff, A0, m_used, omega_c))
+
+
+def blocks_full_H_D(model: ParticleModel, basis: MatterBasis, cutoff: int,
+                    A0: float, m_used: int, omega_c: float = 1.0) -> ParityBlocks:
+    """The real parity blocks of ``build_full_H_D`` for a ``mirror_parity``
+    basis; ParityError for a basis whose levels break the mirror parity."""
+    return parity_block_sum(_full_D_terms(model, basis, cutoff, A0, m_used, omega_c))
 
 
 def build_full_H_C(model: ParticleModel, basis: MatterBasis, cutoff: int,
                    A0: float, m_used: int, omega_c: float = 1.0) -> OperatorMatrix:
     """Coulomb-gauge partner: omega_c a^dag a + H_0 - (q/m) A0 p (a + a^dag)
     + (q^2 A0^2 / 2m)(a + a^dag)^2, with p in the m_used-level eigenbasis."""
-    E, _, _, P = _matter_blocks(basis, m_used)
-    a, adag, nph, Im, If = _field_parts(cutoff, m_used)
-    q = model.charge
-    Xf = a + adag
-    return hermitian_operator(_kron_sum([
-        (omega_c, Im, nph),
-        (None, E, If),
-        (-((q / model.mass) * A0), P, Xf),
-        (q ** 2 * A0 ** 2 / (2.0 * model.mass), Im, Xf @ Xf),
-    ]))
+    return kron_sum(_full_C_terms(model, basis, cutoff, A0, m_used, omega_c))
+
+
+def blocks_full_H_C(model: ParticleModel, basis: MatterBasis, cutoff: int,
+                    A0: float, m_used: int, omega_c: float = 1.0) -> ParityBlocks:
+    """The real parity blocks of ``build_full_H_C`` for a ``mirror_parity``
+    basis; ParityError for a basis whose levels break the mirror parity."""
+    return parity_block_sum(_full_C_terms(model, basis, cutoff, A0, m_used, omega_c))
 
 
 def trk_sum(basis: MatterBasis, model: ParticleModel,

@@ -1,9 +1,10 @@
 """Bosonic and collective-spin operators on truncated spaces.
 
-The builders take the plain complex arrays of ``_fock_arrays`` and
-``_spin_arrays`` and combine them with numpy; :func:`fock_ops` and
-:func:`spin_ops` return the same matrices wrapped as ``OperatorMatrix``.
-A cutoff is a plain ``int`` everywhere.
+The builders take the real Fock arrays of ``_real_fock_arrays`` (n,
+a + a^dag and a^dag - a) and the complex spin arrays of ``_spin_arrays`` as
+the factors of their (matter, field) terms; :func:`fock_ops` and
+:func:`spin_ops` return the complex ``_fock_arrays`` and the spin arrays
+wrapped as ``OperatorMatrix``.  A cutoff is a plain ``int`` everywhere.
 
 Basis conventions (used everywhere in the package):
 
@@ -21,7 +22,8 @@ on the coupling, so :func:`quadrature_eig` keeps it per cutoff; its
 eigenvalues are sqrt(2) times the Gauss-Hermite nodes of order cutoff + 1
 (Golub & Welsch, Math. Comp. 23, 221, 1969).  X is real symmetric and its
 phase-fixed eigenvectors are real, so :func:`real_quadrature_functions`
-forms cos/sin(k X), or any other function of X, as real arrays from them.
+forms cos/sin(k X), or any other function of X, as real arrays from them;
+the dense builders and the parity-block builders both read them.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .linalg import (HERMITICITY_RTOL, OperatorMatrix, ParityError, Spectrum, hermitian_eig,
-                     spectral_matrix)
+from .linalg import HERMITICITY_RTOL, OperatorMatrix, ParityError, Spectrum, hermitian_eig
 
 # cutoffs whose X eigendecomposition is kept; the default convergence
 # policy visits six (40, 80, ..., 1280), so one whole doubling chain fits
@@ -60,6 +61,14 @@ def _fock_arrays(cutoff: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     a[np.arange(cutoff), np.arange(1, cutoff + 1)] = np.sqrt(n[1:])
     return a, a.conj().T.copy(), np.diag(n.astype(complex))
+
+
+def _real_fock_arrays(cutoff: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n, X = a + a^dag and P = a^dag - a on dimension cutoff + 1 as real
+    arrays; P is antisymmetric, and i P is the Hermitian quadrature."""
+    a, _, n = _fock_arrays(cutoff)
+    a = a.real
+    return n.real, a + a.T, a.T - a
 
 
 def fock_ops(cutoff: int) -> FockOps:
@@ -94,14 +103,6 @@ def quadrature_eig(cutoff: int) -> Spectrum:
 
 quadrature_eig.cache_info = _quadrature_eig_cached.cache_info
 quadrature_eig.cache_clear = _quadrature_eig_cached.cache_clear
-
-
-def quadrature_cos_sin(cutoff: int, k: float) -> Tuple[np.ndarray, np.ndarray]:
-    """cos(k X) and sin(k X) for X = a + a^dag, as plain complex arrays built
-    from the cached :func:`quadrature_eig`."""
-    spec = quadrature_eig(cutoff)
-    return (spectral_matrix(spec, np.cos(k * spec.eigenvalues)),
-            spectral_matrix(spec, np.sin(k * spec.eigenvalues)))
 
 
 def real_quadrature_functions(cutoff: int, f) -> Tuple[np.ndarray, ...]:

@@ -17,28 +17,27 @@ of omega_c with hbar = 1:
                           and corrected C (alpha=1)
 
 The core works on matter (x) field with a collective spin j = two_j / 2 and
-a Hermitian field quadrature Q.  Its parts are the bare term
+a Hermitian field quadrature Q.  Each model is written once, as a list of
+(spin operator, field operator) terms: the bare terms
 omega_c 1 (x) n + omega_10 J_z (x) 1, the rotated splitting
-omega_10 (J_z (x) cos phi Q + J_y (x) sin phi Q) and the reference
-conjugation U = exp(i phi J_x (x) Q).  The Rabi model is two_j = 1 (the
-j = 1/2 case: sigma_k = 2 J_k, so 0.5 omega_10 sigma_z = omega_10 J_z and
-g sigma_k = 2 g J_k bit for bit), ``gaugeqed.dicke`` is two_j = N, and
-``gaugeqed.fluxonium``'s charge gauge is the a -> ia case,
-Q = i(a - a^dag).
+omega_10 (J_z (x) cos phi Q + J_y (x) sin phi Q), the dipole coupling and
+the naive Coulomb coupling.  Each ``build_*`` hands its list to the dense writer
+``linalg.kron_sum``, and each ``blocks_*`` hands the same list to the block
+writer ``linalg.parity_block_sum``, which writes the two real parity blocks
+(``linalg.ParityBlocks``) the sweeps and studies solve.  The field
+operators are real (n, a + a^dag, a^dag - a, and cos/sin of 2 eta (a + a^dag)
+from the real eigenvectors of a + a^dag), and a dipole coupling
+i J_x (x) (a^dag - a) carries its i on the spin side, where the 1j**m phase
+makes it real.  The one reference conjugation U = exp(i phi J_x (x) Q)
+serves every ``method="conjugation"`` and ``check_gauge_theorem``.  The
+Rabi model is two_j = 1 (the j = 1/2 case: sigma_k = 2 J_k, so
+0.5 omega_10 sigma_z = omega_10 J_z and g sigma_k = 2 g J_k bit for bit),
+``gaugeqed.dicke`` is two_j = N, and ``gaugeqed.fluxonium``'s charge gauge
+is the a -> ia case, Q = i(a - a^dag).
 
-The sweeps and studies never assemble these matrices.  The core's block
-writer takes the same terms as a list of (spin operator, real field
-operator) pairs and writes the two real parity blocks (``linalg.ParityBlocks``)
-straight from them: the 1j**m phase that makes a parity block real becomes
-a sign on each spin entry, only the one to three nonzero diagonals of J_z,
-J_y, J_x and J_x^2 are visited, and cos/sin of 2 eta (a + a^dag) are real
-arrays from the real eigenvectors of a + a^dag.  ``blocks_H_C_correct``,
-``blocks_H_C_taylor`` and ``blocks_H_alpha`` (and the ``blocks_dicke_*`` of
-``gaugeqed.dicke``) each sit next to their dense builder, which stays the
-reference the tests compare them with.  ``bands_H_D`` and
-``bands_H_C_standard`` write the D and naive Coulomb models as their two
-real parity chains in band storage (tri- and pentadiagonal), straight from
-closed forms, for the sweeps' banded solve.
+``bands_H_D`` and ``bands_H_C_standard`` write the D and naive Coulomb
+models as their two real parity chains in band storage (tri- and
+pentadiagonal), straight from closed forms, for the sweeps' banded solve.
 
 Derived couplings: g_D = eta * omega_c and g_C = g_D * omega_10 / omega_c.
 Every builder drops state-independent constants, so physical statements are
@@ -56,11 +55,9 @@ import numpy as np
 
 # hermitian_eig is not called here; it stays importable as rabi.hermitian_eig,
 # which the benchmark tracer's tests rebind and restore
-from .linalg import (_I_POWERS, HERMITICITY_RTOL, OperatorMatrix, ParityBands, ParityBlocks,
-                     ParityError, check_dim, conjugate, hermitian_eig, hermitian_operator,
-                     spectral_matrix, unitary_exp)
-from .qops import (_fock_arrays, _spin_arrays, quadrature_cos_sin, quadrature_eig,
-                   real_quadrature_functions)
+from .linalg import (OperatorMatrix, ParityBands, ParityBlocks, check_dim, conjugate,
+                     hermitian_eig, hermitian_operator, kron_sum, parity_block_sum, unitary_exp)
+from .qops import _real_fock_arrays, _spin_arrays, real_quadrature_functions
 
 # the omitted Maclaurin tail is summed until a term falls below this
 # fraction of max(|tail|, 1), far under double precision's 2^-53
@@ -112,57 +109,7 @@ class RabiParams:
 
 
 # ---------------------------------------------------------------------------
-# the spin-j gauge core: plain complex arrays on matter (x) field
-# ---------------------------------------------------------------------------
-
-class _Parts(NamedTuple):
-    a: np.ndarray
-    adag: np.ndarray
-    n: np.ndarray
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
-    eye_spin: np.ndarray
-    eye_field: np.ndarray
-
-
-def _parts(two_j: int, cutoff: int) -> _Parts:
-    """Fock and spin-(two_j / 2) arrays and both identities, after the
-    dimension cap on (two_j + 1) (cutoff + 1)."""
-    check_dim((two_j + 1) * (cutoff + 1))
-    return _Parts(*_fock_arrays(cutoff), *_spin_arrays(two_j),
-                  np.eye(two_j + 1, dtype=complex), np.eye(cutoff + 1, dtype=complex))
-
-
-def _bare(s: _Parts, omega_c: float, omega_10: float) -> np.ndarray:
-    """omega_c 1 (x) n + omega_10 J_z (x) 1."""
-    return omega_c * np.kron(s.eye_spin, s.n) + omega_10 * np.kron(s.jz, s.eye_field)
-
-
-def _rotated(s: _Parts, omega_c: float, omega_10: float, cos: np.ndarray,
-             sin: np.ndarray) -> np.ndarray:
-    """omega_c 1 (x) n + omega_10 (J_z (x) cos + J_y (x) sin): the bare
-    splitting turned about J_x, given cos(phi Q) and sin(phi Q) (or their
-    Maclaurin polynomials)."""
-    return omega_c * np.kron(s.eye_spin, s.n) + omega_10 * (np.kron(s.jz, cos)
-                                                             + np.kron(s.jy, sin))
-
-
-def _rotation(s: _Parts, Q: np.ndarray, phi: float) -> OperatorMatrix:
-    """The reference conjugation U = exp(i phi J_x (x) Q)."""
-    return unitary_exp(OperatorMatrix(np.kron(s.jx, Q)), phi)
-
-
-def _conjugated(s: _Parts, omega_c: float, omega_10: float, Q: np.ndarray,
-                phi: float) -> np.ndarray:
-    """U (omega_10 J_z (x) 1) U^dag + omega_c 1 (x) n, with U = exp(i phi J_x (x) Q);
-    equal to the rotated splitting at cos(phi Q), sin(phi Q) up to roundoff."""
-    H0 = hermitian_operator(omega_10 * np.kron(s.jz, s.eye_field))
-    return conjugate(_rotation(s, Q, phi), H0).arr + omega_c * np.kron(s.eye_spin, s.n)
-
-
-# ---------------------------------------------------------------------------
-# the core's real parity blocks: the same terms, never the complex matrix
+# the spin-j gauge core: each model as one list of (spin, field) terms
 # ---------------------------------------------------------------------------
 
 class _RealParts(NamedTuple):
@@ -180,54 +127,62 @@ def _real_parts(two_j: int, cutoff: int) -> _RealParts:
     """Real Fock arrays and the complex spin-(two_j / 2) arrays, after the
     dimension cap on (two_j + 1) (cutoff + 1)."""
     check_dim((two_j + 1) * (cutoff + 1))
-    a, _, n = _fock_arrays(cutoff)
-    a = a.real
-    return _RealParts(n.real, a + a.T, a.T - a, np.eye(cutoff + 1), *_spin_arrays(two_j),
+    n, X, P = _real_fock_arrays(cutoff)
+    return _RealParts(n, X, P, np.eye(cutoff + 1), *_spin_arrays(two_j),
                       np.eye(two_j + 1, dtype=complex))
 
 
-def _blocks(two_j: int, cutoff: int, terms) -> ParityBlocks:
-    """The real parity blocks of sum_t S_t (x) F_t, for spin-(two_j / 2)
-    operators S_t and real field operators F_t on Fock levels 0..cutoff.
+def _rotation(s: _RealParts, Q: np.ndarray, phi: float) -> OperatorMatrix:
+    """The reference conjugation U = exp(i phi J_x (x) Q)."""
+    return unitary_exp(OperatorMatrix(np.kron(s.jx, Q)), phi)
 
-    Block c is laid out as ``linalg.parity_eigvalsh`` gathers it: the matter
-    index m is slowest, and the Fock levels n = (m + c) mod 2, +2, ... sit
-    next to m.  Each S_t enters phased by the 1j**m rule,
-    1j**(m2 - m) S_t[m, m2], which must come out real (ParityError
-    otherwise), and only its nonzero entries are visited: J_z is one
-    diagonal, J_x and J_y are two and J_x^2 is three.  Every term must keep the parity
-    (m + n) mod 2, since a block has no room for the entries that would not.
-    """
-    phased = []
-    for spin, field in terms:
-        m, m2 = np.nonzero(spin)
-        s = spin[m, m2] * _I_POWERS[(m2 - m) % 4]
-        limit = HERMITICITY_RTOL * max(float(np.abs(s).max(initial=0.0)), 1.0)
-        if np.abs(s.imag).max(initial=0.0) > limit:
-            raise ParityError("a spin operator is not real after the 1j**m phase")
-        phased.append((m, m2, s.real, field))
-    nf = cutoff + 1
-    blocks = []
-    for c in (0, 1):
-        edges = np.cumsum([0] + [len(range((m + c) % 2, nf, 2)) for m in range(two_j + 1)])
-        block = np.zeros((edges[-1], edges[-1]))
-        for m, m2, s, field in phased:
-            for i, i2, v in zip(m, m2, s):
-                block[edges[i]:edges[i + 1], edges[i2]:edges[i2 + 1]] += \
-                    v * field[(i + c) % 2::2, (i2 + c) % 2::2]
-        blocks.append(block)
-    return ParityBlocks(tuple(blocks))
+
+def _conjugated(s: _RealParts, omega_c: float, omega_10: float, Q: np.ndarray,
+                phi: float) -> np.ndarray:
+    """U (omega_10 J_z (x) 1) U^dag + omega_c 1 (x) n, with U = exp(i phi J_x (x) Q);
+    equal to the rotated splitting at cos(phi Q), sin(phi Q) up to roundoff."""
+    H0 = hermitian_operator(omega_10 * np.kron(s.jz, s.eye_field))
+    return conjugate(_rotation(s, Q, phi), H0).arr + omega_c * np.kron(s.eye_spin, s.n)
 
 
 def _bare_terms(s: _RealParts, omega_c: float, omega_10: float) -> list:
-    """omega_c 1 (x) n + omega_10 J_z (x) 1, as block terms."""
+    """omega_c 1 (x) n + omega_10 J_z (x) 1."""
     return [(s.eye_spin, omega_c * s.n), (omega_10 * s.jz, s.eye_field)]
 
 
 def _rotated_terms(s: _RealParts, omega_c: float, omega_10: float, cos: np.ndarray,
                    sin: np.ndarray) -> list:
-    """omega_c 1 (x) n + omega_10 (J_z (x) cos + J_y (x) sin), as block terms."""
+    """omega_c 1 (x) n + omega_10 (J_z (x) cos + J_y (x) sin): the bare
+    splitting turned about J_x, given cos(phi Q) and sin(phi Q) (or their
+    Maclaurin polynomials)."""
     return [(s.eye_spin, omega_c * s.n), (omega_10 * s.jz, cos), (omega_10 * s.jy, sin)]
+
+
+def _dipole_terms(s: _RealParts, p: RabiParams) -> list:
+    """The bare terms plus the dipole coupling 2 g_D J_x (x) i(a^dag - a),
+    entered as i J_x (x) (a^dag - a), whose phased spin part is real."""
+    return _bare_terms(s, p.omega_c, p.omega_10) + [(2.0 * p.g_d * 1j * s.jx, s.P)]
+
+
+def _diamagnetic(p: RabiParams, two_j: int) -> float:
+    """two_j g_C^2 / omega_10: for each of the two_j dipoles, the coefficient
+    that saturates the oscillator-strength sum rule with the single retained
+    transition."""
+    return two_j * p.g_c ** 2 / p.omega_10
+
+
+def _standard_terms(s: _RealParts, p: RabiParams) -> list:
+    """The naive Coulomb model: the bare terms, 2 g_C J_y (x) X and the
+    scalar diamagnetic term on X^2, for the spin of ``s``."""
+    two_j = s.jz.shape[0] - 1
+    return _bare_terms(s, p.omega_c, p.omega_10) + [
+        (2.0 * p.g_c * s.jy, s.X), (_diamagnetic(p, two_j) * s.eye_spin, s.X @ s.X)]
+
+
+def _correct_terms(s: _RealParts, p: RabiParams) -> list:
+    """The corrected Coulomb model: the splitting rotated by real cos/sin of
+    2 eta X, taken after the dimension cap that ``s`` has passed."""
+    return _rotated_terms(s, p.omega_c, p.omega_10, *_real_cos_sin(p.cutoff, 2.0 * p.eta))
 
 
 def _real_cos_sin(cutoff: int, k: float):
@@ -236,14 +191,13 @@ def _real_cos_sin(cutoff: int, k: float):
 
 
 # ---------------------------------------------------------------------------
-# Rabi builders: the core at two_j = 1 with Q = a + a^dag
+# Rabi builders: the core at two_j = 1 with Q = a + a^dag; each build_* is
+# the dense writer on the model's terms, each blocks_* the block writer
 # ---------------------------------------------------------------------------
 
 def build_H_D(p: RabiParams) -> OperatorMatrix:
     """Dipole-gauge Rabi Hamiltonian (two-level truncation is exact here)."""
-    s = _parts(1, p.cutoff)
-    return hermitian_operator(_bare(s, p.omega_c, p.omega_10)
-                              + 2.0 * p.g_d * np.kron(s.jx, 1j * (s.adag - s.a)))
+    return kron_sum(_dipole_terms(_real_parts(1, p.cutoff), p))
 
 
 def build_H_C_standard(p: RabiParams) -> OperatorMatrix:
@@ -253,15 +207,7 @@ def build_H_C_standard(p: RabiParams) -> OperatorMatrix:
     saturates the oscillator-strength sum rule with the single retained
     transition.
     """
-    s = _parts(1, p.cutoff)
-    X = s.a + s.adag
-    return hermitian_operator(_bare(s, p.omega_c, p.omega_10)
-                              + 2.0 * p.g_c * np.kron(s.jy, X)
-                              + _sum_rule_diamagnetic(p) * np.kron(s.eye_spin, X @ X))
-
-
-def _sum_rule_diamagnetic(p: RabiParams) -> float:
-    return p.g_c ** 2 / p.omega_10
+    return kron_sum(_standard_terms(_real_parts(1, p.cutoff), p))
 
 
 def _parity_chains(p: RabiParams, bandwidth: int):
@@ -270,7 +216,7 @@ def _parity_chains(p: RabiParams, bandwidth: int):
     bandwidth holding the uncoupled diagonal omega_c n + (omega_10/2) sigma_z.
 
     The chain |0, m(0)>, |1, m(1)>, ... is the parity block that
-    ``linalg.parity_eigvalsh`` solves, reordered by n; its entries are the
+    ``linalg.parity_block_sum`` writes, reordered by n; its entries are the
     phased ones, 1j**(m2 - m) H_kl.
     """
     check_dim(p.dim)
@@ -300,7 +246,7 @@ def bands_H_C_standard(p: RabiParams) -> ParityBands:
     X = a + a^dag.  (X^2)_nn = 2n + 1 except at the top level, where the
     truncated X @ X has n = cutoff.
     """
-    diamagnetic = _sum_rule_diamagnetic(p)
+    diamagnetic = _diamagnetic(p, 1)
     chains = []
     for n, m, band in _parity_chains(p, 2):
         x2 = 2.0 * n + 1.0
@@ -322,22 +268,17 @@ def build_H_C_correct(p: RabiParams, method: str = "closed_form") -> OperatorMat
     to eigensolver roundoff on the truncated space (the rotation identity is
     exact there).
     """
-    s = _parts(1, p.cutoff)
     if method == "conjugation":
-        return hermitian_operator(_conjugated(s, p.omega_c, p.omega_10, s.a + s.adag,
-                                              2.0 * p.eta))
+        s = _real_parts(1, p.cutoff)
+        return hermitian_operator(_conjugated(s, p.omega_c, p.omega_10, s.X, 2.0 * p.eta))
     if method == "closed_form":
-        cosX, sinX = quadrature_cos_sin(p.cutoff, 2.0 * p.eta)
-        return hermitian_operator(_rotated(s, p.omega_c, p.omega_10, cosX, sinX))
+        return kron_sum(_correct_terms(_real_parts(1, p.cutoff), p))
     raise ValueError(f"unknown method {method!r}")
 
 
 def blocks_H_C_correct(p: RabiParams) -> ParityBlocks:
-    """The real parity blocks of ``build_H_C_correct`` (closed form), written
-    by the core from real cos/sin of 2 eta (a + a^dag)."""
-    s = _real_parts(1, p.cutoff)
-    cos, sin = _real_cos_sin(p.cutoff, 2.0 * p.eta)
-    return _blocks(1, p.cutoff, _rotated_terms(s, p.omega_c, p.omega_10, cos, sin))
+    """The real parity blocks of ``build_H_C_correct`` (closed form)."""
+    return parity_block_sum(_correct_terms(_real_parts(1, p.cutoff), p))
 
 
 def maclaurin_cos_sin(values: np.ndarray, order: int):
@@ -385,6 +326,13 @@ def maclaurin_cos_sin(values: np.ndarray, order: int):
     return head[0], head[1]
 
 
+def _taylor_terms(p: RabiParams, order: int) -> list:
+    s = _real_parts(1, p.cutoff)
+    cos, sin = real_quadrature_functions(
+        p.cutoff, lambda x: maclaurin_cos_sin(2.0 * p.eta * x, order))
+    return _rotated_terms(s, p.omega_c, p.omega_10, cos, sin)
+
+
 def build_H_C_taylor(p: RabiParams, order: int) -> OperatorMatrix:
     """Corrected Coulomb-gauge model with order-n Maclaurin cos/sin.
 
@@ -393,20 +341,12 @@ def build_H_C_taylor(p: RabiParams, order: int) -> OperatorMatrix:
     sum-rule-corrected quadratic model; as order grows the spectrum converges
     to ``build_H_C_correct`` at the same cutoff.
     """
-    s = _parts(1, p.cutoff)
-    spec = quadrature_eig(p.cutoff)
-    cvals, svals = maclaurin_cos_sin(2.0 * p.eta * spec.eigenvalues, order)
-    return hermitian_operator(_rotated(s, p.omega_c, p.omega_10,
-                                       spectral_matrix(spec, cvals),
-                                       spectral_matrix(spec, svals)))
+    return kron_sum(_taylor_terms(p, order))
 
 
 def blocks_H_C_taylor(p: RabiParams, order: int) -> ParityBlocks:
     """The real parity blocks of ``build_H_C_taylor``."""
-    s = _real_parts(1, p.cutoff)
-    cos, sin = real_quadrature_functions(
-        p.cutoff, lambda x: maclaurin_cos_sin(2.0 * p.eta * x, order))
-    return _blocks(1, p.cutoff, _rotated_terms(s, p.omega_c, p.omega_10, cos, sin))
+    return parity_block_sum(_taylor_terms(p, order))
 
 
 def _check_alpha(alpha: float) -> float:
@@ -416,30 +356,26 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _alpha_terms(p: RabiParams, alpha: float) -> list:
+    alpha = _check_alpha(alpha)
+    s = _real_parts(1, p.cutoff)
+    cos, sin = _real_cos_sin(p.cutoff, 2.0 * alpha * p.eta)
+    return _rotated_terms(s, p.omega_c, p.omega_10, cos, sin) \
+        + [((1.0 - alpha) * 2.0 * p.g_d * 1j * s.jx, s.P)]
+
+
 def build_H_alpha(p: RabiParams, alpha: float) -> OperatorMatrix:
     """Gauge family interpolating the dipole (alpha=0) and corrected Coulomb
     (alpha=1) forms; transition energies are alpha-independent.
 
     Raises ValueError unless 0 <= alpha <= 1.
     """
-    alpha = _check_alpha(alpha)
-    s = _parts(1, p.cutoff)
-    cosX, sinX = quadrature_cos_sin(p.cutoff, 2.0 * alpha * p.eta)
-    # the dipole coupling meets no nonzero entry of the omega_c n diagonal,
-    # so adding it last gives the same sum as adding it second
-    return hermitian_operator(_rotated(s, p.omega_c, p.omega_10, cosX, sinX)
-                              + (1.0 - alpha) * 2.0 * p.g_d
-                              * np.kron(s.jx, 1j * (s.adag - s.a)))
+    return kron_sum(_alpha_terms(p, alpha))
 
 
 def blocks_H_alpha(p: RabiParams, alpha: float) -> ParityBlocks:
-    """The real parity blocks of ``build_H_alpha``; the dipole coupling
-    enters as i J_x (x) (a^dag - a), whose phased spin part is real."""
-    alpha = _check_alpha(alpha)
-    s = _real_parts(1, p.cutoff)
-    cos, sin = _real_cos_sin(p.cutoff, 2.0 * alpha * p.eta)
-    return _blocks(1, p.cutoff, _rotated_terms(s, p.omega_c, p.omega_10, cos, sin)
-                   + [((1.0 - alpha) * 2.0 * p.g_d * 1j * s.jx, s.P)])
+    """The real parity blocks of ``build_H_alpha``."""
+    return parity_block_sum(_alpha_terms(p, alpha))
 
 
 @dataclass(frozen=True)
@@ -477,8 +413,8 @@ def check_gauge_theorem(p: RabiParams, interior_fraction: float = 0.8,
     """
     if not 0.0 < interior_fraction <= 1.0:
         raise ValueError(f"interior_fraction must be in (0, 1], got {interior_fraction}")
-    s = _parts(1, p.cutoff)
-    U = _rotation(s, s.a + s.adag, 2.0 * p.eta)
+    s = _real_parts(1, p.cutoff)
+    U = _rotation(s, s.X, 2.0 * p.eta)
     hd = hermitian_operator(build_H_D(p).arr
                             + (p.eta ** 2 * p.omega_c) * np.eye(p.dim, dtype=complex))
     hc = build_H_C_correct(p, method="closed_form")

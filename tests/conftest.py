@@ -27,6 +27,22 @@ def pauli():
     return tuple(OperatorMatrix(s, hermitian_hint=True) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
 
 
+def phased_blocks(H, matter, field_dim):
+    """The two parity blocks of a dense matter (x) Fock matrix, gathered the
+    slow way: entries 1j**(m2 - m) H_kl of parity class (m + n) mod 2 = c,
+    matter index m slowest and Fock levels n = (m + c) mod 2, +2, ... next
+    to it, as ``linalg.parity_block_sum`` writes them; returns (real blocks,
+    max|Im| of the phased blocks)."""
+    h4 = H.arr.reshape(matter, field_dim, matter, field_dim)
+    blocks, imag = [], 0.0
+    for c in (0, 1):
+        block = np.block([[h4[m, (m + c) % 2::2, m2, (m2 + c) % 2::2] * 1j ** ((m2 - m) % 4)
+                           for m2 in range(matter)] for m in range(matter)])
+        blocks.append(block.real)
+        imag = max(imag, float(np.abs(block.imag).max()))
+    return blocks, imag
+
+
 def random_hermitian(dim, seed, scale=1.0):
     g = rng(seed)
     m = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))

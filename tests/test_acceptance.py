@@ -41,6 +41,7 @@ from gaugeqed.experiments import (
     taylor_study,
     write_sweep_csv,
 )
+from test_dicke import closed_form_at
 from test_particle1d import gauge_gap
 from test_rabi import GOLD_CSTD_T1_REL_DEV
 
@@ -143,9 +144,8 @@ def test_06_dicke_consistency():
     pn = DickeParams(n_dipoles=3, eta=0.3, cutoff=60)
     conj = build_dicke_correct(pn, method="conjugation").arr
     scale = float(np.abs(conj).max())
-    dev2 = float(np.abs(
-        conj - build_dicke_correct(pn, method="closed_form", factor=2).arr).max())
-    four = build_dicke_correct(pn, method="closed_form", factor=4)
+    dev2 = float(np.abs(conj - build_dicke_correct(pn, method="closed_form").arr).max())
+    four = closed_form_at(pn, 4)
     dev4 = float(np.abs(conj - four.arr).max()) / scale
     t4 = float(np.abs(lowest_transitions(four, 6)
                       - lowest_transitions(build_dicke_dipole(pn), 6)).max())

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gaugeqed import OperatorMatrix, ParityBands, ParityBlocks, cli, experiments, particle1d
+from gaugeqed import ParityBands, ParityBlocks, cli, experiments, particle1d
 from gaugeqed.cli import COMMANDS, build_parser, main
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.ini"
@@ -160,21 +160,19 @@ def test_cutoff_ceiling_exit_2(tmp_path, capsys):
 
 
 def test_parity_error_exit_2(tmp_path, capsys, monkeypatch):
-    # the sweeps' blocks have no off-parity half, but a full model of a
-    # mirror-symmetric well is still split by parity_eigvalsh; a term that
-    # couples matter levels 0 and 1 alone flips the mirror parity
-    build = particle1d.build_full_H_D
+    # a full model of a mirror-symmetric well is written as parity blocks;
+    # a term that couples matter levels 0 and 1 alone flips the mirror parity
+    terms = particle1d._full_D_terms
 
-    def broken(model, basis, cutoff, a0, m):
+    def broken(model, basis, cutoff, a0, m, omega_c):
         flip = np.zeros((m, m))
         flip[0, 1] = flip[1, 0] = 1.0
-        H = build(model, basis, cutoff, a0, m).arr + np.kron(flip, np.eye(cutoff + 1))
-        return OperatorMatrix(H, hermitian_hint=True)
+        return terms(model, basis, cutoff, a0, m, omega_c) + [(flip, np.eye(cutoff + 1))]
 
-    monkeypatch.setattr(particle1d, "build_full_H_D", broken)
+    monkeypatch.setattr(particle1d, "_full_D_terms", broken)
     argv = ["full-model", "--model", "harmonic", "--m-levels", "2", "--cutoff", "8"]
     assert run(argv, tmp_path) == 2
-    assert "ParityError" in capsys.readouterr().err
+    assert "ParityError: term 4 leaves the parity blocks" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("defect,error", [("nan", "LinalgError: parity block 1 has a "
@@ -361,6 +359,22 @@ def test_negative_control_without_alpha_one_exits_1(tmp_path, capsys):
     assert not (tmp_path / "alpha_check.csv").exists()
 
 
+def test_repeated_alpha_eta_exits_1(tmp_path, capsys):
+    argv = ["alpha-check", "--eta", "0.5,0.5", "--levels", "3"]
+    assert run(argv, tmp_path) == 1
+    assert "repeated eta in 0.5,0.5" in capsys.readouterr().err
+    assert not (tmp_path / "alpha_check.csv").exists()
+
+
+@pytest.mark.parametrize("cutoffs", ["20,20", "40,20"])
+def test_gauge_theorem_cutoffs_must_ascend(tmp_path, capsys, cutoffs):
+    # the verdict is read at the last cutoff
+    argv = ["gauge-theorem", "--eta", "0.3", "--cutoffs", cutoffs]
+    assert run(argv, tmp_path) == 1
+    assert f"cutoffs must be strictly ascending, got {cutoffs}" in capsys.readouterr().err
+    assert not (tmp_path / "gauge_theorem.csv").exists()
+
+
 def test_gauge_theorem_passes(tmp_path, capsys):
     argv = ["gauge-theorem", "--eta", "0.3", "--cutoffs", "40,60"]
     assert run(argv, tmp_path) == 0
@@ -458,6 +472,15 @@ def test_full_model_tilted_well_stays_dense(tmp_path, monkeypatch):
     argv = ["full-model", "--m-levels", "2,4", "--cutoff", "8"]
     assert run(argv, tmp_path) == 0
     assert seen == [(np.complex128, 18)] * 2 + [(np.complex128, 36)] * 2
+
+
+@pytest.mark.parametrize("m_levels", ["32,2", "4,2,4", "2,2"])
+def test_full_model_m_levels_must_ascend(tmp_path, capsys, m_levels):
+    # the verdict compares the first and last gaps
+    argv = ["full-model", "--model", "harmonic", "--m-levels", m_levels, "--cutoff", "8"]
+    assert run(argv, tmp_path) == 1
+    assert f"m_levels must be strictly ascending, got {m_levels}" in capsys.readouterr().err
+    assert not (tmp_path / "full_model.csv").exists()
 
 
 def test_full_model_bad_m_levels(tmp_path, capsys):

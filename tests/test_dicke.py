@@ -23,6 +23,8 @@ from gaugeqed import (
     spin_ops,
     unitary_exp,
 )
+from gaugeqed import rabi
+from gaugeqed.linalg import kron_sum
 
 # n_dipoles = 4, eta = 0.3, resonant, cutoff 80
 GOLD_N4_CORR = np.array([
@@ -33,6 +35,15 @@ GOLD_N4_CORR = np.array([
 
 def transitions(H, k):
     return hermitian_eig(H, vectors=False).transitions(k)
+
+
+def closed_form_at(p, factor):
+    """The corrected Dicke model's terms with cos/sin of factor * eta X in
+    place of 2 eta X, written by the dense writer: factor 4 is the printed
+    variant that the rotation identity rules out."""
+    s = rabi._real_parts(p.n_dipoles, p.cutoff)
+    cos, sin = rabi._real_cos_sin(p.cutoff, factor * p.eta)
+    return kron_sum(rabi._rotated_terms(s, p.omega_c, p.omega_10, cos, sin))
 
 
 def test_params():
@@ -80,7 +91,7 @@ def test_single_dipole_dipole_gauge_offset():
 def test_conjugation_matches_closed_form_factor2():
     p = DickeParams(eta=0.3, cutoff=60, n_dipoles=3)
     h_conj = build_dicke_correct(p, method="conjugation")
-    h_closed = build_dicke_correct(p, method="closed_form", factor=2)
+    h_closed = build_dicke_correct(p, method="closed_form")
     scale = np.abs(h_conj.arr).max()
     assert np.abs(h_conj.arr - h_closed.arr).max() <= 1e-9 * scale
 
@@ -91,7 +102,7 @@ def test_closed_form_factor4_disagrees():
     # of keeping the conjugation route authoritative
     p = DickeParams(eta=0.3, cutoff=60, n_dipoles=3)
     h_conj = build_dicke_correct(p, method="conjugation")
-    h4 = build_dicke_correct(p, method="closed_form", factor=4)
+    h4 = closed_form_at(p, 4)
     scale = np.abs(h_conj.arr).max()
     assert np.abs(h_conj.arr - h4.arr).max() > 1e-3 * scale
     t_conj = transitions(h_conj, 4)
@@ -101,8 +112,6 @@ def test_closed_form_factor4_disagrees():
 
 def test_method_validation():
     p = DickeParams(eta=0.3, n_dipoles=2)
-    with pytest.raises(ValueError):
-        build_dicke_correct(p, method="closed_form", factor=3)
     with pytest.raises(ValueError):
         build_dicke_correct(p, method="magic")
 

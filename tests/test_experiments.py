@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugeqed import RabiParams, bands_H_D, build_H_C_correct, build_H_D
+from gaugeqed import cli
 from gaugeqed import dicke as dicke_mod
 from gaugeqed import experiments as experiments_mod
+from gaugeqed import linalg as linalg_mod
+from gaugeqed import particle1d as particle1d_mod
 from gaugeqed import rabi as rabi_mod
 from gaugeqed.experiments import (
     ConvergencePolicy,
@@ -91,7 +94,7 @@ def test_check_converged_raises():
 def test_lowest_transitions_needs_levels():
     for build in (build_H_D, bands_H_D):
         H = build(RabiParams(eta=0.1, cutoff=2))
-        assert lowest_transitions(H, 5, 3).shape == (5,)
+        assert lowest_transitions(H, 5).shape == (5,)
         with pytest.raises(ValueError):
             lowest_transitions(H, 6)
 
@@ -158,20 +161,23 @@ def test_rabi_sweep_solves_d_and_cstd_as_bands(monkeypatch):
     assert solves == want
 
 
-def test_block_models_never_assemble_the_matrix(monkeypatch):
-    """Ccorr, the Dicke models, the Taylor study and the alpha study solve
-    the real blocks the core writes: no dense builder, no Kronecker product,
-    no parity_eigvalsh gather and no complex solve is reached."""
+def test_block_models_never_assemble_the_matrix(monkeypatch, tmp_path, harmonic):
+    """Ccorr, the Dicke models, the Taylor study, the alpha study and the
+    full models of a mirror-symmetric well solve the real blocks the block
+    writer makes of their terms: no dense builder, no dense writer, no
+    Kronecker product and no complex solve is reached."""
     def dense(*args, **kwargs):
         raise AssertionError("dense path taken")
 
-    for name in ("build_H_C_correct", "build_H_C_taylor", "build_H_alpha", "_parts"):
+    for name in ("build_H_C_correct", "build_H_C_taylor", "build_H_alpha", "kron_sum"):
         monkeypatch.setattr(rabi_mod, name, dense)
     for name in ("build_dicke_standard", "build_dicke_correct", "build_dicke_dipole",
-                 "_parts"):
+                 "kron_sum"):
         monkeypatch.setattr(dicke_mod, name, dense)
-    for name in ("parity_eigvalsh", "hermitian_eig"):
-        monkeypatch.setattr(experiments_mod, name, dense)
+    for name in ("build_full_H_D", "build_full_H_C", "kron_sum"):
+        monkeypatch.setattr(particle1d_mod, name, dense)
+    monkeypatch.setattr(linalg_mod, "kron_sum", dense)
+    monkeypatch.setattr(experiments_mod, "hermitian_eig", dense)
     monkeypatch.setattr(np, "kron", dense)
     policy = ConvergencePolicy(cutoff0=5, tol=1e-6)
     result = run_sweep(SweepSpec(models=("Ccorr",), eta_grid=SMALL_GRID,
@@ -184,6 +190,11 @@ def test_block_models_never_assemble_the_matrix(monkeypatch):
     study = taylor_study((2, 10), eta_grid=(0.1, 0.2), cutoff=20, levels=3)
     assert not np.isnan(study.errors[1]).any()
     assert alpha_invariance_study((0.0, 0.5, 1.0), (0.4,), levels=3, policy=policy).passed
+    model, basis = harmonic
+    monkeypatch.setattr(cli, "_named_model", lambda p: model)
+    monkeypatch.setattr(particle1d_mod, "solve_particle", lambda m: basis)
+    argv = ["full-model", "--m-levels", "2,4", "--cutoff", "8", "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 0
 
 
 @given(eta=st.floats(0.1, 1.2), detuning=st.sampled_from([0.0, 0.5]))
@@ -378,6 +389,8 @@ def test_alpha_study_validation():
         alpha_invariance_study((0.0, 0.5), (0.8,), negative_control=True)
     with pytest.raises(ValueError, match="repeated alpha in 0,0.5,0"):
         alpha_invariance_study((0.0, 0.5, 0.0), (0.8,))
+    with pytest.raises(ValueError, match="repeated eta in 0.8,0.8"):
+        alpha_invariance_study((0.0, 1.0), (0.8, 0.8))
 
 
 # ---------------------------------------------------------------------------

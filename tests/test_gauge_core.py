@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import phased_blocks
 from gaugeqed import (
     DickeParams,
     DimensionOverflowError,
@@ -36,10 +37,15 @@ from gaugeqed import (
     build_H_C_taylor,
     build_H_D,
     block_parity_eigvalsh,
-    parity_eigvalsh,
+    blocks_full_H_C,
+    blocks_full_H_D,
+    build_full_H_C,
+    build_full_H_D,
+    hermitian_eig,
     solve_fluxonium,
 )
 from gaugeqed import rabi
+from gaugeqed.linalg import parity_block_sum
 
 # (eta, cutoff, detuning)
 GRID = tuple(itertools.product((0.0, 0.4, 1.5), (1, 7, 40), (0.0, 0.2)))
@@ -135,25 +141,11 @@ def test_fluxonium_builders_match_oracles(model, fluxonium_basis):
 # real parity blocks written by the core
 # ---------------------------------------------------------------------------
 
-def phased_blocks(H, matter, field_dim):
-    """The parity blocks of a dense matter (x) Fock matrix as parity_eigvalsh
-    gathers them: entries 1j**(m2 - m) H_kl, matter index m slowest, Fock
-    levels n = (m + c) mod 2, +2, ... next to it; returns (real blocks,
-    max|Im|)."""
-    h4 = H.arr.reshape(matter, field_dim, matter, field_dim)
-    blocks, imag = [], 0.0
-    for c in (0, 1):
-        block = np.block([[h4[m, (m + c) % 2::2, m2, (m2 + c) % 2::2] * 1j ** ((m2 - m) % 4)
-                           for m2 in range(matter)] for m in range(matter)])
-        blocks.append(block.real)
-        imag = max(imag, float(np.abs(block.imag).max()))
-    return blocks, imag
-
-
-def block_cases(eta, cutoff, detuning):
+def block_cases(eta, cutoff, detuning, particle):
     """(name, dense matrix, its real blocks, matter dimension) of every block
     builder, at the orders, alphas and dipole numbers the sweeps and studies
-    use."""
+    use, and for the full models of a mirror-parity ``particle`` (model,
+    basis) at two matter truncations."""
     p = RabiParams(eta=eta, cutoff=cutoff, detuning=detuning)
     yield "Ccorr", build_H_C_correct(p), blocks_H_C_correct(p), 2
     for order in (2, 10, 200):
@@ -166,15 +158,20 @@ def block_cases(eta, cutoff, detuning):
         yield (f"dicke {n} corr", build_dicke_correct(q, method="closed_form"),
                blocks_dicke_correct(q), n + 1)
         yield f"dicke {n} dipole", build_dicke_dipole(q), blocks_dicke_dipole(q), n + 1
+    model, basis = particle
+    for m in (2, 7):
+        args = (model, basis, cutoff, 0.5 * eta, m, 1.0 + detuning)
+        yield f"full D {m}", build_full_H_D(*args), blocks_full_H_D(*args), m
+        yield f"full C {m}", build_full_H_C(*args), blocks_full_H_C(*args), m
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 15, 16, 41])
 @pytest.mark.parametrize("eta", [0.0, 0.4, 1.5, 3.0])
-def test_blocks_match_dense_builders(eta, cutoff):
+def test_blocks_match_dense_builders(eta, cutoff, double_well):
     """Each block builder writes the phased parity blocks of its dense
-    builder, entry by entry, and their eigenvalues are the dense parity
-    solve's.  Detuned, so that the J_z and J_y terms differ in scale."""
-    for name, H, blocks, matter in block_cases(eta, cutoff, 0.2):
+    builder, entry by entry, and their eigenvalues are the dense matrix's.
+    Detuned, so that the J_z and J_y terms differ in scale."""
+    for name, H, blocks, matter in block_cases(eta, cutoff, 0.2, double_well):
         case = (name, eta, cutoff)
         bound = ENTRY_RTOL * max(float(np.abs(H.arr).max()), 1.0)
         ref, imag = phased_blocks(H, matter, cutoff + 1)
@@ -186,7 +183,7 @@ def test_blocks_match_dense_builders(eta, cutoff):
             dev = float(np.abs(got - want).max())
             assert dev <= bound, f"{case}: max|B - phased H| = {dev:.3e} exceeds {bound:.3e}"
         dev = float(np.abs(block_parity_eigvalsh(blocks)
-                           - parity_eigvalsh(H, cutoff + 1)).max())
+                           - hermitian_eig(H, vectors=False).eigenvalues).max())
         assert dev <= bound, (case, dev)
 
 
@@ -206,4 +203,4 @@ def test_block_writer_rejects_a_complex_phased_spin_term():
     # imaginary, so no real block holds it
     s = rabi._real_parts(1, 4)
     with pytest.raises(ParityError, match="not real after the 1j\\*\\*m phase"):
-        rabi._blocks(1, 4, [(s.jx, s.X)])
+        parity_block_sum([(s.jx, s.X)])

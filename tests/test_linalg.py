@@ -25,22 +25,15 @@ from gaugeqed import (
     banded_parity_eigvalsh,
     block_parity_eigvalsh,
     blocks_H_C_correct,
-    build_dicke_correct,
-    build_dicke_dipole,
-    build_dicke_standard,
-    build_H_alpha,
-    build_H_C_correct,
-    build_H_C_standard,
-    build_H_C_taylor,
-    build_H_D,
     conjugate,
     fock_ops,
     hermitian_eig,
     kron,
     matrix_function,
-    parity_eigvalsh,
     unitary_exp,
 )
+from gaugeqed import dicke, rabi
+from gaugeqed.linalg import kron_sum, parity_block_sum
 
 
 def X_op(cutoff):
@@ -291,36 +284,39 @@ def test_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# parity_eigvalsh
+# the two writers of a term list: kron_sum and parity_block_sum
 # ---------------------------------------------------------------------------
 
 def parity_models(eta, cutoff):
-    """Every Rabi and Dicke builder the sweeps and studies solve, by name."""
+    """The term list of every Rabi and Dicke model, by name."""
     p = RabiParams(eta=eta, cutoff=cutoff, detuning=0.3)
+    s = rabi._real_parts(1, cutoff)
     models = {
-        "D": build_H_D(p),
-        "Cstd": build_H_C_standard(p),
-        "Ccorr/closed_form": build_H_C_correct(p),
-        "Ccorr/conjugation": build_H_C_correct(p, method="conjugation"),
+        "D": rabi._dipole_terms(s, p),
+        "Cstd": rabi._standard_terms(s, p),
+        "Ccorr": rabi._correct_terms(s, p),
     }
     for order in (2, 3, 200):
-        models[f"taylor{order}"] = build_H_C_taylor(p, order)
+        models[f"taylor{order}"] = rabi._taylor_terms(p, order)
     for alpha in (0.0, 0.5, 1.0):
-        models[f"alpha{alpha:g}"] = build_H_alpha(p, alpha)
+        models[f"alpha{alpha:g}"] = rabi._alpha_terms(p, alpha)
     for n in (1, 2, 3, 4):
         q = DickeParams(eta=eta, cutoff=cutoff, detuning=0.3, n_dipoles=n)
-        models[f"dicke{n}/std"] = build_dicke_standard(q)
-        models[f"dicke{n}/corr/conjugation"] = build_dicke_correct(q)
-        models[f"dicke{n}/corr/closed_form"] = build_dicke_correct(q, method="closed_form")
-        models[f"dicke{n}/dipole"] = build_dicke_dipole(q)
+        sn = rabi._real_parts(n, cutoff)
+        models[f"dicke{n}/std"] = rabi._standard_terms(sn, q)
+        models[f"dicke{n}/corr"] = rabi._correct_terms(sn, q)
+        models[f"dicke{n}/dipole"] = dicke._dicke_dipole_terms(q)
     return models
 
 
 @pytest.mark.parametrize("cutoff", [15, 16])
 @pytest.mark.parametrize("eta", [0.0, 0.5, 1.5, 3.0])
 def test_parity_eigvalsh_matches_dense(eta, cutoff):
-    for name, H in parity_models(eta, cutoff).items():
-        w = parity_eigvalsh(H, cutoff + 1)
+    """Every model's parity solve, the block writer's two real blocks solved
+    by block_parity_eigvalsh, is the dense writer's matrix solved whole."""
+    for name, terms in parity_models(eta, cutoff).items():
+        H = kron_sum(terms)
+        w = block_parity_eigvalsh(parity_block_sum(terms))
         w_ref = hermitian_eig(H, vectors=False).eigenvalues
         assert w.shape == w_ref.shape, name
         assert not w.flags.writeable
@@ -328,16 +324,12 @@ def test_parity_eigvalsh_matches_dense(eta, cutoff):
         assert dev <= 1e-12 * max(np.abs(H.arr).max(), 1.0), (name, dev)
 
 
-def _with_term(H, term):
-    return OperatorMatrix(H.arr + term, hermitian_hint=True)
-
-
 def test_parity_error_on_broken_parity():
+    # sigma_x (x) 1 flips the qubit and leaves the photon number alone
     p = RabiParams(eta=0.5, cutoff=6)
-    sx = pauli()[0].arr
-    H = _with_term(build_H_D(p), np.kron(sx, np.eye(p.cutoff + 1)))
-    with pytest.raises(ParityError, match="off-parity block"):
-        parity_eigvalsh(H, p.cutoff + 1)
+    s = rabi._real_parts(1, p.cutoff)
+    with pytest.raises(ParityError, match="term 3 leaves the parity blocks"):
+        parity_block_sum(rabi._dipole_terms(s, p) + [(2.0 * s.jx, s.eye_field)])
     assert issubclass(ParityError, LinalgError)
 
 
@@ -345,36 +337,51 @@ def test_parity_error_on_complex_phased_block():
     # sigma_y (x) i(a^dag - a) keeps parity, but no diagonal phase of the
     # matter index makes it real next to the model's sigma_y (x) (a + a^dag)
     p = RabiParams(eta=0.5, cutoff=6)
-    a, adag, _ = fock_ops(p.cutoff)
-    sy = pauli()[1].arr
-    H = _with_term(build_H_C_standard(p), np.kron(sy, 1j * (adag.arr - a.arr)))
-    with pytest.raises(ParityError, match="phased parity block"):
-        parity_eigvalsh(H, p.cutoff + 1)
+    s = rabi._real_parts(1, p.cutoff)
+    with pytest.raises(ParityError, match="term 4: .* not real after the 1j\\*\\*m phase"):
+        parity_block_sum(rabi._standard_terms(s, p) + [(2j * s.jy, s.P)])
 
 
 def test_parity_eigvalsh_checks_its_input():
-    H = build_H_D(RabiParams(eta=0.5, cutoff=6))
-    with pytest.raises(DimensionMismatchError):
-        parity_eigvalsh(H, 5)
+    """Both writers reject terms whose shapes disagree; a non-Hermitian sum
+    fails the dense writer's check and, as blocks, the solver's symmetry
+    check."""
+    p = RabiParams(eta=0.5, cutoff=6)
+    s = rabi._real_parts(1, p.cutoff)
+    terms = rabi._dipole_terms(s, p)
+    for bad in (terms + [(s.jx, np.eye(5))], terms + [(np.eye(3), s.X)]):
+        for write in (kron_sum, parity_block_sum):
+            with pytest.raises(DimensionMismatchError):
+                write(bad)
+    skew = terms + [(s.eye_spin, np.triu(s.X @ s.X))]
     with pytest.raises(NonHermitianError):
-        parity_eigvalsh(OperatorMatrix(H.arr + np.triu(H.arr, 1)), 7)
+        kron_sum(skew)
+    with pytest.raises(NonHermitianError):
+        block_parity_eigvalsh(parity_block_sum(skew))
 
 
 @pytest.mark.parametrize("kind", ["off-parity block", "phased parity block"])
 def test_parity_limit_is_matrix_scale(kind):
-    # the largest entries sit in the off-parity halves, or are imaginary
-    # after phasing, so a limit taken from the real parts of the blocks alone
-    # would come out smaller than 1e-12 max|H|
-    p = RabiParams(eta=0.5, cutoff=6)
-    sx, sy = pauli()[0].arr, pauli()[1].arr
-    if kind == "off-parity block":
-        H = _with_term(build_H_D(p), 40.0 * np.kron(sx, np.eye(p.cutoff + 1)))
-    else:
-        a, adag, _ = fock_ops(p.cutoff)
-        H = _with_term(build_H_C_standard(p), 40.0 * np.kron(sy, 1j * (adag.arr - a.arr)))
-    limit = 1e-12 * max(np.abs(H.arr).max(), 1.0)
-    with pytest.raises(ParityError, match=f"{kind}: .* exceeds {limit:.3e}$"):
-        parity_eigvalsh(H, p.cutoff + 1)
+    """Each check's limit is HERMITICITY_RTOL times its term's scale: a term
+    whose legal part has scale 200 may put 1e-10 (not 1e-12) outside the
+    blocks, or into the imaginary part of its phased matter entries."""
+    s = rabi._real_parts(1, 6)
+    limit = 1e-12 * 200.0
+    for factor, fails in ((0.5, False), (2.0, True)):
+        d = factor * limit
+        if kind == "off-parity block":
+            # max|S| max|F| = 0.5 * 400 legal, 0.5 * 2d dropped
+            term = (s.jz, 400.0 * s.eye_field + 2.0 * d * s.X / np.abs(s.X).max())
+            match = f"term 2 leaves the parity blocks: .* exceeds {limit:.3e}$"
+        else:
+            term = (400.0 * s.jz + 1j * d * s.eye_spin, s.eye_field)
+            match = f"term 2: .* phase: max\\|Im\\| = .* exceeds {limit:.3e}$"
+        terms = rabi._bare_terms(s, 1.0, 1.0) + [term]
+        if fails:
+            with pytest.raises(ParityError, match=match):
+                parity_block_sum(terms)
+        else:
+            parity_block_sum(terms)
 
 
 def test_banded_parity_eigvalsh_errors(monkeypatch):

@@ -16,6 +16,8 @@ from gaugeqed import (
     GridTooCoarseError,
     ParityError,
     ParticleModel,
+    blocks_full_H_C,
+    blocks_full_H_D,
     build_full_H_C,
     build_full_H_D,
     check_minimal_coupling_identity,
@@ -24,7 +26,6 @@ from gaugeqed import (
     hermitian_eig,
     model_from_table,
     nonlocal_kernel,
-    parity_eigvalsh,
     particle1d,
     solve_particle,
     trk_sum,
@@ -195,9 +196,8 @@ def test_tilted_table_has_no_mirror_parity(tmp_path):
     basis = solve_particle(model)
     assert not basis.mirror_parity
     # <0|x|0> is finite, so x (x) i(a^dag - a) mixes the parity classes
-    H = build_full_H_D(model, basis, 8, 0.3, 6)
     with pytest.raises(ParityError):
-        parity_eigvalsh(H, 9)
+        blocks_full_H_D(model, basis, 8, 0.3, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +340,16 @@ def test_full_builders_match_oracles():
 
 def test_full_model_m_used_validation(double_well):
     model, basis = double_well
-    with pytest.raises(ValueError):
-        build_full_H_D(model, basis, 10, 0.3, 1)
-    with pytest.raises(ValueError):
-        build_full_H_C(model, basis, 10, 0.3, basis.m_levels + 1)
+    for build in (build_full_H_D, build_full_H_C, blocks_full_H_D, blocks_full_H_C):
+        with pytest.raises(ValueError):
+            build(model, basis, 10, 0.3, 1)
+        with pytest.raises(ValueError):
+            build(model, basis, 10, 0.3, basis.m_levels + 1)
 
 
 def test_full_model_dimension_cap(harmonic):
     # 32 matter levels x 201 Fock levels = 6432 exceeds DIM_CAP_DEFAULT = 4096
     model, basis = harmonic
-    for build in (build_full_H_D, build_full_H_C):
+    for build in (build_full_H_D, build_full_H_C, blocks_full_H_D, blocks_full_H_C):
         with pytest.raises(DimensionOverflowError):
             build(model, basis, 200, 0.3, 32)

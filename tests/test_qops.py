@@ -22,6 +22,7 @@ from gaugeqed import (
     quadrature_eig,
     spin_ops,
 )
+from gaugeqed.linalg import spectral_matrix
 
 
 def comm(A, B):
@@ -152,7 +153,8 @@ def test_real_quadrature_functions_match_complex(cutoff):
     k = 1.3
     cos, sin, X = qops.real_quadrature_functions(
         cutoff, lambda x: (np.cos(k * x), np.sin(k * x), x))
-    ref_cos, ref_sin = qops.quadrature_cos_sin(cutoff, k)
+    spec = quadrature_eig(cutoff)
+    ref_cos, ref_sin = (spectral_matrix(spec, f(k * spec.eigenvalues)) for f in (np.cos, np.sin))
     a, adag, _ = fock_ops(cutoff)
     for got, want in ((cos, ref_cos), (sin, ref_sin), (X, a.arr + adag.arr)):
         assert got.dtype == np.float64

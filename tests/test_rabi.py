@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import SIGMA_Y, SIGMA_Z
+from conftest import SIGMA_Y, SIGMA_Z, phased_blocks
 from gaugeqed import (
     DimensionOverflowError,
     RabiParams,
@@ -25,7 +25,6 @@ from gaugeqed import (
     check_gauge_theorem,
     hermitian_eig,
     maclaurin_cos_sin,
-    parity_eigvalsh,
 )
 from gaugeqed.experiments import ConvergencePolicy, converged_transitions, lowest_transitions
 
@@ -358,19 +357,16 @@ def test_builders_enforce_dimension_cap():
 # ---------------------------------------------------------------------------
 
 def phased_chains(H, cutoff):
-    """The phased parity blocks of a dense Rabi matrix as parity_eigvalsh
-    forms them, 1j**(m2 - m) H_kl, with each block ordered by Fock index n
-    (matter index m = (n + c) mod 2); returns (real blocks, max|Im|)."""
-    nf = cutoff + 1
-    n = np.arange(nf)
-    blocks, imag = [], 0.0
-    for c in (0, 1):
-        m = (n + c) % 2
-        phase = np.where(m == 1, 1j, 1.0)
-        block = phase.conj()[:, None] * H.arr[np.ix_(m * nf + n, m * nf + n)] * phase
-        blocks.append(block.real)
-        imag = max(imag, float(np.abs(block.imag).max()))
-    return blocks, imag
+    """The phased parity blocks of a dense Rabi matrix reordered by Fock
+    index n (matter index m = (n + c) mod 2); returns (real blocks, max|Im|)."""
+    blocks, imag = phased_blocks(H, 2, cutoff + 1)
+    chains = []
+    for c, block in enumerate(blocks):
+        # the block rows hold n = c, c + 2, ... at m = 0, then n = 1 - c, ... at m = 1
+        order = np.argsort(np.concatenate([np.arange(c, cutoff + 1, 2),
+                                           np.arange(1 - c, cutoff + 1, 2)]))
+        chains.append(block[np.ix_(order, order)])
+    return chains, imag
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 15, 16, 320])
@@ -378,7 +374,7 @@ def phased_chains(H, cutoff):
 def test_bands_match_dense_builders(eta, cutoff):
     """Band entries equal the phased parity blocks of the dense builders and
     nothing lies outside the band; the lowest eigenvalues equal the dense
-    parity solve's.  Detuned (omega_10 = 1.1 != omega_c = 0.8); for eta > 0
+    solve's.  Detuned (omega_10 = 1.1 != omega_c = 0.8); for eta > 0
     Cstd's diamagnetic term fills its diagonal and second subdiagonal."""
     p = RabiParams(eta=eta, cutoff=cutoff, omega_c=0.8, detuning=0.3)
     models = {
@@ -399,7 +395,7 @@ def test_bands_match_dense_builders(eta, cutoff):
                 dev = np.abs(chain[r, :d.size] - d).max(initial=0.0)
                 assert dev <= bound, (name, r, dev)
                 assert not chain[r, d.size:].any(), name
-        w = parity_eigvalsh(H, cutoff + 1)
+        w = hermitian_eig(H, vectors=False).eigenvalues
         for count in (1, 7, w.size + 3):
             wb = banded_parity_eigvalsh(bands, count)
             k = min(count, w.size)
