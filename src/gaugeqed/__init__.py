@@ -61,6 +61,7 @@ from .particle1d import (
     MatterBasis,
     MinimalCouplingReport,
     NonlocalKernel,
+    ParityOrderError,
     ParticleError,
     ParticleModel,
     blocks_full_H_C,
@@ -134,6 +135,7 @@ __all__ = [
     "MinimalCouplingReport", "build_full_H_D", "build_full_H_C",
     "blocks_full_H_D", "blocks_full_H_C", "trk_sum",
     "ParticleError", "GridTooCoarseError", "BoundaryLeakError",
+    "ParityOrderError",
     # fluxonium
     "FluxoniumParams", "FluxoniumBasis", "solve_fluxonium", "coupling_g_c",
     "build_flux_charge_standard", "build_flux_charge_correct",

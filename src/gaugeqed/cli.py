@@ -29,6 +29,7 @@ NUMERICAL_ERRORS = (
     experiments.CutoffCeilingError,
     particle1d.GridTooCoarseError,
     particle1d.BoundaryLeakError,
+    particle1d.ParityOrderError,
     fluxonium.BasisTooSmallError,
     LinalgError,
 )
@@ -477,6 +478,7 @@ def _cmd_particle_demo(rc: RunConfig) -> int:
     p = rc.params
     model = _named_model(p)
     basis = particle1d.solve_particle(model)
+    print(basis.describe_solve())
     levels = min(p["levels"], basis.m_levels)
     print("n  energy")
     lines = ["# unit convention: hbar = 1, grid units (mass and potential "
@@ -512,6 +514,7 @@ def _cmd_full_model(rc: RunConfig) -> int:
     _ascending("m_levels", p["m_levels"])
     model = _named_model(p)
     basis = particle1d.solve_particle(model)
+    print(basis.describe_solve())
     cutoff = p["cutoff"]
     levels = p["levels"]
     # a mirror-parity basis splits both models into real parity blocks

@@ -5,7 +5,9 @@ Provides the matter side of the full (many-level) light-matter models:
 * ``solve_particle``                  lowest-M eigenpairs of p^2/2m + W(x) by
                                       4th-order finite differences, with a
                                       grid-refinement check; both grids are
-                                      solved by shift-invert Lanczos
+                                      solved by shift-invert Lanczos, each
+                                      parity on x >= 0 for a mirror-symmetric
+                                      potential
 * ``nonlocal_kernel``                 the projected potential kernel V(x, x')
                                       showing how truncation delocalizes a
                                       local potential
@@ -23,9 +25,11 @@ attached.  Grid eigenfunctions are normalized so that sum(psi_i psi_j) dx =
 delta_ij; with the required boundary decay this equals the trapezoid rule to
 roundoff.
 
-For a mirror-symmetric potential on a grid centred on x = 0 the
-eigenfunctions are projected onto exact parity (-1)^i, and the basis is
-marked ``mirror_parity``.  The full models then commute with the parity
+For a mirror-symmetric potential on a grid centred on x = 0 the operator is
+folded onto x >= 0, the even and the odd states are solved there with about
+half the points and half the levels each, and mirroring rebuilds
+eigenfunctions of exact parity (-1)^i; the basis is marked
+``mirror_parity``.  The full models then commute with the parity
 (-1)^i (-1)^{a^dag a}, and ``blocks_full_H_*`` writes their two real
 parity blocks from the same (matter, field) terms that ``build_full_H_*``
 writes as a dense matrix.
@@ -46,10 +50,8 @@ from .qops import _real_fock_arrays
 
 BOUNDARY_AMPLITUDE_MAX = 1e-8
 GRID_SHIFT_MAX = 1e-6
-# mirror symmetry of the sampled potential (relative to max(max|V|, 1)) and
-# of each eigenfunction (relative to its largest sample)
+# mirror symmetry of the sampled potential, relative to max(max|V|, 1)
 MIRROR_POTENTIAL_RTOL = 1e-12
-MIRROR_PSI_RTOL = 1e-8
 # projected-kernel samples per axis (the grid is stride-decimated to fit)
 KERNEL_EVAL_POINTS = 801
 # minimal-coupling check: largest entry residual, relative to the bare
@@ -72,6 +74,10 @@ class GridTooCoarseError(ParticleError):
 
 class BoundaryLeakError(ParticleError):
     pass
+
+
+class ParityOrderError(ParticleError):
+    """The even and odd levels of a mirror-symmetric model do not interleave."""
 
 
 @dataclass(frozen=True)
@@ -177,9 +183,11 @@ class MatterBasis:
 
     ``x_elems`` is real symmetric, ``p_elems`` purely imaginary antisymmetric
     (real eigenfunctions); ``psi`` holds the normalized eigenfunctions as
-    columns on the model grid.  ``mirror_parity`` marks a basis whose level
-    i has exact parity (-1)^i, so x and p couple only levels of opposite
-    parity and x^2 only levels of equal parity.
+    columns on the model grid.  ``refinement_shift`` is the largest
+    eigenvalue move on halving the grid spacing.  ``mirror_parity`` marks a
+    basis whose level i has exact parity (-1)^i, so x and p couple only
+    levels of opposite parity and x^2 only levels of equal parity; the
+    forbidden elements are exactly zero.
     """
 
     energies: np.ndarray
@@ -188,6 +196,7 @@ class MatterBasis:
     x2_elems: np.ndarray
     psi: np.ndarray
     grid: Grid1D
+    refinement_shift: float
     mirror_parity: bool = False
 
     def __post_init__(self):
@@ -202,6 +211,18 @@ class MatterBasis:
     def omega(self, i: int, j: int) -> float:
         return float(self.energies[i] - self.energies[j])
 
+    def describe_solve(self) -> str:
+        """One line naming the grid solve taken and the refinement shift
+        against GRID_SHIFT_MAX."""
+        n, m = self.grid.n_points, self.m_levels
+        if self.mirror_parity:
+            even, odd = (n - _half_start(n, p) for p in (1, -1))
+            solve = f"mirror halves {even}+{odd} pts, {(m + 1) // 2}+{m // 2} levels"
+        else:
+            solve = f"full grid {n} pts, {m} levels"
+        return (f"grid: {solve}; refinement shift {self.refinement_shift:.1e} "
+                f"of {GRID_SHIFT_MAX:.0e}")
+
 
 def _grid_bands(model: ParticleModel):
     g = model.grid
@@ -213,26 +234,37 @@ def _grid_bands(model: ParticleModel):
     return bands
 
 
-def _grid_eigsh(model: ParticleModel, vectors: bool):
-    """Lowest eigen_count eigenvalues (and, with ``vectors``, eigenvectors) of
-    the 4th-order pentadiagonal operator by shift-invert Lanczos.
-
-    The shift sits below the potential minimum, so the wanted levels are the
-    largest of the inverted operator.  A fixed start vector keeps repeated
-    runs bit-identical.  The banded LAPACK driver is avoided: it needs a
-    dense n x n back-transform for vectors and is several times slower even
-    for values on refined grids.
-    """
-    n = model.grid.n_points
-    bands = _grid_bands(model)
+def _eigsh(bands: np.ndarray, k: int, sigma: float, vectors: bool):
+    """Lowest k eigenvalues (and, with ``vectors``, eigenvectors) of the
+    symmetric pentadiagonal operator in lower band storage ``bands`` by
+    shift-invert Lanczos about ``sigma``.  A fixed start vector keeps
+    repeated runs bit-identical."""
+    n = bands.shape[1]
     A = sp.diags(
         [bands[2][: n - 2], bands[1][: n - 1], bands[0],
          bands[1][: n - 1], bands[2][: n - 2]],
         offsets=[-2, -1, 0, 1, 2], format="csc")
-    sigma = float(model.potential.min()) - 1.0
     v0 = np.full(n, 1.0 / np.sqrt(n))
-    return spla.eigsh(A, k=model.eigen_count, sigma=sigma, which="LM", v0=v0,
+    return spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
                       return_eigenvectors=vectors)
+
+
+def _shift(model: ParticleModel) -> float:
+    # below the potential minimum, so the wanted levels are the largest of
+    # the inverted operator
+    return float(model.potential.min()) - 1.0
+
+
+def _grid_eigsh(model: ParticleModel, vectors: bool):
+    """Lowest eigen_count eigenvalues (and, with ``vectors``, eigenvectors) of
+    the 4th-order pentadiagonal operator on the whole grid by shift-invert
+    Lanczos; the solve of a model without mirror symmetry.
+
+    The banded LAPACK driver is avoided: it needs a dense n x n
+    back-transform for vectors and is several times slower even for values
+    on refined grids.
+    """
+    return _eigsh(_grid_bands(model), model.eigen_count, _shift(model), vectors)
 
 
 def _grid_eigvals(model: ParticleModel) -> np.ndarray:
@@ -266,28 +298,105 @@ def _first_derivative(v: np.ndarray, dx: float) -> np.ndarray:
     return out / dx
 
 
-def _mirror_projected(model: ParticleModel, psi: np.ndarray) -> Optional[np.ndarray]:
-    """Parity-definite copies of the eigenfunctions of a mirror-symmetric
-    model, or None when the model or its eigenfunctions are not.
-
-    The model must sit on a grid centred on x = 0 with
-    max|V - V[::-1]| <= MIRROR_POTENTIAL_RTOL * max(max|V|, 1), and every
-    column must satisfy psi_i ~ (-1)^i psi_i[::-1] to MIRROR_PSI_RTOL of its
-    largest sample: in 1D the bound states alternate in parity.  The
-    projection (psi_i + (-1)^i psi_i[::-1]) / 2 removes the solver's parity
-    leak, so matrix elements between levels of the forbidden parity vanish
-    to roundoff.
-    """
+def _mirror_symmetric(model: ParticleModel) -> bool:
+    """A grid centred on x = 0 with max|V - V[::-1]| <=
+    MIRROR_POTENTIAL_RTOL * max(max|V|, 1)."""
     g, pot = model.grid, model.potential
     if g.x_min != -g.x_max:
-        return None
-    if np.abs(pot - pot[::-1]).max() > MIRROR_POTENTIAL_RTOL * max(np.abs(pot).max(), 1.0):
-        return None
-    mirrored = psi[::-1] * (-1.0) ** np.arange(psi.shape[1])
-    dev = np.abs(psi - mirrored).max(axis=0)
-    if np.any(dev > MIRROR_PSI_RTOL * np.abs(psi).max(axis=0)):
-        return None
-    return (psi + mirrored) / 2.0
+        return False
+    return np.abs(pot - pot[::-1]).max() <= MIRROR_POTENTIAL_RTOL * max(np.abs(pot).max(), 1.0)
+
+
+def _half_start(n_points: int, parity: int) -> int:
+    """Full-grid index of the first point the parity-``parity`` half keeps:
+    x = 0 when it is a grid point (odd n_points) and the state is even, else
+    the first point with x > 0."""
+    return n_points // 2 + (n_points % 2 == 1 and parity < 0)
+
+
+def _fold(model: ParticleModel, parity: int) -> np.ndarray:
+    """The grid operator of a mirror-symmetric model folded onto x >= 0 for
+    the states of mirror parity ``parity`` (+1 even, -1 odd), in lower band
+    storage over the points from ``_half_start`` on.
+
+    A stencil entry that reaches a ghost point x < 0 lands on its mirror
+    image, times ``parity``.  With x = 0 on the grid (odd n_points), an odd
+    state vanishes there and the point is dropped; for an even state the
+    row of x = 0 takes each neighbour twice, and scaling that row and its
+    column by sqrt(2) keeps the operator symmetric (the sample at x = 0 is
+    then sqrt(2) times the vector entry).  With the points at +-dx/2 (even
+    n_points) the fold is symmetric as it stands.
+    """
+    full = _grid_bands(model)
+    n = model.grid.n_points
+    b1, b2 = full[1, 0], full[2, 0]
+    bands = full[:, _half_start(n, parity):].copy()
+    if n % 2 == 0:
+        bands[0, 0] += parity * b1
+        bands[1, 0] += parity * b2
+    elif parity < 0:
+        bands[0, 0] -= b2
+    else:
+        bands[0, 1] += b2
+        bands[1:, 0] *= np.sqrt(2.0)
+    return bands
+
+
+def _half_solve(model: ParticleModel, parity: int, k: int, vectors: bool):
+    """Lowest k levels of mirror parity ``parity`` from the folded operator:
+    ascending energies and, with ``vectors`` (else None), their
+    eigenfunctions rebuilt on the whole grid by mirroring, normalized to
+    sum(psi^2) dx = 1 and signed so that the largest-magnitude sample on
+    x >= 0 is positive."""
+    bands = _fold(model, parity)
+    if k < bands.shape[1] - 1:
+        res = _eigsh(bands, k, _shift(model), vectors)
+    else:
+        # too few points for Lanczos (eigsh would warn and go dense)
+        res = sla.eig_banded(bands, lower=True, select="i", select_range=(0, k - 1),
+                             eigvals_only=not vectors)
+    if not vectors:
+        return np.sort(res), None
+    w, u = res
+    order = np.argsort(w)
+    w, u = w[order], u[:, order]
+    n = model.grid.n_points
+    if n % 2 == 1 and parity > 0:
+        u[0] *= np.sqrt(2.0)
+    u *= np.where(u[np.abs(u).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
+    start = _half_start(n, parity)
+    psi = np.zeros((n, k))
+    psi[start:] = u
+    psi[: n - start] = parity * u[::-1]
+    # each half carries half the weight
+    return w, psi / np.sqrt(2.0 * model.grid.dx)
+
+
+def _mirror_solve(model: ParticleModel, vectors: bool):
+    """Both parities of a mirror-symmetric model on the half grid, merged by
+    index: level i is the parity (-1)^i state, as the bound states of a 1D
+    well alternate in parity (``_check_interleaved`` verifies it).  Returns
+    the energies and, with ``vectors`` (else None), the eigenfunctions."""
+    n, m = model.grid.n_points, model.eigen_count
+    w = np.empty(m)
+    psi = np.empty((n, m)) if vectors else None
+    for first, parity in ((0, 1), (1, -1)):
+        k = len(range(first, m, 2))
+        if k == 0:
+            continue
+        w[first::2], cols = _half_solve(model, parity, k, vectors)
+        if vectors:
+            psi[:, first::2] = cols
+    return w, psi
+
+
+def _check_interleaved(w: np.ndarray, grid: Grid1D) -> None:
+    bad = np.flatnonzero(np.diff(w) <= 0)
+    if bad.size:
+        i = int(bad[0])
+        raise ParityOrderError(
+            f"mirror-parity levels {i} and {i + 1} do not interleave on the "
+            f"{grid.n_points}-point grid ({w[i]:.12e} >= {w[i + 1]:.12e})")
 
 
 def solve_particle(model: ParticleModel) -> MatterBasis:
@@ -296,28 +405,36 @@ def solve_particle(model: ParticleModel) -> MatterBasis:
     Raises BoundaryLeakError when any retained eigenfunction fails to decay
     below 1e-8 at the grid edge, and GridTooCoarseError when halving the grid
     spacing moves any retained eigenvalue by more than 1e-6.  Both grids are
-    solved by the same shift-invert Lanczos routine.
+    solved the same way, by shift-invert Lanczos.
 
-    For a mirror-symmetric model the eigenfunctions are projected onto
-    exact parity (see ``_mirror_projected``) before the matrix elements are
-    formed, and ``mirror_parity`` is set on the result.
+    A mirror-symmetric model (see ``_mirror_symmetric``) is solved on
+    x >= 0, one half-grid solve per parity (``_fold``), and its levels are
+    merged by index; ParityOrderError when the two parities do not
+    interleave.  Its eigenfunctions are exactly parity-definite, the
+    matrix elements that parity forbids are set to exactly zero, and
+    ``mirror_parity`` is set on the result.  Any other model is solved on
+    the whole grid.
     """
     g = model.grid
-    w, psi = _solve_grid(model)
+    mirror = _mirror_symmetric(model)
+    w, psi = _mirror_solve(model, True) if mirror else _solve_grid(model)
     edge = max(float(np.abs(psi[0]).max()), float(np.abs(psi[-1]).max()))
     if edge > BOUNDARY_AMPLITUDE_MAX:
         raise BoundaryLeakError(
             f"eigenfunction amplitude {edge:.2e} at the grid edge exceeds "
             f"{BOUNDARY_AMPLITUDE_MAX:.1e}; widen the grid")
-    w_fine = _grid_eigvals(model.refined())
+    fine = model.refined()
+    if mirror:
+        _check_interleaved(w, g)
+        w_fine, _ = _mirror_solve(fine, False)
+        _check_interleaved(w_fine, fine.grid)
+    else:
+        w_fine = _grid_eigvals(fine)
     shift = float(np.abs(w - w_fine).max())
     if shift > GRID_SHIFT_MAX:
         raise GridTooCoarseError(
             f"eigenvalue shift {shift:.2e} on grid refinement exceeds "
             f"{GRID_SHIFT_MAX:.1e}; increase n_points")
-    projected = _mirror_projected(model, psi)
-    if projected is not None:
-        psi = projected
     x = g.points
     dx = g.dx
     xpsi = psi * x[:, None]
@@ -327,8 +444,15 @@ def solve_particle(model: ParticleModel) -> MatterBasis:
     x2_el = (x2_el + x2_el.T) / 2.0
     praw = psi.T @ _first_derivative(psi, dx) * dx
     p_el = -1j * (praw - praw.T) / 2.0
+    if mirror:
+        i = np.arange(w.size)
+        same = (i[:, None] + i[None, :]) % 2 == 0
+        x_el[same] = 0.0
+        p_el[same] = 0.0
+        x2_el[~same] = 0.0
     return MatterBasis(energies=w, x_elems=x_el, p_elems=p_el, x2_elems=x2_el,
-                       psi=psi, grid=g, mirror_parity=projected is not None)
+                       psi=psi, grid=g, refinement_shift=shift,
+                       mirror_parity=mirror)
 
 
 @dataclass(frozen=True, eq=False)

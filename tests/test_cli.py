@@ -175,6 +175,23 @@ def test_parity_error_exit_2(tmp_path, capsys, monkeypatch):
     assert "ParityError: term 4 leaves the parity blocks" in capsys.readouterr().err
 
 
+def test_parity_order_error_exit_2(tmp_path, capsys, monkeypatch):
+    # a mirror-symmetric well is solved one parity at a time and merged by
+    # index; even levels lifted past the odd ones break that merge
+    half_solve = particle1d._half_solve
+
+    def lifted_even(model, parity, k, vectors):
+        w, psi = half_solve(model, parity, k, vectors)
+        return (w + 1.5 if parity > 0 else w), psi
+
+    monkeypatch.setattr(particle1d, "_half_solve", lifted_even)
+    argv = ["full-model", "--model", "harmonic", "--m-levels", "2", "--cutoff", "8"]
+    assert run(argv, tmp_path) == 2
+    assert ("ParityOrderError: mirror-parity levels 0 and 1 do not interleave"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "full_model.csv").exists()
+
+
 @pytest.mark.parametrize("defect,error", [("nan", "LinalgError: parity block 1 has a "
                                                    "non-finite entry"),
                                           ("asymmetric", "NonHermitianError: parity "
@@ -430,6 +447,8 @@ def test_full_model_harmonic_quick(tmp_path, capsys):
             "--cutoff", "20", "--levels", "3"]
     assert run(argv, tmp_path) == 0
     out = capsys.readouterr().out
+    assert re.search(r"^grid: mirror halves 3001\+3000 pts, 16\+16 levels; "
+                     r"refinement shift \d\.\de-\d\d of 1e-06$", out, re.M)
     assert "gap ratio" in out
     assert (tmp_path / "full_model.csv").exists()
 
@@ -460,6 +479,18 @@ def test_full_model_solves_parity_blocks(tmp_path, monkeypatch):
     # D then C at m=2 (dim 18), then at m=4 (dim 36): two real half blocks each
     assert seen == [(np.float64, 9)] * 4 + [(np.float64, 18)] * 4
     assert banded == []
+
+
+def test_particle_demo_tilted_table_solves_full_grid(tmp_path, capsys):
+    x = np.linspace(-10.0, 10.0, 2001)
+    table = tmp_path / "tilted.dat"
+    np.savetxt(table, np.column_stack([x, 0.5 * x ** 2 + 0.05 * x]))
+    argv = ["particle-demo", "--potential-table", str(table), "--kernel-levels", "2",
+            "--a0", "0.1"]
+    assert run(argv, tmp_path) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^grid: full grid 2001 pts, 10 levels; "
+                     r"refinement shift \d\.\de-\d\d of 1e-06$", out, re.M)
 
 
 def test_full_model_tilted_well_stays_dense(tmp_path, monkeypatch):
