@@ -80,6 +80,8 @@ from .fluxonium import (
     BasisTooSmallError,
     FluxoniumBasis,
     FluxoniumParams,
+    blocks_flux_charge_correct,
+    blocks_flux_charge_standard,
     build_flux_charge_correct,
     build_flux_charge_standard,
     coupling_g_c,
@@ -139,6 +141,7 @@ __all__ = [
     # fluxonium
     "FluxoniumParams", "FluxoniumBasis", "solve_fluxonium", "coupling_g_c",
     "build_flux_charge_standard", "build_flux_charge_correct",
+    "blocks_flux_charge_standard", "blocks_flux_charge_correct",
     "BasisTooSmallError",
     # experiments
     "ConvergencePolicy", "SweepSpec", "SweepPoint", "SweepResult",

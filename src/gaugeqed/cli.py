@@ -369,6 +369,8 @@ def _cmd_taylor_study(rc: RunConfig) -> int:
 
 def _cmd_alpha_check(rc: RunConfig) -> int:
     p = rc.params
+    if p["break_min"] <= 0:
+        raise ValueError(f"break_min must be > 0, got {p['break_min']:g}")
     study = experiments.alpha_invariance_study(
         p["alphas"], p["eta"], detuning=p["detuning"], levels=p["levels"],
         policy=_policy(p), tol=p["tol"],
@@ -443,10 +445,10 @@ def _cmd_fluxonium(rc: RunConfig) -> int:
         raise ValueError("levels must be < n_keep")
     basis = fluxonium.solve_fluxonium(params)
     g_c = fluxonium.coupling_g_c(params, basis)
-    h_std = fluxonium.build_flux_charge_standard(params, basis)
-    h_cor = fluxonium.build_flux_charge_correct(params, basis)
-    t_std = experiments.lowest_transitions(h_std, levels)
-    t_cor = experiments.lowest_transitions(h_cor, levels)
+    t_std = experiments.lowest_transitions(
+        fluxonium.blocks_flux_charge_standard(params, basis), levels)
+    t_cor = experiments.lowest_transitions(
+        fluxonium.blocks_flux_charge_correct(params, basis), levels)
     rel = np.abs(t_std - t_cor) / np.maximum(t_cor, params.omega_c)
     print(f"omega_10 = {basis.omega_10:.9e}  |phi_10| = "
           f"{abs(basis.phi_10):.9e}  g_C = {g_c:.9e}")
@@ -476,6 +478,8 @@ def _named_model(p: Dict[str, object]) -> particle1d.ParticleModel:
 
 def _cmd_particle_demo(rc: RunConfig) -> int:
     p = rc.params
+    if p["levels"] < 1:
+        raise ValueError(f"levels must be >= 1, got {p['levels']}")
     model = _named_model(p)
     basis = particle1d.solve_particle(model)
     print(basis.describe_solve())

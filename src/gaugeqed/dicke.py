@@ -2,7 +2,7 @@
 
 Everything lives in the symmetric sector j = N/2 (dimension N+1); the full
 2^N product space adds nothing to the spectrum there.  The builders are the
-spin-j gauge core of ``gaugeqed.rabi`` at two_j = N with Q = a + a^dag, so
+spin-j gauge core of ``gaugeqed.rabi`` at two_j = N, so
 at N=1 they reduce to the Rabi matrices (2 J_k = sigma_k at j=1/2).
 
 The truncation-consistent construction conjugates the bare splitting
@@ -68,7 +68,7 @@ def build_dicke_correct(p: DickeParams, method: str = "conjugation") -> Operator
     """
     s = _real_parts(p.n_dipoles, p.cutoff)
     if method == "conjugation":
-        return hermitian_operator(_conjugated(s, p.omega_c, p.omega_10, s.X, 2.0 * p.eta))
+        return hermitian_operator(_conjugated(s, p.omega_c, p.omega_10, 2.0 * p.eta))
     if method == "closed_form":
         return kron_sum(_correct_terms(s, p))
     raise ValueError(f"unknown method {method!r}")

@@ -60,8 +60,10 @@ def lowest_transitions(H: Union[OperatorMatrix, ParityBlocks, ParityBands],
     :func:`~gaugeqed.linalg.banded_parity_eigvalsh` for their lowest
     levels + 1 eigenvalues only.  A matrix is solved by one dense complex
     solve, :func:`~gaugeqed.linalg.hermitian_eig`.  Raises ValueError when
-    fewer than levels + 1 eigenvalues exist.
+    levels < 1 or when fewer than levels + 1 eigenvalues exist.
     """
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
     if isinstance(H, ParityBlocks):
         w = block_parity_eigvalsh(H)
     elif isinstance(H, ParityBands):
@@ -128,6 +130,13 @@ DICKE_MODELS: Dict[str, Callable] = {
 }
 
 FAMILIES = {"rabi": RABI_MODELS, "dicke": DICKE_MODELS}
+
+
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless tol > 0: against tol <= 0 no error or spread
+    passes, and the verdict would be known before anything is solved."""
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol:g}")
 
 
 def _reject_repeats(what: str, values: Sequence) -> None:
@@ -270,8 +279,8 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
     The orders are scanned on ``threads`` workers; the full model is solved
     only at the etas some scan reaches.  Both models are solved from the
     real parity blocks the core writes (``rabi.blocks_H_C_taylor``,
-    ``rabi.blocks_H_C_correct``).  Raises ValueError for an order below 1
-    or a repeated order.
+    ``rabi.blocks_H_C_correct``).  Raises ValueError for an order below 1,
+    a repeated order or tol <= 0.
     """
     if eta_grid is None:
         eta_grid = default_eta_grid(1.6, include_zero=False)
@@ -280,6 +289,7 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
     if any(n < 1 for n in orders):
         raise ValueError("orders must be >= 1")
     _reject_repeats("order", orders)
+    _check_tol(tol)
 
     # exact spectra are solved the first time any order's scan reaches that
     # eta and shared across orders; the per-index lock makes concurrent
@@ -346,7 +356,8 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
     that member is solved from its banded parity chains, the family members
     from the real parity blocks ``rabi.blocks_H_alpha`` writes.  Raises
     ValueError when negative_control is set and 1 is not among the alphas,
-    since nothing would be replaced, and when an alpha or an eta repeats.
+    since nothing would be replaced, when an alpha or an eta repeats, and
+    when tol <= 0.
     """
     alphas = tuple(float(a) for a in alphas)
     eta_grid = tuple(float(e) for e in eta_grid)
@@ -354,6 +365,7 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
         raise ValueError("alphas and eta_grid must be nonempty")
     _reject_repeats("alpha", alphas)
     _reject_repeats("eta", eta_grid)
+    _check_tol(tol)
     if negative_control and 1.0 not in alphas:
         raise ValueError("the negative control replaces the alpha=1 member; "
                          "alphas must include 1")

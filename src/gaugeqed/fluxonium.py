@@ -1,9 +1,11 @@
 """Fluxonium qubit capacitively coupled to an LC oscillator (charge gauge).
 
 The qubit Hamiltonian is 4 E_C N^2 + (E_L/2) phi^2 - E_J cos(phi) with
-conjugate pair [phi, N] = i, solved in the harmonic-oscillator basis of its
-quadratic part.  The retained two-level data (omega_10, phi_10) feed the
-charge-gauge analogues of the Rabi builders:
+conjugate pair [phi, N] = i, solved in real arithmetic in the
+harmonic-oscillator basis of its quadratic part, where phi = phi_zp X and
+N = i n_zp (b^dag - b); cos(phi) comes from the real eigenvectors of X.  The
+retained two-level data (omega_10, phi_10) feed the charge-gauge analogues
+of the Rabi builders:
 
 * ``build_flux_charge_standard``  naive two-level projection with the
                                   -4 E_C chi0^2 (a - a^dag)^2 charge term
@@ -11,12 +13,17 @@ charge-gauge analogues of the Rabi builders:
                                   R = exp[(g_C/omega_10) sigma_x (a - a^dag)]
 
 with g_C = omega_10 phi_10 chi0 and chi0 the reduced-charge zero-point
-amplitude of the oscillator.  The coupling enters through the a - a^dag
-quadrature here (capacitive coupling).  Both builders are the spin-j gauge
-core of ``gaugeqed.rabi`` at two_j = 1 under a -> ia: the quadrature is
-B = i(a - a^dag) and the rotation angle phi = -2 g_C/omega_10.  A
-photon-number phase rotation maps these models onto the a + a^dag Rabi
-family, which is how the E_J = 0 limit is cross-checked in the tests.
+amplitude of the oscillator.  The coupling enters through the charge
+quadrature B = i(a - a^dag) (capacitive coupling).  The photon-number phase
+W = 1 (x) diag(i^n) turns it onto X = a + a^dag, W^dag X W = B, so the
+builders write W H W^dag: the spin-j gauge core of ``gaugeqed.rabi`` at
+two_j = 1, with the naive coupling 2 g_C J_y (x) X and charge term
+4 E_C chi0^2 X^2, and the corrected splitting rotated by cos(2 theta X) and
+-sin(2 theta X), theta = g_C/omega_10.  W is unitary, so the spectra are
+those of the B forms, and W^dag H W is each B form entry by entry (the
+tests check both against independent B-form matrices).  Like every core
+model, each is written dense by ``build_*`` and as two real parity blocks
+by ``blocks_*``; the E_J = 0 limit is the Rabi family itself.
 
 All energies in units of the LC frequency omega_c (hbar = 1).  The sign of
 phi_10 is a basis convention (spectra are invariant under phi_10 -> -phi_10).
@@ -28,10 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (OperatorMatrix, hermitian_eig, hermitian_operator, kron_sum,
-                     matrix_function, spectral_matrix)
-from .qops import _fock_arrays
-from .rabi import _bare_terms, _conjugated, _real_parts, _rotated_terms
+from .linalg import (OperatorMatrix, ParityBlocks, hermitian_eig, hermitian_operator,
+                     kron_sum, parity_block_sum)
+from .qops import _real_fock_arrays, real_quadrature_functions
+from .rabi import (_bare_terms, _conjugated, _real_cos_sin, _real_parts,
+                   _rotated_terms)
 
 
 class BasisTooSmallError(Exception):
@@ -93,20 +101,23 @@ class FluxoniumBasis:
 
     @property
     def phi_10(self) -> float:
-        return float(self.phi_elems[0, 1].real)
+        return float(self.phi_elems[0, 1])
 
 
 def _flux_hamiltonian(p: FluxoniumParams, basis_size: int):
-    b, bdag, nb = _fock_arrays(basis_size - 1)
-    phi = p.phi_zp * (b + bdag)
+    """The qubit Hamiltonian on oscillator levels 0..basis_size - 1, real,
+    with phi and b^dag - b."""
+    _, X, bd_minus_b = _real_fock_arrays(basis_size - 1)
+    phi = p.phi_zp * X
     # N = i n_zp (b^dag - b); N^2 = -n_zp^2 (b^dag - b)^2
     n_zp = 1.0 / (2.0 * p.phi_zp)
-    bd_minus_b = bdag - b
     n2 = (-n_zp ** 2) * (bd_minus_b @ bd_minus_b)
     h = 4.0 * p.e_c * n2 + 0.5 * p.e_l * (phi @ phi)
     if p.e_j != 0.0:
-        h = h - p.e_j * matrix_function(OperatorMatrix(phi), np.cos).arr
-    return hermitian_operator(h), phi, n_zp, bd_minus_b
+        cos_phi, = real_quadrature_functions(basis_size - 1,
+                                             lambda x: (np.cos(p.phi_zp * x),))
+        h = h - p.e_j * cos_phi
+    return h, phi, n_zp, bd_minus_b
 
 
 def solve_fluxonium(p: FluxoniumParams) -> FluxoniumBasis:
@@ -125,55 +136,77 @@ def solve_fluxonium(p: FluxoniumParams) -> FluxoniumBasis:
             f"levels move by {shift:.2e} when basis_size doubles; "
             f"increase basis_size from {p.basis_size}")
     vk = spec.eigenvectors[:, :p.n_keep]
-    phi_el = vk.conj().T @ phi @ vk
-    n_op = 1j * n_zp * bd_minus_b
-    n_el = vk.conj().T @ n_op @ vk
     return FluxoniumBasis(energies=spec.eigenvalues[:p.n_keep].copy(),
-                          phi_elems=phi_el, n_elems=n_el)
+                          phi_elems=vk.T @ phi @ vk,
+                          n_elems=1j * n_zp * (vk.T @ bd_minus_b @ vk))
 
 
 def coupling_g_c(p: FluxoniumParams, basis: FluxoniumBasis) -> float:
     return basis.omega_10 * basis.phi_10 * p.chi0
 
 
+def _standard_terms(p: FluxoniumParams, basis: FluxoniumBasis) -> list:
+    """W H W^dag of the naive model: the bare terms, 2 g_C J_y (x) X and
+    4 e_c chi0^2 1 (x) X^2."""
+    s = _real_parts(1, p.cutoff)
+    return _bare_terms(s, p.omega_c, basis.omega_10) + [
+        (2.0 * coupling_g_c(p, basis) * s.jy, s.X),
+        (4.0 * p.e_c * p.chi0 ** 2 * s.eye_spin, s.X @ s.X)]
+
+
+def _two_theta(p: FluxoniumParams, basis: FluxoniumBasis) -> float:
+    return 2.0 * coupling_g_c(p, basis) / basis.omega_10
+
+
+def _correct_terms(p: FluxoniumParams, basis: FluxoniumBasis) -> list:
+    """W H W^dag of the corrected model: the splitting rotated by
+    cos(2 theta X) and -sin(2 theta X)."""
+    s = _real_parts(1, p.cutoff)
+    cos, sin = _real_cos_sin(p.cutoff, _two_theta(p, basis))
+    return _rotated_terms(s, p.omega_c, basis.omega_10, cos, -sin)
+
+
 def build_flux_charge_standard(p: FluxoniumParams,
                                basis: FluxoniumBasis) -> OperatorMatrix:
     """Naive two-level charge-gauge model:
     (omega_10/2) sigma_z + omega_c a^dag a + i g_C sigma_y (a - a^dag)
-    - 4 e_c chi0^2 (a - a^dag)^2.
+    - 4 e_c chi0^2 (a - a^dag)^2, written as W H W^dag (module header).
 
     Since (a - a^dag)^2 is negative semidefinite, the last term is a
     nonnegative charging-energy shift (asserted in tests).
     """
-    s = _real_parts(1, p.cutoff)
-    B = -1j * s.P  # i(a - a^dag), Hermitian; the charge coupling runs along it
-    g_c = coupling_g_c(p, basis)
-    return kron_sum(_bare_terms(s, p.omega_c, basis.omega_10)
-                    + [(2.0 * g_c * s.jy, B), (4.0 * p.e_c * p.chi0 ** 2 * s.eye_spin, B @ B)])
+    return kron_sum(_standard_terms(p, basis))
+
+
+def blocks_flux_charge_standard(p: FluxoniumParams,
+                                basis: FluxoniumBasis) -> ParityBlocks:
+    """The real parity blocks of ``build_flux_charge_standard``."""
+    return parity_block_sum(_standard_terms(p, basis))
 
 
 def build_flux_charge_correct(p: FluxoniumParams, basis: FluxoniumBasis,
                               method: str = "closed_form") -> OperatorMatrix:
-    """Truncation-consistent charge-gauge model.
+    """Truncation-consistent charge-gauge model, written as W H W^dag
+    (module header).
 
     ``method="conjugation"``: omega_c a^dag a + R (omega_10 sigma_z / 2) R^dag
-    with R = exp[theta sigma_x (a - a^dag)], theta = g_C/omega_10; the
-    generator is anti-Hermitian so R is exactly unitary.
+    with R = exp[theta sigma_x (a - a^dag)], theta = g_C/omega_10, which W
+    turns into exp[-i 2 theta J_x (x) X]; the generator is anti-Hermitian so
+    R is exactly unitary.
     ``method="closed_form"``: the equivalent
-    (omega_10/2) {sigma_z cos[2 theta B] - sigma_y sin[2 theta B]} with the
-    Hermitian quadrature B = i(a - a^dag); equals the hyperbolic form
-    sigma_z cosh[2 theta (a - a^dag)] - i sigma_y sinh[2 theta (a - a^dag)].
+    (omega_10/2) {sigma_z cos[2 theta X] - sigma_y sin[2 theta X]}, the
+    image of sigma_z cosh[2 theta (a - a^dag)] - i sigma_y sinh[2 theta (a - a^dag)].
     """
-    s = _real_parts(1, p.cutoff)
-    B = -1j * s.P
-    two_t = 2.0 * coupling_g_c(p, basis) / basis.omega_10
     if method == "conjugation":
-        # sigma_x (a - a^dag) = -i sigma_x B = -2i J_x B, so R = exp[-i 2 theta J_x B]
-        return hermitian_operator(_conjugated(s, p.omega_c, basis.omega_10, B, -two_t))
+        s = _real_parts(1, p.cutoff)
+        return hermitian_operator(_conjugated(s, p.omega_c, basis.omega_10,
+                                              -_two_theta(p, basis)))
     if method == "closed_form":
-        # at phi = -2 theta: cos(phi B) = cos(2 theta B), sin(phi B) = -sin(2 theta B)
-        spec = hermitian_eig(OperatorMatrix(B))
-        cosB = spectral_matrix(spec, np.cos(two_t * spec.eigenvalues))
-        sinB = spectral_matrix(spec, np.sin(two_t * spec.eigenvalues))
-        return kron_sum(_rotated_terms(s, p.omega_c, basis.omega_10, cosB, -sinB))
+        return kron_sum(_correct_terms(p, basis))
     raise ValueError(f"unknown method {method!r}")
+
+
+def blocks_flux_charge_correct(p: FluxoniumParams,
+                               basis: FluxoniumBasis) -> ParityBlocks:
+    """The real parity blocks of ``build_flux_charge_correct`` (closed form)."""
+    return parity_block_sum(_correct_terms(p, basis))

@@ -4,7 +4,9 @@ Full operators in the package are finite complex matrices wrapped in
 :class:`OperatorMatrix`, a frozen holder with no arithmetic of its own.
 Eigenproblems go through LAPACK (``numpy.linalg.eigh``) behind
 :func:`hermitian_eig`, which adds a deterministic eigenvector phase
-convention; matrix functions and unitaries are built from the spectral
+convention; it also takes the real symmetric arrays of the package (the
+field quadrature a + a^dag and the fluxonium qubit) and solves them in real
+arithmetic.  Matrix functions and unitaries are built from the spectral
 decomposition.
 
 Every Hamiltonian of the package is written once, as a list of
@@ -37,7 +39,7 @@ tests enforce rather than assume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -116,7 +118,8 @@ def _check_hermitian(arr: np.ndarray, context: str) -> None:
     rows = max(1, _CHECK_BLOCK_ENTRIES // arr.shape[0])
     dev = 0.0
     for i in range(0, arr.shape[0], rows):
-        diff = arr[:, i:i + rows].conj().T
+        # the ufunc allocates; the method would hand a real array back itself
+        diff = np.conjugate(arr[:, i:i + rows]).T
         np.subtract(arr[i:i + rows], diff, out=diff)
         dev = max(dev, float(np.abs(diff).max()))
     if dev > HERMITICITY_RTOL * scale:
@@ -154,23 +157,35 @@ class Spectrum:
         return w[1:stop] - w[0]
 
 
-def hermitian_eig(M: OperatorMatrix, vectors: bool = True) -> Spectrum:
-    """Full eigendecomposition of a Hermitian operator.
+def hermitian_eig(M: Union[OperatorMatrix, np.ndarray], vectors: bool = True) -> Spectrum:
+    """Full eigendecomposition of a Hermitian operator, or of a real
+    symmetric float64 array, which is solved in real arithmetic.
 
     Eigenvalues ascend.  Each eigenvector is phase-fixed so its
     largest-magnitude component is real and positive (ties resolved by the
-    lowest index), which makes repeated runs byte-reproducible.
+    lowest index), which makes repeated runs byte-reproducible; the phase of
+    a real eigenvector is its sign, so it stays real.
 
-    Raises NonHermitianError if the matrix fails the Hermiticity check and
+    Raises NonHermitianError if the matrix fails the Hermiticity check (an
+    array is always checked, an operator unless its hint is set),
+    DimensionMismatchError for an array that is not square float64, and
     ConvergenceFailureError if LAPACK does not converge.
     """
-    if not M.hermitian_hint:
-        _check_hermitian(M.arr, "matrix is not Hermitian:")
+    if isinstance(M, OperatorMatrix):
+        arr = M.arr
+        if not M.hermitian_hint:
+            _check_hermitian(arr, "matrix is not Hermitian:")
+    else:
+        arr = M
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.dtype != np.float64:
+            raise DimensionMismatchError(
+                f"an array must be a square float64 matrix, got shape {arr.shape} {arr.dtype}")
+        _check_hermitian(arr, "matrix is not symmetric:")
     try:
         if vectors:
-            w, v = np.linalg.eigh(M.arr)
+            w, v = np.linalg.eigh(arr)
         else:
-            w = np.linalg.eigvalsh(M.arr)
+            w = np.linalg.eigvalsh(arr)
             v = None
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(f"eigensolver did not converge: {exc}") from exc
@@ -383,13 +398,6 @@ def banded_parity_eigvalsh(bands: ParityBands, count: int) -> np.ndarray:
     return w
 
 
-def spectral_matrix(spec: Spectrum, fw: np.ndarray) -> np.ndarray:
-    """V diag(fw) V^dag for values fw that are real on the spectrum, re-symmetrised."""
-    v = spec.eigenvectors
-    out = (v * fw) @ v.conj().T
-    return (out + out.conj().T) / 2.0
-
-
 def matrix_function(M: OperatorMatrix, f: Callable[[np.ndarray], np.ndarray]) -> OperatorMatrix:
     """f(M) for Hermitian M via the spectral decomposition.
 
@@ -398,10 +406,11 @@ def matrix_function(M: OperatorMatrix, f: Callable[[np.ndarray], np.ndarray]) ->
     """
     spec = hermitian_eig(M)
     fw = np.asarray(f(spec.eigenvalues))
-    if np.isrealobj(fw) or np.abs(fw.imag).max() == 0.0:
-        return hermitian_operator(spectral_matrix(spec, fw))
     v = spec.eigenvectors
-    return OperatorMatrix((v * fw) @ v.conj().T, hermitian_hint=False)
+    out = (v * fw) @ v.conj().T
+    if np.isrealobj(fw) or np.abs(fw.imag).max() == 0.0:
+        return hermitian_operator((out + out.conj().T) / 2.0)
+    return OperatorMatrix(out, hermitian_hint=False)
 
 
 def unitary_exp(A: OperatorMatrix, theta: float) -> OperatorMatrix:

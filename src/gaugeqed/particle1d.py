@@ -255,36 +255,38 @@ def _shift(model: ParticleModel) -> float:
     return float(model.potential.min()) - 1.0
 
 
-def _grid_eigsh(model: ParticleModel, vectors: bool):
-    """Lowest eigen_count eigenvalues (and, with ``vectors``, eigenvectors) of
-    the 4th-order pentadiagonal operator on the whole grid by shift-invert
-    Lanczos; the solve of a model without mirror symmetry.
+def _band_solve(bands: np.ndarray, k: int, sigma: float, vectors: bool):
+    """Lowest k levels of the symmetric pentadiagonal operator in lower band
+    storage ``bands``: ascending eigenvalues and, with ``vectors`` (else
+    None), eigenvectors signed so that each one's largest-magnitude entry is
+    positive.
 
-    The banded LAPACK driver is avoided: it needs a dense n x n
-    back-transform for vectors and is several times slower even for values
-    on refined grids.
+    Shift-invert Lanczos about ``sigma``; with too few points for Lanczos
+    (eigsh would warn and go dense), banded LAPACK.  The banded driver is
+    avoided otherwise: it needs a dense n x n back-transform for vectors and
+    is several times slower even for values on refined grids.
     """
-    return _eigsh(_grid_bands(model), model.eigen_count, _shift(model), vectors)
-
-
-def _grid_eigvals(model: ParticleModel) -> np.ndarray:
-    return np.sort(_grid_eigsh(model, False))
-
-
-def _solve_grid(model: ParticleModel):
-    """4th-order eigensolve; returns (energies, sign-fixed psi columns).
-
-    Each column is normalized to sum(psi^2) dx = 1, and its sign is fixed so
-    that its largest-magnitude sample is positive.
-    """
-    w, v = _grid_eigsh(model, True)
+    if k < bands.shape[1] - 1:
+        res = _eigsh(bands, k, sigma, vectors)
+    else:
+        res = sla.eig_banded(bands, lower=True, select="i", select_range=(0, k - 1),
+                             eigvals_only=not vectors)
+    if not vectors:
+        return np.sort(res), None
+    w, u = res
     order = np.argsort(w)
-    w, v = w[order], v[:, order]
-    for i in range(v.shape[1]):
-        jmax = np.argmax(np.abs(v[:, i]))
-        if v[jmax, i] < 0:
-            v[:, i] = -v[:, i]
-    return w, v / np.sqrt(model.grid.dx)
+    w, u = w[order], u[:, order]
+    u *= np.where(u[np.abs(u).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
+    return w, u
+
+
+def _solve_grid(model: ParticleModel, vectors: bool):
+    """The lowest eigen_count levels on the whole grid, the solve of a model
+    without mirror symmetry: ascending energies and, with ``vectors`` (else
+    None), eigenfunctions normalized to sum(psi^2) dx = 1 and signed so that
+    the largest-magnitude sample is positive."""
+    w, v = _band_solve(_grid_bands(model), model.eigen_count, _shift(model), vectors)
+    return w, None if v is None else v / np.sqrt(model.grid.dx)
 
 
 def _first_derivative(v: np.ndarray, dx: float) -> np.ndarray:
@@ -346,24 +348,14 @@ def _half_solve(model: ParticleModel, parity: int, k: int, vectors: bool):
     """Lowest k levels of mirror parity ``parity`` from the folded operator:
     ascending energies and, with ``vectors`` (else None), their
     eigenfunctions rebuilt on the whole grid by mirroring, normalized to
-    sum(psi^2) dx = 1 and signed so that the largest-magnitude sample on
-    x >= 0 is positive."""
-    bands = _fold(model, parity)
-    if k < bands.shape[1] - 1:
-        res = _eigsh(bands, k, _shift(model), vectors)
-    else:
-        # too few points for Lanczos (eigsh would warn and go dense)
-        res = sla.eig_banded(bands, lower=True, select="i", select_range=(0, k - 1),
-                             eigvals_only=not vectors)
+    sum(psi^2) dx = 1 and signed as ``_band_solve`` signs the folded
+    vectors."""
+    w, u = _band_solve(_fold(model, parity), k, _shift(model), vectors)
     if not vectors:
-        return np.sort(res), None
-    w, u = res
-    order = np.argsort(w)
-    w, u = w[order], u[:, order]
+        return w, None
     n = model.grid.n_points
     if n % 2 == 1 and parity > 0:
         u[0] *= np.sqrt(2.0)
-    u *= np.where(u[np.abs(u).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
     start = _half_start(n, parity)
     psi = np.zeros((n, k))
     psi[start:] = u
@@ -417,7 +409,7 @@ def solve_particle(model: ParticleModel) -> MatterBasis:
     """
     g = model.grid
     mirror = _mirror_symmetric(model)
-    w, psi = _mirror_solve(model, True) if mirror else _solve_grid(model)
+    w, psi = (_mirror_solve if mirror else _solve_grid)(model, True)
     edge = max(float(np.abs(psi[0]).max()), float(np.abs(psi[-1]).max()))
     if edge > BOUNDARY_AMPLITUDE_MAX:
         raise BoundaryLeakError(
@@ -429,7 +421,7 @@ def solve_particle(model: ParticleModel) -> MatterBasis:
         w_fine, _ = _mirror_solve(fine, False)
         _check_interleaved(w_fine, fine.grid)
     else:
-        w_fine = _grid_eigvals(fine)
+        w_fine, _ = _solve_grid(fine, False)
     shift = float(np.abs(w - w_fine).max())
     if shift > GRID_SHIFT_MAX:
         raise GridTooCoarseError(

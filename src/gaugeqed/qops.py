@@ -20,10 +20,12 @@ Truncation artefact worth remembering: on the truncated space
 The eigendecomposition of the field quadrature X = a + a^dag does not depend
 on the coupling, so :func:`quadrature_eig` keeps it per cutoff; its
 eigenvalues are sqrt(2) times the Gauss-Hermite nodes of order cutoff + 1
-(Golub & Welsch, Math. Comp. 23, 221, 1969).  X is real symmetric and its
-phase-fixed eigenvectors are real, so :func:`real_quadrature_functions`
-forms cos/sin(k X), or any other function of X, as real arrays from them;
-the dense builders and the parity-block builders both read them.
+(Golub & Welsch, Math. Comp. 23, 221, 1969).  X is real symmetric, so it is
+solved in real arithmetic and its sign-fixed eigenvectors are real;
+:func:`real_quadrature_functions` forms cos/sin(k X), or any other function
+of X, as real arrays from them.  The Rabi, Dicke and fluxonium builders, dense
+and parity-block alike, read them, and so does the fluxonium qubit's
+cos(phi), phi being a multiple of its oscillator's X.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .linalg import HERMITICITY_RTOL, OperatorMatrix, ParityError, Spectrum, hermitian_eig
+from .linalg import OperatorMatrix, Spectrum, hermitian_eig
 
 # cutoffs whose X eigendecomposition is kept; the default convergence
 # policy visits six (40, 80, ..., 1280), so one whole doubling chain fits
@@ -53,22 +55,26 @@ class SpinOps(NamedTuple):
     jz: OperatorMatrix
 
 
-def _fock_arrays(cutoff: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a, a^dag and n on dimension cutoff + 1 as plain complex arrays."""
+def _real_ladder(cutoff: int) -> np.ndarray:
+    """a on dimension cutoff + 1 as a real array."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    n = np.arange(cutoff + 1)
-    a = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    a[np.arange(cutoff), np.arange(1, cutoff + 1)] = np.sqrt(n[1:])
-    return a, a.conj().T.copy(), np.diag(n.astype(complex))
+    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+
+
+def _fock_arrays(cutoff: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a, a^dag and n on dimension cutoff + 1 as plain complex arrays."""
+    a = _real_ladder(cutoff).astype(complex)
+    return a, a.conj().T.copy(), np.diag(np.arange(cutoff + 1.0).astype(complex))
 
 
 def _real_fock_arrays(cutoff: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n, X = a + a^dag and P = a^dag - a on dimension cutoff + 1 as real
-    arrays; P is antisymmetric, and i P is the Hermitian quadrature."""
-    a, _, n = _fock_arrays(cutoff)
-    a = a.real
-    return n.real, a + a.T, a.T - a
+    arrays; P is antisymmetric, and i P is the Hermitian quadrature.  They
+    are built without a complex intermediate: the sweeps build them once per
+    model and cutoff."""
+    a = _real_ladder(cutoff)
+    return np.diag(np.arange(cutoff + 1.0)), a + a.T, a.T - a
 
 
 def fock_ops(cutoff: int) -> FockOps:
@@ -80,8 +86,7 @@ def fock_ops(cutoff: int) -> FockOps:
 
 @functools.lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
 def _quadrature_eig_cached(cutoff: int) -> Spectrum:
-    a, adag, _ = _fock_arrays(cutoff)
-    return hermitian_eig(OperatorMatrix(a + adag))
+    return hermitian_eig(_real_fock_arrays(cutoff)[1])
 
 
 # lru_cache holds no lock while a missing entry is computed, so two threads
@@ -90,7 +95,7 @@ _QUADRATURE_LOCK = threading.Lock()
 
 
 def quadrature_eig(cutoff: int) -> Spectrum:
-    """Phase-fixed ``hermitian_eig(a + a^dag)`` on Fock levels 0..cutoff.
+    """Sign-fixed real ``hermitian_eig(a + a^dag)`` on Fock levels 0..cutoff.
 
     Cached per cutoff.  Lookups are serialised by a lock, so concurrent
     callers compute each cutoff once; ``cache_info`` and ``cache_clear`` are
@@ -108,18 +113,10 @@ quadrature_eig.cache_clear = _quadrature_eig_cached.cache_clear
 def real_quadrature_functions(cutoff: int, f) -> Tuple[np.ndarray, ...]:
     """g(X) for X = a + a^dag and each value array g(x) that ``f`` returns
     on the eigenvalues x of X, as real symmetric float64 arrays built from
-    the cached :func:`quadrature_eig`.
-
-    X is real symmetric, so its phase-fixed eigenvectors are real; their
-    imaginary part is checked to be within HERMITICITY_RTOL of zero (a unit
-    vector's scale) before the real part is used, and ParityError is raised
-    otherwise.
+    the cached real eigenvectors of :func:`quadrature_eig`.
     """
     spec = quadrature_eig(cutoff)
-    imag = float(np.abs(spec.eigenvectors.imag).max())
-    if imag > HERMITICITY_RTOL:
-        raise ParityError(f"eigenvectors of a + a^dag are not real: max|Im| = {imag:.3e}")
-    v = np.ascontiguousarray(spec.eigenvectors.real)
+    v = spec.eigenvectors
     out = []
     for fw in f(spec.eigenvalues):
         g = (v * fw) @ v.T

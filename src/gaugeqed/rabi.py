@@ -17,23 +17,23 @@ of omega_c with hbar = 1:
                           and corrected C (alpha=1)
 
 The core works on matter (x) field with a collective spin j = two_j / 2 and
-a Hermitian field quadrature Q.  Each model is written once, as a list of
+the field quadrature X = a + a^dag.  Each model is written once, as a list of
 (spin operator, field operator) terms: the bare terms
 omega_c 1 (x) n + omega_10 J_z (x) 1, the rotated splitting
-omega_10 (J_z (x) cos phi Q + J_y (x) sin phi Q), the dipole coupling and
+omega_10 (J_z (x) cos phi X + J_y (x) sin phi X), the dipole coupling and
 the naive Coulomb coupling.  Each ``build_*`` hands its list to the dense writer
 ``linalg.kron_sum``, and each ``blocks_*`` hands the same list to the block
 writer ``linalg.parity_block_sum``, which writes the two real parity blocks
 (``linalg.ParityBlocks``) the sweeps and studies solve.  The field
-operators are real (n, a + a^dag, a^dag - a, and cos/sin of 2 eta (a + a^dag)
-from the real eigenvectors of a + a^dag), and a dipole coupling
-i J_x (x) (a^dag - a) carries its i on the spin side, where the 1j**m phase
-makes it real.  The one reference conjugation U = exp(i phi J_x (x) Q)
-serves every ``method="conjugation"`` and ``check_gauge_theorem``.  The
-Rabi model is two_j = 1 (the j = 1/2 case: sigma_k = 2 J_k, so
-0.5 omega_10 sigma_z = omega_10 J_z and g sigma_k = 2 g J_k bit for bit),
-``gaugeqed.dicke`` is two_j = N, and ``gaugeqed.fluxonium``'s charge gauge
-is the a -> ia case, Q = i(a - a^dag).
+operators are real (n, X, a^dag - a, and cos/sin of phi X from the real
+eigenvectors of X), and a dipole coupling i J_x (x) (a^dag - a) carries its
+i on the spin side, where the 1j**m phase makes it real.  The one reference
+conjugation U = exp(i phi J_x (x) X) serves every ``method="conjugation"``
+and ``check_gauge_theorem``.  The Rabi model is two_j = 1 (the j = 1/2
+case: sigma_k = 2 J_k, so 0.5 omega_10 sigma_z = omega_10 J_z and
+g sigma_k = 2 g J_k bit for bit), ``gaugeqed.dicke`` is two_j = N, and
+``gaugeqed.fluxonium``'s charge gauge is two_j = 1 again, its
+i(a - a^dag) coupling turned onto X by the photon-number phase diag(i^n).
 
 ``bands_H_D`` and ``bands_H_C_standard`` write the D and naive Coulomb
 models as their two real parity chains in band storage (tri- and
@@ -132,17 +132,16 @@ def _real_parts(two_j: int, cutoff: int) -> _RealParts:
                       np.eye(two_j + 1, dtype=complex))
 
 
-def _rotation(s: _RealParts, Q: np.ndarray, phi: float) -> OperatorMatrix:
-    """The reference conjugation U = exp(i phi J_x (x) Q)."""
-    return unitary_exp(OperatorMatrix(np.kron(s.jx, Q)), phi)
+def _rotation(s: _RealParts, phi: float) -> OperatorMatrix:
+    """The reference conjugation U = exp(i phi J_x (x) X), X = a + a^dag."""
+    return unitary_exp(OperatorMatrix(np.kron(s.jx, s.X)), phi)
 
 
-def _conjugated(s: _RealParts, omega_c: float, omega_10: float, Q: np.ndarray,
-                phi: float) -> np.ndarray:
-    """U (omega_10 J_z (x) 1) U^dag + omega_c 1 (x) n, with U = exp(i phi J_x (x) Q);
-    equal to the rotated splitting at cos(phi Q), sin(phi Q) up to roundoff."""
+def _conjugated(s: _RealParts, omega_c: float, omega_10: float, phi: float) -> np.ndarray:
+    """U (omega_10 J_z (x) 1) U^dag + omega_c 1 (x) n, with U = exp(i phi J_x (x) X);
+    equal to the rotated splitting at cos(phi X), sin(phi X) up to roundoff."""
     H0 = hermitian_operator(omega_10 * np.kron(s.jz, s.eye_field))
-    return conjugate(_rotation(s, Q, phi), H0).arr + omega_c * np.kron(s.eye_spin, s.n)
+    return conjugate(_rotation(s, phi), H0).arr + omega_c * np.kron(s.eye_spin, s.n)
 
 
 def _bare_terms(s: _RealParts, omega_c: float, omega_10: float) -> list:
@@ -153,7 +152,7 @@ def _bare_terms(s: _RealParts, omega_c: float, omega_10: float) -> list:
 def _rotated_terms(s: _RealParts, omega_c: float, omega_10: float, cos: np.ndarray,
                    sin: np.ndarray) -> list:
     """omega_c 1 (x) n + omega_10 (J_z (x) cos + J_y (x) sin): the bare
-    splitting turned about J_x, given cos(phi Q) and sin(phi Q) (or their
+    splitting turned about J_x, given cos(phi X) and sin(phi X) (or their
     Maclaurin polynomials)."""
     return [(s.eye_spin, omega_c * s.n), (omega_10 * s.jz, cos), (omega_10 * s.jy, sin)]
 
@@ -191,7 +190,7 @@ def _real_cos_sin(cutoff: int, k: float):
 
 
 # ---------------------------------------------------------------------------
-# Rabi builders: the core at two_j = 1 with Q = a + a^dag; each build_* is
+# Rabi builders: the core at two_j = 1; each build_* is
 # the dense writer on the model's terms, each blocks_* the block writer
 # ---------------------------------------------------------------------------
 
@@ -270,7 +269,7 @@ def build_H_C_correct(p: RabiParams, method: str = "closed_form") -> OperatorMat
     """
     if method == "conjugation":
         s = _real_parts(1, p.cutoff)
-        return hermitian_operator(_conjugated(s, p.omega_c, p.omega_10, s.X, 2.0 * p.eta))
+        return hermitian_operator(_conjugated(s, p.omega_c, p.omega_10, 2.0 * p.eta))
     if method == "closed_form":
         return kron_sum(_correct_terms(_real_parts(1, p.cutoff), p))
     raise ValueError(f"unknown method {method!r}")
@@ -410,11 +409,15 @@ def check_gauge_theorem(p: RabiParams, interior_fraction: float = 0.8,
     grows with the cutoff), so ``max_dev_full_rel`` normalizes the full-matrix
     deviation by the largest entry of H_C; that relative measure and the
     interior measure both decrease as the cutoff grows.
+
+    Raises ValueError unless 0 < interior_fraction <= 1 and tol > 0.
     """
     if not 0.0 < interior_fraction <= 1.0:
         raise ValueError(f"interior_fraction must be in (0, 1], got {interior_fraction}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol:g}")
     s = _real_parts(1, p.cutoff)
-    U = _rotation(s, s.X, 2.0 * p.eta)
+    U = _rotation(s, 2.0 * p.eta)
     hd = hermitian_operator(build_H_D(p).arr
                             + (p.eta ** 2 * p.omega_c) * np.eye(p.dim, dtype=complex))
     hc = build_H_C_correct(p, method="closed_form")

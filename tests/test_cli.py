@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gaugeqed import ParityBands, ParityBlocks, cli, experiments, particle1d
+from gaugeqed import ParityBands, ParityBlocks, cli, experiments, particle1d, quadrature_eig
 from gaugeqed.cli import COMMANDS, build_parser, main
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.ini"
@@ -429,6 +429,57 @@ def test_fluxonium_basis_too_small_exit_2(tmp_path, capsys):
             "--cutoff", "20", "--levels", "2", "--n-keep", "4"]
     assert run(argv, tmp_path) == 2
     assert "BasisTooSmall" in capsys.readouterr().err
+
+
+def test_fluxonium_solves_real_arrays_only(tmp_path, monkeypatch):
+    # every eigensolver input on the fluxonium path is float64: X and the
+    # qubit at basis size 60, X and the qubit at the doubled size 120, then
+    # the two (cutoff + 1)-square parity blocks of the naive model, X at the
+    # cavity cutoff for cos/sin, and the two blocks of the corrected model
+    quadrature_eig.cache_clear()
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        def record(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            seen.append((_name, a.dtype, a.shape))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, record)
+    argv = ["fluxonium", "--basis-size", "60", "--cutoff", "30",
+            "--levels", "2", "--n-keep", "4"]
+    assert run(argv, tmp_path) == 0
+    real = np.dtype(np.float64)
+    assert seen == [("eigh", real, (60, 60))] * 2 + [
+        ("eigh", real, (120, 120)), ("eigvalsh", real, (120, 120))] + [
+        ("eigvalsh", real, (31, 31))] * 2 + [("eigh", real, (31, 31))] + [
+        ("eigvalsh", real, (31, 31))] * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["taylor-study", "--levels", "0"],
+    ["alpha-check", "--levels", "0"],
+    ["full-model", "--levels", "0"],
+    ["particle-demo", "--levels", "-3"],
+    ["fluxonium", "--levels", "0"],
+    ["fluxonium", "--levels", "-2"],
+], ids=" ".join)
+def test_levels_below_one_exit_1(tmp_path, capsys, argv):
+    assert run(argv, tmp_path) == 1
+    assert "levels must be >= 1, got" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["taylor-study", "--tol", "-1"],
+    ["taylor-study", "--tol", "0"],
+    ["alpha-check", "--tol", "-1"],
+    ["gauge-theorem", "--tol", "-1"],
+    ["alpha-check", "--negative-control", "--break-min", "-1"],
+], ids=" ".join)
+def test_nonpositive_tolerance_exit_1(tmp_path, capsys, argv):
+    key = argv[-2][2:].replace("-", "_")
+    assert run(argv, tmp_path) == 1
+    assert f"{key} must be > 0, got" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_particle_demo_coarse_table_exit_2(tmp_path, capsys):

@@ -15,12 +15,16 @@ from gaugeqed import (
     BasisTooSmallError,
     FluxoniumParams,
     RabiParams,
+    blocks_flux_charge_correct,
+    blocks_flux_charge_standard,
     build_flux_charge_correct,
     build_flux_charge_standard,
     build_H_C_correct,
     build_H_C_standard,
     coupling_g_c,
     hermitian_eig,
+    lowest_transitions,
+    rabi,
     solve_fluxonium,
 )
 
@@ -107,6 +111,22 @@ def test_correct_golden(basis):
     assert np.max(np.abs(t - GOLD_CORR) / GOLD_CORR) <= 1e-10
 
 
+def test_blocks_golden(basis):
+    # the real parity blocks the CLI solves hold the same goldens
+    for build, gold in ((blocks_flux_charge_standard, GOLD_STD),
+                        (blocks_flux_charge_correct, GOLD_CORR)):
+        t = lowest_transitions(build(PARAMS, basis), 3)
+        assert np.max(np.abs(t - gold) / gold) <= 1e-10
+
+
+def test_qubit_solve_is_real(basis):
+    # the qubit is solved in real arithmetic; the sign rule (each
+    # eigenvector's largest component positive) keeps phi_10 positive here
+    for name in ("energies", "phi_elems"):
+        assert getattr(basis, name).dtype == np.float64
+    assert basis.phi_10 > 0
+
+
 def test_builders_against_oracle_matrices(basis):
     w10, phi10 = basis.omega_10, abs(basis.phi_10)
     t = transitions(build_flux_charge_standard(PARAMS, basis), 3)
@@ -130,12 +150,9 @@ def test_conjugation_matches_closed_form(basis):
 
 def test_charge_term_nonnegative(basis):
     # -(a - a^dag)^2 is positive semidefinite, so the chi0^2 term only
-    # shifts energies up
-    from gaugeqed import fock_ops
-    a, adag, _ = fock_ops(40)
-    B = 1j * (a.arr - adag.arr)
-    B2 = B @ B
-    w = np.linalg.eigvalsh(B2)
+    # shifts energies up; the builders write it as W (.) W^dag = X^2
+    X = rabi._real_parts(1, 40).X
+    w = np.linalg.eigvalsh(X @ X)
     assert w.min() >= -1e-12
 
 

@@ -4,7 +4,9 @@ phased parity blocks of its dense builder.
 
 The Rabi, Dicke and fluxonium charge-gauge builders share one spin-j core
 (``gaugeqed.rabi``); the frozen spectra in the other modules pin them only
-through eigenvalues, so this module pins the matrices themselves.
+through eigenvalues, so this module pins the matrices themselves.  The
+fluxonium builders write W H W^dag with W = 1 (x) diag(i^n), so W^dag H W is
+pinned to the oracles' charge-quadrature forms.
 """
 
 import itertools
@@ -23,6 +25,8 @@ from gaugeqed import (
     blocks_dicke_correct,
     blocks_dicke_dipole,
     blocks_dicke_standard,
+    blocks_flux_charge_correct,
+    blocks_flux_charge_standard,
     blocks_H_alpha,
     blocks_H_C_correct,
     blocks_H_C_taylor,
@@ -41,6 +45,7 @@ from gaugeqed import (
     blocks_full_H_D,
     build_full_H_C,
     build_full_H_D,
+    OperatorMatrix,
     hermitian_eig,
     solve_fluxonium,
 )
@@ -53,7 +58,7 @@ ENTRY_RTOL = 1e-12
 
 
 def assert_entrywise(H, ref, case):
-    H = H.arr
+    H = H.arr if isinstance(H, OperatorMatrix) else H
     assert H.shape == ref.shape, case
     dev = float(np.abs(H - ref).max())
     limit = ENTRY_RTOL * max(float(np.abs(H).max()), 1.0)
@@ -123,9 +128,11 @@ FLUXONIUM = {
 @pytest.mark.parametrize("model", sorted(FLUXONIUM))
 def test_fluxonium_builders_match_oracles(model, fluxonium_basis):
     # eta is the charge-gauge coupling g_C / omega_10 = phi_10 chi0, and the
-    # detuning moves the LC frequency omega_c = 1 + detuning
+    # detuning moves the LC frequency omega_c = 1 + detuning.  W^dag X W is
+    # i(a - a^dag), so W^dag H W is the oracle's charge-quadrature form
     b = fluxonium_basis
     for eta, cutoff, detuning in GRID:
+        W = np.kron(np.eye(2), np.diag(1j ** (np.arange(cutoff + 1) % 4)))
         p = FluxoniumParams(e_c=1.0, e_l=0.9, e_j=3.0, chi0=eta / b.phi_10,
                             omega_c=1.0 + detuning, cutoff=cutoff)
         if model == "std":
@@ -134,18 +141,20 @@ def test_fluxonium_builders_match_oracles(model, fluxonium_basis):
         else:
             ref = oracles.flux_charge_correct(b.omega_10, b.phi_10, p.chi0, cutoff,
                                               p.omega_c)
-        assert_entrywise(FLUXONIUM[model](p, b), ref, (model, eta, cutoff, detuning))
+        H = FLUXONIUM[model](p, b).arr
+        assert_entrywise(W.conj().T @ H @ W, ref, (model, eta, cutoff, detuning))
 
 
 # ---------------------------------------------------------------------------
 # real parity blocks written by the core
 # ---------------------------------------------------------------------------
 
-def block_cases(eta, cutoff, detuning, particle):
+def block_cases(eta, cutoff, detuning, particle, flux_basis):
     """(name, dense matrix, its real blocks, matter dimension) of every block
     builder, at the orders, alphas and dipole numbers the sweeps and studies
-    use, and for the full models of a mirror-parity ``particle`` (model,
-    basis) at two matter truncations."""
+    use, for the fluxonium models on ``flux_basis`` at coupling eta, and for
+    the full models of a mirror-parity ``particle`` (model, basis) at two
+    matter truncations."""
     p = RabiParams(eta=eta, cutoff=cutoff, detuning=detuning)
     yield "Ccorr", build_H_C_correct(p), blocks_H_C_correct(p), 2
     for order in (2, 10, 200):
@@ -158,6 +167,12 @@ def block_cases(eta, cutoff, detuning, particle):
         yield (f"dicke {n} corr", build_dicke_correct(q, method="closed_form"),
                blocks_dicke_correct(q), n + 1)
         yield f"dicke {n} dipole", build_dicke_dipole(q), blocks_dicke_dipole(q), n + 1
+    f = FluxoniumParams(e_c=1.0, e_l=0.9, e_j=3.0, chi0=eta / flux_basis.phi_10,
+                        omega_c=1.0 + detuning, cutoff=cutoff)
+    yield ("flux std", build_flux_charge_standard(f, flux_basis),
+           blocks_flux_charge_standard(f, flux_basis), 2)
+    yield ("flux corr", build_flux_charge_correct(f, flux_basis),
+           blocks_flux_charge_correct(f, flux_basis), 2)
     model, basis = particle
     for m in (2, 7):
         args = (model, basis, cutoff, 0.5 * eta, m, 1.0 + detuning)
@@ -167,11 +182,12 @@ def block_cases(eta, cutoff, detuning, particle):
 
 @pytest.mark.parametrize("cutoff", [1, 2, 15, 16, 41])
 @pytest.mark.parametrize("eta", [0.0, 0.4, 1.5, 3.0])
-def test_blocks_match_dense_builders(eta, cutoff, double_well):
+def test_blocks_match_dense_builders(eta, cutoff, double_well, fluxonium_basis):
     """Each block builder writes the phased parity blocks of its dense
     builder, entry by entry, and their eigenvalues are the dense matrix's.
     Detuned, so that the J_z and J_y terms differ in scale."""
-    for name, H, blocks, matter in block_cases(eta, cutoff, 0.2, double_well):
+    for name, H, blocks, matter in block_cases(eta, cutoff, 0.2, double_well,
+                                               fluxonium_basis):
         case = (name, eta, cutoff)
         bound = ENTRY_RTOL * max(float(np.abs(H.arr).max()), 1.0)
         ref, imag = phased_blocks(H, matter, cutoff + 1)
@@ -187,13 +203,16 @@ def test_blocks_match_dense_builders(eta, cutoff, double_well):
         assert dev <= bound, (case, dev)
 
 
-def test_block_builders_enforce_dimension_cap():
+def test_block_builders_enforce_dimension_cap(fluxonium_basis):
     # checked before any work: the cap is hit before cos/sin at cutoff 2048
     p = RabiParams(eta=0.3, cutoff=2048)
     q = DickeParams(eta=0.3, cutoff=1000, n_dipoles=4)
+    f = FluxoniumParams(e_c=1.0, e_l=0.9, e_j=3.0, chi0=0.2, cutoff=2048)
     for build, params in ((blocks_H_C_correct, p), (lambda r: blocks_H_C_taylor(r, 3), p),
                           (lambda r: blocks_H_alpha(r, 0.5), p), (blocks_dicke_standard, q),
-                          (blocks_dicke_correct, q), (blocks_dicke_dipole, q)):
+                          (blocks_dicke_correct, q), (blocks_dicke_dipole, q),
+                          (lambda r: blocks_flux_charge_standard(r, fluxonium_basis), f),
+                          (lambda r: blocks_flux_charge_correct(r, fluxonium_basis), f)):
         with pytest.raises(DimensionOverflowError):
             build(params)
 

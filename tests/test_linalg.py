@@ -99,6 +99,31 @@ def test_eig_deterministic_vectors():
     assert np.array_equal(v1, v2)
 
 
+def test_eig_of_a_real_array_stays_real():
+    # a real symmetric array is solved in real arithmetic: the complex
+    # solve's spectrum, and the phase rule leaves each eigenvector real with
+    # its largest component positive
+    A = random_hermitian(30, seed=9).real
+    spec = hermitian_eig(A)
+    # the symmetry check leaves its input alone
+    assert np.array_equal(A, random_hermitian(30, seed=9).real)
+    ref = hermitian_eig(OperatorMatrix(A, hermitian_hint=True))
+    v = spec.eigenvectors
+    assert v.dtype == np.float64 and not v.flags.writeable
+    assert np.all(v[np.abs(v).argmax(axis=0), np.arange(30)] > 0)
+    assert np.abs(spec.eigenvalues - ref.eigenvalues).max() <= 1e-12
+    assert np.abs(v - ref.eigenvectors).max() <= 1e-10
+    assert np.array_equal(hermitian_eig(A, vectors=False).eigenvalues,
+                          np.linalg.eigvalsh(A))
+    for bad in (A.astype(complex), A[:, :29]):
+        with pytest.raises(DimensionMismatchError):
+            hermitian_eig(bad)
+    bad = A.copy()
+    bad[3, 1] += 1e-6
+    with pytest.raises(NonHermitianError):
+        hermitian_eig(bad)
+
+
 def test_transitions():
     _, _, n = fock_ops(5)
     spec = hermitian_eig(OperatorMatrix(2.0 * n.arr, hermitian_hint=True), vectors=False)

@@ -13,16 +13,14 @@ from hypothesis import strategies as st
 from conftest import pauli, random_hermitian
 from gaugeqed import (
     OperatorMatrix,
-    ParityError,
-    Spectrum,
     fock_ops,
     hermitian_eig,
     kron,
+    matrix_function,
     qops,
     quadrature_eig,
     spin_ops,
 )
-from gaugeqed.linalg import spectral_matrix
 
 
 def comm(A, B):
@@ -84,10 +82,14 @@ def test_ladder_commutator_top_entry():
     assert np.array_equal(comm(a, adag), np.diag([1.0, -1.0]))
 
 
+def real_X(cutoff):
+    a, adag, _ = fock_ops(cutoff)
+    return (a.arr + adag.arr).real
+
+
 def test_quadrature_eig_matches_uncached_bitwise():
     for cutoff in (5, 40, 97):
-        a, adag, _ = fock_ops(cutoff)
-        fresh = hermitian_eig(OperatorMatrix(a.arr + adag.arr))
+        fresh = hermitian_eig(real_X(cutoff))
         cached = quadrature_eig(cutoff)
         assert quadrature_eig(cutoff) is cached
         assert cached.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
@@ -107,8 +109,7 @@ def test_quadrature_eig_shared_across_threads():
     # more threads than cores hammer a cutoff set larger than the cache, so
     # entries are computed, evicted and recomputed concurrently
     cutoffs = list(range(3, 3 + 2 * quadrature_eig.cache_info().maxsize))
-    fresh = {c: hermitian_eig(OperatorMatrix(fock_ops(c).a.arr + fock_ops(c).adag.arr))
-             for c in cutoffs}
+    fresh = {c: hermitian_eig(real_X(c)) for c in cutoffs}
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -128,7 +129,7 @@ def test_quadrature_eig_computes_a_cutoff_once(monkeypatch):
     solve = qops.hermitian_eig
 
     def counting(M, *args, **kwargs):
-        calls.append(M.dim)
+        calls.append(M.shape[0])
         time.sleep(0.05)
         return solve(M, *args, **kwargs)
 
@@ -147,28 +148,32 @@ def test_quadrature_eig_computes_a_cutoff_once(monkeypatch):
 
 
 @pytest.mark.parametrize("cutoff", [1, 8, 41])
+def test_quadrature_eig_is_real_and_sign_fixed(cutoff):
+    # the real solve has the complex solve's spectrum, and each real
+    # eigenvector is the complex one's after the phase rule
+    spec = quadrature_eig(cutoff)
+    ref = hermitian_eig(OperatorMatrix(real_X(cutoff)))
+    v = spec.eigenvectors
+    assert spec.eigenvalues.dtype == np.float64 and v.dtype == np.float64
+    assert np.all(v[np.abs(v).argmax(axis=0), np.arange(cutoff + 1)] > 0)
+    assert np.abs(spec.eigenvalues - ref.eigenvalues).max() <= 1e-13 * max(cutoff, 1)
+    assert np.abs(v - ref.eigenvectors).max() <= 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [1, 8, 41])
 def test_real_quadrature_functions_match_complex(cutoff):
-    # cos/sin of k X from the real eigenvectors equal the complex spectral
-    # matrices, and X itself comes back exactly tridiagonal up to roundoff
+    # cos/sin of k X from the real eigenvectors equal the matrix functions
+    # of the complex solve, and X itself comes back exactly tridiagonal up
+    # to roundoff
     k = 1.3
     cos, sin, X = qops.real_quadrature_functions(
         cutoff, lambda x: (np.cos(k * x), np.sin(k * x), x))
-    spec = quadrature_eig(cutoff)
-    ref_cos, ref_sin = (spectral_matrix(spec, f(k * spec.eigenvalues)) for f in (np.cos, np.sin))
-    a, adag, _ = fock_ops(cutoff)
-    for got, want in ((cos, ref_cos), (sin, ref_sin), (X, a.arr + adag.arr)):
+    Xc = OperatorMatrix(real_X(cutoff))
+    ref_cos, ref_sin = (matrix_function(Xc, lambda w: f(k * w)).arr for f in (np.cos, np.sin))
+    for got, want in ((cos, ref_cos), (sin, ref_sin), (X, real_X(cutoff))):
         assert got.dtype == np.float64
         assert np.array_equal(got, got.T)
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
-
-
-def test_real_quadrature_functions_reject_complex_vectors(monkeypatch):
-    spec = quadrature_eig(6)
-    # a phase of 1j on every eigenvector keeps them eigenvectors, but not real
-    turned = Spectrum(spec.eigenvalues, spec.eigenvectors * 1j)
-    monkeypatch.setattr(qops, "quadrature_eig", lambda cutoff: turned)
-    with pytest.raises(ParityError, match="eigenvectors of a \\+ a\\^dag are not real"):
-        qops.real_quadrature_functions(6, lambda x: (np.cos(x),))
 
 
 def test_fock_validation():
