@@ -20,6 +20,7 @@ from gaugeqed import (
     DickeParams,
     DimensionOverflowError,
     FluxoniumParams,
+    OperatorMatrix,
     ParityError,
     RabiParams,
     blocks_dicke_correct,
@@ -45,7 +46,6 @@ from gaugeqed import (
     blocks_full_H_D,
     build_full_H_C,
     build_full_H_D,
-    OperatorMatrix,
     hermitian_eig,
     solve_fluxonium,
 )
