@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 for invalid arguments or configuration, 2 for a
-numerical failure (failed convergence or a violated invariant, named on
-stderr).  Parameters resolve in three layers: built-in defaults, then an INI
-config file (section [common] for shared keys, one section per subcommand),
-then explicit flags.  Output tables use fixed formats, so a rerun with the
+Exit codes: 0 on success, 1 for invalid arguments or configuration (a
+non-finite number, an unreadable file or a malformed config file among
+them), 2 for a numerical failure (failed convergence or a violated
+invariant, named on stderr).  Parameters resolve in three layers: built-in
+defaults, then an INI config file (section [common] for shared keys, one
+section per subcommand), then explicit flags.  Output tables use fixed formats, so a rerun with the
 same configuration is byte-identical at any thread count.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -206,13 +208,12 @@ def build_parser() -> _Parser:
                 sp.add_argument(_flag(opt.key), default=None,
                                 action=argparse.BooleanOptionalAction,
                                 help=help_text)
-            elif opt.kind in ("ints", "floats", "strs"):
-                sp.add_argument(_flag(opt.key), default=None, type=str,
-                                metavar="LIST", help=help_text)
             else:
-                typ = {"int": int, "float": float, "str": str}[opt.kind]
-                sp.add_argument(_flag(opt.key), default=None, type=typ,
-                                help=help_text)
+                # the value stays a string here; resolve converts it with
+                # _parse_str, so that a flag and a config key are checked alike
+                lists = opt.kind in ("ints", "floats", "strs")
+                sp.add_argument(_flag(opt.key), default=None,
+                                metavar="LIST" if lists else None, help=help_text)
     return parser
 
 
@@ -222,12 +223,21 @@ def _fmt_default(v) -> str:
     return str(v)
 
 
+def _finite(raw: str) -> float:
+    """float(raw), refusing nan and inf: no parameter of the program takes
+    them, and past this point they would surface as numerical failures."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _parse_str(kind: str, raw: str, key: str):
     try:
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(raw)
         if kind == "str":
             return raw
         if kind == "bool":
@@ -241,7 +251,7 @@ def _parse_str(kind: str, raw: str, key: str):
         if kind == "ints":
             return [int(s) for s in items]
         if kind == "floats":
-            return [float(s) for s in items]
+            return [_finite(s) for s in items]
         if kind == "strs":
             return items
     except ValueError:
@@ -281,7 +291,7 @@ def resolve(ns: argparse.Namespace) -> RunConfig:
     for opt in table:
         flag_val = getattr(ns, opt.key)
         if flag_val is not None:
-            if opt.kind in ("ints", "floats", "strs"):
+            if opt.kind != "bool":
                 flag_val = _parse_str(opt.kind, flag_val, opt.key)
             merged[opt.key] = flag_val
         elif opt.key in file_vals:
@@ -575,8 +585,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         rc = resolve(ns)
         return _HANDLERS[rc.command](rc)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, configparser.Error) as e:
+        # one line: configparser's messages quote the offending lines
+        print("error: " + " ".join(str(e).split()), file=sys.stderr)
         return 1
     except NUMERICAL_ERRORS as e:
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)

@@ -28,6 +28,8 @@ from .linalg import (OperatorMatrix, ParityBands, ParityBlocks, banded_parity_ei
                      block_parity_eigvalsh, hermitian_eig)
 
 OMEGA_C = 1.0  # all energies in units of the cavity frequency
+# factor by which the Fock cutoff grows between convergence checks
+GROWTH = 2
 
 
 class CutoffCeilingError(Exception):
@@ -37,12 +39,11 @@ class CutoffCeilingError(Exception):
 @dataclass(frozen=True)
 class ConvergencePolicy:
     cutoff0: int = 40
-    growth: int = 2
     tol: float = 1e-8
     cutoff_cap: int = 2000
 
     def __post_init__(self):
-        if self.cutoff0 < 1 or self.growth < 2 or self.tol <= 0:
+        if self.cutoff0 < 1 or not self.tol > 0:
             raise ValueError("invalid convergence policy")
         if self.cutoff_cap < self.cutoff0:
             raise ValueError("cutoff_cap below initial cutoff")
@@ -78,7 +79,7 @@ def lowest_transitions(H: Union[OperatorMatrix, ParityBlocks, ParityBands],
 def converged_transitions(build: Callable[[int], Union[OperatorMatrix, ParityBlocks,
                                                        ParityBands]],
                           levels: int, policy: ConvergencePolicy = ConvergencePolicy()):
-    """Grow the Fock cutoff geometrically until the reported transitions
+    """Grow the Fock cutoff by GROWTH until the reported transitions
     move by less than tol; returns (transitions, cutoff, converged flag,
     trail).
 
@@ -97,8 +98,8 @@ def converged_transitions(build: Callable[[int], Union[OperatorMatrix, ParityBlo
     cutoff = policy.cutoff0
     prev = lowest_transitions(build(cutoff), levels)
     trail = []
-    while cutoff * policy.growth <= policy.cutoff_cap:
-        cutoff *= policy.growth
+    while cutoff * GROWTH <= policy.cutoff_cap:
+        cutoff *= GROWTH
         cur = lowest_transitions(build(cutoff), levels)
         delta = float(np.abs(cur - prev).max())
         trail.append((cutoff, delta))
@@ -242,8 +243,9 @@ def default_eta_grid(eta_max: float = 1.5, step: float = 0.025,
     grid = [round(k * step, 12) for k in range(0, n + 1)]
     if not include_zero:
         grid = [g for g in grid if g > 0]
-    if not grid:
-        grid = [0.0]
+        if not grid:
+            raise ValueError(f"the eta grid up to eta_max {eta_max:g} in steps of "
+                             f"{step:g} holds no eta > 0")
     return tuple(grid)
 
 
@@ -409,7 +411,7 @@ def sweep_csv_lines(result: SweepResult) -> list:
     lines = [_UNITS_NOTE,
              f"# family={spec.family} detuning={spec.detuning:g} "
              f"levels={k} n_dipoles={spec.n_dipoles}",
-             f"# convergence: cutoff0={spec.policy.cutoff0} growth={spec.policy.growth} "
+             f"# convergence: cutoff0={spec.policy.cutoff0} growth={GROWTH} "
              f"tol={spec.policy.tol:g} cap={spec.policy.cutoff_cap}",
              "model,eta,cutoff,converged," + ",".join(f"t{i}" for i in range(1, k + 1))]
     for p in result.points:

@@ -9,8 +9,10 @@ of the Rabi builders:
 
 * ``build_flux_charge_standard``  naive two-level projection with the
                                   -4 E_C chi0^2 (a - a^dag)^2 charge term
-* ``build_flux_charge_correct``   truncation-consistent model via
+* ``build_flux_charge_correct``   truncation-consistent model, the closed
+                                  form of the conjugation by
                                   R = exp[(g_C/omega_10) sigma_x (a - a^dag)]
+                                  (the tests hold it to ``rabi._conjugated``)
 
 with g_C = omega_10 phi_10 chi0 and chi0 the reduced-charge zero-point
 amplitude of the oscillator.  The coupling enters through the charge
@@ -25,8 +27,10 @@ tests check both against independent B-form matrices).  Like every core
 model, each is written dense by ``build_*`` and as two real parity blocks
 by ``blocks_*``; the E_J = 0 limit is the Rabi family itself.
 
-All energies in units of the LC frequency omega_c (hbar = 1).  The sign of
-phi_10 is a basis convention (spectra are invariant under phi_10 -> -phi_10).
+Energies stay on the scale of the inputs, the LC frequency omega_c among
+them (hbar = 1); unlike the Rabi and Dicke models, omega_c here need not be
+1.  The sign of phi_10 is a basis convention (spectra are invariant under
+phi_10 -> -phi_10).
 """
 
 from __future__ import annotations
@@ -35,11 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (OperatorMatrix, ParityBlocks, hermitian_eig, hermitian_operator,
-                     kron_sum, parity_block_sum)
+from .linalg import OperatorMatrix, ParityBlocks, hermitian_eig, kron_sum, parity_block_sum
 from .qops import _real_fock_arrays, real_quadrature_functions
-from .rabi import (_bare_terms, _conjugated, _real_cos_sin, _real_parts,
-                   _rotated_terms)
+from .rabi import _bare_terms, _real_cos_sin, _real_parts, _rotated_terms
 
 
 class BasisTooSmallError(Exception):
@@ -184,29 +186,21 @@ def blocks_flux_charge_standard(p: FluxoniumParams,
     return parity_block_sum(_standard_terms(p, basis))
 
 
-def build_flux_charge_correct(p: FluxoniumParams, basis: FluxoniumBasis,
-                              method: str = "closed_form") -> OperatorMatrix:
+def build_flux_charge_correct(p: FluxoniumParams,
+                              basis: FluxoniumBasis) -> OperatorMatrix:
     """Truncation-consistent charge-gauge model, written as W H W^dag
-    (module header).
-
-    ``method="conjugation"``: omega_c a^dag a + R (omega_10 sigma_z / 2) R^dag
-    with R = exp[theta sigma_x (a - a^dag)], theta = g_C/omega_10, which W
-    turns into exp[-i 2 theta J_x (x) X]; the generator is anti-Hermitian so
-    R is exactly unitary.
-    ``method="closed_form"``: the equivalent
-    (omega_10/2) {sigma_z cos[2 theta X] - sigma_y sin[2 theta X]}, the
-    image of sigma_z cosh[2 theta (a - a^dag)] - i sigma_y sinh[2 theta (a - a^dag)].
+    (module header): (omega_10/2) {sigma_z cos[2 theta X] - sigma_y sin[2 theta X]}
+    + omega_c a^dag a, theta = g_C/omega_10, the image of
+    sigma_z cosh[2 theta (a - a^dag)] - i sigma_y sinh[2 theta (a - a^dag)].
+    It is the closed form of omega_c a^dag a + R (omega_10 sigma_z / 2) R^dag
+    with R = exp[theta sigma_x (a - a^dag)], which W turns into
+    exp[-i 2 theta J_x (x) X]; the generator is anti-Hermitian so R is
+    exactly unitary.
     """
-    if method == "conjugation":
-        s = _real_parts(1, p.cutoff)
-        return hermitian_operator(_conjugated(s, p.omega_c, basis.omega_10,
-                                              -_two_theta(p, basis)))
-    if method == "closed_form":
-        return kron_sum(_correct_terms(p, basis))
-    raise ValueError(f"unknown method {method!r}")
+    return kron_sum(_correct_terms(p, basis))
 
 
 def blocks_flux_charge_correct(p: FluxoniumParams,
                                basis: FluxoniumBasis) -> ParityBlocks:
-    """The real parity blocks of ``build_flux_charge_correct`` (closed form)."""
+    """The real parity blocks of ``build_flux_charge_correct``."""
     return parity_block_sum(_correct_terms(p, basis))

@@ -137,10 +137,11 @@ def hermitian_operator(arr: np.ndarray) -> OperatorMatrix:
     return OperatorMatrix(arr, hermitian_hint=True)
 
 
-def check_dim(dim: int, dim_cap: int = DIM_CAP_DEFAULT) -> None:
-    """Raise DimensionOverflowError when a product-space dimension exceeds the cap."""
-    if dim > dim_cap:
-        raise DimensionOverflowError(f"product dimension {dim} exceeds cap {dim_cap}")
+def check_dim(dim: int) -> None:
+    """Raise DimensionOverflowError when a product-space dimension exceeds
+    DIM_CAP_DEFAULT."""
+    if dim > DIM_CAP_DEFAULT:
+        raise DimensionOverflowError(f"product dimension {dim} exceeds cap {DIM_CAP_DEFAULT}")
 
 
 @dataclass(frozen=True)
@@ -435,8 +436,9 @@ def conjugate(U: OperatorMatrix, H: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(out, hermitian_hint=False)
 
 
-def kron(A: OperatorMatrix, B: OperatorMatrix, dim_cap: int = DIM_CAP_DEFAULT) -> OperatorMatrix:
-    """Kronecker product A (x) B; the first factor indexes the slow axis."""
-    check_dim(A.dim * B.dim, dim_cap)
+def kron(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
+    """Kronecker product A (x) B, after ``check_dim``; the first factor
+    indexes the slow axis."""
+    check_dim(A.dim * B.dim)
     return OperatorMatrix(np.kron(A.arr, B.arr),
                           hermitian_hint=A.hermitian_hint and B.hermitian_hint)

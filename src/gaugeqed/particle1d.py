@@ -20,10 +20,10 @@ Provides the matter side of the full (many-level) light-matter models:
 * ``trk_sum``                         oscillator-strength sum over retained
                                       levels
 
-Units: hbar = 1 throughout; energies in units of omega_c when the field is
-attached.  Grid eigenfunctions are normalized so that sum(psi_i psi_j) dx =
-delta_ij; with the required boundary decay this equals the trapezoid rule to
-roundoff.
+Units: hbar = 1 throughout; energies in units of omega_c = 1 when the field
+is attached.  Grid eigenfunctions are normalized so that
+sum(psi_i psi_j) dx = delta_ij; with the required boundary decay this equals
+the trapezoid rule to roundoff.
 
 For a mirror-symmetric potential on a grid centred on x = 0 the operator is
 folded onto x >= 0, the even and the odd states are solved there with about
@@ -454,7 +454,6 @@ class NonlocalKernel:
     x: np.ndarray
     kernel: np.ndarray
     k_levels: int
-    part: str
     band_width: float
     off_diagonality: float
 
@@ -463,16 +462,12 @@ class NonlocalKernel:
         self.kernel.flags.writeable = False
 
 
-def nonlocal_kernel(basis: MatterBasis, model: ParticleModel, k: int,
-                    part: str = "full") -> NonlocalKernel:
+def nonlocal_kernel(basis: MatterBasis, model: ParticleModel, k: int) -> NonlocalKernel:
     """k-level projected potential kernel V_k(x, x') = sum_ij psi_i(x) W_ij psi_j(x').
 
-    ``part="full"`` projects the whole potential operator (P W P); its k -> M
-    limit rebuilds W(x) delta(x - x'), so the off-diagonality measure r (the
+    This projects the whole potential operator (P W P); its k -> M limit
+    rebuilds W(x) delta(x - x'), so the off-diagonality measure r (the
     |V|^2 fraction with |x - x'| > band_width) shrinks as k grows.
-    ``part="cross"`` drops the i = j terms, leaving the interlevel outer
-    products only; at k=2 that is the familiar
-    W_10 [psi_0(x') psi_1(x) + psi_1(x') psi_0(x)] rank-2 form.
     The band width is the oscillator length 1/sqrt(m omega_10) of the
     model's first transition.
 
@@ -481,14 +476,10 @@ def nonlocal_kernel(basis: MatterBasis, model: ParticleModel, k: int,
     """
     if not 2 <= k <= basis.m_levels:
         raise ValueError(f"k must be in [2, {basis.m_levels}], got {k}")
-    if part not in ("full", "cross"):
-        raise ValueError(f"part must be 'full' or 'cross', got {part!r}")
     dx = model.grid.dx
     psi_k = basis.psi[:, :k]
     W = psi_k.T @ (psi_k * model.potential[:, None]) * dx
     W = (W + W.T) / 2.0
-    if part == "cross":
-        W = W - np.diag(np.diag(W))
     w10 = basis.omega(1, 0)
     if w10 <= 0:
         raise ValueError("degenerate lowest levels: the band width is undefined")
@@ -503,8 +494,8 @@ def nonlocal_kernel(basis: MatterBasis, model: ParticleModel, k: int,
     total = float(weight.sum())
     off = float(weight[sep > band_width].sum())
     r = off / total if total > 0 else 0.0
-    return NonlocalKernel(x=xs, kernel=K, k_levels=k, part=part,
-                          band_width=float(band_width), off_diagonality=r)
+    return NonlocalKernel(x=xs, kernel=K, k_levels=k, band_width=float(band_width),
+                          off_diagonality=r)
 
 
 @dataclass(frozen=True)
@@ -583,67 +574,66 @@ def _check_m_used(basis: MatterBasis, m_used: int) -> None:
 
 
 def _full_D_terms(model: ParticleModel, basis: MatterBasis, cutoff: int, A0: float,
-                  m_used: int, omega_c: float) -> list:
+                  m_used: int) -> list:
     """The dipole-gauge full model as (matter, real field) terms:
-    omega_c 1 (x) n + H_0 (x) 1 + q^2 A0^2 omega_c x^2 (x) 1
-    + q omega_c A0 i x (x) (a^dag - a), after the dimension cap."""
+    1 (x) n + H_0 (x) 1 + q^2 A0^2 x^2 (x) 1 + q A0 i x (x) (a^dag - a),
+    after the dimension cap."""
     _check_m_used(basis, m_used)
     check_dim(m_used * (cutoff + 1))
     n, _, P = _real_fock_arrays(cutoff)
     q = model.charge
-    return [(np.eye(m_used), omega_c * n),
+    return [(np.eye(m_used), n),
             (np.diag(basis.energies[:m_used]), np.eye(cutoff + 1)),
-            (q ** 2 * A0 ** 2 * omega_c * basis.x2_elems[:m_used, :m_used],
-             np.eye(cutoff + 1)),
-            (q * omega_c * A0 * 1j * basis.x_elems[:m_used, :m_used], P)]
+            (q ** 2 * A0 ** 2 * basis.x2_elems[:m_used, :m_used], np.eye(cutoff + 1)),
+            (q * A0 * 1j * basis.x_elems[:m_used, :m_used], P)]
 
 
 def _full_C_terms(model: ParticleModel, basis: MatterBasis, cutoff: int, A0: float,
-                  m_used: int, omega_c: float) -> list:
+                  m_used: int) -> list:
     """The Coulomb-gauge full model as (matter, real field) terms:
-    omega_c 1 (x) n + H_0 (x) 1 - (q/m) A0 p (x) X
+    1 (x) n + H_0 (x) 1 - (q/m) A0 p (x) X
     + (q^2 A0^2 / 2m) 1 (x) X^2, X = a + a^dag, after the dimension cap."""
     _check_m_used(basis, m_used)
     check_dim(m_used * (cutoff + 1))
     n, X, _ = _real_fock_arrays(cutoff)
     q = model.charge
-    return [(np.eye(m_used), omega_c * n),
+    return [(np.eye(m_used), n),
             (np.diag(basis.energies[:m_used]), np.eye(cutoff + 1)),
             (-((q / model.mass) * A0) * basis.p_elems[:m_used, :m_used], X),
             (q ** 2 * A0 ** 2 / (2.0 * model.mass) * np.eye(m_used), X @ X)]
 
 
 def build_full_H_D(model: ParticleModel, basis: MatterBasis, cutoff: int,
-                   A0: float, m_used: int, omega_c: float = 1.0) -> OperatorMatrix:
+                   A0: float, m_used: int) -> OperatorMatrix:
     """Dipole-gauge light-matter model with m_used matter levels and Fock
     levels 0..cutoff retained:
-    omega_c a^dag a + H_0 + q^2 A0^2 omega_c x^2 + i q omega_c A0 x (a^dag - a).
+    a^dag a + H_0 + q^2 A0^2 x^2 + i q A0 x (a^dag - a).
 
     The x^2 term keeps the full matrix elements of x^2 rather than the square
     of the truncated x, so the m_used -> M limit is the untruncated model.
     """
-    return kron_sum(_full_D_terms(model, basis, cutoff, A0, m_used, omega_c))
+    return kron_sum(_full_D_terms(model, basis, cutoff, A0, m_used))
 
 
 def blocks_full_H_D(model: ParticleModel, basis: MatterBasis, cutoff: int,
-                    A0: float, m_used: int, omega_c: float = 1.0) -> ParityBlocks:
+                    A0: float, m_used: int) -> ParityBlocks:
     """The real parity blocks of ``build_full_H_D`` for a ``mirror_parity``
     basis; ParityError for a basis whose levels break the mirror parity."""
-    return parity_block_sum(_full_D_terms(model, basis, cutoff, A0, m_used, omega_c))
+    return parity_block_sum(_full_D_terms(model, basis, cutoff, A0, m_used))
 
 
 def build_full_H_C(model: ParticleModel, basis: MatterBasis, cutoff: int,
-                   A0: float, m_used: int, omega_c: float = 1.0) -> OperatorMatrix:
-    """Coulomb-gauge partner: omega_c a^dag a + H_0 - (q/m) A0 p (a + a^dag)
+                   A0: float, m_used: int) -> OperatorMatrix:
+    """Coulomb-gauge partner: a^dag a + H_0 - (q/m) A0 p (a + a^dag)
     + (q^2 A0^2 / 2m)(a + a^dag)^2, with p in the m_used-level eigenbasis."""
-    return kron_sum(_full_C_terms(model, basis, cutoff, A0, m_used, omega_c))
+    return kron_sum(_full_C_terms(model, basis, cutoff, A0, m_used))
 
 
 def blocks_full_H_C(model: ParticleModel, basis: MatterBasis, cutoff: int,
-                    A0: float, m_used: int, omega_c: float = 1.0) -> ParityBlocks:
+                    A0: float, m_used: int) -> ParityBlocks:
     """The real parity blocks of ``build_full_H_C`` for a ``mirror_parity``
     basis; ParityError for a basis whose levels break the mirror parity."""
-    return parity_block_sum(_full_C_terms(model, basis, cutoff, A0, m_used, omega_c))
+    return parity_block_sum(_full_C_terms(model, basis, cutoff, A0, m_used))
 
 
 def trk_sum(basis: MatterBasis, model: ParticleModel,

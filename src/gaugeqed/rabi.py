@@ -28,28 +28,31 @@ writer ``linalg.parity_block_sum``, which writes the two real parity blocks
 operators are real (n, X, a^dag - a, and cos/sin of phi X from the real
 eigenvectors of X), and a dipole coupling i J_x (x) (a^dag - a) carries its
 i on the spin side, where the 1j**m phase makes it real.  The one reference
-conjugation U = exp(i phi J_x (x) X) serves every ``method="conjugation"``
-and ``check_gauge_theorem``.  The Rabi model is two_j = 1 (the j = 1/2
-case: sigma_k = 2 J_k, so 0.5 omega_10 sigma_z = omega_10 J_z and
-g sigma_k = 2 g J_k bit for bit), ``gaugeqed.dicke`` is two_j = N, and
-``gaugeqed.fluxonium``'s charge gauge is two_j = 1 again, its
-i(a - a^dag) coupling turned onto X by the photon-number phase diag(i^n).
+conjugation U = exp(i phi J_x (x) X) serves ``check_gauge_theorem`` and,
+as ``_conjugated``, the tests' check of every corrected model's closed
+form.  The Rabi and Dicke models are written at omega_c = 1; only
+fluxonium passes its own LC frequency to the bare and rotated terms.  The
+Rabi model is two_j = 1 (the j = 1/2 case: sigma_k = 2 J_k, so
+0.5 omega_10 sigma_z = omega_10 J_z and g sigma_k = 2 g J_k bit for bit),
+``gaugeqed.dicke`` is two_j = N, and ``gaugeqed.fluxonium``'s charge gauge
+is two_j = 1 again, its i(a - a^dag) coupling turned onto X by the
+photon-number phase diag(i^n).
 
 ``bands_H_D`` and ``bands_H_C_standard`` write the D and naive Coulomb
 models as their two real parity chains in band storage (tri- and
 pentadiagonal), straight from closed forms, for the sweeps' banded solve.
 
-Derived couplings: g_D = eta * omega_c and g_C = g_D * omega_10 / omega_c.
-Every builder drops state-independent constants, so physical statements are
-about transition energies E_n - E_0; raw eigenvalues of different gauges
-differ by exactly those dropped scalars (for example spec(H_C) = spec(H_D)
-+ eta^2 omega_c).
+Derived parameters: omega_10 = 1 + detuning, g_D = eta and
+g_C = eta omega_10.  Every builder drops state-independent constants, so
+physical statements are about transition energies E_n - E_0; raw
+eigenvalues of different gauges differ by exactly those dropped scalars
+(for example spec(H_C) = spec(H_D) + eta^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,42 +69,31 @@ TAIL_REL_TOL = 2.0 ** -60
 
 @dataclass(frozen=True)
 class RabiParams:
-    """Model parameters; omega_10 = omega_c + detuning unless given explicitly."""
+    """Model parameters in units of omega_c; omega_10 = 1 + detuning."""
 
     eta: float
     cutoff: int = 60
-    omega_c: float = 1.0
-    detuning: Optional[float] = None
-    omega_10: Optional[float] = None
+    detuning: float = 0.0
 
     def __post_init__(self):
-        if self.omega_c <= 0:
-            raise ValueError(f"omega_c must be positive, got {self.omega_c}")
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise ValueError(f"eta must be >= 0, got {self.eta}")
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        det, w10 = self.detuning, self.omega_10
-        if det is None and w10 is None:
-            det, w10 = 0.0, self.omega_c
-        elif det is None:
-            det = w10 - self.omega_c
-        elif w10 is None:
-            w10 = self.omega_c + det
-        elif abs((self.omega_c + det) - w10) > 1e-12 * self.omega_c:
-            raise ValueError("detuning and omega_10 are inconsistent")
-        if w10 <= 0:
-            raise ValueError(f"omega_10 must be positive, got {w10}")
-        object.__setattr__(self, "detuning", float(det))
-        object.__setattr__(self, "omega_10", float(w10))
+        if not self.omega_10 > 0:
+            raise ValueError(f"omega_10 = 1 + detuning must be positive, got {self.omega_10}")
+
+    @property
+    def omega_10(self) -> float:
+        return 1.0 + self.detuning
 
     @property
     def g_d(self) -> float:
-        return self.eta * self.omega_c
+        return self.eta
 
     @property
     def g_c(self) -> float:
-        return self.g_d * self.omega_10 / self.omega_c
+        return self.eta * self.omega_10
 
     @property
     def dim(self) -> int:
@@ -160,7 +152,7 @@ def _rotated_terms(s: _RealParts, omega_c: float, omega_10: float, cos: np.ndarr
 def _dipole_terms(s: _RealParts, p: RabiParams) -> list:
     """The bare terms plus the dipole coupling 2 g_D J_x (x) i(a^dag - a),
     entered as i J_x (x) (a^dag - a), whose phased spin part is real."""
-    return _bare_terms(s, p.omega_c, p.omega_10) + [(2.0 * p.g_d * 1j * s.jx, s.P)]
+    return _bare_terms(s, 1.0, p.omega_10) + [(2.0 * p.g_d * 1j * s.jx, s.P)]
 
 
 def _diamagnetic(p: RabiParams, two_j: int) -> float:
@@ -174,14 +166,14 @@ def _standard_terms(s: _RealParts, p: RabiParams) -> list:
     """The naive Coulomb model: the bare terms, 2 g_C J_y (x) X and the
     scalar diamagnetic term on X^2, for the spin of ``s``."""
     two_j = s.jz.shape[0] - 1
-    return _bare_terms(s, p.omega_c, p.omega_10) + [
+    return _bare_terms(s, 1.0, p.omega_10) + [
         (2.0 * p.g_c * s.jy, s.X), (_diamagnetic(p, two_j) * s.eye_spin, s.X @ s.X)]
 
 
 def _correct_terms(s: _RealParts, p: RabiParams) -> list:
     """The corrected Coulomb model: the splitting rotated by real cos/sin of
     2 eta X, taken after the dimension cap that ``s`` has passed."""
-    return _rotated_terms(s, p.omega_c, p.omega_10, *_real_cos_sin(p.cutoff, 2.0 * p.eta))
+    return _rotated_terms(s, 1.0, p.omega_10, *_real_cos_sin(p.cutoff, 2.0 * p.eta))
 
 
 def _real_cos_sin(cutoff: int, k: float):
@@ -212,7 +204,7 @@ def build_H_C_standard(p: RabiParams) -> OperatorMatrix:
 def _parity_chains(p: RabiParams, bandwidth: int):
     """Per parity class c = 0, 1: the Fock index n along the chain, the
     matter index m = (n + c) mod 2 next to it, and a lower band of the given
-    bandwidth holding the uncoupled diagonal omega_c n + (omega_10/2) sigma_z.
+    bandwidth holding the uncoupled diagonal n + (omega_10/2) sigma_z.
 
     The chain |0, m(0)>, |1, m(1)>, ... is the parity block that
     ``linalg.parity_block_sum`` writes, reordered by n; its entries are the
@@ -223,7 +215,7 @@ def _parity_chains(p: RabiParams, bandwidth: int):
     for c in (0, 1):
         m = (n + c) % 2
         band = np.zeros((bandwidth + 1, n.size))
-        band[0] = p.omega_c * n + 0.5 * p.omega_10 * (2 * m - 1)
+        band[0] = n + 0.5 * p.omega_10 * (2 * m - 1)
         yield n, m, band
 
 
@@ -240,7 +232,7 @@ def bands_H_D(p: RabiParams) -> ParityBands:
 def bands_H_C_standard(p: RabiParams) -> ParityBands:
     """The parity chains of ``build_H_C_standard`` at its sum-rule
     diamagnetic coefficient D = g_C^2 / omega_10: pentadiagonal, with
-    diagonal omega_c n + (omega_10/2) sigma_z + D (X^2)_nn, subdiagonal
+    diagonal n + (omega_10/2) sigma_z + D (X^2)_nn, subdiagonal
     -g_C sqrt(n + 1) and second subdiagonal D sqrt((n + 1)(n + 2)),
     X = a + a^dag.  (X^2)_nn = 2n + 1 except at the top level, where the
     truncated X @ X has n = cutoff.
@@ -257,22 +249,16 @@ def bands_H_C_standard(p: RabiParams) -> ParityBands:
     return ParityBands(tuple(chains))
 
 
-def build_H_C_correct(p: RabiParams, method: str = "closed_form") -> OperatorMatrix:
-    """Coulomb-gauge Rabi model with the truncation-consistent light-matter block.
-
-    ``method="conjugation"`` builds U = exp[i eta sigma_x (a + a^dag)] and
-    conjugates the bare qubit splitting; ``method="closed_form"`` evaluates
-    the equivalent sigma_z cos[2 eta (a+a^dag)] + sigma_y sin[...] form from
-    the cached eigendecomposition of a + a^dag.  Both produce the same matrix
-    to eigensolver roundoff on the truncated space (the rotation identity is
-    exact there).
+def build_H_C_correct(p: RabiParams) -> OperatorMatrix:
+    """Coulomb-gauge Rabi model with the truncation-consistent light-matter
+    block: the qubit splitting dressed as
+    sigma_z cos[2 eta (a+a^dag)] + sigma_y sin[...], from the cached
+    eigendecomposition of a + a^dag.  It equals the conjugation
+    U (omega_10 sigma_z / 2) U^dag + a^dag a, U = exp[i eta sigma_x (a + a^dag)]
+    (``_conjugated``, the tests' reference) to eigensolver roundoff on the
+    truncated space: the rotation identity is exact there.
     """
-    if method == "conjugation":
-        s = _real_parts(1, p.cutoff)
-        return hermitian_operator(_conjugated(s, p.omega_c, p.omega_10, 2.0 * p.eta))
-    if method == "closed_form":
-        return kron_sum(_correct_terms(_real_parts(1, p.cutoff), p))
-    raise ValueError(f"unknown method {method!r}")
+    return kron_sum(_correct_terms(_real_parts(1, p.cutoff), p))
 
 
 def blocks_H_C_correct(p: RabiParams) -> ParityBlocks:
@@ -329,7 +315,7 @@ def _taylor_terms(p: RabiParams, order: int) -> list:
     s = _real_parts(1, p.cutoff)
     cos, sin = real_quadrature_functions(
         p.cutoff, lambda x: maclaurin_cos_sin(2.0 * p.eta * x, order))
-    return _rotated_terms(s, p.omega_c, p.omega_10, cos, sin)
+    return _rotated_terms(s, 1.0, p.omega_10, cos, sin)
 
 
 def build_H_C_taylor(p: RabiParams, order: int) -> OperatorMatrix:
@@ -359,7 +345,7 @@ def _alpha_terms(p: RabiParams, alpha: float) -> list:
     alpha = _check_alpha(alpha)
     s = _real_parts(1, p.cutoff)
     cos, sin = _real_cos_sin(p.cutoff, 2.0 * alpha * p.eta)
-    return _rotated_terms(s, p.omega_c, p.omega_10, cos, sin) \
+    return _rotated_terms(s, 1.0, p.omega_10, cos, sin) \
         + [((1.0 - alpha) * 2.0 * p.g_d * 1j * s.jx, s.P)]
 
 
@@ -381,7 +367,7 @@ def blocks_H_alpha(p: RabiParams, alpha: float) -> ParityBlocks:
 class GaugeTheoremReport:
     """Deviation of U H_D U^dag from H_C on the truncated space.
 
-    The comparison restores the scalar eta^2 omega_c that the dipole-gauge
+    The comparison restores the scalar eta^2 that the dipole-gauge
     builder drops (the two-level projection of the quadratic field-coupling
     term), since without it the identity only holds up to that constant.
     ``max_dev_interior`` looks at rows and columns whose Fock index lies in
@@ -419,8 +405,8 @@ def check_gauge_theorem(p: RabiParams, interior_fraction: float = 0.8,
     s = _real_parts(1, p.cutoff)
     U = _rotation(s, 2.0 * p.eta)
     hd = hermitian_operator(build_H_D(p).arr
-                            + (p.eta ** 2 * p.omega_c) * np.eye(p.dim, dtype=complex))
-    hc = build_H_C_correct(p, method="closed_form")
+                            + p.eta ** 2 * np.eye(p.dim, dtype=complex))
+    hc = build_H_C_correct(p)
     dev = conjugate(U, hd).arr - hc.arr
     nf = p.cutoff + 1
     keep = int(np.floor(interior_fraction * nf))
@@ -434,5 +420,4 @@ def check_gauge_theorem(p: RabiParams, interior_fraction: float = 0.8,
                               interior_fraction=interior_fraction,
                               max_dev_interior=max_interior, max_dev_full=max_full,
                               max_dev_full_rel=max_full / max(scale, 1e-300),
-                              tol=tol * p.omega_c,
-                              passed=max_interior <= tol * p.omega_c)
+                              tol=tol, passed=max_interior <= tol)

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 import oracles
+from conftest import conjugated
 
 from gaugeqed import (
     DickeParams,
@@ -136,15 +137,15 @@ def test_06_dicke_consistency():
     spectral = max(
         float(np.abs(lowest_transitions(a, 8) - lowest_transitions(b, 8)).max())
         for a, b in ((build_dicke_standard(p1), build_H_C_standard(pr)),
-                     (build_dicke_correct(p1), build_H_C_correct(pr)),
+                     (conjugated(p1), build_H_C_correct(pr)),
                      (build_dicke_dipole(p1), build_H_D(pr))))
     # the two constructions of the corrected model agree entrywise with
     # the argument-doubling closed form; the printed factor-4 variant of
     # the same formula does not, and the conjugation form is authoritative
     pn = DickeParams(n_dipoles=3, eta=0.3, cutoff=60)
-    conj = build_dicke_correct(pn, method="conjugation").arr
+    conj = conjugated(pn).arr
     scale = float(np.abs(conj).max())
-    dev2 = float(np.abs(conj - build_dicke_correct(pn, method="closed_form").arr).max())
+    dev2 = float(np.abs(conj - build_dicke_correct(pn).arr).max())
     four = closed_form_at(pn, 4)
     dev4 = float(np.abs(conj - four.arr).max()) / scale
     t4 = float(np.abs(lowest_transitions(four, 6)
@@ -180,8 +181,8 @@ def test_08_trk_sum_rule(harmonic, double_well):
 def test_09_fluxonium():
     p = FluxoniumParams(e_c=1.0, e_l=0.9, e_j=3.0, chi0=0.2, cutoff=120)
     basis = solve_fluxonium(p)
-    conj = build_flux_charge_correct(p, basis, method="conjugation").arr
-    closed = build_flux_charge_correct(p, basis, method="closed_form").arr
+    conj = conjugated(p, basis).arr
+    closed = build_flux_charge_correct(p, basis).arr
     nf = p.cutoff + 1
     keep = np.r_[0:int(0.8 * nf)]
     idx = np.concatenate([keep, nf + keep])

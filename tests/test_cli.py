@@ -164,10 +164,10 @@ def test_parity_error_exit_2(tmp_path, capsys, monkeypatch):
     # a term that couples matter levels 0 and 1 alone flips the mirror parity
     terms = particle1d._full_D_terms
 
-    def broken(model, basis, cutoff, a0, m, omega_c):
+    def broken(model, basis, cutoff, a0, m):
         flip = np.zeros((m, m))
         flip[0, 1] = flip[1, 0] = 1.0
-        return terms(model, basis, cutoff, a0, m, omega_c) + [(flip, np.eye(cutoff + 1))]
+        return terms(model, basis, cutoff, a0, m) + [(flip, np.eye(cutoff + 1))]
 
     monkeypatch.setattr(particle1d, "_full_D_terms", broken)
     argv = ["full-model", "--model", "harmonic", "--m-levels", "2", "--cutoff", "8"]
@@ -482,6 +482,44 @@ def test_nonpositive_tolerance_exit_1(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+# "{missing}" and "{file}" stand for a path that does not exist and for an
+# existing file; a config text is written to a file and passed as --config
+BAD_INPUT = [
+    (["rabi-sweep", "--detuning", "nan"], None, "key 'detuning'"),
+    (["gauge-theorem", "--eta", "nan"], None, "key 'eta'"),
+    (["rabi-sweep", "--conv-tol", "nan"], None, "key 'conv_tol'"),
+    (["rabi-sweep", "--eta-max", "inf"], None, "key 'eta_max'"),
+    (["fluxonium", "--chi0", "nan"], None, "key 'chi0'"),
+    (["rabi-sweep"], "[rabi-sweep]\ndetuning = inf\n", "key 'detuning'"),
+    (["gauge-theorem", "--cutoffs", "10", "--outdir", "{file}"], None, "File exists"),
+    (["particle-demo", "--potential-table", "{missing}"], None, "not found"),
+    (["rabi-sweep"], "eta_max = 1\n", "no section headers"),
+    (["rabi-sweep"], "[rabi-sweep]\neta_max\n", "parsing errors"),
+    (["taylor-study", "--eta-max", "0.01"], None, "holds no eta > 0"),
+]
+
+
+@pytest.mark.parametrize("argv,config,fragment", BAD_INPUT,
+                         ids=[" ".join(a) + (f" config {c!r}" if c else "")
+                              for a, c, _ in BAD_INPUT])
+def test_bad_input_exit_1(tmp_path, capsys, argv, config, fragment):
+    """Non-finite numbers, unusable files and malformed config files are
+    argument errors: exit 1, one error line naming the cause, no table."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    subs = {"{missing}": str(tmp_path / "missing.dat"), "{file}": str(blocker)}
+    argv = [subs.get(a, a) for a in argv]
+    if config is not None:
+        argv += ["--config", write_config(tmp_path, config)]
+    out = tmp_path / "out"
+    if "--outdir" not in argv:
+        argv += ["--outdir", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and fragment in err[0], err
+    assert not out.exists() and not list(tmp_path.glob("**/*.csv"))
+
+
 def test_particle_demo_coarse_table_exit_2(tmp_path, capsys):
     x = [f"{-8 + 0.016 * i:.6f}" for i in range(1001)]
     table = tmp_path / "coarse.dat"
@@ -603,3 +641,56 @@ def test_readme_documents_every_flag(capsys):
     stale = documented - in_help - {"--version"}
     assert not missing, f"flags not documented in README: {sorted(missing)}"
     assert not stale, f"README documents unknown flags: {sorted(stale)}"
+
+
+def readme_flag_tables(doc):
+    """{heading: [table, ...]} for the README's ### sections, each table a
+    list of (flag, default) cells with the backticks stripped."""
+    tables, heading, table = {}, None, None
+    for line in doc.splitlines():
+        if line.startswith("### "):
+            heading = line[4:].strip()
+        if line.startswith("| `--"):
+            if table is None:
+                table = []
+                tables.setdefault(heading, []).append(table)
+            flag, default = (c.strip().strip("`") for c in line.split("|")[1:3])
+            table.append((flag, default))
+        elif not line.startswith("|"):
+            table = None
+    return tables
+
+
+def documents_default(cell, opt):
+    """Whether a README default cell states ``opt.default``: numbers compare
+    as floats and lists elementwise, False reads off and None none."""
+    if opt.default is None:
+        return cell == "none"
+    if opt.default is False:
+        return cell == "off"
+    if opt.kind in ("int", "float"):
+        return float(cell) == float(opt.default)
+    if opt.kind in ("ints", "floats"):
+        return [float(v) for v in cell.split(",")] == [float(v) for v in opt.default]
+    if opt.kind == "strs":
+        return cell.split(",") == opt.default
+    return cell == opt.default
+
+
+def test_readme_flag_tables_match_registry():
+    """Each table lists its registry options once, with their defaults, and
+    no flag the registry lacks; --config is the parser's own flag."""
+    doc = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tables = readme_flag_tables(doc)
+    common, conv = tables["Common flags"]
+    expected = [(common, cli._COMMON, ["--config"]), (conv, cli._CONV, [])]
+    for name, (opts, _) in COMMANDS.items():
+        [table] = tables[f"`{name}`"]
+        expected.append((table, [o for o in opts if o not in cli._CONV], []))
+    for table, opts, extra in expected:
+        flags = [flag for flag, _ in table]
+        assert sorted(flags) == sorted([cli._flag(o.key) for o in opts] + extra), flags
+        cells = dict(table)
+        for opt in opts:
+            assert documents_default(cells[cli._flag(opt.key)], opt), \
+                (cli._flag(opt.key), cells[cli._flag(opt.key)], opt.default)

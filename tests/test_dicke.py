@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import conjugated
 from gaugeqed import (
     DickeParams,
     DimensionOverflowError,
@@ -43,7 +44,7 @@ def closed_form_at(p, factor):
     variant that the rotation identity rules out."""
     s = rabi._real_parts(p.n_dipoles, p.cutoff)
     cos, sin = rabi._real_cos_sin(p.cutoff, factor * p.eta)
-    return kron_sum(rabi._rotated_terms(s, p.omega_c, p.omega_10, cos, sin))
+    return kron_sum(rabi._rotated_terms(s, 1.0, p.omega_10, cos, sin))
 
 
 def test_params():
@@ -63,7 +64,7 @@ def test_single_dipole_reduces_to_rabi():
     pr = RabiParams(eta=0.4, cutoff=50, detuning=0.2)
     for dicke_build, rabi_build in (
             (build_dicke_standard, build_H_C_standard),
-            (lambda p: build_dicke_correct(p, method="conjugation"), build_H_C_correct)):
+            (conjugated, build_H_C_correct)):
         hd = dicke_build(pd)
         hr = rabi_build(pr)
         scale = np.abs(hr.arr).max()
@@ -74,12 +75,12 @@ def test_single_dipole_reduces_to_rabi():
 
 
 def test_single_dipole_dipole_gauge_offset():
-    # at N = 1 the collective J_x^2 term is the scalar eta^2 omega_c, which
+    # at N = 1 the collective J_x^2 term is the scalar eta^2, which
     # the two-level dipole builder drops; the partner keeps it
     p = DickeParams(eta=0.4, cutoff=50, n_dipoles=1)
     hd = build_dicke_dipole(p)
     hr = build_H_D(RabiParams(eta=0.4, cutoff=50))
-    shift = p.eta ** 2 * p.omega_c
+    shift = p.eta ** 2
     dev = np.abs(hd.arr - hr.arr - shift * np.eye(p.dim)).max()
     assert dev <= 1e-12 * np.abs(hr.arr).max()
 
@@ -90,8 +91,8 @@ def test_single_dipole_dipole_gauge_offset():
 
 def test_conjugation_matches_closed_form_factor2():
     p = DickeParams(eta=0.3, cutoff=60, n_dipoles=3)
-    h_conj = build_dicke_correct(p, method="conjugation")
-    h_closed = build_dicke_correct(p, method="closed_form")
+    h_conj = conjugated(p)
+    h_closed = build_dicke_correct(p)
     scale = np.abs(h_conj.arr).max()
     assert np.abs(h_conj.arr - h_closed.arr).max() <= 1e-9 * scale
 
@@ -101,19 +102,13 @@ def test_closed_form_factor4_disagrees():
     # it again produces a materially different operator, which is the point
     # of keeping the conjugation route authoritative
     p = DickeParams(eta=0.3, cutoff=60, n_dipoles=3)
-    h_conj = build_dicke_correct(p, method="conjugation")
+    h_conj = conjugated(p)
     h4 = closed_form_at(p, 4)
     scale = np.abs(h_conj.arr).max()
     assert np.abs(h_conj.arr - h4.arr).max() > 1e-3 * scale
     t_conj = transitions(h_conj, 4)
     t4 = transitions(h4, 4)
     assert np.abs(t_conj - t4).max() > 1e-3
-
-
-def test_method_validation():
-    p = DickeParams(eta=0.3, n_dipoles=2)
-    with pytest.raises(ValueError):
-        build_dicke_correct(p, method="magic")
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +134,7 @@ def test_matches_raw_oracle():
 def test_eta_zero_ladder():
     # uncoupled: E = omega_10 (m + j) + omega_c n above the ground state
     p = DickeParams(eta=0.0, cutoff=30, detuning=0.5, n_dipoles=3)
-    expected = sorted(p.omega_10 * k + p.omega_c * n
+    expected = sorted(p.omega_10 * k + n
                       for k in range(4) for n in range(8))[1:9]
     for build in (build_dicke_standard, build_dicke_correct, build_dicke_dipole):
         t = transitions(build(p), 8)
@@ -200,6 +195,6 @@ def test_builders_enforce_dimension_cap():
     # (4 + 1) * (1000 + 1) = 5005 exceeds DIM_CAP_DEFAULT = 4096
     p = DickeParams(eta=0.3, cutoff=1000, n_dipoles=4)
     for build in (build_dicke_standard, build_dicke_dipole,
-                  lambda q: build_dicke_correct(q, method="closed_form")):
+                  build_dicke_correct):
         with pytest.raises(DimensionOverflowError):
             build(p)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import conjugated
 from gaugeqed import (
     BasisTooSmallError,
     FluxoniumParams,
@@ -140,12 +141,10 @@ def test_builders_against_oracle_matrices(basis):
 
 
 def test_conjugation_matches_closed_form(basis):
-    h1 = build_flux_charge_correct(PARAMS, basis, method="conjugation")
-    h2 = build_flux_charge_correct(PARAMS, basis, method="closed_form")
+    h1 = conjugated(PARAMS, basis)
+    h2 = build_flux_charge_correct(PARAMS, basis)
     scale = np.abs(h2.arr).max()
     assert np.abs(h1.arr - h2.arr).max() <= 1e-9 * scale
-    with pytest.raises(ValueError):
-        build_flux_charge_correct(PARAMS, basis, method="magic")
 
 
 def test_charge_term_nonnegative(basis):
@@ -195,7 +194,7 @@ def test_quadratic_limit_maps_to_two_level_models():
     p = FluxoniumParams(e_c=1.0, e_l=0.9, e_j=0.0, chi0=0.25, cutoff=80)
     b = solve_fluxonium(p)
     eta = abs(b.phi_10) * p.chi0
-    pr = RabiParams(eta=eta, cutoff=80, omega_10=b.omega_10)
+    pr = RabiParams(eta=eta, cutoff=80, detuning=b.omega_10 - 1.0)
     assert p.omega_quad * p.phi_zp ** 2 == pytest.approx(4.0 * p.e_c, rel=1e-12)
     for flux_build, rabi_build in ((build_flux_charge_standard, build_H_C_standard),
                                    (build_flux_charge_correct, build_H_C_correct)):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import phased_blocks
+from conftest import conjugated, phased_blocks
 from gaugeqed import (
     DickeParams,
     DimensionOverflowError,
@@ -68,10 +68,8 @@ def assert_entrywise(H, ref, case):
 RABI = {
     "D": (build_H_D, oracles.rabi_dipole),
     "Cstd": (build_H_C_standard, oracles.rabi_coulomb_standard),
-    "Ccorr closed_form": (lambda p: build_H_C_correct(p, method="closed_form"),
-                          oracles.rabi_coulomb_correct),
-    "Ccorr conjugation": (lambda p: build_H_C_correct(p, method="conjugation"),
-                          oracles.rabi_coulomb_correct),
+    "Ccorr closed_form": (build_H_C_correct, oracles.rabi_coulomb_correct),
+    "Ccorr conjugation": (conjugated, oracles.rabi_coulomb_correct),
     "Taylor 2": (lambda p: build_H_C_taylor(p, 2),
                  lambda e, d, c: oracles.rabi_coulomb_taylor(e, d, c, 2)),
     "Taylor 10": (lambda p: build_H_C_taylor(p, 10),
@@ -86,10 +84,8 @@ RABI = {
 
 DICKE = {
     "std": (build_dicke_standard, oracles.dicke_standard),
-    "corr conjugation": (lambda p: build_dicke_correct(p, method="conjugation"),
-                         oracles.dicke_correct),
-    "corr closed_form": (lambda p: build_dicke_correct(p, method="closed_form"),
-                         oracles.dicke_correct),
+    "corr conjugation": (conjugated, oracles.dicke_correct),
+    "corr closed_form": (build_dicke_correct, oracles.dicke_correct),
     "dipole": (build_dicke_dipole, oracles.dicke_dipole),
 }
 
@@ -120,8 +116,8 @@ def fluxonium_basis():
 
 FLUXONIUM = {
     "std": build_flux_charge_standard,
-    "corr closed_form": lambda p, b: build_flux_charge_correct(p, b, method="closed_form"),
-    "corr conjugation": lambda p, b: build_flux_charge_correct(p, b, method="conjugation"),
+    "corr closed_form": build_flux_charge_correct,
+    "corr conjugation": conjugated,
 }
 
 
@@ -164,8 +160,7 @@ def block_cases(eta, cutoff, detuning, particle, flux_basis):
     for n in (1, 2, 4):
         q = DickeParams(eta=eta, cutoff=cutoff, detuning=detuning, n_dipoles=n)
         yield f"dicke {n} std", build_dicke_standard(q), blocks_dicke_standard(q), n + 1
-        yield (f"dicke {n} corr", build_dicke_correct(q, method="closed_form"),
-               blocks_dicke_correct(q), n + 1)
+        yield f"dicke {n} corr", build_dicke_correct(q), blocks_dicke_correct(q), n + 1
         yield f"dicke {n} dipole", build_dicke_dipole(q), blocks_dicke_dipole(q), n + 1
     f = FluxoniumParams(e_c=1.0, e_l=0.9, e_j=3.0, chi0=eta / flux_basis.phi_10,
                         omega_c=1.0 + detuning, cutoff=cutoff)
@@ -175,7 +170,7 @@ def block_cases(eta, cutoff, detuning, particle, flux_basis):
            blocks_flux_charge_correct(f, flux_basis), 2)
     model, basis = particle
     for m in (2, 7):
-        args = (model, basis, cutoff, 0.5 * eta, m, 1.0 + detuning)
+        args = (model, basis, cutoff, 0.5 * eta, m)
         yield f"full D {m}", build_full_H_D(*args), blocks_full_H_D(*args), m
         yield f"full C {m}", build_full_H_C(*args), blocks_full_H_C(*args), m
 

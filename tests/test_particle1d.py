@@ -270,37 +270,46 @@ def test_kernel_localizes_with_k(harmonic):
     assert all(b < a for a, b in zip(rs, rs[1:]))
 
 
+def k2_projection(model, basis, kern):
+    """W_ij = <i|V|j> for i, j < 2, and psi_0, psi_1 on the subgrid of the
+    k=2 kernel ``kern``."""
+    dx = model.grid.dx
+    W = [[float(np.sum(basis.psi[:, i] * model.potential * basis.psi[:, j]) * dx)
+          for j in (0, 1)] for i in (0, 1)]
+    stride = (model.grid.n_points - 1) // (kern.x.size - 1)
+    idx = np.arange(0, model.grid.n_points, stride)
+    return W, basis.psi[idx, 0], basis.psi[idx, 1]
+
+
 def test_kernel_cross_parity_suppressed(harmonic):
-    # both presets are even wells, so <0|V|1> vanishes by parity and the
-    # k=2 cross kernel with it; it is still exactly rank <= 2
+    # both presets are even wells, so <0|V|1> vanishes by parity, and the
+    # k=2 kernel is its two diagonal outer products W_ii psi_i(x) psi_i(x')
     model, basis = harmonic
-    full = nonlocal_kernel(basis, model, 2)
-    kern = nonlocal_kernel(basis, model, 2, part="cross")
-    sv = np.linalg.svd(kern.kernel, compute_uv=False)
-    assert sv[2] <= 1e-10 * max(sv[0], 1e-300)
-    assert np.abs(kern.kernel).max() <= 1e-10 * np.abs(full.kernel).max()
+    kern = nonlocal_kernel(basis, model, 2)
+    W, p0, p1 = k2_projection(model, basis, kern)
+    assert abs(W[0][1]) <= 1e-10 * max(abs(W[0][0]), abs(W[1][1]))
+    diagonal = W[0][0] * np.outer(p0, p0) + W[1][1] * np.outer(p1, p1)
+    assert np.abs(kern.kernel - diagonal).max() <= 1e-10 * np.abs(kern.kernel).max()
 
 
 def test_kernel_cross_rank_two_form():
-    # a tilted well keeps <0|V|1> finite; the k=2 cross kernel is then the
-    # rank-2 outer-product form W_10 [psi_0(x') psi_1(x) + psi_1(x') psi_0(x)]
+    # a tilted well keeps <0|V|1> finite; the k=2 kernel is then exactly
+    # rank 2, and its cross term is the outer-product form
+    # W_10 [psi_0(x') psi_1(x) + psi_1(x') psi_0(x)]
     def V(x):
         return 0.5 * x ** 2 + 0.2 * x ** 3 + 0.1 * x ** 4
 
     grid = Grid1D(-8.0, 8.0, 2001)
     model = ParticleModel(grid, V(grid.points), 1.0, 1.0, 6, V)
     basis = solve_particle(model)
-    kern = nonlocal_kernel(basis, model, 2, part="cross")
+    kern = nonlocal_kernel(basis, model, 2)
     sv = np.linalg.svd(kern.kernel, compute_uv=False)
     assert sv[2] <= 1e-10 * sv[0]
-    dx = model.grid.dx
-    w01 = float(np.sum(basis.psi[:, 0] * model.potential * basis.psi[:, 1]) * dx)
-    assert abs(w01) > 1e-3
-    stride = (model.grid.n_points - 1) // (kern.x.size - 1)
-    idx = np.arange(0, model.grid.n_points, stride)
-    p0, p1 = basis.psi[idx, 0], basis.psi[idx, 1]
-    expected = w01 * (np.outer(p0, p1) + np.outer(p1, p0))
-    assert np.abs(kern.kernel - expected).max() <= 1e-12 * np.abs(expected).max()
+    W, p0, p1 = k2_projection(model, basis, kern)
+    assert abs(W[0][1]) > 1e-3
+    cross = kern.kernel - W[0][0] * np.outer(p0, p0) - W[1][1] * np.outer(p1, p1)
+    expected = W[0][1] * (np.outer(p0, p1) + np.outer(p1, p0))
+    assert np.abs(cross - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_kernel_validation(harmonic):
@@ -309,8 +318,6 @@ def test_kernel_validation(harmonic):
         nonlocal_kernel(basis, model, 1)
     with pytest.raises(ValueError):
         nonlocal_kernel(basis, model, 33)
-    with pytest.raises(ValueError):
-        nonlocal_kernel(basis, model, 2, part="diag")
 
 
 # ---------------------------------------------------------------------------
@@ -375,18 +382,19 @@ def test_full_model_harmonic_floor(harmonic):
 
 
 def test_full_builders_match_oracles():
-    # charge, mass and omega_c away from 1 exercise every scalar factor
+    # charge and mass away from 1 exercise every scalar factor but omega_c,
+    # which is 1 in the builders
     model = harmonic_model(omega0=0.8, mass=1.7, charge=-0.6, n_points=2001,
                            eigen_count=8)
     basis = solve_particle(model)
     for m_used, a0, cutoff in ((2, 0.3, 12), (7, 1.1, 5)):
-        hd = build_full_H_D(model, basis, cutoff, a0, m_used, omega_c=1.3).arr
+        hd = build_full_H_D(model, basis, cutoff, a0, m_used).arr
         ref_d = oracles.full_model_dipole(basis.energies, basis.x_elems,
                                           basis.x2_elems, a0, model.charge,
-                                          1.3, cutoff, m_used)
-        hc = build_full_H_C(model, basis, cutoff, a0, m_used, omega_c=1.3).arr
+                                          1.0, cutoff, m_used)
+        hc = build_full_H_C(model, basis, cutoff, a0, m_used).arr
         ref_c = oracles.full_model_coulomb(basis.energies, basis.p_elems,
-                                           model.mass, a0, model.charge, 1.3,
+                                           model.mass, a0, model.charge, 1.0,
                                            cutoff, m_used)
         for got, ref in ((hd, ref_d), (hc, ref_c)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

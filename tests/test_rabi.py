@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import SIGMA_Y, SIGMA_Z, phased_blocks
+from conftest import SIGMA_Y, SIGMA_Z, conjugated, phased_blocks
 from gaugeqed import (
     DimensionOverflowError,
     RabiParams,
@@ -51,8 +51,8 @@ def transitions(H, k):
 def test_params_detuning_omega10():
     p = RabiParams(eta=0.1, detuning=0.5)
     assert p.omega_10 == 1.5
-    p = RabiParams(eta=0.1, omega_10=0.8)
-    assert p.detuning == pytest.approx(-0.2)
+    p = RabiParams(eta=0.1, detuning=-0.2)
+    assert p.omega_10 == 0.8
     p = RabiParams(eta=0.1)
     assert p.omega_10 == 1.0 and p.detuning == 0.0
 
@@ -64,16 +64,14 @@ def test_params_couplings():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        RabiParams(eta=0.1, detuning=0.5, omega_10=2.0)  # inconsistent pair
-    with pytest.raises(ValueError):
-        RabiParams(eta=0.1, omega_10=-1.0)
-    with pytest.raises(ValueError):
-        RabiParams(eta=-0.1)
+    for detuning in (-1.0, -2.0, float("nan")):
+        with pytest.raises(ValueError, match="omega_10"):
+            RabiParams(eta=0.1, detuning=detuning)
+    for eta in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="eta must be"):
+            RabiParams(eta=eta)
     with pytest.raises(ValueError):
         RabiParams(eta=0.1, cutoff=0)
-    with pytest.raises(ValueError):
-        RabiParams(eta=0.1, omega_c=0.0)
     for alpha in (1.2, -0.1):
         with pytest.raises(ValueError, match="alpha must be in"):
             build_H_alpha(RabiParams(eta=0.1, cutoff=2), alpha)
@@ -147,15 +145,10 @@ def test_conjugation_matches_closed_form():
     # the rotation identity is exact on the truncated space, so the two
     # construction routes agree entrywise, not just spectrally
     p = RabiParams(eta=0.8, cutoff=70, detuning=0.3)
-    h1 = build_H_C_correct(p, method="conjugation")
-    h2 = build_H_C_correct(p, method="closed_form")
+    h1 = conjugated(p)
+    h2 = build_H_C_correct(p)
     scale = np.abs(h2.arr).max()
     assert np.abs(h1.arr - h2.arr).max() <= 1e-9 * scale
-
-
-def test_correct_method_validation():
-    with pytest.raises(ValueError):
-        build_H_C_correct(RabiParams(eta=0.1), method="magic")
 
 
 def test_matches_raw_oracle_matrices():
@@ -181,7 +174,7 @@ def test_taylor_order2_structure():
     X = a.arr + adag.arr
     X2 = X @ X
     nf = p.cutoff + 1
-    manual = (p.omega_c * np.kron(np.eye(2), nph.arr)
+    manual = (np.kron(np.eye(2), nph.arr)
               + 0.5 * p.omega_10 * np.kron(SIGMA_Z, np.eye(nf))
               + p.g_c * np.kron(SIGMA_Y, X)
               - (p.g_c ** 2 / p.omega_10) * np.kron(SIGMA_Z, X2))
@@ -272,7 +265,7 @@ def test_alpha_endpoints():
     scale = np.abs(hd.arr).max()
     assert np.abs(h0.arr - hd.arr).max() <= 1e-13 * scale
     h1 = build_H_alpha(p, 1.0)
-    hc = build_H_C_correct(p, method="closed_form")
+    hc = build_H_C_correct(p)
     assert np.abs(h1.arr - hc.arr).max() <= 1e-13 * scale
 
 
@@ -337,8 +330,8 @@ def test_builders_hermitian(eta, detuning, cutoff):
 def test_conjugation_closed_form_any_cutoff(eta, cutoff):
     # exactness of the rotation identity does not depend on convergence
     p = RabiParams(eta=eta, cutoff=cutoff)
-    h1 = build_H_C_correct(p, method="conjugation")
-    h2 = build_H_C_correct(p, method="closed_form")
+    h1 = conjugated(p)
+    h2 = build_H_C_correct(p)
     assert np.abs(h1.arr - h2.arr).max() <= 1e-11 * max(np.abs(h2.arr).max(), 1.0)
 
 
@@ -374,9 +367,9 @@ def phased_chains(H, cutoff):
 def test_bands_match_dense_builders(eta, cutoff):
     """Band entries equal the phased parity blocks of the dense builders and
     nothing lies outside the band; the lowest eigenvalues equal the dense
-    solve's.  Detuned (omega_10 = 1.1 != omega_c = 0.8); for eta > 0
-    Cstd's diamagnetic term fills its diagonal and second subdiagonal."""
-    p = RabiParams(eta=eta, cutoff=cutoff, omega_c=0.8, detuning=0.3)
+    solve's.  Detuned (omega_10 = 1.3); for eta > 0 Cstd's diamagnetic
+    term fills its diagonal and second subdiagonal."""
+    p = RabiParams(eta=eta, cutoff=cutoff, detuning=0.3)
     models = {
         "D": (build_H_D(p), bands_H_D(p), 1),
         "Cstd": (build_H_C_standard(p), bands_H_C_standard(p), 2),
