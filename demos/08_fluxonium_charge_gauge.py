@@ -12,17 +12,17 @@ quadrature) fixes them.
 
 import numpy as np
 
-from gaugeqed import (FluxoniumParams, build_flux_charge_correct,
-                      build_flux_charge_standard, coupling_g_c,
-                      lowest_transitions, solve_fluxonium)
+from gaugeqed import (FluxoniumParams, coupling_g_c, kron_sum, lowest_transitions,
+                      solve_fluxonium, terms_flux_charge_correct,
+                      terms_flux_charge_standard)
 
 p = FluxoniumParams(e_c=1.0, e_l=0.9, e_j=3.0, chi0=0.2, cutoff=120)
 b = solve_fluxonium(p)
 print(f"junction: omega_10 = {b.omega_10:.6f}, |phi_10| = {abs(b.phi_10):.6f}")
 print(f"coupling g_C = {coupling_g_c(p, b):.6f}")
 
-ts = lowest_transitions(build_flux_charge_standard(p, b), 3)
-tc = lowest_transitions(build_flux_charge_correct(p, b), 3)
+ts = lowest_transitions(kron_sum(terms_flux_charge_standard(p, b)), 3)
+tc = lowest_transitions(kron_sum(terms_flux_charge_correct(p, b)), 3)
 print("\nlevel   naive      corrected   rel. deviation")
 for i in range(3):
     print(f"{i + 1}       {ts[i]:.6f}   {tc[i]:.6f}    {abs(ts[i] - tc[i]) / tc[i]:.1%}")
@@ -32,7 +32,7 @@ for i in range(3):
 p1 = FluxoniumParams(e_c=1.0, e_l=0.9, e_j=3.0, chi0=1.0 / abs(b.phi_10),
                      cutoff=160)
 b1 = solve_fluxonium(p1)
-t1s = lowest_transitions(build_flux_charge_standard(p1, b1), 1)[0]
-t1c = lowest_transitions(build_flux_charge_correct(p1, b1), 1)[0]
+t1s = lowest_transitions(kron_sum(terms_flux_charge_standard(p1, b1)), 1)[0]
+t1c = lowest_transitions(kron_sum(terms_flux_charge_correct(p1, b1)), 1)[0]
 print(f"\nat unit normalized coupling: naive t1 = {t1s:.4f}, "
       f"corrected t1 = {t1c:.4f}")

@@ -25,7 +25,9 @@ from .linalg import (
     conjugate,
     hermitian_eig,
     kron,
+    kron_sum,
     matrix_function,
+    parity_block_sum,
     unitary_exp,
 )
 from .qops import fock_ops, quadrature_eig, spin_ops
@@ -34,25 +36,23 @@ from .rabi import (
     RabiParams,
     bands_H_C_standard,
     bands_H_D,
-    blocks_H_alpha,
-    blocks_H_C_correct,
-    blocks_H_C_taylor,
-    build_H_alpha,
     build_H_C_correct,
     build_H_C_standard,
     build_H_C_taylor,
     build_H_D,
     check_gauge_theorem,
     maclaurin_cos_sin,
+    terms_H_alpha,
+    terms_H_C_correct,
+    terms_H_C_standard,
+    terms_H_C_taylor,
+    terms_H_D,
 )
 from .dicke import (
     DickeParams,
-    blocks_dicke_correct,
-    blocks_dicke_dipole,
-    blocks_dicke_standard,
     build_dicke_correct,
-    build_dicke_dipole,
     build_dicke_standard,
+    terms_dicke_dipole,
 )
 from .particle1d import (
     BoundaryLeakError,
@@ -64,8 +64,6 @@ from .particle1d import (
     ParityOrderError,
     ParticleError,
     ParticleModel,
-    blocks_full_H_C,
-    blocks_full_H_D,
     build_full_H_C,
     build_full_H_D,
     check_minimal_coupling_identity,
@@ -74,18 +72,18 @@ from .particle1d import (
     model_from_table,
     nonlocal_kernel,
     solve_particle,
+    terms_full_H_C,
+    terms_full_H_D,
     trk_sum,
 )
 from .fluxonium import (
     BasisTooSmallError,
     FluxoniumBasis,
     FluxoniumParams,
-    blocks_flux_charge_correct,
-    blocks_flux_charge_standard,
-    build_flux_charge_correct,
-    build_flux_charge_standard,
     coupling_g_c,
     solve_fluxonium,
+    terms_flux_charge_correct,
+    terms_flux_charge_standard,
 )
 from .experiments import (
     AlphaStudy,
@@ -111,7 +109,7 @@ __all__ = [
     "__version__",
     # linalg
     "OperatorMatrix", "Spectrum", "hermitian_eig", "matrix_function",
-    "unitary_exp", "conjugate", "kron",
+    "unitary_exp", "conjugate", "kron", "kron_sum", "parity_block_sum",
     "ParityBlocks", "block_parity_eigvalsh",
     "ParityBands", "banded_parity_eigvalsh",
     "LinalgError", "NonHermitianError", "NotUnitaryError",
@@ -120,28 +118,26 @@ __all__ = [
     # qops
     "fock_ops", "spin_ops", "quadrature_eig",
     # rabi
-    "RabiParams", "build_H_D", "build_H_C_standard",
-    "build_H_C_correct", "build_H_C_taylor", "build_H_alpha",
+    "RabiParams", "terms_H_D", "terms_H_C_standard", "terms_H_C_correct",
+    "terms_H_C_taylor", "terms_H_alpha", "build_H_D", "build_H_C_standard",
+    "build_H_C_correct", "build_H_C_taylor",
     "bands_H_D", "bands_H_C_standard",
-    "blocks_H_C_correct", "blocks_H_C_taylor", "blocks_H_alpha",
     "maclaurin_cos_sin", "check_gauge_theorem",
     "GaugeTheoremReport",
     # dicke
-    "DickeParams", "build_dicke_standard", "build_dicke_correct",
-    "build_dicke_dipole", "blocks_dicke_standard", "blocks_dicke_correct",
-    "blocks_dicke_dipole",
+    "DickeParams", "terms_dicke_dipole", "build_dicke_standard",
+    "build_dicke_correct",
     # particle1d
     "Grid1D", "ParticleModel", "MatterBasis", "harmonic_model",
     "double_well_model", "model_from_table", "solve_particle",
     "nonlocal_kernel", "NonlocalKernel", "check_minimal_coupling_identity",
-    "MinimalCouplingReport", "build_full_H_D", "build_full_H_C",
-    "blocks_full_H_D", "blocks_full_H_C", "trk_sum",
+    "MinimalCouplingReport", "terms_full_H_D", "terms_full_H_C",
+    "build_full_H_D", "build_full_H_C", "trk_sum",
     "ParticleError", "GridTooCoarseError", "BoundaryLeakError",
     "ParityOrderError",
     # fluxonium
     "FluxoniumParams", "FluxoniumBasis", "solve_fluxonium", "coupling_g_c",
-    "build_flux_charge_standard", "build_flux_charge_correct",
-    "blocks_flux_charge_standard", "blocks_flux_charge_correct",
+    "terms_flux_charge_standard", "terms_flux_charge_correct",
     "BasisTooSmallError",
     # experiments
     "ConvergencePolicy", "SweepSpec", "SweepPoint", "SweepResult",

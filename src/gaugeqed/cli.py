@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import os
 import sys
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__, experiments, fluxonium, particle1d, rabi
-from .linalg import LinalgError
+from .linalg import LinalgError, kron_sum, parity_block_sum
 
 ENV_OUTDIR = "GAUGEQED_OUTDIR"
 
@@ -309,10 +310,28 @@ def resolve(ns: argparse.Namespace) -> RunConfig:
                      emit_plots=emit_plots, params=merged)
 
 
+def _make_outdir(outdir: str) -> List[Path]:
+    """Create the output directory before any work, so that an unusable
+    ``--outdir`` fails at once; returns the directories this made, deepest
+    first."""
+    path = Path(outdir)
+    made = list(itertools.takewhile(lambda d: not d.exists(), (path, *path.parents)))
+    path.mkdir(parents=True, exist_ok=True)
+    return made
+
+
+def _remove_empty(made: List[Path]) -> None:
+    """Remove the directories ``_make_outdir`` made, deepest first, while
+    they are empty: a run that wrote nothing leaves nothing behind."""
+    for d in made:
+        try:
+            d.rmdir()
+        except OSError:
+            return
+
+
 def _outpath(rc: RunConfig, name: str) -> Path:
-    out = Path(rc.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out / name
+    return Path(rc.outdir) / name
 
 
 def _policy(p: Dict[str, object]) -> experiments.ConvergencePolicy:
@@ -456,9 +475,9 @@ def _cmd_fluxonium(rc: RunConfig) -> int:
     basis = fluxonium.solve_fluxonium(params)
     g_c = fluxonium.coupling_g_c(params, basis)
     t_std = experiments.lowest_transitions(
-        fluxonium.blocks_flux_charge_standard(params, basis), levels)
+        parity_block_sum(fluxonium.terms_flux_charge_standard(params, basis)), levels)
     t_cor = experiments.lowest_transitions(
-        fluxonium.blocks_flux_charge_correct(params, basis), levels)
+        parity_block_sum(fluxonium.terms_flux_charge_correct(params, basis)), levels)
     rel = np.abs(t_std - t_cor) / np.maximum(t_cor, params.omega_c)
     print(f"omega_10 = {basis.omega_10:.9e}  |phi_10| = "
           f"{abs(basis.phi_10):.9e}  g_C = {g_c:.9e}")
@@ -486,11 +505,23 @@ def _named_model(p: Dict[str, object]) -> particle1d.ParticleModel:
     raise ValueError(f"unknown model {name!r}; choose harmonic or double_well")
 
 
+def _check_matter_levels(name: str, values, model: particle1d.ParticleModel) -> None:
+    """Raise ValueError unless each of ``values`` lies in [2, eigen_count]:
+    the solve yields eigen_count levels, and a projection needs two.
+    Checked before the grid solve, which is most of the run."""
+    for k in values:
+        if k < 2:
+            raise ValueError(f"{name} {k} is below 2")
+        if k > model.eigen_count:
+            raise ValueError(f"{name} {k} exceeds solved levels {model.eigen_count}")
+
+
 def _cmd_particle_demo(rc: RunConfig) -> int:
     p = rc.params
     if p["levels"] < 1:
         raise ValueError(f"levels must be >= 1, got {p['levels']}")
     model = _named_model(p)
+    _check_matter_levels("kernel level", p["kernel_levels"], model)
     basis = particle1d.solve_particle(model)
     print(basis.describe_solve())
     levels = min(p["levels"], basis.m_levels)
@@ -503,9 +534,6 @@ def _cmd_particle_demo(rc: RunConfig) -> int:
     trk = particle1d.trk_sum(basis, model)
     print(f"TRK sum over {basis.m_levels} levels: {trk:.9f}")
     for k in p["kernel_levels"]:
-        if k > basis.m_levels:
-            raise ValueError(f"kernel level {k} exceeds solved levels "
-                             f"{basis.m_levels}")
         ker = particle1d.nonlocal_kernel(basis, model, k)
         print(f"projected potential, k={k:3d}: off-diagonal weight "
               f"{ker.off_diagonality:.6e}")
@@ -527,25 +555,21 @@ def _cmd_full_model(rc: RunConfig) -> int:
     p = rc.params
     _ascending("m_levels", p["m_levels"])
     model = _named_model(p)
+    _check_matter_levels("m_levels", p["m_levels"], model)
     basis = particle1d.solve_particle(model)
     print(basis.describe_solve())
     cutoff = p["cutoff"]
     levels = p["levels"]
     # a mirror-parity basis splits both models into real parity blocks
-    if basis.mirror_parity:
-        build_d, build_c = particle1d.blocks_full_H_D, particle1d.blocks_full_H_C
-    else:
-        build_d, build_c = particle1d.build_full_H_D, particle1d.build_full_H_C
+    write = parity_block_sum if basis.mirror_parity else kron_sum
     gaps = []
     print("m_levels  max_transition_gap")
     lines = [_UNITS_LINE, "m_levels,max_transition_gap"]
     for m in p["m_levels"]:
-        if m > basis.m_levels:
-            raise ValueError(f"m_levels {m} exceeds solved levels "
-                             f"{basis.m_levels}")
         # one model at a time: each is freed once its levels are known
-        t_d = experiments.lowest_transitions(build_d(model, basis, cutoff, p["a0"], m), levels)
-        t_c = experiments.lowest_transitions(build_c(model, basis, cutoff, p["a0"], m), levels)
+        args = (model, basis, cutoff, p["a0"], m)
+        t_d = experiments.lowest_transitions(write(particle1d.terms_full_H_D(*args)), levels)
+        t_c = experiments.lowest_transitions(write(particle1d.terms_full_H_C(*args)), levels)
         gap = float(np.abs(t_d - t_c).max())
         gaps.append(gap)
         print(f"{m:8d}  {gap:.6e}")
@@ -582,8 +606,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if ns.command is None:
         parser.print_help()
         return 1
+    made: List[Path] = []
     try:
         rc = resolve(ns)
+        made = _make_outdir(rc.outdir)
         return _HANDLERS[rc.command](rc)
     except (ValueError, OSError, configparser.Error) as e:
         # one line: configparser's messages quote the offending lines
@@ -592,6 +618,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NUMERICAL_ERRORS as e:
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    finally:
+        _remove_empty(made)
 
 
 if __name__ == "__main__":

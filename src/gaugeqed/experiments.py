@@ -6,6 +6,13 @@ gauges).  Relative errors use max(reference, omega_c) as the denominator so
 near-zero transitions at level crossings do not blow up the measure; levels
 are tracked by sorted index, so crossings appear as kinks.
 
+The sweeps and studies solve each model from its one term list
+(``rabi.terms_*``, ``dicke.terms_dicke_dipole``) written as real parity
+blocks by ``linalg.parity_block_sum``, except the Rabi dipole and naive
+Coulomb models, whose banded chains ``rabi.bands_H_D`` and
+``rabi.bands_H_C_standard`` write.  An eta grid is k * step up to the last
+point at or below eta_max.
+
 Sweep points are independent work items; an optional thread pool fans them
 out and the results are reassembled in grid order, so the emitted tables are
 byte-identical for any thread count.
@@ -25,7 +32,7 @@ import numpy as np
 from . import dicke as dicke_mod
 from . import rabi as rabi_mod
 from .linalg import (OperatorMatrix, ParityBands, ParityBlocks, banded_parity_eigvalsh,
-                     block_parity_eigvalsh, hermitian_eig)
+                     block_parity_eigvalsh, hermitian_eig, parity_block_sum)
 
 OMEGA_C = 1.0  # all energies in units of the cavity frequency
 # factor by which the Fock cutoff grows between convergence checks
@@ -84,11 +91,11 @@ def converged_transitions(build: Callable[[int], Union[OperatorMatrix, ParityBlo
     trail).
 
     ``build(cutoff)`` returns the model at that Fock cutoff in any form
-    :func:`lowest_transitions` solves: the real parity blocks that a
-    ``blocks_*`` builder has the block writer make of the model's terms
-    (``rabi.blocks_H_C_correct`` and the others), the banded chains of
+    :func:`lowest_transitions` solves: the real parity blocks that
+    ``linalg.parity_block_sum`` makes of a model's terms
+    (``rabi.terms_H_C_correct`` and the others), the banded chains of
     ``rabi.bands_H_D`` or ``rabi.bands_H_C_standard``, or the dense matrix
-    of a ``build_*`` builder, which is solved by one complex solve.
+    that ``linalg.kron_sum`` writes, which is solved by one complex solve.
 
     The trail logs (cutoff reached, max transition shift) for every growth
     step, so monotone convergence is checkable after the fact.  The
@@ -115,19 +122,25 @@ def _rabi_params(eta, detuning, cutoff):
     return rabi_mod.RabiParams(eta=eta, cutoff=cutoff, detuning=detuning)
 
 
+def _dicke_params(eta, detuning, cutoff, n_dipoles):
+    return dicke_mod.DickeParams(eta=eta, cutoff=cutoff, detuning=detuning,
+                                 n_dipoles=n_dipoles)
+
+
 RABI_MODELS: Dict[str, Callable] = {
     "D": lambda e, d, c, n: rabi_mod.bands_H_D(_rabi_params(e, d, c)),
     "Cstd": lambda e, d, c, n: rabi_mod.bands_H_C_standard(_rabi_params(e, d, c)),
-    "Ccorr": lambda e, d, c, n: rabi_mod.blocks_H_C_correct(_rabi_params(e, d, c)),
+    "Ccorr": lambda e, d, c, n: parity_block_sum(
+        rabi_mod.terms_H_C_correct(_rabi_params(e, d, c))),
 }
 
 DICKE_MODELS: Dict[str, Callable] = {
-    "std": lambda e, d, c, n: dicke_mod.blocks_dicke_standard(
-        dicke_mod.DickeParams(eta=e, cutoff=c, detuning=d, n_dipoles=n)),
-    "corr": lambda e, d, c, n: dicke_mod.blocks_dicke_correct(
-        dicke_mod.DickeParams(eta=e, cutoff=c, detuning=d, n_dipoles=n)),
-    "dipole": lambda e, d, c, n: dicke_mod.blocks_dicke_dipole(
-        dicke_mod.DickeParams(eta=e, cutoff=c, detuning=d, n_dipoles=n)),
+    "std": lambda e, d, c, n: parity_block_sum(
+        rabi_mod.terms_H_C_standard(_dicke_params(e, d, c, n))),
+    "corr": lambda e, d, c, n: parity_block_sum(
+        rabi_mod.terms_H_C_correct(_dicke_params(e, d, c, n))),
+    "dipole": lambda e, d, c, n: parity_block_sum(
+        dicke_mod.terms_dicke_dipole(_dicke_params(e, d, c, n))),
 }
 
 FAMILIES = {"rabi": RABI_MODELS, "dicke": DICKE_MODELS}
@@ -239,7 +252,10 @@ def default_eta_grid(eta_max: float = 1.5, step: float = 0.025,
                      include_zero: bool = True) -> Tuple[float, ...]:
     if step <= 0 or eta_max < 0:
         raise ValueError("need step > 0 and eta_max >= 0")
-    n = int(round(eta_max / step))
+    # the last point k * step stays at or below eta_max; the 1e-9 slack
+    # keeps a quotient that rounding leaves just under an integer
+    # (0.3 / 0.1 = 2.9999999999999996) from losing its top point
+    n = int(np.floor(eta_max / step + 1e-9))
     grid = [round(k * step, 12) for k in range(0, n + 1)]
     if not include_zero:
         grid = [g for g in grid if g > 0]
@@ -280,9 +296,9 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
     that, first_bad the value that crossed (None when the grid never crossed).
     The orders are scanned on ``threads`` workers; the full model is solved
     only at the etas some scan reaches.  Both models are solved from the
-    real parity blocks the core writes (``rabi.blocks_H_C_taylor``,
-    ``rabi.blocks_H_C_correct``).  Raises ValueError for an order below 1,
-    a repeated order or tol <= 0.
+    real parity blocks ``linalg.parity_block_sum`` writes of their terms
+    (``rabi.terms_H_C_taylor``, ``rabi.terms_H_C_correct``).  Raises
+    ValueError for an order below 1, a repeated order or tol <= 0.
     """
     if eta_grid is None:
         eta_grid = default_eta_grid(1.6, include_zero=False)
@@ -303,14 +319,16 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
         with locks[i]:
             if exact[i] is None:
                 p = _rabi_params(eta_grid[i], detuning, cutoff)
-                exact[i] = lowest_transitions(rabi_mod.blocks_H_C_correct(p), levels)
+                exact[i] = lowest_transitions(
+                    parity_block_sum(rabi_mod.terms_H_C_correct(p)), levels)
             return exact[i]
 
     def scan(n):
         row, star, first = [], 0.0, None
         for i, eta in enumerate(eta_grid):
             p = _rabi_params(eta, detuning, cutoff)
-            t = lowest_transitions(rabi_mod.blocks_H_C_taylor(p, n), levels)
+            t = lowest_transitions(parity_block_sum(rabi_mod.terms_H_C_taylor(p, n)),
+                                   levels)
             ref = exact_at(i)
             err = float(np.max(np.abs(t - ref) / np.maximum(ref, OMEGA_C)))
             row.append(err)
@@ -356,10 +374,10 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
     With negative_control=True the alpha=1 member is replaced by the naive
     Coulomb-gauge model, which must break the invariance at strong coupling;
     that member is solved from its banded parity chains, the family members
-    from the real parity blocks ``rabi.blocks_H_alpha`` writes.  Raises
-    ValueError when negative_control is set and 1 is not among the alphas,
-    since nothing would be replaced, when an alpha or an eta repeats, and
-    when tol <= 0.
+    from the real parity blocks ``linalg.parity_block_sum`` writes of
+    ``rabi.terms_H_alpha``.  Raises ValueError when negative_control is set
+    and 1 is not among the alphas, since nothing would be replaced, when an
+    alpha or an eta repeats, and when tol <= 0.
     """
     alphas = tuple(float(a) for a in alphas)
     eta_grid = tuple(float(e) for e in eta_grid)
@@ -377,7 +395,8 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
         if negative_control and alpha == 1.0:
             build = lambda c: rabi_mod.bands_H_C_standard(_rabi_params(eta, detuning, c))
         else:
-            build = lambda c: rabi_mod.blocks_H_alpha(_rabi_params(eta, detuning, c), alpha)
+            build = lambda c: parity_block_sum(
+                rabi_mod.terms_H_alpha(_rabi_params(eta, detuning, c), alpha))
         t, _, ok, _ = converged_transitions(build, levels, policy)
         return t, ok
 

@@ -5,11 +5,11 @@ conjugate pair [phi, N] = i, solved in real arithmetic in the
 harmonic-oscillator basis of its quadratic part, where phi = phi_zp X and
 N = i n_zp (b^dag - b); cos(phi) comes from the real eigenvectors of X.  The
 retained two-level data (omega_10, phi_10) feed the charge-gauge analogues
-of the Rabi builders:
+of the Rabi models, each one list of (spin, field) terms:
 
-* ``build_flux_charge_standard``  naive two-level projection with the
+* ``terms_flux_charge_standard``  naive two-level projection with the
                                   -4 E_C chi0^2 (a - a^dag)^2 charge term
-* ``build_flux_charge_correct``   truncation-consistent model, the closed
+* ``terms_flux_charge_correct``   truncation-consistent model, the closed
                                   form of the conjugation by
                                   R = exp[(g_C/omega_10) sigma_x (a - a^dag)]
                                   (the tests hold it to ``rabi._conjugated``)
@@ -18,14 +18,15 @@ with g_C = omega_10 phi_10 chi0 and chi0 the reduced-charge zero-point
 amplitude of the oscillator.  The coupling enters through the charge
 quadrature B = i(a - a^dag) (capacitive coupling).  The photon-number phase
 W = 1 (x) diag(i^n) turns it onto X = a + a^dag, W^dag X W = B, so the
-builders write W H W^dag: the spin-j gauge core of ``gaugeqed.rabi`` at
+lists are those of W H W^dag: the spin-j gauge core of ``gaugeqed.rabi`` at
 two_j = 1, with the naive coupling 2 g_C J_y (x) X and charge term
 4 E_C chi0^2 X^2, and the corrected splitting rotated by cos(2 theta X) and
 -sin(2 theta X), theta = g_C/omega_10.  W is unitary, so the spectra are
 those of the B forms, and W^dag H W is each B form entry by entry (the
 tests check both against independent B-form matrices).  Like every core
-model, each is written dense by ``build_*`` and as two real parity blocks
-by ``blocks_*``; the E_J = 0 limit is the Rabi family itself.
+model, each list is written dense by ``linalg.kron_sum`` or as two real
+parity blocks by ``linalg.parity_block_sum``, the form ``cli fluxonium``
+solves; the E_J = 0 limit is the Rabi family itself.
 
 Energies stay on the scale of the inputs, the LC frequency omega_c among
 them (hbar = 1); unlike the Rabi and Dicke models, omega_c here need not be
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import OperatorMatrix, ParityBlocks, hermitian_eig, kron_sum, parity_block_sum
+from .linalg import hermitian_eig
 from .qops import _real_fock_arrays, real_quadrature_functions
 from .rabi import _bare_terms, _real_cos_sin, _real_parts, _rotated_terms
 
@@ -147,9 +148,15 @@ def coupling_g_c(p: FluxoniumParams, basis: FluxoniumBasis) -> float:
     return basis.omega_10 * basis.phi_10 * p.chi0
 
 
-def _standard_terms(p: FluxoniumParams, basis: FluxoniumBasis) -> list:
-    """W H W^dag of the naive model: the bare terms, 2 g_C J_y (x) X and
-    4 e_c chi0^2 1 (x) X^2."""
+def terms_flux_charge_standard(p: FluxoniumParams, basis: FluxoniumBasis) -> list:
+    """Naive two-level charge-gauge model:
+    (omega_10/2) sigma_z + omega_c a^dag a + i g_C sigma_y (a - a^dag)
+    - 4 e_c chi0^2 (a - a^dag)^2, as the terms of W H W^dag (module header):
+    the bare terms, 2 g_C J_y (x) X and 4 e_c chi0^2 1 (x) X^2.
+
+    Since (a - a^dag)^2 is negative semidefinite, the last term is a
+    nonnegative charging-energy shift (asserted in tests).
+    """
     s = _real_parts(1, p.cutoff)
     return _bare_terms(s, p.omega_c, basis.omega_10) + [
         (2.0 * coupling_g_c(p, basis) * s.jy, s.X),
@@ -160,35 +167,8 @@ def _two_theta(p: FluxoniumParams, basis: FluxoniumBasis) -> float:
     return 2.0 * coupling_g_c(p, basis) / basis.omega_10
 
 
-def _correct_terms(p: FluxoniumParams, basis: FluxoniumBasis) -> list:
-    """W H W^dag of the corrected model: the splitting rotated by
-    cos(2 theta X) and -sin(2 theta X)."""
-    s = _real_parts(1, p.cutoff)
-    cos, sin = _real_cos_sin(p.cutoff, _two_theta(p, basis))
-    return _rotated_terms(s, p.omega_c, basis.omega_10, cos, -sin)
-
-
-def build_flux_charge_standard(p: FluxoniumParams,
-                               basis: FluxoniumBasis) -> OperatorMatrix:
-    """Naive two-level charge-gauge model:
-    (omega_10/2) sigma_z + omega_c a^dag a + i g_C sigma_y (a - a^dag)
-    - 4 e_c chi0^2 (a - a^dag)^2, written as W H W^dag (module header).
-
-    Since (a - a^dag)^2 is negative semidefinite, the last term is a
-    nonnegative charging-energy shift (asserted in tests).
-    """
-    return kron_sum(_standard_terms(p, basis))
-
-
-def blocks_flux_charge_standard(p: FluxoniumParams,
-                                basis: FluxoniumBasis) -> ParityBlocks:
-    """The real parity blocks of ``build_flux_charge_standard``."""
-    return parity_block_sum(_standard_terms(p, basis))
-
-
-def build_flux_charge_correct(p: FluxoniumParams,
-                              basis: FluxoniumBasis) -> OperatorMatrix:
-    """Truncation-consistent charge-gauge model, written as W H W^dag
+def terms_flux_charge_correct(p: FluxoniumParams, basis: FluxoniumBasis) -> list:
+    """Truncation-consistent charge-gauge model, as the terms of W H W^dag
     (module header): (omega_10/2) {sigma_z cos[2 theta X] - sigma_y sin[2 theta X]}
     + omega_c a^dag a, theta = g_C/omega_10, the image of
     sigma_z cosh[2 theta (a - a^dag)] - i sigma_y sinh[2 theta (a - a^dag)].
@@ -197,10 +177,6 @@ def build_flux_charge_correct(p: FluxoniumParams,
     exp[-i 2 theta J_x (x) X]; the generator is anti-Hermitian so R is
     exactly unitary.
     """
-    return kron_sum(_correct_terms(p, basis))
-
-
-def blocks_flux_charge_correct(p: FluxoniumParams,
-                               basis: FluxoniumBasis) -> ParityBlocks:
-    """The real parity blocks of ``build_flux_charge_correct``."""
-    return parity_block_sum(_correct_terms(p, basis))
+    s = _real_parts(1, p.cutoff)
+    cos, sin = _real_cos_sin(p.cutoff, _two_theta(p, basis))
+    return _rotated_terms(s, p.omega_c, basis.omega_10, cos, -sin)

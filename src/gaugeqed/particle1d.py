@@ -13,10 +13,9 @@ Provides the matter side of the full (many-level) light-matter models:
                                       local potential
 * ``check_minimal_coupling_identity`` phase-conjugation route vs direct
                                       p -> p - qA0 substitution on the grid
-* ``build_full_H_D`` / ``build_full_H_C``   untruncated-matter gauge partners
-                                      in the M_used-level eigenbasis, and
-                                      ``blocks_full_H_D`` / ``blocks_full_H_C``
-                                      their real parity blocks
+* ``terms_full_H_D`` / ``terms_full_H_C``   untruncated-matter gauge partners
+                                      in the M_used-level eigenbasis, each a
+                                      list of (matter, field) terms
 * ``trk_sum``                         oscillator-strength sum over retained
                                       levels
 
@@ -30,9 +29,11 @@ folded onto x >= 0, the even and the odd states are solved there with about
 half the points and half the levels each, and mirroring rebuilds
 eigenfunctions of exact parity (-1)^i; the basis is marked
 ``mirror_parity``.  The full models then commute with the parity
-(-1)^i (-1)^{a^dag a}, and ``blocks_full_H_*`` writes their two real
-parity blocks from the same (matter, field) terms that ``build_full_H_*``
-writes as a dense matrix.
+(-1)^i (-1)^{a^dag a}, and ``linalg.parity_block_sum`` writes their two
+real parity blocks from the same terms that ``linalg.kron_sum`` writes as
+a dense matrix (``build_full_H_D`` and ``build_full_H_C``); the
+block writer raises ParityError for a basis whose levels break the mirror
+parity.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import OperatorMatrix, ParityBlocks, check_dim, kron_sum, parity_block_sum
+from .linalg import OperatorMatrix, check_dim, kron_sum
 from .qops import _real_fock_arrays
 
 BOUNDARY_AMPLITUDE_MAX = 1e-8
@@ -573,11 +574,17 @@ def _check_m_used(basis: MatterBasis, m_used: int) -> None:
         raise ValueError(f"m_used must be in [2, {basis.m_levels}], got {m_used}")
 
 
-def _full_D_terms(model: ParticleModel, basis: MatterBasis, cutoff: int, A0: float,
-                  m_used: int) -> list:
-    """The dipole-gauge full model as (matter, real field) terms:
-    1 (x) n + H_0 (x) 1 + q^2 A0^2 x^2 (x) 1 + q A0 i x (x) (a^dag - a),
-    after the dimension cap."""
+def terms_full_H_D(model: ParticleModel, basis: MatterBasis, cutoff: int, A0: float,
+                   m_used: int) -> list:
+    """Dipole-gauge light-matter model with m_used matter levels and Fock
+    levels 0..cutoff retained:
+    a^dag a + H_0 + q^2 A0^2 x^2 + i q A0 x (a^dag - a), as the
+    (matter, real field) terms 1 (x) n, H_0 (x) 1, q^2 A0^2 x^2 (x) 1 and
+    q A0 i x (x) (a^dag - a), after the dimension cap.
+
+    The x^2 term keeps the full matrix elements of x^2 rather than the square
+    of the truncated x, so the m_used -> M limit is the untruncated model.
+    """
     _check_m_used(basis, m_used)
     check_dim(m_used * (cutoff + 1))
     n, _, P = _real_fock_arrays(cutoff)
@@ -588,11 +595,12 @@ def _full_D_terms(model: ParticleModel, basis: MatterBasis, cutoff: int, A0: flo
             (q * A0 * 1j * basis.x_elems[:m_used, :m_used], P)]
 
 
-def _full_C_terms(model: ParticleModel, basis: MatterBasis, cutoff: int, A0: float,
-                  m_used: int) -> list:
-    """The Coulomb-gauge full model as (matter, real field) terms:
-    1 (x) n + H_0 (x) 1 - (q/m) A0 p (x) X
-    + (q^2 A0^2 / 2m) 1 (x) X^2, X = a + a^dag, after the dimension cap."""
+def terms_full_H_C(model: ParticleModel, basis: MatterBasis, cutoff: int, A0: float,
+                   m_used: int) -> list:
+    """Coulomb-gauge partner: a^dag a + H_0 - (q/m) A0 p (a + a^dag)
+    + (q^2 A0^2 / 2m)(a + a^dag)^2, with p in the m_used-level eigenbasis, as
+    the (matter, real field) terms 1 (x) n, H_0 (x) 1, -(q/m) A0 p (x) X and
+    (q^2 A0^2 / 2m) 1 (x) X^2, X = a + a^dag, after the dimension cap."""
     _check_m_used(basis, m_used)
     check_dim(m_used * (cutoff + 1))
     n, X, _ = _real_fock_arrays(cutoff)
@@ -605,35 +613,14 @@ def _full_C_terms(model: ParticleModel, basis: MatterBasis, cutoff: int, A0: flo
 
 def build_full_H_D(model: ParticleModel, basis: MatterBasis, cutoff: int,
                    A0: float, m_used: int) -> OperatorMatrix:
-    """Dipole-gauge light-matter model with m_used matter levels and Fock
-    levels 0..cutoff retained:
-    a^dag a + H_0 + q^2 A0^2 x^2 + i q A0 x (a^dag - a).
-
-    The x^2 term keeps the full matrix elements of x^2 rather than the square
-    of the truncated x, so the m_used -> M limit is the untruncated model.
-    """
-    return kron_sum(_full_D_terms(model, basis, cutoff, A0, m_used))
-
-
-def blocks_full_H_D(model: ParticleModel, basis: MatterBasis, cutoff: int,
-                    A0: float, m_used: int) -> ParityBlocks:
-    """The real parity blocks of ``build_full_H_D`` for a ``mirror_parity``
-    basis; ParityError for a basis whose levels break the mirror parity."""
-    return parity_block_sum(_full_D_terms(model, basis, cutoff, A0, m_used))
+    """The dense matrix of ``terms_full_H_D``."""
+    return kron_sum(terms_full_H_D(model, basis, cutoff, A0, m_used))
 
 
 def build_full_H_C(model: ParticleModel, basis: MatterBasis, cutoff: int,
                    A0: float, m_used: int) -> OperatorMatrix:
-    """Coulomb-gauge partner: a^dag a + H_0 - (q/m) A0 p (a + a^dag)
-    + (q^2 A0^2 / 2m)(a + a^dag)^2, with p in the m_used-level eigenbasis."""
-    return kron_sum(_full_C_terms(model, basis, cutoff, A0, m_used))
-
-
-def blocks_full_H_C(model: ParticleModel, basis: MatterBasis, cutoff: int,
-                    A0: float, m_used: int) -> ParityBlocks:
-    """The real parity blocks of ``build_full_H_C`` for a ``mirror_parity``
-    basis; ParityError for a basis whose levels break the mirror parity."""
-    return parity_block_sum(_full_C_terms(model, basis, cutoff, A0, m_used))
+    """The dense matrix of ``terms_full_H_C``."""
+    return kron_sum(terms_full_H_C(model, basis, cutoff, A0, m_used))
 
 
 def trk_sum(basis: MatterBasis, model: ParticleModel,

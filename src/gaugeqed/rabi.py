@@ -2,29 +2,32 @@
 gauge core that every gauge matrix and real parity block of the package is
 built from.
 
-Builders return the matter (x) field matrix of each model, energies in units
-of omega_c with hbar = 1:
+Each model is one public list of (spin operator, field operator) terms,
+energies in units of omega_c with hbar = 1:
 
-* ``build_H_D``           dipole gauge, linear coupling i g_D (a^dag - a) sigma_x
-* ``build_H_C_standard``  Coulomb gauge with naive two-level truncation
+* ``terms_H_D``           dipole gauge, linear coupling i g_D (a^dag - a) sigma_x
+* ``terms_H_C_standard``  Coulomb gauge with naive two-level truncation
                           (g_C sigma_y (a + a^dag) plus a scalar diamagnetic term)
-* ``build_H_C_correct``   Coulomb gauge with the truncation done on the
+* ``terms_H_C_correct``   Coulomb gauge with the truncation done on the
                           gauge-transformed projector: the qubit splitting is
                           dressed by cos/sin of 2 eta (a + a^dag)
-* ``build_H_C_taylor``    the corrected model with cos/sin replaced by their
+* ``terms_H_C_taylor``    the corrected model with cos/sin replaced by their
                           order-n Maclaurin polynomials
-* ``build_H_alpha``       one-parameter gauge family interpolating D (alpha=0)
+* ``terms_H_alpha``       one-parameter gauge family interpolating D (alpha=0)
                           and corrected C (alpha=1)
 
+A caller picks the writer where it picks the solve:
+``linalg.kron_sum(terms)`` writes the dense matter (x) field matrix, and
+``linalg.parity_block_sum(terms)`` the two real parity blocks
+(``linalg.ParityBlocks``) the sweeps and studies solve.  ``build_H_D``,
+``build_H_C_standard``, ``build_H_C_correct`` and ``build_H_C_taylor`` are
+that dense writer on the first four lists.
+
 The core works on matter (x) field with a collective spin j = two_j / 2 and
-the field quadrature X = a + a^dag.  Each model is written once, as a list of
-(spin operator, field operator) terms: the bare terms
+the field quadrature X = a + a^dag.  Its pieces are the bare terms
 omega_c 1 (x) n + omega_10 J_z (x) 1, the rotated splitting
 omega_10 (J_z (x) cos phi X + J_y (x) sin phi X), the dipole coupling and
-the naive Coulomb coupling.  Each ``build_*`` hands its list to the dense writer
-``linalg.kron_sum``, and each ``blocks_*`` hands the same list to the block
-writer ``linalg.parity_block_sum``, which writes the two real parity blocks
-(``linalg.ParityBlocks``) the sweeps and studies solve.  The field
+the naive Coulomb coupling.  The field
 operators are real (n, X, a^dag - a, and cos/sin of phi X from the real
 eigenvectors of X), and a dipole coupling i J_x (x) (a^dag - a) carries its
 i on the spin side, where the 1j**m phase makes it real.  The one reference
@@ -33,17 +36,19 @@ as ``_conjugated``, the tests' check of every corrected model's closed
 form.  The Rabi and Dicke models are written at omega_c = 1; only
 fluxonium passes its own LC frequency to the bare and rotated terms.  The
 Rabi model is two_j = 1 (the j = 1/2 case: sigma_k = 2 J_k, so
-0.5 omega_10 sigma_z = omega_10 J_z and g sigma_k = 2 g J_k bit for bit),
-``gaugeqed.dicke`` is two_j = N, and ``gaugeqed.fluxonium``'s charge gauge
-is two_j = 1 again, its i(a - a^dag) coupling turned onto X by the
-photon-number phase diag(i^n).
+0.5 omega_10 sigma_z = omega_10 J_z and g sigma_k = 2 g J_k bit for bit).
+``terms_H_C_standard`` and ``terms_H_C_correct`` take the spin from
+``p.two_j``, so a ``gaugeqed.dicke.DickeParams`` (two_j = N) gets the Dicke
+models from them; ``gaugeqed.fluxonium``'s charge gauge is two_j = 1 again,
+its i(a - a^dag) coupling turned onto X by the photon-number phase
+diag(i^n).
 
 ``bands_H_D`` and ``bands_H_C_standard`` write the D and naive Coulomb
 models as their two real parity chains in band storage (tri- and
 pentadiagonal), straight from closed forms, for the sweeps' banded solve.
 
 Derived parameters: omega_10 = 1 + detuning, g_D = eta and
-g_C = eta omega_10.  Every builder drops state-independent constants, so
+g_C = eta omega_10.  Every model drops state-independent constants, so
 physical statements are about transition energies E_n - E_0; raw
 eigenvalues of different gauges differ by exactly those dropped scalars
 (for example spec(H_C) = spec(H_D) + eta^2).
@@ -58,8 +63,8 @@ import numpy as np
 
 # hermitian_eig is not called here; it stays importable as rabi.hermitian_eig,
 # which the benchmark tracer's tests rebind and restore
-from .linalg import (OperatorMatrix, ParityBands, ParityBlocks, check_dim, conjugate,
-                     hermitian_eig, hermitian_operator, kron_sum, parity_block_sum, unitary_exp)
+from .linalg import (OperatorMatrix, ParityBands, check_dim, conjugate, hermitian_eig,
+                     hermitian_operator, kron_sum, unitary_exp)
 from .qops import _real_fock_arrays, _spin_arrays, real_quadrature_functions
 
 # the omitted Maclaurin tail is summed until a term falls below this
@@ -96,8 +101,13 @@ class RabiParams:
         return self.eta * self.omega_10
 
     @property
+    def two_j(self) -> int:
+        """Twice the collective spin: one dipole, j = 1/2."""
+        return 1
+
+    @property
     def dim(self) -> int:
-        return 2 * (self.cutoff + 1)
+        return (self.two_j + 1) * (self.cutoff + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -162,43 +172,62 @@ def _diamagnetic(p: RabiParams, two_j: int) -> float:
     return two_j * p.g_c ** 2 / p.omega_10
 
 
-def _standard_terms(s: _RealParts, p: RabiParams) -> list:
-    """The naive Coulomb model: the bare terms, 2 g_C J_y (x) X and the
-    scalar diamagnetic term on X^2, for the spin of ``s``."""
-    two_j = s.jz.shape[0] - 1
-    return _bare_terms(s, 1.0, p.omega_10) + [
-        (2.0 * p.g_c * s.jy, s.X), (_diamagnetic(p, two_j) * s.eye_spin, s.X @ s.X)]
-
-
-def _correct_terms(s: _RealParts, p: RabiParams) -> list:
-    """The corrected Coulomb model: the splitting rotated by real cos/sin of
-    2 eta X, taken after the dimension cap that ``s`` has passed."""
-    return _rotated_terms(s, 1.0, p.omega_10, *_real_cos_sin(p.cutoff, 2.0 * p.eta))
-
-
 def _real_cos_sin(cutoff: int, k: float):
     """cos(k X) and sin(k X), real, for X = a + a^dag."""
     return real_quadrature_functions(cutoff, lambda x: (np.cos(k * x), np.sin(k * x)))
 
 
 # ---------------------------------------------------------------------------
-# Rabi builders: the core at two_j = 1; each build_* is
-# the dense writer on the model's terms, each blocks_* the block writer
+# the models: one term list each; a build_* is the dense writer on its list
 # ---------------------------------------------------------------------------
 
+def terms_H_D(p: RabiParams) -> list:
+    """Dipole-gauge Rabi Hamiltonian (two-level truncation is exact here):
+    the bare terms plus the dipole coupling 2 g_D J_x (x) i(a^dag - a)."""
+    return _dipole_terms(_real_parts(1, p.cutoff), p)
+
+
+def terms_H_C_standard(p: RabiParams) -> list:
+    """Coulomb-gauge model from the naive two-level projection, at spin
+    ``p.two_j / 2``: the bare terms, 2 g_C J_y (x) X and the scalar
+    diamagnetic term on X^2.
+
+    The X^2 coefficient two_j g_C^2 / omega_10 saturates the
+    oscillator-strength sum rule with the single retained transition of
+    each dipole (N times the Rabi one for N dipoles).
+    """
+    s = _real_parts(p.two_j, p.cutoff)
+    return _bare_terms(s, 1.0, p.omega_10) + [
+        (2.0 * p.g_c * s.jy, s.X), (_diamagnetic(p, p.two_j) * s.eye_spin, s.X @ s.X)]
+
+
+def terms_H_C_correct(p: RabiParams) -> list:
+    """Coulomb-gauge model with the truncation-consistent light-matter
+    block, at spin ``p.two_j / 2``: the splitting dressed as
+    omega_10 {J_z cos[2 eta (a+a^dag)] + J_y sin[...]}, from the cached
+    eigendecomposition of a + a^dag.  It equals the conjugation
+    U (omega_10 J_z) U^dag + a^dag a, U = exp[i 2 eta J_x (a + a^dag)]
+    (``_conjugated``, the tests' reference) to eigensolver roundoff on the
+    truncated space: the rotation identity is exact there and fixes the
+    argument at 2 eta for any number of dipoles.
+    """
+    s = _real_parts(p.two_j, p.cutoff)
+    return _rotated_terms(s, 1.0, p.omega_10, *_real_cos_sin(p.cutoff, 2.0 * p.eta))
+
+
 def build_H_D(p: RabiParams) -> OperatorMatrix:
-    """Dipole-gauge Rabi Hamiltonian (two-level truncation is exact here)."""
-    return kron_sum(_dipole_terms(_real_parts(1, p.cutoff), p))
+    """The dense matrix of ``terms_H_D``."""
+    return kron_sum(terms_H_D(p))
 
 
 def build_H_C_standard(p: RabiParams) -> OperatorMatrix:
-    """Coulomb-gauge Rabi model from the naive two-level projection.
+    """The dense matrix of ``terms_H_C_standard``."""
+    return kron_sum(terms_H_C_standard(p))
 
-    The scalar (a + a^dag)^2 term has the coefficient g_C^2 / omega_10, which
-    saturates the oscillator-strength sum rule with the single retained
-    transition.
-    """
-    return kron_sum(_standard_terms(_real_parts(1, p.cutoff), p))
+
+def build_H_C_correct(p: RabiParams) -> OperatorMatrix:
+    """The dense matrix of ``terms_H_C_correct``."""
+    return kron_sum(terms_H_C_correct(p))
 
 
 def _parity_chains(p: RabiParams, bandwidth: int):
@@ -220,7 +249,7 @@ def _parity_chains(p: RabiParams, bandwidth: int):
 
 
 def bands_H_D(p: RabiParams) -> ParityBands:
-    """The parity chains of ``build_H_D``: tridiagonal, with subdiagonal
+    """The parity chains of ``terms_H_D``: tridiagonal, with subdiagonal
     (-1)^m g_D sqrt(n + 1) between levels n and n + 1 (m that of level n)."""
     chains = []
     for n, m, band in _parity_chains(p, 1):
@@ -230,9 +259,9 @@ def bands_H_D(p: RabiParams) -> ParityBands:
 
 
 def bands_H_C_standard(p: RabiParams) -> ParityBands:
-    """The parity chains of ``build_H_C_standard`` at its sum-rule
-    diamagnetic coefficient D = g_C^2 / omega_10: pentadiagonal, with
-    diagonal n + (omega_10/2) sigma_z + D (X^2)_nn, subdiagonal
+    """The parity chains of ``terms_H_C_standard`` at one dipole, with the
+    sum-rule diamagnetic coefficient D = g_C^2 / omega_10: pentadiagonal,
+    with diagonal n + (omega_10/2) sigma_z + D (X^2)_nn, subdiagonal
     -g_C sqrt(n + 1) and second subdiagonal D sqrt((n + 1)(n + 2)),
     X = a + a^dag.  (X^2)_nn = 2n + 1 except at the top level, where the
     truncated X @ X has n = cutoff.
@@ -247,23 +276,6 @@ def bands_H_C_standard(p: RabiParams) -> ParityBands:
         band[2, :-2] = diamagnetic * np.sqrt(n[1:-1] * n[2:])
         chains.append(band)
     return ParityBands(tuple(chains))
-
-
-def build_H_C_correct(p: RabiParams) -> OperatorMatrix:
-    """Coulomb-gauge Rabi model with the truncation-consistent light-matter
-    block: the qubit splitting dressed as
-    sigma_z cos[2 eta (a+a^dag)] + sigma_y sin[...], from the cached
-    eigendecomposition of a + a^dag.  It equals the conjugation
-    U (omega_10 sigma_z / 2) U^dag + a^dag a, U = exp[i eta sigma_x (a + a^dag)]
-    (``_conjugated``, the tests' reference) to eigensolver roundoff on the
-    truncated space: the rotation identity is exact there.
-    """
-    return kron_sum(_correct_terms(_real_parts(1, p.cutoff), p))
-
-
-def blocks_H_C_correct(p: RabiParams) -> ParityBlocks:
-    """The real parity blocks of ``build_H_C_correct`` (closed form)."""
-    return parity_block_sum(_correct_terms(_real_parts(1, p.cutoff), p))
 
 
 def maclaurin_cos_sin(values: np.ndarray, order: int):
@@ -311,7 +323,14 @@ def maclaurin_cos_sin(values: np.ndarray, order: int):
     return head[0], head[1]
 
 
-def _taylor_terms(p: RabiParams, order: int) -> list:
+def terms_H_C_taylor(p: RabiParams, order: int) -> list:
+    """Corrected Coulomb-gauge model with order-n Maclaurin cos/sin.
+
+    At order 2 this reduces to the qubit splitting plus
+    g_C sigma_y (a+a^dag) - (g_C^2/omega_10) sigma_z (a+a^dag)^2, i.e. the
+    sum-rule-corrected quadratic model; as order grows the spectrum converges
+    to ``terms_H_C_correct`` at the same cutoff.
+    """
     s = _real_parts(1, p.cutoff)
     cos, sin = real_quadrature_functions(
         p.cutoff, lambda x: maclaurin_cos_sin(2.0 * p.eta * x, order))
@@ -319,48 +338,23 @@ def _taylor_terms(p: RabiParams, order: int) -> list:
 
 
 def build_H_C_taylor(p: RabiParams, order: int) -> OperatorMatrix:
-    """Corrected Coulomb-gauge model with order-n Maclaurin cos/sin.
-
-    At order 2 this reduces to the qubit splitting plus
-    g_C sigma_y (a+a^dag) - (g_C^2/omega_10) sigma_z (a+a^dag)^2, i.e. the
-    sum-rule-corrected quadratic model; as order grows the spectrum converges
-    to ``build_H_C_correct`` at the same cutoff.
-    """
-    return kron_sum(_taylor_terms(p, order))
+    """The dense matrix of ``terms_H_C_taylor``."""
+    return kron_sum(terms_H_C_taylor(p, order))
 
 
-def blocks_H_C_taylor(p: RabiParams, order: int) -> ParityBlocks:
-    """The real parity blocks of ``build_H_C_taylor``."""
-    return parity_block_sum(_taylor_terms(p, order))
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return alpha
-
-
-def _alpha_terms(p: RabiParams, alpha: float) -> list:
-    alpha = _check_alpha(alpha)
-    s = _real_parts(1, p.cutoff)
-    cos, sin = _real_cos_sin(p.cutoff, 2.0 * alpha * p.eta)
-    return _rotated_terms(s, 1.0, p.omega_10, cos, sin) \
-        + [((1.0 - alpha) * 2.0 * p.g_d * 1j * s.jx, s.P)]
-
-
-def build_H_alpha(p: RabiParams, alpha: float) -> OperatorMatrix:
+def terms_H_alpha(p: RabiParams, alpha: float) -> list:
     """Gauge family interpolating the dipole (alpha=0) and corrected Coulomb
     (alpha=1) forms; transition energies are alpha-independent.
 
     Raises ValueError unless 0 <= alpha <= 1.
     """
-    return kron_sum(_alpha_terms(p, alpha))
-
-
-def blocks_H_alpha(p: RabiParams, alpha: float) -> ParityBlocks:
-    """The real parity blocks of ``build_H_alpha``."""
-    return parity_block_sum(_alpha_terms(p, alpha))
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    s = _real_parts(1, p.cutoff)
+    cos, sin = _real_cos_sin(p.cutoff, 2.0 * alpha * p.eta)
+    return _rotated_terms(s, 1.0, p.omega_10, cos, sin) \
+        + [((1.0 - alpha) * 2.0 * p.g_d * 1j * s.jx, s.P)]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from gaugeqed import (DickeParams, FluxoniumParams, OperatorMatrix, double_well_model, fluxonium,
+from gaugeqed import (FluxoniumParams, OperatorMatrix, double_well_model, fluxonium,
                       harmonic_model, rabi, solve_particle)
 from gaugeqed.linalg import hermitian_operator
 
@@ -50,7 +50,7 @@ def conjugated(p, basis=None):
     conjugation ``rabi._conjugated`` instead of the builders' closed form:
     U (omega_10 J_z (x) 1) U^dag + omega_c 1 (x) n with U = exp(i phi J_x (x) X).
 
-    For RabiParams and DickeParams that is spin j = n_dipoles / 2,
+    For RabiParams and DickeParams that is spin j = two_j / 2,
     omega_c = 1 and phi = 2 eta; for FluxoniumParams, with its solved
     ``basis``, it is W H W^dag of the charge-gauge model: j = 1/2, the
     params' omega_c, the basis' omega_10 and phi = -2 g_C / omega_10.
@@ -59,8 +59,7 @@ def conjugated(p, basis=None):
         s = rabi._real_parts(1, p.cutoff)
         arr = rabi._conjugated(s, p.omega_c, basis.omega_10, -fluxonium._two_theta(p, basis))
     else:
-        two_j = p.n_dipoles if isinstance(p, DickeParams) else 1
-        arr = rabi._conjugated(rabi._real_parts(two_j, p.cutoff), 1.0, p.omega_10,
+        arr = rabi._conjugated(rabi._real_parts(p.two_j, p.cutoff), 1.0, p.omega_10,
                                2.0 * p.eta)
     return hermitian_operator(arr)
 

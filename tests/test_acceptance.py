@@ -17,19 +17,21 @@ from gaugeqed import (
     FluxoniumParams,
     RabiParams,
     build_dicke_correct,
-    build_dicke_dipole,
     build_dicke_standard,
-    build_flux_charge_correct,
     build_H_C_correct,
     build_H_C_standard,
     build_H_D,
     bands_H_C_standard,
     bands_H_D,
-    blocks_H_C_correct,
     check_gauge_theorem,
     check_minimal_coupling_identity,
+    kron_sum,
     lowest_transitions,
+    parity_block_sum,
     solve_fluxonium,
+    terms_dicke_dipole,
+    terms_flux_charge_correct,
+    terms_H_C_correct,
     trk_sum,
 )
 from gaugeqed.experiments import (
@@ -138,7 +140,7 @@ def test_06_dicke_consistency():
         float(np.abs(lowest_transitions(a, 8) - lowest_transitions(b, 8)).max())
         for a, b in ((build_dicke_standard(p1), build_H_C_standard(pr)),
                      (conjugated(p1), build_H_C_correct(pr)),
-                     (build_dicke_dipole(p1), build_H_D(pr))))
+                     (kron_sum(terms_dicke_dipole(p1)), build_H_D(pr))))
     # the two constructions of the corrected model agree entrywise with
     # the argument-doubling closed form; the printed factor-4 variant of
     # the same formula does not, and the conjugation form is authoritative
@@ -149,7 +151,7 @@ def test_06_dicke_consistency():
     four = closed_form_at(pn, 4)
     dev4 = float(np.abs(conj - four.arr).max()) / scale
     t4 = float(np.abs(lowest_transitions(four, 6)
-                      - lowest_transitions(build_dicke_dipole(pn), 6)).max())
+                      - lowest_transitions(kron_sum(terms_dicke_dipole(pn)), 6)).max())
     ok = spectral <= 1e-10 and dev2 <= 1e-9 * scale and dev4 > 1e-3
     verdict("dicke-consistency", ok,
             f"N=1 spectral dev {spectral:.2e}; conjugation vs closed(c=2) "
@@ -182,7 +184,7 @@ def test_09_fluxonium():
     p = FluxoniumParams(e_c=1.0, e_l=0.9, e_j=3.0, chi0=0.2, cutoff=120)
     basis = solve_fluxonium(p)
     conj = conjugated(p, basis).arr
-    closed = build_flux_charge_correct(p, basis).arr
+    closed = kron_sum(terms_flux_charge_correct(p, basis)).arr
     nf = p.cutoff + 1
     keep = np.r_[0:int(0.8 * nf)]
     idx = np.concatenate([keep, nf + keep])
@@ -248,7 +250,8 @@ def test_12_exact_rabi_spectrum():
             exact = oracles.braak_rabi_levels(eta, (1.0 + detuning) / 2.0, levels + 1)
             t_exact = exact[1:] - exact[0]
             bound = 1e-12 * max(float(np.abs(exact).max()), 1.0)
-            for name, build in (("D", bands_H_D), ("Ccorr", blocks_H_C_correct),
+            for name, build in (("D", bands_H_D),
+                                ("Ccorr", lambda p: parity_block_sum(terms_H_C_correct(p))),
                                 ("Cstd", bands_H_C_standard)):
                 t, _, ok, _ = converged_transitions(
                     lambda c: build(RabiParams(eta=eta, cutoff=c, detuning=detuning)), levels)

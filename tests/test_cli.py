@@ -162,14 +162,14 @@ def test_cutoff_ceiling_exit_2(tmp_path, capsys):
 def test_parity_error_exit_2(tmp_path, capsys, monkeypatch):
     # a full model of a mirror-symmetric well is written as parity blocks;
     # a term that couples matter levels 0 and 1 alone flips the mirror parity
-    terms = particle1d._full_D_terms
+    terms = particle1d.terms_full_H_D
 
     def broken(model, basis, cutoff, a0, m):
         flip = np.zeros((m, m))
         flip[0, 1] = flip[1, 0] = 1.0
         return terms(model, basis, cutoff, a0, m) + [(flip, np.eye(cutoff + 1))]
 
-    monkeypatch.setattr(particle1d, "_full_D_terms", broken)
+    monkeypatch.setattr(particle1d, "terms_full_H_D", broken)
     argv = ["full-model", "--model", "harmonic", "--m-levels", "2", "--cutoff", "8"]
     assert run(argv, tmp_path) == 2
     assert "ParityError: term 4 leaves the parity blocks" in capsys.readouterr().err
@@ -496,6 +496,7 @@ BAD_INPUT = [
     (["rabi-sweep"], "eta_max = 1\n", "no section headers"),
     (["rabi-sweep"], "[rabi-sweep]\neta_max\n", "parsing errors"),
     (["taylor-study", "--eta-max", "0.01"], None, "holds no eta > 0"),
+    (["taylor-study", "--eta-max", "0.02"], None, "holds no eta > 0"),
 ]
 
 
@@ -520,13 +521,61 @@ def test_bad_input_exit_1(tmp_path, capsys, argv, config, fragment):
     assert not out.exists() and not list(tmp_path.glob("**/*.csv"))
 
 
+# "{file}" stands for an existing file; nothing is solved for any of these
+EARLY_BAD_INPUT = [
+    (["gauge-theorem", "--cutoffs", "20,30", "--outdir", "{file}"], "File exists"),
+    (["rabi-sweep", "--outdir", "{file}/sub"], "Not a directory"),
+    (["full-model", "--outdir", "{file}"], "File exists"),
+    (["full-model", "--m-levels", "2,64"], "m_levels 64 exceeds solved levels 50"),
+    (["full-model", "--m-levels", "1,4"], "m_levels 1 is below 2"),
+    (["particle-demo", "--kernel-levels", "2,64"], "kernel level 64 exceeds solved levels 32"),
+    (["particle-demo", "--kernel-levels", "1,8"], "kernel level 1 is below 2"),
+]
+
+
+@pytest.mark.parametrize("argv,fragment", EARLY_BAD_INPUT,
+                         ids=[" ".join(a) for a, _ in EARLY_BAD_INPUT])
+def test_bad_output_or_levels_fail_before_the_solve(tmp_path, capsys, monkeypatch, argv,
+                                                     fragment):
+    """An unusable --outdir and matter levels the model cannot solve are
+    argument errors found before any work: exit 1, one error line, no table
+    and no output directory left behind."""
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+
+    for module, name in ((particle1d, "solve_particle"), (cli.rabi, "check_gauge_theorem"),
+                         (experiments, "run_sweep")):
+        monkeypatch.setattr(module, name, solve)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    argv = [a.replace("{file}", str(blocker)) for a in argv]
+    out = tmp_path / "out"
+    if "--outdir" not in argv:
+        argv += ["--outdir", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and fragment in err[0], err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_rabi_sweep_stays_below_eta_max(tmp_path):
+    argv = ["rabi-sweep", "--eta-max", "0.04", "--models", "D", "--cutoff0", "10"]
+    assert run(argv, tmp_path) == 0
+    rows = (tmp_path / "rabi_sweep.csv").read_text().splitlines()[4:]
+    assert [row.split(",")[1] for row in rows] == ["0", "0.025"]
+
+
 def test_particle_demo_coarse_table_exit_2(tmp_path, capsys):
     x = [f"{-8 + 0.016 * i:.6f}" for i in range(1001)]
     table = tmp_path / "coarse.dat"
     table.write_text("\n".join(
         f"{xi} {(-1.2 * float(xi) ** 2 + 0.25 * float(xi) ** 4):.9f}"
         for xi in x) + "\n")
-    argv = ["particle-demo", "--potential-table", str(table)]
+    # a table model solves 10 levels, so the default kernel level 32 would
+    # be an argument error, found before the solve
+    argv = ["particle-demo", "--potential-table", str(table), "--kernel-levels", "2,8"]
     assert run(argv, tmp_path) == 2
     assert "GridTooCoarse" in capsys.readouterr().err
 

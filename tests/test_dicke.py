@@ -12,7 +12,6 @@ from gaugeqed import (
     OperatorMatrix,
     RabiParams,
     build_dicke_correct,
-    build_dicke_dipole,
     build_dicke_standard,
     build_H_C_correct,
     build_H_C_standard,
@@ -22,6 +21,7 @@ from gaugeqed import (
     hermitian_eig,
     kron,
     spin_ops,
+    terms_dicke_dipole,
     unitary_exp,
 )
 from gaugeqed import rabi
@@ -38,6 +38,10 @@ def transitions(H, k):
     return hermitian_eig(H, vectors=False).transitions(k)
 
 
+def dicke_dipole(p):
+    return kron_sum(terms_dicke_dipole(p))
+
+
 def closed_form_at(p, factor):
     """The corrected Dicke model's terms with cos/sin of factor * eta X in
     place of 2 eta X, written by the dense writer: factor 4 is the printed
@@ -50,6 +54,7 @@ def closed_form_at(p, factor):
 def test_params():
     p = DickeParams(eta=0.2, n_dipoles=4)
     assert p.j == 2.0
+    assert p.two_j == 4 and RabiParams(eta=0.2).two_j == 1
     assert p.dim == 5 * (p.cutoff + 1)
     with pytest.raises(ValueError):
         DickeParams(eta=0.2, n_dipoles=0)
@@ -78,7 +83,7 @@ def test_single_dipole_dipole_gauge_offset():
     # at N = 1 the collective J_x^2 term is the scalar eta^2, which
     # the two-level dipole builder drops; the partner keeps it
     p = DickeParams(eta=0.4, cutoff=50, n_dipoles=1)
-    hd = build_dicke_dipole(p)
+    hd = dicke_dipole(p)
     hr = build_H_D(RabiParams(eta=0.4, cutoff=50))
     shift = p.eta ** 2
     dev = np.abs(hd.arr - hr.arr - shift * np.eye(p.dim)).max()
@@ -136,7 +141,7 @@ def test_eta_zero_ladder():
     p = DickeParams(eta=0.0, cutoff=30, detuning=0.5, n_dipoles=3)
     expected = sorted(p.omega_10 * k + n
                       for k in range(4) for n in range(8))[1:9]
-    for build in (build_dicke_standard, build_dicke_correct, build_dicke_dipole):
+    for build in (build_dicke_standard, build_dicke_correct, dicke_dipole):
         t = transitions(build(p), 8)
         assert np.abs(t - np.array(expected)).max() <= 1e-10
 
@@ -144,7 +149,7 @@ def test_eta_zero_ladder():
 def test_dipole_partner_spectrum():
     p = DickeParams(eta=0.3, cutoff=120, n_dipoles=4)
     t_corr = transitions(build_dicke_correct(p), 4)
-    t_dip = transitions(build_dicke_dipole(p), 4)
+    t_dip = transitions(dicke_dipole(p), 4)
     assert np.abs(t_corr - t_dip).max() <= 1e-10
 
 
@@ -164,7 +169,7 @@ def test_collective_spin_conserved():
     jx, jy, jz = spin_ops(p.n_dipoles)
     j2 = jx.arr @ jx.arr + jy.arr @ jy.arr + jz.arr @ jz.arr
     j2_emb = np.kron(j2, np.eye(p.cutoff + 1))
-    for build in (build_dicke_standard, build_dicke_correct, build_dicke_dipole):
+    for build in (build_dicke_standard, build_dicke_correct, dicke_dipole):
         H = build(p).arr
         dev = np.abs(H @ j2_emb - j2_emb @ H).max()
         assert dev <= 1e-12 * np.abs(H).max() * np.abs(j2).max()
@@ -186,7 +191,7 @@ def test_spectrum_invariant_under_further_rotation():
 
 def test_builders_hermitian():
     p = DickeParams(eta=0.5, cutoff=30, detuning=0.3, n_dipoles=2)
-    for build in (build_dicke_standard, build_dicke_correct, build_dicke_dipole):
+    for build in (build_dicke_standard, build_dicke_correct, dicke_dipole):
         H = build(p)
         assert H.hermitian_hint
 
@@ -194,7 +199,7 @@ def test_builders_hermitian():
 def test_builders_enforce_dimension_cap():
     # (4 + 1) * (1000 + 1) = 5005 exceeds DIM_CAP_DEFAULT = 4096
     p = DickeParams(eta=0.3, cutoff=1000, n_dipoles=4)
-    for build in (build_dicke_standard, build_dicke_dipole,
+    for build in (build_dicke_standard, dicke_dipole,
                   build_dicke_correct):
         with pytest.raises(DimensionOverflowError):
             build(p)

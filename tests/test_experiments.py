@@ -169,10 +169,9 @@ def test_block_models_never_assemble_the_matrix(monkeypatch, tmp_path, harmonic)
     def dense(*args, **kwargs):
         raise AssertionError("dense path taken")
 
-    for name in ("build_H_C_correct", "build_H_C_taylor", "build_H_alpha", "kron_sum"):
+    for name in ("build_H_C_correct", "build_H_C_taylor", "kron_sum"):
         monkeypatch.setattr(rabi_mod, name, dense)
-    for name in ("build_dicke_standard", "build_dicke_correct", "build_dicke_dipole",
-                 "kron_sum"):
+    for name in ("build_dicke_standard", "build_dicke_correct", "kron_sum"):
         monkeypatch.setattr(dicke_mod, name, dense)
     for name in ("build_full_H_D", "build_full_H_C", "kron_sum"):
         monkeypatch.setattr(particle1d_mod, name, dense)
@@ -306,6 +305,18 @@ def test_default_eta_grid():
     assert default_eta_grid(1.6, include_zero=False)[-1] == 1.6
 
 
+def test_default_eta_grid_stops_at_eta_max():
+    # 0.04 / 0.025 = 1.6 rounds up to 2 points past zero; the grid must stop
+    # at 0.025, not scan on to 0.05.  A quotient that rounding leaves just
+    # under an integer (0.6 / 0.025 = 23.999999999999996) keeps its top point
+    assert default_eta_grid(0.04, 0.025) == (0.0, 0.025)
+    assert default_eta_grid(0.02, 0.025) == (0.0,)
+    assert default_eta_grid(0.6, 0.025)[-1] == 0.6
+    assert default_eta_grid(0.3, 0.1) == (0.0, 0.1, 0.2, 0.3)
+    with pytest.raises(ValueError, match="holds no eta > 0"):
+        default_eta_grid(0.02, 0.025, include_zero=False)
+
+
 # ---------------------------------------------------------------------------
 # taylor and alpha studies
 # ---------------------------------------------------------------------------
@@ -330,13 +341,13 @@ def test_taylor_study_scan():
 
 def test_taylor_study_threads_and_lazy_exact(monkeypatch):
     calls = []
-    build = rabi_mod.blocks_H_C_correct
+    terms = rabi_mod.terms_H_C_correct
 
     def counting(p, *args, **kwargs):
         calls.append(p.eta)
-        return build(p, *args, **kwargs)
+        return terms(p, *args, **kwargs)
 
-    monkeypatch.setattr(rabi_mod, "blocks_H_C_correct", counting)
+    monkeypatch.setattr(rabi_mod, "terms_H_C_correct", counting)
     grid = tuple(0.1 * k for k in range(1, 16))
     orders = (2, 3, 4, 5, 6, 10)
     kw = dict(eta_grid=grid, cutoff=30, levels=3)

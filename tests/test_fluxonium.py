@@ -16,17 +16,17 @@ from gaugeqed import (
     BasisTooSmallError,
     FluxoniumParams,
     RabiParams,
-    blocks_flux_charge_correct,
-    blocks_flux_charge_standard,
-    build_flux_charge_correct,
-    build_flux_charge_standard,
-    build_H_C_correct,
-    build_H_C_standard,
     coupling_g_c,
     hermitian_eig,
+    kron_sum,
     lowest_transitions,
+    parity_block_sum,
     rabi,
     solve_fluxonium,
+    terms_flux_charge_correct,
+    terms_flux_charge_standard,
+    terms_H_C_correct,
+    terms_H_C_standard,
 )
 
 PARAMS = FluxoniumParams(e_c=1.0, e_l=0.9, e_j=3.0, chi0=0.2, cutoff=120)
@@ -103,20 +103,20 @@ def test_basis_arrays_frozen(basis):
 # ---------------------------------------------------------------------------
 
 def test_standard_golden(basis):
-    t = transitions(build_flux_charge_standard(PARAMS, basis), 3)
+    t = transitions(kron_sum(terms_flux_charge_standard(PARAMS, basis)), 3)
     assert np.max(np.abs(t - GOLD_STD) / GOLD_STD) <= 1e-10
 
 
 def test_correct_golden(basis):
-    t = transitions(build_flux_charge_correct(PARAMS, basis), 3)
+    t = transitions(kron_sum(terms_flux_charge_correct(PARAMS, basis)), 3)
     assert np.max(np.abs(t - GOLD_CORR) / GOLD_CORR) <= 1e-10
 
 
 def test_blocks_golden(basis):
     # the real parity blocks the CLI solves hold the same goldens
-    for build, gold in ((blocks_flux_charge_standard, GOLD_STD),
-                        (blocks_flux_charge_correct, GOLD_CORR)):
-        t = lowest_transitions(build(PARAMS, basis), 3)
+    for terms, gold in ((terms_flux_charge_standard, GOLD_STD),
+                        (terms_flux_charge_correct, GOLD_CORR)):
+        t = lowest_transitions(parity_block_sum(terms(PARAMS, basis)), 3)
         assert np.max(np.abs(t - gold) / gold) <= 1e-10
 
 
@@ -130,11 +130,11 @@ def test_qubit_solve_is_real(basis):
 
 def test_builders_against_oracle_matrices(basis):
     w10, phi10 = basis.omega_10, abs(basis.phi_10)
-    t = transitions(build_flux_charge_standard(PARAMS, basis), 3)
+    t = transitions(kron_sum(terms_flux_charge_standard(PARAMS, basis)), 3)
     w = np.linalg.eigvalsh(oracles.flux_charge_standard(
         w10, phi10, PARAMS.chi0, PARAMS.e_c, PARAMS.cutoff))
     assert np.abs(t - (w[1:4] - w[0])).max() <= 1e-10
-    t = transitions(build_flux_charge_correct(PARAMS, basis), 3)
+    t = transitions(kron_sum(terms_flux_charge_correct(PARAMS, basis)), 3)
     w = np.linalg.eigvalsh(oracles.flux_charge_correct(
         w10, phi10, PARAMS.chi0, PARAMS.cutoff))
     assert np.abs(t - (w[1:4] - w[0])).max() <= 1e-10
@@ -142,7 +142,7 @@ def test_builders_against_oracle_matrices(basis):
 
 def test_conjugation_matches_closed_form(basis):
     h1 = conjugated(PARAMS, basis)
-    h2 = build_flux_charge_correct(PARAMS, basis)
+    h2 = kron_sum(terms_flux_charge_correct(PARAMS, basis))
     scale = np.abs(h2.arr).max()
     assert np.abs(h1.arr - h2.arr).max() <= 1e-9 * scale
 
@@ -156,8 +156,8 @@ def test_charge_term_nonnegative(basis):
 
 
 def test_builders_hermitian(basis):
-    assert build_flux_charge_standard(PARAMS, basis).hermitian_hint
-    assert build_flux_charge_correct(PARAMS, basis).hermitian_hint
+    assert kron_sum(terms_flux_charge_standard(PARAMS, basis)).hermitian_hint
+    assert kron_sum(terms_flux_charge_correct(PARAMS, basis)).hermitian_hint
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +167,8 @@ def test_builders_hermitian(basis):
 def test_gauge_gap_at_moderate_coupling(basis):
     # chi0 = 0.2 on this qubit already separates naive from corrected at
     # the few-percent level
-    t_std = transitions(build_flux_charge_standard(PARAMS, basis), 3)
-    t_cor = transitions(build_flux_charge_correct(PARAMS, basis), 3)
+    t_std = transitions(kron_sum(terms_flux_charge_standard(PARAMS, basis)), 3)
+    t_cor = transitions(kron_sum(terms_flux_charge_correct(PARAMS, basis)), 3)
     rel = np.abs(t_std - t_cor) / t_cor
     assert rel.max() > 0.03
     assert rel.max() < 0.15
@@ -181,8 +181,8 @@ def test_unit_coupling_breakdown():
     b = solve_fluxonium(p)
     p_unit = FluxoniumParams(e_c=1.0, e_l=0.9, e_j=3.0,
                              chi0=1.0 / abs(b.phi_10), cutoff=160)
-    t_std = transitions(build_flux_charge_standard(p_unit, b), 1)
-    t_cor = transitions(build_flux_charge_correct(p_unit, b), 1)
+    t_std = transitions(kron_sum(terms_flux_charge_standard(p_unit, b)), 1)
+    t_cor = transitions(kron_sum(terms_flux_charge_correct(p_unit, b)), 1)
     assert t_std[0] / t_cor[0] > 4.0
 
 
@@ -196,8 +196,8 @@ def test_quadratic_limit_maps_to_two_level_models():
     eta = abs(b.phi_10) * p.chi0
     pr = RabiParams(eta=eta, cutoff=80, detuning=b.omega_10 - 1.0)
     assert p.omega_quad * p.phi_zp ** 2 == pytest.approx(4.0 * p.e_c, rel=1e-12)
-    for flux_build, rabi_build in ((build_flux_charge_standard, build_H_C_standard),
-                                   (build_flux_charge_correct, build_H_C_correct)):
-        w_f = hermitian_eig(flux_build(p, b), vectors=False).eigenvalues
-        w_r = hermitian_eig(rabi_build(pr), vectors=False).eigenvalues
+    for flux_terms, rabi_terms in ((terms_flux_charge_standard, terms_H_C_standard),
+                                   (terms_flux_charge_correct, terms_H_C_correct)):
+        w_f = hermitian_eig(kron_sum(flux_terms(p, b)), vectors=False).eigenvalues
+        w_r = hermitian_eig(kron_sum(rabi_terms(pr)), vectors=False).eigenvalues
         assert np.abs(w_f - w_r).max() <= 1e-9

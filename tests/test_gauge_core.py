@@ -1,12 +1,12 @@
-"""Every dense gauge builder, entry by entry, against the independent
-constructions of tests/oracles.py, and every real-block builder against the
-phased parity blocks of its dense builder.
+"""Every model's term list, written dense, entry by entry against the
+independent constructions of tests/oracles.py, and written as real parity
+blocks against the phased parity blocks of its dense matrix.
 
-The Rabi, Dicke and fluxonium charge-gauge builders share one spin-j core
+The Rabi, Dicke and fluxonium charge-gauge models share one spin-j core
 (``gaugeqed.rabi``); the frozen spectra in the other modules pin them only
 through eigenvalues, so this module pins the matrices themselves.  The
-fluxonium builders write W H W^dag with W = 1 (x) diag(i^n), so W^dag H W is
-pinned to the oracles' charge-quadrature forms.
+fluxonium lists are those of W H W^dag with W = 1 (x) diag(i^n), so
+W^dag H W is pinned to the oracles' charge-quadrature forms.
 """
 
 import itertools
@@ -23,34 +23,28 @@ from gaugeqed import (
     OperatorMatrix,
     ParityError,
     RabiParams,
-    blocks_dicke_correct,
-    blocks_dicke_dipole,
-    blocks_dicke_standard,
-    blocks_flux_charge_correct,
-    blocks_flux_charge_standard,
-    blocks_H_alpha,
-    blocks_H_C_correct,
-    blocks_H_C_taylor,
+    block_parity_eigvalsh,
     build_dicke_correct,
-    build_dicke_dipole,
     build_dicke_standard,
-    build_flux_charge_correct,
-    build_flux_charge_standard,
-    build_H_alpha,
     build_H_C_correct,
     build_H_C_standard,
     build_H_C_taylor,
     build_H_D,
-    block_parity_eigvalsh,
-    blocks_full_H_C,
-    blocks_full_H_D,
-    build_full_H_C,
-    build_full_H_D,
     hermitian_eig,
+    kron_sum,
+    parity_block_sum,
+    rabi,
     solve_fluxonium,
+    terms_dicke_dipole,
+    terms_flux_charge_correct,
+    terms_flux_charge_standard,
+    terms_full_H_C,
+    terms_full_H_D,
+    terms_H_alpha,
+    terms_H_C_correct,
+    terms_H_C_standard,
+    terms_H_C_taylor,
 )
-from gaugeqed import rabi
-from gaugeqed.linalg import parity_block_sum
 
 # (eta, cutoff, detuning)
 GRID = tuple(itertools.product((0.0, 0.4, 1.5), (1, 7, 40), (0.0, 0.2)))
@@ -74,11 +68,11 @@ RABI = {
                  lambda e, d, c: oracles.rabi_coulomb_taylor(e, d, c, 2)),
     "Taylor 10": (lambda p: build_H_C_taylor(p, 10),
                   lambda e, d, c: oracles.rabi_coulomb_taylor(e, d, c, 10)),
-    "alpha 0": (lambda p: build_H_alpha(p, 0.0),
+    "alpha 0": (lambda p: kron_sum(terms_H_alpha(p, 0.0)),
                 lambda e, d, c: oracles.rabi_alpha(0.0, e, d, c)),
-    "alpha 0.5": (lambda p: build_H_alpha(p, 0.5),
+    "alpha 0.5": (lambda p: kron_sum(terms_H_alpha(p, 0.5)),
                   lambda e, d, c: oracles.rabi_alpha(0.5, e, d, c)),
-    "alpha 1": (lambda p: build_H_alpha(p, 1.0),
+    "alpha 1": (lambda p: kron_sum(terms_H_alpha(p, 1.0)),
                 lambda e, d, c: oracles.rabi_alpha(1.0, e, d, c)),
 }
 
@@ -86,7 +80,7 @@ DICKE = {
     "std": (build_dicke_standard, oracles.dicke_standard),
     "corr conjugation": (conjugated, oracles.dicke_correct),
     "corr closed_form": (build_dicke_correct, oracles.dicke_correct),
-    "dipole": (build_dicke_dipole, oracles.dicke_dipole),
+    "dipole": (lambda p: kron_sum(terms_dicke_dipole(p)), oracles.dicke_dipole),
 }
 
 
@@ -115,8 +109,8 @@ def fluxonium_basis():
 
 
 FLUXONIUM = {
-    "std": build_flux_charge_standard,
-    "corr closed_form": build_flux_charge_correct,
+    "std": lambda p, b: kron_sum(terms_flux_charge_standard(p, b)),
+    "corr closed_form": lambda p, b: kron_sum(terms_flux_charge_correct(p, b)),
     "corr conjugation": conjugated,
 }
 
@@ -146,44 +140,43 @@ def test_fluxonium_builders_match_oracles(model, fluxonium_basis):
 # ---------------------------------------------------------------------------
 
 def block_cases(eta, cutoff, detuning, particle, flux_basis):
-    """(name, dense matrix, its real blocks, matter dimension) of every block
-    builder, at the orders, alphas and dipole numbers the sweeps and studies
+    """(name, term list, matter dimension) of every model that is solved as
+    blocks, at the orders, alphas and dipole numbers the sweeps and studies
     use, for the fluxonium models on ``flux_basis`` at coupling eta, and for
     the full models of a mirror-parity ``particle`` (model, basis) at two
     matter truncations."""
     p = RabiParams(eta=eta, cutoff=cutoff, detuning=detuning)
-    yield "Ccorr", build_H_C_correct(p), blocks_H_C_correct(p), 2
+    yield "Ccorr", terms_H_C_correct(p), 2
     for order in (2, 10, 200):
-        yield f"Taylor {order}", build_H_C_taylor(p, order), blocks_H_C_taylor(p, order), 2
+        yield f"Taylor {order}", terms_H_C_taylor(p, order), 2
     for alpha in (0.0, 0.5, 1.0):
-        yield f"alpha {alpha:g}", build_H_alpha(p, alpha), blocks_H_alpha(p, alpha), 2
+        yield f"alpha {alpha:g}", terms_H_alpha(p, alpha), 2
     for n in (1, 2, 4):
         q = DickeParams(eta=eta, cutoff=cutoff, detuning=detuning, n_dipoles=n)
-        yield f"dicke {n} std", build_dicke_standard(q), blocks_dicke_standard(q), n + 1
-        yield f"dicke {n} corr", build_dicke_correct(q), blocks_dicke_correct(q), n + 1
-        yield f"dicke {n} dipole", build_dicke_dipole(q), blocks_dicke_dipole(q), n + 1
+        yield f"dicke {n} std", terms_H_C_standard(q), n + 1
+        yield f"dicke {n} corr", terms_H_C_correct(q), n + 1
+        yield f"dicke {n} dipole", terms_dicke_dipole(q), n + 1
     f = FluxoniumParams(e_c=1.0, e_l=0.9, e_j=3.0, chi0=eta / flux_basis.phi_10,
                         omega_c=1.0 + detuning, cutoff=cutoff)
-    yield ("flux std", build_flux_charge_standard(f, flux_basis),
-           blocks_flux_charge_standard(f, flux_basis), 2)
-    yield ("flux corr", build_flux_charge_correct(f, flux_basis),
-           blocks_flux_charge_correct(f, flux_basis), 2)
+    yield "flux std", terms_flux_charge_standard(f, flux_basis), 2
+    yield "flux corr", terms_flux_charge_correct(f, flux_basis), 2
     model, basis = particle
     for m in (2, 7):
         args = (model, basis, cutoff, 0.5 * eta, m)
-        yield f"full D {m}", build_full_H_D(*args), blocks_full_H_D(*args), m
-        yield f"full C {m}", build_full_H_C(*args), blocks_full_H_C(*args), m
+        yield f"full D {m}", terms_full_H_D(*args), m
+        yield f"full C {m}", terms_full_H_C(*args), m
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 15, 16, 41])
 @pytest.mark.parametrize("eta", [0.0, 0.4, 1.5, 3.0])
 def test_blocks_match_dense_builders(eta, cutoff, double_well, fluxonium_basis):
-    """Each block builder writes the phased parity blocks of its dense
-    builder, entry by entry, and their eigenvalues are the dense matrix's.
-    Detuned, so that the J_z and J_y terms differ in scale."""
-    for name, H, blocks, matter in block_cases(eta, cutoff, 0.2, double_well,
-                                               fluxonium_basis):
+    """The block writer writes the phased parity blocks of the dense
+    writer's matrix of each term list, entry by entry, and their eigenvalues
+    are the dense matrix's.  Detuned, so that the J_z and J_y terms differ
+    in scale."""
+    for name, terms, matter in block_cases(eta, cutoff, 0.2, double_well, fluxonium_basis):
         case = (name, eta, cutoff)
+        H, blocks = kron_sum(terms), parity_block_sum(terms)
         bound = ENTRY_RTOL * max(float(np.abs(H.arr).max()), 1.0)
         ref, imag = phased_blocks(H, matter, cutoff + 1)
         assert imag <= bound, case
@@ -198,18 +191,23 @@ def test_blocks_match_dense_builders(eta, cutoff, double_well, fluxonium_basis):
         assert dev <= bound, (case, dev)
 
 
-def test_block_builders_enforce_dimension_cap(fluxonium_basis):
-    # checked before any work: the cap is hit before cos/sin at cutoff 2048
+def test_block_builders_enforce_dimension_cap(fluxonium_basis, double_well):
+    # checked before any work: the cap is hit before cos/sin at cutoff 2048,
+    # and before the Fock arrays of a full model at 32 matter levels
     p = RabiParams(eta=0.3, cutoff=2048)
     q = DickeParams(eta=0.3, cutoff=1000, n_dipoles=4)
     f = FluxoniumParams(e_c=1.0, e_l=0.9, e_j=3.0, chi0=0.2, cutoff=2048)
-    for build, params in ((blocks_H_C_correct, p), (lambda r: blocks_H_C_taylor(r, 3), p),
-                          (lambda r: blocks_H_alpha(r, 0.5), p), (blocks_dicke_standard, q),
-                          (blocks_dicke_correct, q), (blocks_dicke_dipole, q),
-                          (lambda r: blocks_flux_charge_standard(r, fluxonium_basis), f),
-                          (lambda r: blocks_flux_charge_correct(r, fluxonium_basis), f)):
-        with pytest.raises(DimensionOverflowError):
-            build(params)
+    model, basis = double_well
+    full = (model, basis, 1000, 0.3, 32)
+    for terms in (lambda: terms_H_C_correct(p), lambda: terms_H_C_taylor(p, 3),
+                  lambda: terms_H_alpha(p, 0.5), lambda: terms_H_C_standard(q),
+                  lambda: terms_H_C_correct(q), lambda: terms_dicke_dipole(q),
+                  lambda: terms_flux_charge_standard(f, fluxonium_basis),
+                  lambda: terms_flux_charge_correct(f, fluxonium_basis),
+                  lambda: terms_full_H_D(*full), lambda: terms_full_H_C(*full)):
+        for write in (parity_block_sum, kron_sum):
+            with pytest.raises(DimensionOverflowError):
+                write(terms())
 
 
 def test_block_writer_rejects_a_complex_phased_spin_term():

@@ -24,16 +24,22 @@ from gaugeqed import (
     bands_H_D,
     banded_parity_eigvalsh,
     block_parity_eigvalsh,
-    blocks_H_C_correct,
     conjugate,
     fock_ops,
     hermitian_eig,
     kron,
+    kron_sum,
     matrix_function,
+    parity_block_sum,
+    rabi,
+    terms_dicke_dipole,
+    terms_H_alpha,
+    terms_H_C_correct,
+    terms_H_C_standard,
+    terms_H_C_taylor,
+    terms_H_D,
     unitary_exp,
 )
-from gaugeqed import dicke, rabi
-from gaugeqed.linalg import kron_sum, parity_block_sum
 
 
 def X_op(cutoff):
@@ -315,22 +321,20 @@ def test_dimension_mismatch():
 def parity_models(eta, cutoff):
     """The term list of every Rabi and Dicke model, by name."""
     p = RabiParams(eta=eta, cutoff=cutoff, detuning=0.3)
-    s = rabi._real_parts(1, cutoff)
     models = {
-        "D": rabi._dipole_terms(s, p),
-        "Cstd": rabi._standard_terms(s, p),
-        "Ccorr": rabi._correct_terms(s, p),
+        "D": terms_H_D(p),
+        "Cstd": terms_H_C_standard(p),
+        "Ccorr": terms_H_C_correct(p),
     }
     for order in (2, 3, 200):
-        models[f"taylor{order}"] = rabi._taylor_terms(p, order)
+        models[f"taylor{order}"] = terms_H_C_taylor(p, order)
     for alpha in (0.0, 0.5, 1.0):
-        models[f"alpha{alpha:g}"] = rabi._alpha_terms(p, alpha)
+        models[f"alpha{alpha:g}"] = terms_H_alpha(p, alpha)
     for n in (1, 2, 3, 4):
         q = DickeParams(eta=eta, cutoff=cutoff, detuning=0.3, n_dipoles=n)
-        sn = rabi._real_parts(n, cutoff)
-        models[f"dicke{n}/std"] = rabi._standard_terms(sn, q)
-        models[f"dicke{n}/corr"] = rabi._correct_terms(sn, q)
-        models[f"dicke{n}/dipole"] = dicke._dicke_dipole_terms(q)
+        models[f"dicke{n}/std"] = terms_H_C_standard(q)
+        models[f"dicke{n}/corr"] = terms_H_C_correct(q)
+        models[f"dicke{n}/dipole"] = terms_dicke_dipole(q)
     return models
 
 
@@ -354,7 +358,7 @@ def test_parity_error_on_broken_parity():
     p = RabiParams(eta=0.5, cutoff=6)
     s = rabi._real_parts(1, p.cutoff)
     with pytest.raises(ParityError, match="term 3 leaves the parity blocks"):
-        parity_block_sum(rabi._dipole_terms(s, p) + [(2.0 * s.jx, s.eye_field)])
+        parity_block_sum(terms_H_D(p) + [(2.0 * s.jx, s.eye_field)])
     assert issubclass(ParityError, LinalgError)
 
 
@@ -364,7 +368,7 @@ def test_parity_error_on_complex_phased_block():
     p = RabiParams(eta=0.5, cutoff=6)
     s = rabi._real_parts(1, p.cutoff)
     with pytest.raises(ParityError, match="term 4: .* not real after the 1j\\*\\*m phase"):
-        parity_block_sum(rabi._standard_terms(s, p) + [(2j * s.jy, s.P)])
+        parity_block_sum(terms_H_C_standard(p) + [(2j * s.jy, s.P)])
 
 
 def test_parity_eigvalsh_checks_its_input():
@@ -373,7 +377,7 @@ def test_parity_eigvalsh_checks_its_input():
     check."""
     p = RabiParams(eta=0.5, cutoff=6)
     s = rabi._real_parts(1, p.cutoff)
-    terms = rabi._dipole_terms(s, p)
+    terms = terms_H_D(p)
     for bad in (terms + [(s.jx, np.eye(5))], terms + [(np.eye(3), s.X)]):
         for write in (kron_sum, parity_block_sum):
             with pytest.raises(DimensionMismatchError):
@@ -430,7 +434,8 @@ def test_banded_parity_eigvalsh_errors(monkeypatch):
 
 
 def test_block_parity_eigvalsh_checks_each_block(monkeypatch):
-    even, odd = (b.copy() for b in blocks_H_C_correct(RabiParams(eta=0.5, cutoff=6)).blocks)
+    blocks = parity_block_sum(terms_H_C_correct(RabiParams(eta=0.5, cutoff=6))).blocks
+    even, odd = (b.copy() for b in blocks)
     w = block_parity_eigvalsh(ParityBlocks((even.copy(), odd.copy())))
     assert not w.flags.writeable and np.all(np.diff(w) >= 0) and w.size == 14
     with pytest.raises(DimensionMismatchError):

@@ -16,18 +16,20 @@ from gaugeqed import (
     GridTooCoarseError,
     ParityError,
     ParticleModel,
-    blocks_full_H_C,
-    blocks_full_H_D,
     build_full_H_C,
     build_full_H_D,
     check_minimal_coupling_identity,
     double_well_model,
     harmonic_model,
     hermitian_eig,
+    kron_sum,
     model_from_table,
     nonlocal_kernel,
+    parity_block_sum,
     particle1d,
     solve_particle,
+    terms_full_H_C,
+    terms_full_H_D,
     trk_sum,
 )
 
@@ -251,7 +253,7 @@ def test_tilted_table_has_no_mirror_parity(tmp_path):
     assert not basis.mirror_parity
     # <0|x|0> is finite, so x (x) i(a^dag - a) mixes the parity classes
     with pytest.raises(ParityError):
-        blocks_full_H_D(model, basis, 8, 0.3, 6)
+        parity_block_sum(terms_full_H_D(model, basis, 8, 0.3, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +404,18 @@ def test_full_builders_match_oracles():
 
 def test_full_model_m_used_validation(double_well):
     model, basis = double_well
-    for build in (build_full_H_D, build_full_H_C, blocks_full_H_D, blocks_full_H_C):
-        with pytest.raises(ValueError):
-            build(model, basis, 10, 0.3, 1)
-        with pytest.raises(ValueError):
-            build(model, basis, 10, 0.3, basis.m_levels + 1)
+    for terms in (terms_full_H_D, terms_full_H_C):
+        for write in (kron_sum, parity_block_sum):
+            with pytest.raises(ValueError):
+                write(terms(model, basis, 10, 0.3, 1))
+            with pytest.raises(ValueError):
+                write(terms(model, basis, 10, 0.3, basis.m_levels + 1))
 
 
 def test_full_model_dimension_cap(harmonic):
     # 32 matter levels x 201 Fock levels = 6432 exceeds DIM_CAP_DEFAULT = 4096
     model, basis = harmonic
-    for build in (build_full_H_D, build_full_H_C, blocks_full_H_D, blocks_full_H_C):
-        with pytest.raises(DimensionOverflowError):
-            build(model, basis, 200, 0.3, 32)
+    for terms in (terms_full_H_D, terms_full_H_C):
+        for write in (kron_sum, parity_block_sum):
+            with pytest.raises(DimensionOverflowError):
+                write(terms(model, basis, 200, 0.3, 32))

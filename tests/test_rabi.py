@@ -17,14 +17,15 @@ from gaugeqed import (
     bands_H_C_standard,
     bands_H_D,
     banded_parity_eigvalsh,
-    build_H_alpha,
     build_H_C_correct,
     build_H_C_standard,
     build_H_C_taylor,
     build_H_D,
     check_gauge_theorem,
     hermitian_eig,
+    kron_sum,
     maclaurin_cos_sin,
+    terms_H_alpha,
 )
 from gaugeqed.experiments import ConvergencePolicy, converged_transitions, lowest_transitions
 
@@ -74,7 +75,7 @@ def test_params_validation():
         RabiParams(eta=0.1, cutoff=0)
     for alpha in (1.2, -0.1):
         with pytest.raises(ValueError, match="alpha must be in"):
-            build_H_alpha(RabiParams(eta=0.1, cutoff=2), alpha)
+            terms_H_alpha(RabiParams(eta=0.1, cutoff=2), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +261,18 @@ def test_maclaurin_low_orders():
 
 def test_alpha_endpoints():
     p = RabiParams(eta=0.7, cutoff=60, detuning=0.2)
-    h0 = build_H_alpha(p, 0.0)
+    h0 = kron_sum(terms_H_alpha(p, 0.0))
     hd = build_H_D(p)
     scale = np.abs(hd.arr).max()
     assert np.abs(h0.arr - hd.arr).max() <= 1e-13 * scale
-    h1 = build_H_alpha(p, 1.0)
+    h1 = kron_sum(terms_H_alpha(p, 1.0))
     hc = build_H_C_correct(p)
     assert np.abs(h1.arr - hc.arr).max() <= 1e-13 * scale
 
 
 def test_alpha_midpoint_spectrum():
     p = RabiParams(eta=1.0, cutoff=150)
-    t_mid = transitions(build_H_alpha(p, 0.5), 6)
+    t_mid = transitions(kron_sum(terms_H_alpha(p, 0.5)), 6)
     t_d = transitions(build_H_D(p), 6)
     assert np.abs(t_mid - t_d).max() <= 1e-6
     w = np.linalg.eigvalsh(oracles.rabi_alpha(0.5, 1.0, 0.0, 150))
@@ -319,7 +320,7 @@ def test_gauge_theorem_validation():
 def test_builders_hermitian(eta, detuning, cutoff):
     p = RabiParams(eta=eta, cutoff=cutoff, detuning=detuning)
     for H in (build_H_D(p), build_H_C_standard(p), build_H_C_correct(p),
-              build_H_C_taylor(p, 3), build_H_alpha(p, 0.5)):
+              build_H_C_taylor(p, 3), kron_sum(terms_H_alpha(p, 0.5))):
         assert H.hermitian_hint
         dev = np.abs(H.arr - H.arr.conj().T).max()
         assert dev <= 1e-12 * max(np.abs(H.arr).max(), 1.0)
@@ -339,7 +340,7 @@ def test_builders_enforce_dimension_cap():
     # 2 * (2047 + 1) = 4096 is the cap itself; one Fock level more exceeds it
     p = RabiParams(eta=0.3, cutoff=2048)
     for build in (build_H_D, build_H_C_standard, build_H_C_correct,
-                  lambda q: build_H_C_taylor(q, 3), lambda q: build_H_alpha(q, 0.5),
+                  lambda q: build_H_C_taylor(q, 3), lambda q: kron_sum(terms_H_alpha(q, 0.5)),
                   bands_H_D, bands_H_C_standard):
         with pytest.raises(DimensionOverflowError):
             build(p)
