@@ -4,7 +4,23 @@ Builds truncated cavity QED Hamiltonians in the dipole gauge, the naive and
 corrected Coulomb gauge, and the interpolating gauge family, plus their
 collective, circuit and untruncated-matter counterparts, and compares their
 spectra.  Energies use hbar = 1 with the cavity frequency as the unit.
+
+BLAS threads: the package's solves are long loops of small dense
+eigenproblems, where a second OpenBLAS thread gains no wall time but
+busy-waits a core between calls.  So importing the package sets
+OPENBLAS_NUM_THREADS=1 when none of OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS and OMP_NUM_THREADS is set and numpy is not loaded yet
+(OpenBLAS reads its thread count once, when numpy loads it).  A value set
+in the environment wins.  The only parallelism left is the ``--threads``
+pool of independent sweep points.
 """
+
+import os as _os
+import sys as _sys
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREAD_VARS):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"
 

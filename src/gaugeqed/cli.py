@@ -5,8 +5,10 @@ non-finite number, an unreadable file or a malformed config file among
 them), 2 for a numerical failure (failed convergence or a violated
 invariant, named on stderr).  Parameters resolve in three layers: built-in
 defaults, then an INI config file (section [common] for shared keys, one
-section per subcommand), then explicit flags.  Output tables use fixed formats, so a rerun with the
-same configuration is byte-identical at any thread count.
+section per subcommand), then explicit flags.  Output tables use fixed
+formats, and OpenBLAS runs one thread unless the environment sets its thread
+count (see ``gaugeqed``), so a rerun with the same configuration is
+byte-identical at any ``--threads`` and on any number of cores.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ point at or below eta_max.
 
 Sweep points are independent work items; an optional thread pool fans them
 out and the results are reassembled in grid order, so the emitted tables are
-byte-identical for any thread count.
+byte-identical for any thread count.  The pool is the package's only
+parallelism: importing ``gaugeqed`` pins OpenBLAS to one thread unless the
+environment sets its thread count.
 """
 
 from __future__ import annotations

@@ -39,7 +39,9 @@ Rabi model is two_j = 1 (the j = 1/2 case: sigma_k = 2 J_k, so
 0.5 omega_10 sigma_z = omega_10 J_z and g sigma_k = 2 g J_k bit for bit).
 ``terms_H_C_standard`` and ``terms_H_C_correct`` take the spin from
 ``p.two_j``, so a ``gaugeqed.dicke.DickeParams`` (two_j = N) gets the Dicke
-models from them; ``gaugeqed.fluxonium``'s charge gauge is two_j = 1 again,
+models from them.  ``terms_H_D``, ``terms_H_C_taylor``, ``terms_H_alpha``
+and the two ``bands_*`` writers are one-dipole models and raise ValueError
+when two_j != 1.  ``gaugeqed.fluxonium``'s charge gauge is two_j = 1 again,
 its i(a - a^dag) coupling turned onto X by the photon-number phase
 diag(i^n).
 
@@ -172,6 +174,14 @@ def _diamagnetic(p: RabiParams, two_j: int) -> float:
     return two_j * p.g_c ** 2 / p.omega_10
 
 
+def _check_one_dipole(p: RabiParams) -> None:
+    """Raise ValueError unless ``p`` describes one dipole (two_j = 1): the
+    Rabi-only models below have no spin-j form, so a ``DickeParams`` with
+    more than one dipole is refused rather than built as one."""
+    if p.two_j != 1:
+        raise ValueError(f"this model is written for one dipole (two_j = 1), got two_j = {p.two_j}")
+
+
 def _real_cos_sin(cutoff: int, k: float):
     """cos(k X) and sin(k X), real, for X = a + a^dag."""
     return real_quadrature_functions(cutoff, lambda x: (np.cos(k * x), np.sin(k * x)))
@@ -184,6 +194,7 @@ def _real_cos_sin(cutoff: int, k: float):
 def terms_H_D(p: RabiParams) -> list:
     """Dipole-gauge Rabi Hamiltonian (two-level truncation is exact here):
     the bare terms plus the dipole coupling 2 g_D J_x (x) i(a^dag - a)."""
+    _check_one_dipole(p)
     return _dipole_terms(_real_parts(1, p.cutoff), p)
 
 
@@ -239,6 +250,7 @@ def _parity_chains(p: RabiParams, bandwidth: int):
     ``linalg.parity_block_sum`` writes, reordered by n; its entries are the
     phased ones, 1j**(m2 - m) H_kl.
     """
+    _check_one_dipole(p)
     check_dim(p.dim)
     n = np.arange(p.cutoff + 1, dtype=float)
     for c in (0, 1):
@@ -331,6 +343,7 @@ def terms_H_C_taylor(p: RabiParams, order: int) -> list:
     sum-rule-corrected quadratic model; as order grows the spectrum converges
     to ``terms_H_C_correct`` at the same cutoff.
     """
+    _check_one_dipole(p)
     s = _real_parts(1, p.cutoff)
     cos, sin = real_quadrature_functions(
         p.cutoff, lambda x: maclaurin_cos_sin(2.0 * p.eta * x, order))
@@ -351,6 +364,7 @@ def terms_H_alpha(p: RabiParams, alpha: float) -> list:
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    _check_one_dipole(p)
     s = _real_parts(1, p.cutoff)
     cos, sin = _real_cos_sin(p.cutoff, 2.0 * alpha * p.eta)
     return _rotated_terms(s, 1.0, p.omega_10, cos, sin) \

@@ -41,6 +41,54 @@ def test_import_leaves_mpmath_out():
                           timeout=120).returncode == 0
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_python(code, **preset):
+    """Run ``code`` in a fresh interpreter that imports gaugeqed from src,
+    with none of the BLAS thread variables set except ``preset``; returns
+    its stdout."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          check=True, capture_output=True, text=True).stdout
+
+
+SHOW_THREAD_VARS = ("import os, gaugeqed; "
+                    "print([os.environ.get(v) for v in %r])" % (BLAS_THREAD_VARS,))
+
+
+@pytest.mark.parametrize("first, preset, seen", [
+    ("", {}, ["1", None, None]),
+    ("", {"OPENBLAS_NUM_THREADS": "3"}, ["3", None, None]),
+    ("", {"OMP_NUM_THREADS": "2"}, [None, None, "2"]),
+    # OpenBLAS has read its thread count once numpy is loaded, so the
+    # variable would do nothing and is left unset
+    ("import numpy; ", {}, [None, None, None]),
+])
+def test_import_sets_one_blas_thread_unless_preset(first, preset, seen):
+    assert fresh_python(first + SHOW_THREAD_VARS, **preset) == f"{seen}\n"
+
+
+def test_import_keeps_eigvalsh_loops_on_one_core():
+    # a second OpenBLAS thread busy-waits between small solves: at dim 201
+    # it about doubles the CPU time of the loop on two or more cores
+    code = """if True:
+        import time
+        import gaugeqed
+        import numpy as np
+        a = np.random.default_rng(0).standard_normal((201, 201))
+        a = a + a.T
+        np.linalg.eigvalsh(a)
+        cpu, wall = time.process_time(), time.perf_counter()
+        for _ in range(200):
+            np.linalg.eigvalsh(a)
+        print(time.process_time() - cpu, time.perf_counter() - wall)
+    """
+    cpu, wall = map(float, fresh_python(code).split())
+    assert cpu < 1.3 * wall, (cpu, wall)
+
+
 def test_export_list_resolves():
     # a stale entry in __all__ would break `from gaugeqed import *`
     import gaugeqed

@@ -10,6 +10,7 @@ from gaugeqed import (
     DickeParams,
     DimensionOverflowError,
     OperatorMatrix,
+    ParityBands,
     RabiParams,
     build_dicke_correct,
     build_dicke_standard,
@@ -58,6 +59,42 @@ def test_params():
     assert p.dim == 5 * (p.cutoff + 1)
     with pytest.raises(ValueError):
         DickeParams(eta=0.2, n_dipoles=0)
+
+
+# the Rabi-only builders, each as a function of the parameters alone
+ONE_DIPOLE_BUILDERS = {
+    "terms_H_D": rabi.terms_H_D,
+    "terms_H_C_taylor": lambda p: rabi.terms_H_C_taylor(p, 6),
+    "terms_H_alpha": lambda p: rabi.terms_H_alpha(p, 0.5),
+    "bands_H_D": rabi.bands_H_D,
+    "bands_H_C_standard": rabi.bands_H_C_standard,
+}
+
+
+def built_arrays(built):
+    """The arrays a builder returned: a term list's spin and field parts in
+    order, or a ParityBands' chains."""
+    if isinstance(built, ParityBands):
+        return list(built.chains)
+    return [np.asarray(a) for term in built for a in term]
+
+
+@pytest.mark.parametrize("name", sorted(ONE_DIPOLE_BUILDERS))
+def test_one_dipole_builders_reject_several_dipoles(name):
+    build = ONE_DIPOLE_BUILDERS[name]
+    with pytest.raises(ValueError, match="two_j = 4"):
+        build(DickeParams(eta=0.3, cutoff=4, n_dipoles=4))
+    # one dipole, as RabiParams or as a one-dipole DickeParams, builds the
+    # same Rabi model bit for bit
+    rabi_arrays = built_arrays(build(RabiParams(eta=0.3, cutoff=4)))
+    dicke_arrays = built_arrays(build(DickeParams(eta=0.3, cutoff=4, n_dipoles=1)))
+    assert len(rabi_arrays) == len(dicke_arrays)
+    for a, b in zip(rabi_arrays, dicke_arrays):
+        assert a.tobytes() == b.tobytes()
+    if name.startswith("terms_"):
+        assert {a.shape for a in rabi_arrays[::2]} == {(2, 2)}
+    else:
+        assert [c.shape[1] for c in rabi_arrays] == [5, 5]
 
 
 # ---------------------------------------------------------------------------
