@@ -8,10 +8,10 @@ coupling is an appreciable fraction of the cavity frequency and is useless
 by eta ~ 1.
 """
 
-import numpy as np
-
+# gaugeqed before numpy: its import sets the BLAS thread count numpy loads with
 from gaugeqed import (RabiParams, build_H_C_correct, build_H_C_standard,
                       build_H_D, lowest_transitions)
+import numpy as np
 
 print("eta    t1(D)      t1(C corrected)  t1(C naive)   naive rel. error")
 for eta in (0.0, 0.1, 0.3, 0.6, 1.0, 1.5):

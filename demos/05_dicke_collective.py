@@ -10,11 +10,11 @@ larger N the naive truncation again parts company with it as the coupling
 grows.
 """
 
-import numpy as np
-
+# gaugeqed before numpy: its import sets the BLAS thread count numpy loads with
 from gaugeqed import (DickeParams, RabiParams, build_dicke_correct,
                       build_dicke_standard, build_H_C_correct,
                       lowest_transitions)
+import numpy as np
 
 # N = 1 reduction is exact, entry by entry
 d1 = DickeParams(eta=0.7, cutoff=60, n_dipoles=1)

@@ -8,10 +8,10 @@ at M = 2 (the two-level truncation) and converge onto each other as M grows,
 confirming that the gauge ambiguity is purely an artifact of truncation.
 """
 
-import numpy as np
-
+# gaugeqed before numpy: its import sets the BLAS thread count numpy loads with
 from gaugeqed import (build_full_H_C, build_full_H_D, double_well_model,
                       lowest_transitions, solve_particle)
+import numpy as np
 
 model = double_well_model()
 basis = solve_particle(model)  # also checks the grid by refining it once

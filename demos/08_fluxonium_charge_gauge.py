@@ -10,11 +10,11 @@ unitary conjugation (closed form: trigonometric functions of the field
 quadrature) fixes them.
 """
 
-import numpy as np
-
+# gaugeqed before numpy: its import sets the BLAS thread count numpy loads with
 from gaugeqed import (FluxoniumParams, coupling_g_c, kron_sum, lowest_transitions,
                       solve_fluxonium, terms_flux_charge_correct,
                       terms_flux_charge_standard)
+import numpy as np
 
 p = FluxoniumParams(e_c=1.0, e_l=0.9, e_j=3.0, chi0=0.2, cutoff=120)
 b = solve_fluxonium(p)

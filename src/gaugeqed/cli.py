@@ -58,6 +58,11 @@ class Opt:
     help: str
 
 
+# particle-demo's projection sizes when --kernel-levels is not given; the
+# ones above the levels a model solves (10 for a table) are dropped
+DEFAULT_KERNEL_LEVELS = (2, 8, 32)
+
+
 _COMMON = (
     Opt("outdir", "str", None,
         f"output directory (default: ${ENV_OUTDIR} if set, else '.')"),
@@ -159,8 +164,10 @@ COMMANDS: Dict[str, Tuple[Tuple[Opt, ...], str]] = {
         Opt("potential_table", "str", None,
             "two-column x,V file overriding the named model"),
         Opt("levels", "int", 8, "grid energies printed"),
-        Opt("kernel_levels", "ints", [2, 8, 32],
-            "projection sizes for the nonlocality scan"),
+        Opt("kernel_levels", "ints", None,
+            "projection sizes for the nonlocality scan (default: "
+            f"{','.join(map(str, DEFAULT_KERNEL_LEVELS))}, less those above the "
+            "levels the model solves)"),
         Opt("a0", "float", 0.3, "vector-potential amplitude q*A_0 at q=1"),
         Opt("out", "str", "particle_demo.csv", "output CSV name"),
     ),
@@ -390,10 +397,13 @@ def _cmd_taylor_study(rc: RunConfig) -> int:
                                      tol=p["tol"], threads=rc.threads)
     out = _outpath(rc, p["out"])
     experiments.write_taylor_csv(study, out)
-    for n, star, first in zip(study.orders, study.eta_star, study.first_bad):
+    for i, (n, star, first) in enumerate(zip(study.orders, study.eta_star,
+                                             study.first_bad)):
         tail = f" (first exceedance at eta={first:g})" if first is not None \
             else " (never exceeded on this grid)"
-        print(f"order {n}: eta_star = {star:g} at tol {study.tol:g}{tail}")
+        print(f"order {n}: eta_star = {star:g} at tol {study.tol:g}{tail}; "
+              f"{study.exact_points[i]} of {study.scanned(i)} points bit-identical "
+              "to the full model, not solved")
     print(f"wrote {out}")
     return 0
 
@@ -523,7 +533,14 @@ def _cmd_particle_demo(rc: RunConfig) -> int:
     if p["levels"] < 1:
         raise ValueError(f"levels must be >= 1, got {p['levels']}")
     model = _named_model(p)
-    _check_matter_levels("kernel level", p["kernel_levels"], model)
+    kernel_levels = p["kernel_levels"]
+    if kernel_levels is None:
+        kernel_levels = [k for k in DEFAULT_KERNEL_LEVELS if k <= model.eigen_count]
+        dropped = [str(k) for k in DEFAULT_KERNEL_LEVELS if k > model.eigen_count]
+        if dropped:
+            print(f"default kernel levels {','.join(dropped)} exceed the "
+                  f"{model.eigen_count} solved levels; not scanned")
+    _check_matter_levels("kernel level", kernel_levels, model)
     basis = particle1d.solve_particle(model)
     print(basis.describe_solve())
     levels = min(p["levels"], basis.m_levels)
@@ -535,7 +552,7 @@ def _cmd_particle_demo(rc: RunConfig) -> int:
         lines.append(f"{i},{basis.energies[i]:.12e}")
     trk = particle1d.trk_sum(basis, model)
     print(f"TRK sum over {basis.m_levels} levels: {trk:.9f}")
-    for k in p["kernel_levels"]:
+    for k in kernel_levels:
         ker = particle1d.nonlocal_kernel(basis, model, k)
         print(f"projected potential, k={k:3d}: off-diagonal weight "
               f"{ker.off_diagonality:.6e}")

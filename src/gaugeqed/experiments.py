@@ -11,7 +11,9 @@ The sweeps and studies solve each model from its one term list
 blocks by ``linalg.parity_block_sum``, except the Rabi dipole and naive
 Coulomb models, whose banded chains ``rabi.bands_H_D`` and
 ``rabi.bands_H_C_standard`` write.  An eta grid is k * step up to the last
-point at or below eta_max.
+point at or below eta_max.  The Taylor study takes a point whose Maclaurin
+cos/sin match cos/sin to the last bit as the full model itself: its error
+is exactly 0.0, and neither model is built or solved there.
 
 Sweep points are independent work items; an optional thread pool fans them
 out and the results are reassembled in grid order, so the emitted tables are
@@ -283,6 +285,14 @@ class TaylorStudy:
     errors: Tuple[Tuple[float, ...], ...]
     eta_star: Tuple[float, ...]
     first_bad: Tuple[Optional[float], ...]
+    # exact_points[i_order]: the leading grid points whose order-n Maclaurin
+    # cos/sin equal cos/sin bit for bit; their error is 0.0 and neither
+    # model was built or solved there
+    exact_points: Tuple[int, ...]
+
+    def scanned(self, i_order: int) -> int:
+        """Grid points the scan of the i-th order reached."""
+        return int(np.count_nonzero(~np.isnan(self.errors[i_order])))
 
 
 def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
@@ -296,8 +306,14 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
     only make sense at a stated truncation.  The per-order scan stops at the
     first eta whose error exceeds tol; eta_star is the last grid value before
     that, first_bad the value that crossed (None when the grid never crossed).
-    The orders are scanned on ``threads`` workers; the full model is solved
-    only at the etas some scan reaches.  Both models are solved from the
+    Where the order-n Maclaurin cos/sin equal cos/sin bit for bit on the
+    spectrum of 2 eta X (``rabi.taylor_is_exact``), the two term lists are
+    equal array for array, so the point's error is 0.0 and neither model is
+    built or solved.  A scan checks this only while every earlier point of
+    its order was exact, so an order pays one Maclaurin evaluation past its
+    exact run; ``exact_points`` counts the points taken this way.  The
+    orders are scanned on ``threads`` workers; the full model is solved
+    only at the etas some scan still needs.  Both models are solved from the
     real parity blocks ``linalg.parity_block_sum`` writes of their terms
     (``rabi.terms_H_C_taylor``, ``rabi.terms_H_C_correct``).  Raises
     ValueError for an order below 1, a repeated order or tol <= 0.
@@ -326,26 +342,33 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
             return exact[i]
 
     def scan(n):
-        row, star, first = [], 0.0, None
+        row, star, first, exact_points = [], 0.0, None, 0
         for i, eta in enumerate(eta_grid):
             p = _rabi_params(eta, detuning, cutoff)
-            t = lowest_transitions(parity_block_sum(rabi_mod.terms_H_C_taylor(p, n)),
-                                   levels)
-            ref = exact_at(i)
-            err = float(np.max(np.abs(t - ref) / np.maximum(ref, OMEGA_C)))
+            # the leading run of points where the order-n model is the full
+            # model bit for bit; either solve could only give err = 0.0
+            if exact_points == i and rabi_mod.taylor_is_exact(p, n):
+                exact_points += 1
+                err = 0.0
+            else:
+                t = lowest_transitions(
+                    parity_block_sum(rabi_mod.terms_H_C_taylor(p, n)), levels)
+                ref = exact_at(i)
+                err = float(np.max(np.abs(t - ref) / np.maximum(ref, OMEGA_C)))
             row.append(err)
             if err > tol:
                 first = eta
                 break
             star = eta
         row += [float("nan")] * (len(eta_grid) - len(row))
-        return tuple(row), star, first
+        return tuple(row), star, first, exact_points
 
     scans = _map_ordered(scan, orders, threads)
     return TaylorStudy(orders=orders, eta_grid=eta_grid, cutoff=cutoff,
                        levels=levels, tol=tol, errors=tuple(s[0] for s in scans),
                        eta_star=tuple(s[1] for s in scans),
-                       first_bad=tuple(s[2] for s in scans))
+                       first_bad=tuple(s[2] for s in scans),
+                       exact_points=tuple(s[3] for s in scans))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,10 @@ energies in units of omega_c with hbar = 1:
 * ``terms_H_alpha``       one-parameter gauge family interpolating D (alpha=0)
                           and corrected C (alpha=1)
 
+``taylor_is_exact`` tells when an order's Maclaurin cos/sin equal cos/sin
+to the last bit, so that the Taylor model is the corrected model array for
+array.
+
 A caller picks the writer where it picks the solve:
 ``linalg.kron_sum(terms)`` writes the dense matter (x) field matrix, and
 ``linalg.parity_block_sum(terms)`` the two real parity blocks
@@ -67,7 +71,7 @@ import numpy as np
 # which the benchmark tracer's tests rebind and restore
 from .linalg import (OperatorMatrix, ParityBands, check_dim, conjugate, hermitian_eig,
                      hermitian_operator, kron_sum, unitary_exp)
-from .qops import _real_fock_arrays, _spin_arrays, real_quadrature_functions
+from .qops import _real_fock_arrays, _spin_arrays, quadrature_eig, real_quadrature_functions
 
 # the omitted Maclaurin tail is summed until a term falls below this
 # fraction of max(|tail|, 1), far under double precision's 2^-53
@@ -348,6 +352,20 @@ def terms_H_C_taylor(p: RabiParams, order: int) -> list:
     cos, sin = real_quadrature_functions(
         p.cutoff, lambda x: maclaurin_cos_sin(2.0 * p.eta * x, order))
     return _rotated_terms(s, 1.0, p.omega_10, cos, sin)
+
+
+def taylor_is_exact(p: RabiParams, order: int) -> bool:
+    """True when the order-n Maclaurin cos/sin equal ``np.cos``/``np.sin``
+    bit for bit on the spectrum of 2 eta X, X = a + a^dag.
+
+    The product 2.0 * eta * x is formed as ``terms_H_C_taylor`` and
+    ``_real_cos_sin`` form it, so when this holds the term lists of
+    ``terms_H_C_taylor(p, order)`` and ``terms_H_C_correct(p)`` are equal
+    array for array and so are their spectra.
+    """
+    x = 2.0 * p.eta * quadrature_eig(p.cutoff).eigenvalues
+    cos, sin = maclaurin_cos_sin(x, order)
+    return np.array_equal(cos, np.cos(x)) and np.array_equal(sin, np.sin(x))
 
 
 def build_H_C_taylor(p: RabiParams, order: int) -> OperatorMatrix:

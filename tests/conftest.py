@@ -1,12 +1,13 @@
 """Shared fixtures; the expensive 1d solves are session-scoped."""
 
-import numpy as np
-import pytest
-from hypothesis import settings
-
+# gaugeqed before numpy: its import sets the BLAS thread count numpy loads with
 from gaugeqed import (FluxoniumParams, OperatorMatrix, double_well_model, fluxonium,
                       harmonic_model, rabi, solve_particle)
 from gaugeqed.linalg import hermitian_operator
+
+import numpy as np
+import pytest
+from hypothesis import settings
 
 settings.register_profile("suite", deadline=None, max_examples=25,
                           derandomize=True)

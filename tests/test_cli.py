@@ -70,6 +70,14 @@ def test_import_sets_one_blas_thread_unless_preset(first, preset, seen):
     assert fresh_python(first + SHOW_THREAD_VARS, **preset) == f"{seen}\n"
 
 
+def test_suite_runs_under_the_thread_policy():
+    # conftest imports gaugeqed before numpy, so the in-process tests and
+    # cli.main runs get one OpenBLAS thread as the CLI does
+    tests = str(Path(__file__).parent)
+    code = f"import sys; sys.path.insert(0, {tests!r}); import conftest; " + SHOW_THREAD_VARS
+    assert fresh_python(code) == "['1', None, None]\n"
+
+
 def test_import_keeps_eigvalsh_loops_on_one_core():
     # a second OpenBLAS thread busy-waits between small solves: at dim 201
     # it about doubles the CPU time of the loop on two or more cores
@@ -621,11 +629,38 @@ def test_particle_demo_coarse_table_exit_2(tmp_path, capsys):
     table.write_text("\n".join(
         f"{xi} {(-1.2 * float(xi) ** 2 + 0.25 * float(xi) ** 4):.9f}"
         for xi in x) + "\n")
-    # a table model solves 10 levels, so the default kernel level 32 would
-    # be an argument error, found before the solve
-    argv = ["particle-demo", "--potential-table", str(table), "--kernel-levels", "2,8"]
+    argv = ["particle-demo", "--potential-table", str(table)]
     assert run(argv, tmp_path) == 2
     assert "GridTooCoarse" in capsys.readouterr().err
+
+
+def harmonic_table(tmp_path):
+    # fine enough (dx 4e-3) for the minimal-coupling check at the default a0
+    x = np.linspace(-8.0, 8.0, 4001)
+    table = tmp_path / "harmonic.dat"
+    np.savetxt(table, np.column_stack([x, 0.5 * x ** 2]))
+    return table
+
+
+def test_particle_demo_table_at_defaults(tmp_path, capsys):
+    # a table model solves 10 levels: the default kernel level 32 is dropped
+    # and named, and the run completes
+    assert run(["particle-demo", "--potential-table", str(harmonic_table(tmp_path))],
+               tmp_path) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("default kernel levels 32 exceed the 10 solved levels; "
+                          "not scanned\n")
+    assert re.findall(r"^projected potential, k= *(\d+):", out, re.M) == ["2", "8"]
+    assert (tmp_path / "particle_demo.csv").exists()
+
+
+def test_particle_demo_table_explicit_kernel_level_out_of_range(tmp_path, capsys):
+    argv = ["particle-demo", "--potential-table", str(harmonic_table(tmp_path)),
+            "--kernel-levels", "2,32"]
+    assert run(argv, tmp_path) == 1
+    captured = capsys.readouterr()
+    assert "kernel level 32 exceeds solved levels 10" in captured.err
+    assert captured.out == ""
 
 
 def test_full_model_harmonic_quick(tmp_path, capsys):

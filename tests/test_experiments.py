@@ -339,22 +339,37 @@ def test_taylor_study_scan():
     assert study.eta_star[1] >= study.eta_star[0]
 
 
+# at cutoff 30 the order-60 scan takes etas 0.1 .. 0.6 as the full model
+# (|2 eta x| < 12 there), then solves 0.7 .. 1.3 and stops at 1.3, whose
+# error exceeds tol
+TAYLOR_GRID = tuple(0.1 * k for k in range(1, 16))
+
+
+def counting(monkeypatch, module, name, log, key):
+    """Replace ``module.name`` by a wrapper that appends key(args) to log."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        log.append(key(*args))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_taylor_study_threads_and_lazy_exact(monkeypatch):
     calls = []
-    terms = rabi_mod.terms_H_C_correct
-
-    def counting(p, *args, **kwargs):
-        calls.append(p.eta)
-        return terms(p, *args, **kwargs)
-
-    monkeypatch.setattr(rabi_mod, "terms_H_C_correct", counting)
-    grid = tuple(0.1 * k for k in range(1, 16))
-    orders = (2, 3, 4, 5, 6, 10)
+    counting(monkeypatch, rabi_mod, "terms_H_C_correct", calls, lambda p: p.eta)
+    grid = TAYLOR_GRID
+    orders = (2, 3, 4, 5, 6, 10, 60)
     kw = dict(eta_grid=grid, cutoff=30, levels=3)
     study = taylor_study(orders, threads=1, **kw)
-    reached = max(int(np.count_nonzero(~np.isnan(row))) for row in study.errors)
-    assert reached < len(grid)  # the longest scan stops inside the grid
-    assert sorted(calls) == sorted(grid[:reached])  # one exact solve per eta reached
+    assert study.exact_points == (0, 0, 0, 0, 0, 0, 6)
+    # the etas some scan solved: past its exact run, up to where it stopped
+    needed = sorted({grid[j] for i in range(len(orders))
+                     for j in range(study.exact_points[i], study.scanned(i))})
+    assert study.scanned(orders.index(60)) < len(grid)  # the longest scan stops inside
+    assert grid[4] not in needed and grid[5] not in needed  # no scan solves 0.5, 0.6
+    assert sorted(calls) == needed  # one exact solve per eta some scan needs
     # more scans than cores, switching threads often: each exact spectrum is
     # still solved once, and the table does not depend on the thread count
     calls.clear()
@@ -364,8 +379,36 @@ def test_taylor_study_threads_and_lazy_exact(monkeypatch):
         threaded = taylor_study(orders, threads=4, **kw)
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(calls) == sorted(grid[:reached])
+    assert sorted(calls) == needed
+    assert threaded.exact_points == study.exact_points
     assert taylor_csv_lines(threaded) == taylor_csv_lines(study)
+
+
+def test_taylor_study_skips_bit_identical_points(monkeypatch):
+    taylor, correct, maclaurin = [], [], []
+    counting(monkeypatch, rabi_mod, "terms_H_C_taylor", taylor, lambda p, n: (n, p.eta))
+    counting(monkeypatch, rabi_mod, "terms_H_C_correct", correct, lambda p: p.eta)
+    counting(monkeypatch, rabi_mod, "maclaurin_cos_sin", maclaurin, lambda v, n: n)
+    study = taylor_study((60,), eta_grid=TAYLOR_GRID, cutoff=30, levels=3)
+    assert study.exact_points == (6,) and study.scanned(0) == 13
+    assert study.errors[0][:6] == (0.0,) * 6
+    # a skipped point builds neither model; the rest build each once
+    solved = TAYLOR_GRID[6:13]
+    assert taylor == [(60, eta) for eta in solved]
+    assert sorted(correct) == sorted(solved)
+    # one Maclaurin evaluation per skipped point, one for the point that
+    # ended the run, one per Taylor build
+    assert len(maclaurin) == 6 + 1 + len(solved)
+
+
+@pytest.mark.parametrize("eta", TAYLOR_GRID[:6:2])
+def test_skipped_taylor_points_solve_to_zero_error(eta):
+    # solving a point the order-60 scan skipped gives what it reports
+    p = RabiParams(eta=eta, cutoff=30)
+    assert rabi_mod.taylor_is_exact(p, 60)
+    t = lowest_transitions(linalg_mod.parity_block_sum(rabi_mod.terms_H_C_taylor(p, 60)), 3)
+    ref = lowest_transitions(linalg_mod.parity_block_sum(rabi_mod.terms_H_C_correct(p)), 3)
+    assert float(np.max(np.abs(t - ref) / np.maximum(ref, 1.0))) == 0.0
 
 
 def test_taylor_study_validation():

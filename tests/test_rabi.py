@@ -25,9 +25,13 @@ from gaugeqed import (
     hermitian_eig,
     kron_sum,
     maclaurin_cos_sin,
+    parity_block_sum,
     terms_H_alpha,
+    terms_H_C_correct,
+    terms_H_C_taylor,
 )
 from gaugeqed.experiments import ConvergencePolicy, converged_transitions, lowest_transitions
+from gaugeqed.rabi import taylor_is_exact
 
 # eta = 1, resonant, cutoff 150; j-th entry is E_j - E_0
 GOLD_D_ETA1 = np.array([
@@ -203,13 +207,26 @@ def test_taylor_against_oracle():
 def test_maclaurin_small_args_match_numpy():
     v = np.linspace(-17.0, 17.0, 101)
     c, s = maclaurin_cos_sin(v, 200)
-    # order 200 is fully converged here; the only error is the alternating
-    # cancellation of the double-precision Horner loop
-    assert np.abs(c - np.cos(v)).max() <= 1e-8
-    assert np.abs(s - np.sin(v)).max() <= 1e-8
+    # every |v| < 200, so the result is np.cos (np.sin) minus the omitted
+    # tail, below 17^201 / 201! ~ 1e-130, which rounds away: the values are
+    # numpy's bit for bit, as the Taylor study's shortcut relies on
+    assert np.array_equal(c, np.cos(v))
+    assert np.array_equal(s, np.sin(v))
 
 
-def test_maclaurin_mpmath_branch_matches_numpy():
+def test_taylor_is_exact_at_order_200():
+    # at cutoff 200, |2 eta x| <= 28 for eta = 0.5; the order-200 model is
+    # the corrected model array for array, and the order-10 model is not
+    p = RabiParams(eta=0.5, cutoff=200)
+    assert taylor_is_exact(p, 200)
+    taylor = parity_block_sum(terms_H_C_taylor(p, 200)).blocks
+    correct = parity_block_sum(terms_H_C_correct(p)).blocks
+    assert len(taylor) == len(correct) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(taylor, correct))
+    assert not taylor_is_exact(p, 10)
+
+
+def test_maclaurin_tail_branch_matches_numpy():
     v = np.linspace(-24.0, 24.0, 41)
     c, s = maclaurin_cos_sin(v, 240)
     assert np.abs(c - np.cos(v)).max() <= 1e-12
