@@ -43,6 +43,7 @@ from .linalg import (
     kron,
     kron_sum,
     matrix_function,
+    parity_band_sum,
     parity_block_sum,
     unitary_exp,
 )
@@ -127,7 +128,7 @@ __all__ = [
     "OperatorMatrix", "Spectrum", "hermitian_eig", "matrix_function",
     "unitary_exp", "conjugate", "kron", "kron_sum", "parity_block_sum",
     "ParityBlocks", "block_parity_eigvalsh",
-    "ParityBands", "banded_parity_eigvalsh",
+    "parity_band_sum", "ParityBands", "banded_parity_eigvalsh",
     "LinalgError", "NonHermitianError", "NotUnitaryError",
     "ConvergenceFailureError", "DimensionMismatchError",
     "DimensionOverflowError", "ParityError",

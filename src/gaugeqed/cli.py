@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__, experiments, fluxonium, particle1d, rabi
-from .linalg import LinalgError, kron_sum, parity_block_sum
+from .linalg import LinalgError, parity_band_sum, parity_block_sum
 
 ENV_OUTDIR = "GAUGEQED_OUTDIR"
 
@@ -579,20 +579,24 @@ def _cmd_full_model(rc: RunConfig) -> int:
     print(basis.describe_solve())
     cutoff = p["cutoff"]
     levels = p["levels"]
-    # a mirror-parity basis splits both models into real parity blocks
-    write = parity_block_sum if basis.mirror_parity else kron_sum
     gaps = []
     print("m_levels  max_transition_gap")
     lines = [_UNITS_LINE, "m_levels,max_transition_gap"]
     for m in p["m_levels"]:
-        # one model at a time: each is freed once its levels are known
+        # both named models are mirror-symmetric, so each splits into two
+        # banded parity chains, solved for their lowest levels + 1 eigenvalues
         args = (model, basis, cutoff, p["a0"], m)
-        t_d = experiments.lowest_transitions(write(particle1d.terms_full_H_D(*args)), levels)
-        t_c = experiments.lowest_transitions(write(particle1d.terms_full_H_C(*args)), levels)
+        bands_d = parity_band_sum(particle1d.terms_full_H_D(*args))
+        t_d = experiments.lowest_transitions(bands_d, levels)
+        bands_c = parity_band_sum(particle1d.terms_full_H_C(*args))
+        t_c = experiments.lowest_transitions(bands_c, levels)
         gap = float(np.abs(t_d - t_c).max())
         gaps.append(gap)
         print(f"{m:8d}  {gap:.6e}")
         lines.append(f"{m},{gap:.12e}")
+    rows = "+".join(str(chain.shape[1]) for chain in bands_d.chains)
+    print(f"models: parity bands {rows} rows, widths {bands_d.width} (D) / "
+          f"{bands_c.width} (C) at m_levels {m}; lowest {levels + 1} levels")
     out = _outpath(rc, p["out"])
     experiments._write_lines(out, lines)
     ratio = gaps[0] / max(gaps[-1], 1e-300)

@@ -66,11 +66,12 @@ def lowest_transitions(H: Union[OperatorMatrix, ParityBlocks, ParityBands],
 
     ``ParityBlocks`` (the real parity blocks that ``linalg.parity_block_sum``
     writes for the corrected Coulomb, Taylor-order, alpha-family, Dicke and
-    mirror-parity full models) are solved whole by
+    fluxonium models) are solved whole by
     :func:`~gaugeqed.linalg.block_parity_eigvalsh`.  ``ParityBands`` (the
-    banded chains of the Rabi D and naive Coulomb models) are solved by
-    :func:`~gaugeqed.linalg.banded_parity_eigvalsh` for their lowest
-    levels + 1 eigenvalues only.  A matrix is solved by one dense complex
+    banded chains of the Rabi D and naive Coulomb models, and those that
+    ``linalg.parity_band_sum`` writes for the mirror-parity full models)
+    are solved by :func:`~gaugeqed.linalg.banded_parity_eigvalsh` for their
+    lowest levels + 1 eigenvalues only.  A matrix is solved by one dense complex
     solve, :func:`~gaugeqed.linalg.hermitian_eig`.  Raises ValueError when
     levels < 1 or when fewer than levels + 1 eigenvalues exist.
     """
@@ -98,8 +99,9 @@ def converged_transitions(build: Callable[[int], Union[OperatorMatrix, ParityBlo
     :func:`lowest_transitions` solves: the real parity blocks that
     ``linalg.parity_block_sum`` makes of a model's terms
     (``rabi.terms_H_C_correct`` and the others), the banded chains of
-    ``rabi.bands_H_D`` or ``rabi.bands_H_C_standard``, or the dense matrix
-    that ``linalg.kron_sum`` writes, which is solved by one complex solve.
+    ``rabi.bands_H_D`` or ``rabi.bands_H_C_standard`` or of
+    ``linalg.parity_band_sum``, or the dense matrix that ``linalg.kron_sum``
+    writes, which is solved by one complex solve.
 
     The trail logs (cutoff reached, max transition shift) for every growth
     step, so monotone convergence is checkable after the fact.  The

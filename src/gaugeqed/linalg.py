@@ -11,7 +11,7 @@ decomposition.
 
 Every Hamiltonian of the package is written once, as a list of
 (matter operator, field operator) terms for sum_t S_t (x) F_t, the matter
-index slowest.  Two writers take such a list.  :func:`kron_sum` writes the
+index slowest.  Three writers take such a list.  :func:`kron_sum` writes the
 dense complex matrix one matter row block at a time and wraps it once with
 :func:`hermitian_operator`, which is where its Hermiticity is checked.
 :func:`parity_block_sum` writes the two real parity blocks instead, for
@@ -24,13 +24,19 @@ each term and raises :class:`ParityError` when one fails.  The blocks come
 as :class:`ParityBlocks`, which :func:`block_parity_eigvalsh` checks once
 each for finiteness and symmetry and solves with ``numpy.linalg.eigvalsh``.
 
-Where the blocks are banded, ordered by Fock index (the dipole and naive
-Coulomb Rabi models are tri- and pentadiagonal chains |0,g>, |1,e>, |2,g>,
-...), the builder writes the two chains as :class:`ParityBands`, which
-:func:`banded_parity_eigvalsh` solves for the lowest few eigenvalues with
-banded LAPACK (``scipy.linalg.eig_banded``).  A band stores one triangle, so
-its symmetry holds by construction and only finiteness is checked.  Blocks
-and bands have no off-parity half, so parity holds by construction too.
+Ordered by Fock index, the same blocks are banded when every field
+operator is: n, X, P and X @ X couple Fock levels at most two apart, so the
+bandwidth is about the number of matter levels (1 and 2 for the dipole and
+naive Coulomb Rabi chains |0,g>, |1,e>, |2,g>, ...; 31 and 32 for the
+32-level full models).  :func:`parity_band_sum`, the third writer, writes
+them so from the nonzero entries of the terms, with the same per-term
+checks, as :class:`ParityBands`; :func:`banded_parity_eigvalsh` solves
+those for the lowest few eigenvalues with banded LAPACK
+(``scipy.linalg.eig_banded``).  The Rabi builders ``bands_H_D`` and
+``bands_H_C_standard`` write the same chains from closed forms.  A band
+stores one triangle, so the writer checks symmetry against the mirror
+image of each entry, and the solver checks only finiteness.  Blocks and
+bands have no off-parity half, so parity holds by construction there.
 
 Everything is plain double precision, checked against tolerances that the
 tests enforce rather than assume.
@@ -204,15 +210,23 @@ def hermitian_eig(M: Union[OperatorMatrix, np.ndarray], vectors: bool = True) ->
 
 @dataclass(frozen=True)
 class ParityBands:
-    """The real parity blocks of a matter (x) Fock operator as banded chains.
+    """The real parity blocks of a matter (x) Fock operator as banded chains,
+    as :func:`parity_band_sum` writes them: chain c holds the states of
+    parity class c with the Fock index slowest.
 
     Each chain is one block in LAPACK lower band storage: ``chain[r, j]`` is
     the block entry (j + r, j), so row 0 is the diagonal and row r the r-th
-    subdiagonal, padded with zeros at its end.  The arrays are frozen in
-    place, so a builder hands over fresh ones.
+    subdiagonal, padded with zeros at its end.  The chains may differ in
+    bandwidth.  The arrays are frozen in place, so a builder hands over
+    fresh ones.
     """
 
     chains: Tuple[np.ndarray, ...]
+
+    @property
+    def width(self) -> int:
+        """The largest bandwidth of the chains: subdiagonals stored."""
+        return max(chain.shape[0] for chain in self.chains) - 1
 
     def __post_init__(self):
         for chain in self.chains:
@@ -291,23 +305,18 @@ def _parity_maxima(op: np.ndarray) -> Tuple[float, float]:
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
-def parity_block_sum(terms) -> ParityBlocks:
-    """The real parity blocks of sum_t S_t (x) F_t, for matter operators S_t
-    and real field operators F_t on Fock levels 0, 1, ...
+def _phased_terms(terms):
+    """The matter and field dimensions of the (S, F) terms, and per term the
+    nonzero entries (m, m2) of S, phased by 1j**(m2 - m) and checked real,
+    with F: the input of both parity writers.
 
-    Block c holds the basis states of parity (m + n) mod 2 = c: the matter
-    index m is slowest, and the Fock levels n = (m + c) mod 2, +2, ... sit
-    next to m.  Each S_t enters phased by the 1j**m rule,
-    1j**(m2 - m) S_t[m, m2], and only its nonzero entries are visited: J_z
-    is one diagonal, J_x and J_y are two and J_x^2 is three.
-
-    Each term is checked before it is written.  It must keep the parity: the
-    entries a block has no room for, those with m + n + m2 + n2 odd, are
-    dropped, and ParityError is raised when max|S_mm2| max|F_nn2| over them
-    exceeds HERMITICITY_RTOL * max(max|S| max|F|, 1).  Its phased matter
-    entries must be real to HERMITICITY_RTOL * max(max|S|, 1), or
-    ParityError is raised too.  DimensionMismatchError is raised when the
-    terms disagree in shape.
+    Each term must keep the parity: the entries a parity class has no room
+    for, those with m + n + m2 + n2 odd, are dropped, and ParityError is
+    raised when max|S_mm2| max|F_nn2| over them exceeds
+    HERMITICITY_RTOL * max(max|S| max|F|, 1).  Its phased matter entries
+    must be real to HERMITICITY_RTOL * max(max|S|, 1), or ParityError is
+    raised too.  DimensionMismatchError is raised when the terms disagree in
+    shape.
     """
     matter, field = _term_dims(terms)
     phased = []
@@ -328,6 +337,23 @@ def parity_block_sum(terms) -> ParityBlocks:
             raise ParityError(f"term {t}: the matter operator is not real after the 1j**m "
                               f"phase: max|Im| = {imag:.3e} exceeds {limit:.3e}")
         phased.append((m, m2, s.real, F))
+    return matter, field, phased
+
+
+def parity_block_sum(terms) -> ParityBlocks:
+    """The real parity blocks of sum_t S_t (x) F_t, for matter operators S_t
+    and real field operators F_t on Fock levels 0, 1, ...
+
+    Block c holds the basis states of parity (m + n) mod 2 = c: the matter
+    index m is slowest, and the Fock levels n = (m + c) mod 2, +2, ... sit
+    next to m.  Each S_t enters phased by the 1j**m rule,
+    1j**(m2 - m) S_t[m, m2], and only its nonzero entries are visited: J_z
+    is one diagonal, J_x and J_y are two and J_x^2 is three.  Each term is
+    checked before it is written (``_phased_terms``: ParityError when it
+    breaks the parity or its phased matter entries are not real,
+    DimensionMismatchError when the terms disagree in shape).
+    """
+    matter, field, phased = _phased_terms(terms)
     blocks = []
     for c in (0, 1):
         edges = np.cumsum([0] + [len(range((m + c) % 2, field, 2)) for m in range(matter)])
@@ -338,6 +364,57 @@ def parity_block_sum(terms) -> ParityBlocks:
                     v * F[(i + c) % 2::2, (i2 + c) % 2::2]
         blocks.append(block)
     return ParityBlocks(tuple(blocks))
+
+
+def parity_band_sum(terms) -> ParityBands:
+    """The real parity blocks of sum_t S_t (x) F_t, as :func:`parity_block_sum`
+    defines them, reordered with the Fock index slowest and written as
+    banded chains in LAPACK lower band storage.
+
+    Chain c holds the basis states of parity (m + n) mod 2 = c: Fock level n
+    is slowest, and the matter levels m = (n + c) mod 2, +2, ... sit next to
+    it.  Each entry is the phased 1j**(m2 - m) S_t[m, m2] F_t[n, n2] summed
+    in the order of the terms, as the block writer sums it, and only the
+    nonzero entries of S_t and F_t are visited, so no block is formed.  The
+    bandwidth of a chain is the largest row distance of an entry: a
+    tridiagonal field operator and M matter levels give about M, a dense
+    field operator the whole chain.
+
+    The terms are checked as :func:`parity_block_sum` checks them.  A band
+    keeps one triangle, so the writer also writes each entry's mirror image
+    into a second band and raises NonHermitianError when the two differ by
+    more than HERMITICITY_RTOL * max(max|B|, 1), as
+    :func:`block_parity_eigvalsh` does for a block B.
+    """
+    matter, field, phased = _phased_terms(terms)
+    chains = []
+    for c in (0, 1):
+        # position of (n, m) in the chain: its Fock level's offset, then m // 2
+        offset = np.cumsum([0] + [len(range((n + c) % 2, matter, 2)) for n in range(field)])
+        entries = []
+        for m, m2, s, F in phased:
+            n, n2 = np.nonzero(F)
+            # (matter entry i, field entry k) pairs whose row and column are in class c
+            i, k = np.nonzero(((m[:, None] + n) % 2 == c) & ((m2[:, None] + n2) % 2 == c))
+            entries.append((offset[n[k]] + m[i] // 2, offset[n2[k]] + m2[i] // 2,
+                            s[i] * F[n[k], n2[k]]))
+        width = max((int(np.abs(row - col).max(initial=0)) for row, col, _ in entries),
+                    default=0)
+        band = np.zeros((width + 1, offset[-1]))
+        mirror = np.zeros_like(band)
+        for row, col, v in entries:
+            low, up = row >= col, row <= col
+            band[row[low] - col[low], col[low]] += v[low]
+            mirror[col[up] - row[up], row[up]] += v[up]
+        scale = max(float(np.abs(band).max(initial=0.0)),
+                    float(np.abs(mirror).max(initial=0.0)), 1.0)
+        dev = float(np.abs(band - mirror).max(initial=0.0))
+        if dev > HERMITICITY_RTOL * scale:
+            raise NonHermitianError(
+                f"parity chain {c} is not symmetric: max|B - B^T| = {dev:.3e} "
+                f"(scale {scale:.3e})")
+        chains.append(band)
+    return ParityBands(tuple(chains))
 
 
 def block_parity_eigvalsh(blocks: ParityBlocks) -> np.ndarray:

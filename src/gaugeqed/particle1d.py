@@ -29,11 +29,14 @@ folded onto x >= 0, the even and the odd states are solved there with about
 half the points and half the levels each, and mirroring rebuilds
 eigenfunctions of exact parity (-1)^i; the basis is marked
 ``mirror_parity``.  The full models then commute with the parity
-(-1)^i (-1)^{a^dag a}, and ``linalg.parity_block_sum`` writes their two
-real parity blocks from the same terms that ``linalg.kron_sum`` writes as
-a dense matrix (``build_full_H_D`` and ``build_full_H_C``); the
-block writer raises ParityError for a basis whose levels break the mirror
-parity.
+(-1)^i (-1)^{a^dag a}, and ``linalg.parity_band_sum`` writes their two
+real parity chains from the same terms that ``linalg.kron_sum`` writes as
+a dense matrix (``build_full_H_D`` and ``build_full_H_C``) and
+``linalg.parity_block_sum`` as two parity blocks.  Ordered by Fock index
+the chains are banded, about m_used wide, because every field operator of
+the terms (n, the identity, a^dag - a, X and X^2) couples Fock levels at
+most two apart.  Both parity writers raise ParityError for a basis whose
+levels break the mirror parity.
 """
 
 from __future__ import annotations

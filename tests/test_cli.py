@@ -670,12 +670,16 @@ def test_full_model_harmonic_quick(tmp_path, capsys):
     out = capsys.readouterr().out
     assert re.search(r"^grid: mirror halves 3001\+3000 pts, 16\+16 levels; "
                      r"refinement shift \d\.\de-\d\d of 1e-06$", out, re.M)
-    assert "gap ratio" in out
+    # 4 matter levels x 21 Fock levels, two per level in each parity chain
+    assert re.search(r"^models: parity bands 42\+42 rows, widths 3 \(D\) / 4 \(C\) "
+                     r"at m_levels 4; lowest 4 levels$", out, re.M)
+    assert out.index("grid:") < out.index("models:") < out.index("gap ratio")
     assert (tmp_path / "full_model.csv").exists()
 
 
 def record_solvers(monkeypatch):
-    """Log (dtype, rows) of every eigvalsh input and every eig_banded call."""
+    """Log (dtype, rows) of every eigvalsh input, and (band, keywords) of every
+    eig_banded call."""
     seen, banded = [], []
     eigvalsh, eig_banded = np.linalg.eigvalsh, scipy.linalg.eig_banded
 
@@ -684,7 +688,7 @@ def record_solvers(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     def record_banded(*args, **kwargs):
-        banded.append(args)
+        banded.append((args[0], kwargs))
         return eig_banded(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", record)
@@ -697,9 +701,12 @@ def test_full_model_solves_parity_blocks(tmp_path, monkeypatch):
     argv = ["full-model", "--model", "harmonic", "--m-levels", "2,4",
             "--cutoff", "8"]
     assert run(argv, tmp_path) == 0
-    # D then C at m=2 (dim 18), then at m=4 (dim 36): two real half blocks each
-    assert seen == [(np.float64, 9)] * 4 + [(np.float64, 18)] * 4
-    assert banded == []
+    # D then C at m=2 (dim 18), then at m=4 (dim 36): two parity chains each,
+    # solved for their lowest levels + 1 = 5 eigenvalues; no dense solve
+    assert seen == []
+    assert [(band.shape, kwargs["select_range"]) for band, kwargs in banded] == \
+        [((2, 9), (0, 4))] * 2 + [((3, 9), (0, 4))] * 2 \
+        + [((4, 18), (0, 4))] * 2 + [((5, 18), (0, 4))] * 2
 
 
 def test_particle_demo_tilted_table_solves_full_grid(tmp_path, capsys):
@@ -714,16 +721,20 @@ def test_particle_demo_tilted_table_solves_full_grid(tmp_path, capsys):
                      r"refinement shift \d\.\de-\d\d of 1e-06$", out, re.M)
 
 
-def test_full_model_tilted_well_stays_dense(tmp_path, monkeypatch):
+def test_full_model_tilted_well_exit_2(tmp_path, monkeypatch, capsys):
+    # both named models are mirror-symmetric; a basis without mirror parity
+    # breaks the parity chains, and the band writer refuses it
     x = np.linspace(-10.0, 10.0, 2001)
     table = tmp_path / "tilted.dat"
     np.savetxt(table, np.column_stack([x, 0.5 * x ** 2 + 0.05 * x]))
     model = particle1d.model_from_table(table, eigen_count=6)
     monkeypatch.setattr(cli, "_named_model", lambda p: model)
-    seen, _ = record_solvers(monkeypatch)
+    seen, banded = record_solvers(monkeypatch)
     argv = ["full-model", "--m-levels", "2,4", "--cutoff", "8"]
-    assert run(argv, tmp_path) == 0
-    assert seen == [(np.complex128, 18)] * 2 + [(np.complex128, 36)] * 2
+    assert run(argv, tmp_path) == 2
+    assert "ParityError: term 2 leaves the parity blocks" in capsys.readouterr().err
+    assert seen == [] and banded == []
+    assert not (tmp_path / "full_model.csv").exists()
 
 
 @pytest.mark.parametrize("m_levels", ["32,2", "4,2,4", "2,2"])

@@ -21,6 +21,7 @@ from gaugeqed import (
     ParityBlocks,
     ParityError,
     RabiParams,
+    bands_H_C_standard,
     bands_H_D,
     banded_parity_eigvalsh,
     block_parity_eigvalsh,
@@ -30,9 +31,14 @@ from gaugeqed import (
     kron,
     kron_sum,
     matrix_function,
+    model_from_table,
+    parity_band_sum,
     parity_block_sum,
     rabi,
+    solve_particle,
     terms_dicke_dipole,
+    terms_full_H_C,
+    terms_full_H_D,
     terms_H_alpha,
     terms_H_C_correct,
     terms_H_C_standard,
@@ -357,8 +363,9 @@ def test_parity_error_on_broken_parity():
     # sigma_x (x) 1 flips the qubit and leaves the photon number alone
     p = RabiParams(eta=0.5, cutoff=6)
     s = rabi._real_parts(1, p.cutoff)
-    with pytest.raises(ParityError, match="term 3 leaves the parity blocks"):
-        parity_block_sum(terms_H_D(p) + [(2.0 * s.jx, s.eye_field)])
+    for write in (parity_block_sum, parity_band_sum):
+        with pytest.raises(ParityError, match="term 3 leaves the parity blocks"):
+            write(terms_H_D(p) + [(2.0 * s.jx, s.eye_field)])
     assert issubclass(ParityError, LinalgError)
 
 
@@ -367,24 +374,26 @@ def test_parity_error_on_complex_phased_block():
     # matter index makes it real next to the model's sigma_y (x) (a + a^dag)
     p = RabiParams(eta=0.5, cutoff=6)
     s = rabi._real_parts(1, p.cutoff)
-    with pytest.raises(ParityError, match="term 4: .* not real after the 1j\\*\\*m phase"):
-        parity_block_sum(terms_H_C_standard(p) + [(2j * s.jy, s.P)])
+    for write in (parity_block_sum, parity_band_sum):
+        with pytest.raises(ParityError, match="term 4: .* not real after the 1j\\*\\*m phase"):
+            write(terms_H_C_standard(p) + [(2j * s.jy, s.P)])
 
 
 def test_parity_eigvalsh_checks_its_input():
-    """Both writers reject terms whose shapes disagree; a non-Hermitian sum
-    fails the dense writer's check and, as blocks, the solver's symmetry
-    check."""
+    """The writers reject terms whose shapes disagree; a non-Hermitian sum
+    fails the dense writer's check, the band writer's and, as blocks, the
+    solver's symmetry check."""
     p = RabiParams(eta=0.5, cutoff=6)
     s = rabi._real_parts(1, p.cutoff)
     terms = terms_H_D(p)
     for bad in (terms + [(s.jx, np.eye(5))], terms + [(np.eye(3), s.X)]):
-        for write in (kron_sum, parity_block_sum):
+        for write in (kron_sum, parity_block_sum, parity_band_sum):
             with pytest.raises(DimensionMismatchError):
                 write(bad)
     skew = terms + [(s.eye_spin, np.triu(s.X @ s.X))]
-    with pytest.raises(NonHermitianError):
-        kron_sum(skew)
+    for write in (kron_sum, parity_band_sum):
+        with pytest.raises(NonHermitianError):
+            write(skew)
     with pytest.raises(NonHermitianError):
         block_parity_eigvalsh(parity_block_sum(skew))
 
@@ -465,3 +474,99 @@ def test_block_parity_eigvalsh_checks_each_block(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", failing)
     with pytest.raises(ConvergenceFailureError):
         block_parity_eigvalsh(ParityBlocks((even.copy(), odd.copy())))
+
+
+# ---------------------------------------------------------------------------
+# the band writer: parity_band_sum
+# ---------------------------------------------------------------------------
+
+def fock_major(block, matter, field, c):
+    """Parity block c of parity_block_sum reordered with the Fock index n
+    slowest: the block lists (m, n) with m slowest."""
+    pairs = [(n, m) for m in range(matter) for n in range((m + c) % 2, field, 2)]
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+    return block[np.ix_(order, order)]
+
+
+def band_deviation(chain, block):
+    """max|chain - band of block| over the chain's stored diagonals, after
+    checking that nothing of block lies outside them."""
+    width = chain.shape[0] - 1
+    assert chain.shape[1] == block.shape[0]
+    assert not np.tril(block, -width - 1).any()
+    dev = 0.0
+    for r in range(width + 1):
+        d = np.diagonal(block, -r)
+        assert not chain[r, d.size:].any()
+        dev = max(dev, float(np.abs(chain[r, :d.size] - d).max(initial=0.0)))
+    return dev
+
+
+@pytest.mark.parametrize("m_used", [2, 7, 32])
+def test_band_sum_is_the_fock_major_blocks(double_well, m_used):
+    """Band entries are the block writer's, bit for bit, reordered by Fock
+    index; at m_used = 32 the widths are 31 (D) and 32 (C)."""
+    model, basis = double_well
+    for terms, width in ((terms_full_H_D, m_used - 1), (terms_full_H_C, m_used)):
+        written = terms(model, basis, 48, 0.3, m_used)
+        bands = parity_band_sum(written)
+        assert bands.width == width
+        for c, (chain, block) in enumerate(zip(bands.chains,
+                                                parity_block_sum(written).blocks)):
+            assert not chain.flags.writeable
+            assert band_deviation(chain, fock_major(block, m_used, 49, c)) == 0.0
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 15, 16, 320])
+@pytest.mark.parametrize("eta", [0.0, 0.5, 1.5, 3.0])
+def test_band_sum_matches_rabi_closed_forms(eta, cutoff):
+    """The writer on the Rabi term lists gives the closed-form chains: D bit
+    for bit, Cstd to roundoff (the truncated X @ X against 2n + 1).  At
+    eta = 0 the coupling terms are zero and the written band is narrower;
+    the closed form is zero past it."""
+    p = RabiParams(eta=eta, cutoff=cutoff, detuning=0.3)
+    for terms, closed in ((terms_H_D, bands_H_D), (terms_H_C_standard, bands_H_C_standard)):
+        bands, ref = parity_band_sum(terms(p)), closed(p)
+        # a chain of cutoff + 1 levels has at most cutoff subdiagonals
+        assert bands.width == (min(ref.width, cutoff) if eta else 0)
+        for chain, ref_chain in zip(bands.chains, ref.chains):
+            assert not chain.flags.writeable
+            assert not ref_chain[chain.shape[0]:].any()
+            ref_chain = ref_chain[:chain.shape[0]]
+            if closed is bands_H_D:
+                assert np.array_equal(chain, ref_chain)
+            else:
+                bound = 1e-12 * max(np.abs(chain).max(), 1.0)
+                assert np.abs(chain - ref_chain).max() <= bound
+
+
+def test_band_sum_rejects_a_tilted_well(tmp_path):
+    # a basis without mirror parity has x^2 elements between levels of
+    # opposite parity, which no parity chain has room for
+    x = np.linspace(-10.0, 10.0, 2001)
+    table = tmp_path / "tilted.dat"
+    np.savetxt(table, np.column_stack([x, 0.5 * x ** 2 + 0.05 * x]))
+    model = model_from_table(table, eigen_count=6)
+    basis = solve_particle(model)
+    with pytest.raises(ParityError, match="term 2 leaves the parity blocks"):
+        parity_band_sum(terms_full_H_D(model, basis, 8, 0.3, 6))
+
+
+def test_band_sum_symmetry_limit_is_band_scale():
+    """A band keeps one triangle, so the writer compares each entry with its
+    mirror image."""
+    p = RabiParams(eta=0.5, cutoff=6)
+    s = rabi._real_parts(1, p.cutoff)
+    terms = terms_H_D(p)
+    # the symmetry limit is HERMITICITY_RTOL times max(max|B|, 1); the skew
+    # entry couples Fock levels 0 and 2 in both chains
+    scale = max(float(np.abs(chain).max()) for chain in parity_band_sum(terms).chains)
+    upper = np.zeros_like(s.X)
+    upper[0, 2] = 1.0
+    for shift, fails in ((0.5e-12 * scale, False), (2e-12 * scale, True)):
+        skew = terms + [(s.eye_spin, shift * upper)]
+        if fails:
+            with pytest.raises(NonHermitianError, match="parity chain . is not symmetric"):
+                parity_band_sum(skew)
+        else:
+            parity_band_sum(skew)

@@ -25,6 +25,7 @@ from gaugeqed import (
     kron_sum,
     model_from_table,
     nonlocal_kernel,
+    parity_band_sum,
     parity_block_sum,
     particle1d,
     solve_particle,
@@ -405,7 +406,7 @@ def test_full_builders_match_oracles():
 def test_full_model_m_used_validation(double_well):
     model, basis = double_well
     for terms in (terms_full_H_D, terms_full_H_C):
-        for write in (kron_sum, parity_block_sum):
+        for write in (kron_sum, parity_block_sum, parity_band_sum):
             with pytest.raises(ValueError):
                 write(terms(model, basis, 10, 0.3, 1))
             with pytest.raises(ValueError):
@@ -416,6 +417,6 @@ def test_full_model_dimension_cap(harmonic):
     # 32 matter levels x 201 Fock levels = 6432 exceeds DIM_CAP_DEFAULT = 4096
     model, basis = harmonic
     for terms in (terms_full_H_D, terms_full_H_C):
-        for write in (kron_sum, parity_block_sum):
+        for write in (kron_sum, parity_block_sum, parity_band_sum):
             with pytest.raises(DimensionOverflowError):
                 write(terms(model, basis, 200, 0.3, 32))
