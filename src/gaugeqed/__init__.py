@@ -10,9 +10,11 @@ eigenproblems, where a second OpenBLAS thread gains no wall time but
 busy-waits a core between calls.  So importing the package sets
 OPENBLAS_NUM_THREADS=1 when none of OPENBLAS_NUM_THREADS,
 GOTO_NUM_THREADS and OMP_NUM_THREADS is set and numpy is not loaded yet
-(OpenBLAS reads its thread count once, when numpy loads it).  A value set
-in the environment wins.  The only parallelism left is the ``--threads``
-pool of independent sweep points.
+(OpenBLAS reads its thread count once, when numpy loads it).  scipy bundles
+an OpenBLAS of its own, which the parity block solves run on; it reads the
+same variable when ``scipy.linalg`` loads, right after it is set.  A value
+set in the environment wins.  The only parallelism left is the
+``--threads`` pool of independent sweep points.
 """
 
 import os as _os

@@ -404,6 +404,10 @@ def _cmd_taylor_study(rc: RunConfig) -> int:
         print(f"order {n}: eta_star = {star:g} at tol {study.tol:g}{tail}; "
               f"{study.exact_points[i]} of {study.scanned(i)} points bit-identical "
               "to the full model, not solved")
+    # each parity class holds one qubit level per Fock level
+    rows = study.cutoff + 1
+    print(f"models: parity blocks {rows}+{rows} rows at cutoff {study.cutoff}; "
+          f"lowest {min(study.levels + 1, rows)} eigenvalues of each")
     print(f"wrote {out}")
     return 0
 

@@ -66,19 +66,19 @@ def lowest_transitions(H: Union[OperatorMatrix, ParityBlocks, ParityBands],
 
     ``ParityBlocks`` (the real parity blocks that ``linalg.parity_block_sum``
     writes for the corrected Coulomb, Taylor-order, alpha-family, Dicke and
-    fluxonium models) are solved whole by
-    :func:`~gaugeqed.linalg.block_parity_eigvalsh`.  ``ParityBands`` (the
+    fluxonium models) are solved by
+    :func:`~gaugeqed.linalg.block_parity_eigvalsh` and ``ParityBands`` (the
     banded chains of the Rabi D and naive Coulomb models, and those that
-    ``linalg.parity_band_sum`` writes for the mirror-parity full models)
-    are solved by :func:`~gaugeqed.linalg.banded_parity_eigvalsh` for their
-    lowest levels + 1 eigenvalues only.  A matrix is solved by one dense complex
+    ``linalg.parity_band_sum`` writes for the mirror-parity full models) by
+    :func:`~gaugeqed.linalg.banded_parity_eigvalsh`, each for its lowest
+    levels + 1 eigenvalues only.  A matrix is solved by one dense complex
     solve, :func:`~gaugeqed.linalg.hermitian_eig`.  Raises ValueError when
     levels < 1 or when fewer than levels + 1 eigenvalues exist.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     if isinstance(H, ParityBlocks):
-        w = block_parity_eigvalsh(H)
+        w = block_parity_eigvalsh(H, levels + 1)
     elif isinstance(H, ParityBands):
         w = banded_parity_eigvalsh(H, levels + 1)
     else:

@@ -22,7 +22,9 @@ symmetric, so the spectrum comes from two real half-size solves, about a
 quarter of the n^3 of one complex solve.  The writer checks both claims for
 each term and raises :class:`ParityError` when one fails.  The blocks come
 as :class:`ParityBlocks`, which :func:`block_parity_eigvalsh` checks once
-each for finiteness and symmetry and solves with ``numpy.linalg.eigvalsh``.
+each for finiteness and symmetry and solves for its lowest few eigenvalues
+with LAPACK ?syevr (``scipy.linalg.lapack.dsyevr``), since a caller reads
+only the lowest levels + 1 of them.
 
 Ordered by Fock index, the same blocks are banded when every field
 operator is: n, X, P and X @ X couple Fock levels at most two apart, so the
@@ -417,15 +419,24 @@ def parity_band_sum(terms) -> ParityBands:
     return ParityBands(tuple(chains))
 
 
-def block_parity_eigvalsh(blocks: ParityBlocks) -> np.ndarray:
-    """Ascending, read-only eigenvalues of the operator whose real parity
-    blocks ``blocks`` holds: ``numpy.linalg.eigvalsh`` on each block.
+def block_parity_eigvalsh(blocks: ParityBlocks, count: int) -> np.ndarray:
+    """The lowest ``count`` eigenvalues of the operator whose real parity
+    blocks ``blocks`` holds, ascending and read-only (fewer when the blocks
+    hold fewer).
 
-    Each block is checked once before its solve.  Raises LinalgError on a
-    non-finite entry, NonHermitianError when max|B - B^T| exceeds
-    HERMITICITY_RTOL * max(max|B|, 1), and ConvergenceFailureError if LAPACK
-    does not converge.
+    Each block is solved for its own lowest min(count, rows) eigenvalues by
+    LAPACK ?syevr in range 'I' (``scipy.linalg.lapack.dsyevr``: reduction to
+    tridiagonal form, then bisection for the selected indices, or all of
+    them by the root-free QR when every index is selected); the lowest
+    ``count`` of the union are the operator's.
+
+    Each block is checked once before its solve.  Raises ValueError when
+    count < 1, LinalgError on a non-finite entry, NonHermitianError when
+    max|B - B^T| exceeds HERMITICITY_RTOL * max(max|B|, 1), and
+    ConvergenceFailureError if LAPACK does not converge.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     ws = []
     for c, block in enumerate(blocks.blocks):
         if not np.isfinite(block).all():
@@ -436,11 +447,13 @@ def block_parity_eigvalsh(blocks: ParityBlocks) -> np.ndarray:
             raise NonHermitianError(
                 f"parity block {c} is not symmetric: max|B - B^T| = {dev:.3e} "
                 f"(scale {scale:.3e})")
-        try:
-            ws.append(np.linalg.eigvalsh(block))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailureError(f"eigensolver did not converge: {exc}") from exc
-    w = np.sort(np.concatenate(ws))
+        # LAPACK reads one triangle; the check above bounds its mirror's difference
+        w, _, found, _, info = scipy.linalg.lapack.dsyevr(
+            block, compute_v=0, range="I", lower=1, il=1, iu=min(count, block.shape[0]))
+        if info != 0:
+            raise ConvergenceFailureError(f"eigensolver did not converge: ?syevr info {info}")
+        ws.append(w[:found])
+    w = np.sort(np.concatenate(ws))[:count]
     w.flags.writeable = False
     return w
 

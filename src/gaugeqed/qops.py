@@ -26,6 +26,15 @@ solved in real arithmetic and its sign-fixed eigenvectors are real;
 of X, as real arrays from them.  The Rabi, Dicke and fluxonium builders, dense
 and parity-block alike, read them, and so does the fluxonium qubit's
 cos(phi), phi being a multiple of its oscillator's X.
+
+X maps even Fock levels to odd ones, so its eigenpairs come in pairs
+(+sigma, (e, o)) and (-sigma, (e, -o)), e on the even levels and o on the
+odd ones, plus one zero mode on the even levels at odd dimension.  A function
+g(X) is therefore three half-size products: its even-even and odd-odd parts
+carry the even part of g on the spectrum, its even-odd part the odd part.
+cos(k X) has no even-odd part and sin(k X) only that one, so cos and sin
+together cost about a fifth of two full spectral products, and the entries
+that couple levels of the wrong parity are exactly zero.
 """
 
 from __future__ import annotations
@@ -110,17 +119,60 @@ quadrature_eig.cache_info = _quadrature_eig_cached.cache_info
 quadrature_eig.cache_clear = _quadrature_eig_cached.cache_clear
 
 
+def quadrature_values(cutoff: int) -> np.ndarray:
+    """The spectrum of X = a + a^dag on Fock levels 0..cutoff as exact pairs
+    -sigma, +sigma, read-only and ascending.
+
+    sigma are the positive eigenvalues of :func:`quadrature_eig`; the
+    negative half is their exact negation and the zero mode of an odd
+    dimension is exactly 0.0 (the solver returns both halves, and zero, only
+    to roundoff).  :func:`real_quadrature_functions` evaluates its ``f`` on
+    this array, so a function that is even or odd in x gives an even or odd
+    value array bit for bit.
+    """
+    x = quadrature_eig(cutoff).eigenvalues
+    sigma = x[x.size - x.size // 2:]
+    values = np.concatenate([-sigma[::-1], np.zeros(x.size % 2), sigma])
+    values.flags.writeable = False
+    return values
+
+
 def real_quadrature_functions(cutoff: int, f) -> Tuple[np.ndarray, ...]:
     """g(X) for X = a + a^dag and each value array g(x) that ``f`` returns
-    on the eigenvalues x of X, as real symmetric float64 arrays built from
-    the cached real eigenvectors of :func:`quadrature_eig`.
+    on :func:`quadrature_values`, as real symmetric float64 arrays.
+
+    Each g(X) is formed from the positive-sigma eigenvectors of
+    :func:`quadrature_eig` by Fock parity, as three half-size products:
+    g_ee = U g+ U^T, g_oo = W g+ W^T and g_eo = U g- W^T, U and W being the
+    eigenvectors' even- and odd-level parts scaled to orthonormal columns
+    (U also holds the zero mode at odd dimension), g+ and g- the even and
+    odd parts of g on sigma.  A part that is zero on every sigma (g- of
+    cos, g+ of sin) is not multiplied, so its entries are exactly 0.0.
     """
-    spec = quadrature_eig(cutoff)
-    v = spec.eigenvectors
+    dim = cutoff + 1
+    pairs, zero = dim // 2, dim % 2
+    v = quadrature_eig(cutoff).eigenvectors
+    # columns pairs.. of v: the zero mode (at odd dimension), then +sigma
+    U = v[0::2, pairs:] * np.sqrt(2.0)
+    U[:, :zero] = v[0::2, pairs:pairs + zero]
+    W = v[1::2, pairs + zero:] * np.sqrt(2.0)
     out = []
-    for fw in f(spec.eigenvalues):
-        g = (v * fw) @ v.T
-        out.append((g + g.T) / 2.0)
+    for g in f(quadrature_values(cutoff)):
+        g = np.asarray(g, dtype=float)
+        mirror = g[::-1][pairs:]
+        even = (g[pairs:] + mirror) / 2.0
+        odd = (g[pairs + zero:] - mirror[zero:]) / 2.0
+        full = np.zeros((dim, dim))
+        if even.any():
+            ee = (U * even) @ U.T
+            oo = (W * even[zero:]) @ W.T
+            full[0::2, 0::2] = (ee + ee.T) / 2.0
+            full[1::2, 1::2] = (oo + oo.T) / 2.0
+        if odd.any():
+            eo = (U[:, zero:] * odd) @ W.T
+            full[0::2, 1::2] = eo
+            full[1::2, 0::2] = eo.T
+        out.append(full)
     return tuple(out)
 
 

@@ -71,7 +71,7 @@ import numpy as np
 # which the benchmark tracer's tests rebind and restore
 from .linalg import (OperatorMatrix, ParityBands, check_dim, conjugate, hermitian_eig,
                      hermitian_operator, kron_sum, unitary_exp)
-from .qops import _real_fock_arrays, _spin_arrays, quadrature_eig, real_quadrature_functions
+from .qops import _real_fock_arrays, _spin_arrays, quadrature_values, real_quadrature_functions
 
 # the omitted Maclaurin tail is summed until a term falls below this
 # fraction of max(|tail|, 1), far under double precision's 2^-53
@@ -358,12 +358,14 @@ def taylor_is_exact(p: RabiParams, order: int) -> bool:
     """True when the order-n Maclaurin cos/sin equal ``np.cos``/``np.sin``
     bit for bit on the spectrum of 2 eta X, X = a + a^dag.
 
-    The product 2.0 * eta * x is formed as ``terms_H_C_taylor`` and
+    The spectrum is ``qops.quadrature_values``, the array that
+    ``real_quadrature_functions`` evaluates both models' cos/sin on, and the
+    product 2.0 * eta * x is formed as ``terms_H_C_taylor`` and
     ``_real_cos_sin`` form it, so when this holds the term lists of
     ``terms_H_C_taylor(p, order)`` and ``terms_H_C_correct(p)`` are equal
     array for array and so are their spectra.
     """
-    x = 2.0 * p.eta * quadrature_eig(p.cutoff).eigenvalues
+    x = 2.0 * p.eta * quadrature_values(p.cutoff)
     cos, sin = maclaurin_cos_sin(x, order)
     return np.array_equal(cos, np.cos(x)) and np.array_equal(sin, np.sin(x))
 

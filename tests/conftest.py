@@ -2,7 +2,8 @@
 
 # gaugeqed before numpy: its import sets the BLAS thread count numpy loads with
 from gaugeqed import (FluxoniumParams, OperatorMatrix, double_well_model, fluxonium,
-                      harmonic_model, rabi, solve_particle)
+                      harmonic_model, lowest_transitions, parity_band_sum, rabi,
+                      solve_particle, terms_full_H_C, terms_full_H_D)
 from gaugeqed.linalg import hermitian_operator
 
 import numpy as np
@@ -81,3 +82,29 @@ def harmonic():
 def double_well():
     model = double_well_model()
     return model, solve_particle(model)
+
+
+# matter levels of the full-model gap tables
+FULL_MODEL_M_LEVELS = (2, 4, 8, 16, 32)
+
+
+def gauge_gap(model, basis, m_used, a0=0.3, cutoff=48, levels=4):
+    """max |t_D - t_C| over the lowest ``levels`` transitions of the two full
+    models, each solved as ``cli full-model`` solves it: its banded parity
+    chains, for the lowest levels + 1 eigenvalues."""
+    args = (model, basis, cutoff, a0, m_used)
+    td = lowest_transitions(parity_band_sum(terms_full_H_D(*args)), levels)
+    tc = lowest_transitions(parity_band_sum(terms_full_H_C(*args)), levels)
+    return float(np.abs(td - tc).max())
+
+
+@pytest.fixture(scope="session")
+def double_well_gaps(double_well):
+    """gauge_gap of the double well at each of FULL_MODEL_M_LEVELS."""
+    return {m: gauge_gap(*double_well, m) for m in FULL_MODEL_M_LEVELS}
+
+
+@pytest.fixture(scope="session")
+def harmonic_gaps(harmonic):
+    """gauge_gap of the harmonic well at each of FULL_MODEL_M_LEVELS."""
+    return {m: gauge_gap(*harmonic, m) for m in FULL_MODEL_M_LEVELS}

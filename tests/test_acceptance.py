@@ -45,7 +45,6 @@ from gaugeqed.experiments import (
     write_sweep_csv,
 )
 from test_dicke import closed_form_at
-from test_particle1d import gauge_gap
 from test_rabi import GOLD_CSTD_T1_REL_DEV
 
 
@@ -200,10 +199,8 @@ def test_09_fluxonium():
             f"E_J = 0 ladder dev {dev0:.2e} from analytic oscillator levels")
 
 
-def test_10_full_model_convergence(double_well):
-    model, basis = double_well
-    g2 = gauge_gap(model, basis, 2)
-    g32 = gauge_gap(model, basis, 32)
+def test_10_full_model_convergence(double_well_gaps):
+    g2, g32 = double_well_gaps[2], double_well_gaps[32]
     ratio = g2 / max(g32, 1e-300)
     verdict("full-model-convergence", ratio >= 100.0,
             f"double-well gauge gap {g2:.3e} at M=2 vs {g32:.3e} at M=32, "

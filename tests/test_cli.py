@@ -97,6 +97,25 @@ def test_import_keeps_eigvalsh_loops_on_one_core():
     assert cpu < 1.3 * wall, (cpu, wall)
 
 
+def test_import_keeps_block_solve_loops_on_one_core():
+    # scipy bundles its own OpenBLAS, which the parity block solve (?syevr)
+    # runs on; importing gaugeqed sets its thread count before it loads too
+    code = """if True:
+        import time
+        import gaugeqed
+        import numpy as np
+        a = np.random.default_rng(0).standard_normal((201, 201))
+        blocks = gaugeqed.ParityBlocks((a + a.T, a.T + a))
+        gaugeqed.block_parity_eigvalsh(blocks, 6)
+        cpu, wall = time.process_time(), time.perf_counter()
+        for _ in range(100):
+            gaugeqed.block_parity_eigvalsh(blocks, 6)
+        print(time.process_time() - cpu, time.perf_counter() - wall)
+    """
+    cpu, wall = map(float, fresh_python(code).split())
+    assert cpu < 1.3 * wall, (cpu, wall)
+
+
 def test_export_list_resolves():
     # a stale entry in __all__ would break `from gaugeqed import *`
     import gaugeqed
@@ -387,6 +406,9 @@ def test_taylor_study_quick(tmp_path, capsys):
     assert run(argv, tmp_path) == 0
     out = capsys.readouterr().out
     assert re.search(r"order 2: eta_star = ", out)
+    assert re.search(r"^models: parity blocks 41\+41 rows at cutoff 40; "
+                     r"lowest 4 eigenvalues of each$", out, re.M)
+    assert out.index("order 2:") < out.index("models:") < out.index("wrote")
     assert (tmp_path / "taylor_study.csv").exists()
 
 
@@ -491,23 +513,25 @@ def test_fluxonium_solves_real_arrays_only(tmp_path, monkeypatch):
     # every eigensolver input on the fluxonium path is float64: X and the
     # qubit at basis size 60, X and the qubit at the doubled size 120, then
     # the two (cutoff + 1)-square parity blocks of the naive model, X at the
-    # cavity cutoff for cos/sin, and the two blocks of the corrected model
+    # cavity cutoff for cos/sin, and the two blocks of the corrected model;
+    # each block is solved for its lowest levels + 1 = 3 eigenvalues
     quadrature_eig.cache_clear()
     seen = []
-    for name in ("eigh", "eigvalsh"):
-        def record(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
-            seen.append((_name, a.dtype, a.shape))
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                         (scipy.linalg.lapack, "dsyevr")):
+        def record(a, *args, _name=name, _solve=getattr(module, name), **kwargs):
+            seen.append((_name, a.dtype, a.shape, kwargs.get("iu")))
             return _solve(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, record)
+        monkeypatch.setattr(module, name, record)
     argv = ["fluxonium", "--basis-size", "60", "--cutoff", "30",
             "--levels", "2", "--n-keep", "4"]
     assert run(argv, tmp_path) == 0
     real = np.dtype(np.float64)
-    assert seen == [("eigh", real, (60, 60))] * 2 + [
-        ("eigh", real, (120, 120)), ("eigvalsh", real, (120, 120))] + [
-        ("eigvalsh", real, (31, 31))] * 2 + [("eigh", real, (31, 31))] + [
-        ("eigvalsh", real, (31, 31))] * 2
+    assert seen == [("eigh", real, (60, 60), None)] * 2 + [
+        ("eigh", real, (120, 120), None), ("eigvalsh", real, (120, 120), None)] + [
+        ("dsyevr", real, (31, 31), 3)] * 2 + [("eigh", real, (31, 31), None)] + [
+        ("dsyevr", real, (31, 31), 3)] * 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -678,20 +702,22 @@ def test_full_model_harmonic_quick(tmp_path, capsys):
 
 
 def record_solvers(monkeypatch):
-    """Log (dtype, rows) of every eigvalsh input, and (band, keywords) of every
-    eig_banded call."""
+    """Log (dtype, rows) of every dense eigenvalue solve, by eigvalsh or
+    ?syevr, and (band, keywords) of every eig_banded call."""
     seen, banded = [], []
-    eigvalsh, eig_banded = np.linalg.eigvalsh, scipy.linalg.eig_banded
+    eig_banded = scipy.linalg.eig_banded
 
-    def record(a, *args, **kwargs):
-        seen.append((a.dtype, a.shape[0]))
-        return eigvalsh(a, *args, **kwargs)
+    for module, name in ((np.linalg, "eigvalsh"), (scipy.linalg.lapack, "dsyevr")):
+        def record(a, *args, _solve=getattr(module, name), **kwargs):
+            seen.append((a.dtype, a.shape[0]))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
 
     def record_banded(*args, **kwargs):
         banded.append((args[0], kwargs))
         return eig_banded(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", record)
     monkeypatch.setattr(scipy.linalg, "eig_banded", record_banded)
     return seen, banded
 

@@ -105,16 +105,22 @@ def test_lowest_transitions_needs_levels():
 ])
 def test_sweep_solves_real_half_blocks(monkeypatch, family, models, n_dipoles):
     """Every dense sweep solve is real and at most half the product
-    dimension, rounded up; the two blocks of one build add up to its
-    dimension.  The banded Rabi models make no dense solve."""
+    dimension, rounded up, and asks ?syevr for the lowest levels + 1
+    eigenvalues only; the two blocks of one build add up to its dimension.
+    The banded Rabi models make no dense solve."""
     solves = []
-    eigvalsh = np.linalg.eigvalsh
+    dsyevr = scipy.linalg.lapack.dsyevr
 
     def recording(a, *args, **kwargs):
+        assert (kwargs["range"], kwargs["il"], kwargs["iu"]) == ("I", 1, 4)
         solves.append((a.shape, a.dtype))
-        return eigvalsh(a, *args, **kwargs)
+        return dsyevr(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    def dense(*args, **kwargs):
+        raise AssertionError("full-spectrum eigvalsh called")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", dense)
     policy = ConvergencePolicy(cutoff0=5, tol=1e-6)
     spec = SweepSpec(models=models, eta_grid=SMALL_GRID, family=family,
                      n_dipoles=n_dipoles, levels_reported=3, policy=policy)
@@ -399,6 +405,25 @@ def test_taylor_study_skips_bit_identical_points(monkeypatch):
     # one Maclaurin evaluation per skipped point, one for the point that
     # ended the run, one per Taylor build
     assert len(maclaurin) == 6 + 1 + len(solved)
+
+
+def test_taylor_study_solves_the_lowest_levels_only(monkeypatch):
+    """Every solve of the study asks ?syevr for the lowest levels + 1
+    eigenvalues of one 31-row block; none is a full eigvalsh."""
+    eigvalsh, solves = [], []
+    counting(monkeypatch, np.linalg, "eigvalsh", eigvalsh, lambda a: a.shape)
+    dsyevr = scipy.linalg.lapack.dsyevr
+
+    def recording(a, **kwargs):
+        solves.append((a.shape, kwargs["range"], kwargs["il"], kwargs["iu"]))
+        return dsyevr(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", recording)
+    study = taylor_study((2, 60), eta_grid=TAYLOR_GRID[:8], cutoff=30, levels=3)
+    assert study.scanned(0) > 0 and study.exact_points == (0, 6)
+    assert eigvalsh == []
+    assert solves and len(solves) % 2 == 0
+    assert set(solves) == {((31, 31), "I", 1, 4)}
 
 
 @pytest.mark.parametrize("eta", TAYLOR_GRID[:6:2])

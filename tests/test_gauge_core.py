@@ -186,7 +186,7 @@ def test_blocks_match_dense_builders(eta, cutoff, double_well, fluxonium_basis):
             assert not got.flags.writeable, case
             dev = float(np.abs(got - want).max())
             assert dev <= bound, f"{case}: max|B - phased H| = {dev:.3e} exceeds {bound:.3e}"
-        dev = float(np.abs(block_parity_eigvalsh(blocks)
+        dev = float(np.abs(block_parity_eigvalsh(blocks, H.dim)
                            - hermitian_eig(H, vectors=False).eigenvalues).max())
         assert dev <= bound, (case, dev)
 

@@ -351,7 +351,7 @@ def test_parity_eigvalsh_matches_dense(eta, cutoff):
     by block_parity_eigvalsh, is the dense writer's matrix solved whole."""
     for name, terms in parity_models(eta, cutoff).items():
         H = kron_sum(terms)
-        w = block_parity_eigvalsh(parity_block_sum(terms))
+        w = block_parity_eigvalsh(parity_block_sum(terms), H.dim)
         w_ref = hermitian_eig(H, vectors=False).eigenvalues
         assert w.shape == w_ref.shape, name
         assert not w.flags.writeable
@@ -395,7 +395,7 @@ def test_parity_eigvalsh_checks_its_input():
         with pytest.raises(NonHermitianError):
             write(skew)
     with pytest.raises(NonHermitianError):
-        block_parity_eigvalsh(parity_block_sum(skew))
+        block_parity_eigvalsh(parity_block_sum(skew), 3)
 
 
 @pytest.mark.parametrize("kind", ["off-parity block", "phased parity block"])
@@ -445,8 +445,10 @@ def test_banded_parity_eigvalsh_errors(monkeypatch):
 def test_block_parity_eigvalsh_checks_each_block(monkeypatch):
     blocks = parity_block_sum(terms_H_C_correct(RabiParams(eta=0.5, cutoff=6))).blocks
     even, odd = (b.copy() for b in blocks)
-    w = block_parity_eigvalsh(ParityBlocks((even.copy(), odd.copy())))
+    w = block_parity_eigvalsh(ParityBlocks((even.copy(), odd.copy())), 14)
     assert not w.flags.writeable and np.all(np.diff(w) >= 0) and w.size == 14
+    with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+        block_parity_eigvalsh(ParityBlocks((even.copy(), odd.copy())), 0)
     with pytest.raises(DimensionMismatchError):
         ParityBlocks((even[:, :-1].copy(), odd))
     with pytest.raises(DimensionMismatchError):
@@ -454,26 +456,63 @@ def test_block_parity_eigvalsh_checks_each_block(monkeypatch):
     for bad in (np.nan, np.inf):
         broken = odd.copy()
         broken[2, 1] = bad
-        with pytest.raises(LinalgError, match="parity block 1 has a non-finite entry"):
-            block_parity_eigvalsh(ParityBlocks((even.copy(), broken)))
+        for count in (1, 14):
+            with pytest.raises(LinalgError, match="parity block 1 has a non-finite entry"):
+                block_parity_eigvalsh(ParityBlocks((even.copy(), broken)), count)
     # the symmetry limit is HERMITICITY_RTOL times max(max|B|, 1)
     scale = max(float(np.abs(odd).max()), 1.0)
     for shift, fails in ((0.5e-12 * scale, False), (2e-12 * scale, True)):
         skew = odd.copy()
         skew[2, 1] += shift
         blocks = ParityBlocks((even.copy(), skew))
-        if fails:
-            with pytest.raises(NonHermitianError, match="parity block 1 is not symmetric"):
-                block_parity_eigvalsh(blocks)
-        else:
-            block_parity_eigvalsh(blocks)
+        for count in (1, 14):
+            if fails:
+                with pytest.raises(NonHermitianError, match="parity block 1 is not symmetric"):
+                    block_parity_eigvalsh(blocks, count)
+            else:
+                block_parity_eigvalsh(blocks, count)
+
+    dsyevr = scipy.linalg.lapack.dsyevr
 
     def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("no convergence")
+        w, z, m, isuppz, _ = dsyevr(*args, **kwargs)
+        return w, z, m, isuppz, 1
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-    with pytest.raises(ConvergenceFailureError):
-        block_parity_eigvalsh(ParityBlocks((even.copy(), odd.copy())))
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", failing)
+    with pytest.raises(ConvergenceFailureError, match="info 1"):
+        block_parity_eigvalsh(ParityBlocks((even.copy(), odd.copy())), 3)
+
+
+def lowest_block_cases():
+    """The Ccorr model at eta 3, cutoff 160, whose t1 is a 1e-8 splitting of
+    two levels in different blocks, and the Dicke models at N = 4."""
+    yield "Ccorr", parity_block_sum(terms_H_C_correct(RabiParams(eta=3.0, cutoff=160)))
+    q = DickeParams(eta=0.6, cutoff=80, detuning=0.3, n_dipoles=4)
+    yield "dicke4/std", parity_block_sum(terms_H_C_standard(q))
+    yield "dicke4/corr", parity_block_sum(terms_H_C_correct(q))
+    yield "dicke4/dipole", parity_block_sum(terms_dicke_dipole(q))
+
+
+@pytest.mark.parametrize("count", [1, 2, 6, 40])
+def test_block_parity_eigvalsh_lowest_count(count):
+    """The lowest ``count`` eigenvalues are those of the full solve of every
+    block, sorted together, to 1e-12 of the block scale."""
+    for name, blocks in lowest_block_cases():
+        full = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks.blocks]))
+        scale = max(float(np.abs(b).max()) for b in blocks.blocks)
+        w = block_parity_eigvalsh(blocks, count)
+        assert w.shape == (count,) and not w.flags.writeable, name
+        dev = float(np.abs(w - full[:count]).max())
+        assert dev <= 1e-12 * max(scale, 1.0), (name, count, dev)
+
+
+def test_block_parity_eigvalsh_count_past_the_rows_returns_all():
+    blocks = parity_block_sum(terms_H_C_correct(RabiParams(eta=1.5, cutoff=9)))
+    full = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks.blocks]))
+    for count in (10, 11, 20, 21, 1000):
+        w = block_parity_eigvalsh(blocks, count)
+        assert w.size == min(count, 20)
+        assert np.abs(w - full[:count]).max() <= 1e-12 * max(np.abs(full).max(), 1.0)
 
 
 # ---------------------------------------------------------------------------

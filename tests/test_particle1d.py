@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import oracles
+from conftest import FULL_MODEL_M_LEVELS
 from gaugeqed import (
     BoundaryLeakError,
     DimensionOverflowError,
@@ -23,6 +24,7 @@ from gaugeqed import (
     harmonic_model,
     hermitian_eig,
     kron_sum,
+    lowest_transitions,
     model_from_table,
     nonlocal_kernel,
     parity_band_sum,
@@ -348,20 +350,11 @@ def test_minimal_coupling_residual_is_discretization(harmonic):
 # full light-matter model without two-level truncation
 # ---------------------------------------------------------------------------
 
-def gauge_gap(model, basis, m_used, a0=0.3, cutoff=48, levels=4):
-    hd = build_full_H_D(model, basis, cutoff, a0, m_used)
-    hc = build_full_H_C(model, basis, cutoff, a0, m_used)
-    td = hermitian_eig(hd, vectors=False).transitions(levels)
-    tc = hermitian_eig(hc, vectors=False).transitions(levels)
-    return float(np.abs(td - tc).max())
-
-
 GOLD_DW_GAPS = {2: 1.497142e-01, 4: 1.644399e-02, 8: 1.839615e-05}
 
 
-def test_full_model_gauge_gap_closes(double_well):
-    model, basis = double_well
-    gaps = {m: gauge_gap(model, basis, m) for m in (2, 4, 8, 16, 32)}
+def test_full_model_gauge_gap_closes(double_well_gaps):
+    gaps = double_well_gaps
     for m, g in GOLD_DW_GAPS.items():
         assert gaps[m] == pytest.approx(g, rel=1e-4)
     # the residue at large m is eigensolver / matrix-element noise
@@ -370,11 +363,10 @@ def test_full_model_gauge_gap_closes(double_well):
     assert gaps[2] / gaps[32] >= 100.0
 
 
-def test_full_model_harmonic_floor(harmonic):
+def test_full_model_harmonic_floor(harmonic_gaps):
     # gaps fall strictly until they hit the matrix-element accuracy floor,
     # then merely stay below it
-    model, basis = harmonic
-    gaps = [gauge_gap(model, basis, m) for m in (2, 4, 8, 16, 32)]
+    gaps = [harmonic_gaps[m] for m in FULL_MODEL_M_LEVELS]
     floor = 1e-9
     for prev, cur in zip(gaps, gaps[1:]):
         if prev > floor:
@@ -382,6 +374,22 @@ def test_full_model_harmonic_floor(harmonic):
         else:
             assert cur < floor
     assert gaps[-1] < floor
+
+
+def test_full_model_band_solve_matches_dense(double_well):
+    """The banded parity solve behind the gap tables against one dense
+    complex solve of each full model, at m = 16, where the gap first falls
+    to its roundoff floor: the transitions agree to 1e-12 of the matrix
+    scale (measured 7.5e-14 for D and 1.3e-13 for C, against bounds of
+    7.5e-11 and 7.8e-11)."""
+    model, basis = double_well
+    args = (model, basis, 48, 0.3, 16)
+    for build, terms in ((build_full_H_D, terms_full_H_D), (build_full_H_C, terms_full_H_C)):
+        H = build(*args)
+        want = hermitian_eig(H, vectors=False).transitions(4)
+        got = lowest_transitions(parity_band_sum(terms(*args)), 4)
+        dev = float(np.abs(got - want).max())
+        assert dev <= 1e-12 * np.abs(H.arr).max(), (build.__name__, dev)
 
 
 def test_full_builders_match_oracles():

@@ -176,6 +176,47 @@ def test_real_quadrature_functions_match_complex(cutoff):
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 39, 40, 200])
+def test_quadrature_values_are_exact_pairs(cutoff):
+    # the cached spectrum is symmetric only to roundoff; the value array
+    # takes its positive half and negates it exactly, with an exact zero
+    # mode at odd dimension
+    x = quadrature_eig(cutoff).eigenvalues
+    values = qops.quadrature_values(cutoff)
+    assert not values.flags.writeable and values.shape == x.shape
+    assert np.array_equal(values, -values[::-1])
+    half = (cutoff + 1) // 2
+    assert np.array_equal(values[cutoff + 1 - half:], x[cutoff + 1 - half:])
+    assert np.abs(values - x).max() <= 1e-13 * max(cutoff, 1)
+    if cutoff % 2 == 0:
+        assert values[half] == 0.0
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 39, 40, 200])
+def test_real_quadrature_functions_split_by_fock_parity(cutoff):
+    # the three half-size products equal the full spectral product V g V^T
+    # for even, odd and parity-less functions at both dimension parities;
+    # cos couples only Fock levels of equal parity and sin only levels of
+    # opposite parity, exactly
+    k = 1.3
+    spec = quadrature_eig(cutoff)
+    v = spec.eigenvectors
+    fs = lambda x: (np.cos(k * x), np.sin(k * x), x, np.exp(0.3 * x))
+    got = qops.real_quadrature_functions(cutoff, fs)
+    n = np.arange(cutoff + 1)
+    odd = (n[:, None] + n[None, :]) % 2 == 1
+    for name, g, fw in zip(("cos", "sin", "x", "exp"), got, fs(spec.eigenvalues)):
+        want = (v * fw) @ v.T
+        assert g.dtype == np.float64 and g.shape == want.shape, name
+        assert np.array_equal(g, g.T), name
+        dev = float(np.abs(g - want).max())
+        assert dev <= 1e-13 * max(np.abs(want).max(), 1.0), (name, dev)
+    cos, sin, X, _ = got
+    assert np.all(cos[odd] == 0.0) and np.all(sin[~odd] == 0.0)
+    assert np.all(X[~odd] == 0.0)
+    assert np.abs(X - real_X(cutoff)).max() <= 1e-13 * max(np.abs(real_X(cutoff)).max(), 1.0)
+
+
 def test_fock_validation():
     with pytest.raises(ValueError):
         fock_ops(0)
