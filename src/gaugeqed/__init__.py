@@ -6,22 +6,24 @@ collective, circuit and untruncated-matter counterparts, and compares their
 spectra.  Energies use hbar = 1 with the cavity frequency as the unit.
 
 BLAS threads: the package's solves are long loops of small dense
-eigenproblems, where a second OpenBLAS thread gains no wall time but
-busy-waits a core between calls.  So importing the package sets
-OPENBLAS_NUM_THREADS=1 when none of OPENBLAS_NUM_THREADS,
-GOTO_NUM_THREADS and OMP_NUM_THREADS is set and numpy is not loaded yet
-(OpenBLAS reads its thread count once, when numpy loads it).  scipy bundles
-an OpenBLAS of its own, which the parity block solves run on; it reads the
-same variable when ``scipy.linalg`` loads, right after it is set.  A value
-set in the environment wins.  The only parallelism left is the
-``--threads`` pool of independent sweep points.
+eigenproblems and banded shift-invert steps, where a second OpenBLAS
+thread gains no wall time but busy-waits a core between calls.  So
+importing the package sets OPENBLAS_NUM_THREADS=1 when none of
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS is set and
+``scipy.linalg`` is not loaded yet.  scipy bundles an OpenBLAS of its own,
+which runs the parity block and band solves, the grid's banded Cholesky
+factor and ARPACK; it reads its thread count once, when ``scipy.linalg``
+loads it, right after the variable is set.  numpy's OpenBLAS reads the
+variable when numpy loads, so with numpy imported first the policy reaches
+scipy's solves only.  A value set in the environment wins.  The only
+parallelism left is the ``--threads`` pool of independent sweep points.
 """
 
 import os as _os
 import sys as _sys
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREAD_VARS):
+if "scipy.linalg" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREAD_VARS):
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"
@@ -83,6 +85,7 @@ from .particle1d import (
     ParityOrderError,
     ParticleError,
     ParticleModel,
+    ShiftAboveSpectrumError,
     build_full_H_C,
     build_full_H_D,
     check_minimal_coupling_identity,
@@ -153,7 +156,7 @@ __all__ = [
     "MinimalCouplingReport", "terms_full_H_D", "terms_full_H_C",
     "build_full_H_D", "build_full_H_C", "trk_sum",
     "ParticleError", "GridTooCoarseError", "BoundaryLeakError",
-    "ParityOrderError",
+    "ParityOrderError", "ShiftAboveSpectrumError",
     # fluxonium
     "FluxoniumParams", "FluxoniumBasis", "solve_fluxonium", "coupling_g_c",
     "terms_flux_charge_standard", "terms_flux_charge_correct",

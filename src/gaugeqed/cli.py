@@ -19,7 +19,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -35,6 +35,7 @@ NUMERICAL_ERRORS = (
     particle1d.GridTooCoarseError,
     particle1d.BoundaryLeakError,
     particle1d.ParityOrderError,
+    particle1d.ShiftAboveSpectrumError,
     fluxonium.BasisTooSmallError,
     LinalgError,
 )
@@ -523,7 +524,7 @@ def _named_model(p: Dict[str, object]) -> particle1d.ParticleModel:
 
 def _check_matter_levels(name: str, values, model: particle1d.ParticleModel) -> None:
     """Raise ValueError unless each of ``values`` lies in [2, eigen_count]:
-    the solve yields eigen_count levels, and a projection needs two.
+    the model solves at most eigen_count levels, and a projection needs two.
     Checked before the grid solve, which is most of the run."""
     for k in values:
         if k < 2:
@@ -579,7 +580,10 @@ def _cmd_full_model(rc: RunConfig) -> int:
     _ascending("m_levels", p["m_levels"])
     model = _named_model(p)
     _check_matter_levels("m_levels", p["m_levels"], model)
-    basis = particle1d.solve_particle(model)
+    # the models read the lowest max(m_levels) levels, so the grid solve and
+    # its refinement check cover exactly those
+    basis = particle1d.solve_particle(
+        replace(model, eigen_count=max(p["m_levels"])))
     print(basis.describe_solve())
     cutoff = p["cutoff"]
     levels = p["levels"]

@@ -5,9 +5,9 @@ Provides the matter side of the full (many-level) light-matter models:
 * ``solve_particle``                  lowest-M eigenpairs of p^2/2m + W(x) by
                                       4th-order finite differences, with a
                                       grid-refinement check; both grids are
-                                      solved by shift-invert Lanczos, each
-                                      parity on x >= 0 for a mirror-symmetric
-                                      potential
+                                      solved by banded Cholesky shift-invert
+                                      Lanczos, each parity on x >= 0 for a
+                                      mirror-symmetric potential
 * ``nonlocal_kernel``                 the projected potential kernel V(x, x')
                                       showing how truncation delocalizes a
                                       local potential
@@ -46,8 +46,8 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .linalg import OperatorMatrix, check_dim, kron_sum
 from .qops import _real_fock_arrays
@@ -82,6 +82,10 @@ class BoundaryLeakError(ParticleError):
 
 class ParityOrderError(ParticleError):
     """The even and odd levels of a mirror-symmetric model do not interleave."""
+
+
+class ShiftAboveSpectrumError(ParticleError):
+    """The shift-invert shift is not below the grid operator's spectrum."""
 
 
 @dataclass(frozen=True)
@@ -241,21 +245,39 @@ def _grid_bands(model: ParticleModel):
 def _eigsh(bands: np.ndarray, k: int, sigma: float, vectors: bool):
     """Lowest k eigenvalues (and, with ``vectors``, eigenvectors) of the
     symmetric pentadiagonal operator in lower band storage ``bands`` by
-    shift-invert Lanczos about ``sigma``.  A fixed start vector keeps
-    repeated runs bit-identical."""
+    banded Cholesky shift-invert Lanczos about ``sigma`` (ARPACK mode 3).
+
+    The shifted operator is factored once by LAPACK ?pbtrf, and each
+    Lanczos step applies its inverse by ?pbtrs.  The factor exists only
+    for a positive definite operator, so ?pbtrf certifies that ``sigma``
+    lies below the spectrum; ShiftAboveSpectrumError when it does not.
+    Mode 3 never multiplies by the operator itself (eigsh reads only the
+    shape and dtype of its first argument), so the inverse stands in for
+    it.  A fixed start vector keeps repeated runs bit-identical."""
     n = bands.shape[1]
-    A = sp.diags(
-        [bands[2][: n - 2], bands[1][: n - 1], bands[0],
-         bands[1][: n - 1], bands[2][: n - 2]],
-        offsets=[-2, -1, 0, 1, 2], format="csc")
+    shifted = bands.copy()
+    shifted[0] -= sigma
+    factor, info = lapack.dpbtrf(shifted, lower=1)
+    if info != 0:
+        raise ShiftAboveSpectrumError(
+            f"shift {sigma:.6e} is not below the spectrum of the {n}-point "
+            f"grid operator (?pbtrf info {info})")
+
+    def solve(b):
+        x, _ = lapack.dpbtrs(factor, b, lower=1)
+        return x
+
+    op_inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
     v0 = np.full(n, 1.0 / np.sqrt(n))
-    return spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
-                      return_eigenvectors=vectors)
+    return spla.eigsh(op_inv, k=k, sigma=sigma, which="LM", v0=v0,
+                      OPinv=op_inv, return_eigenvectors=vectors)
 
 
 def _shift(model: ParticleModel) -> float:
-    # below the potential minimum, so the wanted levels are the largest of
-    # the inverted operator
+    # below the potential minimum, and so below the spectrum: the 4th-order
+    # kinetic stencil is positive semidefinite.  The wanted levels are then
+    # the largest of the inverted operator, and the shifted operator is
+    # positive definite, as the Cholesky factor in _eigsh needs
     return float(model.potential.min()) - 1.0
 
 
@@ -265,10 +287,11 @@ def _band_solve(bands: np.ndarray, k: int, sigma: float, vectors: bool):
     None), eigenvectors signed so that each one's largest-magnitude entry is
     positive.
 
-    Shift-invert Lanczos about ``sigma``; with too few points for Lanczos
-    (eigsh would warn and go dense), banded LAPACK.  The banded driver is
-    avoided otherwise: it needs a dense n x n back-transform for vectors and
-    is several times slower even for values on refined grids.
+    Banded Cholesky shift-invert Lanczos about ``sigma`` (``_eigsh``); with
+    too few points for Lanczos (eigsh would warn and go dense), banded
+    LAPACK.  The banded driver is avoided otherwise: it needs a dense n x n
+    back-transform for vectors and is several times slower even for values
+    on refined grids.
     """
     if k < bands.shape[1] - 1:
         res = _eigsh(bands, k, sigma, vectors)
@@ -401,7 +424,9 @@ def solve_particle(model: ParticleModel) -> MatterBasis:
     Raises BoundaryLeakError when any retained eigenfunction fails to decay
     below 1e-8 at the grid edge, and GridTooCoarseError when halving the grid
     spacing moves any retained eigenvalue by more than 1e-6.  Both grids are
-    solved the same way, by shift-invert Lanczos.
+    solved the same way, by banded Cholesky shift-invert Lanczos, whose
+    ?pbtrf factor certifies that the shift lies below the spectrum
+    (ShiftAboveSpectrumError otherwise).
 
     A mirror-symmetric model (see ``_mirror_symmetric``) is solved on
     x >= 0, one half-grid solve per parity (``_fold``), and its levels are

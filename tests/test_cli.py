@@ -62,9 +62,12 @@ SHOW_THREAD_VARS = ("import os, gaugeqed; "
     ("", {}, ["1", None, None]),
     ("", {"OPENBLAS_NUM_THREADS": "3"}, ["3", None, None]),
     ("", {"OMP_NUM_THREADS": "2"}, [None, None, "2"]),
-    # OpenBLAS has read its thread count once numpy is loaded, so the
-    # variable would do nothing and is left unset
-    ("import numpy; ", {}, [None, None, None]),
+    # numpy's OpenBLAS has read its thread count, but scipy's, which runs the
+    # package's solves, loads later with scipy.linalg and still reads it
+    ("import numpy; ", {}, ["1", None, None]),
+    # once scipy.linalg is loaded both have read it, so the variable would
+    # do nothing and is left unset
+    ("import scipy.linalg; ", {}, [None, None, None]),
 ])
 def test_import_sets_one_blas_thread_unless_preset(first, preset, seen):
     assert fresh_python(first + SHOW_THREAD_VARS, **preset) == f"{seen}\n"
@@ -692,13 +695,33 @@ def test_full_model_harmonic_quick(tmp_path, capsys):
             "--cutoff", "20", "--levels", "3"]
     assert run(argv, tmp_path) == 0
     out = capsys.readouterr().out
-    assert re.search(r"^grid: mirror halves 3001\+3000 pts, 16\+16 levels; "
+    # the grid solve covers the max(m_levels) = 4 levels the models read
+    assert re.search(r"^grid: mirror halves 3001\+3000 pts, 2\+2 levels; "
                      r"refinement shift \d\.\de-\d\d of 1e-06$", out, re.M)
     # 4 matter levels x 21 Fock levels, two per level in each parity chain
     assert re.search(r"^models: parity bands 42\+42 rows, widths 3 \(D\) / 4 \(C\) "
                      r"at m_levels 4; lowest 4 levels$", out, re.M)
     assert out.index("grid:") < out.index("models:") < out.index("gap ratio")
     assert (tmp_path / "full_model.csv").exists()
+
+
+def test_full_model_defaults_solve_the_levels_the_models_read(tmp_path, capsys):
+    # the double well's preset solves 50 levels, the default m_levels read 32
+    assert particle1d.double_well_model().eigen_count == 50
+    assert run(["full-model"], tmp_path) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^grid: mirror halves 6001\+6000 pts, 16\+16 levels; "
+                     r"refinement shift \d\.\de-\d\d of 1e-06$", out, re.M)
+
+
+def test_full_model_shift_above_spectrum_exit_2(tmp_path, monkeypatch, capsys):
+    # the banded Cholesky factor of the shifted grid operator exists only for
+    # a shift below the spectrum
+    monkeypatch.setattr(particle1d, "_shift", lambda model: float(model.potential.max()))
+    argv = ["full-model", "--model", "harmonic", "--m-levels", "2,4", "--cutoff", "8"]
+    assert run(argv, tmp_path) == 2
+    assert "ShiftAboveSpectrumError: shift" in capsys.readouterr().err
+    assert not (tmp_path / "full_model.csv").exists()
 
 
 def record_solvers(monkeypatch):

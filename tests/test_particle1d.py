@@ -4,6 +4,8 @@ The two shipped presets (harmonic, double well) are solved once per session
 via fixtures in conftest.py.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,6 +19,7 @@ from gaugeqed import (
     GridTooCoarseError,
     ParityError,
     ParticleModel,
+    ShiftAboveSpectrumError,
     build_full_H_C,
     build_full_H_D,
     check_minimal_coupling_identity,
@@ -195,6 +198,47 @@ def test_half_grid_eigvals_match_banded_driver(n_points, levels):
     assert np.abs(w - ref).max() <= 1e-8
 
 
+def dense_band(bands):
+    """The symmetric matrix whose lower band storage is ``bands``."""
+    n = bands.shape[1]
+    a = np.diag(bands[0])
+    for d in range(1, bands.shape[0]):
+        a += np.diag(bands[d][: n - d], -d) + np.diag(bands[d][: n - d], d)
+    return a
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_band_solve_matches_dense_half_grid(parity):
+    # 401 points fold onto 201 (even) and 200 (odd) rows
+    model = harmonic_model(n_points=401, eigen_count=12)
+    bands = particle1d._fold(model, parity)
+    assert bands.shape[1] in (200, 201)
+    w, u = particle1d._band_solve(bands, 6, particle1d._shift(model), True)
+    a = dense_band(bands)
+    ref = np.linalg.eigvalsh(a)[:6]
+    assert np.all(np.abs(w - ref) <= 1e-10 * np.maximum(np.abs(ref), 1.0))
+    assert np.abs(a @ u - u * w).max() <= 1e-9
+    assert np.abs(u.T @ u - np.eye(6)).max() <= 1e-12
+
+
+def test_shift_above_spectrum_raises():
+    # the shifted operator then has a negative eigenvalue and no Cholesky
+    # factor
+    model = harmonic_model(n_points=401, eigen_count=12)
+    bands = particle1d._fold(model, 1)
+    low = np.linalg.eigvalsh(dense_band(bands))[:2]
+    with pytest.raises(ShiftAboveSpectrumError, match="not below the spectrum"):
+        particle1d._band_solve(bands, 6, float(low.mean()), False)
+
+
+def test_fewer_levels_keep_the_shared_energies(double_well):
+    # full-model solves only the levels its models read
+    model, basis = double_well
+    fewer = solve_particle(replace(model, eigen_count=32))
+    assert fewer.m_levels == 32
+    assert np.abs(fewer.energies - basis.energies[:32]).max() <= 1e-11
+
+
 def test_even_point_table_keeps_mirror_parity(tmp_path):
     # 2000 points sit at +-dx/2 around x = 0; the refined grid (3999 points)
     # has x = 0 itself, so both fold shapes are solved
@@ -214,6 +258,9 @@ def test_mirror_model_solves_half_grids(monkeypatch):
 
     def record(A, k, **kwargs):
         calls.append((A.shape[0], k))
+        # the shifted operator's inverse comes from its banded Cholesky
+        # factor, not from eigsh's own sparse LU
+        assert kwargs["OPinv"] is not None
         return eigsh(A, k=k, **kwargs)
 
     monkeypatch.setattr(particle1d.spla, "eigsh", record)
