@@ -35,7 +35,6 @@ from .linalg import (
     LinalgError,
     NonHermitianError,
     NotUnitaryError,
-    OperatorMatrix,
     ParityBands,
     ParityBlocks,
     ParityError,
@@ -44,14 +43,12 @@ from .linalg import (
     block_parity_eigvalsh,
     conjugate,
     hermitian_eig,
-    kron,
     kron_sum,
-    matrix_function,
     parity_band_sum,
     parity_block_sum,
     unitary_exp,
 )
-from .qops import fock_ops, quadrature_eig, spin_ops
+from .qops import quadrature_eig
 from .rabi import (
     GaugeTheoremReport,
     RabiParams,
@@ -130,15 +127,15 @@ from .experiments import (
 __all__ = [
     "__version__",
     # linalg
-    "OperatorMatrix", "Spectrum", "hermitian_eig", "matrix_function",
-    "unitary_exp", "conjugate", "kron", "kron_sum", "parity_block_sum",
+    "Spectrum", "hermitian_eig", "unitary_exp", "conjugate", "kron_sum",
+    "parity_block_sum",
     "ParityBlocks", "block_parity_eigvalsh",
     "parity_band_sum", "ParityBands", "banded_parity_eigvalsh",
     "LinalgError", "NonHermitianError", "NotUnitaryError",
     "ConvergenceFailureError", "DimensionMismatchError",
     "DimensionOverflowError", "ParityError",
     # qops
-    "fock_ops", "spin_ops", "quadrature_eig",
+    "quadrature_eig",
     # rabi
     "RabiParams", "terms_H_D", "terms_H_C_standard", "terms_H_C_correct",
     "terms_H_C_taylor", "terms_H_alpha", "build_H_D", "build_H_C_standard",

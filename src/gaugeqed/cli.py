@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__, experiments, fluxonium, particle1d, rabi
-from .linalg import LinalgError, parity_band_sum, parity_block_sum
+from .linalg import LinalgError, check_dim, parity_band_sum, parity_block_sum
 
 ENV_OUTDIR = "GAUGEQED_OUTDIR"
 
@@ -350,6 +350,13 @@ def _policy(p: Dict[str, object]) -> experiments.ConvergencePolicy:
                                          tol=p["conv_tol"])
 
 
+def _check_positive(p: Dict[str, object], *keys: str) -> None:
+    """Raise ValueError unless each integer parameter of ``keys`` is >= 1."""
+    for key in keys:
+        if p[key] < 1:
+            raise ValueError(f"{key} must be >= 1, got {p[key]}")
+
+
 def _fail(msg: str) -> int:
     print(msg, file=sys.stderr)
     return 2
@@ -486,6 +493,7 @@ def _cmd_fluxonium(rc: RunConfig) -> int:
         e_c=p["e_c"], e_l=p["e_l"], e_j=p["e_j"], chi0=p["chi0"],
         omega_c=p["omega_c"], basis_size=p["basis_size"], cutoff=p["cutoff"],
         n_keep=p["n_keep"])
+    _check_positive(p, "levels")
     levels = p["levels"]
     if levels + 1 > params.n_keep:
         raise ValueError("levels must be < n_keep")
@@ -535,8 +543,7 @@ def _check_matter_levels(name: str, values, model: particle1d.ParticleModel) -> 
 
 def _cmd_particle_demo(rc: RunConfig) -> int:
     p = rc.params
-    if p["levels"] < 1:
-        raise ValueError(f"levels must be >= 1, got {p['levels']}")
+    _check_positive(p, "levels")
     model = _named_model(p)
     kernel_levels = p["kernel_levels"]
     if kernel_levels is None:
@@ -580,13 +587,18 @@ def _cmd_full_model(rc: RunConfig) -> int:
     _ascending("m_levels", p["m_levels"])
     model = _named_model(p)
     _check_matter_levels("m_levels", p["m_levels"], model)
+    _check_positive(p, "levels", "cutoff")
+    cutoff, levels, smallest = p["cutoff"], p["levels"], min(p["m_levels"])
+    # each model has m (cutoff + 1) states, known before the grid solve
+    if levels + 1 > smallest * (cutoff + 1):
+        raise ValueError(f"levels {levels} needs {levels + 1} eigenvalues, but m_levels "
+                         f"{smallest} at cutoff {cutoff} has {smallest * (cutoff + 1)}")
+    check_dim(max(p["m_levels"]) * (cutoff + 1))
     # the models read the lowest max(m_levels) levels, so the grid solve and
     # its refinement check cover exactly those
     basis = particle1d.solve_particle(
         replace(model, eigen_count=max(p["m_levels"])))
     print(basis.describe_solve())
-    cutoff = p["cutoff"]
-    levels = p["levels"]
     gaps = []
     print("m_levels  max_transition_gap")
     lines = [_UNITS_LINE, "m_levels,max_transition_gap"]

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import OperatorMatrix, kron_sum
+import numpy as np
+
+from .linalg import kron_sum
 from .rabi import RabiParams, _dipole_terms, _real_parts, terms_H_C_correct, terms_H_C_standard
 
 
@@ -48,12 +50,12 @@ class DickeParams(RabiParams):
         return self.n_dipoles
 
 
-def build_dicke_standard(p: DickeParams) -> OperatorMatrix:
+def build_dicke_standard(p: DickeParams) -> np.ndarray:
     """The dense matrix of ``rabi.terms_H_C_standard`` at N dipoles."""
     return kron_sum(terms_H_C_standard(p))
 
 
-def build_dicke_correct(p: DickeParams) -> OperatorMatrix:
+def build_dicke_correct(p: DickeParams) -> np.ndarray:
     """The dense matrix of ``rabi.terms_H_C_correct`` at N dipoles."""
     return kron_sum(terms_H_C_correct(p))
 

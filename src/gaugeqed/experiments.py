@@ -35,8 +35,8 @@ import numpy as np
 
 from . import dicke as dicke_mod
 from . import rabi as rabi_mod
-from .linalg import (OperatorMatrix, ParityBands, ParityBlocks, banded_parity_eigvalsh,
-                     block_parity_eigvalsh, hermitian_eig, parity_block_sum)
+from .linalg import (ParityBands, ParityBlocks, banded_parity_eigvalsh, block_parity_eigvalsh,
+                     hermitian_eig, parity_block_sum)
 
 OMEGA_C = 1.0  # all energies in units of the cavity frequency
 # factor by which the Fock cutoff grows between convergence checks
@@ -60,7 +60,7 @@ class ConvergencePolicy:
             raise ValueError("cutoff_cap below initial cutoff")
 
 
-def lowest_transitions(H: Union[OperatorMatrix, ParityBlocks, ParityBands],
+def lowest_transitions(H: Union[np.ndarray, ParityBlocks, ParityBands],
                        levels: int) -> np.ndarray:
     """E_n - E_0 for n = 1..levels, by the solver the holder's type selects.
 
@@ -88,7 +88,7 @@ def lowest_transitions(H: Union[OperatorMatrix, ParityBlocks, ParityBands],
     return w[1:levels + 1] - w[0]
 
 
-def converged_transitions(build: Callable[[int], Union[OperatorMatrix, ParityBlocks,
+def converged_transitions(build: Callable[[int], Union[np.ndarray, ParityBlocks,
                                                        ParityBands]],
                           levels: int, policy: ConvergencePolicy = ConvergencePolicy()):
     """Grow the Fock cutoff by GROWTH until the reported transitions

@@ -1,19 +1,18 @@
 """Dense and banded Hermitian linear algebra with explicit invariants.
 
-Full operators in the package are finite complex matrices wrapped in
-:class:`OperatorMatrix`, a frozen holder with no arithmetic of its own.
-Eigenproblems go through LAPACK (``numpy.linalg.eigh``) behind
-:func:`hermitian_eig`, which adds a deterministic eigenvector phase
-convention; it also takes the real symmetric arrays of the package (the
-field quadrature a + a^dag and the fluxonium qubit) and solves them in real
-arithmetic.  Matrix functions and unitaries are built from the spectral
-decomposition.
+Dense operators in the package are plain square arrays: complex128, or
+float64 where they are real.  Eigenproblems go through LAPACK
+(``numpy.linalg.eigh``) behind :func:`hermitian_eig`, which checks
+Hermiticity and adds a deterministic eigenvector phase convention; a real
+symmetric array (the field quadrature a + a^dag, the fluxonium qubit) is
+solved in real arithmetic.  :func:`unitary_exp` builds a unitary from the
+spectral decomposition, and :func:`conjugate` conjugates by it.
 
 Every Hamiltonian of the package is written once, as a list of
 (matter operator, field operator) terms for sum_t S_t (x) F_t, the matter
 index slowest.  Three writers take such a list.  :func:`kron_sum` writes the
-dense complex matrix one matter row block at a time and wraps it once with
-:func:`hermitian_operator`, which is where its Hermiticity is checked.
+dense complex matrix one matter row block at a time, checks its
+Hermiticity once and returns it read-only.
 :func:`parity_block_sum` writes the two real parity blocks instead, for
 models that commute with the parity sigma_z (-1)^{a^dag a} (Braak, PRL 107,
 100401, 2011), or with (-1)^i (-1)^{a^dag a} for the mirror-parity levels i
@@ -41,13 +40,15 @@ image of each entry, and the solver checks only finiteness.  Blocks and
 bands have no off-parity half, so parity holds by construction there.
 
 Everything is plain double precision, checked against tolerances that the
-tests enforce rather than assume.
+tests enforce rather than assume.  :class:`OperatorMatrix`,
+:func:`matrix_function` and :func:`kron`, at the end, are on no program
+path; they stay because the benchmark tracer hooks them by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -85,35 +86,6 @@ class ParityError(LinalgError):
     """An operator that does not split into real parity blocks."""
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Square complex matrix with an optional, verified Hermiticity tag.
-
-    ``hermitian_hint`` is set only by constructors that guarantee it; the
-    constructor re-checks the claim (max entry of M - M^dag within
-    ``HERMITICITY_RTOL`` of the largest entry) so a wrong tag fails fast.
-    The wrapped array is frozen to keep instances safe to share.
-    """
-
-    arr: np.ndarray
-    hermitian_hint: bool = False
-
-    def __post_init__(self):
-        arr = np.asarray(self.arr, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatchError(f"operator must be square, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise DimensionMismatchError("operator dimension must be >= 1")
-        if self.hermitian_hint:
-            _check_hermitian(arr, "hermitian_hint set but")
-        arr = arr.copy() if arr.flags.writeable else arr
-        arr.flags.writeable = False
-        object.__setattr__(self, "arr", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.arr.shape[0]
-
 # entries of M - M^dag formed at a time by the Hermiticity check: one block
 # up to dimension 724, and a scratch of 8 MB however large the matrix is
 _CHECK_BLOCK_ENTRIES = 1 << 19
@@ -133,16 +105,6 @@ def _check_hermitian(arr: np.ndarray, context: str) -> None:
     if dev > HERMITICITY_RTOL * scale:
         raise NonHermitianError(
             f"{context} max|M - M^dag| = {dev:.3e} (scale {scale:.3e})")
-
-
-def hermitian_operator(arr: np.ndarray) -> OperatorMatrix:
-    """Wrap a freshly assembled complex matrix as a Hermitian operator.
-
-    The constructor runs the Hermiticity check.  ``arr`` is frozen in place
-    rather than copied, so the caller must not hold on to it for writing.
-    """
-    arr.flags.writeable = False
-    return OperatorMatrix(arr, hermitian_hint=True)
 
 
 def check_dim(dim: int) -> None:
@@ -166,8 +128,8 @@ class Spectrum:
         return w[1:stop] - w[0]
 
 
-def hermitian_eig(M: Union[OperatorMatrix, np.ndarray], vectors: bool = True) -> Spectrum:
-    """Full eigendecomposition of a Hermitian operator, or of a real
+def hermitian_eig(arr: np.ndarray, vectors: bool = True) -> Spectrum:
+    """Full eigendecomposition of a Hermitian complex128 array, or of a real
     symmetric float64 array, which is solved in real arithmetic.
 
     Eigenvalues ascend.  Each eigenvector is phase-fixed so its
@@ -175,21 +137,16 @@ def hermitian_eig(M: Union[OperatorMatrix, np.ndarray], vectors: bool = True) ->
     lowest index), which makes repeated runs byte-reproducible; the phase of
     a real eigenvector is its sign, so it stays real.
 
-    Raises NonHermitianError if the matrix fails the Hermiticity check (an
-    array is always checked, an operator unless its hint is set),
-    DimensionMismatchError for an array that is not square float64, and
-    ConvergenceFailureError if LAPACK does not converge.
+    Raises DimensionMismatchError for an array that is not a square float64
+    or complex128 matrix of dimension >= 1, NonHermitianError if it fails
+    the Hermiticity check, and ConvergenceFailureError if LAPACK does not
+    converge.
     """
-    if isinstance(M, OperatorMatrix):
-        arr = M.arr
-        if not M.hermitian_hint:
-            _check_hermitian(arr, "matrix is not Hermitian:")
-    else:
-        arr = M
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.dtype != np.float64:
-            raise DimensionMismatchError(
-                f"an array must be a square float64 matrix, got shape {arr.shape} {arr.dtype}")
-        _check_hermitian(arr, "matrix is not symmetric:")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1 \
+            or arr.dtype not in (np.float64, np.complex128):
+        raise DimensionMismatchError(f"an array must be a square float64 or complex128 "
+                                     f"matrix, got shape {arr.shape} {arr.dtype}")
+    _check_hermitian(arr, "matrix is not Hermitian:")
     try:
         if vectors:
             w, v = np.linalg.eigh(arr)
@@ -270,9 +227,10 @@ def _term_dims(terms) -> Tuple[int, int]:
     return matter, field
 
 
-def kron_sum(terms) -> OperatorMatrix:
-    """The Hermitian operator sum_t S_t (x) F_t of the (S, F) terms, the
-    first factor on the slow axis, summed in the order of the terms.
+def kron_sum(terms) -> np.ndarray:
+    """The Hermitian matrix sum_t S_t (x) F_t of the (S, F) terms, complex
+    and read-only, the first factor on the slow axis, summed in the order of
+    the terms.
 
     The matrix is formed one matter row block at a time, so beyond the
     result only a 1/matter-size scratch block is live, and every entry is
@@ -290,7 +248,9 @@ def kron_sum(terms) -> OperatorMatrix:
                 row[...] = K
             else:
                 row += K
-    return hermitian_operator(H)
+    _check_hermitian(H, "the term sum is not Hermitian:")
+    H.flags.writeable = False
+    return H
 
 
 def _parity_maxima(op: np.ndarray) -> Tuple[float, float]:
@@ -489,46 +449,72 @@ def banded_parity_eigvalsh(bands: ParityBands, count: int) -> np.ndarray:
     return w
 
 
-def matrix_function(M: OperatorMatrix, f: Callable[[np.ndarray], np.ndarray]) -> OperatorMatrix:
-    """f(M) for Hermitian M via the spectral decomposition.
-
-    ``f`` must accept a float array of eigenvalues.  When f is real-valued on
-    the spectrum the result is re-symmetrised and tagged Hermitian.
-    """
-    spec = hermitian_eig(M)
-    fw = np.asarray(f(spec.eigenvalues))
-    v = spec.eigenvectors
-    out = (v * fw) @ v.conj().T
-    if np.isrealobj(fw) or np.abs(fw.imag).max() == 0.0:
-        return hermitian_operator((out + out.conj().T) / 2.0)
-    return OperatorMatrix(out, hermitian_hint=False)
-
-
-def unitary_exp(A: OperatorMatrix, theta: float) -> OperatorMatrix:
+def unitary_exp(A: np.ndarray, theta: float) -> np.ndarray:
     """exp(i * theta * A) for Hermitian A; exactly unitary up to roundoff."""
     spec = hermitian_eig(A)
     v = spec.eigenvectors
     phases = np.exp(1j * theta * spec.eigenvalues)
-    return OperatorMatrix((v * phases) @ v.conj().T, hermitian_hint=False)
+    return (v * phases) @ v.conj().T
 
 
-def conjugate(U: OperatorMatrix, H: OperatorMatrix) -> OperatorMatrix:
-    """U H U^dag after verifying that U is unitary to UNITARITY_ATOL."""
-    if U.dim != H.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {U.dim} vs {H.dim}")
-    gram = U.arr.conj().T @ U.arr
-    dev = float(np.abs(gram - np.eye(U.dim)).max())
+def conjugate(U: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """U H U^dag, symmetrised, after checking that U and H are square of one
+    shape (DimensionMismatchError), U unitary to UNITARITY_ATOL
+    (NotUnitaryError) and H Hermitian (NonHermitianError)."""
+    if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape != H.shape:
+        raise DimensionMismatchError(f"dimension mismatch: U {U.shape}, H {H.shape}")
+    gram = U.conj().T @ U
+    dev = float(np.abs(gram - np.eye(U.shape[0])).max())
     if dev > UNITARITY_ATOL:
         raise NotUnitaryError(f"max|U^dag U - 1| = {dev:.3e} exceeds {UNITARITY_ATOL:.1e}")
-    out = U.arr @ H.arr @ U.arr.conj().T
-    if H.hermitian_hint:
-        return hermitian_operator((out + out.conj().T) / 2.0)
-    return OperatorMatrix(out, hermitian_hint=False)
+    _check_hermitian(H, "matrix is not Hermitian:")
+    out = U @ H @ U.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+@dataclass(frozen=True)
+class OperatorMatrix:
+    """Square complex matrix, frozen, with a Hermiticity tag that
+    ``__post_init__`` (which the tracer hooks) re-checks."""
+
+    arr: np.ndarray
+    hermitian_hint: bool = False
+
+    def __post_init__(self):
+        arr = np.asarray(self.arr, dtype=complex)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise DimensionMismatchError(f"operator must be square, got shape {arr.shape}")
+        if arr.shape[0] < 1:
+            raise DimensionMismatchError("operator dimension must be >= 1")
+        if self.hermitian_hint:
+            _check_hermitian(arr, "hermitian_hint set but")
+        arr = arr.copy() if arr.flags.writeable else arr
+        arr.flags.writeable = False
+        object.__setattr__(self, "arr", arr)
+
+    @property
+    def dim(self) -> int:
+        return self.arr.shape[0]
+
+
+def matrix_function(M: OperatorMatrix, f: Callable[[np.ndarray], np.ndarray]) -> OperatorMatrix:
+    """f(M) for Hermitian M via the spectral decomposition; the tracer hooks it.
+
+    ``f`` must accept a float array of eigenvalues.  When f is real-valued on
+    the spectrum the result is re-symmetrised and tagged Hermitian.
+    """
+    spec = hermitian_eig(M.arr)
+    fw = np.asarray(f(spec.eigenvalues))
+    v = spec.eigenvectors
+    out = (v * fw) @ v.conj().T
+    if np.isrealobj(fw) or np.abs(fw.imag).max() == 0.0:
+        return OperatorMatrix((out + out.conj().T) / 2.0, hermitian_hint=True)
+    return OperatorMatrix(out)
 
 
 def kron(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     """Kronecker product A (x) B, after ``check_dim``; the first factor
-    indexes the slow axis."""
+    indexes the slow axis.  Hooked by the tracer."""
     check_dim(A.dim * B.dim)
     return OperatorMatrix(np.kron(A.arr, B.arr),
                           hermitian_hint=A.hermitian_hint and B.hermitian_hint)

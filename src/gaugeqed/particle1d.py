@@ -49,7 +49,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .linalg import OperatorMatrix, check_dim, kron_sum
+from .linalg import check_dim, kron_sum
 from .qops import _real_fock_arrays
 
 BOUNDARY_AMPLITUDE_MAX = 1e-8
@@ -640,13 +640,13 @@ def terms_full_H_C(model: ParticleModel, basis: MatterBasis, cutoff: int, A0: fl
 
 
 def build_full_H_D(model: ParticleModel, basis: MatterBasis, cutoff: int,
-                   A0: float, m_used: int) -> OperatorMatrix:
+                   A0: float, m_used: int) -> np.ndarray:
     """The dense matrix of ``terms_full_H_D``."""
     return kron_sum(terms_full_H_D(model, basis, cutoff, A0, m_used))
 
 
 def build_full_H_C(model: ParticleModel, basis: MatterBasis, cutoff: int,
-                   A0: float, m_used: int) -> OperatorMatrix:
+                   A0: float, m_used: int) -> np.ndarray:
     """The dense matrix of ``terms_full_H_C``."""
     return kron_sum(terms_full_H_C(model, basis, cutoff, A0, m_used))
 

@@ -2,9 +2,10 @@
 
 The builders take the real Fock arrays of ``_real_fock_arrays`` (n,
 a + a^dag and a^dag - a) and the complex spin arrays of ``_spin_arrays`` as
-the factors of their (matter, field) terms; :func:`fock_ops` and
-:func:`spin_ops` return the complex ``_fock_arrays`` and the spin arrays
-wrapped as ``OperatorMatrix``.  A cutoff is a plain ``int`` everywhere.
+the factors of their (matter, field) terms.  :func:`fock_ops` and
+:func:`spin_ops` (types ``FockOps``, ``SpinOps``) wrap the complex arrays as
+``OperatorMatrix`` only for the benchmark tracer, which hooks them by name.
+A cutoff is a plain ``int`` everywhere.
 
 Basis conventions (used everywhere in the package):
 
@@ -87,7 +88,7 @@ def _real_fock_arrays(cutoff: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def fock_ops(cutoff: int) -> FockOps:
-    """Annihilation, creation and number operators on dimension cutoff + 1."""
+    """a, a^dag and n on dimension cutoff + 1; the tracer hooks it."""
     a, adag, n = _fock_arrays(cutoff)
     return FockOps(a=OperatorMatrix(a), adag=OperatorMatrix(adag),
                    n=OperatorMatrix(n, hermitian_hint=True))
@@ -189,5 +190,5 @@ def _spin_arrays(two_j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def spin_ops(two_j: int) -> SpinOps:
-    """Collective spin operators J_x, J_y, J_z, ascending-m basis."""
+    """J_x, J_y, J_z, ascending-m basis; the tracer hooks it."""
     return SpinOps(*(OperatorMatrix(op, hermitian_hint=True) for op in _spin_arrays(two_j)))

@@ -25,7 +25,8 @@ A caller picks the writer where it picks the solve:
 ``linalg.parity_block_sum(terms)`` the two real parity blocks
 (``linalg.ParityBlocks``) the sweeps and studies solve.  ``build_H_D``,
 ``build_H_C_standard``, ``build_H_C_correct`` and ``build_H_C_taylor`` are
-that dense writer on the first four lists.
+that dense writer on the first four lists (read-only complex arrays);
+``check_gauge_theorem`` calls two, and the benchmark tracer hooks all four.
 
 The core works on matter (x) field with a collective spin j = two_j / 2 and
 the field quadrature X = a + a^dag.  Its pieces are the bare terms
@@ -69,8 +70,7 @@ import numpy as np
 
 # hermitian_eig is not called here; it stays importable as rabi.hermitian_eig,
 # which the benchmark tracer's tests rebind and restore
-from .linalg import (OperatorMatrix, ParityBands, check_dim, conjugate, hermitian_eig,
-                     hermitian_operator, kron_sum, unitary_exp)
+from .linalg import ParityBands, check_dim, conjugate, hermitian_eig, kron_sum, unitary_exp
 from .qops import _real_fock_arrays, _spin_arrays, quadrature_values, real_quadrature_functions
 
 # the omitted Maclaurin tail is summed until a term falls below this
@@ -140,16 +140,16 @@ def _real_parts(two_j: int, cutoff: int) -> _RealParts:
                       np.eye(two_j + 1, dtype=complex))
 
 
-def _rotation(s: _RealParts, phi: float) -> OperatorMatrix:
+def _rotation(s: _RealParts, phi: float) -> np.ndarray:
     """The reference conjugation U = exp(i phi J_x (x) X), X = a + a^dag."""
-    return unitary_exp(OperatorMatrix(np.kron(s.jx, s.X)), phi)
+    return unitary_exp(np.kron(s.jx, s.X), phi)
 
 
 def _conjugated(s: _RealParts, omega_c: float, omega_10: float, phi: float) -> np.ndarray:
     """U (omega_10 J_z (x) 1) U^dag + omega_c 1 (x) n, with U = exp(i phi J_x (x) X);
     equal to the rotated splitting at cos(phi X), sin(phi X) up to roundoff."""
-    H0 = hermitian_operator(omega_10 * np.kron(s.jz, s.eye_field))
-    return conjugate(_rotation(s, phi), H0).arr + omega_c * np.kron(s.eye_spin, s.n)
+    H0 = omega_10 * np.kron(s.jz, s.eye_field)
+    return conjugate(_rotation(s, phi), H0) + omega_c * np.kron(s.eye_spin, s.n)
 
 
 def _bare_terms(s: _RealParts, omega_c: float, omega_10: float) -> list:
@@ -230,17 +230,17 @@ def terms_H_C_correct(p: RabiParams) -> list:
     return _rotated_terms(s, 1.0, p.omega_10, *_real_cos_sin(p.cutoff, 2.0 * p.eta))
 
 
-def build_H_D(p: RabiParams) -> OperatorMatrix:
+def build_H_D(p: RabiParams) -> np.ndarray:
     """The dense matrix of ``terms_H_D``."""
     return kron_sum(terms_H_D(p))
 
 
-def build_H_C_standard(p: RabiParams) -> OperatorMatrix:
+def build_H_C_standard(p: RabiParams) -> np.ndarray:
     """The dense matrix of ``terms_H_C_standard``."""
     return kron_sum(terms_H_C_standard(p))
 
 
-def build_H_C_correct(p: RabiParams) -> OperatorMatrix:
+def build_H_C_correct(p: RabiParams) -> np.ndarray:
     """The dense matrix of ``terms_H_C_correct``."""
     return kron_sum(terms_H_C_correct(p))
 
@@ -370,7 +370,7 @@ def taylor_is_exact(p: RabiParams, order: int) -> bool:
     return np.array_equal(cos, np.cos(x)) and np.array_equal(sin, np.sin(x))
 
 
-def build_H_C_taylor(p: RabiParams, order: int) -> OperatorMatrix:
+def build_H_C_taylor(p: RabiParams, order: int) -> np.ndarray:
     """The dense matrix of ``terms_H_C_taylor``."""
     return kron_sum(terms_H_C_taylor(p, order))
 
@@ -432,10 +432,9 @@ def check_gauge_theorem(p: RabiParams, interior_fraction: float = 0.8,
         raise ValueError(f"tol must be > 0, got {tol:g}")
     s = _real_parts(1, p.cutoff)
     U = _rotation(s, 2.0 * p.eta)
-    hd = hermitian_operator(build_H_D(p).arr
-                            + p.eta ** 2 * np.eye(p.dim, dtype=complex))
+    hd = build_H_D(p) + p.eta ** 2 * np.eye(p.dim, dtype=complex)
     hc = build_H_C_correct(p)
-    dev = conjugate(U, hd).arr - hc.arr
+    dev = conjugate(U, hd) - hc
     nf = p.cutoff + 1
     keep = int(np.floor(interior_fraction * nf))
     mask = np.zeros(2 * nf, dtype=bool)
@@ -443,7 +442,7 @@ def check_gauge_theorem(p: RabiParams, interior_fraction: float = 0.8,
     mask[nf:nf + keep] = True
     max_interior = float(np.abs(dev[np.ix_(mask, mask)]).max())
     max_full = float(np.abs(dev).max())
-    scale = float(np.abs(hc.arr).max())
+    scale = float(np.abs(hc).max())
     return GaugeTheoremReport(eta=p.eta, cutoff=p.cutoff,
                               interior_fraction=interior_fraction,
                               max_dev_interior=max_interior, max_dev_full=max_full,

@@ -1,10 +1,9 @@
 """Shared fixtures; the expensive 1d solves are session-scoped."""
 
 # gaugeqed before numpy: its import sets the BLAS thread count numpy loads with
-from gaugeqed import (FluxoniumParams, OperatorMatrix, double_well_model, fluxonium,
-                      harmonic_model, lowest_transitions, parity_band_sum, rabi,
-                      solve_particle, terms_full_H_C, terms_full_H_D)
-from gaugeqed.linalg import hermitian_operator
+from gaugeqed import (FluxoniumParams, double_well_model, fluxonium, harmonic_model,
+                      lowest_transitions, parity_band_sum, rabi, solve_particle,
+                      terms_full_H_C, terms_full_H_D)
 
 import numpy as np
 import pytest
@@ -27,8 +26,8 @@ SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)
 
 
 def pauli():
-    """sigma_x, sigma_y, sigma_z as Hermitian-tagged operators."""
-    return tuple(OperatorMatrix(s, hermitian_hint=True) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    """sigma_x, sigma_y, sigma_z as fresh complex arrays."""
+    return tuple(s.copy() for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
 
 
 def phased_blocks(H, matter, field_dim):
@@ -37,7 +36,7 @@ def phased_blocks(H, matter, field_dim):
     matter index m slowest and Fock levels n = (m + c) mod 2, +2, ... next
     to it, as ``linalg.parity_block_sum`` writes them; returns (real blocks,
     max|Im| of the phased blocks)."""
-    h4 = H.arr.reshape(matter, field_dim, matter, field_dim)
+    h4 = H.reshape(matter, field_dim, matter, field_dim)
     blocks, imag = [], 0.0
     for c in (0, 1):
         block = np.block([[h4[m, (m + c) % 2::2, m2, (m2 + c) % 2::2] * 1j ** ((m2 - m) % 4)
@@ -59,11 +58,8 @@ def conjugated(p, basis=None):
     """
     if isinstance(p, FluxoniumParams):
         s = rabi._real_parts(1, p.cutoff)
-        arr = rabi._conjugated(s, p.omega_c, basis.omega_10, -fluxonium._two_theta(p, basis))
-    else:
-        arr = rabi._conjugated(rabi._real_parts(p.two_j, p.cutoff), 1.0, p.omega_10,
-                               2.0 * p.eta)
-    return hermitian_operator(arr)
+        return rabi._conjugated(s, p.omega_c, basis.omega_10, -fluxonium._two_theta(p, basis))
+    return rabi._conjugated(rabi._real_parts(p.two_j, p.cutoff), 1.0, p.omega_10, 2.0 * p.eta)
 
 
 def random_hermitian(dim, seed, scale=1.0):

@@ -144,11 +144,11 @@ def test_06_dicke_consistency():
     # the argument-doubling closed form; the printed factor-4 variant of
     # the same formula does not, and the conjugation form is authoritative
     pn = DickeParams(n_dipoles=3, eta=0.3, cutoff=60)
-    conj = conjugated(pn).arr
+    conj = conjugated(pn)
     scale = float(np.abs(conj).max())
-    dev2 = float(np.abs(conj - build_dicke_correct(pn).arr).max())
+    dev2 = float(np.abs(conj - build_dicke_correct(pn)).max())
     four = closed_form_at(pn, 4)
-    dev4 = float(np.abs(conj - four.arr).max()) / scale
+    dev4 = float(np.abs(conj - four).max()) / scale
     t4 = float(np.abs(lowest_transitions(four, 6)
                       - lowest_transitions(kron_sum(terms_dicke_dipole(pn)), 6)).max())
     ok = spectral <= 1e-10 and dev2 <= 1e-9 * scale and dev4 > 1e-3
@@ -182,8 +182,8 @@ def test_08_trk_sum_rule(harmonic, double_well):
 def test_09_fluxonium():
     p = FluxoniumParams(e_c=1.0, e_l=0.9, e_j=3.0, chi0=0.2, cutoff=120)
     basis = solve_fluxonium(p)
-    conj = conjugated(p, basis).arr
-    closed = kron_sum(terms_flux_charge_correct(p, basis)).arr
+    conj = conjugated(p, basis)
+    closed = kron_sum(terms_flux_charge_correct(p, basis))
     nf = p.cutoff + 1
     keep = np.r_[0:int(0.8 * nf)]
     idx = np.concatenate([keep, nf + keep])

@@ -613,6 +613,11 @@ EARLY_BAD_INPUT = [
     (["full-model", "--m-levels", "1,4"], "m_levels 1 is below 2"),
     (["particle-demo", "--kernel-levels", "2,64"], "kernel level 64 exceeds solved levels 32"),
     (["particle-demo", "--kernel-levels", "1,8"], "kernel level 1 is below 2"),
+    (["full-model", "--levels", "0"], "levels must be >= 1, got 0"),
+    (["full-model", "--cutoff", "0"], "cutoff must be >= 1, got 0"),
+    (["full-model", "--levels", "2000"],
+     "levels 2000 needs 2001 eigenvalues, but m_levels 2 at cutoff 48 has 98"),
+    (["fluxonium", "--levels", "0"], "levels must be >= 1, got 0"),
 ]
 
 
@@ -627,7 +632,7 @@ def test_bad_output_or_levels_fail_before_the_solve(tmp_path, capsys, monkeypatc
         raise AssertionError("solved before the arguments were checked")
 
     for module, name in ((particle1d, "solve_particle"), (cli.rabi, "check_gauge_theorem"),
-                         (experiments, "run_sweep")):
+                         (experiments, "run_sweep"), (cli.fluxonium, "solve_fluxonium")):
         monkeypatch.setattr(module, name, solve)
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -641,6 +646,20 @@ def test_bad_output_or_levels_fail_before_the_solve(tmp_path, capsys, monkeypatc
     assert len(err) == 1 and err[0].startswith("error: ") and fragment in err[0], err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_full_model_dimension_cap_exit_2_before_the_solve(tmp_path, capsys, monkeypatch):
+    """The largest model's dimension is known from the arguments, so a
+    cutoff past the cap fails before the grid solve: exit 2, no table."""
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the dimension was checked")
+
+    monkeypatch.setattr(particle1d, "solve_particle", solve)
+    out = tmp_path / "out"
+    assert main(["full-model", "--cutoff", "200", "--outdir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "DimensionOverflowError: product dimension 6432 exceeds cap 4096" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_rabi_sweep_stays_below_eta_max(tmp_path):

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and only the
+modules the benchmark tracer hooks name ``OperatorMatrix``.
 
 No linter is part of the test dependencies, so this parses each module of
 ``src/gaugeqed`` except ``__init__.py`` (whose imports are its exports) with
@@ -45,3 +46,22 @@ def test_module_uses_every_import(module):
     unused = [(line, name) for line, name in unused_imports((SRC / module).read_text())
               if (module, name) not in KEPT]
     assert unused == [], f"{module}: imported but never used: {unused}"
+
+
+def names_operator_matrix(source: str) -> bool:
+    """True when ``source`` defines, imports or reads the name OperatorMatrix."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "OperatorMatrix" \
+                or isinstance(node, (ast.alias, ast.ClassDef)) and node.name == "OperatorMatrix":
+            return True
+    return False
+
+
+def test_operator_matrix_is_named_only_where_the_tracer_hooks_it():
+    """No program path builds or takes an OperatorMatrix: of the package's
+    modules only linalg (the class, matrix_function, kron) and qops
+    (fock_ops, spin_ops) name it, for the benchmark tracer's hooks."""
+    assert names_operator_matrix("from .linalg import OperatorMatrix\n")
+    assert not names_operator_matrix('"""OperatorMatrix in a docstring"""\n')
+    naming = sorted(p.name for p in SRC.glob("*.py") if names_operator_matrix(p.read_text()))
+    assert naming == ["linalg.py", "qops.py"]

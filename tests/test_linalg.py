@@ -1,4 +1,5 @@
-"""Eigensolver, matrix functions, unitaries, kron: invariants and oracles."""
+"""Eigensolver, unitaries, conjugation and the dense writer on plain arrays,
+and the tracer-only OperatorMatrix layer: invariants and oracles."""
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from gaugeqed import (
     LinalgError,
     NonHermitianError,
     NotUnitaryError,
-    OperatorMatrix,
     ParityBands,
     ParityBlocks,
     ParityError,
@@ -26,11 +26,8 @@ from gaugeqed import (
     banded_parity_eigvalsh,
     block_parity_eigvalsh,
     conjugate,
-    fock_ops,
     hermitian_eig,
-    kron,
     kron_sum,
-    matrix_function,
     model_from_table,
     parity_band_sum,
     parity_block_sum,
@@ -46,15 +43,13 @@ from gaugeqed import (
     terms_H_D,
     unitary_exp,
 )
+from gaugeqed.linalg import OperatorMatrix, kron, matrix_function
+from gaugeqed.qops import _real_fock_arrays, _real_ladder
 
 
-def X_op(cutoff):
-    a, adag, _ = fock_ops(cutoff)
-    return OperatorMatrix(a.arr + adag.arr)
-
-
-def eye(dim, scale=1.0):
-    return OperatorMatrix(scale * np.eye(dim), hermitian_hint=True)
+def X_arr(cutoff):
+    """The field quadrature a + a^dag, real."""
+    return _real_fock_arrays(cutoff)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +57,7 @@ def eye(dim, scale=1.0):
 # ---------------------------------------------------------------------------
 
 def test_eig_identity():
-    w = hermitian_eig(eye(3), vectors=False).eigenvalues
+    w = hermitian_eig(np.eye(3), vectors=False).eigenvalues
     assert np.allclose(w, [1.0, 1.0, 1.0], atol=1e-15)
 
 
@@ -74,7 +69,7 @@ def test_eig_pauli_z():
 
 def test_eig_against_jacobi_oracle():
     H = random_hermitian(50, seed=7)
-    w = hermitian_eig(OperatorMatrix(H, hermitian_hint=True), vectors=False).eigenvalues
+    w = hermitian_eig(H, vectors=False).eigenvalues
     w_ref = oracles.jacobi_eigvals(H)
     assert np.abs(w - w_ref).max() <= 1e-9
 
@@ -82,30 +77,31 @@ def test_eig_against_jacobi_oracle():
 def _check_spectrum(H):
     spec = hermitian_eig(H)
     w, v = spec.eigenvalues, spec.eigenvectors
-    fro = np.linalg.norm(H.arr)
-    residual = np.abs(H.arr @ v - v * w).max()
+    dim = H.shape[0]
+    fro = np.linalg.norm(H)
+    residual = np.abs(H @ v - v * w).max()
     assert residual <= 1e-10 * max(fro, 1.0)
     gram = v.conj().T @ v
-    assert np.abs(gram - np.eye(H.dim)).max() <= 1e-10
+    assert np.abs(gram - np.eye(dim)).max() <= 1e-10
     assert np.all(np.diff(w) >= 0.0)
     # phase convention: the dominant component of each column is real positive
     idx = np.argmax(np.abs(v), axis=0)
-    lead = v[idx, np.arange(H.dim)]
+    lead = v[idx, np.arange(dim)]
     assert np.abs(lead.imag).max() <= 1e-13 * max(np.abs(lead).min(), 1e-300)
     assert np.all(lead.real > 0)
 
 
 def test_spectrum_invariants_dim_600():
-    _check_spectrum(OperatorMatrix(random_hermitian(600, seed=11), hermitian_hint=True))
+    _check_spectrum(random_hermitian(600, seed=11))
 
 
 @given(dim=st.integers(2, 120), seed=st.integers(0, 2 ** 31))
 def test_spectrum_invariants_random(dim, seed):
-    _check_spectrum(OperatorMatrix(random_hermitian(dim, seed), hermitian_hint=True))
+    _check_spectrum(random_hermitian(dim, seed))
 
 
 def test_eig_deterministic_vectors():
-    H = OperatorMatrix(random_hermitian(40, seed=3), hermitian_hint=True)
+    H = random_hermitian(40, seed=3)
     v1 = hermitian_eig(H).eigenvectors
     v2 = hermitian_eig(H).eigenvectors
     assert np.array_equal(v1, v2)
@@ -119,7 +115,7 @@ def test_eig_of_a_real_array_stays_real():
     spec = hermitian_eig(A)
     # the symmetry check leaves its input alone
     assert np.array_equal(A, random_hermitian(30, seed=9).real)
-    ref = hermitian_eig(OperatorMatrix(A, hermitian_hint=True))
+    ref = hermitian_eig(A.astype(complex))
     v = spec.eigenvectors
     assert v.dtype == np.float64 and not v.flags.writeable
     assert np.all(v[np.abs(v).argmax(axis=0), np.arange(30)] > 0)
@@ -127,72 +123,173 @@ def test_eig_of_a_real_array_stays_real():
     assert np.abs(v - ref.eigenvectors).max() <= 1e-10
     assert np.array_equal(hermitian_eig(A, vectors=False).eigenvalues,
                           np.linalg.eigvalsh(A))
-    for bad in (A.astype(complex), A[:, :29]):
+
+
+def test_eig_takes_square_float64_or_complex128_arrays():
+    """The one input contract: a square float64 or complex128 array of
+    dimension >= 1, always checked for Hermiticity."""
+    H = random_hermitian(12, seed=4)
+    for arr in (H, H.real):
+        assert hermitian_eig(arr).eigenvectors.dtype == arr.dtype
+        assert np.array_equal(hermitian_eig(arr, vectors=False).eigenvalues,
+                              np.linalg.eigvalsh(arr))
+    for bad in (H.real.astype(np.float32), H.astype(np.complex64), H[:, :11],
+                H[0], np.zeros((0, 0))):
         with pytest.raises(DimensionMismatchError):
             hermitian_eig(bad)
-    bad = A.copy()
-    bad[3, 1] += 1e-6
-    with pytest.raises(NonHermitianError):
-        hermitian_eig(bad)
+    for skew in (H.copy(), H.real.copy()):
+        skew[3, 1] += 1e-6
+        with pytest.raises(NonHermitianError, match="matrix is not Hermitian"):
+            hermitian_eig(skew)
 
 
 def test_transitions():
-    _, _, n = fock_ops(5)
-    spec = hermitian_eig(OperatorMatrix(2.0 * n.arr, hermitian_hint=True), vectors=False)
+    n = _real_fock_arrays(5)[0]
+    spec = hermitian_eig(2.0 * n, vectors=False)
     assert np.allclose(spec.transitions(3), [2.0, 4.0, 6.0], atol=1e-14)
     assert spec.transitions().size == 5
 
 
 def test_nonhermitian_rejected():
-    a, _, _ = fock_ops(4)
+    a = _real_ladder(4)
+    for arr in (a, a.astype(complex)):
+        with pytest.raises(NonHermitianError):
+            hermitian_eig(arr)
     with pytest.raises(NonHermitianError):
-        hermitian_eig(a)
-    with pytest.raises(NonHermitianError):
-        OperatorMatrix(a.arr, hermitian_hint=True)
+        OperatorMatrix(a, hermitian_hint=True)
 
 
 def test_hermiticity_checked_in_every_row_block():
     # dimension 1500 is checked in five row blocks; a defect in the last one
     # and one straddling two blocks must both be found
     H = random_hermitian(1500, 7)
-    assert OperatorMatrix(H, hermitian_hint=True).dim == 1500
+    one = np.ones((1, 1))
+    assert np.array_equal(kron_sum([(one, H)]), H)
     for i, j in ((1499, 1450), (348, 350)):
         bad = H.copy()
         bad[i, j] += 1e-6
         with pytest.raises(NonHermitianError):
-            OperatorMatrix(bad, hermitian_hint=True)
+            kron_sum([(one, bad)])
 
 
 def test_nonsquare_rejected():
+    with pytest.raises(DimensionMismatchError):
+        hermitian_eig(np.zeros((2, 3)))
     with pytest.raises(DimensionMismatchError):
         OperatorMatrix(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
-# matrix_function
+# unitary_exp / conjugate
 # ---------------------------------------------------------------------------
 
+def test_unitary_exp_theta_zero():
+    X = X_arr(10)
+    U = unitary_exp(X, 0.0)
+    assert np.abs(U - np.eye(11)).max() <= 1e-13
+
+
+def test_unitary_exp_pauli_x():
+    sx, _, _ = pauli()
+    U = unitary_exp(sx, np.pi / 2)
+    # exp(i pi sigma_x / 2) = i sigma_x
+    assert np.abs(U - 1j * sx).max() <= 1e-14
+
+
+def test_unitary_exp_is_unitary():
+    U = unitary_exp(X_arr(40), 0.7)
+    gram = U.conj().T @ U
+    assert np.abs(gram - np.eye(41)).max() <= 1e-12
+
+
+def test_unitary_exp_against_taylor_oracle():
+    X = X_arr(40)
+    U = unitary_exp(X, 0.3)
+    U_ref = oracles.expm_taylor_scaled(1j * 0.3 * X)
+    assert np.abs(U - U_ref).max() <= 1e-9
+
+
+def test_conjugate_by_identity():
+    H = random_hermitian(12, seed=2)
+    out = conjugate(np.eye(12), H)
+    assert np.abs(out - H).max() <= 1e-14
+    # the result is symmetrised: Hermitian bit for bit
+    assert np.array_equal(out, out.conj().T)
+
+
+def test_conjugate_spin_flip():
+    sx, _, sz = pauli()
+    U = unitary_exp(sx, np.pi / 2)
+    out = conjugate(U, sz)
+    assert np.abs(out + sz).max() <= 1e-14
+
+
+def test_conjugate_preserves_spectrum():
+    H = random_hermitian(30, seed=9)
+    U = unitary_exp(random_hermitian(30, seed=10), 0.8)
+    w0 = hermitian_eig(H, vectors=False).eigenvalues
+    w1 = hermitian_eig(conjugate(U, H), vectors=False).eigenvalues
+    assert np.abs(w0 - w1).max() <= 1e-9
+
+
+def test_conjugate_rejects_nonunitary():
+    H = random_hermitian(6, seed=1)
+    with pytest.raises(NotUnitaryError):
+        conjugate(2.0 * np.eye(6), H)
+
+
+def test_conjugate_rejects_nonhermitian():
+    U = unitary_exp(random_hermitian(6, seed=2), 0.4)
+    for H in (_real_ladder(5), _real_ladder(5).astype(complex)):
+        with pytest.raises(NonHermitianError, match="matrix is not Hermitian"):
+            conjugate(U, H)
+
+
+@given(dim=st.integers(2, 50), seed=st.integers(0, 2 ** 31),
+       theta=st.floats(-2.0, 2.0))
+@settings(max_examples=15)
+def test_conjugate_preserves_spectrum_random(dim, seed, theta):
+    H = random_hermitian(dim, seed)
+    U = unitary_exp(random_hermitian(dim, seed + 1), theta)
+    w0 = hermitian_eig(H, vectors=False).eigenvalues
+    w1 = hermitian_eig(conjugate(U, H), vectors=False).eigenvalues
+    assert np.abs(w0 - w1).max() <= 1e-9 * max(np.abs(w0).max(), 1.0)
+
+
+def test_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError, match=r"dimension mismatch: U \(2, 2\), H \(3, 3\)"):
+        conjugate(pauli()[0], np.eye(3))
+    with pytest.raises(DimensionMismatchError):
+        conjugate(np.ones((2, 3)), np.ones((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the tracer-only layer: OperatorMatrix, matrix_function and kron
+# ---------------------------------------------------------------------------
+
+def op(arr, hermitian=True):
+    return OperatorMatrix(arr, hermitian_hint=hermitian)
+
+
 def test_matrix_function_identity_map():
-    H = OperatorMatrix(random_hermitian(30, seed=5), hermitian_hint=True)
+    H = op(random_hermitian(30, seed=5))
     out = matrix_function(H, lambda w: w)
     assert np.abs(out.arr - H.arr).max() <= 1e-12 * np.abs(H.arr).max()
     assert out.hermitian_hint
 
 
 def test_matrix_function_cos_of_zero():
-    Z = OperatorMatrix(np.zeros((4, 4)), hermitian_hint=True)
-    out = matrix_function(Z, np.cos)
+    out = matrix_function(op(np.zeros((4, 4))), np.cos)
     assert np.abs(out.arr - np.eye(4)).max() <= 1e-14
 
 
 def test_matrix_function_sin_diagonal():
-    H = OperatorMatrix(np.diag([np.pi / 2, -np.pi / 2]), hermitian_hint=True)
-    out = matrix_function(H, np.sin)
+    out = matrix_function(op(np.diag([np.pi / 2, -np.pi / 2])), np.sin)
     assert np.abs(out.arr - np.diag([1.0, -1.0])).max() <= 1e-14
 
 
 def test_cos_sin_pythagorean():
-    X = X_op(60)
+    X = op(X_arr(60), hermitian=False)
     c = matrix_function(X, np.cos)
     s = matrix_function(X, np.sin)
     total = c.arr @ c.arr + s.arr @ s.arr
@@ -202,88 +299,13 @@ def test_cos_sin_pythagorean():
 @given(dim=st.integers(2, 60), seed=st.integers(0, 2 ** 31))
 @settings(max_examples=15)
 def test_matrix_function_identity_map_random(dim, seed):
-    H = OperatorMatrix(random_hermitian(dim, seed), hermitian_hint=True)
+    H = op(random_hermitian(dim, seed))
     out = matrix_function(H, lambda w: w)
     assert np.abs(out.arr - H.arr).max() <= 1e-12 * max(np.abs(H.arr).max(), 1.0)
 
 
-# ---------------------------------------------------------------------------
-# unitary_exp / conjugate
-# ---------------------------------------------------------------------------
-
-def test_unitary_exp_theta_zero():
-    X = X_op(10)
-    U = unitary_exp(X, 0.0)
-    assert np.abs(U.arr - np.eye(X.dim)).max() <= 1e-13
-
-
-def test_unitary_exp_pauli_x():
-    sx, _, _ = pauli()
-    U = unitary_exp(sx, np.pi / 2)
-    # exp(i pi sigma_x / 2) = i sigma_x
-    assert np.abs(U.arr - 1j * sx.arr).max() <= 1e-14
-
-
-def test_unitary_exp_is_unitary():
-    X = X_op(40)
-    U = unitary_exp(X, 0.7)
-    gram = U.arr.conj().T @ U.arr
-    assert np.abs(gram - np.eye(X.dim)).max() <= 1e-12
-
-
-def test_unitary_exp_against_taylor_oracle():
-    X = X_op(40)
-    U = unitary_exp(X, 0.3)
-    U_ref = oracles.expm_taylor_scaled(1j * 0.3 * X.arr)
-    assert np.abs(U.arr - U_ref).max() <= 1e-9
-
-
-def test_conjugate_by_identity():
-    H = OperatorMatrix(random_hermitian(12, seed=2), hermitian_hint=True)
-    out = conjugate(eye(12), H)
-    assert np.abs(out.arr - H.arr).max() <= 1e-14
-    assert out.hermitian_hint
-
-
-def test_conjugate_spin_flip():
-    sx, _, sz = pauli()
-    U = unitary_exp(sx, np.pi / 2)
-    out = conjugate(U, sz)
-    assert np.abs(out.arr + sz.arr).max() <= 1e-14
-
-
-def test_conjugate_preserves_spectrum():
-    H = OperatorMatrix(random_hermitian(30, seed=9), hermitian_hint=True)
-    U = unitary_exp(OperatorMatrix(random_hermitian(30, seed=10), hermitian_hint=True), 0.8)
-    w0 = hermitian_eig(H, vectors=False).eigenvalues
-    w1 = hermitian_eig(conjugate(U, H), vectors=False).eigenvalues
-    assert np.abs(w0 - w1).max() <= 1e-9
-
-
-def test_conjugate_rejects_nonunitary():
-    H = OperatorMatrix(random_hermitian(6, seed=1), hermitian_hint=True)
-    with pytest.raises(NotUnitaryError):
-        conjugate(eye(6, 2.0), H)
-
-
-@given(dim=st.integers(2, 50), seed=st.integers(0, 2 ** 31),
-       theta=st.floats(-2.0, 2.0))
-@settings(max_examples=15)
-def test_conjugate_preserves_spectrum_random(dim, seed, theta):
-    H = OperatorMatrix(random_hermitian(dim, seed), hermitian_hint=True)
-    A = OperatorMatrix(random_hermitian(dim, seed + 1), hermitian_hint=True)
-    U = unitary_exp(A, theta)
-    w0 = hermitian_eig(H, vectors=False).eigenvalues
-    w1 = hermitian_eig(conjugate(U, H), vectors=False).eigenvalues
-    assert np.abs(w0 - w1).max() <= 1e-9 * max(np.abs(w0).max(), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# kron and OperatorMatrix construction
-# ---------------------------------------------------------------------------
-
 def test_kron_identities():
-    assert np.array_equal(kron(eye(2), eye(3)).arr, np.eye(6))
+    assert np.array_equal(kron(op(np.eye(2)), op(np.eye(3))).arr, np.eye(6))
     g = np.random.default_rng(4)
     A, B = g.standard_normal((3, 3)), g.standard_normal((4, 4))
     C, D = g.standard_normal((3, 3)), g.standard_normal((4, 4))
@@ -297,27 +319,44 @@ def test_kron_identities():
 
 def test_kron_dimension_cap():
     with pytest.raises(DimensionOverflowError):
-        kron(eye(70), eye(70))
+        kron(op(np.eye(70)), op(np.eye(70)))
     # the cap itself is admitted
-    assert kron(eye(64), eye(64)).dim == 4096
+    assert kron(op(np.eye(64)), op(np.eye(64))).dim == 4096
 
 
 def test_operator_algebra_hints():
     sx, sy, _ = pauli()
-    assert OperatorMatrix(sx.arr @ sx.arr, hermitian_hint=True).hermitian_hint
+    assert op(sx @ sx).hermitian_hint
     with pytest.raises(NonHermitianError):
-        OperatorMatrix(sx.arr @ sy.arr, hermitian_hint=True)
+        op(sx @ sy)
 
 
 def test_operator_array_frozen():
-    sx, _, _ = pauli()
+    sx = op(pauli()[0])
     with pytest.raises(ValueError):
         sx.arr[0, 0] = 5.0
 
 
-def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError, match="dimension mismatch: 2 vs 3"):
-        conjugate(pauli()[0], eye(3))
+# ---------------------------------------------------------------------------
+# kron_sum
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("eta", [0.0, 0.7])
+def test_kron_sum_is_the_sum_of_krons(eta):
+    """kron_sum returns a read-only complex array equal, entry for entry, to
+    np.kron summed in the order of the terms."""
+    cases = [terms_H_D(RabiParams(eta=eta, cutoff=7, detuning=0.3)),
+             terms_H_C_correct(DickeParams(eta=eta, cutoff=5, n_dipoles=3))]
+    for terms in cases:
+        H = kron_sum(terms)
+        ref = np.kron(*terms[0]).astype(complex)
+        for S, F in terms[1:]:
+            ref = ref + np.kron(S, F)
+        assert H.dtype == np.complex128 and not H.flags.writeable
+        assert np.array_equal(H, ref)
+    s = rabi._real_parts(1, 4)
+    with pytest.raises(NonHermitianError, match="the term sum is not Hermitian"):
+        kron_sum([(s.jz, s.n), (s.jx, np.triu(s.X))])
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +390,12 @@ def test_parity_eigvalsh_matches_dense(eta, cutoff):
     by block_parity_eigvalsh, is the dense writer's matrix solved whole."""
     for name, terms in parity_models(eta, cutoff).items():
         H = kron_sum(terms)
-        w = block_parity_eigvalsh(parity_block_sum(terms), H.dim)
+        w = block_parity_eigvalsh(parity_block_sum(terms), H.shape[0])
         w_ref = hermitian_eig(H, vectors=False).eigenvalues
         assert w.shape == w_ref.shape, name
         assert not w.flags.writeable
         dev = np.abs(w - w_ref).max()
-        assert dev <= 1e-12 * max(np.abs(H.arr).max(), 1.0), (name, dev)
+        assert dev <= 1e-12 * max(np.abs(H).max(), 1.0), (name, dev)
 
 
 def test_parity_error_on_broken_parity():

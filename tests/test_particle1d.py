@@ -436,7 +436,7 @@ def test_full_model_band_solve_matches_dense(double_well):
         want = hermitian_eig(H, vectors=False).transitions(4)
         got = lowest_transitions(parity_band_sum(terms(*args)), 4)
         dev = float(np.abs(got - want).max())
-        assert dev <= 1e-12 * np.abs(H.arr).max(), (build.__name__, dev)
+        assert dev <= 1e-12 * np.abs(H).max(), (build.__name__, dev)
 
 
 def test_full_builders_match_oracles():
@@ -446,11 +446,11 @@ def test_full_builders_match_oracles():
                            eigen_count=8)
     basis = solve_particle(model)
     for m_used, a0, cutoff in ((2, 0.3, 12), (7, 1.1, 5)):
-        hd = build_full_H_D(model, basis, cutoff, a0, m_used).arr
+        hd = build_full_H_D(model, basis, cutoff, a0, m_used)
         ref_d = oracles.full_model_dipole(basis.energies, basis.x_elems,
                                           basis.x2_elems, a0, model.charge,
                                           1.0, cutoff, m_used)
-        hc = build_full_H_C(model, basis, cutoff, a0, m_used).arr
+        hc = build_full_H_C(model, basis, cutoff, a0, m_used)
         ref_c = oracles.full_model_coulomb(basis.energies, basis.p_elems,
                                            model.mass, a0, model.charge, 1.0,
                                            cutoff, m_used)
