@@ -38,6 +38,7 @@ from .linalg import (
     ParityBands,
     ParityBlocks,
     ParityError,
+    ShiftAboveSpectrumError,
     Spectrum,
     banded_parity_eigvalsh,
     block_parity_eigvalsh,
@@ -82,7 +83,6 @@ from .particle1d import (
     ParityOrderError,
     ParticleError,
     ParticleModel,
-    ShiftAboveSpectrumError,
     build_full_H_C,
     build_full_H_D,
     check_minimal_coupling_identity,
@@ -133,7 +133,7 @@ __all__ = [
     "parity_band_sum", "ParityBands", "banded_parity_eigvalsh",
     "LinalgError", "NonHermitianError", "NotUnitaryError",
     "ConvergenceFailureError", "DimensionMismatchError",
-    "DimensionOverflowError", "ParityError",
+    "DimensionOverflowError", "ParityError", "ShiftAboveSpectrumError",
     # qops
     "quadrature_eig",
     # rabi
@@ -153,7 +153,7 @@ __all__ = [
     "MinimalCouplingReport", "terms_full_H_D", "terms_full_H_C",
     "build_full_H_D", "build_full_H_C", "trk_sum",
     "ParticleError", "GridTooCoarseError", "BoundaryLeakError",
-    "ParityOrderError", "ShiftAboveSpectrumError",
+    "ParityOrderError",
     # fluxonium
     "FluxoniumParams", "FluxoniumBasis", "solve_fluxonium", "coupling_g_c",
     "terms_flux_charge_standard", "terms_flux_charge_correct",

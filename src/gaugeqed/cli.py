@@ -35,7 +35,6 @@ NUMERICAL_ERRORS = (
     particle1d.GridTooCoarseError,
     particle1d.BoundaryLeakError,
     particle1d.ParityOrderError,
-    particle1d.ShiftAboveSpectrumError,
     fluxonium.BasisTooSmallError,
     LinalgError,
 )
@@ -244,6 +243,12 @@ def _finite(raw: str) -> float:
 
 
 def _parse_str(kind: str, raw: str, key: str):
+    if kind in ("ints", "floats", "strs"):
+        items = [s.strip() for s in raw.split(",") if s.strip()]
+        # every list option reads at least one entry
+        if not items:
+            raise ValueError(f"{_flag(key)} (config key {key!r}) needs at least one "
+                             f"value, got {raw!r}")
     try:
         if kind == "int":
             return int(raw)
@@ -258,7 +263,6 @@ def _parse_str(kind: str, raw: str, key: str):
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        items = [s.strip() for s in raw.split(",") if s.strip()]
         if kind == "ints":
             return [int(s) for s in items]
         if kind == "floats":

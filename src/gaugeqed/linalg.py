@@ -32,12 +32,23 @@ naive Coulomb Rabi chains |0,g>, |1,e>, |2,g>, ...; 31 and 32 for the
 32-level full models).  :func:`parity_band_sum`, the third writer, writes
 them so from the nonzero entries of the terms, with the same per-term
 checks, as :class:`ParityBands`; :func:`banded_parity_eigvalsh` solves
-those for the lowest few eigenvalues with banded LAPACK
-(``scipy.linalg.eig_banded``).  The Rabi builders ``bands_H_D`` and
+those for the lowest few eigenvalues.  The Rabi builders ``bands_H_D`` and
 ``bands_H_C_standard`` write the same chains from closed forms.  A band
 stores one triangle, so the writer checks symmetry against the mirror
 image of each entry, and the solver checks only finiteness.  Blocks and
 bands have no off-parity half, so parity holds by construction there.
+
+Two engines solve a band, and the shape of each chain picks one.
+``scipy.linalg.eig_banded`` (LAPACK ?sbevx) first reduces the whole band
+to tridiagonal form, about rows^2 * width flops, which is nothing on the
+narrow Rabi chains.  :func:`shift_invert_eigsh`, the package's one
+shift-invert banded solver, factors the shifted band once by banded
+Cholesky (?pbtrf, rows * width^2) and runs ARPACK's shift-invert Lanczos
+on that factor; it also solves the 1D particle's grid operators, real
+and complex.  :func:`banded_parity_eigvalsh` gives a chain with
+rows^2 * width above SHIFT_INVERT_MIN_WORK (the 16- and 32-level full
+models) to the second, shifted just below the chain's Gershgorin lower
+bound, and every other chain to the first.
 
 Everything is plain double precision, checked against tolerances that the
 tests enforce rather than assume.  :class:`OperatorMatrix`,
@@ -52,6 +63,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 HERMITICITY_RTOL = 1e-12
 UNITARITY_ATOL = 1e-8
@@ -84,6 +96,10 @@ class DimensionOverflowError(LinalgError):
 
 class ParityError(LinalgError):
     """An operator that does not split into real parity blocks."""
+
+
+class ShiftAboveSpectrumError(LinalgError):
+    """The shift-invert shift is not below the banded operator's spectrum."""
 
 
 # entries of M - M^dag formed at a time by the Hermiticity check: one block
@@ -418,18 +434,94 @@ def block_parity_eigvalsh(blocks: ParityBlocks, count: int) -> np.ndarray:
     return w
 
 
+def shift_invert_eigsh(bands: np.ndarray, k: int, sigma: float, vectors: bool):
+    """The lowest k eigenvalues, ascending, and with ``vectors`` (else None)
+    their eigenvectors, of the Hermitian operator in LAPACK lower band
+    storage ``bands`` (real symmetric or complex Hermitian), by banded
+    Cholesky shift-invert Lanczos about ``sigma`` (ARPACK mode 3,
+    Lehoucq, Sorensen and Yang, *ARPACK Users' Guide*, SIAM 1998).
+
+    The shifted operator is factored once by LAPACK ?pbtrf, and each
+    Lanczos step applies its inverse by ?pbtrs, O(n width^2) for the
+    factor and O(n width) a step.  The factor exists only for a positive
+    definite operator, so ?pbtrf certifies that ``sigma`` lies below the
+    spectrum; ShiftAboveSpectrumError when it does not.  Mode 3 never
+    multiplies by the operator itself (eigsh reads only the shape and dtype
+    of its first argument), so the inverse stands in for it.  A fixed start
+    vector keeps repeated runs bit-identical.  ARPACK needs k < n - 1.
+    Raises ConvergenceFailureError when ARPACK fails.
+    """
+    n = bands.shape[1]
+    pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (bands,))
+    shifted = bands.copy()
+    shifted[0] -= sigma
+    factor, info = pbtrf(shifted, lower=1)
+    if info != 0:
+        raise ShiftAboveSpectrumError(
+            f"shift {sigma:.6e} is not below the spectrum of the {n}-row band "
+            f"operator (?pbtrf info {info})")
+
+    def solve(b):
+        x, _ = pbtrs(factor, b, lower=1)
+        return x
+
+    op_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=solve, dtype=bands.dtype)
+    v0 = np.full(n, 1.0 / np.sqrt(n), dtype=bands.dtype)
+    try:
+        res = scipy.sparse.linalg.eigsh(op_inv, k=k, sigma=sigma, which="LM", v0=v0,
+                                        OPinv=op_inv, return_eigenvectors=vectors)
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise ConvergenceFailureError(f"shift-invert Lanczos failed: {exc}") from exc
+    if not vectors:
+        return np.sort(res), None
+    w, u = res
+    order = np.argsort(w)
+    return w[order], u[:, order]
+
+
+# chains with rows^2 * width above this go to shift-invert Lanczos: ?sbevx
+# first reduces the whole band to tridiagonal form (?sbtrd, about
+# rows^2 * width flops), which a ?pbtrf factor (rows * width^2) avoids.
+# Lowest 6-7 eigenvalues, one BLAS thread, eig_banded against shift-invert:
+# 784 x 32 (2.0e7) 33-36 ms against 4.1-5.0 ms; 392 x 16 (2.5e6) 4.9-6.5
+# against 2.2-2.4 ms; 196 x 8 (3.1e5) 1.4 ms against 1.5 ms; the Rabi chains,
+# up to 321 x 2 (2.1e5), 0.22-1.47 ms against 1.1-1.9 ms
+SHIFT_INVERT_MIN_WORK = 10 ** 6
+
+
+def _below_gershgorin(chain: np.ndarray) -> float:
+    """A shift just below the Gershgorin lower bound min_i (B_ii - sum_j!=i
+    |B_ij|) of the symmetric band ``chain``, and so below its spectrum."""
+    n = chain.shape[1]
+    radius = np.zeros(n)
+    for r in range(1, chain.shape[0]):
+        off = np.abs(chain[r, :n - r])
+        radius[:n - r] += off
+        radius[r:] += off
+    low = float((chain[0] - radius).min())
+    # strictly below, so that the shifted chain is positive definite even
+    # where the bound is attained (a diagonal chain)
+    return low - 1e-6 * max(abs(low), 1.0)
+
+
 def banded_parity_eigvalsh(bands: ParityBands, count: int) -> np.ndarray:
     """The lowest ``count`` eigenvalues of the operator whose parity chains
     ``bands`` holds, ascending and read-only (fewer when the chains hold
     fewer).
 
-    Each chain is solved for its own lowest min(count, length) eigenvalues
-    by ``scipy.linalg.eig_banded`` (LAPACK ?sbevx: reduction to tridiagonal
-    form, then bisection for the selected indices; one driver for any
-    bandwidth); the lowest ``count`` of the union are the operator's.
+    Each chain is solved for its own lowest k = min(count, rows)
+    eigenvalues, by one of two engines chosen from its shape; the lowest
+    ``count`` of the union are the operator's.  A chain with
+    rows^2 * width > SHIFT_INVERT_MIN_WORK and k < rows - 1 goes to
+    :func:`shift_invert_eigsh`, shifted just below its Gershgorin lower
+    bound (``_below_gershgorin``, which ?pbtrf certifies again).  Every
+    other chain goes to ``scipy.linalg.eig_banded`` (LAPACK ?sbevx:
+    reduction to tridiagonal form, then bisection for the selected
+    indices).
 
-    Raises LinalgError on a non-finite band entry and
-    ConvergenceFailureError if LAPACK does not converge.
+    Raises LinalgError on a non-finite band entry, ShiftAboveSpectrumError
+    when ?pbtrf refuses the shift, and ConvergenceFailureError if LAPACK or
+    ARPACK does not converge.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -437,10 +529,14 @@ def banded_parity_eigvalsh(bands: ParityBands, count: int) -> np.ndarray:
     for c, chain in enumerate(bands.chains):
         if not np.isfinite(chain).all():
             raise LinalgError(f"parity chain {c} has a non-finite entry")
-        top = min(count, chain.shape[1]) - 1
+        rows, width = chain.shape[1], chain.shape[0] - 1
+        k = min(count, rows)
+        if rows * rows * width > SHIFT_INVERT_MIN_WORK and k < rows - 1:
+            ws.append(shift_invert_eigsh(chain, k, _below_gershgorin(chain), False)[0])
+            continue
         try:
             ws.append(scipy.linalg.eig_banded(chain, lower=True, eigvals_only=True,
-                                              select="i", select_range=(0, top),
+                                              select="i", select_range=(0, k - 1),
                                               check_finite=False))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailureError(f"eigensolver did not converge: {exc}") from exc

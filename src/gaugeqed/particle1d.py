@@ -6,13 +6,16 @@ Provides the matter side of the full (many-level) light-matter models:
                                       4th-order finite differences, with a
                                       grid-refinement check; both grids are
                                       solved by banded Cholesky shift-invert
-                                      Lanczos, each parity on x >= 0 for a
+                                      Lanczos (``linalg.shift_invert_eigsh``),
+                                      each parity on x >= 0 for a
                                       mirror-symmetric potential
 * ``nonlocal_kernel``                 the projected potential kernel V(x, x')
                                       showing how truncation delocalizes a
                                       local potential
 * ``check_minimal_coupling_identity`` phase-conjugation route vs direct
-                                      p -> p - qA0 substitution on the grid
+                                      p -> p - qA0 substitution on the grid,
+                                      and the spectra of both by the same
+                                      shift-invert solver
 * ``terms_full_H_D`` / ``terms_full_H_C``   untruncated-matter gauge partners
                                       in the M_used-level eigenbasis, each a
                                       list of (matter, field) terms
@@ -46,10 +49,8 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
-from .linalg import check_dim, kron_sum
+from .linalg import ShiftAboveSpectrumError, check_dim, kron_sum, shift_invert_eigsh
 from .qops import _real_fock_arrays
 
 BOUNDARY_AMPLITUDE_MAX = 1e-8
@@ -82,10 +83,6 @@ class BoundaryLeakError(ParticleError):
 
 class ParityOrderError(ParticleError):
     """The even and odd levels of a mirror-symmetric model do not interleave."""
-
-
-class ShiftAboveSpectrumError(ParticleError):
-    """The shift-invert shift is not below the grid operator's spectrum."""
 
 
 @dataclass(frozen=True)
@@ -242,42 +239,11 @@ def _grid_bands(model: ParticleModel):
     return bands
 
 
-def _eigsh(bands: np.ndarray, k: int, sigma: float, vectors: bool):
-    """Lowest k eigenvalues (and, with ``vectors``, eigenvectors) of the
-    symmetric pentadiagonal operator in lower band storage ``bands`` by
-    banded Cholesky shift-invert Lanczos about ``sigma`` (ARPACK mode 3).
-
-    The shifted operator is factored once by LAPACK ?pbtrf, and each
-    Lanczos step applies its inverse by ?pbtrs.  The factor exists only
-    for a positive definite operator, so ?pbtrf certifies that ``sigma``
-    lies below the spectrum; ShiftAboveSpectrumError when it does not.
-    Mode 3 never multiplies by the operator itself (eigsh reads only the
-    shape and dtype of its first argument), so the inverse stands in for
-    it.  A fixed start vector keeps repeated runs bit-identical."""
-    n = bands.shape[1]
-    shifted = bands.copy()
-    shifted[0] -= sigma
-    factor, info = lapack.dpbtrf(shifted, lower=1)
-    if info != 0:
-        raise ShiftAboveSpectrumError(
-            f"shift {sigma:.6e} is not below the spectrum of the {n}-point "
-            f"grid operator (?pbtrf info {info})")
-
-    def solve(b):
-        x, _ = lapack.dpbtrs(factor, b, lower=1)
-        return x
-
-    op_inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    return spla.eigsh(op_inv, k=k, sigma=sigma, which="LM", v0=v0,
-                      OPinv=op_inv, return_eigenvectors=vectors)
-
-
 def _shift(model: ParticleModel) -> float:
     # below the potential minimum, and so below the spectrum: the 4th-order
     # kinetic stencil is positive semidefinite.  The wanted levels are then
     # the largest of the inverted operator, and the shifted operator is
-    # positive definite, as the Cholesky factor in _eigsh needs
+    # positive definite, as the Cholesky factor in shift_invert_eigsh needs
     return float(model.potential.min()) - 1.0
 
 
@@ -287,23 +253,21 @@ def _band_solve(bands: np.ndarray, k: int, sigma: float, vectors: bool):
     None), eigenvectors signed so that each one's largest-magnitude entry is
     positive.
 
-    Banded Cholesky shift-invert Lanczos about ``sigma`` (``_eigsh``); with
-    too few points for Lanczos (eigsh would warn and go dense), banded
-    LAPACK.  The banded driver is avoided otherwise: it needs a dense n x n
+    Banded Cholesky shift-invert Lanczos about ``sigma``, by the package's
+    one shift-invert banded solver, ``linalg.shift_invert_eigsh``; with too
+    few points for Lanczos (eigsh would warn and go dense), banded LAPACK.
+    The banded driver is avoided otherwise: it needs a dense n x n
     back-transform for vectors and is several times slower even for values
     on refined grids.
     """
     if k < bands.shape[1] - 1:
-        res = _eigsh(bands, k, sigma, vectors)
+        w, u = shift_invert_eigsh(bands, k, sigma, vectors)
     else:
         res = sla.eig_banded(bands, lower=True, select="i", select_range=(0, k - 1),
                              eigvals_only=not vectors)
-    if not vectors:
-        return np.sort(res), None
-    w, u = res
-    order = np.argsort(w)
-    w, u = w[order], u[:, order]
-    u *= np.where(u[np.abs(u).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
+        w, u = res if vectors else (res, None)
+    if vectors:
+        u *= np.where(u[np.abs(u).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
     return w, u
 
 
@@ -565,7 +529,10 @@ def check_minimal_coupling_identity(model: ParticleModel, A0: float) -> MinimalC
     the bare operator; the check passes when it is within
     MINIMAL_COUPLING_RTOL.  The phase conjugation leaves the spectrum exactly
     invariant, so the lowest MINIMAL_COUPLING_LEVELS eigenvalues of the
-    conjugated operator are also compared against the bare ones.
+    conjugated operator are also compared against the bare ones; both
+    pentadiagonal bands, the real one and the complex Hermitian one, are
+    solved by ``linalg.shift_invert_eigsh`` about the grid solve's shift,
+    ShiftAboveSpectrumError when ?pbtrf refuses it.
     """
     g = model.grid
     n, dx = g.n_points, g.dx
@@ -581,16 +548,14 @@ def check_minimal_coupling_identity(model: ParticleModel, A0: float) -> MinimalC
     residual_rel = res / scale
 
     bands_r = _grid_bands(model)
-    w_bare = sla.eig_banded(bands_r, lower=True, select="i",
-                            select_range=(0, MINIMAL_COUPLING_LEVELS - 1),
-                            eigvals_only=True)
     bands_c = np.zeros((3, n), dtype=complex)
     bands_c[0] = bands_r[0]
     bands_c[1] = bands_r[1] * np.exp(1j * q_a0 * dx)
     bands_c[2] = bands_r[2] * np.exp(2j * q_a0 * dx)
-    w_conj = sla.eig_banded(bands_c, lower=True, select="i",
-                            select_range=(0, MINIMAL_COUPLING_LEVELS - 1),
-                            eigvals_only=True)
+    # the conjugation keeps the spectrum, so one shift serves both bands
+    sigma = _shift(model)
+    w_bare, _ = shift_invert_eigsh(bands_r, MINIMAL_COUPLING_LEVELS, sigma, False)
+    w_conj, _ = shift_invert_eigsh(bands_c, MINIMAL_COUPLING_LEVELS, sigma, False)
     spectrum_dev = float(np.abs(w_bare - w_conj).max())
     return MinimalCouplingReport(q_a0=q_a0, residual_rel=residual_rel,
                                  spectrum_dev=spectrum_dev, n_points=n,

@@ -16,8 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
-from gaugeqed import ParityBands, ParityBlocks, cli, experiments, particle1d, quadrature_eig
+from gaugeqed import (ParityBands, ParityBlocks, cli, experiments, linalg, particle1d,
+                      quadrature_eig)
 from gaugeqed.cli import COMMANDS, build_parser, main
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.ini"
@@ -580,6 +582,11 @@ BAD_INPUT = [
     (["rabi-sweep"], "[rabi-sweep]\neta_max\n", "parsing errors"),
     (["taylor-study", "--eta-max", "0.01"], None, "holds no eta > 0"),
     (["taylor-study", "--eta-max", "0.02"], None, "holds no eta > 0"),
+    # an empty list is refused before anything runs or is written
+    (["gauge-theorem", "--cutoffs", ","], None, "--cutoffs"),
+    (["taylor-study", "--orders", ","], None, "--orders"),
+    (["full-model", "--m-levels", ","], None, "--m-levels"),
+    (["rabi-sweep"], "[rabi-sweep]\nmodels = ,\n", "key 'models'"),
 ]
 
 
@@ -775,6 +782,50 @@ def test_full_model_solves_parity_blocks(tmp_path, monkeypatch):
     assert [(band.shape, kwargs["select_range"]) for band, kwargs in banded] == \
         [((2, 9), (0, 4))] * 2 + [((3, 9), (0, 4))] * 2 \
         + [((4, 18), (0, 4))] * 2 + [((5, 18), (0, 4))] * 2
+
+
+def test_full_model_defaults_route_wide_chains_to_shift_invert(tmp_path, monkeypatch):
+    """At the defaults the m = 2, 4 and 8 chains go to eig_banded and the
+    m = 16 and 32 chains, after the four grid solves, to eigsh; the Rabi
+    chains of a sweep out to eta = 3 never reach eigsh."""
+    eigsh_rows = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def record(A, *args, **kwargs):
+        eigsh_rows.append(A.shape[0])
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", record)
+    _, banded = record_solvers(monkeypatch)
+    assert run(["full-model"], tmp_path) == 0
+    # m (cutoff + 1) / 2 rows a chain, two chains each for D and C
+    assert [band.shape[1] for band, _ in banded] == [49] * 4 + [98] * 4 + [196] * 4
+    assert all(rows > 3000 for rows in eigsh_rows[:4])
+    assert eigsh_rows[4:] == [392] * 4 + [784] * 4
+    eigsh_rows.clear()
+    assert run(["rabi-sweep", "--eta-max", "3.0", "--eta-step", "0.5"], tmp_path) == 0
+    assert eigsh_rows == []
+
+
+def test_full_model_chain_shift_above_spectrum_exit_2(tmp_path, monkeypatch, capsys):
+    # a chain's shift at its largest diagonal entry is inside its spectrum,
+    # and ?pbtrf refuses the factor
+    monkeypatch.setattr(linalg, "_below_gershgorin", lambda chain: float(chain[0].max()))
+    argv = ["full-model", "--model", "harmonic", "--m-levels", "2,16"]
+    assert run(argv, tmp_path) == 2
+    assert "ShiftAboveSpectrumError: shift" in capsys.readouterr().err
+    assert not (tmp_path / "full_model.csv").exists()
+
+
+def test_full_model_arpack_no_convergence_exit_2(tmp_path, monkeypatch, capsys):
+    def failing(A, k, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([]),
+                                                      np.array([]))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+    assert run(["full-model"], tmp_path) == 2
+    assert "ConvergenceFailureError: shift-invert Lanczos failed" in capsys.readouterr().err
+    assert not (tmp_path / "full_model.csv").exists()
 
 
 def test_particle_demo_tilted_table_solves_full_grid(tmp_path, capsys):

@@ -4,11 +4,13 @@ The two shipped presets (harmonic, double well) are solved once per session
 via fixtures in conftest.py.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import oracles
 from conftest import FULL_MODEL_M_LEVELS
@@ -17,9 +19,11 @@ from gaugeqed import (
     DimensionOverflowError,
     Grid1D,
     GridTooCoarseError,
+    ParityBands,
     ParityError,
     ParticleModel,
     ShiftAboveSpectrumError,
+    banded_parity_eigvalsh,
     build_full_H_C,
     build_full_H_D,
     check_minimal_coupling_identity,
@@ -38,6 +42,7 @@ from gaugeqed import (
     terms_full_H_D,
     trk_sum,
 )
+from gaugeqed.linalg import SHIFT_INVERT_MIN_WORK
 
 # double-well preset (mu=1.2, lam=0.25, m=1): frozen from the HO-basis oracle
 GOLD_DW_OMEGA10 = 2.165310375385e-01
@@ -254,7 +259,7 @@ def test_mirror_model_solves_half_grids(monkeypatch):
     # one shift-invert solve per parity and grid, each on at most half the
     # points with at most half the levels
     calls = []
-    eigsh = particle1d.spla.eigsh
+    eigsh = scipy.sparse.linalg.eigsh
 
     def record(A, k, **kwargs):
         calls.append((A.shape[0], k))
@@ -263,7 +268,7 @@ def test_mirror_model_solves_half_grids(monkeypatch):
         assert kwargs["OPinv"] is not None
         return eigsh(A, k=k, **kwargs)
 
-    monkeypatch.setattr(particle1d.spla, "eigsh", record)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", record)
     model = double_well_model()
     basis = solve_particle(model)
     assert basis.mirror_parity
@@ -437,6 +442,26 @@ def test_full_model_band_solve_matches_dense(double_well):
         got = lowest_transitions(parity_band_sum(terms(*args)), 4)
         dev = float(np.abs(got - want).max())
         assert dev <= 1e-12 * np.abs(H).max(), (build.__name__, dev)
+
+
+@pytest.mark.parametrize("preset", ["double_well", "harmonic"])
+def test_wide_chains_shift_invert_matches_banded_driver(preset, request):
+    """Every chain of the full models at m = 16 and 32 is wide enough for
+    shift-invert Lanczos; over full-model's a0 seed range its lowest
+    levels + 1 eigenvalues, and so its transitions, agree with
+    ``eig_banded`` on the same chain to 1e-12 of the chain scale."""
+    model, basis = request.getfixturevalue(preset)
+    for m_used, a0, terms in itertools.product((16, 32), (0.27, 0.3, 0.33),
+                                              (terms_full_H_D, terms_full_H_C)):
+        for chain in parity_band_sum(terms(model, basis, 48, a0, m_used)).chains:
+            rows, width = chain.shape[1], chain.shape[0] - 1
+            assert rows * rows * width > SHIFT_INVERT_MIN_WORK
+            got = banded_parity_eigvalsh(ParityBands((chain,)), 5)
+            want = scipy.linalg.eig_banded(chain, lower=True, eigvals_only=True,
+                                           select="i", select_range=(0, 4))
+            bound = 1e-12 * max(float(np.abs(chain).max()), 1.0)
+            assert np.abs(got - want).max() <= bound
+            assert np.abs((got[1:] - got[0]) - (want[1:] - want[0])).max() <= bound
 
 
 def test_full_builders_match_oracles():
