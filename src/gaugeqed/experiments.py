@@ -11,8 +11,9 @@ The sweeps and studies solve each model from its one term list
 blocks by ``linalg.parity_block_sum``, except the Rabi dipole and naive
 Coulomb models, whose banded chains ``rabi.bands_H_D`` and
 ``rabi.bands_H_C_standard`` write.  An eta grid is k * step up to the last
-point at or below eta_max.  The Taylor study takes a point whose Maclaurin
-cos/sin match cos/sin to the last bit as the full model itself: its error
+point at or below eta_max.  The Taylor study evaluates each order's
+Maclaurin cos/sin once, as a table over the grid, and takes a point whose
+row matches cos/sin to the last bit as the full model itself: its error
 is exactly 0.0, and neither model is built or solved there.
 
 Sweep points are independent work items; an optional thread pool fans them
@@ -37,6 +38,7 @@ from . import dicke as dicke_mod
 from . import rabi as rabi_mod
 from .linalg import (ParityBands, ParityBlocks, banded_parity_eigvalsh, block_parity_eigvalsh,
                      hermitian_eig, parity_block_sum)
+from .qops import quadrature_values
 
 OMEGA_C = 1.0  # all energies in units of the cavity frequency
 # factor by which the Fock cutoff grows between convergence checks
@@ -308,17 +310,21 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
     only make sense at a stated truncation.  The per-order scan stops at the
     first eta whose error exceeds tol; eta_star is the last grid value before
     that, first_bad the value that crossed (None when the grid never crossed).
-    Where the order-n Maclaurin cos/sin equal cos/sin bit for bit on the
-    spectrum of 2 eta X (``rabi.taylor_is_exact``), the two term lists are
-    equal array for array, so the point's error is 0.0 and neither model is
-    built or solved.  A scan checks this only while every earlier point of
-    its order was exact, so an order pays one Maclaurin evaluation past its
-    exact run; ``exact_points`` counts the points taken this way.  The
-    orders are scanned on ``threads`` workers; the full model is solved
-    only at the etas some scan still needs.  Both models are solved from the
-    real parity blocks ``linalg.parity_block_sum`` writes of their terms
-    (``rabi.terms_H_C_taylor``, ``rabi.terms_H_C_correct``).  Raises
-    ValueError for an order below 1, a repeated order or tol <= 0.
+    Each order evaluates its Maclaurin cos/sin once, as one table over the
+    grid: a row of 2 eta x per eta, x the spectrum of X
+    (``qops.quadrature_values``), formed as ``rabi.taylor_is_exact`` forms
+    it.  Each row is the one-row evaluation bit for bit
+    (``rabi.maclaurin_cos_sin``).  Where a row equals cos/sin bit for bit,
+    the two term lists are equal array for array, so the point's error is
+    0.0 and neither model is built or solved; the leading run of such rows
+    is taken this way, and ``exact_points`` counts it.  Past it, each
+    Taylor model takes its row as node values
+    (``rabi.terms_H_C_rotated``, which is ``rabi.terms_H_C_taylor`` on
+    them).  The orders are scanned on ``threads`` workers; the full model
+    is solved only at the etas some scan still needs.  Both models are
+    solved from the real parity blocks ``linalg.parity_block_sum`` writes
+    of their terms.  Raises ValueError for an order below 1, a repeated
+    order or tol <= 0.
     """
     if eta_grid is None:
         eta_grid = default_eta_grid(1.6, include_zero=False)
@@ -343,18 +349,25 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
                     parity_block_sum(rabi_mod.terms_H_C_correct(p)), levels)
             return exact[i]
 
+    # one row per eta: the spectrum of 2 eta X, formed as
+    # rabi.taylor_is_exact and the term lists form it
+    x = (2.0 * np.array(eta_grid))[:, None] * quadrature_values(cutoff)
+    cos_x, sin_x = np.cos(x), np.sin(x)
+
     def scan(n):
-        row, star, first, exact_points = [], 0.0, None, 0
+        cos, sin = rabi_mod.maclaurin_cos_sin(x, n)
+        # the leading run of points where the order-n model is the full
+        # model bit for bit; either solve could only give err = 0.0
+        exact_row = np.all(cos == cos_x, axis=1) & np.all(sin == sin_x, axis=1)
+        exact_points = int(np.argmin(exact_row)) if not exact_row.all() else len(eta_grid)
+        row, star, first = [], 0.0, None
         for i, eta in enumerate(eta_grid):
             p = _rabi_params(eta, detuning, cutoff)
-            # the leading run of points where the order-n model is the full
-            # model bit for bit; either solve could only give err = 0.0
-            if exact_points == i and rabi_mod.taylor_is_exact(p, n):
-                exact_points += 1
+            if i < exact_points:
                 err = 0.0
             else:
-                t = lowest_transitions(
-                    parity_block_sum(rabi_mod.terms_H_C_taylor(p, n)), levels)
+                t = lowest_transitions(parity_block_sum(
+                    rabi_mod.terms_H_C_rotated(p, lambda _: (cos[i], sin[i]))), levels)
                 ref = exact_at(i)
                 err = float(np.max(np.abs(t - ref) / np.maximum(ref, OMEGA_C)))
             row.append(err)

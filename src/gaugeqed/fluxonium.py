@@ -160,7 +160,7 @@ def terms_flux_charge_standard(p: FluxoniumParams, basis: FluxoniumBasis) -> lis
     s = _real_parts(1, p.cutoff)
     return _bare_terms(s, p.omega_c, basis.omega_10) + [
         (2.0 * coupling_g_c(p, basis) * s.jy, s.X),
-        (4.0 * p.e_c * p.chi0 ** 2 * s.eye_spin, s.X @ s.X)]
+        (4.0 * p.e_c * p.chi0 ** 2 * s.eye_spin, s.X2)]
 
 
 def _two_theta(p: FluxoniumParams, basis: FluxoniumBasis) -> float:

@@ -1,8 +1,9 @@
 """Bosonic and collective-spin operators on truncated spaces.
 
-The builders take the real Fock arrays of ``_real_fock_arrays`` (n,
-a + a^dag and a^dag - a) and the complex spin arrays of ``_spin_arrays`` as
-the factors of their (matter, field) terms.  :func:`fock_ops` and
+The builders take the real Fock arrays n, a + a^dag and a^dag - a (from
+``_real_ladder``; ``_real_fock_arrays`` forms all three) and the complex
+spin arrays of ``_spin_arrays`` as the factors of their (matter, field)
+terms; ``gaugeqed.rabi`` keeps them per spin and cutoff.  :func:`fock_ops` and
 :func:`spin_ops` (types ``FockOps``, ``SpinOps``) wrap the complex arrays as
 ``OperatorMatrix`` only for the benchmark tracer, which hooks them by name.
 A cutoff is a plain ``int`` everywhere.
@@ -81,8 +82,7 @@ def _fock_arrays(cutoff: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _real_fock_arrays(cutoff: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n, X = a + a^dag and P = a^dag - a on dimension cutoff + 1 as real
     arrays; P is antisymmetric, and i P is the Hermitian quadrature.  They
-    are built without a complex intermediate: the sweeps build them once per
-    model and cutoff."""
+    are built without a complex intermediate."""
     a = _real_ladder(cutoff)
     return np.diag(np.arange(cutoff + 1.0)), a + a.T, a.T - a
 

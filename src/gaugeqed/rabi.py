@@ -13,12 +13,17 @@ energies in units of omega_c with hbar = 1:
                           dressed by cos/sin of 2 eta (a + a^dag)
 * ``terms_H_C_taylor``    the corrected model with cos/sin replaced by their
                           order-n Maclaurin polynomials
+* ``terms_H_C_rotated``   the corrected model with cos/sin given by their
+                          values on the spectrum of a + a^dag (the Taylor
+                          model takes the Maclaurin values)
 * ``terms_H_alpha``       one-parameter gauge family interpolating D (alpha=0)
                           and corrected C (alpha=1)
 
 ``taylor_is_exact`` tells when an order's Maclaurin cos/sin equal cos/sin
 to the last bit, so that the Taylor model is the corrected model array for
-array.
+array.  ``maclaurin_cos_sin`` evaluates a table of such value rows at
+once, each row bit for bit as if alone; the Taylor study reads its exact
+runs and its Taylor models' node values from one table per order.
 
 A caller picks the writer where it picks the solve:
 ``linalg.kron_sum(terms)`` writes the dense matter (x) field matrix, and
@@ -29,13 +34,16 @@ that dense writer on the first four lists (read-only complex arrays);
 ``check_gauge_theorem`` calls two, and the benchmark tracer hooks all four.
 
 The core works on matter (x) field with a collective spin j = two_j / 2 and
-the field quadrature X = a + a^dag.  Its pieces are the bare terms
-omega_c 1 (x) n + omega_10 J_z (x) 1, the rotated splitting
-omega_10 (J_z (x) cos phi X + J_y (x) sin phi X), the dipole coupling and
-the naive Coulomb coupling.  The field
-operators are real (n, X, a^dag - a, and cos/sin of phi X from the real
-eigenvectors of X), and a dipole coupling i J_x (x) (a^dag - a) carries its
-i on the spin side, where the 1j**m phase makes it real.  The one reference
+the field quadrature X = a + a^dag.  Its coupling-independent factors (the
+spin arrays and the dense n, X, a^dag - a, field identity and X @ X) are
+built once per (two_j, cutoff), each on its first read, and shared
+read-only by every model at that spin and cutoff (``_real_parts``).  Its
+pieces are the bare terms omega_c 1 (x) n + omega_10 J_z (x) 1, the
+rotated splitting omega_10 (J_z (x) cos phi X + J_y (x) sin phi X), the
+dipole coupling and the naive Coulomb coupling.  The field operators are
+real (n, X, a^dag - a, and cos/sin of phi X from the real eigenvectors of
+X), and a dipole coupling i J_x (x) (a^dag - a) carries its i on the spin
+side, where the 1j**m phase makes it real.  The one reference
 conjugation U = exp(i phi J_x (x) X) serves ``check_gauge_theorem`` and,
 as ``_conjugated``, the tests' check of every corrected model's closed
 form.  The Rabi and Dicke models are written at omega_c = 1; only
@@ -63,15 +71,17 @@ eigenvalues of different gauges differ by exactly those dropped scalars
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 # hermitian_eig is not called here; it stays importable as rabi.hermitian_eig,
 # which the benchmark tracer's tests rebind and restore
 from .linalg import ParityBands, check_dim, conjugate, hermitian_eig, kron_sum, unitary_exp
-from .qops import _real_fock_arrays, _spin_arrays, quadrature_values, real_quadrature_functions
+from .qops import (QUADRATURE_CACHE_SIZE, _real_ladder, _spin_arrays, quadrature_values,
+                   real_quadrature_functions)
 
 # the omitted Maclaurin tail is summed until a term falls below this
 # fraction of max(|tail|, 1), far under double precision's 2^-53
@@ -120,24 +130,81 @@ class RabiParams:
 # the spin-j gauge core: each model as one list of (spin, field) terms
 # ---------------------------------------------------------------------------
 
-class _RealParts(NamedTuple):
-    n: np.ndarray          # a^dag a
-    X: np.ndarray          # a + a^dag
-    P: np.ndarray          # a^dag - a, real antisymmetric
-    eye_field: np.ndarray
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
-    eye_spin: np.ndarray
+# (two_j, cutoff) pairs whose factors are kept: the same bound as the X
+# eigendecomposition's cache, which one whole doubling chain fits
+FACTOR_CACHE_SIZE = QUADRATURE_CACHE_SIZE
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _RealParts:
+    """The coupling-independent factors at spin two_j / 2 and Fock cutoff:
+    the complex spin arrays J_x, J_y, J_z and their identity, built with the
+    holder, and the real dense field arrays n = a^dag a, X = a + a^dag,
+    P = a^dag - a (antisymmetric), the field identity and X @ X, each built
+    on its first read.  Every array is read-only, so the models share them.
+    Two threads that first read one field array together may both build it;
+    the arrays are equal and one is kept."""
+
+    def __init__(self, two_j: int, cutoff: int):
+        self.cutoff = cutoff
+        self.jx, self.jy, self.jz = (_frozen(j) for j in _spin_arrays(two_j))
+        self.eye_spin = _frozen(np.eye(two_j + 1, dtype=complex))
+
+    @functools.cached_property
+    def n(self) -> np.ndarray:
+        return _frozen(np.diag(np.arange(self.cutoff + 1.0)))
+
+    @functools.cached_property
+    def X(self) -> np.ndarray:
+        a = _real_ladder(self.cutoff)
+        return _frozen(a + a.T)
+
+    @functools.cached_property
+    def P(self) -> np.ndarray:
+        a = _real_ladder(self.cutoff)
+        return _frozen(a.T - a)
+
+    @functools.cached_property
+    def eye_field(self) -> np.ndarray:
+        return _frozen(np.eye(self.cutoff + 1))
+
+    @functools.cached_property
+    def X2(self) -> np.ndarray:
+        """X @ X, the naive models' diamagnetic field factor."""
+        return _frozen(self.X @ self.X)
+
+
+@functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _real_parts_cached(two_j: int, cutoff: int) -> _RealParts:
+    return _RealParts(two_j, cutoff)
+
+
+# one holder per (two_j, cutoff) even when threads miss on it together
+_FACTOR_LOCK = threading.Lock()
 
 
 def _real_parts(two_j: int, cutoff: int) -> _RealParts:
-    """Real Fock arrays and the complex spin-(two_j / 2) arrays, after the
-    dimension cap on (two_j + 1) (cutoff + 1)."""
+    """The shared factors at spin two_j / 2 and Fock cutoff, after the
+    dimension cap on (two_j + 1) (cutoff + 1).
+
+    Cached per (two_j, cutoff), least recently used first out past
+    FACTOR_CACHE_SIZE entries, like ``qops.quadrature_eig``.  Besides its
+    small spin arrays, an entry holds at most the five dense field arrays,
+    40 (cutoff + 1)^2 bytes: 1.6 MB at cutoff 200 and 66 MB at 1280; the six
+    cutoffs 40 ... 1280 of the default doubling chain take 88 MB at one
+    spin.  ``cache_info`` and ``cache_clear`` are the ``lru_cache``'s.
+    """
     check_dim((two_j + 1) * (cutoff + 1))
-    n, X, P = _real_fock_arrays(cutoff)
-    return _RealParts(n, X, P, np.eye(cutoff + 1), *_spin_arrays(two_j),
-                      np.eye(two_j + 1, dtype=complex))
+    with _FACTOR_LOCK:
+        return _real_parts_cached(two_j, cutoff)
+
+
+_real_parts.cache_info = _real_parts_cached.cache_info
+_real_parts.cache_clear = _real_parts_cached.cache_clear
 
 
 def _rotation(s: _RealParts, phi: float) -> np.ndarray:
@@ -213,7 +280,7 @@ def terms_H_C_standard(p: RabiParams) -> list:
     """
     s = _real_parts(p.two_j, p.cutoff)
     return _bare_terms(s, 1.0, p.omega_10) + [
-        (2.0 * p.g_c * s.jy, s.X), (_diamagnetic(p, p.two_j) * s.eye_spin, s.X @ s.X)]
+        (2.0 * p.g_c * s.jy, s.X), (_diamagnetic(p, p.two_j) * s.eye_spin, s.X2)]
 
 
 def terms_H_C_correct(p: RabiParams) -> list:
@@ -297,15 +364,22 @@ def bands_H_C_standard(p: RabiParams) -> ParityBands:
 def maclaurin_cos_sin(values: np.ndarray, order: int):
     """Order-n Maclaurin polynomials of cos and sin evaluated on real values.
 
-    Plain double precision, vectorised over ``values``; each value's result
-    depends on that value alone.  The terms x^m/m! are built as a running
-    product of x/m.  Where |x| >= order every kept term grows, so the kept
-    terms are summed directly and the alternating sum keeps about half its
-    last term.  Where |x| < order the result is cos x (sin x) minus the
-    omitted tail, whose terms fall monotonically from the first omitted one.
-    Neither way cancels catastrophically: against the exact polynomial, on
-    [-100, 100] at orders up to 400, the error is at most 1e-14 max(|v|, 1)
-    (measured 4.8e-15).  Orders 0 and 1 are exact.
+    Plain double precision, vectorised over ``values``: one row of values,
+    or a table whose rows run along its last axis.  The terms x^m/m! are
+    built as a running product of x/m.  Where |x| >= order every kept term
+    grows, so the kept terms are summed directly and the alternating sum
+    keeps about half its last term.  Where |x| < order the result is cos x
+    (sin x) minus the omitted tail, whose terms fall monotonically from the
+    first omitted one.  Neither way cancels catastrophically: against the
+    exact polynomial, on [-100, 100] at orders up to 400, the error is at
+    most 1e-14 max(|v|, 1) (measured 4.8e-15).  Orders 0 and 1 are exact.
+
+    A row's tail sums stop together, once every tail term of the row is
+    negligible, so a value can take a few more tail terms, each below
+    2^-60 of its sum, than it would alone and move by an ulp (at order 200,
+    -70.69528433823834 with 198.0 in its row).  Each row of a table is
+    therefore the one-row call on it, bit for bit, and the rows of one call
+    do not depend on each other.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -314,29 +388,65 @@ def maclaurin_cos_sin(values: np.ndarray, order: int):
         return np.ones_like(values), np.zeros_like(values)
     if order == 1:
         return np.ones_like(values), values.copy()
-    # head[m % 2] collects the signed terms (-1)^(m//2) x^m/m!: cos, then sin
-    head = [np.ones_like(values), np.zeros_like(values)]
-    term = np.ones_like(values)
+    out = [np.empty(values.shape), np.empty(values.shape)]
+    flat = [o.reshape(-1) for o in out]
+    x_all = values.reshape(-1)
+    tail = np.abs(x_all) < order
+    # the head sums, only where a value takes them: head[m % 2] collects
+    # the signed terms (-1)^(m//2) x^m/m!, cos then sin
+    at = np.flatnonzero(~tail)
+    if at.size:
+        x = x_all[at]
+        head = [np.ones_like(x), np.zeros_like(x)]
+        term = np.ones_like(x)
+        for m in range(1, order + 1):
+            term = term * (x / m)
+            head[m % 2] += term if m % 4 < 2 else -term
+        flat[0][at], flat[1][at] = head
+    at = np.flatnonzero(tail)
+    x = x_all[at]
+    t = np.ones_like(x)
     for m in range(1, order + 1):
-        term = term * (values / m)
-        head[m % 2] += term if m % 4 < 2 else -term
-    tail = np.abs(values) < order
-    x, t = values[tail], term[tail]
+        t = t * (x / m)
+    row = at // (values.shape[-1] if values.ndim else 1)
     rest = [np.zeros_like(x), np.zeros_like(x)]
-    m, settled = order, 0
-    # one term of each parity below its bound ends the sum: later terms are
-    # smaller still, and an alternating tail is bounded by its first term.
-    # A term that overflowed (|x| beyond ~700) can never get there.
-    while settled < 2:
+    settled = np.zeros(row[-1] + 1 if row.size else 0, dtype=int)
+    m = order
+    # one term of each parity below its bound ends a row's sums: later
+    # terms are smaller still, and an alternating tail is bounded by its
+    # first term.  A term that overflowed (|x| beyond ~700) can never get
+    # there.  A row that has ended keeps its sums as they are.
+    while at.size:
         m += 1
         t = t * (x / m)
         acc = rest[m % 2]
         acc += t if m % 4 < 2 else -t
         small = np.abs(t) < TAIL_REL_TOL * np.maximum(np.abs(acc), 1.0)
-        settled = settled + 1 if np.all(small | ~np.isfinite(t)) else 0
-    head[0][tail] = np.cos(x) - rest[0]
-    head[1][tail] = np.sin(x) - rest[1]
-    return head[0], head[1]
+        pending = np.bincount(row[~(small | ~np.isfinite(t))], minlength=settled.size)
+        settled = np.where(pending == 0, settled + 1, 0)
+        done = settled[row] == 2
+        if done.any():
+            flat[0][at[done]] = np.cos(x[done]) - rest[0][done]
+            flat[1][at[done]] = np.sin(x[done]) - rest[1][done]
+            keep = ~done
+            at, row, x, t = at[keep], row[keep], x[keep], t[keep]
+            rest = [r[keep] for r in rest]
+    return out[0], out[1]
+
+
+def terms_H_C_rotated(p: RabiParams, f) -> list:
+    """The one-dipole corrected model with cos/sin[2 eta (a+a^dag)]
+    replaced by the functions of X = a + a^dag whose values on its
+    spectrum are the (cos, sin) pair that ``f`` returns on
+    ``qops.quadrature_values(p.cutoff)``, as
+    ``qops.real_quadrature_functions`` takes it.
+
+    ``terms_H_C_taylor`` is this at the Maclaurin values; the Taylor study
+    passes the rows of its per-order table.
+    """
+    _check_one_dipole(p)
+    s = _real_parts(1, p.cutoff)
+    return _rotated_terms(s, 1.0, p.omega_10, *real_quadrature_functions(p.cutoff, f))
 
 
 def terms_H_C_taylor(p: RabiParams, order: int) -> list:
@@ -347,11 +457,7 @@ def terms_H_C_taylor(p: RabiParams, order: int) -> list:
     sum-rule-corrected quadratic model; as order grows the spectrum converges
     to ``terms_H_C_correct`` at the same cutoff.
     """
-    _check_one_dipole(p)
-    s = _real_parts(1, p.cutoff)
-    cos, sin = real_quadrature_functions(
-        p.cutoff, lambda x: maclaurin_cos_sin(2.0 * p.eta * x, order))
-    return _rotated_terms(s, 1.0, p.omega_10, cos, sin)
+    return terms_H_C_rotated(p, lambda x: maclaurin_cos_sin(2.0 * p.eta * x, order))
 
 
 def taylor_is_exact(p: RabiParams, order: int) -> bool:

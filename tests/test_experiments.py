@@ -363,8 +363,9 @@ def counting(monkeypatch, module, name, log, key):
 
 
 def test_taylor_study_threads_and_lazy_exact(monkeypatch):
-    calls = []
+    calls, maclaurin = [], []
     counting(monkeypatch, rabi_mod, "terms_H_C_correct", calls, lambda p: p.eta)
+    counting(monkeypatch, rabi_mod, "maclaurin_cos_sin", maclaurin, lambda v, n: n)
     grid = TAYLOR_GRID
     orders = (2, 3, 4, 5, 6, 10, 60)
     kw = dict(eta_grid=grid, cutoff=30, levels=3)
@@ -376,6 +377,7 @@ def test_taylor_study_threads_and_lazy_exact(monkeypatch):
     assert study.scanned(orders.index(60)) < len(grid)  # the longest scan stops inside
     assert grid[4] not in needed and grid[5] not in needed  # no scan solves 0.5, 0.6
     assert sorted(calls) == needed  # one exact solve per eta some scan needs
+    assert sorted(maclaurin) == sorted(orders)  # and one Maclaurin table per order
     # more scans than cores, switching threads often: each exact spectrum is
     # still solved once, and the table does not depend on the thread count
     calls.clear()
@@ -386,25 +388,47 @@ def test_taylor_study_threads_and_lazy_exact(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert sorted(calls) == needed
+    assert sorted(maclaurin) == sorted(orders + orders)
     assert threaded.exact_points == study.exact_points
     assert taylor_csv_lines(threaded) == taylor_csv_lines(study)
 
 
 def test_taylor_study_skips_bit_identical_points(monkeypatch):
     taylor, correct, maclaurin = [], [], []
-    counting(monkeypatch, rabi_mod, "terms_H_C_taylor", taylor, lambda p, n: (n, p.eta))
+    counting(monkeypatch, rabi_mod, "terms_H_C_rotated", taylor, lambda p, f: p.eta)
     counting(monkeypatch, rabi_mod, "terms_H_C_correct", correct, lambda p: p.eta)
-    counting(monkeypatch, rabi_mod, "maclaurin_cos_sin", maclaurin, lambda v, n: n)
+    counting(monkeypatch, rabi_mod, "maclaurin_cos_sin", maclaurin, lambda v, n: (n, v.shape))
     study = taylor_study((60,), eta_grid=TAYLOR_GRID, cutoff=30, levels=3)
     assert study.exact_points == (6,) and study.scanned(0) == 13
     assert study.errors[0][:6] == (0.0,) * 6
     # a skipped point builds neither model; the rest build each once
     solved = TAYLOR_GRID[6:13]
-    assert taylor == [(60, eta) for eta in solved]
+    assert taylor == list(solved)
     assert sorted(correct) == sorted(solved)
-    # one Maclaurin evaluation per skipped point, one for the point that
-    # ended the run, one per Taylor build
-    assert len(maclaurin) == 6 + 1 + len(solved)
+    # one Maclaurin evaluation for the order: its table over the whole grid
+    # of etas by the 31 eigenvalues of X, which both the exact run and the
+    # Taylor builds read
+    assert maclaurin == [(60, (len(TAYLOR_GRID), 31))]
+
+
+def test_taylor_study_table_matches_per_point_evaluation():
+    """The per-order table gives what one evaluation per point gives: the
+    leading run of ``taylor_is_exact`` points, and past it the error of a
+    ``terms_H_C_taylor`` solve at each scanned point, bit for bit."""
+    orders = (3, 10, 60)
+    study = taylor_study(orders, eta_grid=TAYLOR_GRID, cutoff=30, levels=3)
+    assert study.exact_points[2] == 6 and study.scanned(2) == 13  # the run ends mid-grid
+    for i, n in enumerate(orders):
+        params = [RabiParams(eta=eta, cutoff=30) for eta in TAYLOR_GRID]
+        run = next((k for k, p in enumerate(params) if not rabi_mod.taylor_is_exact(p, n)),
+                   len(params))
+        assert study.exact_points[i] == run
+        for k in range(run, study.scanned(i)):
+            t = lowest_transitions(
+                linalg_mod.parity_block_sum(rabi_mod.terms_H_C_taylor(params[k], n)), 3)
+            ref = lowest_transitions(
+                linalg_mod.parity_block_sum(rabi_mod.terms_H_C_correct(params[k])), 3)
+            assert study.errors[i][k] == float(np.max(np.abs(t - ref) / np.maximum(ref, 1.0)))
 
 
 def test_taylor_study_solves_the_lowest_levels_only(monkeypatch):

@@ -28,10 +28,14 @@ from gaugeqed import (
     parity_block_sum,
     terms_H_alpha,
     terms_H_C_correct,
+    terms_H_C_standard,
     terms_H_C_taylor,
+    terms_H_D,
 )
-from gaugeqed.experiments import ConvergencePolicy, converged_transitions, lowest_transitions
-from gaugeqed.qops import _real_fock_arrays
+from gaugeqed import rabi
+from gaugeqed.experiments import (ConvergencePolicy, converged_transitions, default_eta_grid,
+                                  lowest_transitions)
+from gaugeqed.qops import _real_fock_arrays, quadrature_values
 from gaugeqed.rabi import taylor_is_exact
 
 # eta = 1, resonant, cutoff 150; j-th entry is E_j - E_0
@@ -232,12 +236,33 @@ def test_maclaurin_tail_branch_matches_numpy():
     assert np.abs(s - np.sin(v)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("order", [2, 3, 10, 200])
+def test_maclaurin_table_rows_are_one_row_calls(order):
+    # the Taylor study's table at its defaults: one row of 2 eta x per eta
+    # of the grid, x the 201 eigenvalues of a + a^dag at cutoff 200
+    etas = np.array(default_eta_grid(1.6, include_zero=False))
+    x = (2.0 * etas)[:, None] * quadrature_values(200)
+    cos, sin = maclaurin_cos_sin(x, order)
+    for row, c, s in zip(x, cos, sin):
+        c1, s1 = maclaurin_cos_sin(row, order)
+        assert np.array_equal(c, c1) and np.array_equal(s, s1)
+
+
 def test_maclaurin_branches_consistent():
-    # a value's result does not depend on the other values in the array
-    c1, s1 = maclaurin_cos_sin(np.array([17.5]), 160)
-    c2, s2 = maclaurin_cos_sin(np.array([17.5, 20.0]), 160)
-    assert abs(c1[0] - c2[0]) <= 1e-8
-    assert abs(s1[0] - s2[0]) <= 1e-8
+    # a neighbour's slower tail keeps the row summing, and the value's extra
+    # tail terms, each below 2^-60 of its sum, move its cos by an ulp; a
+    # table row is still the one-row call on it, bit for bit
+    for order, value, neighbour in ((160, -51.83648153732604, 158.4),
+                                    (200, -70.69528433823834, 198.0)):
+        alone = maclaurin_cos_sin(np.array([value]), order)
+        shared = maclaurin_cos_sin(np.array([value, neighbour]), order)
+        assert shared[0][0] == np.nextafter(alone[0][0], shared[0][0]) != alone[0][0]
+        rows = np.array([[value, neighbour], [value, 0.0], [neighbour, value]])
+        table = maclaurin_cos_sin(rows, order)
+        for k in (0, 1):
+            for row, got in zip(rows, table[k]):
+                assert np.array_equal(got, maclaurin_cos_sin(row, order)[k])
+            assert table[k][1][0] == alone[k][0]
 
 
 @pytest.mark.parametrize("order", list(range(41)) + [99, 100, 101, 200, 400])
@@ -360,6 +385,65 @@ def test_builders_enforce_dimension_cap():
                   bands_H_D, bands_H_C_standard):
         with pytest.raises(DimensionOverflowError):
             build(p)
+
+
+# ---------------------------------------------------------------------------
+# the coupling-independent factors, shared per (two_j, cutoff)
+# ---------------------------------------------------------------------------
+
+DENSE_FACTORS = {"n", "X", "P", "eye_field", "X2"}
+
+
+def test_shared_factors_are_read_only_and_built_once(monkeypatch):
+    rabi._real_parts.cache_clear()
+    p = RabiParams(eta=0.3, cutoff=20)
+    terms_H_C_standard(p)
+    terms_H_alpha(p, 0.5)
+    s = rabi._real_parts(1, 20)
+    built = dict(vars(s))
+    assert DENSE_FACTORS <= set(built)
+    arrays = [a for a in built.values() if isinstance(a, np.ndarray)]
+    assert len(arrays) == 9 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        s.X[0, 1] = 0.0
+    # a second build at the same (two_j, cutoff) makes none of them again
+    made = []
+    for name in ("_real_ladder", "_spin_arrays"):
+        fn = getattr(rabi, name)
+        monkeypatch.setattr(rabi, name, lambda *a, fn=fn: made.append(a) or fn(*a))
+    misses = rabi._real_parts.cache_info().misses
+    again = terms_H_C_standard(p) + terms_H_alpha(p, 0.5)
+    assert made == [] and rabi._real_parts.cache_info().misses == misses
+    assert rabi._real_parts(1, 20) is s
+    assert all(vars(s)[k] is v for k, v in built.items()) and vars(s).keys() == built.keys()
+    # field factors enter the terms as the shared arrays themselves
+    assert again[1][1] is s.eye_field and again[2][1] is s.X and again[3][1] is s.X2 \
+        and again[7][1] is s.P
+    # another spin or cutoff is another entry
+    assert rabi._real_parts(2, 20) is not s and rabi._real_parts(1, 21) is not s
+
+
+@pytest.mark.parametrize("model, reads", [
+    (terms_H_D, {"n", "eye_field", "P"}),
+    (terms_H_C_standard, {"n", "eye_field", "X", "X2"}),
+    (terms_H_C_correct, {"n"}),
+    (lambda p: terms_H_C_taylor(p, 4), {"n"}),
+    (lambda p: terms_H_alpha(p, 0.5), {"n", "P"}),
+])
+def test_models_build_only_the_factors_they_read(model, reads):
+    rabi._real_parts.cache_clear()
+    model(RabiParams(eta=0.3, cutoff=12))
+    assert set(vars(rabi._real_parts(1, 12))) & DENSE_FACTORS == reads
+
+
+def test_factor_cache_evicts_past_its_bound():
+    rabi._real_parts.cache_clear()
+    oldest = rabi._real_parts(1, 3)
+    for cutoff in range(4, 4 + rabi.FACTOR_CACHE_SIZE):
+        rabi._real_parts(1, cutoff)
+    assert rabi._real_parts.cache_info().currsize == rabi.FACTOR_CACHE_SIZE
+    assert rabi._real_parts(1, 3) is not oldest  # evicted, so built anew
+    assert rabi._real_parts.cache_info().currsize == rabi.FACTOR_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------
