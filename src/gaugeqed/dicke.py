@@ -71,4 +71,4 @@ def terms_dicke_dipole(p: DickeParams) -> list:
     """
     s = _real_parts(p.two_j, p.cutoff)
     return _dipole_terms(s, p) + [
-        (4.0 * p.eta ** 2 * (s.jx @ s.jx), s.eye_field)]
+        (4.0 * p.eta ** 2 * (s.jx @ s.jx), s.f.eye)]

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_eig
-from .qops import _real_fock_arrays, real_quadrature_functions
+from .qops import fock_factors, real_quadrature_functions
 from .rabi import _bare_terms, _real_cos_sin, _real_parts, _rotated_terms
 
 
@@ -110,8 +110,8 @@ class FluxoniumBasis:
 def _flux_hamiltonian(p: FluxoniumParams, basis_size: int):
     """The qubit Hamiltonian on oscillator levels 0..basis_size - 1, real,
     with phi and b^dag - b."""
-    _, X, bd_minus_b = _real_fock_arrays(basis_size - 1)
-    phi = p.phi_zp * X
+    f = fock_factors(basis_size - 1)
+    phi, bd_minus_b = p.phi_zp * f.X, f.P
     # N = i n_zp (b^dag - b); N^2 = -n_zp^2 (b^dag - b)^2
     n_zp = 1.0 / (2.0 * p.phi_zp)
     n2 = (-n_zp ** 2) * (bd_minus_b @ bd_minus_b)
@@ -159,8 +159,8 @@ def terms_flux_charge_standard(p: FluxoniumParams, basis: FluxoniumBasis) -> lis
     """
     s = _real_parts(1, p.cutoff)
     return _bare_terms(s, p.omega_c, basis.omega_10) + [
-        (2.0 * coupling_g_c(p, basis) * s.jy, s.X),
-        (4.0 * p.e_c * p.chi0 ** 2 * s.eye_spin, s.X2)]
+        (2.0 * coupling_g_c(p, basis) * s.jy, s.f.X),
+        (4.0 * p.e_c * p.chi0 ** 2 * s.eye_spin, s.f.X2)]
 
 
 def _two_theta(p: FluxoniumParams, basis: FluxoniumBasis) -> float:

@@ -38,17 +38,18 @@ stores one triangle, so the writer checks symmetry against the mirror
 image of each entry, and the solver checks only finiteness.  Blocks and
 bands have no off-parity half, so parity holds by construction there.
 
-Two engines solve a band, and the shape of each chain picks one.
+:func:`band_eigh` is the package's one band solver: every banded chain
+and the 1D particle's grid operators, real and complex, go through it.
+Two engines solve a band, and the band's shape picks one.
 ``scipy.linalg.eig_banded`` (LAPACK ?sbevx) first reduces the whole band
 to tridiagonal form, about rows^2 * width flops, which is nothing on the
-narrow Rabi chains.  :func:`shift_invert_eigsh`, the package's one
-shift-invert banded solver, factors the shifted band once by banded
-Cholesky (?pbtrf, rows * width^2) and runs ARPACK's shift-invert Lanczos
-on that factor; it also solves the 1D particle's grid operators, real
-and complex.  :func:`banded_parity_eigvalsh` gives a chain with
-rows^2 * width above SHIFT_INVERT_MIN_WORK (the 16- and 32-level full
-models) to the second, shifted just below the chain's Gershgorin lower
-bound, and every other chain to the first.
+narrow Rabi chains.  :func:`shift_invert_eigsh` factors the shifted band
+once by banded Cholesky (?pbtrf, rows * width^2) and runs ARPACK's
+shift-invert Lanczos on that factor.  A band with rows^2 * width above
+SHIFT_INVERT_MIN_WORK (the 16- and 32-level full models, the particle's
+grids at the presets' sizes) goes to the second, shifted just below its
+Gershgorin lower bound unless the caller passes its own shift, and every
+other band to the first.
 
 Everything is plain double precision, checked against tolerances that the
 tests enforce rather than assume.  :class:`OperatorMatrix`,
@@ -144,6 +145,14 @@ class Spectrum:
         return w[1:stop] - w[0]
 
 
+def _phase_fixed(v: np.ndarray) -> np.ndarray:
+    """The columns of ``v``, each times the phase that makes its
+    largest-magnitude entry (the lowest index on ties) real and positive;
+    for a real column, its sign."""
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return v * (lead / np.abs(lead)).conj()[np.newaxis, :]
+
+
 def hermitian_eig(arr: np.ndarray, vectors: bool = True) -> Spectrum:
     """Full eigendecomposition of a Hermitian complex128 array, or of a real
     symmetric float64 array, which is solved in real arithmetic.
@@ -172,11 +181,7 @@ def hermitian_eig(arr: np.ndarray, vectors: bool = True) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(f"eigensolver did not converge: {exc}") from exc
     if v is not None:
-        idx = np.argmax(np.abs(v), axis=0)
-        lead = v[idx, np.arange(v.shape[1])]
-        phase = lead / np.abs(lead)
-        v = v * phase.conj()[np.newaxis, :]
-        v = np.ascontiguousarray(v)
+        v = np.ascontiguousarray(_phase_fixed(v))
         v.flags.writeable = False
     w = np.ascontiguousarray(w)
     w.flags.writeable = False
@@ -504,42 +509,55 @@ def _below_gershgorin(chain: np.ndarray) -> float:
     return low - 1e-6 * max(abs(low), 1.0)
 
 
+def band_eigh(band: np.ndarray, k: int, vectors: bool = False,
+              sigma: Optional[float] = None):
+    """The lowest k eigenvalues, ascending, and with ``vectors`` (else None)
+    their eigenvectors, phase-fixed as :func:`hermitian_eig` fixes them, of
+    the Hermitian operator in LAPACK lower band storage ``band`` (real
+    symmetric or complex Hermitian).
+
+    The band's shape picks the engine.  With rows^2 * width above
+    SHIFT_INVERT_MIN_WORK and k < rows - 1 it is :func:`shift_invert_eigsh`
+    about ``sigma``, by default just below the band's Gershgorin lower
+    bound (``_below_gershgorin``), which ?pbtrf certifies again; otherwise
+    ``scipy.linalg.eig_banded`` (LAPACK ?sbevx or ?hbevx: reduction to
+    tridiagonal form, then bisection for the selected indices), which takes
+    no shift.
+
+    Raises LinalgError on a non-finite entry, ShiftAboveSpectrumError when
+    ?pbtrf refuses the shift, and ConvergenceFailureError if LAPACK or
+    ARPACK does not converge.
+    """
+    if not np.isfinite(band).all():
+        raise LinalgError("the band has a non-finite entry")
+    rows, width = band.shape[1], band.shape[0] - 1
+    if rows * rows * width > SHIFT_INVERT_MIN_WORK and k < rows - 1:
+        w, v = shift_invert_eigsh(band, k, _below_gershgorin(band) if sigma is None else sigma,
+                                  vectors)
+    else:
+        try:
+            res = scipy.linalg.eig_banded(band, lower=True, eigvals_only=not vectors,
+                                          select="i", select_range=(0, k - 1),
+                                          check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailureError(f"eigensolver did not converge: {exc}") from exc
+        w, v = res if vectors else (res, None)
+    return w, None if v is None else _phase_fixed(v)
+
+
 def banded_parity_eigvalsh(bands: ParityBands, count: int) -> np.ndarray:
     """The lowest ``count`` eigenvalues of the operator whose parity chains
     ``bands`` holds, ascending and read-only (fewer when the chains hold
     fewer).
 
-    Each chain is solved for its own lowest k = min(count, rows)
-    eigenvalues, by one of two engines chosen from its shape; the lowest
-    ``count`` of the union are the operator's.  A chain with
-    rows^2 * width > SHIFT_INVERT_MIN_WORK and k < rows - 1 goes to
-    :func:`shift_invert_eigsh`, shifted just below its Gershgorin lower
-    bound (``_below_gershgorin``, which ?pbtrf certifies again).  Every
-    other chain goes to ``scipy.linalg.eig_banded`` (LAPACK ?sbevx:
-    reduction to tridiagonal form, then bisection for the selected
-    indices).
-
-    Raises LinalgError on a non-finite band entry, ShiftAboveSpectrumError
-    when ?pbtrf refuses the shift, and ConvergenceFailureError if LAPACK or
-    ARPACK does not converge.
+    Each chain is solved by :func:`band_eigh` for its own lowest
+    min(count, rows) eigenvalues, and the lowest ``count`` of the union are
+    the operator's.  Raises ValueError when count < 1, and otherwise what
+    :func:`band_eigh` raises.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    ws = []
-    for c, chain in enumerate(bands.chains):
-        if not np.isfinite(chain).all():
-            raise LinalgError(f"parity chain {c} has a non-finite entry")
-        rows, width = chain.shape[1], chain.shape[0] - 1
-        k = min(count, rows)
-        if rows * rows * width > SHIFT_INVERT_MIN_WORK and k < rows - 1:
-            ws.append(shift_invert_eigsh(chain, k, _below_gershgorin(chain), False)[0])
-            continue
-        try:
-            ws.append(scipy.linalg.eig_banded(chain, lower=True, eigvals_only=True,
-                                              select="i", select_range=(0, k - 1),
-                                              check_finite=False))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailureError(f"eigensolver did not converge: {exc}") from exc
+    ws = [band_eigh(chain, min(count, chain.shape[1]))[0] for chain in bands.chains]
     w = np.sort(np.concatenate(ws))[:count]
     w.flags.writeable = False
     return w

@@ -5,17 +5,18 @@ Provides the matter side of the full (many-level) light-matter models:
 * ``solve_particle``                  lowest-M eigenpairs of p^2/2m + W(x) by
                                       4th-order finite differences, with a
                                       grid-refinement check; both grids are
-                                      solved by banded Cholesky shift-invert
-                                      Lanczos (``linalg.shift_invert_eigsh``),
-                                      each parity on x >= 0 for a
+                                      solved by the package's one band
+                                      solver (``linalg.band_eigh``), each
+                                      parity on x >= 0 for a
                                       mirror-symmetric potential
 * ``nonlocal_kernel``                 the projected potential kernel V(x, x')
                                       showing how truncation delocalizes a
                                       local potential
 * ``check_minimal_coupling_identity`` phase-conjugation route vs direct
-                                      p -> p - qA0 substitution on the grid,
-                                      and the spectra of both by the same
-                                      shift-invert solver
+                                      p -> p - qA0 substitution on the grid
+                                      (both from the one band writer,
+                                      ``_grid_bands``), and the spectra of
+                                      both by the same band solver
 * ``terms_full_H_D`` / ``terms_full_H_C``   untruncated-matter gauge partners
                                       in the M_used-level eigenbasis, each a
                                       list of (matter, field) terms
@@ -48,10 +49,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg as sla
 
-from .linalg import ShiftAboveSpectrumError, check_dim, kron_sum, shift_invert_eigsh
-from .qops import _real_fock_arrays
+from .linalg import band_eigh, check_dim, kron_sum
+from .qops import fock_factors
 
 BOUNDARY_AMPLITUDE_MAX = 1e-8
 GRID_SHIFT_MAX = 1e-6
@@ -229,13 +229,20 @@ class MatterBasis:
                 f"of {GRID_SHIFT_MAX:.0e}")
 
 
-def _grid_bands(model: ParticleModel):
+def _grid_bands(model: ParticleModel, q_a0: float = 0.0) -> np.ndarray:
+    """(p - q A0)^2/2m + W on the grid by the 4th-order stencils, in lower
+    band storage (row r holds the entries (j + r, j), padded at its end
+    with the same stencil value): real at q_a0 = 0, complex Hermitian
+    otherwise."""
     g = model.grid
     kin = 1.0 / (2.0 * model.mass * g.dx ** 2)
-    bands = np.zeros((3, g.n_points))
-    bands[0] = -_D2[2] * kin + model.potential
-    bands[1] = -_D2[1] * kin
-    bands[2] = -_D2[0] * kin
+    bands = np.zeros((3, g.n_points), dtype=complex if q_a0 else float)
+    bands[0] = -_D2[2] * kin + (model.potential + q_a0 ** 2 / (2.0 * model.mass))
+    for r in (1, 2):
+        bands[r] = -_D2[2 - r] * kin
+        if q_a0:
+            # cross term -(q A0/m) p with p = -i d/dx
+            bands[r] += (1j * q_a0 / model.mass) * _D1[2 - r] / g.dx
     return bands
 
 
@@ -243,32 +250,8 @@ def _shift(model: ParticleModel) -> float:
     # below the potential minimum, and so below the spectrum: the 4th-order
     # kinetic stencil is positive semidefinite.  The wanted levels are then
     # the largest of the inverted operator, and the shifted operator is
-    # positive definite, as the Cholesky factor in shift_invert_eigsh needs
+    # positive definite, as the Cholesky factor of shift-invert needs
     return float(model.potential.min()) - 1.0
-
-
-def _band_solve(bands: np.ndarray, k: int, sigma: float, vectors: bool):
-    """Lowest k levels of the symmetric pentadiagonal operator in lower band
-    storage ``bands``: ascending eigenvalues and, with ``vectors`` (else
-    None), eigenvectors signed so that each one's largest-magnitude entry is
-    positive.
-
-    Banded Cholesky shift-invert Lanczos about ``sigma``, by the package's
-    one shift-invert banded solver, ``linalg.shift_invert_eigsh``; with too
-    few points for Lanczos (eigsh would warn and go dense), banded LAPACK.
-    The banded driver is avoided otherwise: it needs a dense n x n
-    back-transform for vectors and is several times slower even for values
-    on refined grids.
-    """
-    if k < bands.shape[1] - 1:
-        w, u = shift_invert_eigsh(bands, k, sigma, vectors)
-    else:
-        res = sla.eig_banded(bands, lower=True, select="i", select_range=(0, k - 1),
-                             eigvals_only=not vectors)
-        w, u = res if vectors else (res, None)
-    if vectors:
-        u *= np.where(u[np.abs(u).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
-    return w, u
 
 
 def _solve_grid(model: ParticleModel, vectors: bool):
@@ -276,7 +259,7 @@ def _solve_grid(model: ParticleModel, vectors: bool):
     without mirror symmetry: ascending energies and, with ``vectors`` (else
     None), eigenfunctions normalized to sum(psi^2) dx = 1 and signed so that
     the largest-magnitude sample is positive."""
-    w, v = _band_solve(_grid_bands(model), model.eigen_count, _shift(model), vectors)
+    w, v = band_eigh(_grid_bands(model), model.eigen_count, vectors, _shift(model))
     return w, None if v is None else v / np.sqrt(model.grid.dx)
 
 
@@ -339,9 +322,9 @@ def _half_solve(model: ParticleModel, parity: int, k: int, vectors: bool):
     """Lowest k levels of mirror parity ``parity`` from the folded operator:
     ascending energies and, with ``vectors`` (else None), their
     eigenfunctions rebuilt on the whole grid by mirroring, normalized to
-    sum(psi^2) dx = 1 and signed as ``_band_solve`` signs the folded
+    sum(psi^2) dx = 1 and signed as ``linalg.band_eigh`` signs the folded
     vectors."""
-    w, u = _band_solve(_fold(model, parity), k, _shift(model), vectors)
+    w, u = band_eigh(_fold(model, parity), k, vectors, _shift(model))
     if not vectors:
         return w, None
     n = model.grid.n_points
@@ -388,9 +371,11 @@ def solve_particle(model: ParticleModel) -> MatterBasis:
     Raises BoundaryLeakError when any retained eigenfunction fails to decay
     below 1e-8 at the grid edge, and GridTooCoarseError when halving the grid
     spacing moves any retained eigenvalue by more than 1e-6.  Both grids are
-    solved the same way, by banded Cholesky shift-invert Lanczos, whose
-    ?pbtrf factor certifies that the shift lies below the spectrum
-    (ShiftAboveSpectrumError otherwise).
+    solved the same way, by ``linalg.band_eigh`` about the shift below the
+    potential minimum: on the presets' grids by banded Cholesky shift-invert
+    Lanczos, whose ?pbtrf factor certifies that the shift lies below the
+    spectrum (ShiftAboveSpectrumError otherwise), and on grids too small or
+    too crowded for it by ``eig_banded``.
 
     A mirror-symmetric model (see ``_mirror_symmetric``) is solved on
     x >= 0, one half-grid solve per parity (``_fold``), and its levels are
@@ -502,60 +487,34 @@ class MinimalCouplingReport:
     passed: bool
 
 
-def _operator_diagonals(model: ParticleModel, q_a0: float):
-    """Sparse diagonals (offsets -2..2) of (p - qA0)^2/2m + W on the grid."""
-    g = model.grid
-    n, dx = g.n_points, g.dx
-    kin = 1.0 / (2.0 * model.mass * dx ** 2)
-    diags = {}
-    for off in (-2, -1, 0, 1, 2):
-        d = np.full(n - abs(off), -_D2[off + 2] * kin, dtype=complex)
-        if off == 0:
-            d += model.potential + q_a0 ** 2 / (2.0 * model.mass)
-        else:
-            # cross term -(qA0/m) p with p = -i d/dx
-            d += (1j * q_a0 / model.mass) * _D1[off + 2] / dx
-        diags[off] = d
-    return diags
-
-
 def check_minimal_coupling_identity(model: ParticleModel, A0: float) -> MinimalCouplingReport:
     """Verify that conjugating p^2/2m + W by the diagonal phase exp(i q A0 x)
     reproduces the minimal-coupling substitution (p - q A0)^2/2m + W.
 
     Both routes are exact in the continuum; on the grid they differ by the
     finite-difference representation error, which scales as (q A0 dx)^2.  The
-    residual is the largest entry mismatch relative to the largest entry of
-    the bare operator; the check passes when it is within
+    residual is the largest mismatch over the lower band (the upper is its
+    mirror image) relative to the largest entry of the bare operator; the
+    check passes when it is within
     MINIMAL_COUPLING_RTOL.  The phase conjugation leaves the spectrum exactly
     invariant, so the lowest MINIMAL_COUPLING_LEVELS eigenvalues of the
     conjugated operator are also compared against the bare ones; both
     pentadiagonal bands, the real one and the complex Hermitian one, are
-    solved by ``linalg.shift_invert_eigsh`` about the grid solve's shift,
+    solved by ``linalg.band_eigh`` about the grid solve's shift,
     ShiftAboveSpectrumError when ?pbtrf refuses it.
     """
-    g = model.grid
-    n, dx = g.n_points, g.dx
+    n, dx = model.grid.n_points, model.grid.dx
     q_a0 = model.charge * A0
-    bare = _operator_diagonals(model, 0.0)
-    subst = _operator_diagonals(model, q_a0)
-    scale = max(float(np.abs(bare[off]).max()) for off in bare)
-    res = 0.0
-    for off in bare:
-        # conjugation multiplies diagonal `off` by exp(-i q A0 * off * dx)
-        conj_d = bare[off] * np.exp(-1j * q_a0 * off * dx)
-        res = max(res, float(np.abs(conj_d - subst[off]).max()))
-    residual_rel = res / scale
-
-    bands_r = _grid_bands(model)
-    bands_c = np.zeros((3, n), dtype=complex)
-    bands_c[0] = bands_r[0]
-    bands_c[1] = bands_r[1] * np.exp(1j * q_a0 * dx)
-    bands_c[2] = bands_r[2] * np.exp(2j * q_a0 * dx)
+    bare = _grid_bands(model)
+    # conjugation multiplies band row r, the entries (j + r, j), by
+    # exp(i q A0 r dx); the upper band is its mirror image
+    conj = bare * np.exp(1j * q_a0 * np.arange(3) * dx)[:, None]
+    residual_rel = float(np.abs(conj - _grid_bands(model, q_a0)).max()) \
+        / float(np.abs(bare).max())
     # the conjugation keeps the spectrum, so one shift serves both bands
     sigma = _shift(model)
-    w_bare, _ = shift_invert_eigsh(bands_r, MINIMAL_COUPLING_LEVELS, sigma, False)
-    w_conj, _ = shift_invert_eigsh(bands_c, MINIMAL_COUPLING_LEVELS, sigma, False)
+    w_bare, _ = band_eigh(bare, MINIMAL_COUPLING_LEVELS, sigma=sigma)
+    w_conj, _ = band_eigh(conj, MINIMAL_COUPLING_LEVELS, sigma=sigma)
     spectrum_dev = float(np.abs(w_bare - w_conj).max())
     return MinimalCouplingReport(q_a0=q_a0, residual_rel=residual_rel,
                                  spectrum_dev=spectrum_dev, n_points=n,
@@ -580,12 +539,12 @@ def terms_full_H_D(model: ParticleModel, basis: MatterBasis, cutoff: int, A0: fl
     """
     _check_m_used(basis, m_used)
     check_dim(m_used * (cutoff + 1))
-    n, _, P = _real_fock_arrays(cutoff)
+    f = fock_factors(cutoff)
     q = model.charge
-    return [(np.eye(m_used), n),
-            (np.diag(basis.energies[:m_used]), np.eye(cutoff + 1)),
-            (q ** 2 * A0 ** 2 * basis.x2_elems[:m_used, :m_used], np.eye(cutoff + 1)),
-            (q * A0 * 1j * basis.x_elems[:m_used, :m_used], P)]
+    return [(np.eye(m_used), f.n),
+            (np.diag(basis.energies[:m_used]), f.eye),
+            (q ** 2 * A0 ** 2 * basis.x2_elems[:m_used, :m_used], f.eye),
+            (q * A0 * 1j * basis.x_elems[:m_used, :m_used], f.P)]
 
 
 def terms_full_H_C(model: ParticleModel, basis: MatterBasis, cutoff: int, A0: float,
@@ -596,12 +555,12 @@ def terms_full_H_C(model: ParticleModel, basis: MatterBasis, cutoff: int, A0: fl
     (q^2 A0^2 / 2m) 1 (x) X^2, X = a + a^dag, after the dimension cap."""
     _check_m_used(basis, m_used)
     check_dim(m_used * (cutoff + 1))
-    n, X, _ = _real_fock_arrays(cutoff)
+    f = fock_factors(cutoff)
     q = model.charge
-    return [(np.eye(m_used), n),
-            (np.diag(basis.energies[:m_used]), np.eye(cutoff + 1)),
-            (-((q / model.mass) * A0) * basis.p_elems[:m_used, :m_used], X),
-            (q ** 2 * A0 ** 2 / (2.0 * model.mass) * np.eye(m_used), X @ X)]
+    return [(np.eye(m_used), f.n),
+            (np.diag(basis.energies[:m_used]), f.eye),
+            (-((q / model.mass) * A0) * basis.p_elems[:m_used, :m_used], f.X),
+            (q ** 2 * A0 ** 2 / (2.0 * model.mass) * np.eye(m_used), f.X2)]
 
 
 def build_full_H_D(model: ParticleModel, basis: MatterBasis, cutoff: int,

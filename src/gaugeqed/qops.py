@@ -1,12 +1,11 @@
 """Bosonic and collective-spin operators on truncated spaces.
 
-The builders take the real Fock arrays n, a + a^dag and a^dag - a (from
-``_real_ladder``; ``_real_fock_arrays`` forms all three) and the complex
-spin arrays of ``_spin_arrays`` as the factors of their (matter, field)
-terms; ``gaugeqed.rabi`` keeps them per spin and cutoff.  :func:`fock_ops` and
-:func:`spin_ops` (types ``FockOps``, ``SpinOps``) wrap the complex arrays as
-``OperatorMatrix`` only for the benchmark tracer, which hooks them by name.
-A cutoff is a plain ``int`` everywhere.
+The builders take the real Fock arrays of :func:`fock_factors` and the
+complex spin arrays of ``_spin_arrays`` as the factors of their (matter,
+field) terms.  :func:`fock_ops` and :func:`spin_ops` (types ``FockOps``,
+``SpinOps``) wrap the complex arrays as ``OperatorMatrix`` only for the
+benchmark tracer, which hooks them by name.  A cutoff is a plain ``int``
+everywhere.
 
 Basis conventions (used everywhere in the package):
 
@@ -19,15 +18,18 @@ Basis conventions (used everywhere in the package):
 Truncation artefact worth remembering: on the truncated space
 [a, a^dag] = 1 everywhere except the top Fock entry, where it is -cutoff.
 
-The eigendecomposition of the field quadrature X = a + a^dag does not depend
-on the coupling, so :func:`quadrature_eig` keeps it per cutoff; its
-eigenvalues are sqrt(2) times the Gauss-Hermite nodes of order cutoff + 1
-(Golub & Welsch, Math. Comp. 23, 221, 1969).  X is real symmetric, so it is
-solved in real arithmetic and its sign-fixed eigenvectors are real;
+No Fock factor depends on the coupling, so :func:`fock_factors` keeps one
+``FockFactors`` holder per cutoff, the one owner of n, X = a + a^dag,
+P = a^dag - a, the identity, X @ X and X's eigendecomposition, each built
+on its first read and shared read-only by every model at that cutoff: the
+Rabi, Dicke and fluxonium builders, the fluxonium qubit and the full
+models of ``gaugeqed.particle1d``.  The eigenvalues of X are sqrt(2) times
+the Gauss-Hermite nodes of order cutoff + 1 (Golub & Welsch, Math. Comp.
+23, 221, 1969).  X is real symmetric, so it is solved in real arithmetic
+and its sign-fixed eigenvectors are real (:func:`quadrature_eig`);
 :func:`real_quadrature_functions` forms cos/sin(k X), or any other function
-of X, as real arrays from them.  The Rabi, Dicke and fluxonium builders, dense
-and parity-block alike, read them, and so does the fluxonium qubit's
-cos(phi), phi being a multiple of its oscillator's X.
+of X, as real arrays from them, the fluxonium qubit's cos(phi) among them,
+phi being a multiple of its oscillator's X.
 
 X maps even Fock levels to odd ones, so its eigenpairs come in pairs
 (+sigma, (e, o)) and (-sigma, (e, -o)), e on the even levels and o on the
@@ -49,9 +51,9 @@ import numpy as np
 
 from .linalg import OperatorMatrix, Spectrum, hermitian_eig
 
-# cutoffs whose X eigendecomposition is kept; the default convergence
-# policy visits six (40, 80, ..., 1280), so one whole doubling chain fits
-QUADRATURE_CACHE_SIZE = 8
+# cutoffs whose Fock factors are kept; the default convergence policy
+# visits six (40, 80, ..., 1280), so one whole doubling chain fits
+FOCK_CACHE_SIZE = 8
 
 
 class FockOps(NamedTuple):
@@ -79,14 +81,6 @@ def _fock_arrays(cutoff: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, a.conj().T.copy(), np.diag(np.arange(cutoff + 1.0).astype(complex))
 
 
-def _real_fock_arrays(cutoff: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n, X = a + a^dag and P = a^dag - a on dimension cutoff + 1 as real
-    arrays; P is antisymmetric, and i P is the Hermitian quadrature.  They
-    are built without a complex intermediate."""
-    a = _real_ladder(cutoff)
-    return np.diag(np.arange(cutoff + 1.0)), a + a.T, a.T - a
-
-
 def fock_ops(cutoff: int) -> FockOps:
     """a, a^dag and n on dimension cutoff + 1; the tracer hooks it."""
     a, adag, n = _fock_arrays(cutoff)
@@ -94,30 +88,93 @@ def fock_ops(cutoff: int) -> FockOps:
                    n=OperatorMatrix(n, hermitian_hint=True))
 
 
-@functools.lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
-def _quadrature_eig_cached(cutoff: int) -> Spectrum:
-    return hermitian_eig(_real_fock_arrays(cutoff)[1])
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-# lru_cache holds no lock while a missing entry is computed, so two threads
-# missing on one cutoff would both solve it; this lock makes it one solve
-_QUADRATURE_LOCK = threading.Lock()
+class FockFactors:
+    """The real Fock arrays at one cutoff, each built on its first read and
+    read-only: n = a^dag a, X = a + a^dag, P = a^dag - a (antisymmetric;
+    i P is the Hermitian quadrature), the identity ``eye``, ``X2`` = X @ X,
+    and ``eig``, the sign-fixed real ``hermitian_eig(X)``.
+
+    The dense arrays are built without a complex intermediate.  Two threads
+    that first read one of them together may both build it; the arrays are
+    equal and one is kept.  ``eig`` is solved under the cache's lock, so
+    once per holder however many threads read it first.
+    """
+
+    def __init__(self, cutoff: int):
+        self.cutoff = cutoff
+        self._eig = None
+
+    @functools.cached_property
+    def n(self) -> np.ndarray:
+        return _frozen(np.diag(np.arange(self.cutoff + 1.0)))
+
+    @functools.cached_property
+    def X(self) -> np.ndarray:
+        a = _real_ladder(self.cutoff)
+        return _frozen(a + a.T)
+
+    @functools.cached_property
+    def P(self) -> np.ndarray:
+        a = _real_ladder(self.cutoff)
+        return _frozen(a.T - a)
+
+    @functools.cached_property
+    def eye(self) -> np.ndarray:
+        return _frozen(np.eye(self.cutoff + 1))
+
+    @functools.cached_property
+    def X2(self) -> np.ndarray:
+        """X @ X, the naive models' diamagnetic field factor."""
+        return _frozen(self.X @ self.X)
+
+    @property
+    def eig(self) -> Spectrum:
+        with _FOCK_LOCK:
+            if self._eig is None:
+                self._eig = hermitian_eig(self.X)
+            return self._eig
+
+
+@functools.lru_cache(maxsize=FOCK_CACHE_SIZE)
+def _fock_factors_cached(cutoff: int) -> FockFactors:
+    return FockFactors(cutoff)
+
+
+# lru_cache holds no lock while a missing entry is made, so two threads
+# missing on one cutoff would make two holders; this lock makes it one
+_FOCK_LOCK = threading.Lock()
+
+
+def fock_factors(cutoff: int) -> FockFactors:
+    """The shared Fock factors on levels 0..cutoff; ValueError when
+    cutoff < 1.
+
+    Cached per cutoff, least recently used first out past FOCK_CACHE_SIZE
+    entries; ``cache_info`` and ``cache_clear`` are the ``lru_cache``'s.
+    An entry holds at most its five dense arrays and the eigenvectors of X,
+    48 (cutoff + 1)^2 bytes: 1.9 MB at cutoff 200 and 79 MB at 1280; the
+    six cutoffs 40 ... 1280 of the default doubling chain take 105 MB.
+    """
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    with _FOCK_LOCK:
+        return _fock_factors_cached(cutoff)
+
+
+fock_factors.cache_info = _fock_factors_cached.cache_info
+fock_factors.cache_clear = _fock_factors_cached.cache_clear
 
 
 def quadrature_eig(cutoff: int) -> Spectrum:
-    """Sign-fixed real ``hermitian_eig(a + a^dag)`` on Fock levels 0..cutoff.
-
-    Cached per cutoff.  Lookups are serialised by a lock, so concurrent
-    callers compute each cutoff once; ``cache_info`` and ``cache_clear`` are
-    those of the underlying ``lru_cache``.  The eigenvalue and eigenvector
-    arrays are read-only, so callers share them safely.
-    """
-    with _QUADRATURE_LOCK:
-        return _quadrature_eig_cached(cutoff)
-
-
-quadrature_eig.cache_info = _quadrature_eig_cached.cache_info
-quadrature_eig.cache_clear = _quadrature_eig_cached.cache_clear
+    """Sign-fixed real ``hermitian_eig(a + a^dag)`` on Fock levels 0..cutoff,
+    the ``eig`` of :func:`fock_factors`: solved once per cached cutoff, its
+    eigenvalue and eigenvector arrays read-only, so callers share them."""
+    return fock_factors(cutoff).eig
 
 
 def quadrature_values(cutoff: int) -> np.ndarray:
@@ -177,8 +234,12 @@ def real_quadrature_functions(cutoff: int, f) -> Tuple[np.ndarray, ...]:
     return tuple(out)
 
 
+# one entry per spin a process builds, each at most (two_j + 1)^2; two
+# threads that miss on one spin together build equal arrays, so no lock
+@functools.lru_cache(maxsize=None)
 def _spin_arrays(two_j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """J_x, J_y, J_z (ascending-m basis) as plain complex arrays."""
+    """J_x, J_y, J_z (ascending-m basis) as plain complex arrays, read-only
+    and shared by every build at this spin."""
     if two_j < 1:
         raise ValueError(f"two_j must be >= 1, got {two_j}")
     j = two_j / 2.0
@@ -186,7 +247,8 @@ def _spin_arrays(two_j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     jp = np.zeros((two_j + 1, two_j + 1), dtype=complex)
     jp[np.arange(1, two_j + 1), np.arange(two_j)] = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
     jm = jp.conj().T
-    return (jp + jm) / 2.0, (jp - jm) / 2.0j, np.diag(m.astype(complex))
+    return tuple(_frozen(a) for a in ((jp + jm) / 2.0, (jp - jm) / 2.0j,
+                                      np.diag(m.astype(complex))))
 
 
 def spin_ops(two_j: int) -> SpinOps:

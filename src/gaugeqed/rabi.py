@@ -34,13 +34,15 @@ that dense writer on the first four lists (read-only complex arrays);
 ``check_gauge_theorem`` calls two, and the benchmark tracer hooks all four.
 
 The core works on matter (x) field with a collective spin j = two_j / 2 and
-the field quadrature X = a + a^dag.  Its coupling-independent factors (the
-spin arrays and the dense n, X, a^dag - a, field identity and X @ X) are
-built once per (two_j, cutoff), each on its first read, and shared
-read-only by every model at that spin and cutoff (``_real_parts``).  Its
-pieces are the bare terms omega_c 1 (x) n + omega_10 J_z (x) 1, the
-rotated splitting omega_10 (J_z (x) cos phi X + J_y (x) sin phi X), the
-dipole coupling and the naive Coulomb coupling.  The field operators are
+the field quadrature X = a + a^dag.  Its dense field factors (n, X,
+a^dag - a, the field identity, X @ X and the eigendecomposition of X) are
+those of ``qops.fock_factors``, built once per cutoff, each on its first
+read, and shared read-only by every model at that cutoff; the small spin
+arrays are kept per spin (``qops._spin_arrays``), and ``_real_parts``
+hands a build both.  Its pieces are the bare terms
+omega_c 1 (x) n + omega_10 J_z (x) 1, the rotated splitting
+omega_10 (J_z (x) cos phi X + J_y (x) sin phi X), the dipole coupling and
+the naive Coulomb coupling.  The field operators are
 real (n, X, a^dag - a, and cos/sin of phi X from the real eigenvectors of
 X), and a dipole coupling i J_x (x) (a^dag - a) carries its i on the spin
 side, where the 1j**m phase makes it real.  The one reference
@@ -71,16 +73,15 @@ eigenvalues of different gauges differ by exactly those dropped scalars
 
 from __future__ import annotations
 
-import functools
-import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 # hermitian_eig is not called here; it stays importable as rabi.hermitian_eig,
 # which the benchmark tracer's tests rebind and restore
 from .linalg import ParityBands, check_dim, conjugate, hermitian_eig, kron_sum, unitary_exp
-from .qops import (QUADRATURE_CACHE_SIZE, _real_ladder, _spin_arrays, quadrature_values,
+from .qops import (FockFactors, _spin_arrays, fock_factors, quadrature_values,
                    real_quadrature_functions)
 
 # the omitted Maclaurin tail is summed until a term falls below this
@@ -130,98 +131,44 @@ class RabiParams:
 # the spin-j gauge core: each model as one list of (spin, field) terms
 # ---------------------------------------------------------------------------
 
-# (two_j, cutoff) pairs whose factors are kept: the same bound as the X
-# eigendecomposition's cache, which one whole doubling chain fits
-FACTOR_CACHE_SIZE = QUADRATURE_CACHE_SIZE
+class _RealParts(NamedTuple):
+    """The factors of one build at spin two_j / 2 and Fock cutoff: the
+    complex spin arrays J_x, J_y, J_z (``qops._spin_arrays``) and their
+    identity, each at most (two_j + 1)^2 entries, and ``f``, the real Fock
+    arrays at the cutoff (``qops.fock_factors``), all read-only but the
+    identity, which is made per build."""
 
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-class _RealParts:
-    """The coupling-independent factors at spin two_j / 2 and Fock cutoff:
-    the complex spin arrays J_x, J_y, J_z and their identity, built with the
-    holder, and the real dense field arrays n = a^dag a, X = a + a^dag,
-    P = a^dag - a (antisymmetric), the field identity and X @ X, each built
-    on its first read.  Every array is read-only, so the models share them.
-    Two threads that first read one field array together may both build it;
-    the arrays are equal and one is kept."""
-
-    def __init__(self, two_j: int, cutoff: int):
-        self.cutoff = cutoff
-        self.jx, self.jy, self.jz = (_frozen(j) for j in _spin_arrays(two_j))
-        self.eye_spin = _frozen(np.eye(two_j + 1, dtype=complex))
-
-    @functools.cached_property
-    def n(self) -> np.ndarray:
-        return _frozen(np.diag(np.arange(self.cutoff + 1.0)))
-
-    @functools.cached_property
-    def X(self) -> np.ndarray:
-        a = _real_ladder(self.cutoff)
-        return _frozen(a + a.T)
-
-    @functools.cached_property
-    def P(self) -> np.ndarray:
-        a = _real_ladder(self.cutoff)
-        return _frozen(a.T - a)
-
-    @functools.cached_property
-    def eye_field(self) -> np.ndarray:
-        return _frozen(np.eye(self.cutoff + 1))
-
-    @functools.cached_property
-    def X2(self) -> np.ndarray:
-        """X @ X, the naive models' diamagnetic field factor."""
-        return _frozen(self.X @ self.X)
-
-
-@functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _real_parts_cached(two_j: int, cutoff: int) -> _RealParts:
-    return _RealParts(two_j, cutoff)
-
-
-# one holder per (two_j, cutoff) even when threads miss on it together
-_FACTOR_LOCK = threading.Lock()
+    jx: np.ndarray
+    jy: np.ndarray
+    jz: np.ndarray
+    eye_spin: np.ndarray
+    f: FockFactors
 
 
 def _real_parts(two_j: int, cutoff: int) -> _RealParts:
-    """The shared factors at spin two_j / 2 and Fock cutoff, after the
-    dimension cap on (two_j + 1) (cutoff + 1).
-
-    Cached per (two_j, cutoff), least recently used first out past
-    FACTOR_CACHE_SIZE entries, like ``qops.quadrature_eig``.  Besides its
-    small spin arrays, an entry holds at most the five dense field arrays,
-    40 (cutoff + 1)^2 bytes: 1.6 MB at cutoff 200 and 66 MB at 1280; the six
-    cutoffs 40 ... 1280 of the default doubling chain take 88 MB at one
-    spin.  ``cache_info`` and ``cache_clear`` are the ``lru_cache``'s.
-    """
+    """The factors at spin two_j / 2 and Fock cutoff, after the dimension
+    cap on (two_j + 1) (cutoff + 1)."""
     check_dim((two_j + 1) * (cutoff + 1))
-    with _FACTOR_LOCK:
-        return _real_parts_cached(two_j, cutoff)
-
-
-_real_parts.cache_info = _real_parts_cached.cache_info
-_real_parts.cache_clear = _real_parts_cached.cache_clear
+    return _RealParts(*_spin_arrays(two_j), np.eye(two_j + 1, dtype=complex),
+                      fock_factors(cutoff))
 
 
 def _rotation(s: _RealParts, phi: float) -> np.ndarray:
     """The reference conjugation U = exp(i phi J_x (x) X), X = a + a^dag."""
-    return unitary_exp(np.kron(s.jx, s.X), phi)
+    return unitary_exp(np.kron(s.jx, s.f.X), phi)
 
 
 def _conjugated(s: _RealParts, omega_c: float, omega_10: float, phi: float) -> np.ndarray:
     """U (omega_10 J_z (x) 1) U^dag + omega_c 1 (x) n, with U = exp(i phi J_x (x) X);
     equal to the rotated splitting at cos(phi X), sin(phi X) up to roundoff."""
-    H0 = omega_10 * np.kron(s.jz, s.eye_field)
-    return conjugate(_rotation(s, phi), H0) + omega_c * np.kron(s.eye_spin, s.n)
+    H0 = omega_10 * np.kron(s.jz, s.f.eye)
+    return conjugate(_rotation(s, phi), H0) + omega_c * np.kron(s.eye_spin, s.f.n)
 
 
 def _bare_terms(s: _RealParts, omega_c: float, omega_10: float) -> list:
-    """omega_c 1 (x) n + omega_10 J_z (x) 1."""
-    return [(s.eye_spin, omega_c * s.n), (omega_10 * s.jz, s.eye_field)]
+    """omega_c 1 (x) n + omega_10 J_z (x) 1; the couplings sit on the spin
+    side, so the field factors are the shared arrays themselves."""
+    return [(omega_c * s.eye_spin, s.f.n), (omega_10 * s.jz, s.f.eye)]
 
 
 def _rotated_terms(s: _RealParts, omega_c: float, omega_10: float, cos: np.ndarray,
@@ -229,13 +176,13 @@ def _rotated_terms(s: _RealParts, omega_c: float, omega_10: float, cos: np.ndarr
     """omega_c 1 (x) n + omega_10 (J_z (x) cos + J_y (x) sin): the bare
     splitting turned about J_x, given cos(phi X) and sin(phi X) (or their
     Maclaurin polynomials)."""
-    return [(s.eye_spin, omega_c * s.n), (omega_10 * s.jz, cos), (omega_10 * s.jy, sin)]
+    return [(omega_c * s.eye_spin, s.f.n), (omega_10 * s.jz, cos), (omega_10 * s.jy, sin)]
 
 
 def _dipole_terms(s: _RealParts, p: RabiParams) -> list:
     """The bare terms plus the dipole coupling 2 g_D J_x (x) i(a^dag - a),
     entered as i J_x (x) (a^dag - a), whose phased spin part is real."""
-    return _bare_terms(s, 1.0, p.omega_10) + [(2.0 * p.g_d * 1j * s.jx, s.P)]
+    return _bare_terms(s, 1.0, p.omega_10) + [(2.0 * p.g_d * 1j * s.jx, s.f.P)]
 
 
 def _diamagnetic(p: RabiParams, two_j: int) -> float:
@@ -280,7 +227,7 @@ def terms_H_C_standard(p: RabiParams) -> list:
     """
     s = _real_parts(p.two_j, p.cutoff)
     return _bare_terms(s, 1.0, p.omega_10) + [
-        (2.0 * p.g_c * s.jy, s.X), (_diamagnetic(p, p.two_j) * s.eye_spin, s.X2)]
+        (2.0 * p.g_c * s.jy, s.f.X), (_diamagnetic(p, p.two_j) * s.eye_spin, s.f.X2)]
 
 
 def terms_H_C_correct(p: RabiParams) -> list:
@@ -494,7 +441,7 @@ def terms_H_alpha(p: RabiParams, alpha: float) -> list:
     s = _real_parts(1, p.cutoff)
     cos, sin = _real_cos_sin(p.cutoff, 2.0 * alpha * p.eta)
     return _rotated_terms(s, 1.0, p.omega_10, cos, sin) \
-        + [((1.0 - alpha) * 2.0 * p.g_d * 1j * s.jx, s.P)]
+        + [((1.0 - alpha) * 2.0 * p.g_d * 1j * s.jx, s.f.P)]
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from gaugeqed import (ParityBands, ParityBlocks, cli, experiments, linalg, particle1d,
-                      quadrature_eig)
+from gaugeqed import ParityBands, ParityBlocks, cli, experiments, linalg, particle1d
 from gaugeqed.cli import COMMANDS, build_parser, main
+from gaugeqed.qops import fock_factors
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.ini"
 TINY_SWEEP = ["rabi-sweep", "--eta-max", "0.1", "--eta-step", "0.05",
@@ -520,7 +520,7 @@ def test_fluxonium_solves_real_arrays_only(tmp_path, monkeypatch):
     # the two (cutoff + 1)-square parity blocks of the naive model, X at the
     # cavity cutoff for cos/sin, and the two blocks of the corrected model;
     # each block is solved for its lowest levels + 1 = 3 eigenvalues
-    quadrature_eig.cache_clear()
+    fock_factors.cache_clear()
     seen = []
     for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
                          (scipy.linalg.lapack, "dsyevr")):

@@ -214,7 +214,7 @@ def test_spectrum_invariant_under_further_rotation():
     p = DickeParams(eta=0.3, cutoff=60, n_dipoles=3)
     H = build_dicke_correct(p)
     s = rabi._real_parts(p.n_dipoles, p.cutoff)
-    U = unitary_exp(np.kron(s.jx, s.X), 0.37)
+    U = unitary_exp(np.kron(s.jx, s.f.X), 0.37)
     w0 = hermitian_eig(H, vectors=False).eigenvalues
     w1 = hermitian_eig(conjugate(U, H), vectors=False).eigenvalues
     assert np.abs(w0 - w1).max() <= 1e-9 * max(np.abs(w0).max(), 1.0)

@@ -150,7 +150,7 @@ def test_conjugation_matches_closed_form(basis):
 def test_charge_term_nonnegative(basis):
     # -(a - a^dag)^2 is positive semidefinite, so the chi0^2 term only
     # shifts energies up; the builders write it as W (.) W^dag = X^2
-    X = rabi._real_parts(1, 40).X
+    X = rabi._real_parts(1, 40).f.X
     w = np.linalg.eigvalsh(X @ X)
     assert w.min() >= -1e-12
 

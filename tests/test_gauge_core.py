@@ -213,4 +213,4 @@ def test_block_writer_rejects_a_complex_phased_spin_term():
     # imaginary, so no real block holds it
     s = rabi._real_parts(1, 4)
     with pytest.raises(ParityError, match="not real after the 1j\\*\\*m phase"):
-        parity_block_sum([(s.jx, s.X)])
+        parity_block_sum([(s.jx, s.f.X)])

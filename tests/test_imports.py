@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and only the
-modules the benchmark tracer hooks name ``OperatorMatrix``.
+"""Every name a package module imports is used in that module, only the
+modules the benchmark tracer hooks name ``OperatorMatrix``, and each of the
+eigensolvers and the Fock ladder has one owner.
 
 No linter is part of the test dependencies, so this parses each module of
 ``src/gaugeqed`` except ``__init__.py`` (whose imports are its exports) with
@@ -16,9 +17,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "gaugeqed"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 # (module, name) pairs imported on purpose without a use: the benchmark's
-# tests rebind and restore rabi.hermitian_eig, and ShiftAboveSpectrumError,
-# raised by linalg's shift-invert solver, stays importable from particle1d
-KEPT = {("rabi.py", "hermitian_eig"), ("particle1d.py", "ShiftAboveSpectrumError")}
+# tests rebind and restore rabi.hermitian_eig
+KEPT = {("rabi.py", "hermitian_eig")}
 
 
 def unused_imports(source: str) -> list:
@@ -66,3 +66,33 @@ def test_operator_matrix_is_named_only_where_the_tracer_hooks_it():
     assert not names_operator_matrix('"""OperatorMatrix in a docstring"""\n')
     naming = sorted(p.name for p in SRC.glob("*.py") if names_operator_matrix(p.read_text()))
     assert naming == ["linalg.py", "qops.py"]
+
+
+def names(source: str) -> set:
+    """Every identifier ``source`` reads, imports, defines or takes as an
+    attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add((node.asname or node.name).split(".")[-1])
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+@pytest.mark.parametrize("owned, owner", [
+    ({"eig_banded", "eigsh", "dsyevr", "eigh", "eigvalsh"}, "linalg.py"),
+    ({"_real_ladder"}, "qops.py"),
+])
+def test_one_owner_names_each_solver_and_the_ladder(owned, owner):
+    """Only linalg calls the eigensolvers and only qops builds the Fock
+    ladder, so a second band solver or Fock factor cache cannot come back
+    unseen; a docstring that mentions them does not count."""
+    assert names("import scipy.linalg as sla\nsla.eig_banded(b)\n") >= {"sla", "eig_banded"}
+    assert "eigh" not in names('"""numpy.linalg.eigh"""\n')
+    naming = sorted(p.name for p in SRC.glob("*.py") if names(p.read_text()) & owned)
+    assert naming == [owner]

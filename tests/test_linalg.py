@@ -44,12 +44,12 @@ from gaugeqed import (
     unitary_exp,
 )
 from gaugeqed.linalg import OperatorMatrix, kron, matrix_function
-from gaugeqed.qops import _real_fock_arrays, _real_ladder
+from gaugeqed.qops import FockFactors, _real_ladder
 
 
 def X_arr(cutoff):
     """The field quadrature a + a^dag, real."""
-    return _real_fock_arrays(cutoff)[1]
+    return FockFactors(cutoff).X
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_eig_takes_square_float64_or_complex128_arrays():
 
 
 def test_transitions():
-    n = _real_fock_arrays(5)[0]
+    n = FockFactors(5).n
     spec = hermitian_eig(2.0 * n, vectors=False)
     assert np.allclose(spec.transitions(3), [2.0, 4.0, 6.0], atol=1e-14)
     assert spec.transitions().size == 5
@@ -356,7 +356,7 @@ def test_kron_sum_is_the_sum_of_krons(eta):
         assert np.array_equal(H, ref)
     s = rabi._real_parts(1, 4)
     with pytest.raises(NonHermitianError, match="the term sum is not Hermitian"):
-        kron_sum([(s.jz, s.n), (s.jx, np.triu(s.X))])
+        kron_sum([(s.jz, s.f.n), (s.jx, np.triu(s.f.X))])
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +404,7 @@ def test_parity_error_on_broken_parity():
     s = rabi._real_parts(1, p.cutoff)
     for write in (parity_block_sum, parity_band_sum):
         with pytest.raises(ParityError, match="term 3 leaves the parity blocks"):
-            write(terms_H_D(p) + [(2.0 * s.jx, s.eye_field)])
+            write(terms_H_D(p) + [(2.0 * s.jx, s.f.eye)])
     assert issubclass(ParityError, LinalgError)
 
 
@@ -415,7 +415,7 @@ def test_parity_error_on_complex_phased_block():
     s = rabi._real_parts(1, p.cutoff)
     for write in (parity_block_sum, parity_band_sum):
         with pytest.raises(ParityError, match="term 4: .* not real after the 1j\\*\\*m phase"):
-            write(terms_H_C_standard(p) + [(2j * s.jy, s.P)])
+            write(terms_H_C_standard(p) + [(2j * s.jy, s.f.P)])
 
 
 def test_parity_eigvalsh_checks_its_input():
@@ -425,11 +425,11 @@ def test_parity_eigvalsh_checks_its_input():
     p = RabiParams(eta=0.5, cutoff=6)
     s = rabi._real_parts(1, p.cutoff)
     terms = terms_H_D(p)
-    for bad in (terms + [(s.jx, np.eye(5))], terms + [(np.eye(3), s.X)]):
+    for bad in (terms + [(s.jx, np.eye(5))], terms + [(np.eye(3), s.f.X)]):
         for write in (kron_sum, parity_block_sum, parity_band_sum):
             with pytest.raises(DimensionMismatchError):
                 write(bad)
-    skew = terms + [(s.eye_spin, np.triu(s.X @ s.X))]
+    skew = terms + [(s.eye_spin, np.triu(s.f.X2))]
     for write in (kron_sum, parity_band_sum):
         with pytest.raises(NonHermitianError):
             write(skew)
@@ -448,10 +448,10 @@ def test_parity_limit_is_matrix_scale(kind):
         d = factor * limit
         if kind == "off-parity block":
             # max|S| max|F| = 0.5 * 400 legal, 0.5 * 2d dropped
-            term = (s.jz, 400.0 * s.eye_field + 2.0 * d * s.X / np.abs(s.X).max())
+            term = (s.jz, 400.0 * s.f.eye + 2.0 * d * s.f.X / np.abs(s.f.X).max())
             match = f"term 2 leaves the parity blocks: .* exceeds {limit:.3e}$"
         else:
-            term = (400.0 * s.jz + 1j * d * s.eye_spin, s.eye_field)
+            term = (400.0 * s.jz + 1j * d * s.eye_spin, s.f.eye)
             match = f"term 2: .* phase: max\\|Im\\| = .* exceeds {limit:.3e}$"
         terms = rabi._bare_terms(s, 1.0, 1.0) + [term]
         if fails:
@@ -639,7 +639,7 @@ def test_band_sum_symmetry_limit_is_band_scale():
     # the symmetry limit is HERMITICITY_RTOL times max(max|B|, 1); the skew
     # entry couples Fock levels 0 and 2 in both chains
     scale = max(float(np.abs(chain).max()) for chain in parity_band_sum(terms).chains)
-    upper = np.zeros_like(s.X)
+    upper = np.zeros_like(s.f.X)
     upper[0, 2] = 1.0
     for shift, fails in ((0.5e-12 * scale, False), (2e-12 * scale, True)):
         skew = terms + [(s.eye_spin, shift * upper)]

@@ -16,6 +16,7 @@ import oracles
 from conftest import FULL_MODEL_M_LEVELS
 from gaugeqed import (
     BoundaryLeakError,
+    ConvergenceFailureError,
     DimensionOverflowError,
     Grid1D,
     GridTooCoarseError,
@@ -42,7 +43,7 @@ from gaugeqed import (
     terms_full_H_D,
     trk_sum,
 )
-from gaugeqed.linalg import SHIFT_INVERT_MIN_WORK
+from gaugeqed.linalg import SHIFT_INVERT_MIN_WORK, band_eigh
 
 # double-well preset (mu=1.2, lam=0.25, m=1): frozen from the HO-basis oracle
 GOLD_DW_OMEGA10 = 2.165310375385e-01
@@ -214,26 +215,46 @@ def dense_band(bands):
 
 @pytest.mark.parametrize("parity", [1, -1])
 def test_band_solve_matches_dense_half_grid(parity):
-    # 401 points fold onto 201 (even) and 200 (odd) rows
-    model = harmonic_model(n_points=401, eigen_count=12)
-    bands = particle1d._fold(model, parity)
-    assert bands.shape[1] in (200, 201)
-    w, u = particle1d._band_solve(bands, 6, particle1d._shift(model), True)
-    a = dense_band(bands)
-    ref = np.linalg.eigvalsh(a)[:6]
-    assert np.all(np.abs(w - ref) <= 1e-10 * np.maximum(np.abs(ref), 1.0))
-    assert np.abs(a @ u - u * w).max() <= 1e-9
-    assert np.abs(u.T @ u - np.eye(6)).max() <= 1e-12
+    # 401 points fold onto 201 (even) and 200 (odd) rows, which the shared
+    # rule hands to eig_banded; 2001 fold onto 1001 and 1000, above the
+    # shift-invert threshold
+    for n_points, engine in ((401, "eig_banded"), (2001, "shift-invert")):
+        model = harmonic_model(n_points=n_points, eigen_count=12)
+        bands = particle1d._fold(model, parity)
+        rows = bands.shape[1]
+        assert rows in (n_points // 2, n_points // 2 + 1)
+        assert (rows * rows * 2 > SHIFT_INVERT_MIN_WORK) == (engine == "shift-invert")
+        w, u = band_eigh(bands, 6, True, particle1d._shift(model))
+        a = dense_band(bands)
+        ref = np.linalg.eigvalsh(a)[:6]
+        assert np.all(np.abs(w - ref) <= 1e-10 * np.maximum(np.abs(ref), 1.0)), engine
+        assert np.abs(a @ u - u * w).max() <= 1e-9, engine
+        assert np.abs(u.T @ u - np.eye(6)).max() <= 1e-12, engine
+        assert np.all(u[np.abs(u).argmax(axis=0), np.arange(6)] > 0), engine
 
 
 def test_shift_above_spectrum_raises():
     # the shifted operator then has a negative eigenvalue and no Cholesky
-    # factor
-    model = harmonic_model(n_points=401, eigen_count=12)
+    # factor; 2001 points fold onto 1001 rows, 2.0e6 > SHIFT_INVERT_MIN_WORK,
+    # so the shift is taken (a band below the threshold takes none)
+    model = harmonic_model(n_points=2001, eigen_count=12)
     bands = particle1d._fold(model, 1)
+    assert bands.shape[1] ** 2 * 2 > SHIFT_INVERT_MIN_WORK
     low = np.linalg.eigvalsh(dense_band(bands))[:2]
     with pytest.raises(ShiftAboveSpectrumError, match="not below the spectrum"):
-        particle1d._band_solve(bands, 6, float(low.mean()), False)
+        band_eigh(bands, 6, sigma=float(low.mean()))
+
+
+def test_crowded_half_grid_lapack_failure_is_typed(monkeypatch):
+    # a half grid wanting all but one of its points goes to eig_banded; a
+    # LAPACK failure there is a numerical failure (exit 2), not the
+    # ValueError subclass np.linalg.LinAlgError (exit 1)
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", failing)
+    with pytest.raises(ConvergenceFailureError, match="did not converge"):
+        solve_particle(harmonic_model(n_points=201, eigen_count=199))
 
 
 def test_fewer_levels_keep_the_shared_energies(double_well):

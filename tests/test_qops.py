@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import pauli, random_hermitian
 from gaugeqed import hermitian_eig, kron_sum, qops, quadrature_eig
-from gaugeqed.qops import _real_fock_arrays, _real_ladder, _spin_arrays, fock_ops, spin_ops
+from gaugeqed.qops import (FockFactors, _real_ladder, _spin_arrays, fock_factors, fock_ops,
+                           spin_ops)
 
 
 def comm(A, B):
@@ -31,7 +32,8 @@ def ladders(cutoff):
 
 def test_fock_entries():
     a = _real_ladder(4)
-    n, X, P = _real_fock_arrays(4)
+    f = FockFactors(4)
+    n, X, P = f.n, f.X, f.P
     for k in range(1, 5):
         assert a[k - 1, k] == np.sqrt(k)
     assert np.count_nonzero(a) == 4
@@ -44,7 +46,7 @@ def test_fock_smallest():
 
 
 def test_quadrature_tridiagonal():
-    X = _real_fock_arrays(3)[1]
+    X = FockFactors(3).X
     off = np.diag(X, 1)
     assert np.allclose(off, [1.0, np.sqrt(2.0), np.sqrt(3.0)], atol=0)
     assert np.abs(np.diag(X)).max() == 0.0
@@ -52,7 +54,7 @@ def test_quadrature_tridiagonal():
 
 
 def test_number_operator_spectrum():
-    n = _real_fock_arrays(7)[0]
+    n = FockFactors(7).n
     w = hermitian_eig(n, vectors=False).eigenvalues
     assert np.array_equal(w, np.arange(8.0))
 
@@ -78,14 +80,15 @@ def test_ladder_commutator_top_entry():
 
 
 def real_X(cutoff):
-    return _real_fock_arrays(cutoff)[1]
+    """X = a + a^dag from a fresh holder, outside the cache."""
+    return FockFactors(cutoff).X
 
 
 def test_quadrature_eig_matches_uncached_bitwise():
     for cutoff in (5, 40, 97):
         fresh = hermitian_eig(real_X(cutoff))
         cached = quadrature_eig(cutoff)
-        assert quadrature_eig(cutoff) is cached
+        assert quadrature_eig(cutoff) is cached and fock_factors(cutoff).eig is cached
         assert cached.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
         assert cached.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
 
@@ -96,13 +99,13 @@ def test_quadrature_eig_arrays_read_only():
         spec.eigenvalues[0] = 0.0
     with pytest.raises(ValueError):
         spec.eigenvectors[0, 0] = 0.0
-    assert quadrature_eig.cache_info().maxsize == 8
+    assert fock_factors.cache_info().maxsize == 8
 
 
 def test_quadrature_eig_shared_across_threads():
     # more threads than cores hammer a cutoff set larger than the cache, so
     # entries are computed, evicted and recomputed concurrently
-    cutoffs = list(range(3, 3 + 2 * quadrature_eig.cache_info().maxsize))
+    cutoffs = list(range(3, 3 + 2 * fock_factors.cache_info().maxsize))
     fresh = {c: hermitian_eig(real_X(c)) for c in cutoffs}
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -113,7 +116,7 @@ def test_quadrature_eig_shared_across_threads():
         sys.setswitchinterval(old_interval)
     for c, spec in zip(cutoffs * 8, got):
         assert spec.eigenvectors.tobytes() == fresh[c].eigenvectors.tobytes()
-    assert quadrature_eig.cache_info().currsize <= quadrature_eig.cache_info().maxsize
+    assert fock_factors.cache_info().currsize <= fock_factors.cache_info().maxsize
 
 
 def test_quadrature_eig_computes_a_cutoff_once(monkeypatch):
@@ -128,7 +131,7 @@ def test_quadrature_eig_computes_a_cutoff_once(monkeypatch):
         return solve(M, *args, **kwargs)
 
     monkeypatch.setattr(qops, "hermitian_eig", counting)
-    quadrature_eig.cache_clear()
+    fock_factors.cache_clear()
     start = threading.Barrier(8)
 
     def request(_):
@@ -138,7 +141,7 @@ def test_quadrature_eig_computes_a_cutoff_once(monkeypatch):
     with ThreadPoolExecutor(max_workers=8) as pool:
         got = list(pool.map(request, range(8), timeout=60))
     assert calls == [58]
-    assert all(spec is got[0] for spec in got)
+    assert all(spec is got[0] for spec in got) and fock_factors(57).eig is got[0]
 
 
 @pytest.mark.parametrize("cutoff", [1, 8, 41])
@@ -213,8 +216,9 @@ def test_real_quadrature_functions_split_by_fock_parity(cutoff):
 
 
 def test_fock_validation():
-    with pytest.raises(ValueError):
-        _real_ladder(0)
+    for build in (_real_ladder, fock_factors):
+        with pytest.raises(ValueError, match="cutoff must be >= 1, got 0"):
+            build(0)
 
 
 # ---------------------------------------------------------------------------

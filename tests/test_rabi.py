@@ -32,10 +32,10 @@ from gaugeqed import (
     terms_H_C_taylor,
     terms_H_D,
 )
-from gaugeqed import rabi
+from gaugeqed import qops, rabi
 from gaugeqed.experiments import (ConvergencePolicy, converged_transitions, default_eta_grid,
                                   lowest_transitions)
-from gaugeqed.qops import _real_fock_arrays, quadrature_values
+from gaugeqed.qops import FockFactors, fock_factors, quadrature_values
 from gaugeqed.rabi import taylor_is_exact
 
 # eta = 1, resonant, cutoff 150; j-th entry is E_j - E_0
@@ -179,8 +179,8 @@ def test_taylor_order2_structure():
     # sigma_z X^2 term (the printed quadratic form; the sign is fixed by
     # cos(v) = 1 - v^2/2)
     p = RabiParams(eta=0.2, cutoff=30, detuning=0.4)
-    nph, X, _ = _real_fock_arrays(p.cutoff)
-    X2 = X @ X
+    f = FockFactors(p.cutoff)
+    nph, X, X2 = f.n, f.X, f.X2
     nf = p.cutoff + 1
     manual = (np.kron(np.eye(2), nph)
               + 0.5 * p.omega_10 * np.kron(SIGMA_Z, np.eye(nf))
@@ -388,62 +388,65 @@ def test_builders_enforce_dimension_cap():
 
 
 # ---------------------------------------------------------------------------
-# the coupling-independent factors, shared per (two_j, cutoff)
+# the coupling-independent Fock factors, shared per cutoff
 # ---------------------------------------------------------------------------
 
-DENSE_FACTORS = {"n", "X", "P", "eye_field", "X2"}
+DENSE_FACTORS = {"n", "X", "P", "eye", "X2"}
 
 
 def test_shared_factors_are_read_only_and_built_once(monkeypatch):
-    rabi._real_parts.cache_clear()
+    fock_factors.cache_clear()
     p = RabiParams(eta=0.3, cutoff=20)
     terms_H_C_standard(p)
     terms_H_alpha(p, 0.5)
-    s = rabi._real_parts(1, 20)
-    built = dict(vars(s))
+    f = fock_factors(20)
+    built = dict(vars(f))
     assert DENSE_FACTORS <= set(built)
     arrays = [a for a in built.values() if isinstance(a, np.ndarray)]
-    assert len(arrays) == 9 and not any(a.flags.writeable for a in arrays)
+    assert len(arrays) == 5 and not any(a.flags.writeable for a in arrays)
+    assert not any(a.flags.writeable for a in (f.eig.eigenvalues, f.eig.eigenvectors))
     with pytest.raises(ValueError, match="read-only"):
-        s.X[0, 1] = 0.0
-    # a second build at the same (two_j, cutoff) makes none of them again
+        f.X[0, 1] = 0.0
+    # a second build at the same cutoff makes none of them again
     made = []
-    for name in ("_real_ladder", "_spin_arrays"):
-        fn = getattr(rabi, name)
-        monkeypatch.setattr(rabi, name, lambda *a, fn=fn: made.append(a) or fn(*a))
-    misses = rabi._real_parts.cache_info().misses
+    for name in ("_real_ladder", "hermitian_eig"):
+        fn = getattr(qops, name)
+        monkeypatch.setattr(qops, name, lambda *a, fn=fn: made.append(a) or fn(*a))
+    misses = fock_factors.cache_info().misses
     again = terms_H_C_standard(p) + terms_H_alpha(p, 0.5)
-    assert made == [] and rabi._real_parts.cache_info().misses == misses
-    assert rabi._real_parts(1, 20) is s
-    assert all(vars(s)[k] is v for k, v in built.items()) and vars(s).keys() == built.keys()
-    # field factors enter the terms as the shared arrays themselves
-    assert again[1][1] is s.eye_field and again[2][1] is s.X and again[3][1] is s.X2 \
-        and again[7][1] is s.P
-    # another spin or cutoff is another entry
-    assert rabi._real_parts(2, 20) is not s and rabi._real_parts(1, 21) is not s
+    assert made == [] and fock_factors.cache_info().misses == misses
+    assert fock_factors(20) is f
+    assert all(vars(f)[k] is v for k, v in built.items()) and vars(f).keys() == built.keys()
+    # every field factor of the second build is the cached array itself,
+    # but cos/sin(2 alpha eta X), which depend on the coupling
+    field = [F for _, F in again]
+    assert all(F is a for F, a in zip(field, (f.n, f.eye, f.X, f.X2, f.n))) and field[7] is f.P
+    # another cutoff is another entry; another spin shares the cutoff's
+    assert fock_factors(21) is not f and rabi._real_parts(2, 20).f is f
 
 
 @pytest.mark.parametrize("model, reads", [
-    (terms_H_D, {"n", "eye_field", "P"}),
-    (terms_H_C_standard, {"n", "eye_field", "X", "X2"}),
-    (terms_H_C_correct, {"n"}),
-    (lambda p: terms_H_C_taylor(p, 4), {"n"}),
-    (lambda p: terms_H_alpha(p, 0.5), {"n", "P"}),
+    (terms_H_D, {"n", "eye", "P"}),
+    (terms_H_C_standard, {"n", "eye", "X", "X2"}),
+    (terms_H_C_correct, {"n", "X", "_eig"}),
+    (lambda p: terms_H_C_taylor(p, 4), {"n", "X", "_eig"}),
+    (lambda p: terms_H_alpha(p, 0.5), {"n", "P", "X", "_eig"}),
 ])
 def test_models_build_only_the_factors_they_read(model, reads):
-    rabi._real_parts.cache_clear()
+    fock_factors.cache_clear()
     model(RabiParams(eta=0.3, cutoff=12))
-    assert set(vars(rabi._real_parts(1, 12))) & DENSE_FACTORS == reads
+    built = {k for k, v in vars(fock_factors(12)).items() if v is not None}
+    assert built & (DENSE_FACTORS | {"_eig"}) == reads
 
 
 def test_factor_cache_evicts_past_its_bound():
-    rabi._real_parts.cache_clear()
-    oldest = rabi._real_parts(1, 3)
-    for cutoff in range(4, 4 + rabi.FACTOR_CACHE_SIZE):
-        rabi._real_parts(1, cutoff)
-    assert rabi._real_parts.cache_info().currsize == rabi.FACTOR_CACHE_SIZE
-    assert rabi._real_parts(1, 3) is not oldest  # evicted, so built anew
-    assert rabi._real_parts.cache_info().currsize == rabi.FACTOR_CACHE_SIZE
+    fock_factors.cache_clear()
+    oldest = fock_factors(3)
+    for cutoff in range(4, 4 + qops.FOCK_CACHE_SIZE):
+        fock_factors(cutoff)
+    assert fock_factors.cache_info().currsize == qops.FOCK_CACHE_SIZE == 8
+    assert fock_factors(3) is not oldest  # evicted, so built anew
+    assert fock_factors.cache_info().currsize == qops.FOCK_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------
