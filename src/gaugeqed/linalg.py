@@ -40,16 +40,17 @@ bands have no off-parity half, so parity holds by construction there.
 
 :func:`band_eigh` is the package's one band solver: every banded chain
 and the 1D particle's grid operators, real and complex, go through it.
-Two engines solve a band, and the band's shape picks one.
-``scipy.linalg.eig_banded`` (LAPACK ?sbevx) first reduces the whole band
-to tridiagonal form, about rows^2 * width flops, which is nothing on the
-narrow Rabi chains.  :func:`shift_invert_eigsh` factors the shifted band
-once by banded Cholesky (?pbtrf, rows * width^2) and runs ARPACK's
-shift-invert Lanczos on that factor.  A band with rows^2 * width above
-SHIFT_INVERT_MIN_WORK (the 16- and 32-level full models, the particle's
-grids at the presets' sizes) goes to the second, shifted just below its
-Gershgorin lower bound unless the caller passes its own shift, and every
-other band to the first.
+Two engines solve a band; its shape and whether eigenvectors are wanted
+pick one.  ``scipy.linalg.eig_banded`` (LAPACK ?sbevx) first reduces the
+whole band to tridiagonal form, about rows^2 * width flops, which is
+nothing on the narrow Rabi chains, and back-transforms eigenvectors
+through a dense rows x rows matrix.  :func:`shift_invert_eigsh` factors
+the shifted band once by banded Cholesky (?pbtrf, rows * width^2) and
+runs ARPACK's shift-invert Lanczos on that factor.  An eigenvector solve,
+and a band with rows^2 * width above SHIFT_INVERT_MIN_WORK (the 16- and
+32-level full models, the particle's grids at the presets' sizes), goes
+to the second, shifted just below its Gershgorin lower bound unless the
+caller passes its own shift, and every other band to the first.
 
 Everything is plain double precision, checked against tolerances that the
 tests enforce rather than assume.  :class:`OperatorMatrix`,
@@ -490,7 +491,10 @@ def shift_invert_eigsh(bands: np.ndarray, k: int, sigma: float, vectors: bool):
 # Lowest 6-7 eigenvalues, one BLAS thread, eig_banded against shift-invert:
 # 784 x 32 (2.0e7) 33-36 ms against 4.1-5.0 ms; 392 x 16 (2.5e6) 4.9-6.5
 # against 2.2-2.4 ms; 196 x 8 (3.1e5) 1.4 ms against 1.5 ms; the Rabi chains,
-# up to 321 x 2 (2.1e5), 0.22-1.47 ms against 1.1-1.9 ms
+# up to 321 x 2 (2.1e5), 0.22-1.47 ms against 1.1-1.9 ms.  Eigenvectors go to
+# shift-invert at any size: eig_banded back-transforms them through a dense
+# rows x rows matrix, lowest 10 of a pentadiagonal grid band 4.2, 13.9 and
+# 58 ms against 3.0, 3.4 and 3.9 ms at 301, 501 and 707 rows
 SHIFT_INVERT_MIN_WORK = 10 ** 6
 
 
@@ -516,13 +520,13 @@ def band_eigh(band: np.ndarray, k: int, vectors: bool = False,
     the Hermitian operator in LAPACK lower band storage ``band`` (real
     symmetric or complex Hermitian).
 
-    The band's shape picks the engine.  With rows^2 * width above
-    SHIFT_INVERT_MIN_WORK and k < rows - 1 it is :func:`shift_invert_eigsh`
-    about ``sigma``, by default just below the band's Gershgorin lower
-    bound (``_below_gershgorin``), which ?pbtrf certifies again; otherwise
-    ``scipy.linalg.eig_banded`` (LAPACK ?sbevx or ?hbevx: reduction to
-    tridiagonal form, then bisection for the selected indices), which takes
-    no shift.
+    The band's shape and ``vectors`` pick the engine.  With k < rows - 1
+    and either ``vectors`` or rows^2 * width above SHIFT_INVERT_MIN_WORK it
+    is :func:`shift_invert_eigsh` about ``sigma``, by default just below
+    the band's Gershgorin lower bound (``_below_gershgorin``), which ?pbtrf
+    certifies again; otherwise ``scipy.linalg.eig_banded`` (LAPACK ?sbevx
+    or ?hbevx: reduction to tridiagonal form, then bisection for the
+    selected indices), which takes no shift.
 
     Raises LinalgError on a non-finite entry, ShiftAboveSpectrumError when
     ?pbtrf refuses the shift, and ConvergenceFailureError if LAPACK or
@@ -531,7 +535,7 @@ def band_eigh(band: np.ndarray, k: int, vectors: bool = False,
     if not np.isfinite(band).all():
         raise LinalgError("the band has a non-finite entry")
     rows, width = band.shape[1], band.shape[0] - 1
-    if rows * rows * width > SHIFT_INVERT_MIN_WORK and k < rows - 1:
+    if (vectors or rows * rows * width > SHIFT_INVERT_MIN_WORK) and k < rows - 1:
         w, v = shift_invert_eigsh(band, k, _below_gershgorin(band) if sigma is None else sigma,
                                   vectors)
     else:

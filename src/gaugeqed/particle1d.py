@@ -371,11 +371,12 @@ def solve_particle(model: ParticleModel) -> MatterBasis:
     Raises BoundaryLeakError when any retained eigenfunction fails to decay
     below 1e-8 at the grid edge, and GridTooCoarseError when halving the grid
     spacing moves any retained eigenvalue by more than 1e-6.  Both grids are
-    solved the same way, by ``linalg.band_eigh`` about the shift below the
-    potential minimum: on the presets' grids by banded Cholesky shift-invert
-    Lanczos, whose ?pbtrf factor certifies that the shift lies below the
-    spectrum (ShiftAboveSpectrumError otherwise), and on grids too small or
-    too crowded for it by ``eig_banded``.
+    solved by ``linalg.band_eigh`` about the shift below the potential
+    minimum: the eigenvectors, and the eigenvalues of the presets' grids, by
+    banded Cholesky shift-invert Lanczos, whose ?pbtrf factor certifies that
+    the shift lies below the spectrum (ShiftAboveSpectrumError otherwise);
+    the eigenvalues alone of a band too small for it, and a band too crowded
+    for Lanczos, by ``eig_banded``.
 
     A mirror-symmetric model (see ``_mirror_symmetric``) is solved on
     x >= 0, one half-grid solve per parity (``_fold``), and its levels are

@@ -51,8 +51,9 @@ import numpy as np
 
 from .linalg import OperatorMatrix, Spectrum, hermitian_eig
 
-# cutoffs whose Fock factors are kept; the default convergence policy
-# visits six (40, 80, ..., 1280), so one whole doubling chain fits
+# cutoffs whose Fock factors are kept, and spins whose spin arrays are; the
+# default convergence policy visits six cutoffs (40, 80, ..., 1280), so one
+# whole doubling chain fits
 FOCK_CACHE_SIZE = 8
 
 
@@ -101,8 +102,11 @@ class FockFactors:
 
     The dense arrays are built without a complex intermediate.  Two threads
     that first read one of them together may both build it; the arrays are
-    equal and one is kept.  ``eig`` is solved under the cache's lock, so
-    once per holder however many threads read it first.
+    equal and one is kept.  ``eig`` is solved under the cache's one lock,
+    so once per holder however many threads read it first; while it is
+    solved, every other ``fock_factors`` lookup and ``eig`` read waits, at
+    any cutoff (the dense X solve takes about 0.5 s at cutoff 1280 on two
+    cores).
     """
 
     def __init__(self, cutoff: int):
@@ -234,9 +238,9 @@ def real_quadrature_functions(cutoff: int, f) -> Tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-# one entry per spin a process builds, each at most (two_j + 1)^2; two
-# threads that miss on one spin together build equal arrays, so no lock
-@functools.lru_cache(maxsize=None)
+# each entry at most (two_j + 1)^2 per array; two threads that miss on one
+# spin together build equal arrays, so no lock
+@functools.lru_cache(maxsize=FOCK_CACHE_SIZE)
 def _spin_arrays(two_j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """J_x, J_y, J_z (ascending-m basis) as plain complex arrays, read-only
     and shared by every build at this spin."""

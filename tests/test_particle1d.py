@@ -214,23 +214,32 @@ def dense_band(bands):
 
 
 @pytest.mark.parametrize("parity", [1, -1])
-def test_band_solve_matches_dense_half_grid(parity):
-    # 401 points fold onto 201 (even) and 200 (odd) rows, which the shared
-    # rule hands to eig_banded; 2001 fold onto 1001 and 1000, above the
-    # shift-invert threshold
-    for n_points, engine in ((401, "eig_banded"), (2001, "shift-invert")):
+def test_band_solve_matches_dense_half_grid(parity, monkeypatch):
+    # eigenvectors take shift-invert at any size (eig_banded back-transforms
+    # them through a dense matrix); eigenvalues alone take eig_banded at 401
+    # points, which fold onto 201 (even) and 200 (odd) rows, and
+    # shift-invert at 2001, which fold onto 1001 and 1000, above the threshold
+    banded = []
+    eig_banded = scipy.linalg.eig_banded
+    monkeypatch.setattr(scipy.linalg, "eig_banded",
+                        lambda *a, **kw: banded.append(a) or eig_banded(*a, **kw))
+    for n_points in (401, 2001):
         model = harmonic_model(n_points=n_points, eigen_count=12)
         bands = particle1d._fold(model, parity)
         rows = bands.shape[1]
         assert rows in (n_points // 2, n_points // 2 + 1)
-        assert (rows * rows * 2 > SHIFT_INVERT_MIN_WORK) == (engine == "shift-invert")
-        w, u = band_eigh(bands, 6, True, particle1d._shift(model))
         a = dense_band(bands)
         ref = np.linalg.eigvalsh(a)[:6]
-        assert np.all(np.abs(w - ref) <= 1e-10 * np.maximum(np.abs(ref), 1.0)), engine
-        assert np.abs(a @ u - u * w).max() <= 1e-9, engine
-        assert np.abs(u.T @ u - np.eye(6)).max() <= 1e-12, engine
-        assert np.all(u[np.abs(u).argmax(axis=0), np.arange(6)] > 0), engine
+        w, u = band_eigh(bands, 6, True, particle1d._shift(model))
+        assert banded == [], n_points
+        assert np.all(np.abs(w - ref) <= 1e-10 * np.maximum(np.abs(ref), 1.0)), n_points
+        assert np.abs(a @ u - u * w).max() <= 1e-9, n_points
+        assert np.abs(u.T @ u - np.eye(6)).max() <= 1e-12, n_points
+        assert np.all(u[np.abs(u).argmax(axis=0), np.arange(6)] > 0), n_points
+        values, _ = band_eigh(bands, 6, False, particle1d._shift(model))
+        assert len(banded) == (rows * rows * 2 <= SHIFT_INVERT_MIN_WORK) == (n_points == 401)
+        assert np.all(np.abs(values - ref) <= 1e-10 * np.maximum(np.abs(ref), 1.0)), n_points
+        banded.clear()
 
 
 def test_shift_above_spectrum_raises():

@@ -396,6 +396,7 @@ DENSE_FACTORS = {"n", "X", "P", "eye", "X2"}
 
 def test_shared_factors_are_read_only_and_built_once(monkeypatch):
     fock_factors.cache_clear()
+    qops._spin_arrays.cache_clear()
     p = RabiParams(eta=0.3, cutoff=20)
     terms_H_C_standard(p)
     terms_H_alpha(p, 0.5)
@@ -407,15 +408,25 @@ def test_shared_factors_are_read_only_and_built_once(monkeypatch):
     assert not any(a.flags.writeable for a in (f.eig.eigenvalues, f.eig.eigenvectors))
     with pytest.raises(ValueError, match="read-only"):
         f.X[0, 1] = 0.0
-    # a second build at the same cutoff makes none of them again
+    # the spin arrays are shared read-only too; the spin identity is made
+    # per build
+    spin = qops._spin_arrays(1)
+    s = rabi._real_parts(1, 20)
+    assert all(a is b for a, b in zip((s.jx, s.jy, s.jz), spin))
+    assert not any(j.flags.writeable for j in spin)
+    with pytest.raises(ValueError, match="read-only"):
+        s.jx[0, 1] = 0.0
+    # a second build at the same cutoff and spin makes none of them again
     made = []
     for name in ("_real_ladder", "hermitian_eig"):
         fn = getattr(qops, name)
         monkeypatch.setattr(qops, name, lambda *a, fn=fn: made.append(a) or fn(*a))
     misses = fock_factors.cache_info().misses
+    spin_misses = qops._spin_arrays.cache_info().misses
     again = terms_H_C_standard(p) + terms_H_alpha(p, 0.5)
     assert made == [] and fock_factors.cache_info().misses == misses
-    assert fock_factors(20) is f
+    assert qops._spin_arrays.cache_info().misses == spin_misses
+    assert fock_factors(20) is f and all(a is b for a, b in zip(qops._spin_arrays(1), spin))
     assert all(vars(f)[k] is v for k, v in built.items()) and vars(f).keys() == built.keys()
     # every field factor of the second build is the cached array itself,
     # but cos/sin(2 alpha eta X), which depend on the coupling
@@ -440,13 +451,15 @@ def test_models_build_only_the_factors_they_read(model, reads):
 
 
 def test_factor_cache_evicts_past_its_bound():
-    fock_factors.cache_clear()
-    oldest = fock_factors(3)
-    for cutoff in range(4, 4 + qops.FOCK_CACHE_SIZE):
-        fock_factors(cutoff)
-    assert fock_factors.cache_info().currsize == qops.FOCK_CACHE_SIZE == 8
-    assert fock_factors(3) is not oldest  # evicted, so built anew
-    assert fock_factors.cache_info().currsize == qops.FOCK_CACHE_SIZE
+    # the Fock factors per cutoff and the spin arrays per spin
+    for cached in (fock_factors, qops._spin_arrays):
+        cached.cache_clear()
+        oldest = cached(3)
+        for key in range(4, 4 + qops.FOCK_CACHE_SIZE):
+            cached(key)
+        assert cached.cache_info().currsize == qops.FOCK_CACHE_SIZE == 8
+        assert cached(3) is not oldest  # evicted, so built anew
+        assert cached.cache_info().currsize == qops.FOCK_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------
