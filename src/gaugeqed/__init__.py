@@ -40,13 +40,12 @@ from .linalg import (
     ParityError,
     ShiftAboveSpectrumError,
     Spectrum,
-    banded_parity_eigvalsh,
-    block_parity_eigvalsh,
     conjugate,
     hermitian_eig,
     kron_sum,
     parity_band_sum,
     parity_block_sum,
+    parity_eigvalsh,
     unitary_exp,
 )
 from .qops import quadrature_eig
@@ -128,9 +127,8 @@ __all__ = [
     "__version__",
     # linalg
     "Spectrum", "hermitian_eig", "unitary_exp", "conjugate", "kron_sum",
-    "parity_block_sum",
-    "ParityBlocks", "block_parity_eigvalsh",
-    "parity_band_sum", "ParityBands", "banded_parity_eigvalsh",
+    "parity_block_sum", "ParityBlocks",
+    "parity_band_sum", "ParityBands", "parity_eigvalsh",
     "LinalgError", "NonHermitianError", "NotUnitaryError",
     "ConvergenceFailureError", "DimensionMismatchError",
     "DimensionOverflowError", "ParityError", "ShiftAboveSpectrumError",

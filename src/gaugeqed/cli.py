@@ -127,8 +127,8 @@ COMMANDS: Dict[str, Tuple[Tuple[Opt, ...], str]] = {
         Opt("out", "str", "alpha_check.csv", "output CSV name"),
     ) + _CONV,
         "Spread of transition energies across the gauge family; exits 2 if "
-        "invariance is violated (or if the negative control fails to "
-        "violate it)."),
+        "a member misses the cutoff cap, or if invariance is violated (or "
+        "the negative control fails to violate it)."),
     "gauge-theorem": ((
         Opt("eta", "float", 0.5, "coupling eta"),
         Opt("cutoffs", "ints", [60, 80, 100, 140],
@@ -388,7 +388,7 @@ def _run_family_sweep(rc: RunConfig, family: str) -> int:
                                          spec.levels_reported, spec.models)
         written.append(str(gp))
     print(f"wrote {' '.join(written)} ({len(result.points)} points)")
-    experiments.check_converged(result)
+    experiments.check_converged(result.points, spec.policy.cutoff_cap)
     return 0
 
 
@@ -428,9 +428,10 @@ def _cmd_alpha_check(rc: RunConfig) -> int:
     p = rc.params
     if p["break_min"] <= 0:
         raise ValueError(f"break_min must be > 0, got {p['break_min']:g}")
+    policy = _policy(p)
     study = experiments.alpha_invariance_study(
         p["alphas"], p["eta"], detuning=p["detuning"], levels=p["levels"],
-        policy=_policy(p), tol=p["tol"],
+        policy=policy, tol=p["tol"],
         negative_control=bool(p["negative_control"]), threads=rc.threads)
     out = _outpath(rc, p["out"])
     experiments.write_alpha_csv(study, out)
@@ -439,6 +440,8 @@ def _cmd_alpha_check(rc: RunConfig) -> int:
           + ("PASS" if study.passed else "FAIL")
           + (" [negative control]" if study.negative_control else ""))
     print(f"wrote {out}")
+    # a spread between unconverged transitions judges the truncation
+    experiments.check_converged(study.points, policy.cutoff_cap)
     if study.negative_control:
         if study.max_spread < p["break_min"]:
             return _fail("negative control failed: naive model left spread "

@@ -10,11 +10,19 @@ The sweeps and studies solve each model from its one term list
 (``rabi.terms_*``, ``dicke.terms_dicke_dipole``) written as real parity
 blocks by ``linalg.parity_block_sum``, except the Rabi dipole and naive
 Coulomb models, whose banded chains ``rabi.bands_H_D`` and
-``rabi.bands_H_C_standard`` write.  An eta grid is k * step up to the last
+``rabi.bands_H_C_standard`` write; ``lowest_transitions`` solves blocks and
+chains alike with the one parity solver, ``linalg.parity_eigvalsh``.  An eta grid is k * step up to the last
 point at or below eta_max.  The Taylor study evaluates each order's
 Maclaurin cos/sin once, as a table over the grid, and takes a point whose
 row matches cos/sin to the last bit as the full model itself: its error
 is exactly 0.0, and neither model is built or solved there.
+
+A sweep point is one model at one eta, its Fock cutoff grown by
+``converged_transitions`` until the transitions settle.  The sweeps and the
+gauge-family study build their points by one loop, and ``check_converged``
+is their one verdict, which the command line calls after writing each
+table: a point that reached the cutoff cap unconverged fails the run.  A cap below one doubling of
+the initial cutoff is refused, since no point could converge under it.
 
 Sweep points are independent work items; an optional thread pool fans them
 out and the results are reassembled in grid order, so the emitted tables are
@@ -36,8 +44,7 @@ import numpy as np
 
 from . import dicke as dicke_mod
 from . import rabi as rabi_mod
-from .linalg import (ParityBands, ParityBlocks, banded_parity_eigvalsh, block_parity_eigvalsh,
-                     hermitian_eig, parity_block_sum)
+from .linalg import ParityBands, ParityBlocks, hermitian_eig, parity_block_sum, parity_eigvalsh
 from .qops import quadrature_values
 
 OMEGA_C = 1.0  # all energies in units of the cavity frequency
@@ -58,31 +65,30 @@ class ConvergencePolicy:
     def __post_init__(self):
         if self.cutoff0 < 1 or not self.tol > 0:
             raise ValueError("invalid convergence policy")
-        if self.cutoff_cap < self.cutoff0:
-            raise ValueError("cutoff_cap below initial cutoff")
+        # below one doubling no point can converge
+        if self.cutoff_cap < GROWTH * self.cutoff0:
+            raise ValueError(f"cutoff_cap {self.cutoff_cap} allows no doubling of "
+                             f"cutoff0 {self.cutoff0}; it must be >= {GROWTH * self.cutoff0}")
 
 
 def lowest_transitions(H: Union[np.ndarray, ParityBlocks, ParityBands],
                        levels: int) -> np.ndarray:
-    """E_n - E_0 for n = 1..levels, by the solver the holder's type selects.
+    """E_n - E_0 for n = 1..levels.
 
     ``ParityBlocks`` (the real parity blocks that ``linalg.parity_block_sum``
     writes for the corrected Coulomb, Taylor-order, alpha-family, Dicke and
-    fluxonium models) are solved by
-    :func:`~gaugeqed.linalg.block_parity_eigvalsh` and ``ParityBands`` (the
-    banded chains of the Rabi D and naive Coulomb models, and those that
-    ``linalg.parity_band_sum`` writes for the mirror-parity full models) by
-    :func:`~gaugeqed.linalg.banded_parity_eigvalsh`, each for its lowest
+    fluxonium models) and ``ParityBands`` (the banded chains of the Rabi D
+    and naive Coulomb models, and those that ``linalg.parity_band_sum``
+    writes for the mirror-parity full models) are solved by the one parity
+    solver, :func:`~gaugeqed.linalg.parity_eigvalsh`, for their lowest
     levels + 1 eigenvalues only.  A matrix is solved by one dense complex
     solve, :func:`~gaugeqed.linalg.hermitian_eig`.  Raises ValueError when
     levels < 1 or when fewer than levels + 1 eigenvalues exist.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    if isinstance(H, ParityBlocks):
-        w = block_parity_eigvalsh(H, levels + 1)
-    elif isinstance(H, ParityBands):
-        w = banded_parity_eigvalsh(H, levels + 1)
+    if isinstance(H, (ParityBlocks, ParityBands)):
+        w = parity_eigvalsh(H, levels + 1)
     else:
         w = hermitian_eig(H, vectors=False).eigenvalues
     if w.size < levels + 1:
@@ -108,7 +114,9 @@ def converged_transitions(build: Callable[[int], Union[np.ndarray, ParityBlocks,
     The trail logs (cutoff reached, max transition shift) for every growth
     step, so monotone convergence is checkable after the fact.  The
     transitions at the last (largest) cutoff are returned even when the cap
-    is hit, flagged unconverged rather than dropped.
+    is hit, flagged unconverged rather than dropped; every sweep point of
+    :func:`run_sweep` and :func:`alpha_invariance_study` comes from here,
+    and :func:`check_converged` turns the flags into the verdict.
     """
     cutoff = policy.cutoff0
     prev = lowest_transitions(build(cutoff), levels)
@@ -204,6 +212,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepPoint:
+    # the model's name; a gauge-family member reads "alpha=<alpha>"
     model: str
     eta: float
     cutoff: int
@@ -219,9 +228,6 @@ class SweepResult:
     spec: SweepSpec
     points: Tuple[SweepPoint, ...]
 
-    def unconverged(self) -> Tuple[SweepPoint, ...]:
-        return tuple(p for p in self.points if not p.converged)
-
 
 def _map_ordered(fn, items, threads: int):
     if threads <= 1:
@@ -230,30 +236,40 @@ def _map_ordered(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
-    """Transitions of every (model, eta) point at auto-converged cutoff."""
-    builders = FAMILIES[spec.family]
-
-    def work(task):
-        model, eta = task
-        build = lambda c: builders[model](eta, spec.detuning, c, spec.n_dipoles)
-        t, cutoff, ok, trail = converged_transitions(build, spec.levels_reported,
-                                                     spec.policy)
-        return SweepPoint(model=model, eta=eta, cutoff=cutoff, converged=ok,
+def _converged_points(tasks, levels: int, policy: ConvergencePolicy,
+                      threads: int) -> Tuple[SweepPoint, ...]:
+    """The point of each (label, eta, build) task at auto-converged cutoff
+    (:func:`converged_transitions` of ``build``), in task order, solved on
+    ``threads`` workers."""
+    def point(task):
+        label, eta, build = task
+        t, cutoff, ok, trail = converged_transitions(build, levels, policy)
+        return SweepPoint(model=label, eta=eta, cutoff=cutoff, converged=ok,
                           transitions=tuple(float(v) for v in t), trail=trail)
 
-    tasks = [(m, e) for m in spec.models for e in spec.eta_grid]
-    return SweepResult(spec=spec, points=tuple(_map_ordered(work, tasks, threads)))
+    return tuple(_map_ordered(point, tasks, threads))
 
 
-def check_converged(result: SweepResult) -> None:
-    """Raise CutoffCeilingError if any point hit the cutoff cap unconverged."""
-    bad = result.unconverged()
+def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
+    """Transitions of every (model, eta) point at auto-converged cutoff."""
+    def task(model, eta):
+        build = FAMILIES[spec.family][model]
+        return model, eta, lambda c: build(eta, spec.detuning, c, spec.n_dipoles)
+
+    tasks = [task(m, e) for m in spec.models for e in spec.eta_grid]
+    return SweepResult(spec=spec, points=_converged_points(
+        tasks, spec.levels_reported, spec.policy, threads))
+
+
+def check_converged(points: Sequence[SweepPoint], cutoff_cap: int) -> None:
+    """Raise CutoffCeilingError if any point hit the cutoff cap unconverged,
+    naming the first eight; ``cutoff_cap`` is the policy's, for the message."""
+    bad = [p for p in points if not p.converged]
     if bad:
         what = ", ".join(f"{p.model}@eta={p.eta:g}" for p in bad[:8])
         raise CutoffCeilingError(
             f"{len(bad)} sweep point(s) hit the cutoff cap "
-            f"{result.spec.policy.cutoff_cap} without converging: {what}")
+            f"{cutoff_cap} without converging: {what}")
 
 
 def default_eta_grid(eta_max: float = 1.5, step: float = 0.025,
@@ -402,6 +418,8 @@ class AlphaStudy:
     tol: float
     passed: bool
     negative_control: bool
+    # one point per (eta, alpha), alphas fastest, as the study solved them
+    points: Tuple[SweepPoint, ...]
 
 
 def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
@@ -415,7 +433,11 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
     Coulomb-gauge model, which must break the invariance at strong coupling;
     that member is solved from its banded parity chains, the family members
     from the real parity blocks ``linalg.parity_block_sum`` writes of
-    ``rabi.terms_H_alpha``.  Raises ValueError when negative_control is set
+    ``rabi.terms_H_alpha``.  Each member is converged in the cutoff as a
+    sweep point is, and the study keeps the points, so that
+    :func:`check_converged` judges them as it judges a sweep's; the spread
+    is taken over the transitions at the cutoff each point reached.
+    Raises ValueError when negative_control is set
     and 1 is not among the alphas, since nothing would be replaced, when an
     alpha or an eta repeats, and when tol <= 0.
     """
@@ -430,27 +452,25 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
         raise ValueError("the negative control replaces the alpha=1 member; "
                          "alphas must include 1")
 
-    def work(task):
-        eta, alpha = task
+    def task(eta, alpha):
         if negative_control and alpha == 1.0:
-            build = lambda c: rabi_mod.bands_H_C_standard(_rabi_params(eta, detuning, c))
-        else:
-            build = lambda c: parity_block_sum(
-                rabi_mod.terms_H_alpha(_rabi_params(eta, detuning, c), alpha))
-        t, _, ok, _ = converged_transitions(build, levels, policy)
-        return t, ok
+            return "Cstd", eta, lambda c: rabi_mod.bands_H_C_standard(
+                _rabi_params(eta, detuning, c))
+        return f"alpha={alpha:g}", eta, lambda c: parity_block_sum(
+            rabi_mod.terms_H_alpha(_rabi_params(eta, detuning, c), alpha))
 
-    tasks = [(e, a) for e in eta_grid for a in alphas]
-    results = _map_ordered(work, tasks, threads)
+    points = _converged_points([task(e, a) for e in eta_grid for a in alphas],
+                               levels, policy, threads)
+    k = len(alphas)
     spreads = []
-    for i, eta in enumerate(eta_grid):
-        block = np.array([results[i * len(alphas) + j][0] for j in range(len(alphas))])
+    for i in range(len(eta_grid)):
+        block = np.array([p.transitions for p in points[i * k:(i + 1) * k]])
         spreads.append(float((block.max(axis=0) - block.min(axis=0)).max()))
     max_spread = max(spreads)
     return AlphaStudy(alphas=alphas, eta_grid=eta_grid, detuning=detuning,
                       levels=levels, spreads=tuple(spreads), max_spread=max_spread,
                       tol=tol * OMEGA_C, passed=max_spread <= tol * OMEGA_C,
-                      negative_control=negative_control)
+                      negative_control=negative_control, points=points)
 
 
 # ---------------------------------------------------------------------------

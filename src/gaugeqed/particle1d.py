@@ -124,6 +124,8 @@ class ParticleModel:
         pot = np.array(self.potential, dtype=float, copy=True)
         if pot.shape != (self.grid.n_points,):
             raise ValueError("potential samples must match the grid")
+        if not np.isfinite(pot).all():
+            raise ValueError("potential samples must be finite")
         pot.flags.writeable = False
         object.__setattr__(self, "potential", pot)
         if self.mass <= 0:

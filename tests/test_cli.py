@@ -111,10 +111,10 @@ def test_import_keeps_block_solve_loops_on_one_core():
         import numpy as np
         a = np.random.default_rng(0).standard_normal((201, 201))
         blocks = gaugeqed.ParityBlocks((a + a.T, a.T + a))
-        gaugeqed.block_parity_eigvalsh(blocks, 6)
+        gaugeqed.parity_eigvalsh(blocks, 6)
         cpu, wall = time.process_time(), time.perf_counter()
         for _ in range(100):
-            gaugeqed.block_parity_eigvalsh(blocks, 6)
+            gaugeqed.parity_eigvalsh(blocks, 6)
         print(time.process_time() - cpu, time.perf_counter() - wall)
     """
     cpu, wall = map(float, fresh_python(code).split())
@@ -439,6 +439,21 @@ def test_alpha_check_passes(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_alpha_check_unconverged_exit_2(tmp_path, capsys):
+    # the gauge family is converged as a sweep is, and judged as one: the
+    # table is written, then unconverged members fail the run before the
+    # invariance verdict
+    argv = ["alpha-check", "--cutoff0", "20", "--cutoff-cap", "40", "--conv-tol", "1e-15"]
+    assert run(argv, tmp_path) == 2
+    captured = capsys.readouterr()
+    assert "PASS" in captured.out
+    assert captured.err == (
+        "numerical failure: CutoffCeilingError: 5 sweep point(s) hit the cutoff cap 40 "
+        "without converging: alpha=0@eta=0.8, alpha=0.25@eta=0.8, alpha=0.5@eta=0.8, "
+        "alpha=0.75@eta=0.8, alpha=1@eta=0.8\n")
+    assert (tmp_path / "alpha_check.csv").read_text().splitlines()[-1].startswith("0.8,")
+
+
 def test_alpha_negative_control(tmp_path, capsys):
     argv = ["alpha-check", "--alphas", "0,1", "--eta", "0.8", "--levels", "3",
             "--negative-control"]
@@ -568,7 +583,8 @@ def test_nonpositive_tolerance_exit_1(tmp_path, capsys, argv):
 
 
 # "{missing}" and "{file}" stand for a path that does not exist and for an
-# existing file; a config text is written to a file and passed as --config
+# existing file, "{nan-table}" for a potential table with one NaN sample; a
+# config text is written to a file and passed as --config
 BAD_INPUT = [
     (["rabi-sweep", "--detuning", "nan"], None, "key 'detuning'"),
     (["gauge-theorem", "--eta", "nan"], None, "key 'eta'"),
@@ -578,6 +594,8 @@ BAD_INPUT = [
     (["rabi-sweep"], "[rabi-sweep]\ndetuning = inf\n", "key 'detuning'"),
     (["gauge-theorem", "--cutoffs", "10", "--outdir", "{file}"], None, "File exists"),
     (["particle-demo", "--potential-table", "{missing}"], None, "not found"),
+    (["particle-demo", "--potential-table", "{nan-table}"], None,
+     "potential samples must be finite"),
     (["rabi-sweep"], "eta_max = 1\n", "no section headers"),
     (["rabi-sweep"], "[rabi-sweep]\neta_max\n", "parsing errors"),
     (["taylor-study", "--eta-max", "0.01"], None, "holds no eta > 0"),
@@ -587,6 +605,9 @@ BAD_INPUT = [
     (["taylor-study", "--orders", ","], None, "--orders"),
     (["full-model", "--m-levels", ","], None, "--m-levels"),
     (["rabi-sweep"], "[rabi-sweep]\nmodels = ,\n", "key 'models'"),
+    # a cap below one doubling of the initial cutoff lets no point converge
+    (["rabi-sweep", "--cutoff-cap", "79"], None, "cutoff_cap 79 allows no doubling"),
+    (["alpha-check", "--cutoff-cap", "40"], None, "cutoff_cap 40 allows no doubling"),
 ]
 
 
@@ -598,7 +619,13 @@ def test_bad_input_exit_1(tmp_path, capsys, argv, config, fragment):
     argument errors: exit 1, one error line naming the cause, no table."""
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    subs = {"{missing}": str(tmp_path / "missing.dat"), "{file}": str(blocker)}
+    x = np.linspace(-8.0, 8.0, 2001)
+    v = 0.5 * x ** 2
+    v[700] = np.nan
+    nan_table = tmp_path / "nan.dat"
+    np.savetxt(nan_table, np.column_stack([x, v]))
+    subs = {"{missing}": str(tmp_path / "missing.dat"), "{file}": str(blocker),
+            "{nan-table}": str(nan_table)}
     argv = [subs.get(a, a) for a in argv]
     if config is not None:
         argv += ["--config", write_config(tmp_path, config)]

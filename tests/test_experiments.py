@@ -60,6 +60,11 @@ def test_policy_validation():
             ConvergencePolicy(tol=tol)
     with pytest.raises(ValueError):
         ConvergencePolicy(cutoff0=100, cutoff_cap=50)
+    # a cap that allows no doubling leaves every point unconverged
+    for cap in (40, GROWTH * 40 - 1):
+        with pytest.raises(ValueError, match=f"cutoff_cap {cap} allows no doubling"):
+            ConvergencePolicy(cutoff0=40, cutoff_cap=cap)
+    assert ConvergencePolicy(cutoff0=40, cutoff_cap=GROWTH * 40).cutoff_cap == 80
 
 
 def test_converged_transitions_trail():
@@ -86,9 +91,29 @@ def test_check_converged_raises():
     policy = ConvergencePolicy(cutoff0=4, cutoff_cap=8, tol=1e-12)
     spec = SweepSpec(models=("D",), eta_grid=(0.9, 1.0), policy=policy)
     result = run_sweep(spec)
-    assert len(result.unconverged()) == 2
-    with pytest.raises(CutoffCeilingError):
-        check_converged(result)
+    assert [p.converged for p in result.points] == [False, False]
+    with pytest.raises(CutoffCeilingError, match="2 sweep point.* cap 8 .*D@eta=0.9, D@eta=1$"):
+        check_converged(result.points, policy.cutoff_cap)
+    check_converged(small_sweep().points, ConvergencePolicy().cutoff_cap)
+
+
+def test_alpha_study_points_are_sweep_points():
+    # the gauge family's members are converged by the sweep's point loop,
+    # and the study keeps them for the same verdict
+    policy = ConvergencePolicy(cutoff0=4, cutoff_cap=8, tol=1e-12)
+    study = alpha_invariance_study((0.0, 1.0), (0.5, 0.9), levels=3, policy=policy,
+                                   negative_control=True)
+    assert [(p.model, p.eta, p.cutoff, p.converged) for p in study.points] == [
+        ("alpha=0", 0.5, 8, False), ("Cstd", 0.5, 8, False),
+        ("alpha=0", 0.9, 8, False), ("Cstd", 0.9, 8, False)]
+    for i in range(2):
+        t = np.array([p.transitions for p in study.points[2 * i:2 * i + 2]])
+        assert study.spreads[i] == float((t.max(axis=0) - t.min(axis=0)).max())
+    with pytest.raises(CutoffCeilingError, match="4 sweep point.*alpha=0@eta=0.5, Cstd@eta=0.5"):
+        check_converged(study.points, policy.cutoff_cap)
+    study = alpha_invariance_study((0.0, 1.0), (0.5,), levels=3)
+    assert all(p.converged and p.trail for p in study.points)
+    check_converged(study.points, ConvergencePolicy().cutoff_cap)
 
 
 def test_lowest_transitions_needs_levels():

@@ -22,7 +22,6 @@ from gaugeqed import (
     FluxoniumParams,
     ParityError,
     RabiParams,
-    block_parity_eigvalsh,
     build_dicke_correct,
     build_dicke_standard,
     build_H_C_correct,
@@ -32,6 +31,7 @@ from gaugeqed import (
     hermitian_eig,
     kron_sum,
     parity_block_sum,
+    parity_eigvalsh,
     rabi,
     solve_fluxonium,
     terms_dicke_dipole,
@@ -184,7 +184,7 @@ def test_blocks_match_dense_builders(eta, cutoff, double_well, fluxonium_basis):
             assert not got.flags.writeable, case
             dev = float(np.abs(got - want).max())
             assert dev <= bound, f"{case}: max|B - phased H| = {dev:.3e} exceeds {bound:.3e}"
-        dev = float(np.abs(block_parity_eigvalsh(blocks, H.shape[0])
+        dev = float(np.abs(parity_eigvalsh(blocks, H.shape[0])
                            - hermitian_eig(H, vectors=False).eigenvalues).max())
         assert dev <= bound, (case, dev)
 

@@ -24,7 +24,6 @@ from gaugeqed import (
     ParityError,
     ParticleModel,
     ShiftAboveSpectrumError,
-    banded_parity_eigvalsh,
     build_full_H_C,
     build_full_H_D,
     check_minimal_coupling_identity,
@@ -37,6 +36,7 @@ from gaugeqed import (
     nonlocal_kernel,
     parity_band_sum,
     parity_block_sum,
+    parity_eigvalsh,
     particle1d,
     solve_particle,
     terms_full_H_C,
@@ -86,6 +86,12 @@ def test_model_validation():
         ParticleModel(g, v, 1.0, 1.0, 0)
     with pytest.raises(ValueError):
         ParticleModel(g, v, 1.0, 1.0, 500)
+    # a non-finite sample is bad input, not a numerical failure of the solve
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = v.copy()
+        broken[250] = bad
+        with pytest.raises(ValueError, match="potential samples must be finite"):
+            ParticleModel(g, broken, 1.0, 1.0, 4)
 
 
 def test_model_copies_potential():
@@ -486,7 +492,7 @@ def test_wide_chains_shift_invert_matches_banded_driver(preset, request):
         for chain in parity_band_sum(terms(model, basis, 48, a0, m_used)).chains:
             rows, width = chain.shape[1], chain.shape[0] - 1
             assert rows * rows * width > SHIFT_INVERT_MIN_WORK
-            got = banded_parity_eigvalsh(ParityBands((chain,)), 5)
+            got = parity_eigvalsh(ParityBands((chain,)), 5)
             want = scipy.linalg.eig_banded(chain, lower=True, eigvals_only=True,
                                            select="i", select_range=(0, 4))
             bound = 1e-12 * max(float(np.abs(chain).max()), 1.0)

@@ -16,7 +16,6 @@ from gaugeqed import (
     RabiParams,
     bands_H_C_standard,
     bands_H_D,
-    banded_parity_eigvalsh,
     build_H_C_correct,
     build_H_C_standard,
     build_H_C_taylor,
@@ -26,6 +25,7 @@ from gaugeqed import (
     kron_sum,
     maclaurin_cos_sin,
     parity_block_sum,
+    parity_eigvalsh,
     terms_H_alpha,
     terms_H_C_correct,
     terms_H_C_standard,
@@ -507,7 +507,7 @@ def test_bands_match_dense_builders(eta, cutoff):
                 assert not chain[r, d.size:].any(), name
         w = hermitian_eig(H, vectors=False).eigenvalues
         for count in (1, 7, w.size + 3):
-            wb = banded_parity_eigvalsh(bands, count)
+            wb = parity_eigvalsh(bands, count)
             k = min(count, w.size)
             assert wb.shape == (k,) and not wb.flags.writeable
             dev = np.abs(wb - w[:k]).max()
@@ -528,7 +528,7 @@ def test_braak_oracle_matches_dipole_chains(eta):
     eta = 18, which takes 4 s and is left out here."""
     for detuning in (0.0, 0.2):
         exact = oracles.braak_rabi_levels(eta, (1.0 + detuning) / 2.0, 7)
-        w = banded_parity_eigvalsh(bands_H_D(RabiParams(eta=eta, cutoff=2047,
+        w = parity_eigvalsh(bands_H_D(RabiParams(eta=eta, cutoff=2047,
                                                         detuning=detuning)), 7)
         dev = float(np.abs(exact - w).max())
         assert dev <= 1e-12 * max(float(np.abs(w).max()), 1.0), (eta, detuning, dev)
