@@ -16,7 +16,9 @@ factor and ARPACK; it reads its thread count once, when ``scipy.linalg``
 loads it, right after the variable is set.  numpy's OpenBLAS reads the
 variable when numpy loads, so with numpy imported first the policy reaches
 scipy's solves only.  A value set in the environment wins.  The only
-parallelism left is the ``--threads`` pool of independent sweep points.
+parallelism left is ``--threads``: independent sweep points on worker
+processes, capped at the usable CPUs, since scipy's LAPACK wrappers hold
+the GIL and threads would solve no two points at once.
 """
 
 import os as _os

@@ -66,7 +66,8 @@ DEFAULT_KERNEL_LEVELS = (2, 8, 32)
 _COMMON = (
     Opt("outdir", "str", None,
         f"output directory (default: ${ENV_OUTDIR} if set, else '.')"),
-    Opt("threads", "int", 1, "worker threads for independent sweep points"),
+    Opt("threads", "int", 1, "worker processes for independent sweep points, "
+        "capped at the usable CPUs"),
     Opt("emit_plots", "bool", False,
         "also write gnuplot files next to the CSV table"),
 )
@@ -437,7 +438,7 @@ def _cmd_alpha_check(rc: RunConfig) -> int:
     experiments.write_alpha_csv(study, out)
     print(f"max spread {study.max_spread:.6e} vs tol {study.tol:g} "
           f"over alphas {','.join(f'{a:g}' for a in study.alphas)}: "
-          + ("PASS" if study.passed else "FAIL")
+          + study.verdict
           + (" [negative control]" if study.negative_control else ""))
     print(f"wrote {out}")
     # a spread between unconverged transitions judges the truncation

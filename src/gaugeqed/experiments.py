@@ -24,18 +24,22 @@ is their one verdict, which the command line calls after writing each
 table: a point that reached the cutoff cap unconverged fails the run.  A cap below one doubling of
 the initial cutoff is refused, since no point could converge under it.
 
-Sweep points are independent work items; an optional thread pool fans them
-out and the results are reassembled in grid order, so the emitted tables are
-byte-identical for any thread count.  The pool is the package's only
+Sweep points are independent work items.  With ``threads`` above one they
+run on forked worker processes, capped at the usable CPUs, and the results
+come back in task order, so the emitted tables are byte-identical for any
+worker count; at one worker they run serially in the calling process.
+Processes, not threads: scipy's LAPACK wrappers hold the GIL, so a thread
+pool solves no two points at once.  The pool is the package's only
 parallelism: importing ``gaugeqed`` pins OpenBLAS to one thread unless the
 environment sets its thread count.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
@@ -229,25 +233,73 @@ class SweepResult:
     points: Tuple[SweepPoint, ...]
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def worker_count(threads: int, tasks: int, cpus: Optional[int] = None) -> int:
+    """Worker processes for ``tasks`` independent tasks at ``threads``
+    requested: no more than either, nor than ``cpus``, by default the CPUs
+    this process may run on; at least one."""
+    if cpus is None:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity mask on this platform
+            cpus = os.cpu_count() or 1
+    return max(1, min(threads, tasks, cpus))
+
+
+# the task function of a worker process, set by the pool when it forks it
+_worker_fn = None
+
+
+def _set_worker_fn(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(item):
+    return _worker_fn(item)
+
+
+@contextmanager
+def _ordered_map(fn, threads: int, tasks: int):
+    """Yield ``run``: ``run(items)`` is ``[fn(item) for item in items]``, in
+    item order, for batches of at most ``tasks`` items.
+
+    At one worker (:func:`worker_count`) ``run`` calls ``fn`` serially in
+    this process.  Otherwise the items go to a pool of forked worker
+    processes, which inherit ``fn`` at the fork, so that only the items and
+    the results are pickled.  Every worker forks when the pool opens, before
+    any of the pool's threads start, and the pool is closed and joined on
+    leaving, also when a task raises; the task's exception reaches the
+    caller with its type.
+    """
+    workers = worker_count(threads, tasks)
+    if workers <= 1:
+        yield lambda items: [fn(it) for it in items]
+        return
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=_set_worker_fn, initargs=(fn,))
+    try:
+        yield lambda items: pool.map(_call_worker_fn, items, chunksize=1)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
 
 
 def _converged_points(tasks, levels: int, policy: ConvergencePolicy,
                       threads: int) -> Tuple[SweepPoint, ...]:
     """The point of each (label, eta, build) task at auto-converged cutoff
     (:func:`converged_transitions` of ``build``), in task order, solved on
-    ``threads`` workers."""
-    def point(task):
-        label, eta, build = task
+    up to ``threads`` worker processes; a task travels as its index."""
+    def point(i):
+        label, eta, build = tasks[i]
         t, cutoff, ok, trail = converged_transitions(build, levels, policy)
         return SweepPoint(model=label, eta=eta, cutoff=cutoff, converged=ok,
                           transitions=tuple(float(v) for v in t), trail=trail)
 
-    return tuple(_map_ordered(point, tasks, threads))
+    with _ordered_map(point, threads, len(tasks)) as run:
+        return tuple(run(range(len(tasks))))
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
@@ -336,8 +388,10 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
     is taken this way, and ``exact_points`` counts it.  Past it, each
     Taylor model takes its row as node values
     (``rabi.terms_H_C_rotated``, which is ``rabi.terms_H_C_taylor`` on
-    them).  The orders are scanned on ``threads`` workers; the full model
-    is solved only at the etas some scan still needs.  Both models are
+    them).  The scans walk the grid together, one batch of solves per eta
+    on up to ``threads`` worker processes: the full model, solved once at
+    each eta some scan still needs, and each order still scanning there.
+    The tables stay in this process.  Both models are
     solved from the real parity blocks ``linalg.parity_block_sum`` writes
     of their terms.  Raises ValueError for an order below 1, a repeated
     order or tol <= 0.
@@ -351,55 +405,58 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
     _reject_repeats("order", orders)
     _check_tol(tol)
 
-    # exact spectra are solved the first time any order's scan reaches that
-    # eta and shared across orders; the per-index lock makes concurrent
-    # scans wait for one solve instead of repeating it
-    exact = [None] * len(eta_grid)
-    locks = [threading.Lock() for _ in eta_grid]
-
-    def exact_at(i):
-        with locks[i]:
-            if exact[i] is None:
-                p = _rabi_params(eta_grid[i], detuning, cutoff)
-                exact[i] = lowest_transitions(
-                    parity_block_sum(rabi_mod.terms_H_C_correct(p)), levels)
-            return exact[i]
-
     # one row per eta: the spectrum of 2 eta X, formed as
     # rabi.taylor_is_exact and the term lists form it
     x = (2.0 * np.array(eta_grid))[:, None] * quadrature_values(cutoff)
     cos_x, sin_x = np.cos(x), np.sin(x)
-
-    def scan(n):
-        cos, sin = rabi_mod.maclaurin_cos_sin(x, n)
-        # the leading run of points where the order-n model is the full
-        # model bit for bit; either solve could only give err = 0.0
+    tables = [rabi_mod.maclaurin_cos_sin(x, n) for n in orders]
+    # per order, the leading run of points where the order-n model is the
+    # full model bit for bit; either solve could only give err = 0.0
+    exact_points = []
+    for cos, sin in tables:
         exact_row = np.all(cos == cos_x, axis=1) & np.all(sin == sin_x, axis=1)
-        exact_points = int(np.argmin(exact_row)) if not exact_row.all() else len(eta_grid)
-        row, star, first = [], 0.0, None
-        for i, eta in enumerate(eta_grid):
-            p = _rabi_params(eta, detuning, cutoff)
-            if i < exact_points:
-                err = 0.0
-            else:
-                t = lowest_transitions(parity_block_sum(
-                    rabi_mod.terms_H_C_rotated(p, lambda _: (cos[i], sin[i]))), levels)
-                ref = exact_at(i)
-                err = float(np.max(np.abs(t - ref) / np.maximum(ref, OMEGA_C)))
-            row.append(err)
-            if err > tol:
-                first = eta
-                break
-            star = eta
-        row += [float("nan")] * (len(eta_grid) - len(row))
-        return tuple(row), star, first, exact_points
+        exact_points.append(int(np.argmin(exact_row)) if not exact_row.all()
+                            else len(eta_grid))
 
-    scans = _map_ordered(scan, orders, threads)
+    def terms(i, k):
+        # order k's model at eta i, or the full model for k = None
+        p = _rabi_params(eta_grid[i], detuning, cutoff)
+        if k is None:
+            return rabi_mod.terms_H_C_correct(p)
+        cos, sin = tables[k]
+        return rabi_mod.terms_H_C_rotated(p, lambda _: (cos[i], sin[i]))
+
+    def solve(task):
+        # the terms are freed before the eigensolve, whose scratch then
+        # reuses their memory; held through it, the heap grows and is
+        # trimmed back on every solve (at the defaults, about 19,000 more
+        # page faults and a fifth more time)
+        return lowest_transitions(parity_block_sum(terms(*task)), levels)
+
+    # the grid is walked in waves, one batch per eta: the full model, once,
+    # and each order whose scan is still running past its exact run
+    rows = [[] for _ in orders]
+    star, first = [0.0] * len(orders), [None] * len(orders)
+    with _ordered_map(solve, threads, len(orders) + 1) as run:
+        for i, eta in enumerate(eta_grid):
+            scanning = [k for k in range(len(orders)) if first[k] is None]
+            solving = [k for k in scanning if i >= exact_points[k]]
+            errs = dict.fromkeys(scanning, 0.0)
+            if solving:
+                ref, *spectra = run([(i, None)] + [(i, k) for k in solving])
+                for k, t in zip(solving, spectra):
+                    errs[k] = float(np.max(np.abs(t - ref) / np.maximum(ref, OMEGA_C)))
+            for k in scanning:
+                rows[k].append(errs[k])
+                if errs[k] > tol:
+                    first[k] = eta
+                else:
+                    star[k] = eta
+    errors = tuple(tuple(row + [float("nan")] * (len(eta_grid) - len(row)))
+                   for row in rows)
     return TaylorStudy(orders=orders, eta_grid=eta_grid, cutoff=cutoff,
-                       levels=levels, tol=tol, errors=tuple(s[0] for s in scans),
-                       eta_star=tuple(s[1] for s in scans),
-                       first_bad=tuple(s[2] for s in scans),
-                       exact_points=tuple(s[3] for s in scans))
+                       levels=levels, tol=tol, errors=errors, eta_star=tuple(star),
+                       first_bad=tuple(first), exact_points=tuple(exact_points))
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +473,20 @@ class AlphaStudy:
     spreads: Tuple[float, ...]
     max_spread: float
     tol: float
+    # every member converged and max_spread <= tol
     passed: bool
     negative_control: bool
     # one point per (eta, alpha), alphas fastest, as the study solved them
     points: Tuple[SweepPoint, ...]
+
+    @property
+    def verdict(self) -> str:
+        """PASS, FAIL on the spread, or UNCONVERGED when a member reached the
+        cutoff cap unconverged: a spread of truncated transitions judges the
+        truncation, not the gauge."""
+        if self.passed:
+            return "PASS"
+        return "FAIL" if all(p.converged for p in self.points) else "UNCONVERGED"
 
 
 def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
@@ -467,9 +534,10 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
         block = np.array([p.transitions for p in points[i * k:(i + 1) * k]])
         spreads.append(float((block.max(axis=0) - block.min(axis=0)).max()))
     max_spread = max(spreads)
+    converged = all(p.converged for p in points)
     return AlphaStudy(alphas=alphas, eta_grid=eta_grid, detuning=detuning,
                       levels=levels, spreads=tuple(spreads), max_spread=max_spread,
-                      tol=tol * OMEGA_C, passed=max_spread <= tol * OMEGA_C,
+                      tol=tol * OMEGA_C, passed=converged and max_spread <= tol * OMEGA_C,
                       negative_control=negative_control, points=points)
 
 
@@ -529,7 +597,7 @@ def alpha_csv_lines(study: AlphaStudy) -> list:
              f"detuning={study.detuning:g} levels={study.levels} "
              f"negative_control={int(study.negative_control)}",
              f"# max spread {_fmt(study.max_spread)} vs tol {study.tol:g}: "
-             + ("PASS" if study.passed else "FAIL"),
+             + study.verdict,
              "eta,spread"]
     for eta, s in zip(study.eta_grid, study.spreads):
         lines.append(f"{eta:.6g},{_fmt(s)}")

@@ -175,6 +175,9 @@ def model_from_table(path, mass: float = 1.0, charge: float = 1.0,
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError("expected two columns (x, V)")
     x, v = data[:, 0], data[:, 1]
+    # a NaN fails no comparison below, so it is refused here
+    if not np.isfinite(x).all():
+        raise ValueError("x column must be finite")
     dx = np.diff(x)
     if dx.size == 0 or np.any(dx <= 0):
         raise ValueError("x column must be strictly increasing")

@@ -7,6 +7,7 @@ outputs are byte-identical across reruns and thread counts.
 
 import argparse
 import configparser
+import multiprocessing
 import os
 import re
 import subprocess
@@ -205,6 +206,27 @@ def test_sweep_byte_identical_across_threads(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     # the sweep is deterministic, so there is no --seed flag to pass
     assert run(TINY_SWEEP, tmp_path, ["--out", "c.csv", "--seed", "7"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["taylor-study", "--orders", "2,3,10", "--eta-max", "0.6", "--eta-step", "0.05",
+     "--cutoff", "40", "--levels", "3"],
+    ["alpha-check", "--eta", "0.4,0.8", "--levels", "3"],
+], ids=lambda argv: argv[0])
+def test_studies_byte_identical_across_threads(tmp_path, argv):
+    run(argv, tmp_path, ["--out", "a.csv", "--threads", "1"])
+    run(argv, tmp_path, ["--out", "b.csv", "--threads", "3"])
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_threaded_sweep_leaves_no_process(tmp_path):
+    # the pool is joined on success and on the exit-2 path alike
+    assert run(TINY_SWEEP, tmp_path, ["--threads", "2"]) == 0
+    assert multiprocessing.active_children() == []
+    unconverged = ["--threads", "2", "--cutoff0", "4", "--cutoff-cap", "8",
+                   "--conv-tol", "1e-15"]
+    assert run(TINY_SWEEP, tmp_path, unconverged) == 2
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_emit_plots(tmp_path):
@@ -442,11 +464,15 @@ def test_alpha_check_passes(tmp_path, capsys):
 def test_alpha_check_unconverged_exit_2(tmp_path, capsys):
     # the gauge family is converged as a sweep is, and judged as one: the
     # table is written, then unconverged members fail the run before the
-    # invariance verdict
+    # invariance verdict.  Neither the table nor stdout reads PASS, though
+    # the spread of the truncated transitions is within tol
     argv = ["alpha-check", "--cutoff0", "20", "--cutoff-cap", "40", "--conv-tol", "1e-15"]
     assert run(argv, tmp_path) == 2
     captured = capsys.readouterr()
-    assert "PASS" in captured.out
+    assert "PASS" not in captured.out
+    assert "vs tol 1e-06 over alphas 0,0.25,0.5,0.75,1: UNCONVERGED" in captured.out
+    table = (tmp_path / "alpha_check.csv").read_text()
+    assert "PASS" not in table and "vs tol 1e-06: UNCONVERGED\n" in table
     assert captured.err == (
         "numerical failure: CutoffCeilingError: 5 sweep point(s) hit the cutoff cap 40 "
         "without converging: alpha=0@eta=0.8, alpha=0.25@eta=0.8, alpha=0.5@eta=0.8, "
@@ -583,8 +609,9 @@ def test_nonpositive_tolerance_exit_1(tmp_path, capsys, argv):
 
 
 # "{missing}" and "{file}" stand for a path that does not exist and for an
-# existing file, "{nan-table}" for a potential table with one NaN sample; a
-# config text is written to a file and passed as --config
+# existing file, "{nan-table}" for a potential table with one NaN sample and
+# "{nan-x-table}" for one with a NaN grid point; a config text is written to
+# a file and passed as --config
 BAD_INPUT = [
     (["rabi-sweep", "--detuning", "nan"], None, "key 'detuning'"),
     (["gauge-theorem", "--eta", "nan"], None, "key 'eta'"),
@@ -596,6 +623,9 @@ BAD_INPUT = [
     (["particle-demo", "--potential-table", "{missing}"], None, "not found"),
     (["particle-demo", "--potential-table", "{nan-table}"], None,
      "potential samples must be finite"),
+    # every comparison with NaN is false, so no spacing check would see it
+    (["particle-demo", "--potential-table", "{nan-x-table}"], None,
+     "x column must be finite"),
     (["rabi-sweep"], "eta_max = 1\n", "no section headers"),
     (["rabi-sweep"], "[rabi-sweep]\neta_max\n", "parsing errors"),
     (["taylor-study", "--eta-max", "0.01"], None, "holds no eta > 0"),
@@ -624,8 +654,11 @@ def test_bad_input_exit_1(tmp_path, capsys, argv, config, fragment):
     v[700] = np.nan
     nan_table = tmp_path / "nan.dat"
     np.savetxt(nan_table, np.column_stack([x, v]))
+    x[700], v[700] = np.nan, 0.0
+    nan_x_table = tmp_path / "nan_x.dat"
+    np.savetxt(nan_x_table, np.column_stack([x, v]))
     subs = {"{missing}": str(tmp_path / "missing.dat"), "{file}": str(blocker),
-            "{nan-table}": str(nan_table)}
+            "{nan-table}": str(nan_table), "{nan-x-table}": str(nan_x_table)}
     argv = [subs.get(a, a) for a in argv]
     if config is not None:
         argv += ["--config", write_config(tmp_path, config)]

@@ -1,7 +1,9 @@
 """Sweep driver: convergence policy, determinism, studies, table emission."""
 
 import math
-import sys
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -321,6 +323,69 @@ def test_rerun_is_identical():
 
 
 # ---------------------------------------------------------------------------
+# worker pool
+# ---------------------------------------------------------------------------
+
+two_workers = pytest.mark.skipif(experiments_mod.worker_count(2, 2) < 2,
+                                 reason="needs two usable CPUs")
+
+
+def test_worker_count_caps_at_tasks_and_cpus():
+    # a pure count: no process is started, however many are asked for
+    worker_count = experiments_mod.worker_count
+    assert worker_count(4096, 3, cpus=64) == 3
+    assert worker_count(4096, 100, cpus=2) == 2
+    assert worker_count(1, 100, cpus=64) == 1
+    assert worker_count(4, 0, cpus=4) == 1
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count())
+    assert worker_count(4096, 3) == min(3, usable)
+
+
+@two_workers
+def test_pool_forks_before_its_threads_and_leaves_no_process(monkeypatch):
+    # a fork while other threads run may deadlock the child (Python 3.12
+    # warns of it): every worker forks before the pool starts its threads
+    fork, threads_at_fork = os.fork, []
+
+    def recording():
+        threads_at_fork.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording)
+    before = threading.active_count()
+    small_sweep(threads=2)
+    assert threads_at_fork == [before, before]
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == before
+
+
+@two_workers
+@pytest.mark.parametrize("error", [linalg_mod.ParityError,
+                                   linalg_mod.ConvergenceFailureError])
+def test_worker_error_reaches_the_caller(monkeypatch, tmp_path, capsys, error):
+    """An error raised in a worker process reaches the caller with its type,
+    the pool's processes are gone, and the CLI exits 2 on it as it does on
+    the serial path."""
+    def failing(H, levels):
+        raise error(f"raised in process {os.getpid()}")
+
+    monkeypatch.setattr(experiments_mod, "lowest_transitions", failing)
+    with pytest.raises(error, match="raised in process") as info:
+        small_sweep(threads=2)
+    assert str(info.value) != f"raised in process {os.getpid()}"
+    assert multiprocessing.active_children() == []
+    argv = ["rabi-sweep", "--eta-max", "0.1", "--eta-step", "0.05", "--levels", "3",
+            "--outdir", str(tmp_path)]
+    for threads in ("1", "2"):
+        assert cli.main(argv + ["--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {error.__name__}: raised in process ")
+        assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
 # eta grid
 # ---------------------------------------------------------------------------
 
@@ -387,9 +452,31 @@ def counting(monkeypatch, module, name, log, key):
     monkeypatch.setattr(module, name, wrapper)
 
 
-def test_taylor_study_threads_and_lazy_exact(monkeypatch):
-    calls, maclaurin = [], []
-    counting(monkeypatch, rabi_mod, "terms_H_C_correct", calls, lambda p: p.eta)
+def logging_calls(monkeypatch, module, name, log, key):
+    """Replace ``module.name`` by a wrapper that appends repr(key(args)) as
+    one line to the file ``log``: a worker process appends there too, where
+    a list would grow only in the worker's copy."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{key(*args)!r}\n")
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def logged(log):
+    """The values ``logging_calls`` wrote to ``log``, sorted, and the log
+    emptied."""
+    values = sorted(float(v) for v in log.read_text().split()) if log.exists() else []
+    log.unlink(missing_ok=True)
+    return values
+
+
+def test_taylor_study_threads_and_lazy_exact(monkeypatch, tmp_path):
+    calls, maclaurin = tmp_path / "exact.log", []
+    logging_calls(monkeypatch, rabi_mod, "terms_H_C_correct", calls, lambda p: p.eta)
     counting(monkeypatch, rabi_mod, "maclaurin_cos_sin", maclaurin, lambda v, n: n)
     grid = TAYLOR_GRID
     orders = (2, 3, 4, 5, 6, 10, 60)
@@ -401,18 +488,13 @@ def test_taylor_study_threads_and_lazy_exact(monkeypatch):
                      for j in range(study.exact_points[i], study.scanned(i))})
     assert study.scanned(orders.index(60)) < len(grid)  # the longest scan stops inside
     assert grid[4] not in needed and grid[5] not in needed  # no scan solves 0.5, 0.6
-    assert sorted(calls) == needed  # one exact solve per eta some scan needs
+    assert logged(calls) == needed  # one exact solve per eta some scan needs
     assert sorted(maclaurin) == sorted(orders)  # and one Maclaurin table per order
-    # more scans than cores, switching threads often: each exact spectrum is
-    # still solved once, and the table does not depend on the thread count
-    calls.clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = taylor_study(orders, threads=4, **kw)
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(calls) == needed
+    # more scans than worker processes: each exact spectrum is still solved
+    # once, the tables stay in this process, and the table does not depend
+    # on the worker count
+    threaded = taylor_study(orders, threads=4, **kw)
+    assert logged(calls) == needed
     assert sorted(maclaurin) == sorted(orders + orders)
     assert threaded.exact_points == study.exact_points
     assert taylor_csv_lines(threaded) == taylor_csv_lines(study)
@@ -503,9 +585,20 @@ def test_alpha_invariance():
 def test_alpha_negative_control_breaks():
     study = alpha_invariance_study((0.0, 1.0), (0.8,), levels=4,
                                    negative_control=True)
-    assert not study.passed
+    assert not study.passed and study.verdict == "FAIL"
     assert study.max_spread > 0.1
     assert study.negative_control
+
+
+def test_alpha_verdict_unconverged_is_not_pass():
+    # the spread is within tol, but no member converged: a spread of
+    # truncated transitions is no PASS
+    policy = ConvergencePolicy(cutoff0=20, cutoff_cap=40, tol=1e-15)
+    study = alpha_invariance_study((0.0, 1.0), (0.8,), levels=3, policy=policy)
+    assert study.max_spread <= study.tol
+    assert not any(p.converged for p in study.points)
+    assert not study.passed and study.verdict == "UNCONVERGED"
+    assert alpha_csv_lines(study)[2].endswith(": UNCONVERGED")
 
 
 def test_alpha_study_validation():

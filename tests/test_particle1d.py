@@ -122,6 +122,13 @@ def test_model_from_table_validation(tmp_path):
     np.savetxt(bad3, np.zeros((5, 3)))
     with pytest.raises(ValueError):
         model_from_table(bad3)
+    # a NaN grid point fails no comparison, so no spacing check sees it
+    x = np.linspace(-8.0, 8.0, 2001)
+    x[700] = np.nan
+    nan_x = tmp_path / "nan_x.dat"
+    np.savetxt(nan_x, np.column_stack([x, np.zeros_like(x)]))
+    with pytest.raises(ValueError, match="x column must be finite"):
+        model_from_table(nan_x)
 
 
 # ---------------------------------------------------------------------------
