@@ -10,22 +10,28 @@ eigenproblems and banded shift-invert steps, where a second OpenBLAS
 thread gains no wall time but busy-waits a core between calls.  So
 importing the package sets OPENBLAS_NUM_THREADS=1 when none of
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS is set and
-``scipy.linalg`` is not loaded yet.  scipy bundles an OpenBLAS of its own,
-which runs the parity block and band solves, the grid's banded Cholesky
-factor and ARPACK; it reads its thread count once, when ``scipy.linalg``
-loads it, right after the variable is set.  numpy's OpenBLAS reads the
-variable when numpy loads, so with numpy imported first the policy reaches
-scipy's solves only.  A value set in the environment wins.  The only
-parallelism left is ``--threads``: independent sweep points on worker
-processes, capped at the usable CPUs, since scipy's LAPACK wrappers hold
-the GIL and threads would solve no two points at once.
+scipy's OpenBLAS is not loaded yet.  scipy bundles an OpenBLAS of its own,
+which runs the parity block and band solves and the banded Cholesky
+factor of shift-invert Lanczos; it reads its thread count once, when
+scipy's LAPACK extension ``scipy.linalg._flapack`` loads it.
+``gaugeqed.linalg`` loads that extension alone, right after the variable
+is set, and ``scipy.linalg`` loads it too, so the policy tests whether the
+extension is in ``sys.modules``.  numpy's OpenBLAS reads the variable when
+numpy loads, so with numpy imported first the policy reaches scipy's
+solves only.  A value set in the environment wins.  The only parallelism
+left is ``--threads``: independent sweep points on worker processes,
+capped at the usable CPUs, since the LAPACK wrappers hold the GIL and
+threads would solve no two points at once.
 """
 
 import os as _os
 import sys as _sys
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if "scipy.linalg" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREAD_VARS):
+# scipy's OpenBLAS loads with its LAPACK extension, which gaugeqed.linalg
+# and scipy.linalg both load
+if "scipy.linalg._flapack" not in _sys.modules \
+        and not any(v in _os.environ for v in _BLAS_THREAD_VARS):
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"
@@ -113,6 +119,7 @@ from .experiments import (
     SweepResult,
     SweepSpec,
     TaylorStudy,
+    WorkerLostError,
     alpha_invariance_study,
     converged_transitions,
     default_eta_grid,
@@ -162,7 +169,7 @@ __all__ = [
     "ConvergencePolicy", "SweepSpec", "SweepPoint", "SweepResult",
     "run_sweep", "converged_transitions", "lowest_transitions",
     "default_eta_grid", "taylor_study", "TaylorStudy",
-    "alpha_invariance_study", "AlphaStudy", "CutoffCeilingError",
+    "alpha_invariance_study", "AlphaStudy", "CutoffCeilingError", "WorkerLostError",
     "write_sweep_csv", "write_taylor_csv", "write_alpha_csv",
     "write_gnuplot_script",
 ]

@@ -67,7 +67,7 @@ _COMMON = (
     Opt("outdir", "str", None,
         f"output directory (default: ${ENV_OUTDIR} if set, else '.')"),
     Opt("threads", "int", 1, "worker processes for independent sweep points, "
-        "capped at the usable CPUs"),
+        "capped at the usable CPUs and at one per 3 points"),
     Opt("emit_plots", "bool", False,
         "also write gnuplot files next to the CSV table"),
 )

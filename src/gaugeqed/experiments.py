@@ -25,20 +25,26 @@ table: a point that reached the cutoff cap unconverged fails the run.  A cap bel
 the initial cutoff is refused, since no point could converge under it.
 
 Sweep points are independent work items.  With ``threads`` above one they
-run on forked worker processes, capped at the usable CPUs, and the results
-come back in task order, so the emitted tables are byte-identical for any
-worker count; at one worker they run serially in the calling process.
-Processes, not threads: scipy's LAPACK wrappers hold the GIL, so a thread
-pool solves no two points at once.  The pool is the package's only
-parallelism: importing ``gaugeqed`` pins OpenBLAS to one thread unless the
-environment sets its thread count.
+run on a pool of forked worker processes (``concurrent.futures``), capped
+at the usable CPUs and at one worker per MIN_TASKS_PER_WORKER tasks, and
+the results come back in task order, so the emitted tables are
+byte-identical for any worker count; at one worker they run serially in
+the calling process.  Processes, not threads: scipy's LAPACK wrappers hold
+the GIL, so a thread pool solves no two points at once.  A worker killed
+mid-task, as the OOM killer kills, breaks the pool, and the run fails with
+:class:`WorkerLostError` (exit 2) instead of waiting for the lost task.
+The pool is the package's only parallelism: importing ``gaugeqed`` pins
+OpenBLAS to one thread unless the environment sets its thread count.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,7 +54,8 @@ import numpy as np
 
 from . import dicke as dicke_mod
 from . import rabi as rabi_mod
-from .linalg import ParityBands, ParityBlocks, hermitian_eig, parity_block_sum, parity_eigvalsh
+from .linalg import (LinalgError, ParityBands, ParityBlocks, hermitian_eig, parity_block_sum,
+                     parity_eigvalsh)
 from .qops import quadrature_values
 
 OMEGA_C = 1.0  # all energies in units of the cavity frequency
@@ -233,6 +240,19 @@ class SweepResult:
     points: Tuple[SweepPoint, ...]
 
 
+class WorkerLostError(LinalgError):
+    """A worker process died mid-task, killed by a signal such as the OOM
+    killer's SIGKILL: its points have no result."""
+
+
+# tasks a worker process must have for a pool to open: opening and
+# shutting a pool of two forked workers takes about 17 ms.  In-process, two
+# cores, one worker against two: alpha-check's 5 points 26 against 38 ms,
+# a 6-point dicke-sweep (N = 4) 70 against 60 ms, dicke-threads' 50 points
+# 0.53 against 0.32 s
+MIN_TASKS_PER_WORKER = 3
+
+
 def worker_count(threads: int, tasks: int, cpus: Optional[int] = None) -> int:
     """Worker processes for ``tasks`` independent tasks at ``threads``
     requested: no more than either, nor than ``cpus``, by default the CPUs
@@ -259,32 +279,43 @@ def _call_worker_fn(item):
 
 
 @contextmanager
-def _ordered_map(fn, threads: int, tasks: int):
+def _ordered_map(fn, threads: int, tasks: int, batch: Optional[int] = None):
     """Yield ``run``: ``run(items)`` is ``[fn(item) for item in items]``, in
-    item order, for batches of at most ``tasks`` items.
+    item order, for up to ``tasks`` items in all, in batches of at most
+    ``batch`` (by default ``tasks``) items.
 
-    At one worker (:func:`worker_count`) ``run`` calls ``fn`` serially in
-    this process.  Otherwise the items go to a pool of forked worker
-    processes, which inherit ``fn`` at the fork, so that only the items and
-    the results are pickled.  Every worker forks when the pool opens, before
-    any of the pool's threads start, and the pool is closed and joined on
-    leaving, also when a task raises; the task's exception reaches the
-    caller with its type.
+    The pool has :func:`worker_count` workers for a batch, and no more than
+    leaves MIN_TASKS_PER_WORKER of the tasks to each.  At one worker ``run``
+    calls ``fn`` serially in this process.  Otherwise the items go to a pool
+    of forked worker processes, which inherit ``fn`` at the fork, so that
+    only the items and the results are pickled.  Every worker forks before
+    any of the pool's threads start, and the pool is shut down and its
+    processes joined on leaving, also when a task raises; the task's
+    exception reaches the caller with its type.  A worker that dies
+    mid-task breaks the pool, and ``run`` raises WorkerLostError.
     """
-    workers = worker_count(threads, tasks)
+    workers = min(worker_count(threads, batch or tasks), tasks // MIN_TASKS_PER_WORKER)
     if workers <= 1:
         yield lambda items: [fn(it) for it in items]
         return
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=_set_worker_fn, initargs=(fn,))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_set_worker_fn, initargs=(fn,))
+    if sys.version_info < (3, 11):
+        # 3.10 forks a worker per submit, while the pool's threads run; 3.11
+        # forks them all before its first thread when the context is fork
+        for _ in range(workers):
+            pool._adjust_process_count()
+
+    def run(items):
+        try:
+            return list(pool.map(_call_worker_fn, items))
+        except BrokenProcessPool as exc:
+            raise WorkerLostError(f"a worker process died mid-task: {exc}") from exc
+
     try:
-        yield lambda items: pool.map(_call_worker_fn, items, chunksize=1)
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
+        yield run
     finally:
-        pool.join()
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _converged_points(tasks, levels: int, policy: ConvergencePolicy,
@@ -437,7 +468,7 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
     # and each order whose scan is still running past its exact run
     rows = [[] for _ in orders]
     star, first = [0.0] * len(orders), [None] * len(orders)
-    with _ordered_map(solve, threads, len(orders) + 1) as run:
+    with _ordered_map(solve, threads, len(eta_grid) * (len(orders) + 1), len(orders) + 1) as run:
         for i, eta in enumerate(eta_grid):
             scanning = [k for k in range(len(orders)) if first[k] is None]
             solving = [k for k in scanning if i >= exact_points[k]]

@@ -38,22 +38,31 @@ bands have no off-parity half, so parity holds by construction there.
 caller reads only the lowest levels + 1 eigenvalues: it solves each block
 or chain for its own lowest few and keeps the lowest of the union.  A
 block is checked once for finiteness and for symmetry by the package's
-one Hermiticity rule (``_check_hermitian``) and solved by LAPACK ?syevr
-(``scipy.linalg.lapack.dsyevr``); a chain goes to :func:`band_eigh`.
+one Hermiticity rule (``_check_hermitian``) and solved by LAPACK ?syevr;
+a chain goes to :func:`band_eigh`.
 
 :func:`band_eigh` is the package's one band solver: every banded chain
 and the 1D particle's grid operators, real and complex, go through it.
 Two engines solve a band; its shape and whether eigenvectors are wanted
-pick one.  ``scipy.linalg.eig_banded`` (LAPACK ?sbevx) first reduces the
-whole band to tridiagonal form, about rows^2 * width flops, which is
-nothing on the narrow Rabi chains, and back-transforms eigenvectors
-through a dense rows x rows matrix.  :func:`shift_invert_eigsh` factors
-the shifted band once by banded Cholesky (?pbtrf, rows * width^2) and
-runs ARPACK's shift-invert Lanczos on that factor.  An eigenvector solve,
-and a band with rows^2 * width above SHIFT_INVERT_MIN_WORK (the 16- and
+pick one.  LAPACK ?sbevx (?hbevx when complex) first reduces the whole
+band to tridiagonal form, about rows^2 * width flops, which is nothing on
+the narrow Rabi chains, and back-transforms eigenvectors through a dense
+rows x rows matrix.  :func:`shift_invert_eigsh` factors the shifted band
+once by banded Cholesky (?pbtrf, rows * width^2) and runs the package's
+own shift-invert Lanczos on that factor.  An eigenvector solve, and a
+band with rows^2 * width above SHIFT_INVERT_MIN_WORK (the 16- and
 32-level full models, the particle's grids at the presets' sizes), goes
 to the second, shifted just below its Gershgorin lower bound unless the
 caller passes its own shift, and every other band to the first.
+
+LAPACK comes from one handle, ``_LAPACK``: scipy's f2py extension
+``scipy.linalg._flapack``, loaded by file location (``_load_lapack``), so
+that importing the package loads numpy and that extension and nothing
+else of scipy; ``scipy.linalg``'s Python layer would add about 0.2 s to
+every run.  The package calls eight of its routines: dsyevr, dsbevx,
+zhbevx, dpbtrf, dpbtrs, zpbtrf, zpbtrs and dlamch.  When the extension
+does not load so, the handle is ``scipy.linalg.lapack``, which exports the
+same wrappers.
 
 Everything is plain double precision, checked against tolerances that the
 tests enforce rather than assume.  :class:`OperatorMatrix`,
@@ -63,12 +72,14 @@ path; they stay because the benchmark tracer hooks them by name.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 HERMITICITY_RTOL = 1e-12
 UNITARITY_ATOL = 1e-8
@@ -105,6 +116,47 @@ class ParityError(LinalgError):
 
 class ShiftAboveSpectrumError(LinalgError):
     """The shift-invert shift is not below the banded operator's spectrum."""
+
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_by_location():
+    """scipy's LAPACK extension, loaded from its file in scipy's ``linalg``
+    directory without running any package ``__init__``, and registered in
+    sys.modules under its own name, so that a later ``import scipy.linalg``
+    reuses it; the registered module when it is already loaded.  Raises
+    ImportError when the file is not found or does not load."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    spec = importlib.machinery.PathFinder.find_spec(
+        _FLAPACK, [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations])
+    if spec is None:
+        raise ImportError(f"no {_FLAPACK} extension under scipy")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
+
+def _load_lapack():
+    """The module whose LAPACK wrappers the package calls:
+    ``scipy.linalg._flapack`` by :func:`_flapack_by_location`, or
+    ``scipy.linalg.lapack`` (the same wrappers behind scipy.linalg's Python
+    layer, about 0.2 s more import) when that load fails."""
+    try:
+        return _flapack_by_location()
+    except (ImportError, OSError):
+        from scipy.linalg import lapack
+        return lapack
+
+
+# the package's one handle on LAPACK: dsyevr, dsbevx, zhbevx, dpbtrf,
+# dpbtrs, zpbtrf, zpbtrs and dlamch are read from it at each call
+_LAPACK = _load_lapack()
 
 
 # entries of M - M^dag formed at a time by the Hermiticity check: one block
@@ -406,25 +458,50 @@ def parity_band_sum(terms) -> ParityBands:
     return ParityBands(tuple(chains))
 
 
+# a wanted Ritz pair (theta, y) of the inverse has converged when
+# ||OP y - theta y|| = |beta_m s_mi| <= LANCZOS_RTOL * theta: ARPACK's test
+# at its default tolerance, machine epsilon.  The residuals are first read
+# at 2k + LANCZOS_EXTRA steps, then every LANCZOS_STRIDE steps.  Steps to
+# convergence, by the residuals read at every step: 52-60 for the grids'
+# 16 levels a parity, 71-72 for 25, 34-50 for 8 and 35-36 for the full
+# models' 5.  A stride of 4 against 8 took the whole 6001- and 12001-row
+# grids at 8 levels from 24 and 35 ms to 17 and 28 ms (one thread), where
+# a read costs an eigh of the small projection; the basis is capped at
+# four times the first read
+LANCZOS_RTOL = float(np.finfo(float).eps)
+LANCZOS_EXTRA = 24
+LANCZOS_STRIDE = 4
+
+
 def shift_invert_eigsh(bands: np.ndarray, k: int, sigma: float, vectors: bool):
     """The lowest k eigenvalues, ascending, and with ``vectors`` (else None)
     their eigenvectors, of the Hermitian operator in LAPACK lower band
-    storage ``bands`` (real symmetric or complex Hermitian), by banded
-    Cholesky shift-invert Lanczos about ``sigma`` (ARPACK mode 3,
-    Lehoucq, Sorensen and Yang, *ARPACK Users' Guide*, SIAM 1998).
+    storage ``bands`` (real symmetric or complex Hermitian), by shift-invert
+    Lanczos about ``sigma`` on a banded Cholesky factor (Ericsson and Ruhe,
+    *Math. Comp.* 35, 1980).
 
     The shifted operator is factored once by LAPACK ?pbtrf, and each
-    Lanczos step applies its inverse by ?pbtrs, O(n width^2) for the
+    Lanczos step applies its inverse OP by ?pbtrs, O(n width^2) for the
     factor and O(n width) a step.  The factor exists only for a positive
     definite operator, so ?pbtrf certifies that ``sigma`` lies below the
-    spectrum; ShiftAboveSpectrumError when it does not.  Mode 3 never
-    multiplies by the operator itself (eigsh reads only the shape and dtype
-    of its first argument), so the inverse stands in for it.  A fixed start
-    vector keeps repeated runs bit-identical.  ARPACK needs k < n - 1.
-    Raises ConvergenceFailureError when ARPACK fails.
+    spectrum; ShiftAboveSpectrumError when it does not.  The wanted levels
+    are then the k largest eigenvalues theta of OP, lambda = sigma + 1/theta.
+
+    The basis starts from the constant vector, which keeps repeated runs
+    bit-identical, and each new vector is orthogonalised against the whole
+    basis twice (classical Gram-Schmidt, repeated).  The Ritz pairs come
+    from the tridiagonal projection T_m = tridiag(beta, alpha, beta), and
+    the solve stops once every wanted pair's residual |beta_m s_mi| is at
+    most LANCZOS_RTOL * theta_i, or once the basis spans the whole space.
+    Where the basis spans an invariant subspace (beta_m below roundoff), it
+    goes on from a fixed pseudo-random vector, as ARPACK restarts.  Raises
+    ConvergenceFailureError when the basis reaches its cap unconverged.
     """
     n = bands.shape[1]
-    pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (bands,))
+    if np.iscomplexobj(bands):
+        pbtrf, pbtrs = _LAPACK.zpbtrf, _LAPACK.zpbtrs
+    else:
+        pbtrf, pbtrs = _LAPACK.dpbtrf, _LAPACK.dpbtrs
     shifted = bands.copy()
     shifted[0] -= sigma
     factor, info = pbtrf(shifted, lower=1)
@@ -433,32 +510,60 @@ def shift_invert_eigsh(bands: np.ndarray, k: int, sigma: float, vectors: bool):
             f"shift {sigma:.6e} is not below the spectrum of the {n}-row band "
             f"operator (?pbtrf info {info})")
 
-    def solve(b):
-        x, _ = pbtrs(factor, b, lower=1)
-        return x
+    check = min(n, 2 * k + LANCZOS_EXTRA)
+    cap = min(n, 4 * check)
+    # rows are the basis vectors; pages past the steps taken stay untouched
+    basis = np.empty((cap, n), dtype=bands.dtype)
+    basis[0] = 1.0 / np.sqrt(n)
+    alpha, beta = np.zeros(cap), np.zeros(cap)
 
-    op_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=solve, dtype=bands.dtype)
-    v0 = np.full(n, 1.0 / np.sqrt(n), dtype=bands.dtype)
-    try:
-        res = scipy.sparse.linalg.eigsh(op_inv, k=k, sigma=sigma, which="LM", v0=v0,
-                                        OPinv=op_inv, return_eigenvectors=vectors)
-    except scipy.sparse.linalg.ArpackError as exc:
-        raise ConvergenceFailureError(f"shift-invert Lanczos failed: {exc}") from exc
-    if not vectors:
-        return np.sort(res), None
-    w, u = res
-    order = np.argsort(w)
-    return w[order], u[:, order]
+    def orthogonalise(w, m):
+        # w minus its projection on the first m basis vectors, twice; the
+        # sum of the coefficients on the last one
+        last = 0.0
+        for _ in range(2):
+            h = (basis[:m] @ w.conj()).conj()
+            w -= h @ basis[:m]
+            last += h[m - 1].real
+        return last
+
+    for m in range(1, cap + 1):
+        w, _ = pbtrs(factor, basis[m - 1], lower=1)
+        applied = float(np.linalg.norm(w))
+        alpha[m - 1] = orthogonalise(w, m)
+        beta[m - 1] = np.linalg.norm(w)
+        if m == check or m == cap:
+            T = np.diag(alpha[:m]) + np.diag(beta[:m - 1], 1) + np.diag(beta[:m - 1], -1)
+            theta, s = np.linalg.eigh(T)
+            theta, s = theta[:-k - 1:-1], s[:, :-k - 1:-1]
+            if m == n or np.all(np.abs(beta[m - 1] * s[-1]) <= LANCZOS_RTOL * theta):
+                return sigma + 1.0 / theta, (s.T @ basis[:m]).T if vectors else None
+            check += LANCZOS_STRIDE
+        if m == cap:
+            break
+        if beta[m - 1] <= LANCZOS_RTOL * applied:
+            w = np.random.default_rng(m).standard_normal(n).astype(bands.dtype)
+            orthogonalise(w, m)
+            beta[m - 1] = 0.0
+            w /= np.linalg.norm(w)
+        else:
+            w /= beta[m - 1]
+        basis[m] = w
+    raise ConvergenceFailureError(
+        f"shift-invert Lanczos failed: the lowest {k} levels of the {n}-row band "
+        f"operator did not converge in {cap} steps")
 
 
 # chains with rows^2 * width above this go to shift-invert Lanczos: ?sbevx
 # first reduces the whole band to tridiagonal form (?sbtrd, about
 # rows^2 * width flops), which a ?pbtrf factor (rows * width^2) avoids.
-# Lowest 6-7 eigenvalues, one BLAS thread, eig_banded against shift-invert:
+# Lowest 6-7 eigenvalues, one BLAS thread, ?sbevx against shift-invert
+# (measured with ARPACK's Lanczos; the package's own took 1.3-2.1 ms
+# against its 1.9-2.5 ms on the 392 x 16 full-model chains):
 # 784 x 32 (2.0e7) 33-36 ms against 4.1-5.0 ms; 392 x 16 (2.5e6) 4.9-6.5
 # against 2.2-2.4 ms; 196 x 8 (3.1e5) 1.4 ms against 1.5 ms; the Rabi chains,
 # up to 321 x 2 (2.1e5), 0.22-1.47 ms against 1.1-1.9 ms.  Eigenvectors go to
-# shift-invert at any size: eig_banded back-transforms them through a dense
+# shift-invert at any size: ?sbevx back-transforms them through a dense
 # rows x rows matrix, lowest 10 of a pentadiagonal grid band 4.2, 13.9 and
 # 58 ms against 3.0, 3.4 and 3.9 ms at 301, 501 and 707 rows
 SHIFT_INVERT_MIN_WORK = 10 ** 6
@@ -490,13 +595,13 @@ def band_eigh(band: np.ndarray, k: int, vectors: bool = False,
     and either ``vectors`` or rows^2 * width above SHIFT_INVERT_MIN_WORK it
     is :func:`shift_invert_eigsh` about ``sigma``, by default just below
     the band's Gershgorin lower bound (``_below_gershgorin``), which ?pbtrf
-    certifies again; otherwise ``scipy.linalg.eig_banded`` (LAPACK ?sbevx
-    or ?hbevx: reduction to tridiagonal form, then bisection for the
-    selected indices), which takes no shift.
+    certifies again; otherwise LAPACK ?sbevx or ?hbevx (reduction to
+    tridiagonal form, then bisection for the selected indices), called as
+    ``scipy.linalg.eig_banded`` calls it, which takes no shift.
 
     Raises LinalgError on a non-finite entry, ShiftAboveSpectrumError when
-    ?pbtrf refuses the shift, and ConvergenceFailureError if LAPACK or
-    ARPACK does not converge.
+    ?pbtrf refuses the shift, and ConvergenceFailureError if LAPACK or the
+    Lanczos does not converge.
     """
     if not np.isfinite(band).all():
         raise LinalgError("the band has a non-finite entry")
@@ -505,13 +610,18 @@ def band_eigh(band: np.ndarray, k: int, vectors: bool = False,
         w, v = shift_invert_eigsh(band, k, _below_gershgorin(band) if sigma is None else sigma,
                                   vectors)
     else:
-        try:
-            res = scipy.linalg.eig_banded(band, lower=True, eigvals_only=not vectors,
-                                          select="i", select_range=(0, k - 1),
-                                          check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailureError(f"eigensolver did not converge: {exc}") from exc
-        w, v = res if vectors else (res, None)
+        # the arguments scipy.linalg.eig_banded passes in its select="i"
+        # path, whose outputs these are bit for bit: range 2 (by index),
+        # abstol = 2 dlamch('s'), and the wrapper's default mmax, k with
+        # eigenvectors and 1 without.  ?sbevx overwrites its band, so the
+        # wrapper copies the frozen one
+        bevx = _LAPACK.zhbevx if np.iscomplexobj(band) else _LAPACK.dsbevx
+        w, v, found, _, info = bevx(band, 0.0, 1.0, 1, k, compute_v=int(vectors), range=2,
+                                    lower=1, abstol=2 * _LAPACK.dlamch("s"), overwrite_ab=0)
+        if info != 0:
+            raise ConvergenceFailureError(f"eigensolver did not converge: ?sbevx/?hbevx "
+                                          f"info {info}")
+        w, v = w[:found], v[:, :found] if vectors else None
     return w, None if v is None else _phase_fixed(v)
 
 
@@ -526,7 +636,7 @@ def parity_eigvalsh(H: Union[ParityBlocks, ParityBands], count: int) -> np.ndarr
     A chain goes to :func:`band_eigh`.  A block is checked once for
     finiteness and by the package's one symmetry rule
     (``_check_hermitian``), then solved by LAPACK ?syevr in range 'I'
-    (``scipy.linalg.lapack.dsyevr``: reduction to tridiagonal form, then
+    (``dsyevr`` of the loader's ``_LAPACK``: reduction to tridiagonal form, then
     bisection for the selected indices, or all of them by the root-free QR
     when every index is selected).
 
@@ -546,7 +656,7 @@ def parity_eigvalsh(H: Union[ParityBlocks, ParityBands], count: int) -> np.ndarr
                 raise LinalgError(f"parity block {c} has a non-finite entry")
             _check_hermitian(block, f"parity block {c} is not symmetric:")
             # LAPACK reads one triangle; the check bounds its mirror's difference
-            w, _, found, _, info = scipy.linalg.lapack.dsyevr(
+            w, _, found, _, info = _LAPACK.dsyevr(
                 block, compute_v=0, range="I", lower=1, il=1, iu=min(count, block.shape[0]))
             if info != 0:
                 raise ConvergenceFailureError(f"eigensolver did not converge: ?syevr info {info}")

@@ -381,7 +381,7 @@ def solve_particle(model: ParticleModel) -> MatterBasis:
     banded Cholesky shift-invert Lanczos, whose ?pbtrf factor certifies that
     the shift lies below the spectrum (ShiftAboveSpectrumError otherwise);
     the eigenvalues alone of a band too small for it, and a band too crowded
-    for Lanczos, by ``eig_banded``.
+    for Lanczos, by LAPACK ?sbevx.
 
     A mirror-symmetric model (see ``_mirror_symmetric``) is solved on
     x >= 0, one half-grid solve per parity (``_fold``), and its levels are

@@ -16,8 +16,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.sparse.linalg
 
 from gaugeqed import ParityBands, ParityBlocks, cli, experiments, linalg, particle1d
 from gaugeqed.cli import COMMANDS, build_parser, main
@@ -44,6 +42,31 @@ def test_import_leaves_mpmath_out():
                           timeout=120).returncode == 0
 
 
+def test_import_leaves_scipy_linalg_and_sparse_out():
+    # the package loads scipy's LAPACK extension alone, not scipy.linalg's
+    # Python layer nor scipy.sparse
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = ("import sys, gaugeqed, gaugeqed.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         check=True, capture_output=True, text=True).stdout
+    assert out == "['scipy.linalg._flapack']\n"
+
+
+def test_later_scipy_linalg_reuses_the_loaded_extension():
+    # the package registers scipy's LAPACK extension under its own name, so
+    # scipy.linalg imported afterwards binds the same module and wrappers
+    # instead of loading the extension a second time
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = ("import sys; from gaugeqed import linalg; import scipy.linalg; "
+            "ext = sys.modules['scipy.linalg._flapack']; "
+            "print(linalg._LAPACK is ext, scipy.linalg.lapack._flapack is ext, "
+            "scipy.linalg.lapack.dsyevr is linalg._LAPACK.dsyevr)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         check=True, capture_output=True, text=True).stdout
+    assert out == "True True True\n"
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -61,16 +84,29 @@ SHOW_THREAD_VARS = ("import os, gaugeqed; "
                     "print([os.environ.get(v) for v in %r])" % (BLAS_THREAD_VARS,))
 
 
+# scipy's LAPACK extension loaded by file location, without scipy.linalg,
+# as gaugeqed.linalg loads it
+LOAD_FLAPACK_ALONE = (
+    "import importlib.machinery as m, importlib.util as u, os, sys; "
+    "s = m.PathFinder.find_spec('scipy.linalg._flapack', [os.path.join("
+    "u.find_spec('scipy').submodule_search_locations[0], 'linalg')]); "
+    "sys.modules[s.name] = u.module_from_spec(s); s.loader.exec_module(sys.modules[s.name]); ")
+
+
 @pytest.mark.parametrize("first, preset, seen", [
     ("", {}, ["1", None, None]),
     ("", {"OPENBLAS_NUM_THREADS": "3"}, ["3", None, None]),
     ("", {"OMP_NUM_THREADS": "2"}, [None, None, "2"]),
     # numpy's OpenBLAS has read its thread count, but scipy's, which runs the
-    # package's solves, loads later with scipy.linalg and still reads it
+    # package's solves, loads later with scipy's LAPACK extension and still
+    # reads it
     ("import numpy; ", {}, ["1", None, None]),
     # once scipy.linalg is loaded both have read it, so the variable would
     # do nothing and is left unset
     ("import scipy.linalg; ", {}, [None, None, None]),
+    # so it is once the extension is loaded, with or without scipy.linalg
+    ("import scipy.linalg._flapack; ", {}, [None, None, None]),
+    (LOAD_FLAPACK_ALONE, {}, [None, None, None]),
 ])
 def test_import_sets_one_blas_thread_unless_preset(first, preset, seen):
     assert fresh_python(first + SHOW_THREAD_VARS, **preset) == f"{seen}\n"
@@ -227,6 +263,33 @@ def test_threaded_sweep_leaves_no_process(tmp_path):
                    "--conv-tol", "1e-15"]
     assert run(TINY_SWEEP, tmp_path, unconverged) == 2
     assert multiprocessing.active_children() == []
+
+
+def test_killed_worker_exits_2_and_leaves_no_process(tmp_path):
+    """A worker killed mid-task by SIGKILL, as the OOM killer sends it,
+    breaks the pool: the sweep exits 2 on WorkerLostError inside the time
+    limit instead of waiting for the lost task, writes no table, and leaves
+    no process."""
+    code = f"""if True:
+        import multiprocessing, os, signal
+        from gaugeqed import cli, experiments
+        parent, solve = os.getpid(), experiments.lowest_transitions
+
+        def dying(H, levels):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return solve(H, levels)
+
+        experiments.lowest_transitions = dying
+        rc = cli.main({TINY_SWEEP + ["--threads", "2", "--outdir", str(tmp_path)]!r})
+        print(rc, multiprocessing.active_children())
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True)
+    assert out.stdout == "2 []\n", out.stderr
+    assert "numerical failure: WorkerLostError: a worker process died mid-task" in out.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_emit_plots(tmp_path):
@@ -564,7 +627,7 @@ def test_fluxonium_solves_real_arrays_only(tmp_path, monkeypatch):
     fock_factors.cache_clear()
     seen = []
     for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
-                         (scipy.linalg.lapack, "dsyevr")):
+                         (linalg._LAPACK, "dsyevr")):
         def record(a, *args, _name=name, _solve=getattr(module, name), **kwargs):
             seen.append((_name, a.dtype, a.shape, kwargs.get("iu")))
             return _solve(a, *args, **kwargs)
@@ -812,22 +875,24 @@ def test_full_model_shift_above_spectrum_exit_2(tmp_path, monkeypatch, capsys):
 
 def record_solvers(monkeypatch):
     """Log (dtype, rows) of every dense eigenvalue solve, by eigvalsh or
-    ?syevr, and (band, keywords) of every eig_banded call."""
+    ?syevr, and (band, its selected index range, from 0, as eig_banded's
+    select_range) of every ?sbevx or ?hbevx call."""
     seen, banded = [], []
-    eig_banded = scipy.linalg.eig_banded
 
-    for module, name in ((np.linalg, "eigvalsh"), (scipy.linalg.lapack, "dsyevr")):
+    for module, name in ((np.linalg, "eigvalsh"), (linalg._LAPACK, "dsyevr")):
         def record(a, *args, _solve=getattr(module, name), **kwargs):
             seen.append((a.dtype, a.shape[0]))
             return _solve(a, *args, **kwargs)
 
         monkeypatch.setattr(module, name, record)
 
-    def record_banded(*args, **kwargs):
-        banded.append((args[0], kwargs))
-        return eig_banded(*args, **kwargs)
+    for name in ("dsbevx", "zhbevx"):
+        def record_banded(ab, vl, vu, il, iu, *args, _solve=getattr(linalg._LAPACK, name),
+                          **kwargs):
+            banded.append((ab, {"select_range": (il - 1, iu - 1)}))
+            return _solve(ab, vl, vu, il, iu, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eig_banded", record_banded)
+        monkeypatch.setattr(linalg._LAPACK, name, record_banded)
     return seen, banded
 
 
@@ -845,17 +910,17 @@ def test_full_model_solves_parity_blocks(tmp_path, monkeypatch):
 
 
 def test_full_model_defaults_route_wide_chains_to_shift_invert(tmp_path, monkeypatch):
-    """At the defaults the m = 2, 4 and 8 chains go to eig_banded and the
-    m = 16 and 32 chains, after the four grid solves, to eigsh; the Rabi
-    chains of a sweep out to eta = 3 never reach eigsh."""
+    """At the defaults the m = 2, 4 and 8 chains go to ?sbevx and the
+    m = 16 and 32 chains, after the four grid solves, to shift-invert
+    Lanczos, which factors each band once by ?pbtrf; the Rabi chains of a
+    sweep out to eta = 3 never reach it."""
     eigsh_rows = []
-    eigsh = scipy.sparse.linalg.eigsh
+    for name in ("dpbtrf", "zpbtrf"):
+        def record(ab, *args, _factor=getattr(linalg._LAPACK, name), **kwargs):
+            eigsh_rows.append(ab.shape[1])
+            return _factor(ab, *args, **kwargs)
 
-    def record(A, *args, **kwargs):
-        eigsh_rows.append(A.shape[0])
-        return eigsh(A, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", record)
+        monkeypatch.setattr(linalg._LAPACK, name, record)
     _, banded = record_solvers(monkeypatch)
     assert run(["full-model"], tmp_path) == 0
     # m (cutoff + 1) / 2 rows a chain, two chains each for D and C
@@ -877,12 +942,10 @@ def test_full_model_chain_shift_above_spectrum_exit_2(tmp_path, monkeypatch, cap
     assert not (tmp_path / "full_model.csv").exists()
 
 
-def test_full_model_arpack_no_convergence_exit_2(tmp_path, monkeypatch, capsys):
-    def failing(A, k, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([]),
-                                                      np.array([]))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+def test_full_model_lanczos_no_convergence_exit_2(tmp_path, monkeypatch, capsys):
+    # no residual is below a negative tolerance, so the first grid solve's
+    # basis reaches its cap (a converged residual can be exactly 0.0)
+    monkeypatch.setattr(linalg, "LANCZOS_RTOL", -1.0)
     assert run(["full-model"], tmp_path) == 2
     assert "ConvergenceFailureError: shift-invert Lanczos failed" in capsys.readouterr().err
     assert not (tmp_path / "full_model.csv").exists()

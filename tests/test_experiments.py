@@ -7,7 +7,6 @@ import threading
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -136,7 +135,7 @@ def test_sweep_solves_real_half_blocks(monkeypatch, family, models, n_dipoles):
     eigenvalues only; the two blocks of one build add up to its dimension.
     The banded Rabi models make no dense solve."""
     solves = []
-    dsyevr = scipy.linalg.lapack.dsyevr
+    dsyevr = linalg_mod._LAPACK.dsyevr
 
     def recording(a, *args, **kwargs):
         assert (kwargs["range"], kwargs["il"], kwargs["iu"]) == ("I", 1, 4)
@@ -146,7 +145,7 @@ def test_sweep_solves_real_half_blocks(monkeypatch, family, models, n_dipoles):
     def dense(*args, **kwargs):
         raise AssertionError("full-spectrum eigvalsh called")
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", recording)
+    monkeypatch.setattr(linalg_mod._LAPACK, "dsyevr", recording)
     monkeypatch.setattr(np.linalg, "eigvalsh", dense)
     policy = ConvergencePolicy(cutoff0=5, tol=1e-6)
     spec = SweepSpec(models=models, eta_grid=SMALL_GRID, family=family,
@@ -168,8 +167,9 @@ def test_sweep_solves_real_half_blocks(monkeypatch, family, models, n_dipoles):
 
 def test_rabi_sweep_solves_d_and_cstd_as_bands(monkeypatch):
     """A Rabi sweep never assembles or densely solves D or Cstd: each build
-    is two chains handed to eig_banded, tridiagonal for D and pentadiagonal
-    for Cstd, each solved for the lowest levels + 1 eigenvalues."""
+    is two chains handed to ?sbevx, tridiagonal for D and pentadiagonal for
+    Cstd, each solved for the lowest levels + 1 eigenvalues: selected by
+    index (range 2, eig_banded's select "i"), 0..3 counted from 0."""
     def dense(*args, **kwargs):
         raise AssertionError("dense path taken")
 
@@ -177,13 +177,14 @@ def test_rabi_sweep_solves_d_and_cstd_as_bands(monkeypatch):
         monkeypatch.setattr(rabi_mod, name, dense)
     monkeypatch.setattr(np.linalg, "eigvalsh", dense)
     solves = []
-    eig_banded = scipy.linalg.eig_banded
+    dsbevx = linalg_mod._LAPACK.dsbevx
 
-    def recording(a_band, *args, **kwargs):
-        solves.append((a_band.shape, kwargs["select"], kwargs["select_range"]))
-        return eig_banded(a_band, *args, **kwargs)
+    def recording(a_band, vl, vu, il, iu, *args, **kwargs):
+        select = {2: "i"}.get(kwargs["range"], kwargs["range"])
+        solves.append((a_band.shape, select, (il - 1, iu - 1)))
+        return dsbevx(a_band, vl, vu, il, iu, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eig_banded", recording)
+    monkeypatch.setattr(linalg_mod._LAPACK, "dsbevx", recording)
     policy = ConvergencePolicy(cutoff0=5, tol=1e-6)
     result = run_sweep(SweepSpec(models=("D", "Cstd"), eta_grid=SMALL_GRID,
                                  levels_reported=3, policy=policy))
@@ -543,13 +544,13 @@ def test_taylor_study_solves_the_lowest_levels_only(monkeypatch):
     eigenvalues of one 31-row block; none is a full eigvalsh."""
     eigvalsh, solves = [], []
     counting(monkeypatch, np.linalg, "eigvalsh", eigvalsh, lambda a: a.shape)
-    dsyevr = scipy.linalg.lapack.dsyevr
+    dsyevr = linalg_mod._LAPACK.dsyevr
 
     def recording(a, **kwargs):
         solves.append((a.shape, kwargs["range"], kwargs["il"], kwargs["iu"]))
         return dsyevr(a, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", recording)
+    monkeypatch.setattr(linalg_mod._LAPACK, "dsyevr", recording)
     study = taylor_study((2, 60), eta_grid=TAYLOR_GRID[:8], cutoff=30, levels=3)
     assert study.scanned(0) > 0 and study.exact_points == (0, 6)
     assert eigvalsh == []

@@ -85,13 +85,15 @@ def names(source: str) -> set:
 
 
 @pytest.mark.parametrize("owned, owner", [
-    ({"eig_banded", "eigsh", "dsyevr", "eigh", "eigvalsh"}, "linalg.py"),
+    ({"eig_banded", "eigsh", "dsyevr", "eigh", "eigvalsh", "dsbevx", "zhbevx", "dpbtrf",
+      "dpbtrs", "zpbtrf", "zpbtrs", "dlamch", "_LAPACK", "shift_invert_eigsh"}, "linalg.py"),
     ({"_real_ladder"}, "qops.py"),
 ])
 def test_one_owner_names_each_solver_and_the_ladder(owned, owner):
-    """Only linalg calls the eigensolvers and only qops builds the Fock
-    ladder, so a second band solver or Fock factor cache cannot come back
-    unseen; a docstring that mentions them does not count."""
+    """Only linalg calls the eigensolvers and the LAPACK routines its loader
+    hands out, and only qops builds the Fock ladder, so a second band solver
+    or Fock factor cache cannot come back unseen; a docstring that mentions
+    them does not count."""
     assert names("import scipy.linalg as sla\nsla.eig_banded(b)\n") >= {"sla", "eig_banded"}
     assert "eigh" not in names('"""numpy.linalg.eigh"""\n')
     naming = sorted(p.name for p in SRC.glob("*.py") if names(p.read_text()) & owned)

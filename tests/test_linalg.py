@@ -42,7 +42,8 @@ from gaugeqed import (
     terms_H_D,
     unitary_exp,
 )
-from gaugeqed.linalg import OperatorMatrix, kron, matrix_function
+from gaugeqed import linalg, particle1d
+from gaugeqed.linalg import OperatorMatrix, band_eigh, kron, matrix_function
 from gaugeqed.qops import FockFactors, _real_ladder
 
 
@@ -472,10 +473,13 @@ def test_banded_parity_eigvalsh_errors(monkeypatch):
         with pytest.raises(LinalgError, match="non-finite"):
             parity_eigvalsh(ParityBands((even, broken)), 3)
 
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("no convergence")
+    dsbevx = linalg._LAPACK.dsbevx
 
-    monkeypatch.setattr(scipy.linalg, "eig_banded", failing)
+    def failing(*args, **kwargs):
+        w, z, m, ifail, _ = dsbevx(*args, **kwargs)
+        return w, z, m, ifail, 1
+
+    monkeypatch.setattr(linalg._LAPACK, "dsbevx", failing)
     with pytest.raises(ConvergenceFailureError):
         parity_eigvalsh(ParityBands((even, odd)), 3)
 
@@ -512,13 +516,13 @@ def test_block_parity_eigvalsh_checks_each_block(monkeypatch):
             else:
                 parity_eigvalsh(blocks, count)
 
-    dsyevr = scipy.linalg.lapack.dsyevr
+    dsyevr = linalg._LAPACK.dsyevr
 
     def failing(*args, **kwargs):
         w, z, m, isuppz, _ = dsyevr(*args, **kwargs)
         return w, z, m, isuppz, 1
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", failing)
+    monkeypatch.setattr(linalg._LAPACK, "dsyevr", failing)
     with pytest.raises(ConvergenceFailureError, match="info 1"):
         parity_eigvalsh(ParityBlocks((even.copy(), odd.copy())), 3)
 
@@ -649,3 +653,161 @@ def test_band_sum_symmetry_limit_is_band_scale():
                 parity_band_sum(skew)
         else:
             parity_band_sum(skew)
+
+
+# ---------------------------------------------------------------------------
+# shift-invert Lanczos and the LAPACK loader
+# ---------------------------------------------------------------------------
+
+def eig_banded_lowest(band, k):
+    return scipy.linalg.eig_banded(band, lower=True, eigvals_only=True,
+                                   select="i", select_range=(0, k - 1))
+
+
+def preset_bands(harmonic, double_well):
+    """(name, band, levels, shift, reference) for every band shape a preset
+    hands the band solver, shifted as band_eigh's callers shift it, with the
+    band whose eigenvalues are the reference: the Rabi D and Cstd chains and
+    the 16- and 32-level full-model chains below their Gershgorin bound; the
+    mirror halves of both grids, at full-model's 16 levels a parity and at
+    the double well's 25, and particle-demo's whole grid, real and
+    conjugated by the phase exp(i q A0 x) as the minimal-coupling check
+    conjugates it (the real grid is its reference), at that check's 8
+    levels, below the potential."""
+    for eta, cutoff in ((0.5, 80), (3.0, 320)):
+        p = RabiParams(eta=eta, cutoff=cutoff)
+        for bands in (bands_H_D, bands_H_C_standard):
+            for c, chain in enumerate(bands(p).chains):
+                yield (f"{bands.__name__} eta {eta} chain {c}", chain, (7,),
+                       linalg._below_gershgorin(chain), chain)
+    for preset, (model, basis) in (("harmonic", harmonic), ("double well", double_well)):
+        for m_used in (16, 32):
+            for terms in (terms_full_H_D, terms_full_H_C):
+                for c, chain in enumerate(parity_band_sum(
+                        terms(model, basis, 48, 0.3, m_used)).chains):
+                    yield (f"{preset} {terms.__name__} m {m_used} chain {c}", chain, (5,),
+                           linalg._below_gershgorin(chain), chain)
+        for parity in (1, -1):
+            half = particle1d._fold(model, parity)
+            yield (f"{preset} half grid {parity}", half,
+                   tuple(sorted({16, model.eigen_count // 2})), particle1d._shift(model), half)
+    model, _ = harmonic
+    bare = particle1d._grid_bands(model)
+    conj = bare * np.exp(1j * 0.3 * np.arange(3) * model.grid.dx)[:, None]
+    for name, band in (("real", bare), ("complex", conj)):
+        yield f"harmonic {name} grid", band, (8,), particle1d._shift(model), bare
+
+
+def test_lanczos_matches_eig_banded_on_every_preset_band(harmonic, double_well):
+    """Shift-invert Lanczos gives the lowest eigenvalues of ?sbevx on every
+    preset band to 1e-12 of the band scale, eigenvectors with residual and
+    orthogonality at that scale, and the same eigenvalues from its
+    eigenvalue-only solve."""
+    for name, band, levels, sigma, reference in preset_bands(harmonic, double_well):
+        all_want = eig_banded_lowest(reference, max(levels))
+        scale = max(float(np.abs(band).max()), 1.0)
+        for k in levels:
+            want = all_want[:k]
+            w, v = linalg.shift_invert_eigsh(band, k, sigma, True)
+            assert np.abs(w - want).max() <= 1e-12 * scale, (name, k)
+            values, _ = linalg.shift_invert_eigsh(band, k, sigma, False)
+            assert np.array_equal(values, w), (name, k)
+            assert np.abs(v.conj().T @ v - np.eye(k)).max() <= 1e-12, (name, k)
+            # A v - v w, applied from the band: row 0 is the diagonal
+            av = band[0][:, None] * v
+            for r in range(1, band.shape[0]):
+                av[r:] += band[r, :-r, None] * v[:-r]
+                av[:-r] += band[r, :-r, None].conj() * v[r:]
+            assert np.abs(av - v * w).max() <= 1e-12 * scale, (name, k)
+
+
+def test_lanczos_resolves_a_pair_split_by_1e_8():
+    """Two copies of a harmonic grid chain, one raised by 1e-8 and coupled
+    to the other by 1e-9 at their junction: each level is a pair split by
+    about 1e-8, and shift-invert Lanczos resolves both members, as
+    ?sbevx does."""
+    n = 400
+    x = np.linspace(-8.0, 8.0, n)
+    dx = x[1] - x[0]
+    chain = np.zeros((2, 2 * n))
+    chain[0] = np.concatenate([1.0 / dx ** 2 + 0.5 * x ** 2] * 2)
+    chain[0, n:] += 1e-8
+    chain[1, :-1] = -0.5 / dx ** 2
+    chain[1, n - 1] = 1e-9
+    k = 6
+    want = eig_banded_lowest(chain, k)
+    splits = want[1::2] - want[::2]
+    assert np.all((splits > 0.9e-8) & (splits < 1.1e-8))
+    w, v = band_eigh(chain, k, vectors=True)
+    scale = float(np.abs(chain).max())
+    assert np.abs(w - want).max() <= 1e-12 * scale
+    assert np.abs((w[1::2] - w[::2]) - splits).max() <= 1e-12 * scale
+    assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-10
+
+
+def test_lanczos_goes_on_past_an_invariant_subspace():
+    """A diagonal chain of 60 rows with four distinct levels, the lowest
+    three each three-fold: from the constant start vector the basis spans
+    an invariant subspace after four steps, and the solve goes on from
+    fresh vectors until it holds every copy of the lowest two levels."""
+    chain = np.zeros((2, 60))
+    chain[0] = np.concatenate([np.repeat([1.0, 2.0, 3.0], 3), np.full(51, 8.0)])
+    want = eig_banded_lowest(chain, 6)
+    assert np.array_equal(want, [1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+    w, v = band_eigh(chain, 6, vectors=True, sigma=0.0)
+    assert np.abs(w - want).max() <= 1e-12
+    assert np.abs(v.T @ v - np.eye(6)).max() <= 1e-12
+    assert np.abs(chain[0][:, None] * v - v * w).max() <= 1e-12
+
+
+@pytest.mark.parametrize("complex_band", [False, True])
+def test_lanczos_eigenvectors_follow_the_phase_rule(harmonic, complex_band):
+    """band_eigh's shift-invert eigenvectors are phase-fixed as
+    ``_phase_fixed`` fixes them: each column's largest-magnitude entry is
+    real and positive (to roundoff, for a complex band), and a real band's
+    vectors stay real."""
+    model, _ = harmonic
+    band = particle1d._grid_bands(model, 0.3 if complex_band else 0.0)
+    w, v = band_eigh(band, 6, vectors=True, sigma=particle1d._shift(model))
+    assert np.iscomplexobj(v) == complex_band
+    lead = v[np.abs(v).argmax(axis=0), np.arange(6)]
+    assert np.all(lead.real > 0) and np.all(np.abs(lead.imag) <= 1e-15 * lead.real)
+
+
+def test_lanczos_reports_its_cap(monkeypatch):
+    # no residual is below a negative tolerance, so the basis reaches its cap
+    band = particle1d._fold(particle1d.harmonic_model(n_points=2001), 1)
+    monkeypatch.setattr(linalg, "LANCZOS_RTOL", -1.0)
+    with pytest.raises(ConvergenceFailureError,
+                       match="shift-invert Lanczos failed: the lowest 6 levels of the "
+                             "1001-row band operator did not converge in 144 steps"):
+        linalg.shift_invert_eigsh(band, 6, -1.0, False)
+
+
+def test_fallback_loader_gives_the_same_results(monkeypatch, harmonic):
+    """When scipy's LAPACK extension does not load by file location, the
+    loader falls back to scipy.linalg.lapack, and every solver path gives
+    the same bits: ?syevr blocks, ?sbevx chains and shift-invert Lanczos,
+    real and complex."""
+    model, _ = harmonic
+    blocks = parity_block_sum(terms_H_C_correct(RabiParams(eta=0.5, cutoff=30)))
+    chains = bands_H_D(RabiParams(eta=0.5, cutoff=30))
+    grid = particle1d._grid_bands(model, 0.3)
+    sigma = particle1d._shift(model)
+
+    def solves():
+        return [parity_eigvalsh(blocks, 5), parity_eigvalsh(chains, 5),
+                *band_eigh(particle1d._fold(model, 1), 8, vectors=True, sigma=sigma),
+                band_eigh(grid, 8, sigma=sigma)[0]]
+
+    direct = solves()
+    assert linalg._LAPACK.__name__ == "scipy.linalg._flapack"
+
+    def failing():
+        raise ImportError("no extension")
+
+    monkeypatch.setattr(linalg, "_flapack_by_location", failing)
+    fallback = linalg._load_lapack()
+    assert fallback is scipy.linalg.lapack
+    monkeypatch.setattr(linalg, "_LAPACK", fallback)
+    assert all(np.array_equal(a, b) for a, b in zip(solves(), direct))

@@ -10,7 +10,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 import oracles
 from conftest import FULL_MODEL_M_LEVELS
@@ -43,6 +42,7 @@ from gaugeqed import (
     terms_full_H_D,
     trk_sum,
 )
+from gaugeqed import linalg
 from gaugeqed.linalg import SHIFT_INVERT_MIN_WORK, band_eigh
 
 # double-well preset (mu=1.2, lam=0.25, m=1): frozen from the HO-basis oracle
@@ -228,14 +228,14 @@ def dense_band(bands):
 
 @pytest.mark.parametrize("parity", [1, -1])
 def test_band_solve_matches_dense_half_grid(parity, monkeypatch):
-    # eigenvectors take shift-invert at any size (eig_banded back-transforms
-    # them through a dense matrix); eigenvalues alone take eig_banded at 401
+    # eigenvectors take shift-invert at any size (?sbevx back-transforms
+    # them through a dense matrix); eigenvalues alone take ?sbevx at 401
     # points, which fold onto 201 (even) and 200 (odd) rows, and
     # shift-invert at 2001, which fold onto 1001 and 1000, above the threshold
     banded = []
-    eig_banded = scipy.linalg.eig_banded
-    monkeypatch.setattr(scipy.linalg, "eig_banded",
-                        lambda *a, **kw: banded.append(a) or eig_banded(*a, **kw))
+    dsbevx = linalg._LAPACK.dsbevx
+    monkeypatch.setattr(linalg._LAPACK, "dsbevx",
+                        lambda *a, **kw: banded.append(a) or dsbevx(*a, **kw))
     for n_points in (401, 2001):
         model = harmonic_model(n_points=n_points, eigen_count=12)
         bands = particle1d._fold(model, parity)
@@ -268,13 +268,16 @@ def test_shift_above_spectrum_raises():
 
 
 def test_crowded_half_grid_lapack_failure_is_typed(monkeypatch):
-    # a half grid wanting all but one of its points goes to eig_banded; a
+    # a half grid wanting all but one of its points goes to ?sbevx; a
     # LAPACK failure there is a numerical failure (exit 2), not the
     # ValueError subclass np.linalg.LinAlgError (exit 1)
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("no convergence")
+    dsbevx = linalg._LAPACK.dsbevx
 
-    monkeypatch.setattr(scipy.linalg, "eig_banded", failing)
+    def failing(*args, **kwargs):
+        w, z, m, ifail, _ = dsbevx(*args, **kwargs)
+        return w, z, m, ifail, 1
+
+    monkeypatch.setattr(linalg._LAPACK, "dsbevx", failing)
     with pytest.raises(ConvergenceFailureError, match="did not converge"):
         solve_particle(harmonic_model(n_points=201, eigen_count=199))
 
@@ -301,22 +304,24 @@ def test_even_point_table_keeps_mirror_parity(tmp_path):
 def test_mirror_model_solves_half_grids(monkeypatch):
     # one shift-invert solve per parity and grid, each on at most half the
     # points with at most half the levels
-    calls = []
-    eigsh = scipy.sparse.linalg.eigsh
+    calls, factored = [], []
+    solve, dpbtrf = linalg.shift_invert_eigsh, linalg._LAPACK.dpbtrf
 
-    def record(A, k, **kwargs):
-        calls.append((A.shape[0], k))
-        # the shifted operator's inverse comes from its banded Cholesky
-        # factor, not from eigsh's own sparse LU
-        assert kwargs["OPinv"] is not None
-        return eigsh(A, k=k, **kwargs)
+    def record(bands, k, *args):
+        calls.append((bands.shape[1], k))
+        return solve(bands, k, *args)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", record)
+    # the shifted operator's inverse comes from its banded Cholesky factor,
+    # one per solve
+    monkeypatch.setattr(linalg, "shift_invert_eigsh", record)
+    monkeypatch.setattr(linalg._LAPACK, "dpbtrf",
+                        lambda ab, **kw: factored.append(ab.shape[1]) or dpbtrf(ab, **kw))
     model = double_well_model()
     basis = solve_particle(model)
     assert basis.mirror_parity
     n, m = model.grid.n_points, model.eigen_count
     assert len(calls) == 4
+    assert factored == [rows for rows, _ in calls]
     for (rows, k), grid_points in zip(calls, (n, n, 2 * n - 1, 2 * n - 1)):
         assert rows <= (grid_points + 1) // 2
         assert k <= -(-m // 2)
@@ -325,7 +330,8 @@ def test_mirror_model_solves_half_grids(monkeypatch):
 @pytest.mark.parametrize("eigen_count", [199, 198])
 def test_crowded_half_grid_keeps_boundary_verdict(eigen_count):
     # a half solve wanting all but one of its points takes the banded driver,
-    # not eigsh's warning dense fallback; the edge check then fails first
+    # not a Lanczos basis that spans the whole half grid; the edge check then
+    # fails first
     with pytest.raises(BoundaryLeakError):
         solve_particle(harmonic_model(n_points=201, eigen_count=eigen_count))
 
