@@ -126,10 +126,8 @@ from .experiments import (
     lowest_transitions,
     run_sweep,
     taylor_study,
-    write_alpha_csv,
     write_gnuplot_script,
-    write_sweep_csv,
-    write_taylor_csv,
+    write_table,
 )
 
 __all__ = [
@@ -170,6 +168,5 @@ __all__ = [
     "run_sweep", "converged_transitions", "lowest_transitions",
     "default_eta_grid", "taylor_study", "TaylorStudy",
     "alpha_invariance_study", "AlphaStudy", "CutoffCeilingError", "WorkerLostError",
-    "write_sweep_csv", "write_taylor_csv", "write_alpha_csv",
-    "write_gnuplot_script",
+    "write_table", "write_gnuplot_script",
 ]

@@ -5,7 +5,10 @@ non-finite number, an unreadable file or a malformed config file among
 them), 2 for a numerical failure (failed convergence or a violated
 invariant, named on stderr).  Parameters resolve in three layers: built-in
 defaults, then an INI config file (section [common] for shared keys, one
-section per subcommand), then explicit flags.  Output tables use fixed
+section per subcommand), then explicit flags.  ``resolve`` merges them into
+one dict of the subcommand's options, the common ones included, and each
+entry of ``COMMANDS`` names the handler that takes that dict.  Every table
+reaches disk through ``experiments.write_table``.  Output tables use fixed
 formats, and OpenBLAS runs one thread unless the environment sets its thread
 count (see ``gaugeqed``), so a rerun with the same configuration is
 byte-identical at any ``--threads`` and on any number of cores.
@@ -21,7 +24,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,21 +42,14 @@ NUMERICAL_ERRORS = (
     LinalgError,
 )
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand needs after the three config layers merge."""
-    command: str
-    outdir: str
-    threads: int
-    emit_plots: bool
-    params: Dict[str, object]
+# a subcommand's resolved parameters, keyed as its options are
+Params = Dict[str, object]
 
 
 @dataclass(frozen=True)
 class Opt:
     key: str          # params key; config key; flag is the dashed form
-    kind: str         # int | float | str | bool | ints | floats | strs
+    kind: str         # int | float | str | bool, or ints | floats | strs
     default: object
     help: str
 
@@ -79,114 +75,6 @@ _CONV = (
         "convergence tolerance on transitions, units of omega_c"),
 )
 
-COMMANDS: Dict[str, Tuple[Tuple[Opt, ...], str]] = {
-    "rabi-sweep": ((
-        Opt("models", "strs", ["D", "Cstd", "Ccorr"],
-            "comma list from D,Cstd,Ccorr"),
-        Opt("eta_max", "float", 1.5, "largest coupling eta = g_D/omega_c"),
-        Opt("eta_step", "float", 0.025, "eta grid step"),
-        Opt("levels", "int", 6, "transitions reported per point"),
-        Opt("detuning", "float", 0.0, "omega_10 - omega_c"),
-        Opt("out", "str", "rabi_sweep.csv", "output CSV name"),
-    ) + _CONV,
-        "Transition energies of the two-level models across the eta grid, "
-        "each point at auto-converged cutoff."),
-    "dicke-sweep": ((
-        Opt("models", "strs", ["std", "corr"],
-            "comma list from std,corr,dipole"),
-        Opt("n_dipoles", "int", 2, "number of dipoles N (spin j = N/2)"),
-        Opt("eta_max", "float", 1.0, "largest coupling eta"),
-        Opt("eta_step", "float", 0.025, "eta grid step"),
-        Opt("levels", "int", 6, "transitions reported per point"),
-        Opt("detuning", "float", 0.0, "omega_10 - omega_c"),
-        Opt("out", "str", "dicke_sweep.csv", "output CSV name"),
-    ) + _CONV,
-        "Same sweep for the N-dipole collective models."),
-    "taylor-study": ((
-        Opt("orders", "ints", [2, 3, 10, 200], "comma list of Taylor orders"),
-        Opt("eta_max", "float", 1.6, "largest eta scanned"),
-        Opt("eta_step", "float", 0.025, "eta grid step"),
-        Opt("cutoff", "int", 200, "fixed Fock cutoff shared by both models"),
-        Opt("levels", "int", 5, "transitions compared"),
-        Opt("tol", "float", 0.01, "relative error defining eta_star"),
-        Opt("detuning", "float", 0.0, "omega_10 - omega_c"),
-        Opt("out", "str", "taylor_study.csv", "output CSV name"),
-    ),
-        "Error of order-n truncations of the trigonometric coupling against "
-        "the full model; reports the largest eta each order tolerates."),
-    "alpha-check": ((
-        Opt("alphas", "floats", [0.0, 0.25, 0.5, 0.75, 1.0],
-            "comma list of gauge parameters in [0, 1]"),
-        Opt("eta", "floats", [0.8], "coupling, or comma list of couplings"),
-        Opt("levels", "int", 6, "transitions compared"),
-        Opt("detuning", "float", 0.0, "omega_10 - omega_c"),
-        Opt("tol", "float", 1e-6, "spread tolerance, units of omega_c"),
-        Opt("negative_control", "bool", False,
-            "replace the alpha=1 member by the naive Coulomb-gauge model"),
-        Opt("break_min", "float", 0.1,
-            "smallest spread the negative control must produce"),
-        Opt("out", "str", "alpha_check.csv", "output CSV name"),
-    ) + _CONV,
-        "Spread of transition energies across the gauge family; exits 2 if "
-        "a member misses the cutoff cap, or if invariance is violated (or "
-        "the negative control fails to violate it)."),
-    "gauge-theorem": ((
-        Opt("eta", "float", 0.5, "coupling eta"),
-        Opt("cutoffs", "ints", [60, 80, 100, 140],
-            "comma list of Fock cutoffs"),
-        Opt("interior_fraction", "float", 0.8,
-            "fraction of Fock levels kept for the interior check"),
-        Opt("tol", "float", 1e-8,
-            "interior deviation tolerance, units of omega_c"),
-        Opt("detuning", "float", 0.0, "omega_10 - omega_c"),
-        Opt("out", "str", "gauge_theorem.csv", "output CSV name"),
-    ),
-        "Entrywise check that conjugating the dipole-gauge model (plus its "
-        "dropped constant) reproduces the corrected Coulomb-gauge model, "
-        "away from the truncation boundary."),
-    "fluxonium": ((
-        Opt("e_c", "float", 1.0, "charging energy"),
-        Opt("e_l", "float", 0.9, "inductive energy"),
-        Opt("e_j", "float", 3.0, "Josephson energy"),
-        Opt("omega_c", "float", 1.0,
-            "cavity frequency; set it to select raw units, with E_C, E_L, "
-            "E_J given on the same scale (outputs stay in these raw units)"),
-        Opt("chi0", "float", 0.2, "coupling amplitude chi_0"),
-        Opt("basis_size", "int", 120, "oscillator basis for the junction"),
-        Opt("cutoff", "int", 60, "cavity Fock cutoff"),
-        Opt("n_keep", "int", 6, "junction levels kept before projection"),
-        Opt("levels", "int", 3, "transitions reported"),
-        Opt("out", "str", "fluxonium.csv", "output CSV name"),
-    ),
-        "Two-level fluxonium coupled to an LC mode in the charge gauge: "
-        "naive truncation against the corrected model."),
-    "particle-demo": ((
-        Opt("model", "str", "harmonic", "harmonic or double_well"),
-        Opt("potential_table", "str", None,
-            "two-column x,V file overriding the named model"),
-        Opt("levels", "int", 8, "grid energies printed"),
-        Opt("kernel_levels", "ints", None,
-            "projection sizes for the nonlocality scan (default: "
-            f"{','.join(map(str, DEFAULT_KERNEL_LEVELS))}, less those above the "
-            "levels the model solves)"),
-        Opt("a0", "float", 0.3, "vector-potential amplitude q*A_0 at q=1"),
-        Opt("out", "str", "particle_demo.csv", "output CSV name"),
-    ),
-        "Single-particle toolbox: grid spectrum, TRK sum rule, nonlocality "
-        "of the projected potential, minimal-coupling identity check."),
-    "full-model": ((
-        Opt("model", "str", "double_well", "harmonic or double_well"),
-        Opt("m_levels", "ints", [2, 4, 8, 16, 32],
-            "comma list of matter truncation sizes"),
-        Opt("cutoff", "int", 48, "cavity Fock cutoff"),
-        Opt("a0", "float", 0.3, "vector-potential amplitude"),
-        Opt("levels", "int", 4, "transitions compared"),
-        Opt("out", "str", "full_model.csv", "output CSV name"),
-    ),
-        "Dipole against Coulomb gauge for the untruncated-matter model at "
-        "growing matter truncation; the gap must shrink."),
-}
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad arguments; that code is reserved for numerical
@@ -206,7 +94,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, (opts, blurb) in COMMANDS.items():
+    for name, (opts, blurb, _) in COMMANDS.items():
         sp = sub.add_parser(name, help=blurb, description=blurb)
         sp.add_argument("--config", default=None, metavar="FILE",
                         help="INI file with [common] and per-command sections")
@@ -222,9 +110,9 @@ def build_parser() -> _Parser:
             else:
                 # the value stays a string here; resolve converts it with
                 # _parse_str, so that a flag and a config key are checked alike
-                lists = opt.kind in ("ints", "floats", "strs")
                 sp.add_argument(_flag(opt.key), default=None,
-                                metavar="LIST" if lists else None, help=help_text)
+                                metavar="LIST" if opt.kind not in _CONVERTERS else None,
+                                help=help_text)
     return parser
 
 
@@ -243,86 +131,74 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+# the converter of each scalar kind; a plural kind ("ints") is a comma list
+# of its singular
+_CONVERTERS: Dict[str, Callable[[str], object]] = {
+    "int": int, "float": _finite, "str": str, "bool": _bool}
+
+
 def _parse_str(kind: str, raw: str, key: str):
-    if kind in ("ints", "floats", "strs"):
+    plural = kind not in _CONVERTERS
+    convert = _CONVERTERS[kind[:-1] if plural else kind]
+    if plural:
         items = [s.strip() for s in raw.split(",") if s.strip()]
         # every list option reads at least one entry
         if not items:
             raise ValueError(f"{_flag(key)} (config key {key!r}) needs at least one "
                              f"value, got {raw!r}")
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return _finite(raw)
-        if kind == "str":
-            return raw
-        if kind == "bool":
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if kind == "ints":
-            return [int(s) for s in items]
-        if kind == "floats":
-            return [_finite(s) for s in items]
-        if kind == "strs":
-            return items
+        return [convert(s) for s in items] if plural else convert(raw)
     except ValueError:
         raise ValueError(f"bad value {raw!r} for key {key!r}") from None
-    raise ValueError(f"unknown option kind {kind!r}")
 
 
 def _read_config(path: str, command: str) -> Dict[str, str]:
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ValueError(f"config file not found: {path}")
     known_common = {o.key for o in _COMMON}
-    known_cmd = {o.key for o in COMMANDS[command][0]} | known_common
     vals: Dict[str, str] = {}
-    if cp.has_section("common"):
-        for key, raw in cp.items("common"):
-            if key not in known_common:
-                raise ValueError(f"unknown key {key!r} in [common]")
-            vals[key] = raw
-    if cp.has_section(command):
-        for key, raw in cp.items(command):
-            if key not in known_cmd:
-                raise ValueError(f"unknown key {key!r} in [{command}]")
-            vals[key] = raw
+    for section, known in (("common", known_common),
+                           (command, known_common | {o.key for o in COMMANDS[command][0]})):
+        if cp.has_section(section):
+            for key, raw in cp.items(section):
+                if key not in known:
+                    raise ValueError(f"unknown key {key!r} in [{section}]")
+                vals[key] = raw
     for section in cp.sections():
         if section != "common" and section not in COMMANDS:
             raise ValueError(f"unknown config section [{section}]")
     return vals
 
 
-def resolve(ns: argparse.Namespace) -> RunConfig:
-    command = ns.command
-    table = _COMMON + COMMANDS[command][0]
-    file_vals = _read_config(ns.config, command) if ns.config else {}
-    merged: Dict[str, object] = {}
-    for opt in table:
-        flag_val = getattr(ns, opt.key)
-        if flag_val is not None:
-            if opt.kind != "bool":
-                flag_val = _parse_str(opt.kind, flag_val, opt.key)
-            merged[opt.key] = flag_val
-        elif opt.key in file_vals:
-            merged[opt.key] = _parse_str(opt.kind, file_vals[opt.key], opt.key)
-        else:
-            merged[opt.key] = opt.default
-    outdir = merged.pop("outdir")
-    if outdir is None:
-        outdir = os.environ.get(ENV_OUTDIR, ".")
-    threads = merged.pop("threads")
-    if threads < 1:
+def resolve(ns: argparse.Namespace) -> Params:
+    """Every option of ``ns.command``, the common ones included: its flag,
+    else its config-file key, else its default; ``outdir`` falls back to
+    $GAUGEQED_OUTDIR, then to '.'."""
+    file_vals = _read_config(ns.config, ns.command) if ns.config else {}
+    p: Params = {}
+    for opt in _COMMON + COMMANDS[ns.command][0]:
+        # a bool flag arrives as a bool, any other flag or key as its text
+        raw = getattr(ns, opt.key)
+        if raw is None:
+            raw = file_vals.get(opt.key)
+        if isinstance(raw, str):
+            raw = _parse_str(opt.kind, raw, opt.key)
+        p[opt.key] = opt.default if raw is None else raw
+    if p["outdir"] is None:
+        p["outdir"] = os.environ.get(ENV_OUTDIR, ".")
+    if p["threads"] < 1:
         raise ValueError("threads must be >= 1")
-    emit_plots = bool(merged.pop("emit_plots"))
-    return RunConfig(command=command, outdir=str(outdir), threads=threads,
-                     emit_plots=emit_plots, params=merged)
+    return p
 
 
 def _make_outdir(outdir: str) -> List[Path]:
@@ -345,17 +221,20 @@ def _remove_empty(made: List[Path]) -> None:
             return
 
 
-def _outpath(rc: RunConfig, name: str) -> Path:
-    return Path(rc.outdir) / name
+def _write_out(p: Params, lines: List[str]) -> None:
+    """Write the run's table, ``lines``, to outdir/out and say so."""
+    out = Path(p["outdir"]) / p["out"]
+    experiments.write_table(out, lines)
+    print(f"wrote {out}")
 
 
-def _policy(p: Dict[str, object]) -> experiments.ConvergencePolicy:
+def _policy(p: Params) -> experiments.ConvergencePolicy:
     return experiments.ConvergencePolicy(cutoff0=p["cutoff0"],
                                          cutoff_cap=p["cutoff_cap"],
                                          tol=p["conv_tol"])
 
 
-def _check_positive(p: Dict[str, object], *keys: str) -> None:
+def _check_positive(p: Params, *keys: str) -> None:
     """Raise ValueError unless each integer parameter of ``keys`` is >= 1."""
     for key in keys:
         if p[key] < 1:
@@ -371,19 +250,18 @@ def _fail(msg: str) -> int:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _run_family_sweep(rc: RunConfig, family: str) -> int:
-    p = rc.params
+def _run_family_sweep(p: Params, family: str) -> int:
     spec = experiments.SweepSpec(
         models=tuple(p["models"]),
         eta_grid=experiments.default_eta_grid(p["eta_max"], p["eta_step"]),
         detuning=p["detuning"], levels_reported=p["levels"],
         policy=_policy(p), family=family,
         n_dipoles=p.get("n_dipoles", 1))
-    result = experiments.run_sweep(spec, threads=rc.threads)
-    out = _outpath(rc, p["out"])
-    experiments.write_sweep_csv(result, out)
+    result = experiments.run_sweep(spec, threads=p["threads"])
+    out = Path(p["outdir"]) / p["out"]
+    experiments.write_table(out, experiments.sweep_csv_lines(result))
     written = [str(out)]
-    if rc.emit_plots:
+    if p["emit_plots"]:
         gp = out.with_suffix(".gp")
         experiments.write_gnuplot_script(out.name, gp, f"{family} sweep",
                                          spec.levels_reported, spec.models)
@@ -393,23 +271,12 @@ def _run_family_sweep(rc: RunConfig, family: str) -> int:
     return 0
 
 
-def _cmd_rabi_sweep(rc: RunConfig) -> int:
-    return _run_family_sweep(rc, "rabi")
-
-
-def _cmd_dicke_sweep(rc: RunConfig) -> int:
-    return _run_family_sweep(rc, "dicke")
-
-
-def _cmd_taylor_study(rc: RunConfig) -> int:
-    p = rc.params
+def _cmd_taylor_study(p: Params) -> int:
     grid = experiments.default_eta_grid(p["eta_max"], p["eta_step"],
                                         include_zero=False)
     study = experiments.taylor_study(p["orders"], grid, detuning=p["detuning"],
                                      cutoff=p["cutoff"], levels=p["levels"],
-                                     tol=p["tol"], threads=rc.threads)
-    out = _outpath(rc, p["out"])
-    experiments.write_taylor_csv(study, out)
+                                     tol=p["tol"], threads=p["threads"])
     for i, (n, star, first) in enumerate(zip(study.orders, study.eta_star,
                                              study.first_bad)):
         tail = f" (first exceedance at eta={first:g})" if first is not None \
@@ -421,26 +288,23 @@ def _cmd_taylor_study(rc: RunConfig) -> int:
     rows = study.cutoff + 1
     print(f"models: parity blocks {rows}+{rows} rows at cutoff {study.cutoff}; "
           f"lowest {min(study.levels + 1, rows)} eigenvalues of each")
-    print(f"wrote {out}")
+    _write_out(p, experiments.taylor_csv_lines(study))
     return 0
 
 
-def _cmd_alpha_check(rc: RunConfig) -> int:
-    p = rc.params
+def _cmd_alpha_check(p: Params) -> int:
     if p["break_min"] <= 0:
         raise ValueError(f"break_min must be > 0, got {p['break_min']:g}")
     policy = _policy(p)
     study = experiments.alpha_invariance_study(
         p["alphas"], p["eta"], detuning=p["detuning"], levels=p["levels"],
         policy=policy, tol=p["tol"],
-        negative_control=bool(p["negative_control"]), threads=rc.threads)
-    out = _outpath(rc, p["out"])
-    experiments.write_alpha_csv(study, out)
+        negative_control=p["negative_control"], threads=p["threads"])
     print(f"max spread {study.max_spread:.6e} vs tol {study.tol:g} "
           f"over alphas {','.join(f'{a:g}' for a in study.alphas)}: "
           + study.verdict
           + (" [negative control]" if study.negative_control else ""))
-    print(f"wrote {out}")
+    _write_out(p, experiments.alpha_csv_lines(study))
     # a spread between unconverged transitions judges the truncation
     experiments.check_converged(study.points, policy.cutoff_cap)
     if study.negative_control:
@@ -466,8 +330,7 @@ def _ascending(name: str, values) -> None:
         raise ValueError(f"{name} must be strictly ascending, got {shown}")
 
 
-def _cmd_gauge_theorem(rc: RunConfig) -> int:
-    p = rc.params
+def _cmd_gauge_theorem(p: Params) -> int:
     _ascending("cutoffs", p["cutoffs"])
     reports = []
     for c in p["cutoffs"]:
@@ -484,9 +347,7 @@ def _cmd_gauge_theorem(rc: RunConfig) -> int:
         lines.append(f"{r.cutoff},{r.max_dev_interior:.12e},"
                      f"{r.max_dev_full:.12e},{r.max_dev_full_rel:.12e},"
                      f"{int(r.passed)}")
-    out = _outpath(rc, p["out"])
-    experiments._write_lines(out, lines)
-    print(f"wrote {out}")
+    _write_out(p, lines)
     final = reports[-1]
     if not final.passed:
         return _fail(f"gauge theorem violated in the interior: deviation "
@@ -495,8 +356,7 @@ def _cmd_gauge_theorem(rc: RunConfig) -> int:
     return 0
 
 
-def _cmd_fluxonium(rc: RunConfig) -> int:
-    p = rc.params
+def _cmd_fluxonium(p: Params) -> int:
     params = fluxonium.FluxoniumParams(
         e_c=p["e_c"], e_l=p["e_l"], e_j=p["e_j"], chi0=p["chi0"],
         omega_c=p["omega_c"], basis_size=p["basis_size"], cutoff=p["cutoff"],
@@ -521,13 +381,11 @@ def _cmd_fluxonium(rc: RunConfig) -> int:
     for i in range(levels):
         print(f"{i + 1:5d}  {t_std[i]:.6e}  {t_cor[i]:.6e}  {rel[i]:.3e}")
         lines.append(f"{i + 1},{t_std[i]:.12e},{t_cor[i]:.12e},{rel[i]:.12e}")
-    out = _outpath(rc, p["out"])
-    experiments._write_lines(out, lines)
-    print(f"wrote {out}")
+    _write_out(p, lines)
     return 0
 
 
-def _named_model(p: Dict[str, object]) -> particle1d.ParticleModel:
+def _named_model(p: Params) -> particle1d.ParticleModel:
     if p.get("potential_table"):
         return particle1d.model_from_table(p["potential_table"])
     name = p["model"]
@@ -549,8 +407,7 @@ def _check_matter_levels(name: str, values, model: particle1d.ParticleModel) -> 
             raise ValueError(f"{name} {k} exceeds solved levels {model.eigen_count}")
 
 
-def _cmd_particle_demo(rc: RunConfig) -> int:
-    p = rc.params
+def _cmd_particle_demo(p: Params) -> int:
     _check_positive(p, "levels")
     model = _named_model(p)
     kernel_levels = p["kernel_levels"]
@@ -578,20 +435,17 @@ def _cmd_particle_demo(rc: RunConfig) -> int:
               f"{ker.off_diagonality:.6e}")
     report = particle1d.check_minimal_coupling_identity(model, p["a0"])
     print(f"minimal-coupling identity at qA0={report.q_a0:g}: residual "
-          f"{report.residual_rel:.3e}, spectrum deviation "
-          f"{report.spectrum_dev:.3e}: "
+          f"{report.residual_rel:.3e} vs bound (qA0 dx)^2 = {report.bound:.3e}, "
+          f"spectrum deviation {report.spectrum_dev:.3e}: "
           + ("PASS" if report.passed else "FAIL"))
-    out = _outpath(rc, p["out"])
-    experiments._write_lines(out, lines)
-    print(f"wrote {out}")
+    _write_out(p, lines)
     if not report.passed:
         return _fail(f"minimal-coupling identity violated: residual "
-                     f"{report.residual_rel:.3e}")
+                     f"{report.residual_rel:.3e} > bound {report.bound:.3e}")
     return 0
 
 
-def _cmd_full_model(rc: RunConfig) -> int:
-    p = rc.params
+def _cmd_full_model(p: Params) -> int:
     _ascending("m_levels", p["m_levels"])
     model = _named_model(p)
     _check_matter_levels("m_levels", p["m_levels"], model)
@@ -625,26 +479,131 @@ def _cmd_full_model(rc: RunConfig) -> int:
     rows = "+".join(str(chain.shape[1]) for chain in bands_d.chains)
     print(f"models: parity bands {rows} rows, widths {bands_d.width} (D) / "
           f"{bands_c.width} (C) at m_levels {m}; lowest {levels + 1} levels")
-    out = _outpath(rc, p["out"])
-    experiments._write_lines(out, lines)
     ratio = gaps[0] / max(gaps[-1], 1e-300)
     print(f"gap ratio first/last: {ratio:.3e}")
-    print(f"wrote {out}")
+    _write_out(p, lines)
     if len(gaps) > 1 and gaps[-1] > gaps[0]:
         return _fail("gauge gap grew with matter truncation size; "
                      "the two truncations do not reconcile")
     return 0
 
 
-_HANDLERS = {
-    "rabi-sweep": _cmd_rabi_sweep,
-    "dicke-sweep": _cmd_dicke_sweep,
-    "taylor-study": _cmd_taylor_study,
-    "alpha-check": _cmd_alpha_check,
-    "gauge-theorem": _cmd_gauge_theorem,
-    "fluxonium": _cmd_fluxonium,
-    "particle-demo": _cmd_particle_demo,
-    "full-model": _cmd_full_model,
+# each subcommand: its options, its help line, and its handler, which takes
+# the parameters resolve returns and gives the exit code
+COMMANDS: Dict[str, Tuple[Tuple[Opt, ...], str, Callable[[Params], int]]] = {
+    "rabi-sweep": ((
+        Opt("models", "strs", ["D", "Cstd", "Ccorr"],
+            "comma list from D,Cstd,Ccorr"),
+        Opt("eta_max", "float", 1.5, "largest coupling eta = g_D/omega_c"),
+        Opt("eta_step", "float", 0.025, "eta grid step"),
+        Opt("levels", "int", 6, "transitions reported per point"),
+        Opt("detuning", "float", 0.0, "omega_10 - omega_c"),
+        Opt("out", "str", "rabi_sweep.csv", "output CSV name"),
+    ) + _CONV,
+        "Transition energies of the two-level models across the eta grid, "
+        "each point at auto-converged cutoff.",
+        lambda p: _run_family_sweep(p, "rabi")),
+    "dicke-sweep": ((
+        Opt("models", "strs", ["std", "corr"],
+            "comma list from std,corr,dipole"),
+        Opt("n_dipoles", "int", 2, "number of dipoles N (spin j = N/2)"),
+        Opt("eta_max", "float", 1.0, "largest coupling eta"),
+        Opt("eta_step", "float", 0.025, "eta grid step"),
+        Opt("levels", "int", 6, "transitions reported per point"),
+        Opt("detuning", "float", 0.0, "omega_10 - omega_c"),
+        Opt("out", "str", "dicke_sweep.csv", "output CSV name"),
+    ) + _CONV,
+        "Same sweep for the N-dipole collective models.",
+        lambda p: _run_family_sweep(p, "dicke")),
+    "taylor-study": ((
+        Opt("orders", "ints", [2, 3, 10, 200], "comma list of Taylor orders"),
+        Opt("eta_max", "float", 1.6, "largest eta scanned"),
+        Opt("eta_step", "float", 0.025, "eta grid step"),
+        Opt("cutoff", "int", 200, "fixed Fock cutoff shared by both models"),
+        Opt("levels", "int", 5, "transitions compared"),
+        Opt("tol", "float", 0.01, "relative error defining eta_star"),
+        Opt("detuning", "float", 0.0, "omega_10 - omega_c"),
+        Opt("out", "str", "taylor_study.csv", "output CSV name"),
+    ),
+        "Error of order-n truncations of the trigonometric coupling against "
+        "the full model; reports the largest eta each order tolerates.",
+        _cmd_taylor_study),
+    "alpha-check": ((
+        Opt("alphas", "floats", [0.0, 0.25, 0.5, 0.75, 1.0],
+            "comma list of gauge parameters in [0, 1]"),
+        Opt("eta", "floats", [0.8], "coupling, or comma list of couplings"),
+        Opt("levels", "int", 6, "transitions compared"),
+        Opt("detuning", "float", 0.0, "omega_10 - omega_c"),
+        Opt("tol", "float", 1e-6, "spread tolerance, units of omega_c"),
+        Opt("negative_control", "bool", False,
+            "replace the alpha=1 member by the naive Coulomb-gauge model"),
+        Opt("break_min", "float", 0.1,
+            "smallest spread the negative control must produce"),
+        Opt("out", "str", "alpha_check.csv", "output CSV name"),
+    ) + _CONV,
+        "Spread of transition energies across the gauge family; exits 2 if "
+        "a member misses the cutoff cap, or if invariance is violated (or "
+        "the negative control fails to violate it).",
+        _cmd_alpha_check),
+    "gauge-theorem": ((
+        Opt("eta", "float", 0.5, "coupling eta"),
+        Opt("cutoffs", "ints", [60, 80, 100, 140],
+            "comma list of Fock cutoffs"),
+        Opt("interior_fraction", "float", 0.8,
+            "fraction of Fock levels kept for the interior check"),
+        Opt("tol", "float", 1e-8,
+            "interior deviation tolerance, units of omega_c"),
+        Opt("detuning", "float", 0.0, "omega_10 - omega_c"),
+        Opt("out", "str", "gauge_theorem.csv", "output CSV name"),
+    ),
+        "Entrywise check that conjugating the dipole-gauge model (plus its "
+        "dropped constant) reproduces the corrected Coulomb-gauge model, "
+        "away from the truncation boundary.",
+        _cmd_gauge_theorem),
+    "fluxonium": ((
+        Opt("e_c", "float", 1.0, "charging energy"),
+        Opt("e_l", "float", 0.9, "inductive energy"),
+        Opt("e_j", "float", 3.0, "Josephson energy"),
+        Opt("omega_c", "float", 1.0,
+            "cavity frequency; set it to select raw units, with E_C, E_L, "
+            "E_J given on the same scale (outputs stay in these raw units)"),
+        Opt("chi0", "float", 0.2, "coupling amplitude chi_0"),
+        Opt("basis_size", "int", 120, "oscillator basis for the junction"),
+        Opt("cutoff", "int", 60, "cavity Fock cutoff"),
+        Opt("n_keep", "int", 6, "junction levels kept before projection"),
+        Opt("levels", "int", 3, "transitions reported"),
+        Opt("out", "str", "fluxonium.csv", "output CSV name"),
+    ),
+        "Two-level fluxonium coupled to an LC mode in the charge gauge: "
+        "naive truncation against the corrected model.",
+        _cmd_fluxonium),
+    "particle-demo": ((
+        Opt("model", "str", "harmonic", "harmonic or double_well"),
+        Opt("potential_table", "str", None,
+            "two-column x,V file overriding the named model"),
+        Opt("levels", "int", 8, "grid energies printed"),
+        Opt("kernel_levels", "ints", None,
+            "projection sizes for the nonlocality scan (default: "
+            f"{','.join(map(str, DEFAULT_KERNEL_LEVELS))}, less those above the "
+            "levels the model solves)"),
+        Opt("a0", "float", 0.3, "vector-potential amplitude q*A_0 at q=1"),
+        Opt("out", "str", "particle_demo.csv", "output CSV name"),
+    ),
+        "Single-particle toolbox: grid spectrum, TRK sum rule, nonlocality "
+        "of the projected potential, minimal-coupling identity check.",
+        _cmd_particle_demo),
+    "full-model": ((
+        Opt("model", "str", "double_well", "harmonic or double_well"),
+        Opt("m_levels", "ints", [2, 4, 8, 16, 32],
+            "comma list of matter truncation sizes"),
+        Opt("cutoff", "int", 48, "cavity Fock cutoff"),
+        Opt("a0", "float", 0.3, "vector-potential amplitude"),
+        Opt("levels", "int", 4, "transitions compared"),
+        Opt("out", "str", "full_model.csv", "output CSV name"),
+    ),
+        "Dipole against Coulomb gauge for the untruncated-matter model at "
+        "growing matter truncation; the gap must shrink.",
+        _cmd_full_model),
 }
 
 
@@ -659,9 +618,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     made: List[Path] = []
     try:
-        rc = resolve(ns)
-        made = _make_outdir(rc.outdir)
-        return _HANDLERS[rc.command](rc)
+        p = resolve(ns)
+        made = _make_outdir(p["outdir"])
+        return COMMANDS[ns.command][2](p)
     except (ValueError, OSError, configparser.Error) as e:
         # one line: configparser's messages quote the offending lines
         print("error: " + " ".join(str(e).split()), file=sys.stderr)

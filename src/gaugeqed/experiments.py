@@ -61,6 +61,8 @@ from .qops import quadrature_values
 OMEGA_C = 1.0  # all energies in units of the cavity frequency
 # factor by which the Fock cutoff grows between convergence checks
 GROWTH = 2
+# most points an eta grid may have; every preset grid has at most 64
+ETA_GRID_MAX_POINTS = 10 ** 6
 
 
 class CutoffCeilingError(Exception):
@@ -357,12 +359,20 @@ def check_converged(points: Sequence[SweepPoint], cutoff_cap: int) -> None:
 
 def default_eta_grid(eta_max: float = 1.5, step: float = 0.025,
                      include_zero: bool = True) -> Tuple[float, ...]:
+    """The points k * step up to the last at or below eta_max, k from 0,
+    or from 1 without ``include_zero``.  Raises ValueError unless step > 0
+    and eta_max >= 0, and for a grid of more than ETA_GRID_MAX_POINTS
+    points, before it is made."""
     if step <= 0 or eta_max < 0:
         raise ValueError("need step > 0 and eta_max >= 0")
     # the last point k * step stays at or below eta_max; the 1e-9 slack
     # keeps a quotient that rounding leaves just under an integer
     # (0.3 / 0.1 = 2.9999999999999996) from losing its top point
-    n = int(np.floor(eta_max / step + 1e-9))
+    last = np.floor(eta_max / step + 1e-9)
+    if last >= ETA_GRID_MAX_POINTS:
+        raise ValueError(f"the eta grid up to eta_max {eta_max:g} in steps of {step:g} "
+                         f"has over {ETA_GRID_MAX_POINTS} points")
+    n = int(last)
     grid = [round(k * step, 12) for k in range(0, n + 1)]
     if not include_zero:
         grid = [g for g in grid if g > 0]
@@ -573,7 +583,8 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# tabular emission (CSV and gnuplot); %.12e everywhere for byte-stable reruns
+# tabular emission (CSV and gnuplot); %.12e everywhere for byte-stable reruns.
+# Every table, the command line's own included, reaches disk by write_table
 # ---------------------------------------------------------------------------
 
 _UNITS_NOTE = "# energies in units of omega_c (hbar = 1); transitions are E_n - E_0"
@@ -599,10 +610,6 @@ def sweep_csv_lines(result: SweepResult) -> list:
     return lines
 
 
-def write_sweep_csv(result: SweepResult, path) -> None:
-    _write_lines(path, sweep_csv_lines(result))
-
-
 def taylor_csv_lines(study: TaylorStudy) -> list:
     lines = [_UNITS_NOTE,
              f"# taylor study at fixed cutoff={study.cutoff}, levels={study.levels}, "
@@ -618,10 +625,6 @@ def taylor_csv_lines(study: TaylorStudy) -> list:
     return lines
 
 
-def write_taylor_csv(study: TaylorStudy, path) -> None:
-    _write_lines(path, taylor_csv_lines(study))
-
-
 def alpha_csv_lines(study: AlphaStudy) -> list:
     lines = [_UNITS_NOTE,
              f"# alpha invariance: alphas={','.join(f'{a:g}' for a in study.alphas)} "
@@ -633,10 +636,6 @@ def alpha_csv_lines(study: AlphaStudy) -> list:
     for eta, s in zip(study.eta_grid, study.spreads):
         lines.append(f"{eta:.6g},{_fmt(s)}")
     return lines
-
-
-def write_alpha_csv(study: AlphaStudy, path) -> None:
-    _write_lines(path, alpha_csv_lines(study))
 
 
 def write_gnuplot_script(csv_path, gp_path, title: str, levels: int,
@@ -654,10 +653,10 @@ def write_gnuplot_script(csv_path, gp_path, title: str, levels: int,
                          f"with lines title '{m} t{lev}'")
     lines.append("plot \\\n  " + ", \\\n  ".join(plots))
     lines.append("pause -1 'press enter'")
-    _write_lines(gp_path, lines)
+    write_table(gp_path, lines)
 
 
-def _write_lines(path, lines) -> None:
+def write_table(path, lines) -> None:
     """Write ``lines`` to ``path`` atomically: into a temporary file in the
     same directory, then renamed over ``path``, so a failed write leaves any
     earlier file intact and no half-written table behind."""

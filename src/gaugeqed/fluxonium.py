@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eig
+from .linalg import check_dim, hermitian_eig
 from .qops import fock_factors, real_quadrature_functions
 from .rabi import _bare_terms, _real_cos_sin, _real_parts, _rotated_terms
 
@@ -127,8 +127,10 @@ def solve_fluxonium(p: FluxoniumParams) -> FluxoniumBasis:
     """Lowest n_keep fluxonium levels in the HO basis of the quadratic part.
 
     Raises BasisTooSmallError when doubling basis_size moves any retained
-    level by 1e-8 or more.
+    level by 1e-8 or more, and DimensionOverflowError, before any array is
+    made, when the doubled basis exceeds the dimension cap.
     """
+    check_dim(2 * p.basis_size)
     h, phi, n_zp, bd_minus_b = _flux_hamiltonian(p, p.basis_size)
     spec = hermitian_eig(h)
     h2, *_ = _flux_hamiltonian(p, 2 * p.basis_size)

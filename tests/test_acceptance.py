@@ -42,7 +42,7 @@ from gaugeqed.experiments import (
     run_sweep,
     sweep_csv_lines,
     taylor_study,
-    write_sweep_csv,
+    write_table,
 )
 from test_dicke import closed_form_at
 from test_rabi import GOLD_CSTD_T1_REL_DEV
@@ -214,7 +214,7 @@ def test_11_determinism(tmp_path):
     paths = []
     for k, res in enumerate(runs):
         path = tmp_path / f"run{k}.csv"
-        write_sweep_csv(res, path)
+        write_table(path, sweep_csv_lines(res))
         paths.append(path.read_bytes())
     same_lines = (sweep_csv_lines(runs[0]) == sweep_csv_lines(runs[1])
                   == sweep_csv_lines(runs[2]))

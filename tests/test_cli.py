@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaugeqed import ParityBands, ParityBlocks, cli, experiments, linalg, particle1d
+from gaugeqed import (ParityBands, ParityBlocks, cli, experiments, fluxonium, linalg,
+                      particle1d)
 from gaugeqed.cli import COMMANDS, build_parser, main
 from gaugeqed.qops import fock_factors
 
@@ -206,7 +207,7 @@ def test_help_shows_each_registry_default_once(capsys):
     # must show the registry default, once, and never that None
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for name, (opts, _) in COMMANDS.items():
+    for name, (opts, *_) in COMMANDS.items():
         with pytest.raises(SystemExit):
             parser.parse_args([name, "--help"])
         text = " ".join(capsys.readouterr().out.split())
@@ -466,11 +467,11 @@ def test_example_config_resolves():
     commands = [s for s in cp.sections() if s != "common"]
     assert sorted(commands) == ["alpha-check", "dicke-sweep", "fluxonium", "rabi-sweep"]
     for command in commands:
-        rc = cli.resolve(build_parser().parse_args([command, "--config", str(EXAMPLE_CONFIG)]))
-        assert (rc.command, rc.outdir, rc.threads, rc.emit_plots) == (command, "runs", 1, True)
+        p = cli.resolve(build_parser().parse_args([command, "--config", str(EXAMPLE_CONFIG)]))
+        assert (p["outdir"], p["threads"], p["emit_plots"]) == ("runs", 1, True)
         kinds = {o.key: o.kind for o in COMMANDS[command][0]}
         for key, raw in cp.items(command):
-            assert rc.params[key] == cli._parse_str(kinds[key], raw, key), (command, key)
+            assert p[key] == cli._parse_str(kinds[key], raw, key), (command, key)
 
 
 def test_common_key_in_command_section_ok(tmp_path):
@@ -616,6 +617,19 @@ def test_fluxonium_basis_too_small_exit_2(tmp_path, capsys):
             "--cutoff", "20", "--levels", "2", "--n-keep", "4"]
     assert run(argv, tmp_path) == 2
     assert "BasisTooSmall" in capsys.readouterr().err
+
+
+def test_fluxonium_basis_size_capped_before_any_array(tmp_path, monkeypatch, capsys):
+    # the basis solve and its refinement build dense (2 basis_size)^2
+    # arrays, so the doubled basis is held to the dimension cap first
+    def never(*args, **kwargs):
+        raise AssertionError("the qubit Hamiltonian was built")
+
+    monkeypatch.setattr(fluxonium, "_flux_hamiltonian", never)
+    assert run(["fluxonium", "--basis-size", "2049"], tmp_path) == 2
+    assert "DimensionOverflowError: product dimension 4098 exceeds cap 4096" \
+        in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fluxonium_solves_real_arrays_only(tmp_path, monkeypatch):
@@ -963,6 +977,24 @@ def test_particle_demo_tilted_table_solves_full_grid(tmp_path, capsys):
                      r"refinement shift \d\.\de-\d\d of 1e-06$", out, re.M)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--a0", "1.0"],
+    ["--potential-table", "{tilted}", "--kernel-levels", "2"],
+])
+def test_particle_demo_judges_the_identity_not_the_grid(tmp_path, capsys, argv):
+    # the residual scales as (q A0 dx)^2, and the bound with it: a larger
+    # amplitude, or a coarser table (3001 points, dx 6.7e-3), still passes
+    x = np.linspace(-10.0, 10.0, 3001)
+    table = tmp_path / "tilted.dat"
+    np.savetxt(table, np.column_stack([x, 0.5 * x ** 2 + 0.05 * x]))
+    argv = [a.format(tilted=table) for a in argv]
+    assert run(["particle-demo"] + argv, tmp_path) == 0
+    out = capsys.readouterr().out
+    verdict = re.search(r"^minimal-coupling identity at qA0=\S+: residual (\S+) vs bound "
+                        r"\(qA0 dx\)\^2 = (\S+), spectrum deviation \S+: PASS$", out, re.M)
+    assert verdict and 0.3 < float(verdict[1]) / float(verdict[2]) < 0.5
+
+
 def test_full_model_tilted_well_exit_2(tmp_path, monkeypatch, capsys):
     # both named models are mirror-symmetric; a basis without mirror parity
     # breaks the parity chains, and the band writer refuses it
@@ -995,10 +1027,62 @@ def test_full_model_bad_m_levels(tmp_path, capsys):
     assert "exceeds solved levels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, eta_max", [
+    (["--eta-step", "1e-300", "--eta-max", "1"], "1"),
+    (["--eta-max", "1e300", "--eta-step", "1e-300"], "1e+300"),
+])
+def test_eta_grid_size_is_checked(tmp_path, argv, eta_max):
+    # a subprocess under a time limit: the unchecked grid never returns on
+    # the first, and overflows int() with a traceback on the second
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "gaugeqed.cli", "rabi-sweep", *argv,
+                           "--outdir", str(tmp_path / "out")], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: the eta grid up to eta_max {eta_max} in steps of "
+                           "1e-300 has over 1000000 points\n")
+    assert proc.stdout == "" and list(tmp_path.iterdir()) == []
+
+
 def test_unknown_named_model(tmp_path, capsys):
     argv = ["full-model", "--model", "cubic"]
     assert run(argv, tmp_path) == 1
     assert "unknown model" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the table writer
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, written", [
+    (TINY_SWEEP + ["--emit-plots"], ["rabi_sweep.csv", "rabi_sweep.gp"]),
+    (["dicke-sweep", "--eta-max", "0.05", "--eta-step", "0.05", "--levels", "2",
+      "--out", "d.csv", "--emit-plots"], ["d.csv", "d.gp"]),
+    (["taylor-study", "--orders", "2", "--eta-max", "0.05", "--eta-step", "0.05",
+      "--cutoff", "40", "--levels", "2", "--emit-plots"], ["taylor_study.csv"]),
+    (["alpha-check", "--alphas", "0,1", "--eta", "0.1", "--levels", "2"],
+     ["alpha_check.csv"]),
+    (["gauge-theorem", "--cutoffs", "20", "--eta", "0.1", "--out", "g.csv"], ["g.csv"]),
+    (["fluxonium", "--basis-size", "60", "--cutoff", "30", "--levels", "2",
+      "--n-keep", "4"], ["fluxonium.csv"]),
+    (["particle-demo", "--kernel-levels", "2"], ["particle_demo.csv"]),
+    (["full-model", "--model", "harmonic", "--m-levels", "2,4", "--cutoff", "8"],
+     ["full_model.csv"]),
+], ids=list(COMMANDS))
+def test_every_table_goes_through_write_table(tmp_path, monkeypatch, argv, written):
+    # one call per table, at outdir/out, plus the gnuplot file of a sweep
+    # with --emit-plots; nothing else reaches the output directory
+    calls = []
+    write_table = experiments.write_table
+
+    def record(path, lines):
+        calls.append(Path(path))
+        write_table(path, lines)
+
+    monkeypatch.setattr(experiments, "write_table", record)
+    assert run(argv, tmp_path) == 0
+    assert calls == [tmp_path / name for name in written]
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(written)
 
 
 # ---------------------------------------------------------------------------
@@ -1069,7 +1153,7 @@ def test_readme_flag_tables_match_registry():
     tables = readme_flag_tables(doc)
     common, conv = tables["Common flags"]
     expected = [(common, cli._COMMON, ["--config"]), (conv, cli._CONV, [])]
-    for name, (opts, _) in COMMANDS.items():
+    for name, (opts, *_) in COMMANDS.items():
         [table] = tables[f"`{name}`"]
         expected.append((table, [o for o in opts if o not in cli._CONV], []))
     for table, opts, extra in expected:

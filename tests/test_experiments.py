@@ -414,6 +414,15 @@ def test_default_eta_grid_stops_at_eta_max():
         default_eta_grid(0.02, 0.025, include_zero=False)
 
 
+def test_default_eta_grid_refuses_a_grid_past_its_cap():
+    # 0..1 in steps of 1e-6 is one point more than ETA_GRID_MAX_POINTS; an
+    # infinite quotient is refused the same way, before int() sees it
+    assert experiments_mod.ETA_GRID_MAX_POINTS == 10 ** 6
+    for eta_max, step in ((1.0, 1e-6), (1.0, 1e-300), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="has over 1000000 points"):
+            default_eta_grid(eta_max, step)
+
+
 # ---------------------------------------------------------------------------
 # taylor and alpha studies
 # ---------------------------------------------------------------------------
@@ -654,10 +663,10 @@ def test_gnuplot_script(tmp_path):
     assert "$5" in text and "$6" in text
 
 
-def test_write_lines_replaces_atomically(tmp_path, monkeypatch):
+def test_write_table_replaces_atomically(tmp_path, monkeypatch):
     path = tmp_path / "table.csv"
-    experiments_mod._write_lines(path, ["old", "rows"])
-    experiments_mod._write_lines(path, ["new"])
+    experiments_mod.write_table(path, ["old", "rows"])
+    experiments_mod.write_table(path, ["new"])
     assert path.read_bytes() == b"new\n"
     assert [f.name for f in tmp_path.iterdir()] == ["table.csv"]
 
@@ -682,6 +691,6 @@ def test_write_lines_replaces_atomically(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments_mod, "open",
                         lambda *a, **kw: HalfWrite(builtin_open(*a, **kw)), raising=False)
     with pytest.raises(OSError, match="disk full"):
-        experiments_mod._write_lines(path, ["a longer table", "that never lands"])
+        experiments_mod.write_table(path, ["a longer table", "that never lands"])
     assert path.read_bytes() == b"new\n"
     assert [f.name for f in tmp_path.iterdir()] == ["table.csv"]

@@ -447,6 +447,32 @@ def test_minimal_coupling_residual_is_discretization(harmonic):
     assert 2.0 < r2 / r1 < 8.0
 
 
+@pytest.mark.parametrize("q_a0", [0.3, 1.0, 3.0])
+def test_minimal_coupling_bound_is_the_grid_order(harmonic, double_well, q_a0):
+    # the bound is (q A0 dx)^2, the order of the grid's error in the phase
+    # factor, so a correct substitution passes on either preset at any
+    # amplitude; the presets sit near 0.4 of it
+    for model, _ in (harmonic, double_well):
+        rep = check_minimal_coupling_identity(model, q_a0)
+        assert rep.bound == (q_a0 * model.grid.dx) ** 2
+        assert rep.passed and 0.3 < rep.residual_rel / rep.bound < 0.5
+        assert rep.spectrum_dev <= 1e-9
+
+
+@pytest.mark.parametrize("q_a0", [0.3, 1.0])
+def test_minimal_coupling_flipped_cross_term_fails(harmonic, double_well, monkeypatch,
+                                                   q_a0):
+    # a wrong substitution, (p + q A0)^2/2m for (p - q A0)^2/2m, flips the
+    # cross term's sign: the bound normalises the grid error away, not this
+    grid_bands = particle1d._grid_bands
+    monkeypatch.setattr(particle1d, "_grid_bands",
+                        lambda model, q=0.0: grid_bands(model, -q))
+    for model, _ in (harmonic, double_well):
+        rep = check_minimal_coupling_identity(model, q_a0)
+        assert not rep.passed
+        assert rep.residual_rel > 100 * rep.bound
+
+
 # ---------------------------------------------------------------------------
 # full light-matter model without two-level truncation
 # ---------------------------------------------------------------------------
