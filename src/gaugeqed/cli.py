@@ -287,7 +287,7 @@ def _cmd_taylor_study(p: Params) -> int:
     # each parity class holds one qubit level per Fock level
     rows = study.cutoff + 1
     print(f"models: parity blocks {rows}+{rows} rows at cutoff {study.cutoff}; "
-          f"lowest {min(study.levels + 1, rows)} eigenvalues of each")
+          f"lowest {min(study.levels + 1, 2 * rows)} eigenvalues of the two")
     _write_out(p, experiments.taylor_csv_lines(study))
     return 0
 

@@ -54,8 +54,8 @@ import numpy as np
 
 from . import dicke as dicke_mod
 from . import rabi as rabi_mod
-from .linalg import (LinalgError, ParityBands, ParityBlocks, hermitian_eig, parity_block_sum,
-                     parity_eigvalsh)
+from .linalg import (LinalgError, ParityBands, ParityBlocks, check_dim, hermitian_eig,
+                     parity_block_sum, parity_eigvalsh)
 from .qops import quadrature_values
 
 OMEGA_C = 1.0  # all energies in units of the cavity frequency
@@ -94,9 +94,11 @@ def lowest_transitions(H: Union[np.ndarray, ParityBlocks, ParityBands],
     and naive Coulomb models, and those that ``linalg.parity_band_sum``
     writes for the mirror-parity full models) are solved by the one parity
     solver, :func:`~gaugeqed.linalg.parity_eigvalsh`, for their lowest
-    levels + 1 eigenvalues only.  A matrix is solved by one dense complex
-    solve, :func:`~gaugeqed.linalg.hermitian_eig`.  Raises ValueError when
-    levels < 1 or when fewer than levels + 1 eigenvalues exist.
+    levels + 1 eigenvalues only, each parity sector asked only for the
+    levels among them that it can still hold.  A matrix is solved by one
+    dense complex solve, :func:`~gaugeqed.linalg.hermitian_eig`.  Raises
+    ValueError when levels < 1 or when fewer than levels + 1 eigenvalues
+    exist.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
@@ -435,7 +437,8 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
     The tables stay in this process.  Both models are
     solved from the real parity blocks ``linalg.parity_block_sum`` writes
     of their terms.  Raises ValueError for an order below 1, a repeated
-    order or tol <= 0.
+    order or tol <= 0, and DimensionOverflowError, before X is solved, when
+    the qubit-cavity dimension 2 (cutoff + 1) exceeds the cap.
     """
     if eta_grid is None:
         eta_grid = default_eta_grid(1.6, include_zero=False)
@@ -445,6 +448,7 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
         raise ValueError("orders must be >= 1")
     _reject_repeats("order", orders)
     _check_tol(tol)
+    check_dim(2 * (cutoff + 1))
 
     # one row per eta: the spectrum of 2 eta X, formed as
     # rabi.taylor_is_exact and the term lists form it
@@ -545,14 +549,17 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
     sweep point is, and the study keeps the points, so that
     :func:`check_converged` judges them as it judges a sweep's; the spread
     is taken over the transitions at the cutoff each point reached.
-    Raises ValueError when negative_control is set
+    Raises ValueError when fewer than two alphas are given, since a family
+    of one member tests no invariance, when negative_control is set
     and 1 is not among the alphas, since nothing would be replaced, when an
     alpha or an eta repeats, and when tol <= 0.
     """
     alphas = tuple(float(a) for a in alphas)
     eta_grid = tuple(float(e) for e in eta_grid)
-    if not alphas or not eta_grid:
-        raise ValueError("alphas and eta_grid must be nonempty")
+    if len(alphas) < 2:
+        raise ValueError(f"alphas must hold at least two gauges to compare, got {len(alphas)}")
+    if not eta_grid:
+        raise ValueError("eta_grid must be nonempty")
     _reject_repeats("alpha", alphas)
     _reject_repeats("eta", eta_grid)
     _check_tol(tol)

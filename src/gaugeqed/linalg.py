@@ -35,11 +35,16 @@ image of each entry, and the solver checks only finiteness.  Blocks and
 bands have no off-parity half, so parity holds by construction there.
 
 :func:`parity_eigvalsh` is the one solver for either holder, since a
-caller reads only the lowest levels + 1 eigenvalues: it solves each block
-or chain for its own lowest few and keeps the lowest of the union.  A
-block is checked once for finiteness and for symmetry by the package's
-one Hermiticity rule (``_check_hermitian``) and solved by LAPACK ?syevr;
-a chain goes to :func:`band_eigh`.
+caller reads only the lowest count = levels + 1 eigenvalues: it asks each
+block or chain only for the levels the union can still use, first the
+lowest ceil(count / 2) of each, then more from a sector whose last level
+found lies below the union's count-th, and keeps the lowest of the union.
+A block is checked once for finiteness and for symmetry by the package's
+one Hermiticity rule (``_check_hermitian``), reduced once to tridiagonal
+form by LAPACK dsytrd and bisected on demand by dstebz (Sturm counts;
+Barth, Martin and Wilkinson, *Numer. Math.* 9, 1967), the two calls of
+?syevr; a tridiagonal chain goes to dstebz itself, and a wider chain to
+:func:`band_eigh`.
 
 :func:`band_eigh` is the package's one band solver: every banded chain
 and the 1D particle's grid operators, real and complex, go through it.
@@ -59,10 +64,10 @@ LAPACK comes from one handle, ``_LAPACK``: scipy's f2py extension
 ``scipy.linalg._flapack``, loaded by file location (``_load_lapack``), so
 that importing the package loads numpy and that extension and nothing
 else of scipy; ``scipy.linalg``'s Python layer would add about 0.2 s to
-every run.  The package calls eight of its routines: dsyevr, dsbevx,
-zhbevx, dpbtrf, dpbtrs, zpbtrf, zpbtrs and dlamch.  When the extension
-does not load so, the handle is ``scipy.linalg.lapack``, which exports the
-same wrappers.
+every run.  The package calls nine of its routines: dsytrd, dstebz,
+dsbevx, zhbevx, dpbtrf, dpbtrs, zpbtrf, zpbtrs and dlamch.  When the
+extension does not load so, the handle is ``scipy.linalg.lapack``, which
+exports the same wrappers.
 
 Everything is plain double precision, checked against tolerances that the
 tests enforce rather than assume.  :class:`OperatorMatrix`,
@@ -154,8 +159,8 @@ def _load_lapack():
         return lapack
 
 
-# the package's one handle on LAPACK: dsyevr, dsbevx, zhbevx, dpbtrf,
-# dpbtrs, zpbtrf, zpbtrs and dlamch are read from it at each call
+# the package's one handle on LAPACK: dsytrd, dstebz, dsbevx, zhbevx,
+# dpbtrf, dpbtrs, zpbtrf, zpbtrs and dlamch are read from it at each call
 _LAPACK = _load_lapack()
 
 
@@ -625,43 +630,98 @@ def band_eigh(band: np.ndarray, k: int, vectors: bool = False,
     return w, None if v is None else _phase_fixed(v)
 
 
+def _tridiagonal_levels(d: np.ndarray, e: np.ndarray, il: int, iu: int,
+                        abstol: float) -> np.ndarray:
+    """Eigenvalues il..iu (counted from 1), ascending, of the symmetric
+    tridiagonal matrix with diagonal ``d`` and subdiagonal ``e``, by LAPACK
+    dstebz: bisection on Sturm counts, range 'I', order 'E' (the whole
+    matrix ascending).  Raises ConvergenceFailureError when dstebz reports
+    info != 0 or returns fewer levels than it was asked for."""
+    # range 2 selects by index (the wrapper numbers 'A', 'V', 'I' from 0);
+    # it refuses an empty e, which a 1-row matrix does not read
+    found, w, _, _, info = _LAPACK.dstebz(d, e if e.size else np.zeros(1), 2, 0.0, 1.0,
+                                          il, iu, abstol, "E")
+    if info != 0 or found != iu - il + 1:
+        raise ConvergenceFailureError(
+            f"eigensolver did not converge: dstebz info {info}, {found} of levels "
+            f"{il}..{iu} found")
+    return w[:found]
+
+
+def _sector_levels(sector: np.ndarray, banded: bool, c: int):
+    """Check parity block or chain ``c`` of a parity solve and return its
+    solver: levels(il, iu), its eigenvalues il..iu (counted from 1).
+
+    A block is checked for finiteness and by the package's one symmetry rule
+    (``_check_hermitian``), then reduced once to tridiagonal form by LAPACK
+    dsytrd, and each request is bisected by dstebz at abstol 0: the calls
+    dsyevr makes, with the workspace it hands dsytrd (21 rows out of the
+    wrapper's default 26), so that the levels are dsyevr's bit for bit.  A
+    chain of width 1 is checked for finiteness and is its own tridiagonal
+    form, bisected at abstol 2 dlamch('s') as ?sbevx bisects it, bit for
+    bit.  Any other chain is solved from its lowest level by
+    :func:`band_eigh` for each request.
+    """
+    if not np.isfinite(sector).all():
+        raise LinalgError(f"parity {'chain' if banded else 'block'} {c} has a "
+                          f"non-finite entry")
+    if not banded:
+        _check_hermitian(sector, f"parity block {c} is not symmetric:")
+        # LAPACK reads one triangle; the check bounds its mirror's difference
+        _, d, e, _, info = _LAPACK.dsytrd(sector, lower=1, lwork=21 * sector.shape[0])
+        if info != 0:
+            raise ConvergenceFailureError(f"tridiagonal reduction failed: dsytrd info {info}")
+        abstol = 0.0
+    elif sector.shape[0] == 2:
+        d, e = sector[0], sector[1, :-1]
+        abstol = 2 * _LAPACK.dlamch("s")
+    else:
+        return lambda il, iu: band_eigh(sector, iu)[0][il - 1:]
+    return lambda il, iu: _tridiagonal_levels(d, e, il, iu, abstol)
+
+
 def parity_eigvalsh(H: Union[ParityBlocks, ParityBands], count: int) -> np.ndarray:
     """The lowest ``count`` eigenvalues of the operator whose real parity
     blocks ``H`` holds, as :class:`ParityBlocks` or as the banded chains of
     :class:`ParityBands`, ascending and read-only (fewer when the blocks
     hold fewer).
 
-    Each block or chain is solved for its own lowest min(count, rows)
-    eigenvalues, and the lowest ``count`` of the union are the operator's.
-    A chain goes to :func:`band_eigh`.  A block is checked once for
-    finiteness and by the package's one symmetry rule
-    (``_check_hermitian``), then solved by LAPACK ?syevr in range 'I'
-    (``dsyevr`` of the loader's ``_LAPACK``: reduction to tridiagonal form, then
-    bisection for the selected indices, or all of them by the root-free QR
-    when every index is selected).
+    Each block or chain (a sector) is solved only for the levels the union
+    can still use (``_sector_levels`` says how).  Each sector is first
+    asked for its lowest ceil(count / sectors) levels, or all its rows if
+    it has fewer.  Then, while the union of the levels found has a
+    count-th smallest value ``top`` (infinity while it holds fewer than
+    ``count``), a sector with levels left whose last level found lies
+    below ``top`` is asked for the next ones that could still be among the
+    lowest ``count``: as many as ``count`` less the union's levels at or
+    below its last.  A sector whose last level reaches ``top`` holds no
+    level below it, so the lowest ``count`` of the union are then the
+    operator's.
 
-    Raises ValueError when count < 1, LinalgError on a non-finite block
-    entry, NonHermitianError when a block's max|B - B^T| exceeds
-    HERMITICITY_RTOL * max(max|B|, 1), ConvergenceFailureError if LAPACK
-    does not converge, and otherwise what :func:`band_eigh` raises.
+    Raises ValueError when count < 1, LinalgError on a non-finite entry,
+    NonHermitianError when a block's max|B - B^T| exceeds
+    HERMITICITY_RTOL * max(max|B|, 1), ConvergenceFailureError when a
+    LAPACK call reports info != 0 or dstebz finds fewer levels than asked,
+    and otherwise what :func:`band_eigh` raises.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if isinstance(H, ParityBands):
-        ws = [band_eigh(chain, min(count, chain.shape[1]))[0] for chain in H.chains]
-    else:
-        ws = []
-        for c, block in enumerate(H.blocks):
-            if not np.isfinite(block).all():
-                raise LinalgError(f"parity block {c} has a non-finite entry")
-            _check_hermitian(block, f"parity block {c} is not symmetric:")
-            # LAPACK reads one triangle; the check bounds its mirror's difference
-            w, _, found, _, info = _LAPACK.dsyevr(
-                block, compute_v=0, range="I", lower=1, il=1, iu=min(count, block.shape[0]))
-            if info != 0:
-                raise ConvergenceFailureError(f"eigensolver did not converge: ?syevr info {info}")
-            ws.append(w[:found])
-    w = np.sort(np.concatenate(ws))[:count]
+    banded = isinstance(H, ParityBands)
+    sectors = H.chains if banded else H.blocks
+    rows = [sector.shape[1] for sector in sectors]
+    solvers = [_sector_levels(sector, banded, c) for c, sector in enumerate(sectors)]
+    first = -(-count // len(sectors))
+    found = [solve(1, min(first, n)) for solve, n in zip(solvers, rows)]
+    while True:
+        union = np.sort(np.concatenate(found))
+        # per sector, the levels left that could still be among the lowest count
+        more = [min(count - int(np.searchsorted(union, w[-1], side="right")), n - w.size)
+                for w, n in zip(found, rows)]
+        if max(more) <= 0:
+            break
+        found = [np.concatenate([w, solve(w.size + 1, w.size + m)]) if m > 0 else w
+                 for w, m, solve in zip(found, more, solvers)]
+    w = union[:count]
     w.flags.writeable = False
     return w
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from gaugeqed import (ParityBands, ParityBlocks, cli, experiments, fluxonium, linalg,
-                      particle1d)
+                      particle1d, qops)
 from gaugeqed.cli import COMMANDS, build_parser, main
 from gaugeqed.qops import fock_factors
 
@@ -498,7 +498,7 @@ def test_taylor_study_quick(tmp_path, capsys):
     out = capsys.readouterr().out
     assert re.search(r"order 2: eta_star = ", out)
     assert re.search(r"^models: parity blocks 41\+41 rows at cutoff 40; "
-                     r"lowest 4 eigenvalues of each$", out, re.M)
+                     r"lowest 4 eigenvalues of the two$", out, re.M)
     assert out.index("order 2:") < out.index("models:") < out.index("wrote")
     assert (tmp_path / "taylor_study.csv").exists()
 
@@ -509,6 +509,29 @@ def test_repeated_taylor_order_exits_1(tmp_path, capsys):
     assert run(argv, tmp_path) == 1
     assert "repeated order in 2,2" in capsys.readouterr().err
     assert not (tmp_path / "taylor_study.csv").exists()
+
+
+def test_taylor_cutoff_past_the_cap_exits_2_before_solving_x(tmp_path, monkeypatch, capsys):
+    # the (cutoff + 1)-square X would take about 75 GiB at cutoff 100000;
+    # the qubit-cavity dimension 2 (cutoff + 1) is held to the cap first
+    def unreachable(cutoff):
+        raise AssertionError(f"X solved at cutoff {cutoff}")
+
+    monkeypatch.setattr(qops, "quadrature_eig", unreachable)
+    argv = ["taylor-study", "--cutoff", "100000", "--eta-max", "0.05"]
+    assert run(argv, tmp_path) == 2
+    assert "DimensionOverflowError: product dimension 200002 exceeds cap 4096" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "taylor_study.csv").exists()
+
+
+def test_single_alpha_exits_1(tmp_path, capsys):
+    # a family of one member has no spread to judge, so no PASS
+    assert run(["alpha-check", "--alphas", "0.5", "--levels", "3"], tmp_path) == 1
+    captured = capsys.readouterr()
+    assert "alphas must hold at least two gauges to compare, got 1" in captured.err
+    assert "PASS" not in captured.out
+    assert not (tmp_path / "alpha_check.csv").exists()
 
 
 def test_repeated_alpha_exits_1(tmp_path, capsys):
@@ -637,13 +660,16 @@ def test_fluxonium_solves_real_arrays_only(tmp_path, monkeypatch):
     # qubit at basis size 60, X and the qubit at the doubled size 120, then
     # the two (cutoff + 1)-square parity blocks of the naive model, X at the
     # cavity cutoff for cos/sin, and the two blocks of the corrected model;
-    # each block is solved for its lowest levels + 1 = 3 eigenvalues
+    # each block is reduced to tridiagonal form once, and the two blocks'
+    # lowest 2 + 2 levels hold the lowest levels + 1 = 3, so no block is
+    # bisected for more
     fock_factors.cache_clear()
     seen = []
     for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
-                         (linalg._LAPACK, "dsyevr")):
+                         (linalg._LAPACK, "dsytrd"), (linalg._LAPACK, "dstebz")):
         def record(a, *args, _name=name, _solve=getattr(module, name), **kwargs):
-            seen.append((_name, a.dtype, a.shape, kwargs.get("iu")))
+            # dstebz's index range il..iu is its 6th and 7th argument
+            seen.append((_name, a.dtype, a.shape, args[4:6] if _name == "dstebz" else None))
             return _solve(a, *args, **kwargs)
 
         monkeypatch.setattr(module, name, record)
@@ -651,10 +677,10 @@ def test_fluxonium_solves_real_arrays_only(tmp_path, monkeypatch):
             "--levels", "2", "--n-keep", "4"]
     assert run(argv, tmp_path) == 0
     real = np.dtype(np.float64)
+    blocks = [("dsytrd", real, (31, 31), None)] * 2 + [("dstebz", real, (31,), (1, 2))] * 2
     assert seen == [("eigh", real, (60, 60), None)] * 2 + [
-        ("eigh", real, (120, 120), None), ("eigvalsh", real, (120, 120), None)] + [
-        ("dsyevr", real, (31, 31), 3)] * 2 + [("eigh", real, (31, 31), None)] + [
-        ("dsyevr", real, (31, 31), 3)] * 2
+        ("eigh", real, (120, 120), None), ("eigvalsh", real, (120, 120), None)] + blocks + [
+        ("eigh", real, (31, 31), None)] + blocks
 
 
 @pytest.mark.parametrize("argv", [
@@ -888,12 +914,14 @@ def test_full_model_shift_above_spectrum_exit_2(tmp_path, monkeypatch, capsys):
 
 
 def record_solvers(monkeypatch):
-    """Log (dtype, rows) of every dense eigenvalue solve, by eigvalsh or
-    ?syevr, and (band, its selected index range, from 0, as eig_banded's
-    select_range) of every ?sbevx or ?hbevx call."""
+    """Log (dtype, rows) of every dense eigenvalue solve, by eigvalsh or by
+    the tridiagonal reduction dsytrd, and (routine, band shape, its selected
+    index range, from 0, as eig_banded's select_range) of every ?sbevx or
+    ?hbevx call and of every dstebz bisection, whose band is the
+    tridiagonal (2, rows)."""
     seen, banded = [], []
 
-    for module, name in ((np.linalg, "eigvalsh"), (linalg._LAPACK, "dsyevr")):
+    for module, name in ((np.linalg, "eigvalsh"), (linalg._LAPACK, "dsytrd")):
         def record(a, *args, _solve=getattr(module, name), **kwargs):
             seen.append((a.dtype, a.shape[0]))
             return _solve(a, *args, **kwargs)
@@ -901,12 +929,18 @@ def record_solvers(monkeypatch):
         monkeypatch.setattr(module, name, record)
 
     for name in ("dsbevx", "zhbevx"):
-        def record_banded(ab, vl, vu, il, iu, *args, _solve=getattr(linalg._LAPACK, name),
-                          **kwargs):
-            banded.append((ab, {"select_range": (il - 1, iu - 1)}))
+        def record_banded(ab, vl, vu, il, iu, *args, _name=name,
+                          _solve=getattr(linalg._LAPACK, name), **kwargs):
+            banded.append((_name, ab.shape, (il - 1, iu - 1)))
             return _solve(ab, vl, vu, il, iu, *args, **kwargs)
 
         monkeypatch.setattr(linalg._LAPACK, name, record_banded)
+
+    def record_bisection(d, e, select, vl, vu, il, iu, *args, _solve=linalg._LAPACK.dstebz):
+        banded.append(("dstebz", (2, d.size), (il - 1, iu - 1)))
+        return _solve(d, e, select, vl, vu, il, iu, *args)
+
+    monkeypatch.setattr(linalg._LAPACK, "dstebz", record_bisection)
     return seen, banded
 
 
@@ -916,18 +950,20 @@ def test_full_model_solves_parity_blocks(tmp_path, monkeypatch):
             "--cutoff", "8"]
     assert run(argv, tmp_path) == 0
     # D then C at m=2 (dim 18), then at m=4 (dim 36): two parity chains each,
-    # solved for their lowest levels + 1 = 5 eigenvalues; no dense solve
+    # asked for ceil(5 / 2) = 3 of the lowest levels + 1 = 5 eigenvalues,
+    # whose union holds the lowest 5, so no chain is asked again; the m=2 D
+    # chains are tridiagonal and bisected by dstebz itself; no dense solve
     assert seen == []
-    assert [(band.shape, kwargs["select_range"]) for band, kwargs in banded] == \
-        [((2, 9), (0, 4))] * 2 + [((3, 9), (0, 4))] * 2 \
-        + [((4, 18), (0, 4))] * 2 + [((5, 18), (0, 4))] * 2
+    assert banded == [("dstebz", (2, 9), (0, 2))] * 2 + [("dsbevx", (3, 9), (0, 2))] * 2 \
+        + [("dsbevx", (4, 18), (0, 2))] * 2 + [("dsbevx", (5, 18), (0, 2))] * 2
 
 
 def test_full_model_defaults_route_wide_chains_to_shift_invert(tmp_path, monkeypatch):
-    """At the defaults the m = 2, 4 and 8 chains go to ?sbevx and the
-    m = 16 and 32 chains, after the four grid solves, to shift-invert
-    Lanczos, which factors each band once by ?pbtrf; the Rabi chains of a
-    sweep out to eta = 3 never reach it."""
+    """At the defaults the m = 2 D chains, which are tridiagonal, go to
+    dstebz, the other m = 2, 4 and 8 chains to ?sbevx, and the m = 16 and
+    32 chains, after the four grid solves, to shift-invert Lanczos, which
+    factors each band once by ?pbtrf; the Rabi chains of a sweep out to
+    eta = 3 never reach it."""
     eigsh_rows = []
     for name in ("dpbtrf", "zpbtrf"):
         def record(ab, *args, _factor=getattr(linalg._LAPACK, name), **kwargs):
@@ -938,7 +974,9 @@ def test_full_model_defaults_route_wide_chains_to_shift_invert(tmp_path, monkeyp
     _, banded = record_solvers(monkeypatch)
     assert run(["full-model"], tmp_path) == 0
     # m (cutoff + 1) / 2 rows a chain, two chains each for D and C
-    assert [band.shape[1] for band, _ in banded] == [49] * 4 + [98] * 4 + [196] * 4
+    assert [(name, shape[1]) for name, shape, _ in banded] == \
+        [("dstebz", 49)] * 2 + [("dsbevx", 49)] * 2 + [("dsbevx", 98)] * 4 \
+        + [("dsbevx", 196)] * 4
     assert all(rows > 3000 for rows in eigsh_rows[:4])
     assert eigsh_rows[4:] == [392] * 4 + [784] * 4
     eigsh_rows.clear()

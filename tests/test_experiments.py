@@ -125,27 +125,82 @@ def test_lowest_transitions_needs_levels():
             lowest_transitions(H, 6)
 
 
+def record_parity_solves(monkeypatch):
+    """Log each parity solve of the experiments as a dict: its "count", the
+    (shape, dtype) of each block that dsytrd "reduced", and its "asks", one
+    (routine, sector, band shape, il, iu) per dstebz or ?sbevx call: the
+    sector numbered in the order first asked, the band a chain's (the
+    tridiagonal (2, rows) for dstebz) and il..iu the index range asked,
+    counted from 1."""
+    solves = []
+    lapack = linalg_mod._LAPACK
+    solve, dsytrd, dstebz, dsbevx = (experiments_mod.parity_eigvalsh, lapack.dsytrd,
+                                     lapack.dstebz, lapack.dsbevx)
+
+    def parity_eigvalsh(H, count):
+        solves.append({"count": count, "reduced": [], "asks": [], "sectors": []})
+        return solve(H, count)
+
+    def ask(routine, sector, shape, il, iu):
+        # a sector hands LAPACK the same array at each of its calls
+        known = solves[-1]["sectors"]
+        if not any(seen is sector for seen in known):
+            known.append(sector)
+        k = [seen is sector for seen in known].index(True)
+        solves[-1]["asks"].append((routine, k, shape, il, iu))
+
+    def reduce(a, **kwargs):
+        solves[-1]["reduced"].append((a.shape, a.dtype))
+        return dsytrd(a, **kwargs)
+
+    def bisect(d, e, select, vl, vu, il, iu, *args):
+        ask("dstebz", d, (2, d.size), il, iu)
+        return dstebz(d, e, select, vl, vu, il, iu, *args)
+
+    def banded(ab, vl, vu, il, iu, *args, **kwargs):
+        ask("dsbevx", ab, ab.shape, il, iu)
+        return dsbevx(ab, vl, vu, il, iu, *args, **kwargs)
+
+    monkeypatch.setattr(experiments_mod, "parity_eigvalsh", parity_eigvalsh)
+    for name, fn in (("dsytrd", reduce), ("dstebz", bisect), ("dsbevx", banded)):
+        monkeypatch.setattr(lapack, name, fn)
+    return solves
+
+
+def sector_ranges(solve):
+    """The index ranges each sector of a recorded parity solve was asked
+    for, in the order asked."""
+    ranges = {}
+    for _, k, _, il, iu in solve["asks"]:
+        ranges.setdefault(k, []).append((il, iu))
+    return [ranges[k] for k in sorted(ranges)]
+
+
+def assert_levels_asked_once(solve):
+    """Each sector of a two-sector parity solve was first asked for its
+    lowest ceil(count / 2) levels, then only for levels not yet asked, and
+    for none past the count-th."""
+    first = -(-solve["count"] // 2)
+    for ranges in sector_ranges(solve):
+        assert ranges[0] == (1, first)
+        assert all(il == iu + 1 for (_, iu), (il, _) in zip(ranges, ranges[1:]))
+        assert ranges[-1][1] <= solve["count"]
+
+
 @pytest.mark.parametrize("family,models,n_dipoles", [
     ("rabi", ("D", "Cstd", "Ccorr"), 1),
     ("dicke", ("std", "corr", "dipole"), 2),
 ])
 def test_sweep_solves_real_half_blocks(monkeypatch, family, models, n_dipoles):
     """Every dense sweep solve is real and at most half the product
-    dimension, rounded up, and asks ?syevr for the lowest levels + 1
-    eigenvalues only; the two blocks of one build add up to its dimension.
-    The banded Rabi models make no dense solve."""
-    solves = []
-    dsyevr = linalg_mod._LAPACK.dsyevr
-
-    def recording(a, *args, **kwargs):
-        assert (kwargs["range"], kwargs["il"], kwargs["iu"]) == ("I", 1, 4)
-        solves.append((a.shape, a.dtype))
-        return dsyevr(a, *args, **kwargs)
-
+    dimension, rounded up: each of its two blocks is reduced to tridiagonal
+    form once, and the two add up to the build's dimension.  Each block is
+    bisected only for levels among the lowest levels + 1, none twice.  The
+    banded Rabi models make no dense solve."""
     def dense(*args, **kwargs):
         raise AssertionError("full-spectrum eigvalsh called")
 
-    monkeypatch.setattr(linalg_mod._LAPACK, "dsyevr", recording)
+    solves = record_parity_solves(monkeypatch)
     monkeypatch.setattr(np.linalg, "eigvalsh", dense)
     policy = ConvergencePolicy(cutoff0=5, tol=1e-6)
     spec = SweepSpec(models=models, eta_grid=SMALL_GRID, family=family,
@@ -155,44 +210,71 @@ def test_sweep_solves_real_half_blocks(monkeypatch, family, models, n_dipoles):
     dims = [(n_dipoles + 1) * (policy.cutoff0 * GROWTH ** k + 1)
             for p in result.points if p.model not in BANDED_RABI_MODELS
             for k in range(len(p.trail) + 1)]
-    assert len(solves) == 2 * len(dims)
-    for (even, odd), dim in zip(zip(solves[::2], solves[1::2]), dims):
+    dense_solves = [solve for solve in solves if solve["reduced"]]
+    assert len(dense_solves) == len(dims)
+    for solve, dim in zip(dense_solves, dims):
+        even, odd = solve["reduced"]
         for shape, dtype in (even, odd):
             assert dtype == np.float64
             assert shape[0] == shape[1] <= math.ceil(dim / 2)
         assert even[0][0] + odd[0][0] == dim
+        assert solve["count"] == 4 and len(sector_ranges(solve)) == 2
+        assert {routine for routine, *_ in solve["asks"]} == {"dstebz"}
+        assert_levels_asked_once(solve)
     if family == "dicke":
         assert any(dim % 2 for dim in dims)  # odd dimensions round up
 
 
 def test_rabi_sweep_solves_d_and_cstd_as_bands(monkeypatch):
     """A Rabi sweep never assembles or densely solves D or Cstd: each build
-    is two chains handed to ?sbevx, tridiagonal for D and pentadiagonal for
-    Cstd, each solved for the lowest levels + 1 eigenvalues: selected by
-    index (range 2, eig_banded's select "i"), 0..3 counted from 0."""
+    is two chains, the tridiagonal D chains bisected by dstebz itself and
+    the pentadiagonal Cstd chains handed to ?sbevx, each asked for the
+    lowest ceil(4 / 2) = 2 of the lowest levels + 1 = 4 eigenvalues,
+    selected by index, and for more only where the union lacks them."""
     def dense(*args, **kwargs):
         raise AssertionError("dense path taken")
 
     for name in ("build_H_D", "build_H_C_standard"):
         monkeypatch.setattr(rabi_mod, name, dense)
     monkeypatch.setattr(np.linalg, "eigvalsh", dense)
-    solves = []
-    dsbevx = linalg_mod._LAPACK.dsbevx
-
-    def recording(a_band, vl, vu, il, iu, *args, **kwargs):
-        select = {2: "i"}.get(kwargs["range"], kwargs["range"])
-        solves.append((a_band.shape, select, (il - 1, iu - 1)))
-        return dsbevx(a_band, vl, vu, il, iu, *args, **kwargs)
-
-    monkeypatch.setattr(linalg_mod._LAPACK, "dsbevx", recording)
+    solves = record_parity_solves(monkeypatch)
     policy = ConvergencePolicy(cutoff0=5, tol=1e-6)
     result = run_sweep(SweepSpec(models=("D", "Cstd"), eta_grid=SMALL_GRID,
                                  levels_reported=3, policy=policy))
     assert all(p.converged for p in result.points)
-    want = [((2 if p.model == "D" else 3, policy.cutoff0 * GROWTH ** k + 1),
-             "i", (0, 3))
-            for p in result.points for k in range(len(p.trail) + 1) for _ in (0, 1)]
-    assert solves == want
+    want = [[("dstebz", 0, (2, rows), 1, 2), ("dstebz", 1, (2, rows), 1, 2)]
+            if p.model == "D" else
+            [("dsbevx", 0, (3, rows), 1, 2), ("dsbevx", 1, (3, rows), 1, 2)]
+            for p in result.points for k in range(len(p.trail) + 1)
+            for rows in [policy.cutoff0 * GROWTH ** k + 1]]
+    assert [solve["asks"][:2] for solve in solves] == want
+    for solve in solves:
+        assert solve["reduced"] == [] and solve["count"] == 4
+        routine = solve["asks"][0][0]
+        assert {name for name, *_ in solve["asks"]} == {routine}
+        for ranges in sector_ranges(solve):
+            # ?sbevx solves a chain again from its lowest level
+            assert ranges[0] == (1, 2) and ranges[-1][1] <= 4
+            assert all(iu > iu0 and il == (iu0 + 1 if routine == "dstebz" else 1)
+                       for (_, iu0), (il, iu) in zip(ranges, ranges[1:]))
+
+
+def test_deep_rabi_sweep_asks_each_level_once(monkeypatch, tmp_path):
+    """On the deep Rabi sweep (eta to 3.0 in steps of 0.05, the benchmark's
+    rabi-deep) no parity solve asks a sector for an index twice, and each
+    asks for fewer than 2 count levels in all, where solving each sector for
+    the lowest count would ask for 2 count."""
+    solves = record_parity_solves(monkeypatch)
+    argv = ["rabi-sweep", "--eta-max", "3.0", "--eta-step", "0.05", "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    # D's chains bisected, Cstd's handed to ?sbevx, Ccorr's blocks reduced
+    assert {(routine, shape[0]) for solve in solves for routine, _, shape, *_ in solve["asks"]} \
+        == {("dstebz", 2), ("dsbevx", 3)}
+    assert any(solve["reduced"] for solve in solves)
+    for solve in solves:
+        asked = [(k, i) for k, ranges in enumerate(sector_ranges(solve))
+                 for il, iu in ranges for i in range(il, iu + 1)]
+        assert len(asked) == len(set(asked)) < 2 * solve["count"]
 
 
 def test_block_models_never_assemble_the_matrix(monkeypatch, tmp_path, harmonic):
@@ -549,22 +631,22 @@ def test_taylor_study_table_matches_per_point_evaluation():
 
 
 def test_taylor_study_solves_the_lowest_levels_only(monkeypatch):
-    """Every solve of the study asks ?syevr for the lowest levels + 1
-    eigenvalues of one 31-row block; none is a full eigvalsh."""
-    eigvalsh, solves = [], []
+    """Every solve of the study reduces its two 31-row blocks once each and
+    asks dstebz only for levels among the lowest levels + 1, none twice;
+    none is a full eigvalsh."""
+    eigvalsh = []
     counting(monkeypatch, np.linalg, "eigvalsh", eigvalsh, lambda a: a.shape)
-    dsyevr = linalg_mod._LAPACK.dsyevr
-
-    def recording(a, **kwargs):
-        solves.append((a.shape, kwargs["range"], kwargs["il"], kwargs["iu"]))
-        return dsyevr(a, **kwargs)
-
-    monkeypatch.setattr(linalg_mod._LAPACK, "dsyevr", recording)
+    solves = record_parity_solves(monkeypatch)
     study = taylor_study((2, 60), eta_grid=TAYLOR_GRID[:8], cutoff=30, levels=3)
     assert study.scanned(0) > 0 and study.exact_points == (0, 6)
     assert eigvalsh == []
-    assert solves and len(solves) % 2 == 0
-    assert set(solves) == {((31, 31), "I", 1, 4)}
+    assert solves
+    for solve in solves:
+        assert solve["count"] == 4
+        assert solve["reduced"] == [((31, 31), np.float64)] * 2
+        assert {(routine, shape) for routine, _, shape, *_ in solve["asks"]} == \
+            {("dstebz", (2, 31))}
+        assert_levels_asked_once(solve)
 
 
 @pytest.mark.parametrize("eta", TAYLOR_GRID[:6:2])
@@ -614,6 +696,9 @@ def test_alpha_verdict_unconverged_is_not_pass():
 def test_alpha_study_validation():
     with pytest.raises(ValueError):
         alpha_invariance_study((), (0.5,))
+    # one member has no spread to judge: refused rather than a PASS
+    with pytest.raises(ValueError, match="at least two gauges to compare, got 1$"):
+        alpha_invariance_study((0.5,), (0.8,))
     # the negative control swaps the alpha=1 member; without one it has
     # nothing to swap, and must not be reported as a failed control
     with pytest.raises(ValueError, match="alphas must include 1"):

@@ -86,7 +86,8 @@ def names(source: str) -> set:
 
 @pytest.mark.parametrize("owned, owner", [
     ({"eig_banded", "eigsh", "dsyevr", "eigh", "eigvalsh", "dsbevx", "zhbevx", "dpbtrf",
-      "dpbtrs", "zpbtrf", "zpbtrs", "dlamch", "_LAPACK", "shift_invert_eigsh"}, "linalg.py"),
+      "dpbtrs", "zpbtrf", "zpbtrs", "dlamch", "dsytrd", "dsytrd_lwork", "dstebz", "_LAPACK",
+      "shift_invert_eigsh"}, "linalg.py"),
     ({"_real_ladder"}, "qops.py"),
 ])
 def test_one_owner_names_each_solver_and_the_ladder(owned, owner):

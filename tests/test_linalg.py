@@ -470,18 +470,38 @@ def test_banded_parity_eigvalsh_errors(monkeypatch):
     for bad in (np.nan, np.inf):
         broken = odd.copy()
         broken[1, 2] = bad
-        with pytest.raises(LinalgError, match="non-finite"):
+        with pytest.raises(LinalgError, match="parity chain 1 has a non-finite entry"):
             parity_eigvalsh(ParityBands((even, broken)), 3)
 
-    dsbevx = linalg._LAPACK.dsbevx
+    # the tridiagonal D chains go to dstebz, which must report info 0 and
+    # every level it was asked for; the pentadiagonal Cstd chains to ?sbevx
+    wide = ParityBands(tuple(chain.copy() for chain in
+                             bands_H_C_standard(RabiParams(eta=0.5, cutoff=6)).chains))
+    dstebz, dsbevx = linalg._LAPACK.dstebz, linalg._LAPACK.dsbevx
 
-    def failing(*args, **kwargs):
+    def failing(*args):
+        m, w, iblock, isplit, _ = dstebz(*args)
+        return m, w, iblock, isplit, 1
+
+    def short(*args):
+        m, w, iblock, isplit, info = dstebz(*args)
+        return m - 1, w, iblock, isplit, info
+
+    for broken_solver, match in ((failing, "dstebz info 1"), (short, "dstebz info 0, 1 of")):
+        monkeypatch.setattr(linalg._LAPACK, "dstebz", broken_solver)
+        with pytest.raises(ConvergenceFailureError, match=match):
+            parity_eigvalsh(ParityBands((even, odd)), 3)
+        parity_eigvalsh(wide, 3)
+    monkeypatch.setattr(linalg._LAPACK, "dstebz", dstebz)
+
+    def failing_band(*args, **kwargs):
         w, z, m, ifail, _ = dsbevx(*args, **kwargs)
         return w, z, m, ifail, 1
 
-    monkeypatch.setattr(linalg._LAPACK, "dsbevx", failing)
-    with pytest.raises(ConvergenceFailureError):
-        parity_eigvalsh(ParityBands((even, odd)), 3)
+    monkeypatch.setattr(linalg._LAPACK, "dsbevx", failing_band)
+    with pytest.raises(ConvergenceFailureError, match="info 1"):
+        parity_eigvalsh(wide, 3)
+    parity_eigvalsh(ParityBands((even, odd)), 3)
 
 
 def test_block_parity_eigvalsh_checks_each_block(monkeypatch):
@@ -516,15 +536,30 @@ def test_block_parity_eigvalsh_checks_each_block(monkeypatch):
             else:
                 parity_eigvalsh(blocks, count)
 
-    dsyevr = linalg._LAPACK.dsyevr
+    # a block is reduced by dsytrd and bisected by dstebz; either failing,
+    # or dstebz finding fewer levels than asked, is a typed error
+    dsytrd, dstebz = linalg._LAPACK.dsytrd, linalg._LAPACK.dstebz
 
-    def failing(*args, **kwargs):
-        w, z, m, isuppz, _ = dsyevr(*args, **kwargs)
-        return w, z, m, isuppz, 1
+    def failing_reduction(*args, **kwargs):
+        *out, _ = dsytrd(*args, **kwargs)
+        return (*out, 1)
 
-    monkeypatch.setattr(linalg._LAPACK, "dsyevr", failing)
-    with pytest.raises(ConvergenceFailureError, match="info 1"):
-        parity_eigvalsh(ParityBlocks((even.copy(), odd.copy())), 3)
+    def failing_bisection(*args):
+        *out, _ = dstebz(*args)
+        return (*out, 2)
+
+    def short_bisection(*args):
+        m, *out = dstebz(*args)
+        return (m - 1, *out)
+
+    for name, broken_solver, match in (
+            ("dsytrd", failing_reduction, "^tridiagonal reduction failed: dsytrd info 1$"),
+            ("dstebz", failing_bisection, "dstebz info 2, 2 of levels 1..2 found$"),
+            ("dstebz", short_bisection, "dstebz info 0, 1 of levels 1..2 found$")):
+        monkeypatch.setattr(linalg._LAPACK, name, broken_solver)
+        with pytest.raises(ConvergenceFailureError, match=match):
+            parity_eigvalsh(ParityBlocks((even.copy(), odd.copy())), 3)
+        monkeypatch.undo()
 
 
 def lowest_block_cases():
@@ -557,6 +592,90 @@ def test_block_parity_eigvalsh_count_past_the_rows_returns_all():
         w = parity_eigvalsh(blocks, count)
         assert w.size == min(count, 20)
         assert np.abs(w - full[:count]).max() <= 1e-12 * max(np.abs(full).max(), 1.0)
+
+
+def random_block(rows, offset, seed):
+    """A symmetric block with eigenvalues offset + 0, 1, ..., rows - 1 in a
+    random orthogonal basis."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((rows, rows)))
+    block = (q * (offset + np.arange(rows))) @ q.T
+    return (block + block.T) / 2
+
+
+def random_chain(rows, width, offset, seed):
+    """A symmetric band in LAPACK lower storage: standard normal entries,
+    the diagonal raised by offset, zeros past the end of each subdiagonal."""
+    chain = np.random.default_rng(seed).standard_normal((width + 1, rows))
+    chain[0] += offset
+    for r in range(1, width + 1):
+        chain[r, rows - r:] = 0.0
+    return chain
+
+
+def dense_band(chain):
+    """The symmetric matrix whose lower band ``chain`` holds."""
+    rows = chain.shape[1]
+    dense = np.diag(chain[0])
+    for r in range(1, min(chain.shape[0], rows)):
+        dense += np.diag(chain[r, :rows - r], -r) + np.diag(chain[r, :rows - r], r)
+    return dense
+
+
+def demand_cases():
+    """(name, holder, its assembled operator, counts) for the demand rule:
+    sectors whose lowest levels all lie in one of them, either one; exact
+    ties across sectors; a sector with fewer rows than the count; 1-row
+    sectors; and width-1 (dstebz), width-2 (?sbevx) and shift-invert
+    chains."""
+    low, high = random_block(20, 0.0, 1), random_block(20, 100.0, 2)
+    few = random_block(3, -1.0, 3)
+    for name, blocks in (("lowest in block 0", (low, high)), ("lowest in block 1", (high, low)),
+                         ("tied blocks", (low, low.copy())), ("3-row block", (few, high)),
+                         ("1-row blocks", (np.array([[2.0]]), np.array([[-1.0]]))),
+                         ("1-row and 20-row block", (np.array([[5.5]]), low))):
+        yield (name, ParityBlocks(tuple(b.copy() for b in blocks)),
+               scipy.linalg.block_diag(*blocks), (1, 2, 3, 5, 6, 7, 21, 40, 41, 100))
+    for width, rows, counts in ((1, 40, (1, 2, 5, 6, 7, 41, 80, 81)),
+                                (2, 40, (1, 2, 5, 6, 7, 41, 80, 81)),
+                                (3, 600, (1, 2, 5, 6, 7, 13))):
+        lo, hi = random_chain(rows, width, 0.0, 4), random_chain(rows, width, 100.0, 5)
+        for name, chains in (("lowest in chain 0", (lo, hi)), ("lowest in chain 1", (hi, lo)),
+                             ("tied chains", (lo, lo.copy()))):
+            yield (f"width {width} {name}", ParityBands(tuple(c.copy() for c in chains)),
+                   scipy.linalg.block_diag(*map(dense_band, chains)), counts)
+    for width in (1, 2):
+        chains = (random_chain(1, width, 3.0, 6), random_chain(1, width, -2.0, 7))
+        yield (f"width {width} 1-row chains", ParityBands(chains),
+               scipy.linalg.block_diag(*map(dense_band, chains)), (1, 2, 3))
+
+
+def test_parity_eigvalsh_demand_rule_matches_the_assembled_operator():
+    """Asking each sector only for the levels the union can still use gives
+    the lowest ``count`` eigenvalues of the assembled operator, to 1e-12 of
+    its scale, for every case of ``demand_cases`` and count, past one
+    sector's rows and past all of them (then every level, ascending)."""
+    for name, H, dense, counts in demand_cases():
+        full = np.linalg.eigvalsh(dense)
+        scale = max(float(np.abs(dense).max()), 1.0)
+        for count in counts:
+            w = parity_eigvalsh(H, count)
+            assert w.shape == (min(count, full.size),), (name, count)
+            assert not w.flags.writeable and np.all(np.diff(w) >= 0), (name, count)
+            dev = float(np.abs(w - full[:count]).max())
+            assert dev <= 1e-12 * scale, (name, count, dev)
+
+
+def test_shift_invert_chain_goes_to_lanczos(monkeypatch):
+    """The 600-row width-3 chains of ``demand_cases`` are solved by
+    shift-invert Lanczos, so the demand rule's second pass reaches it."""
+    calls = []
+    solve = linalg.shift_invert_eigsh
+    monkeypatch.setattr(linalg, "shift_invert_eigsh",
+                        lambda band, k, *args: calls.append(k) or solve(band, k, *args))
+    lo, hi = random_chain(600, 3, 0.0, 4), random_chain(600, 3, 100.0, 5)
+    parity_eigvalsh(ParityBands((lo, hi)), 6)
+    # 3 levels from each, then chain 0 solved again for 6
+    assert calls == [3, 3, 6]
 
 
 # ---------------------------------------------------------------------------
