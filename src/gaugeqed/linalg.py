@@ -37,8 +37,10 @@ bands have no off-parity half, so parity holds by construction there.
 :func:`parity_eigvalsh` is the one solver for either holder, since a
 caller reads only the lowest count = levels + 1 eigenvalues: it asks each
 block or chain only for the levels the union can still use, first the
-lowest ceil(count / 2) of each, then more from a sector whose last level
-found lies below the union's count-th, and keeps the lowest of the union.
+lowest ceil(count / 2) of each (count // 2 + 1 of a chain wider than
+tridiagonal, which is solved afresh at each ask), then more from a sector
+whose last level found lies below the union's count-th, and keeps the
+lowest of the union.
 A block is checked once for finiteness and for symmetry by the package's
 one Hermiticity rule (``_check_hermitian``), reduced once to tridiagonal
 form by LAPACK dsytrd and bisected on demand by dstebz (Sturm counts;
@@ -465,20 +467,24 @@ def parity_band_sum(terms) -> ParityBands:
 
 # a wanted Ritz pair (theta, y) of the inverse has converged when
 # ||OP y - theta y|| = |beta_m s_mi| <= LANCZOS_RTOL * theta: ARPACK's test
-# at its default tolerance, machine epsilon.  The residuals are first read
-# at 2k + LANCZOS_EXTRA steps, then every LANCZOS_STRIDE steps.  Steps to
+# at its default tolerance, machine epsilon.  From the constant start the
+# residuals are first read at 2k + LANCZOS_EXTRA steps, from a caller's
+# start at k + 2 LANCZOS_STRIDE, then every LANCZOS_STRIDE steps.  Steps to
 # convergence, by the residuals read at every step: 52-60 for the grids'
 # 16 levels a parity, 71-72 for 25, 34-50 for 8 and 35-36 for the full
-# models' 5.  A stride of 4 against 8 took the whole 6001- and 12001-row
-# grids at 8 levels from 24 and 35 ms to 17 and 28 ms (one thread), where
-# a read costs an eigh of the small projection; the basis is capped at
-# four times the first read
+# models' 5; from the prolonged coarse levels, the refined grids' 16 levels
+# a parity take 36 (the double well) and 40 (the harmonic well).  A stride
+# of 4 against 8 took the whole 6001- and 12001-row grids at 8 levels from
+# 24 and 35 ms to 17 and 28 ms (one thread), where a read costs an eigh of
+# the small projection; either way the basis is capped at
+# 4 (2k + LANCZOS_EXTRA) vectors
 LANCZOS_RTOL = float(np.finfo(float).eps)
 LANCZOS_EXTRA = 24
 LANCZOS_STRIDE = 4
 
 
-def shift_invert_eigsh(bands: np.ndarray, k: int, sigma: float, vectors: bool):
+def shift_invert_eigsh(bands: np.ndarray, k: int, sigma: float, vectors: bool,
+                       start: Optional[np.ndarray] = None):
     """The lowest k eigenvalues, ascending, and with ``vectors`` (else None)
     their eigenvectors, of the Hermitian operator in LAPACK lower band
     storage ``bands`` (real symmetric or complex Hermitian), by shift-invert
@@ -493,14 +499,24 @@ def shift_invert_eigsh(bands: np.ndarray, k: int, sigma: float, vectors: bool):
     are then the k largest eigenvalues theta of OP, lambda = sigma + 1/theta.
 
     The basis starts from the constant vector, which keeps repeated runs
-    bit-identical, and each new vector is orthogonalised against the whole
-    basis twice (classical Gram-Schmidt, repeated).  The Ritz pairs come
-    from the tridiagonal projection T_m = tridiag(beta, alpha, beta), and
-    the solve stops once every wanted pair's residual |beta_m s_mi| is at
-    most LANCZOS_RTOL * theta_i, or once the basis spans the whole space.
-    Where the basis spans an invariant subspace (beta_m below roundoff), it
-    goes on from a fixed pseudo-random vector, as ARPACK restarts.  Raises
-    ConvergenceFailureError when the basis reaches its cap unconverged.
+    bit-identical, or from ``start`` (a nonzero vector of n entries, which
+    the solve normalises) when a caller has one close to the span of the
+    wanted eigenvectors: the grid refinement check passes the coarse
+    levels prolonged to the refined grid.  Each new vector is
+    orthogonalised against the whole basis twice (classical Gram-Schmidt,
+    repeated).  The Ritz pairs come from the tridiagonal projection
+    T_m = tridiag(beta, alpha, beta), and the solve stops once every wanted
+    pair's residual |beta_m s_mi| is at most LANCZOS_RTOL * theta_i, or once
+    the basis spans the whole space.  The residuals are first read at
+    2k + LANCZOS_EXTRA steps from the constant start and at
+    k + 2 LANCZOS_STRIDE from a given one, then every LANCZOS_STRIDE steps;
+    the test and the cap are the same for both.  A start with no weight on
+    a wanted level can converge on the next level up in its place, so the
+    levels it returns can only lie higher: a start moves where the solve
+    stops, never below the spectrum.  Where the basis spans an invariant
+    subspace (beta_m below roundoff), it goes on from a fixed pseudo-random
+    vector, as ARPACK restarts.  Raises ConvergenceFailureError when the
+    basis reaches its cap unconverged.
     """
     n = bands.shape[1]
     if np.iscomplexobj(bands):
@@ -515,11 +531,16 @@ def shift_invert_eigsh(bands: np.ndarray, k: int, sigma: float, vectors: bool):
             f"shift {sigma:.6e} is not below the spectrum of the {n}-row band "
             f"operator (?pbtrf info {info})")
 
-    check = min(n, 2 * k + LANCZOS_EXTRA)
-    cap = min(n, 4 * check)
+    cold = 2 * k + LANCZOS_EXTRA
+    cap = min(n, 4 * cold)
     # rows are the basis vectors; pages past the steps taken stay untouched
     basis = np.empty((cap, n), dtype=bands.dtype)
-    basis[0] = 1.0 / np.sqrt(n)
+    if start is None:
+        check = min(n, cold)
+        basis[0] = 1.0 / np.sqrt(n)
+    else:
+        check = min(n, k + 2 * LANCZOS_STRIDE)
+        basis[0] = start / np.linalg.norm(start)
     alpha, beta = np.zeros(cap), np.zeros(cap)
 
     def orthogonalise(w, m):
@@ -590,7 +611,7 @@ def _below_gershgorin(chain: np.ndarray) -> float:
 
 
 def band_eigh(band: np.ndarray, k: int, vectors: bool = False,
-              sigma: Optional[float] = None):
+              sigma: Optional[float] = None, start: Optional[np.ndarray] = None):
     """The lowest k eigenvalues, ascending, and with ``vectors`` (else None)
     their eigenvectors, phase-fixed as :func:`hermitian_eig` fixes them, of
     the Hermitian operator in LAPACK lower band storage ``band`` (real
@@ -600,9 +621,10 @@ def band_eigh(band: np.ndarray, k: int, vectors: bool = False,
     and either ``vectors`` or rows^2 * width above SHIFT_INVERT_MIN_WORK it
     is :func:`shift_invert_eigsh` about ``sigma``, by default just below
     the band's Gershgorin lower bound (``_below_gershgorin``), which ?pbtrf
-    certifies again; otherwise LAPACK ?sbevx or ?hbevx (reduction to
-    tridiagonal form, then bisection for the selected indices), called as
-    ``scipy.linalg.eig_banded`` calls it, which takes no shift.
+    certifies again, with the Lanczos ``start`` vector when one is given;
+    otherwise LAPACK ?sbevx or ?hbevx (reduction to tridiagonal form, then
+    bisection for the selected indices), called as ``scipy.linalg.eig_banded``
+    calls it, which takes neither a shift nor a start.
 
     Raises LinalgError on a non-finite entry, ShiftAboveSpectrumError when
     ?pbtrf refuses the shift, and ConvergenceFailureError if LAPACK or the
@@ -613,7 +635,7 @@ def band_eigh(band: np.ndarray, k: int, vectors: bool = False,
     rows, width = band.shape[1], band.shape[0] - 1
     if (vectors or rows * rows * width > SHIFT_INVERT_MIN_WORK) and k < rows - 1:
         w, v = shift_invert_eigsh(band, k, _below_gershgorin(band) if sigma is None else sigma,
-                                  vectors)
+                                  vectors, start)
     else:
         # the arguments scipy.linalg.eig_banded passes in its select="i"
         # path, whose outputs these are bit for bit: range 2 (by index),
@@ -660,7 +682,8 @@ def _sector_levels(sector: np.ndarray, banded: bool, c: int):
     chain of width 1 is checked for finiteness and is its own tridiagonal
     form, bisected at abstol 2 dlamch('s') as ?sbevx bisects it, bit for
     bit.  Any other chain is solved from its lowest level by
-    :func:`band_eigh` for each request.
+    :func:`band_eigh` for each request; ``parity_eigvalsh`` asks it for one
+    level more at first, so that an even count seldom asks it twice.
     """
     if not np.isfinite(sector).all():
         raise LinalgError(f"parity {'chain' if banded else 'block'} {c} has a "
@@ -688,13 +711,15 @@ def parity_eigvalsh(H: Union[ParityBlocks, ParityBands], count: int) -> np.ndarr
 
     Each block or chain (a sector) is solved only for the levels the union
     can still use (``_sector_levels`` says how).  Each sector is first
-    asked for its lowest ceil(count / sectors) levels, or all its rows if
-    it has fewer.  Then, while the union of the levels found has a
-    count-th smallest value ``top`` (infinity while it holds fewer than
-    ``count``), a sector with levels left whose last level found lies
-    below ``top`` is asked for the next ones that could still be among the
-    lowest ``count``: as many as ``count`` less the union's levels at or
-    below its last.  A sector whose last level reaches ``top`` holds no
+    asked for its lowest ceil(count / sectors) levels, a chain of width 2
+    or more, which :func:`band_eigh` solves afresh at each ask, for
+    count // sectors + 1 (the same at an odd count, one more at an even
+    one), or all its rows if it has fewer.  Then, while the union of the
+    levels found has a count-th smallest value ``top`` (infinity while it
+    holds fewer than ``count``), a sector with levels left whose last level
+    found lies below ``top`` is asked for the next ones that could still be
+    among the lowest ``count``: as many as ``count`` less the union's levels
+    at or below its last.  A sector whose last level reaches ``top`` holds no
     level below it, so the lowest ``count`` of the union are then the
     operator's.
 
@@ -710,8 +735,12 @@ def parity_eigvalsh(H: Union[ParityBlocks, ParityBands], count: int) -> np.ndarr
     sectors = H.chains if banded else H.blocks
     rows = [sector.shape[1] for sector in sectors]
     solvers = [_sector_levels(sector, banded, c) for c, sector in enumerate(sectors)]
-    first = -(-count // len(sectors))
-    found = [solve(1, min(first, n)) for solve, n in zip(solvers, rows)]
+    # a chain that band_eigh solves is solved again from its lowest level
+    # when asked twice, so it is first asked for count // sectors + 1, which
+    # is ceil(count / sectors) at an odd count
+    first = [count // len(sectors) + 1 if banded and sector.shape[0] > 2
+             else -(-count // len(sectors)) for sector in sectors]
+    found = [solve(1, min(f, n)) for solve, f, n in zip(solvers, first, rows)]
     while True:
         union = np.sort(np.concatenate(found))
         # per sector, the levels left that could still be among the lowest count

@@ -262,13 +262,25 @@ def _shift(model: ParticleModel) -> float:
     return float(model.potential.min()) - 1.0
 
 
-def _solve_grid(model: ParticleModel, vectors: bool):
+def _solve_grid(model: ParticleModel, vectors: bool, start: Optional[np.ndarray] = None):
     """The lowest eigen_count levels on the whole grid, the solve of a model
     without mirror symmetry: ascending energies and, with ``vectors`` (else
     None), eigenfunctions normalized to sum(psi^2) dx = 1 and signed so that
-    the largest-magnitude sample is positive."""
-    w, v = band_eigh(_grid_bands(model), model.eigen_count, vectors, _shift(model))
+    the largest-magnitude sample is positive.  ``start``, samples on the
+    grid, is the Lanczos start vector (``linalg.band_eigh``)."""
+    w, v = band_eigh(_grid_bands(model), model.eigen_count, vectors, _shift(model), start)
     return w, None if v is None else v / np.sqrt(model.grid.dx)
+
+
+def _prolonged(v: np.ndarray) -> np.ndarray:
+    """Samples ``v`` carried to the grid of half the spacing: ``v`` itself
+    at the even points and the 4-point stencil (-1, 9, 9, -1)/16 at the
+    midpoints, with ``v`` zero past the edges."""
+    padded = np.concatenate([[0.0], v, [0.0]])
+    fine = np.empty(2 * v.size - 1)
+    fine[0::2] = v
+    fine[1::2] = (9.0 * (v[:-1] + v[1:]) - padded[:-3] - padded[3:]) / 16.0
+    return fine
 
 
 def _first_derivative(v: np.ndarray, dx: float) -> np.ndarray:
@@ -326,39 +338,48 @@ def _fold(model: ParticleModel, parity: int) -> np.ndarray:
     return bands
 
 
-def _half_solve(model: ParticleModel, parity: int, k: int, vectors: bool):
+def _half_solve(model: ParticleModel, parity: int, k: int, vectors: bool,
+                start: Optional[np.ndarray] = None):
     """Lowest k levels of mirror parity ``parity`` from the folded operator:
     ascending energies and, with ``vectors`` (else None), their
     eigenfunctions rebuilt on the whole grid by mirroring, normalized to
     sum(psi^2) dx = 1 and signed as ``linalg.band_eigh`` signs the folded
-    vectors."""
-    w, u = band_eigh(_fold(model, parity), k, vectors, _shift(model))
+    vectors.  ``start``, samples on the whole grid, is folded as the
+    operator is and is the Lanczos start vector."""
+    n = model.grid.n_points
+    first_point = _half_start(n, parity)
+    if start is not None:
+        start = start[first_point:].copy()
+        if n % 2 == 1 and parity > 0:
+            start[0] /= np.sqrt(2.0)
+    w, u = band_eigh(_fold(model, parity), k, vectors, _shift(model), start)
     if not vectors:
         return w, None
-    n = model.grid.n_points
     if n % 2 == 1 and parity > 0:
         u[0] *= np.sqrt(2.0)
-    start = _half_start(n, parity)
     psi = np.zeros((n, k))
-    psi[start:] = u
-    psi[: n - start] = parity * u[::-1]
+    psi[first_point:] = u
+    psi[: n - first_point] = parity * u[::-1]
     # each half carries half the weight
     return w, psi / np.sqrt(2.0 * model.grid.dx)
 
 
-def _mirror_solve(model: ParticleModel, vectors: bool):
+def _mirror_solve(model: ParticleModel, vectors: bool, starts=(None, None)):
     """Both parities of a mirror-symmetric model on the half grid, merged by
     index: level i is the parity (-1)^i state, as the bound states of a 1D
     well alternate in parity (``_check_interleaved`` verifies it).  Returns
-    the energies and, with ``vectors`` (else None), the eigenfunctions."""
+    the energies and, with ``vectors`` (else None), the eigenfunctions.
+    ``starts`` holds the even and the odd solve's Lanczos start, samples on
+    the whole grid that ``_half_solve`` folds; ``solve_particle`` passes the
+    coarse levels of each parity prolonged to the refined grid."""
     n, m = model.grid.n_points, model.eigen_count
     w = np.empty(m)
     psi = np.empty((n, m)) if vectors else None
-    for first, parity in ((0, 1), (1, -1)):
+    for (first, parity), start in zip(((0, 1), (1, -1)), starts):
         k = len(range(first, m, 2))
         if k == 0:
             continue
-        w[first::2], cols = _half_solve(model, parity, k, vectors)
+        w[first::2], cols = _half_solve(model, parity, k, vectors, start)
         if vectors:
             psi[:, first::2] = cols
     return w, psi
@@ -384,7 +405,15 @@ def solve_particle(model: ParticleModel) -> MatterBasis:
     banded Cholesky shift-invert Lanczos, whose ?pbtrf factor certifies that
     the shift lies below the spectrum (ShiftAboveSpectrumError otherwise);
     the eigenvalues alone of a band too small for it, and a band too crowded
-    for Lanczos, by LAPACK ?sbevx.
+    for Lanczos, by LAPACK ?sbevx.  The refined grid's Lanczos starts from
+    the coarse eigenfunctions it has to reproduce (nested iteration): once
+    they pass the boundary check, the sum of each parity's (of all, on the
+    whole grid) is prolonged to the refined grid (``_prolonged``) and folded
+    as the operator is, and the solve stops after about 36 steps a parity
+    where the constant start takes 56.  This cannot turn a failing check
+    into a pass: Lanczos levels never lie below the operator's, and a level
+    that the start misses is replaced by the next one up, which raises the
+    shift.
 
     A mirror-symmetric model (see ``_mirror_symmetric``) is solved on
     x >= 0, one half-grid solve per parity (``_fold``), and its levels are
@@ -405,10 +434,11 @@ def solve_particle(model: ParticleModel) -> MatterBasis:
     fine = model.refined()
     if mirror:
         _check_interleaved(w, g)
-        w_fine, _ = _mirror_solve(fine, False)
+        starts = [_prolonged(psi[:, first::2].sum(axis=1)) for first in (0, 1)]
+        w_fine, _ = _mirror_solve(fine, False, starts)
         _check_interleaved(w_fine, fine.grid)
     else:
-        w_fine, _ = _solve_grid(fine, False)
+        w_fine, _ = _solve_grid(fine, False, _prolonged(psi.sum(axis=1)))
     shift = float(np.abs(w - w_fine).max())
     if shift > GRID_SHIFT_MAX:
         raise GridTooCoarseError(

@@ -346,8 +346,8 @@ def test_parity_order_error_exit_2(tmp_path, capsys, monkeypatch):
     # index; even levels lifted past the odd ones break that merge
     half_solve = particle1d._half_solve
 
-    def lifted_even(model, parity, k, vectors):
-        w, psi = half_solve(model, parity, k, vectors)
+    def lifted_even(model, parity, k, vectors, start=None):
+        w, psi = half_solve(model, parity, k, vectors, start)
         return (w + 1.5 if parity > 0 else w), psi
 
     monkeypatch.setattr(particle1d, "_half_solve", lifted_even)

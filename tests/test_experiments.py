@@ -228,9 +228,11 @@ def test_sweep_solves_real_half_blocks(monkeypatch, family, models, n_dipoles):
 def test_rabi_sweep_solves_d_and_cstd_as_bands(monkeypatch):
     """A Rabi sweep never assembles or densely solves D or Cstd: each build
     is two chains, the tridiagonal D chains bisected by dstebz itself and
-    the pentadiagonal Cstd chains handed to ?sbevx, each asked for the
-    lowest ceil(4 / 2) = 2 of the lowest levels + 1 = 4 eigenvalues,
-    selected by index, and for more only where the union lacks them."""
+    the pentadiagonal Cstd chains handed to ?sbevx, selected by index.  Of
+    the lowest levels + 1 = 4 eigenvalues, a D chain is first asked for
+    ceil(4 / 2) = 2 and for more only where the union lacks them; a Cstd
+    chain, which ?sbevx would solve again from its lowest level, is asked
+    once for 4 // 2 + 1 = 3, two band solves a build."""
     def dense(*args, **kwargs):
         raise AssertionError("dense path taken")
 
@@ -244,7 +246,7 @@ def test_rabi_sweep_solves_d_and_cstd_as_bands(monkeypatch):
     assert all(p.converged for p in result.points)
     want = [[("dstebz", 0, (2, rows), 1, 2), ("dstebz", 1, (2, rows), 1, 2)]
             if p.model == "D" else
-            [("dsbevx", 0, (3, rows), 1, 2), ("dsbevx", 1, (3, rows), 1, 2)]
+            [("dsbevx", 0, (3, rows), 1, 3), ("dsbevx", 1, (3, rows), 1, 3)]
             for p in result.points for k in range(len(p.trail) + 1)
             for rows in [policy.cutoff0 * GROWTH ** k + 1]]
     assert [solve["asks"][:2] for solve in solves] == want
@@ -252,10 +254,11 @@ def test_rabi_sweep_solves_d_and_cstd_as_bands(monkeypatch):
         assert solve["reduced"] == [] and solve["count"] == 4
         routine = solve["asks"][0][0]
         assert {name for name, *_ in solve["asks"]} == {routine}
+        if routine == "dsbevx":
+            assert len(solve["asks"]) == 2
         for ranges in sector_ranges(solve):
-            # ?sbevx solves a chain again from its lowest level
-            assert ranges[0] == (1, 2) and ranges[-1][1] <= 4
-            assert all(iu > iu0 and il == (iu0 + 1 if routine == "dstebz" else 1)
+            assert ranges[0] == (1, 2 if routine == "dstebz" else 3) and ranges[-1][1] <= 4
+            assert all(iu > iu0 and il == iu0 + 1
                        for (_, iu0), (il, iu) in zip(ranges, ranges[1:]))
 
 

@@ -667,15 +667,16 @@ def test_parity_eigvalsh_demand_rule_matches_the_assembled_operator():
 
 def test_shift_invert_chain_goes_to_lanczos(monkeypatch):
     """The 600-row width-3 chains of ``demand_cases`` are solved by
-    shift-invert Lanczos, so the demand rule's second pass reaches it."""
+    shift-invert Lanczos, so the demand rule's second pass reaches it: at
+    the even count 6, each chain is first asked for 6 // 2 + 1 = 4."""
     calls = []
     solve = linalg.shift_invert_eigsh
     monkeypatch.setattr(linalg, "shift_invert_eigsh",
                         lambda band, k, *args: calls.append(k) or solve(band, k, *args))
     lo, hi = random_chain(600, 3, 0.0, 4), random_chain(600, 3, 100.0, 5)
     parity_eigvalsh(ParityBands((lo, hi)), 6)
-    # 3 levels from each, then chain 0 solved again for 6
-    assert calls == [3, 3, 6]
+    # 4 levels from each, then chain 0 solved again for 6
+    assert calls == [4, 4, 6]
 
 
 # ---------------------------------------------------------------------------
@@ -877,6 +878,38 @@ def test_lanczos_goes_on_past_an_invariant_subspace():
     assert np.abs(w - want).max() <= 1e-12
     assert np.abs(v.T @ v - np.eye(6)).max() <= 1e-12
     assert np.abs(chain[0][:, None] * v - v * w).max() <= 1e-12
+
+
+def exact_eigenvector_starts():
+    """(name, band, start) with ``start`` an exact eigenvector of ``band``,
+    so that the basis spans an invariant subspace after one step: a unit
+    vector of a diagonal chain with shuffled distinct levels, at its lowest
+    level and at one above the six wanted (the solve goes on from a fresh
+    vector), and the constant vector of a Neumann second-difference chain
+    plus 3, whose rows sum to 3 exactly (it goes on from the roundoff of
+    the factor's solve)."""
+    diagonal = np.zeros((2, 80))
+    diagonal[0] = np.random.default_rng(7).permutation(np.arange(1.0, 81.0))
+    for level in (1.0, 9.0):
+        yield f"diagonal at {level}", diagonal, (diagonal[0] == level).astype(float)
+    neumann = np.zeros((2, 500))
+    neumann[0] = 5.0
+    neumann[0, [0, -1]] = 4.0
+    neumann[1, :-1] = -1.0
+    yield "neumann", neumann, np.ones(500)
+
+
+@pytest.mark.parametrize("band,start", [pytest.param(band, start, id=name)
+                                        for name, band, start in exact_eigenvector_starts()])
+def test_lanczos_from_an_exact_eigenvector_finds_the_lowest_levels(band, start):
+    """A start that is one exact eigenvector still gives the lowest k
+    levels of ?sbevx, to 1e-12 of the band scale, with orthonormal
+    eigenvectors: the solve goes on past the invariant subspace."""
+    k = 6
+    want = eig_banded_lowest(band, k)
+    w, v = linalg.shift_invert_eigsh(band, k, linalg._below_gershgorin(band), True, start)
+    assert np.abs(w - want).max() <= 1e-12 * float(np.abs(band).max())
+    assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("complex_band", [False, True])

@@ -303,28 +303,40 @@ def test_even_point_table_keeps_mirror_parity(tmp_path):
 
 def test_mirror_model_solves_half_grids(monkeypatch):
     # one shift-invert solve per parity and grid, each on at most half the
-    # points with at most half the levels
-    calls, factored = [], []
-    solve, dpbtrf = linalg.shift_invert_eigsh, linalg._LAPACK.dpbtrf
+    # points with at most half the levels; only the refined grid's two
+    # solves start from the coarse levels, and each takes fewer Lanczos
+    # steps (?pbtrs applications of the inverse) than the coarse solve of
+    # its parity from the constant vector
+    calls, factored, steps = [], [], []
+    solve = linalg.shift_invert_eigsh
+    dpbtrf, dpbtrs = linalg._LAPACK.dpbtrf, linalg._LAPACK.dpbtrs
 
-    def record(bands, k, *args):
-        calls.append((bands.shape[1], k))
-        return solve(bands, k, *args)
+    def record(bands, k, sigma, vectors, start=None):
+        steps.append(0)
+        calls.append((bands.shape[1], k, start is not None))
+        return solve(bands, k, sigma, vectors, start)
+
+    def step(*args, **kw):
+        steps[-1] += 1
+        return dpbtrs(*args, **kw)
 
     # the shifted operator's inverse comes from its banded Cholesky factor,
     # one per solve
     monkeypatch.setattr(linalg, "shift_invert_eigsh", record)
     monkeypatch.setattr(linalg._LAPACK, "dpbtrf",
                         lambda ab, **kw: factored.append(ab.shape[1]) or dpbtrf(ab, **kw))
+    monkeypatch.setattr(linalg._LAPACK, "dpbtrs", step)
     model = double_well_model()
     basis = solve_particle(model)
     assert basis.mirror_parity
     n, m = model.grid.n_points, model.eigen_count
     assert len(calls) == 4
-    assert factored == [rows for rows, _ in calls]
-    for (rows, k), grid_points in zip(calls, (n, n, 2 * n - 1, 2 * n - 1)):
+    assert factored == [rows for rows, *_ in calls]
+    for (rows, k, _), grid_points in zip(calls, (n, n, 2 * n - 1, 2 * n - 1)):
         assert rows <= (grid_points + 1) // 2
         assert k <= -(-m // 2)
+    assert [started for *_, started in calls] == [False, False, True, True]
+    assert steps[2] < steps[0] and steps[3] < steps[1]
 
 
 @pytest.mark.parametrize("eigen_count", [199, 198])
@@ -348,11 +360,41 @@ def test_mirror_parity_selection_rules(preset, request):
         assert np.all(elems[forbidden] == 0)
 
 
-def test_tilted_table_has_no_mirror_parity(tmp_path):
+def tilted_table(tmp_path):
+    """The 2001-point harmonic well tilted by 0.05 x over [-10, 10], from a
+    two-column table: a grid without mirror symmetry."""
     x = np.linspace(-10.0, 10.0, 2001)
     path = tmp_path / "tilted.dat"
     np.savetxt(path, np.column_stack([x, 0.5 * x ** 2 + 0.05 * x]))
-    model = model_from_table(path, eigen_count=6)
+    return model_from_table(path, eigen_count=6)
+
+
+@pytest.mark.parametrize("case", ["harmonic", "double_well", "tilted"])
+def test_warm_started_refinement_matches_cold_start(monkeypatch, tmp_path, case):
+    """The refined grid's solves, started from the prolonged coarse levels
+    (each preset's two mirror halves, the tilted table's whole grid), give
+    the levels of the same solve from the constant vector to
+    1e-12 max(|lambda|, 1)."""
+    warm = []
+    solve = linalg.shift_invert_eigsh
+
+    def both(bands, k, sigma, vectors, start=None):
+        w, v = solve(bands, k, sigma, vectors, start)
+        if start is not None:
+            warm.append((w, solve(bands, k, sigma, vectors)[0]))
+        return w, v
+
+    monkeypatch.setattr(linalg, "shift_invert_eigsh", both)
+    model = {"harmonic": harmonic_model, "double_well": double_well_model,
+             "tilted": lambda: tilted_table(tmp_path)}[case]()
+    solve_particle(model)
+    assert len(warm) == (1 if case == "tilted" else 2)
+    for w, cold in warm:
+        assert np.all(np.abs(w - cold) <= 1e-12 * np.maximum(np.abs(cold), 1.0))
+
+
+def test_tilted_table_has_no_mirror_parity(tmp_path):
+    model = tilted_table(tmp_path)
     basis = solve_particle(model)
     assert not basis.mirror_parity
     # <0|x|0> is finite, so x (x) i(a^dag - a) mixes the parity classes
