@@ -25,6 +25,6 @@ for k in (2, 4, 8, 16, 32):
 # TRK sum rule: the harmonic oscillator saturates it with a single term
 print(f"\nTRK sum, 2 levels: {trk_sum(basis, model, m_used=2):.12f}")
 
-rep = check_minimal_coupling_identity(model, A0=0.3)
+rep = check_minimal_coupling_identity(model, basis, A0=0.3)
 print(f"minimal-coupling identity: residual {rep.residual_rel:.2e} "
-      f"(4th-order grid), spectrum shift {rep.spectrum_dev:.2e}")
+      f"(4th-order grid), substituted levels vs bare {rep.spectrum_dev:.2e}")

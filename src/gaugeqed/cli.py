@@ -433,7 +433,7 @@ def _cmd_particle_demo(p: Params) -> int:
         ker = particle1d.nonlocal_kernel(basis, model, k)
         print(f"projected potential, k={k:3d}: off-diagonal weight "
               f"{ker.off_diagonality:.6e}")
-    report = particle1d.check_minimal_coupling_identity(model, p["a0"])
+    report = particle1d.check_minimal_coupling_identity(model, basis, p["a0"])
     print(f"minimal-coupling identity at qA0={report.q_a0:g}: residual "
           f"{report.residual_rel:.3e} vs bound (qA0 dx)^2 = {report.bound:.3e}, "
           f"spectrum deviation {report.spectrum_dev:.3e}: "
@@ -451,10 +451,9 @@ def _cmd_full_model(p: Params) -> int:
     _check_matter_levels("m_levels", p["m_levels"], model)
     _check_positive(p, "levels", "cutoff")
     cutoff, levels, smallest = p["cutoff"], p["levels"], min(p["m_levels"])
-    # each model has m (cutoff + 1) states, known before the grid solve
-    if levels + 1 > smallest * (cutoff + 1):
-        raise ValueError(f"levels {levels} needs {levels + 1} eigenvalues, but m_levels "
-                         f"{smallest} at cutoff {cutoff} has {smallest * (cutoff + 1)}")
+    # each model has m (cutoff + 1) states
+    experiments.check_levels_fit(levels, smallest * (cutoff + 1),
+                                 f"m_levels {smallest} at cutoff {cutoff}")
     check_dim(max(p["m_levels"]) * (cutoff + 1))
     # the models read the lowest max(m_levels) levels, so the grid solve and
     # its refinement check cover exactly those

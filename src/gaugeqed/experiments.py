@@ -192,6 +192,15 @@ def _reject_repeats(what: str, values: Sequence) -> None:
         raise ValueError(f"repeated {what} in {shown}")
 
 
+def check_levels_fit(levels: int, states: int, smallest: str) -> None:
+    """Raise ValueError when ``levels`` transitions need more eigenvalues
+    than the ``states`` of the smallest model solved, which ``smallest``
+    names: known from the arguments, so checked before any solve."""
+    if levels + 1 > states:
+        raise ValueError(f"levels {levels} needs {levels + 1} eigenvalues, but "
+                         f"{smallest} has {states}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     models: Tuple[str, ...]
@@ -223,6 +232,10 @@ class SweepSpec:
             raise ValueError("levels_reported must be >= 2")
         if self.n_dipoles < 1:
             raise ValueError("n_dipoles must be >= 1")
+        # every model of either family has (N + 1)(cutoff + 1) states
+        c0 = self.policy.cutoff0
+        check_levels_fit(self.levels_reported, (self.n_dipoles + 1) * (c0 + 1),
+                         f"cutoff0 {c0} with {self.n_dipoles} dipole(s)")
 
 
 @dataclass(frozen=True)
@@ -438,7 +451,9 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
     solved from the real parity blocks ``linalg.parity_block_sum`` writes
     of their terms.  Raises ValueError for an order below 1, a repeated
     order or tol <= 0, and DimensionOverflowError, before X is solved, when
-    the qubit-cavity dimension 2 (cutoff + 1) exceeds the cap.
+    the qubit-cavity dimension 2 (cutoff + 1) exceeds the cap; then
+    ValueError, still before X is solved, when levels + 1 exceeds that
+    dimension.
     """
     if eta_grid is None:
         eta_grid = default_eta_grid(1.6, include_zero=False)
@@ -449,6 +464,7 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
     _reject_repeats("order", orders)
     _check_tol(tol)
     check_dim(2 * (cutoff + 1))
+    check_levels_fit(levels, 2 * (cutoff + 1), f"cutoff {cutoff}")
 
     # one row per eta: the spectrum of 2 eta X, formed as
     # rabi.taylor_is_exact and the term lists form it
@@ -552,7 +568,8 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
     Raises ValueError when fewer than two alphas are given, since a family
     of one member tests no invariance, when negative_control is set
     and 1 is not among the alphas, since nothing would be replaced, when an
-    alpha or an eta repeats, and when tol <= 0.
+    alpha or an eta repeats, when tol <= 0, and when levels + 1 exceeds
+    the 2 (cutoff0 + 1) states of a member at the first cutoff.
     """
     alphas = tuple(float(a) for a in alphas)
     eta_grid = tuple(float(e) for e in eta_grid)
@@ -563,6 +580,8 @@ def alpha_invariance_study(alphas: Sequence[float], eta_grid: Sequence[float],
     _reject_repeats("alpha", alphas)
     _reject_repeats("eta", eta_grid)
     _check_tol(tol)
+    # every member has 2 (cutoff + 1) states
+    check_levels_fit(levels, 2 * (policy.cutoff0 + 1), f"cutoff0 {policy.cutoff0}")
     if negative_control and 1.0 not in alphas:
         raise ValueError("the negative control replaces the alpha=1 member; "
                          "alphas must include 1")

@@ -15,8 +15,10 @@ Provides the matter side of the full (many-level) light-matter models:
 * ``check_minimal_coupling_identity`` phase-conjugation route vs direct
                                       p -> p - qA0 substitution on the grid
                                       (both from the one band writer,
-                                      ``_grid_bands``), and the spectra of
-                                      both by the same band solver
+                                      ``_grid_bands``), and the substituted
+                                      operator's lowest levels, one
+                                      warm-started band solve, against the
+                                      bare levels of ``solve_particle``
 * ``terms_full_H_D`` / ``terms_full_H_C``   untruncated-matter gauge partners
                                       in the M_used-level eigenbasis, each a
                                       list of (matter, field) terms
@@ -523,12 +525,15 @@ class MinimalCouplingReport:
     residual_rel: float
     # the residual's pass bound, MINIMAL_COUPLING_RTOL * (q A0 dx)^2
     bound: float
+    # largest difference between the substituted operator's lowest levels
+    # and the bare levels of the basis
     spectrum_dev: float
     n_points: int
     passed: bool
 
 
-def check_minimal_coupling_identity(model: ParticleModel, A0: float) -> MinimalCouplingReport:
+def check_minimal_coupling_identity(model: ParticleModel, basis: MatterBasis,
+                                    A0: float) -> MinimalCouplingReport:
     """Verify that conjugating p^2/2m + W by the diagonal phase exp(i q A0 x)
     reproduces the minimal-coupling substitution (p - q A0)^2/2m + W.
 
@@ -537,27 +542,36 @@ def check_minimal_coupling_identity(model: ParticleModel, A0: float) -> MinimalC
     residual is the largest mismatch over the lower band (the upper is its
     mirror image) relative to the largest entry of the bare operator; the
     check passes when it is within MINIMAL_COUPLING_RTOL * (q A0 dx)^2, so
-    that it judges the identity and not the grid spacing.  The phase
-    conjugation leaves the spectrum exactly invariant, so the lowest
-    MINIMAL_COUPLING_LEVELS eigenvalues of the conjugated operator are also
-    compared against the bare ones; both
-    pentadiagonal bands, the real one and the complex Hermitian one, are
-    solved by ``linalg.band_eigh`` about the grid solve's shift,
-    ShiftAboveSpectrumError when ?pbtrf refuses it.
+    that it judges the identity and not the grid spacing.
+
+    The conjugation keeps the spectrum, so the substituted operator must
+    have the bare levels to that order.  Its lowest k = min(
+    MINIMAL_COUPLING_LEVELS, basis.m_levels) levels, from one whole-grid
+    solve by ``linalg.band_eigh`` about the grid solve's shift
+    (ShiftAboveSpectrumError when ?pbtrf refuses it), are compared with
+    the first k energies of ``basis``, the bare levels ``solve_particle``
+    found for ``model``; ``spectrum_dev`` is the largest difference.  That
+    solve's Lanczos starts from the sum of the k bare eigenfunctions times
+    exp(i q A0 x), the phase that carries them to eigenvectors of the
+    conjugated operator (real at q A0 = 0, where the band is real).
+    Raises ValueError when ``basis`` was solved on another grid.
     """
+    if basis.grid != model.grid:
+        raise ValueError(f"basis grid {basis.grid} is not the model grid {model.grid}")
     n, dx = model.grid.n_points, model.grid.dx
     q_a0 = model.charge * A0
     bare = _grid_bands(model)
+    substituted = _grid_bands(model, q_a0)
     # conjugation multiplies band row r, the entries (j + r, j), by
     # exp(i q A0 r dx); the upper band is its mirror image
     conj = bare * np.exp(1j * q_a0 * np.arange(3) * dx)[:, None]
-    residual_rel = float(np.abs(conj - _grid_bands(model, q_a0)).max()) \
-        / float(np.abs(bare).max())
-    # the conjugation keeps the spectrum, so one shift serves both bands
-    sigma = _shift(model)
-    w_bare, _ = band_eigh(bare, MINIMAL_COUPLING_LEVELS, sigma=sigma)
-    w_conj, _ = band_eigh(conj, MINIMAL_COUPLING_LEVELS, sigma=sigma)
-    spectrum_dev = float(np.abs(w_bare - w_conj).max())
+    residual_rel = float(np.abs(conj - substituted).max()) / float(np.abs(bare).max())
+    k = min(MINIMAL_COUPLING_LEVELS, basis.m_levels)
+    start = basis.psi[:, :k].sum(axis=1)
+    if q_a0:
+        start = start * np.exp(1j * q_a0 * model.grid.points)
+    w, _ = band_eigh(substituted, k, sigma=_shift(model), start=start)
+    spectrum_dev = float(np.abs(w - basis.energies[:k]).max())
     bound = MINIMAL_COUPLING_RTOL * (q_a0 * dx) ** 2
     return MinimalCouplingReport(q_a0=q_a0, residual_rel=residual_rel, bound=bound,
                                  spectrum_dev=spectrum_dev, n_points=n,
@@ -623,8 +637,7 @@ def trk_sum(basis: MatterBasis, model: ParticleModel,
     """Oscillator-strength sum S = sum_n 2 m omega_n0 |x_n0|^2 over retained
     levels; equals 1 exactly for the untruncated sum."""
     m = basis.m_levels if m_used is None else m_used
-    if not 2 <= m <= basis.m_levels:
-        raise ValueError(f"m_used must be in [2, {basis.m_levels}], got {m}")
+    _check_m_used(basis, m)
     w = basis.energies[1:m] - basis.energies[0]
     x0 = np.abs(basis.x_elems[0, 1:m]) ** 2
     return float(np.sum(2.0 * model.mass * w * x0))

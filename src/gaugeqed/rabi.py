@@ -477,19 +477,23 @@ def check_gauge_theorem(p: RabiParams, interior_fraction: float = 0.8,
     deviation by the largest entry of H_C; that relative measure and the
     interior measure both decrease as the cutoff grows.
 
-    Raises ValueError unless 0 < interior_fraction <= 1 and tol > 0.
+    Raises ValueError unless 0 < interior_fraction <= 1 and tol > 0, and
+    before either matrix is built when the fraction keeps no Fock level.
     """
     if not 0.0 < interior_fraction <= 1.0:
         raise ValueError(f"interior_fraction must be in (0, 1], got {interior_fraction}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol:g}")
+    nf = p.cutoff + 1
+    keep = int(np.floor(interior_fraction * nf))
+    if keep == 0:
+        raise ValueError(f"interior_fraction {interior_fraction:g} keeps no Fock level "
+                         f"at cutoff {p.cutoff}: floor({interior_fraction:g} * {nf}) = 0")
     s = _real_parts(1, p.cutoff)
     U = _rotation(s, 2.0 * p.eta)
     hd = build_H_D(p) + p.eta ** 2 * np.eye(p.dim, dtype=complex)
     hc = build_H_C_correct(p)
     dev = conjugate(U, hd) - hc
-    nf = p.cutoff + 1
-    keep = int(np.floor(interior_fraction * nf))
     mask = np.zeros(2 * nf, dtype=bool)
     mask[:keep] = True
     mask[nf:nf + keep] = True

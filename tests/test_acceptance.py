@@ -160,8 +160,8 @@ def test_06_dicke_consistency():
 
 
 def test_07_minimal_coupling_identity(harmonic):
-    model, _ = harmonic
-    rep = check_minimal_coupling_identity(model, 0.3)
+    model, basis = harmonic
+    rep = check_minimal_coupling_identity(model, basis, 0.3)
     ok = rep.passed and rep.residual_rel <= 1e-6 and rep.spectrum_dev <= 1e-8
     verdict("minimal-coupling-identity", ok,
             f"conjugated vs substituted operator residual "

@@ -818,6 +818,44 @@ def test_bad_output_or_levels_fail_before_the_solve(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+# levels the smallest model solved cannot hold, known from the arguments
+LEVELS_PAST_THE_SMALLEST_MODEL = [
+    (["taylor-study", "--levels", "500", "--cutoff", "20"],
+     "levels 500 needs 501 eigenvalues, but cutoff 20 has 42"),
+    (["rabi-sweep", "--cutoff0", "1", "--cutoff-cap", "2"],
+     "levels 6 needs 7 eigenvalues, but cutoff0 1 with 1 dipole(s) has 4"),
+    (["dicke-sweep", "--cutoff0", "1", "--cutoff-cap", "2", "--levels", "20"],
+     "levels 20 needs 21 eigenvalues, but cutoff0 1 with 2 dipole(s) has 6"),
+    (["alpha-check", "--cutoff0", "1", "--cutoff-cap", "2"],
+     "levels 6 needs 7 eigenvalues, but cutoff0 1 has 4"),
+    (["gauge-theorem", "--interior-fraction", "0.001"],
+     "interior_fraction 0.001 keeps no Fock level at cutoff 60"),
+]
+
+
+@pytest.mark.parametrize("argv,fragment", LEVELS_PAST_THE_SMALLEST_MODEL,
+                         ids=[" ".join(a) for a, _ in LEVELS_PAST_THE_SMALLEST_MODEL])
+def test_levels_the_models_cannot_hold_fail_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                             argv, fragment):
+    """Asking for more levels than the smallest model has, or an interior
+    fraction that keeps no Fock level, is an argument error found before
+    X is solved or any model is built: exit 1, one error line, no table."""
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the levels were checked")
+
+    for module, name in ((experiments, "quadrature_values"),
+                         (experiments, "lowest_transitions"),
+                         (cli.rabi, "build_H_D"), (cli.rabi, "build_H_C_correct")):
+        monkeypatch.setattr(module, name, solve)
+    out = tmp_path / "out"
+    assert main(argv + ["--outdir", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and fragment in err[0], err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_full_model_dimension_cap_exit_2_before_the_solve(tmp_path, capsys, monkeypatch):
     """The largest model's dimension is known from the arguments, so a
     cutoff past the cap fails before the grid solve: exit 2, no table."""
@@ -1015,6 +1053,37 @@ def test_particle_demo_tilted_table_solves_full_grid(tmp_path, capsys):
                      r"refinement shift \d\.\de-\d\d of 1e-06$", out, re.M)
 
 
+VERDICT = re.compile(r"^minimal-coupling identity at qA0=(\S+): residual (\S+) vs bound "
+                     r"\(qA0 dx\)\^2 = (\S+), spectrum deviation (\S+): (PASS|FAIL)$", re.M)
+
+
+@pytest.mark.parametrize("a0,low,high", [("0", 0.0, 1e-11), ("0.3", 1e-11, 1e-9)])
+def test_particle_demo_spectrum_deviation(tmp_path, capsys, a0, low, high):
+    # the substituted band's levels against solve_particle's: at q A0 = 0
+    # the bands are one and the deviation is the solves' roundoff; at the
+    # default 0.3 it is the grid's error in the phase factor, 1.7e-10
+    assert run(["particle-demo", "--kernel-levels", "2", "--a0", a0], tmp_path) == 0
+    verdict = VERDICT.search(capsys.readouterr().out)
+    assert verdict and verdict[5] == "PASS"
+    assert low < float(verdict[4]) <= high
+    if a0 == "0":
+        assert float(verdict[2]) == 0.0 and float(verdict[3]) == 0.0
+
+
+def test_particle_demo_flipped_cross_term_exit_2(tmp_path, capsys, monkeypatch):
+    # (p + q A0)^2/2m for (p - q A0)^2/2m: the residual fails its bound, the
+    # table is still written, and the run exits 2
+    grid_bands = particle1d._grid_bands
+    monkeypatch.setattr(particle1d, "_grid_bands",
+                        lambda model, q=0.0: grid_bands(model, -q))
+    assert run(["particle-demo", "--kernel-levels", "2"], tmp_path) == 2
+    captured = capsys.readouterr()
+    verdict = VERDICT.search(captured.out)
+    assert verdict and verdict[5] == "FAIL"
+    assert "minimal-coupling identity violated" in captured.err
+    assert (tmp_path / "particle_demo.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--a0", "1.0"],
     ["--potential-table", "{tilted}", "--kernel-levels", "2"],
@@ -1028,9 +1097,9 @@ def test_particle_demo_judges_the_identity_not_the_grid(tmp_path, capsys, argv):
     argv = [a.format(tilted=table) for a in argv]
     assert run(["particle-demo"] + argv, tmp_path) == 0
     out = capsys.readouterr().out
-    verdict = re.search(r"^minimal-coupling identity at qA0=\S+: residual (\S+) vs bound "
-                        r"\(qA0 dx\)\^2 = (\S+), spectrum deviation \S+: PASS$", out, re.M)
-    assert verdict and 0.3 < float(verdict[1]) / float(verdict[2]) < 0.5
+    verdict = VERDICT.search(out)
+    assert verdict and verdict[5] == "PASS"
+    assert 0.3 < float(verdict[2]) / float(verdict[3]) < 0.5
 
 
 def test_full_model_tilted_well_exit_2(tmp_path, monkeypatch, capsys):

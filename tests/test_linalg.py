@@ -791,9 +791,9 @@ def preset_bands(harmonic, double_well):
     the 16- and 32-level full-model chains below their Gershgorin bound; the
     mirror halves of both grids, at full-model's 16 levels a parity and at
     the double well's 25, and particle-demo's whole grid, real and
-    conjugated by the phase exp(i q A0 x) as the minimal-coupling check
-    conjugates it (the real grid is its reference), at that check's 8
-    levels, below the potential."""
+    conjugated by the phase exp(i q A0 x) (the real grid is its
+    reference), at the minimal-coupling check's 8 levels, below the
+    potential."""
     for eta, cutoff in ((0.5, 80), (3.0, 320)):
         p = RabiParams(eta=eta, cutoff=cutoff)
         for bands in (bands_H_D, bands_H_C_standard):
@@ -839,6 +839,22 @@ def test_lanczos_matches_eig_banded_on_every_preset_band(harmonic, double_well):
                 av[r:] += band[r, :-r, None] * v[:-r]
                 av[:-r] += band[r, :-r, None].conj() * v[r:]
             assert np.abs(av - v * w).max() <= 1e-12 * scale, (name, k)
+
+
+@pytest.mark.parametrize("q_a0", [0.3, 1.0, 3.0])
+def test_band_eigh_real_and_phase_conjugated_grid_agree(harmonic, q_a0):
+    """The harmonic whole-grid band and that band times the row phase
+    exp(i q A0 r dx), which is the band conjugated by exp(i q A0 x) and so
+    unitarily equivalent to it, give the same lowest 8 levels to 1e-9:
+    the complex shift-invert solve (zpbtrf) against the real one
+    (dpbtrf)."""
+    model, _ = harmonic
+    bare = particle1d._grid_bands(model)
+    conj = bare * np.exp(1j * q_a0 * np.arange(3) * model.grid.dx)[:, None]
+    sigma = particle1d._shift(model)
+    w_bare, _ = band_eigh(bare, 8, sigma=sigma)
+    w_conj, _ = band_eigh(conj, 8, sigma=sigma)
+    assert np.abs(w_bare - w_conj).max() <= 1e-9
 
 
 def test_lanczos_resolves_a_pair_split_by_1e_8():

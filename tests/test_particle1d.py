@@ -472,33 +472,111 @@ def test_kernel_validation(harmonic):
 # minimal coupling identity
 # ---------------------------------------------------------------------------
 
+def spectrum_dev_bound(basis, q_a0, dx):
+    """1e-3 (q A0 dx)^2 max(|E_k|, 1) over the levels the check compares:
+    the substituted operator's levels move from the bare ones by the
+    grid's error in the phase factor, at most 3.5e-4 of this scale on the
+    presets and on 2001-point tilted tables."""
+    k = min(particle1d.MINIMAL_COUPLING_LEVELS, basis.m_levels)
+    return 1e-3 * (q_a0 * dx) ** 2 * max(float(np.abs(basis.energies[:k]).max()), 1.0)
+
+
+@pytest.fixture(scope="module")
+def tilted(tmp_path_factory):
+    """A 2001-row tilted harmonic table, without mirror symmetry, and its
+    basis: the check's whole-grid solve meets a whole-grid basis."""
+    x = np.linspace(-10.0, 10.0, 2001)
+    table = tmp_path_factory.mktemp("tilted") / "tilted.dat"
+    np.savetxt(table, np.column_stack([x, 0.5 * x ** 2 + 0.05 * x]))
+    model = model_from_table(table)
+    return model, solve_particle(model)
+
+
 def test_minimal_coupling_identity(harmonic):
-    model, _ = harmonic
-    rep = check_minimal_coupling_identity(model, 0.3)
+    model, basis = harmonic
+    rep = check_minimal_coupling_identity(model, basis, 0.3)
     assert rep.passed
     assert rep.residual_rel <= 1e-6
-    assert rep.spectrum_dev <= 1e-8
+    assert rep.spectrum_dev <= spectrum_dev_bound(basis, 0.3, model.grid.dx)
 
 
 def test_minimal_coupling_residual_is_discretization(harmonic):
     # the residual comes from the (q A0 dx) discretization of the phase
     # factor, so doubling A0 roughly quadruples it
-    model, _ = harmonic
-    r1 = check_minimal_coupling_identity(model, 0.3).residual_rel
-    r2 = check_minimal_coupling_identity(model, 0.6).residual_rel
+    model, basis = harmonic
+    r1 = check_minimal_coupling_identity(model, basis, 0.3).residual_rel
+    r2 = check_minimal_coupling_identity(model, basis, 0.6).residual_rel
     assert 2.0 < r2 / r1 < 8.0
 
 
 @pytest.mark.parametrize("q_a0", [0.3, 1.0, 3.0])
-def test_minimal_coupling_bound_is_the_grid_order(harmonic, double_well, q_a0):
+def test_minimal_coupling_bound_is_the_grid_order(harmonic, double_well, tilted, q_a0):
     # the bound is (q A0 dx)^2, the order of the grid's error in the phase
-    # factor, so a correct substitution passes on either preset at any
-    # amplitude; the presets sit near 0.4 of it
-    for model, _ in (harmonic, double_well):
-        rep = check_minimal_coupling_identity(model, q_a0)
+    # factor, so a correct substitution passes on either preset and on a
+    # tilted table at any amplitude; they sit near 0.4 of it.  The
+    # substituted operator's levels stay within spectrum_dev_bound of the
+    # bare levels solve_particle found
+    for model, basis in (harmonic, double_well, tilted):
+        rep = check_minimal_coupling_identity(model, basis, q_a0)
         assert rep.bound == (q_a0 * model.grid.dx) ** 2
         assert rep.passed and 0.3 < rep.residual_rel / rep.bound < 0.5
-        assert rep.spectrum_dev <= 1e-9
+        assert rep.spectrum_dev <= spectrum_dev_bound(basis, q_a0, model.grid.dx)
+
+
+def test_minimal_coupling_at_zero_amplitude(harmonic, double_well, tilted):
+    # at q A0 = 0 the substituted operator is the bare one: no residual, and
+    # levels that differ from the basis's only by the solves' roundoff (the
+    # presets' bases come from the mirror halves, the check from the whole
+    # grid)
+    for model, basis in (harmonic, double_well, tilted):
+        rep = check_minimal_coupling_identity(model, basis, 0.0)
+        assert rep.residual_rel == 0.0 and rep.bound == 0.0 and rep.passed
+        assert rep.spectrum_dev <= 1e-11
+
+
+@pytest.mark.parametrize("q_a0", [0.0, 0.3])
+def test_minimal_coupling_solves_the_substituted_band_once(harmonic, monkeypatch, q_a0):
+    # one band_eigh call, on the substituted band, started from the bare
+    # eigenfunctions times the phase exp(i q A0 x): real where the band is
+    model, basis = harmonic
+    calls = []
+
+    def recording(band, k, vectors=False, sigma=None, start=None):
+        calls.append((band, k, start))
+        return band_eigh(band, k, vectors, sigma, start)
+
+    monkeypatch.setattr(particle1d, "band_eigh", recording)
+    check_minimal_coupling_identity(model, basis, q_a0)
+    assert len(calls) == 1
+    band, k, start = calls[0]
+    assert k == particle1d.MINIMAL_COUPLING_LEVELS
+    assert np.array_equal(band, particle1d._grid_bands(model, q_a0))
+    assert np.iscomplexobj(start) == (q_a0 != 0.0)
+    phase = np.exp(1j * q_a0 * model.grid.points)
+    assert np.allclose(start, basis.psi[:, :k].sum(axis=1) * phase, rtol=0, atol=1e-15)
+
+
+def test_minimal_coupling_compares_at_most_the_basis_levels(tilted):
+    # a basis of fewer than MINIMAL_COUPLING_LEVELS levels bounds the levels
+    # compared
+    model, _ = tilted
+    small = replace(model, eigen_count=4)
+    basis = solve_particle(small)
+    rep = check_minimal_coupling_identity(small, basis, 0.3)
+    assert rep.spectrum_dev <= spectrum_dev_bound(basis, 0.3, model.grid.dx)
+
+
+def test_minimal_coupling_refuses_a_basis_of_another_grid(harmonic, monkeypatch):
+    model, _ = harmonic
+    other = harmonic_model(n_points=4001)
+    basis = solve_particle(other)
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the grids were compared")
+
+    monkeypatch.setattr(particle1d, "band_eigh", solve)
+    with pytest.raises(ValueError, match="basis grid .* is not the model grid"):
+        check_minimal_coupling_identity(model, basis, 0.3)
 
 
 @pytest.mark.parametrize("q_a0", [0.3, 1.0])
@@ -509,8 +587,8 @@ def test_minimal_coupling_flipped_cross_term_fails(harmonic, double_well, monkey
     grid_bands = particle1d._grid_bands
     monkeypatch.setattr(particle1d, "_grid_bands",
                         lambda model, q=0.0: grid_bands(model, -q))
-    for model, _ in (harmonic, double_well):
-        rep = check_minimal_coupling_identity(model, q_a0)
+    for model, basis in (harmonic, double_well):
+        rep = check_minimal_coupling_identity(model, basis, q_a0)
         assert not rep.passed
         assert rep.residual_rel > 100 * rep.bound
 

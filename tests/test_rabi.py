@@ -351,6 +351,19 @@ def test_gauge_theorem_validation():
         check_gauge_theorem(RabiParams(eta=0.5), interior_fraction=0.0)
 
 
+def test_gauge_theorem_fraction_keeping_no_level_fails_before_the_builds(monkeypatch):
+    # floor(0.001 * 61) = 0 Fock levels: no interior to measure, refused
+    # before either dense matrix is built
+    def build(*args):
+        raise AssertionError("built before the fraction was checked")
+
+    monkeypatch.setattr(rabi, "build_H_D", build)
+    monkeypatch.setattr(rabi, "build_H_C_correct", build)
+    with pytest.raises(ValueError, match=r"interior_fraction 0\.001 keeps no Fock level "
+                                         r"at cutoff 60"):
+        check_gauge_theorem(RabiParams(eta=0.5, cutoff=60), interior_fraction=0.001)
+
+
 # ---------------------------------------------------------------------------
 # structural properties
 # ---------------------------------------------------------------------------
