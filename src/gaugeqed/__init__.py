@@ -62,6 +62,7 @@ from .rabi import (
     RabiParams,
     bands_H_C_standard,
     bands_H_D,
+    blocks_H_C_correct,
     build_H_C_correct,
     build_H_C_standard,
     build_H_C_taylor,
@@ -106,6 +107,7 @@ from .fluxonium import (
     BasisTooSmallError,
     FluxoniumBasis,
     FluxoniumParams,
+    blocks_flux_charge_correct,
     coupling_g_c,
     solve_fluxonium,
     terms_flux_charge_correct,
@@ -145,7 +147,7 @@ __all__ = [
     "RabiParams", "terms_H_D", "terms_H_C_standard", "terms_H_C_correct",
     "terms_H_C_taylor", "terms_H_alpha", "build_H_D", "build_H_C_standard",
     "build_H_C_correct", "build_H_C_taylor",
-    "bands_H_D", "bands_H_C_standard",
+    "bands_H_D", "bands_H_C_standard", "blocks_H_C_correct",
     "maclaurin_cos_sin", "check_gauge_theorem",
     "GaugeTheoremReport",
     # dicke
@@ -162,6 +164,7 @@ __all__ = [
     # fluxonium
     "FluxoniumParams", "FluxoniumBasis", "solve_fluxonium", "coupling_g_c",
     "terms_flux_charge_standard", "terms_flux_charge_correct",
+    "blocks_flux_charge_correct",
     "BasisTooSmallError",
     # experiments
     "ConvergencePolicy", "SweepSpec", "SweepPoint", "SweepResult",

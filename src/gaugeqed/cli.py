@@ -370,7 +370,7 @@ def _cmd_fluxonium(p: Params) -> int:
     t_std = experiments.lowest_transitions(
         parity_block_sum(fluxonium.terms_flux_charge_standard(params, basis)), levels)
     t_cor = experiments.lowest_transitions(
-        parity_block_sum(fluxonium.terms_flux_charge_correct(params, basis)), levels)
+        fluxonium.blocks_flux_charge_correct(params, basis), levels)
     rel = np.abs(t_std - t_cor) / np.maximum(t_cor, params.omega_c)
     print(f"omega_10 = {basis.omega_10:.9e}  |phi_10| = "
           f"{abs(basis.phi_10):.9e}  g_C = {g_c:.9e}")

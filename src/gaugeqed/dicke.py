@@ -16,8 +16,10 @@ Energies are in units of omega_c = 1.
 The dipole-gauge partner, ``terms_dicke_dipole``, is the one list of its
 own: its 4 eta^2 J_x^2 term is the operator that the Rabi dipole model
 drops as a scalar.  ``build_dicke_standard`` and ``build_dicke_correct``
-write the two Coulomb lists as dense matrices; the sweeps hand every list
-to the block writer ``linalg.parity_block_sum``.
+write the two Coulomb lists as dense matrices.  The sweeps hand the naive
+and dipole lists to the block writer ``linalg.parity_block_sum`` and solve
+the corrected model as ``rabi.blocks_H_C_correct(p)`` writes it, in the
+quadrature frame.
 """
 
 from __future__ import annotations

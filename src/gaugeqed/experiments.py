@@ -6,16 +6,20 @@ gauges).  Relative errors use max(reference, omega_c) as the denominator so
 near-zero transitions at level crossings do not blow up the measure; levels
 are tracked by sorted index, so crossings appear as kinks.
 
-The sweeps and studies solve each model from its one term list
-(``rabi.terms_*``, ``dicke.terms_dicke_dipole``) written as real parity
-blocks by ``linalg.parity_block_sum``, except the Rabi dipole and naive
-Coulomb models, whose banded chains ``rabi.bands_H_D`` and
-``rabi.bands_H_C_standard`` write; ``lowest_transitions`` solves blocks and
-chains alike with the one parity solver, ``linalg.parity_eigvalsh``.  An eta grid is k * step up to the last
-point at or below eta_max.  The Taylor study evaluates each order's
-Maclaurin cos/sin once, as a table over the grid, and takes a point whose
-row matches cos/sin to the last bit as the full model itself: its error
-is exactly 0.0, and neither model is built or solved there.
+The sweeps and studies solve each model as real parity blocks or chains.
+The Dicke naive and dipole models and the alpha family are their term lists
+(``rabi.terms_*``, ``dicke.terms_dicke_dipole``) written by
+``linalg.parity_block_sum``.  The corrected models, Rabi Ccorr, Dicke corr
+and the Taylor study's models, are written in the quadrature frame by
+``rabi.blocks_H_C_correct`` and ``rabi.blocks_H_C_rotated``.  The Rabi dipole
+and naive Coulomb models are the banded chains that ``rabi.bands_H_D`` and
+``rabi.bands_H_C_standard`` write.  ``lowest_transitions`` solves blocks
+and chains alike with the one parity solver, ``linalg.parity_eigvalsh``.
+An eta grid is k * step up to the last point at or below eta_max.  The
+Taylor study evaluates each order's Maclaurin cos/sin once, as a table
+over the grid, and takes a point whose row matches cos/sin to the last bit
+as the full model itself: its error is exactly 0.0, and neither model is
+built or solved there.
 
 A sweep point is one model at one eta, its Fock cutoff grown by
 ``converged_transitions`` until the transitions settle.  The sweeps and the
@@ -89,13 +93,15 @@ def lowest_transitions(H: Union[np.ndarray, ParityBlocks, ParityBands],
     """E_n - E_0 for n = 1..levels.
 
     ``ParityBlocks`` (the real parity blocks that ``linalg.parity_block_sum``
-    writes for the corrected Coulomb, Taylor-order, alpha-family, Dicke and
-    fluxonium models) and ``ParityBands`` (the banded chains of the Rabi D
-    and naive Coulomb models, and those that ``linalg.parity_band_sum``
-    writes for the mirror-parity full models) are solved by the one parity
-    solver, :func:`~gaugeqed.linalg.parity_eigvalsh`, for their lowest
-    levels + 1 eigenvalues only, each parity sector asked only for the
-    levels among them that it can still hold.  A matrix is solved by one
+    writes for the alpha-family, Dicke naive and dipole and fluxonium naive
+    models, and that ``rabi.rotated_parity_blocks`` writes for the corrected
+    Coulomb, Taylor-order, Dicke corrected and fluxonium corrected ones) and
+    ``ParityBands`` (the banded chains of the Rabi D and naive Coulomb
+    models, and those that ``linalg.parity_band_sum`` writes for the
+    mirror-parity full models) are solved by the one parity solver,
+    :func:`~gaugeqed.linalg.parity_eigvalsh`, for their lowest levels + 1
+    eigenvalues only, each parity sector asked only for the levels among
+    them that it can still hold.  A matrix is solved by one
     dense complex solve, :func:`~gaugeqed.linalg.hermitian_eig`.  Raises
     ValueError when levels < 1 or when fewer than levels + 1 eigenvalues
     exist.
@@ -121,7 +127,8 @@ def converged_transitions(build: Callable[[int], Union[np.ndarray, ParityBlocks,
     ``build(cutoff)`` returns the model at that Fock cutoff in any form
     :func:`lowest_transitions` solves: the real parity blocks that
     ``linalg.parity_block_sum`` makes of a model's terms
-    (``rabi.terms_H_C_correct`` and the others), the banded chains of
+    (``rabi.terms_H_C_standard`` and the others) or that
+    ``rabi.blocks_H_C_correct`` writes, the banded chains of
     ``rabi.bands_H_D`` or ``rabi.bands_H_C_standard`` or of
     ``linalg.parity_band_sum``, or the dense matrix that ``linalg.kron_sum``
     writes, which is solved by one complex solve.
@@ -148,7 +155,8 @@ def converged_transitions(build: Callable[[int], Union[np.ndarray, ParityBlocks,
 
 
 # builder registries; each entry maps (eta, detuning, cutoff, n_dipoles) to
-# the model's real parity blocks, or to its banded chains where it is banded
+# the model's real parity blocks, or to its banded chains where it is banded;
+# the corrected models' blocks are written in the quadrature frame
 def _rabi_params(eta, detuning, cutoff):
     return rabi_mod.RabiParams(eta=eta, cutoff=cutoff, detuning=detuning)
 
@@ -161,15 +169,13 @@ def _dicke_params(eta, detuning, cutoff, n_dipoles):
 RABI_MODELS: Dict[str, Callable] = {
     "D": lambda e, d, c, n: rabi_mod.bands_H_D(_rabi_params(e, d, c)),
     "Cstd": lambda e, d, c, n: rabi_mod.bands_H_C_standard(_rabi_params(e, d, c)),
-    "Ccorr": lambda e, d, c, n: parity_block_sum(
-        rabi_mod.terms_H_C_correct(_rabi_params(e, d, c))),
+    "Ccorr": lambda e, d, c, n: rabi_mod.blocks_H_C_correct(_rabi_params(e, d, c)),
 }
 
 DICKE_MODELS: Dict[str, Callable] = {
     "std": lambda e, d, c, n: parity_block_sum(
         rabi_mod.terms_H_C_standard(_dicke_params(e, d, c, n))),
-    "corr": lambda e, d, c, n: parity_block_sum(
-        rabi_mod.terms_H_C_correct(_dicke_params(e, d, c, n))),
+    "corr": lambda e, d, c, n: rabi_mod.blocks_H_C_correct(_dicke_params(e, d, c, n)),
     "dipole": lambda e, d, c, n: parity_block_sum(
         dicke_mod.terms_dicke_dipole(_dicke_params(e, d, c, n))),
 }
@@ -443,13 +449,13 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
     0.0 and neither model is built or solved; the leading run of such rows
     is taken this way, and ``exact_points`` counts it.  Past it, each
     Taylor model takes its row as node values
-    (``rabi.terms_H_C_rotated``, which is ``rabi.terms_H_C_taylor`` on
-    them).  The scans walk the grid together, one batch of solves per eta
+    (``rabi.blocks_H_C_rotated``, the blocks of ``rabi.terms_H_C_taylor``
+    on them).  The scans walk the grid together, one batch of solves per eta
     on up to ``threads`` worker processes: the full model, solved once at
     each eta some scan still needs, and each order still scanning there.
-    The tables stay in this process.  Both models are
-    solved from the real parity blocks ``linalg.parity_block_sum`` writes
-    of their terms.  Raises ValueError for an order below 1, a repeated
+    The tables stay in this process.  Both models are solved from the real
+    parity blocks that ``rabi.rotated_parity_blocks`` writes in the
+    quadrature frame.  Raises ValueError for an order below 1, a repeated
     order or tol <= 0, and DimensionOverflowError, before X is solved, when
     the qubit-cavity dimension 2 (cutoff + 1) exceeds the cap; then
     ValueError, still before X is solved, when levels + 1 exceeds that
@@ -479,20 +485,21 @@ def taylor_study(orders: Sequence[int], eta_grid: Sequence[float] = None,
         exact_points.append(int(np.argmin(exact_row)) if not exact_row.all()
                             else len(eta_grid))
 
-    def terms(i, k):
+    def blocks(i, k):
         # order k's model at eta i, or the full model for k = None
         p = _rabi_params(eta_grid[i], detuning, cutoff)
         if k is None:
-            return rabi_mod.terms_H_C_correct(p)
+            return rabi_mod.blocks_H_C_correct(p)
         cos, sin = tables[k]
-        return rabi_mod.terms_H_C_rotated(p, lambda _: (cos[i], sin[i]))
+        return rabi_mod.blocks_H_C_rotated(p, lambda _: (cos[i], sin[i]))
 
     def solve(task):
-        # the terms are freed before the eigensolve, whose scratch then
-        # reuses their memory; held through it, the heap grows and is
-        # trimmed back on every solve (at the defaults, about 19,000 more
-        # page faults and a fifth more time)
-        return lowest_transitions(parity_block_sum(terms(*task)), levels)
+        # only the two blocks are held through the solve, and its symmetry
+        # check makes one temporary, so the heap stays under glibc's trim
+        # threshold and each build reuses the pages of the last: about 1,100
+        # minor faults in a default run, where a check with two more
+        # block-size temporaries trims the heap after every solve (17,100)
+        return lowest_transitions(blocks(*task), levels)
 
     # the grid is walked in waves, one batch per eta: the full model, once,
     # and each order whose scan is still running past its exact run

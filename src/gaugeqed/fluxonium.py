@@ -25,8 +25,10 @@ two_j = 1, with the naive coupling 2 g_C J_y (x) X and charge term
 those of the B forms, and W^dag H W is each B form entry by entry (the
 tests check both against independent B-form matrices).  Like every core
 model, each list is written dense by ``linalg.kron_sum`` or as two real
-parity blocks by ``linalg.parity_block_sum``, the form ``cli fluxonium``
-solves; the E_J = 0 limit is the Rabi family itself.
+parity blocks by ``linalg.parity_block_sum``; ``cli fluxonium`` solves the
+naive model so and the corrected one as ``blocks_flux_charge_correct``
+writes it, in the quadrature frame (``rabi.rotated_parity_blocks``).  The
+E_J = 0 limit is the Rabi family itself.
 
 Energies stay on the scale of the inputs, the LC frequency omega_c among
 them (hbar = 1); unlike the Rabi and Dicke models, omega_c here need not be
@@ -40,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_dim, hermitian_eig
+from .linalg import ParityBlocks, check_dim, hermitian_eig
 from .qops import fock_factors, real_quadrature_functions
-from .rabi import _bare_terms, _real_cos_sin, _real_parts, _rotated_terms
+from .rabi import _bare_terms, _real_cos_sin, _real_parts, _rotated_terms, rotated_parity_blocks
 
 
 class BasisTooSmallError(Exception):
@@ -182,3 +184,12 @@ def terms_flux_charge_correct(p: FluxoniumParams, basis: FluxoniumBasis) -> list
     s = _real_parts(1, p.cutoff)
     cos, sin = _real_cos_sin(p.cutoff, _two_theta(p, basis))
     return _rotated_terms(s, p.omega_c, basis.omega_10, cos, -sin)
+
+
+def blocks_flux_charge_correct(p: FluxoniumParams, basis: FluxoniumBasis) -> ParityBlocks:
+    """The parity blocks of ``terms_flux_charge_correct``, written in the
+    quadrature frame by ``rabi.rotated_parity_blocks``: omega_c,
+    cos(2 theta x) and -sin(2 theta x)."""
+    k = _two_theta(p, basis)
+    return rotated_parity_blocks(1, p.cutoff, p.omega_c, basis.omega_10,
+                                 lambda x: (np.cos(k * x), -np.sin(k * x)))

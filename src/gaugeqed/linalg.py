@@ -20,7 +20,12 @@ of a 1D particle: a fixed diagonal phase 1j**m makes both blocks real
 symmetric, so the spectrum comes from two real half-size solves, about a
 quarter of the n^3 of one complex solve.  The writer checks both claims for
 each term and raises :class:`ParityError` when one fails.  The blocks come
-as :class:`ParityBlocks`.
+as :class:`ParityBlocks`.  The program calls it for the alpha family, the
+Dicke naive and dipole models and the fluxonium naive model; the rotated
+(corrected and Taylor) models have a writer of their own,
+``rabi.rotated_parity_blocks``, which writes the same blocks turned into
+the quadrature frame of ``qops.fock_factors`` and checks each term's
+parity and phase by the same rules (:func:`phased_entries`).
 
 Ordered by Fock index, the same blocks are banded when every field
 operator is: n, X, P and X @ X couple Fock levels at most two apart, so the
@@ -171,10 +176,23 @@ _LAPACK = _load_lapack()
 _CHECK_BLOCK_ENTRIES = 1 << 19
 
 
+def _max_abs(arr: np.ndarray) -> float:
+    """max|arr|; for a real array from its extremes, so without a temporary
+    the size of the array."""
+    if np.iscomplexobj(arr):
+        return float(np.abs(arr).max())
+    return float(max(arr.max(), -arr.min()))
+
+
 def _check_hermitian(arr: np.ndarray, context: str) -> None:
     """Raise NonHermitianError unless max|M - M^dag| is within HERMITICITY_RTOL
-    of max(max|M|, 1); the difference is formed a block of rows at a time."""
-    scale = max(float(np.abs(arr).max()), 1.0)
+    of max(max|M|, 1); the difference is formed a block of rows at a time.
+
+    A real block's check makes one temporary, the difference: two more the
+    size of a parity block at cutoff 200 left the heap above glibc's trim
+    threshold after each solve, and each next build faulted its pages in
+    again (about 280 minor faults a build)."""
+    scale = max(_max_abs(arr), 1.0)
     rows = max(1, _CHECK_BLOCK_ENTRIES // arr.shape[0])
     dev = 0.0
     for i in range(0, arr.shape[0], rows):
@@ -183,7 +201,7 @@ def _check_hermitian(arr: np.ndarray, context: str) -> None:
         # 0.6 of the time of subtracting into the transposed copy
         diff = np.conjugate(arr[:, i:i + rows].T, order="C")
         np.subtract(arr[i:i + rows], diff, out=diff)
-        dev = max(dev, float(np.abs(diff).max()))
+        dev = max(dev, _max_abs(diff))
     if dev > HERMITICITY_RTOL * scale:
         raise NonHermitianError(
             f"{context} max|M - M^dag| = {dev:.3e} (scale {scale:.3e})")
@@ -353,6 +371,21 @@ def _parity_maxima(op: np.ndarray) -> Tuple[float, float]:
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
+def phased_entries(S: np.ndarray, t: int):
+    """The nonzero entries (m, m2) of the matter operator S of term t,
+    phased by 1j**(m2 - m), as index arrays m, m2 and their real values.
+    ParityError unless the phased entries are real to
+    HERMITICITY_RTOL * max(max|S|, 1)."""
+    m, m2 = np.nonzero(S)
+    s = S[m, m2] * _I_POWERS[(m2 - m) % 4]
+    limit = HERMITICITY_RTOL * max(float(np.abs(S).max(initial=0.0)), 1.0)
+    imag = float(np.abs(s.imag).max(initial=0.0))
+    if imag > limit:
+        raise ParityError(f"term {t}: the matter operator is not real after the 1j**m "
+                          f"phase: max|Im| = {imag:.3e} exceeds {limit:.3e}")
+    return m, m2, s.real
+
+
 def _phased_terms(terms):
     """The matter and field dimensions of the (S, F) terms, and per term the
     nonzero entries (m, m2) of S, phased by 1j**(m2 - m) and checked real,
@@ -377,14 +410,7 @@ def _phased_terms(terms):
         if leak > limit:
             raise ParityError(f"term {t} leaves the parity blocks: max|S| max|F| = "
                               f"{leak:.3e} over the dropped entries exceeds {limit:.3e}")
-        m, m2 = np.nonzero(S)
-        s = S[m, m2] * _I_POWERS[(m2 - m) % 4]
-        limit = HERMITICITY_RTOL * max(s_max, 1.0)
-        imag = float(np.abs(s.imag).max(initial=0.0))
-        if imag > limit:
-            raise ParityError(f"term {t}: the matter operator is not real after the 1j**m "
-                              f"phase: max|Im| = {imag:.3e} exceeds {limit:.3e}")
-        phased.append((m, m2, s.real, F))
+        phased.append((*phased_entries(S, t), F))
     return matter, field, phased
 
 

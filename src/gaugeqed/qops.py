@@ -20,25 +20,35 @@ Truncation artefact worth remembering: on the truncated space
 
 No Fock factor depends on the coupling, so :func:`fock_factors` keeps one
 ``FockFactors`` holder per cutoff, the one owner of n, X = a + a^dag,
-P = a^dag - a, the identity, X @ X and X's eigendecomposition, each built
-on its first read and shared read-only by every model at that cutoff: the
-Rabi, Dicke and fluxonium builders, the fluxonium qubit and the full
-models of ``gaugeqed.particle1d``.  The eigenvalues of X are sqrt(2) times
-the Gauss-Hermite nodes of order cutoff + 1 (Golub & Welsch, Math. Comp.
-23, 221, 1969).  X is real symmetric, so it is solved in real arithmetic
-and its sign-fixed eigenvectors are real (:func:`quadrature_eig`);
-:func:`real_quadrature_functions` forms cos/sin(k X), or any other function
-of X, as real arrays from them, the fluxonium qubit's cos(phi) among them,
-phi being a multiple of its oscillator's X.
+P = a^dag - a, the identity, X @ X, X's eigendecomposition and the
+quadrature frame below, each built on its first read and shared read-only
+by every model at that cutoff: the Rabi, Dicke and fluxonium builders, the
+fluxonium qubit and the full models of ``gaugeqed.particle1d``.  The
+eigenvalues of X are sqrt(2) times the Gauss-Hermite nodes of order
+cutoff + 1 (Golub & Welsch, Math. Comp. 23, 221, 1969).  X is real
+symmetric, so it is solved in real arithmetic and its sign-fixed
+eigenvectors are real (:func:`quadrature_eig`).
 
 X maps even Fock levels to odd ones, so its eigenpairs come in pairs
 (+sigma, (e, o)) and (-sigma, (e, -o)), e on the even levels and o on the
-odd ones, plus one zero mode on the even levels at odd dimension.  A function
-g(X) is therefore three half-size products: its even-even and odd-odd parts
-carry the even part of g on the spectrum, its even-odd part the odd part.
-cos(k X) has no even-odd part and sin(k X) only that one, so cos and sin
-together cost about a fifth of two full spectral products, and the entries
-that couple levels of the wrong parity are exactly zero.
+odd ones, plus one zero mode on the even levels at odd dimension.  Scaled
+to unit norm, the e of the zero mode and of each +sigma make an orthogonal
+square U on the even levels, and the o of each +sigma one, W, on the odd
+levels: the quadrature frame (the discrete-variable basis of X, Light,
+Hamilton and Lill, J. Chem. Phys. 82, 1400, 1985, split by Fock parity).
+``FockFactors`` owns U, W and n in the frame (``n_frame``), and splits node
+values g(x) into the even and odd parts the frame's modes carry
+(``parity_parts``); no other module slices X's eigenvectors.  A function
+g(X) is three half-size products of them: its even-even and odd-odd parts
+carry the even part of g, its even-odd part the odd part.
+:func:`real_quadrature_functions` forms cos/sin(k X), or any other function
+of X, so, as real arrays, the fluxonium qubit's cos(phi) among them, phi
+being a multiple of its oscillator's X.  cos(k X) has no even-odd part and
+sin(k X) only that one, so cos and sin together cost about a fifth of two
+full spectral products, and the entries that couple levels of the wrong
+parity are exactly zero.  The rotated models' block writer,
+``rabi.rotated_parity_blocks``, forms none of them: in the frame cos and sin
+are diagonal and only n is dense.
 """
 
 from __future__ import annotations
@@ -98,7 +108,8 @@ class FockFactors:
     """The real Fock arrays at one cutoff, each built on its first read and
     read-only: n = a^dag a, X = a + a^dag, P = a^dag - a (antisymmetric;
     i P is the Hermitian quadrature), the identity ``eye``, ``X2`` = X @ X,
-    and ``eig``, the sign-fixed real ``hermitian_eig(X)``.
+    ``eig``, the sign-fixed real ``hermitian_eig(X)``, and the quadrature
+    frame (module header): ``U``, ``W`` and ``n_frame``.
 
     The dense arrays are built without a complex intermediate.  Two threads
     that first read one of them together may both build it; the arrays are
@@ -143,6 +154,52 @@ class FockFactors:
                 self._eig = hermitian_eig(self.X)
             return self._eig
 
+    # the quadrature frame: X's eigenvectors split by Fock parity
+
+    @functools.cached_property
+    def U(self) -> np.ndarray:
+        """The even-level half of X's eigenvectors, an orthogonal square
+        array: rows the even Fock levels, columns the zero mode (at odd
+        dimension) and then the +sigma modes ascending, each +sigma column
+        scaled by sqrt(2) to unit norm."""
+        pairs, zero = divmod(self.cutoff + 1, 2)
+        v = self.eig.eigenvectors
+        U = v[0::2, pairs:] * np.sqrt(2.0)
+        U[:, :zero] = v[0::2, pairs:pairs + zero]
+        return _frozen(U)
+
+    @functools.cached_property
+    def W(self) -> np.ndarray:
+        """The odd-level half of X's eigenvectors, orthogonal and square:
+        rows the odd Fock levels, columns the +sigma modes ascending, scaled
+        by sqrt(2) to unit norm."""
+        pairs, zero = divmod(self.cutoff + 1, 2)
+        return _frozen(self.eig.eigenvectors[1::2, pairs + zero:] * np.sqrt(2.0))
+
+    @functools.cached_property
+    def n_frame(self) -> Tuple[np.ndarray, np.ndarray]:
+        """n in the frame, by Fock parity: U^T diag(0, 2, 4, ...) U and
+        W^T diag(1, 3, 5, ...) W, each symmetrised, so exactly symmetric."""
+        n = np.arange(self.cutoff + 1.0)
+        out = []
+        for V, levels in ((self.U, n[0::2]), (self.W, n[1::2])):
+            b = (V.T * levels) @ V
+            out.append(_frozen((b + b.T) / 2.0))
+        return tuple(out)
+
+    def parity_parts(self, g) -> Tuple[np.ndarray, np.ndarray]:
+        """The even and odd parts of values g(x) given on
+        :func:`quadrature_values`, in the frame's column order: the even part
+        on U's modes (the zero mode, then +sigma) and the odd part on W's
+        (+sigma).  ValueError unless g has one value per Fock level."""
+        g = np.asarray(g, dtype=float)
+        if g.shape != (self.cutoff + 1,):
+            raise ValueError(f"need {self.cutoff + 1} values on the spectrum of X, "
+                             f"got shape {g.shape}")
+        pairs, zero = divmod(self.cutoff + 1, 2)
+        mirror = g[::-1][pairs:]
+        return (g[pairs:] + mirror) / 2.0, (g[pairs + zero:] - mirror[zero:]) / 2.0
+
 
 @functools.lru_cache(maxsize=FOCK_CACHE_SIZE)
 def _fock_factors_cached(cutoff: int) -> FockFactors:
@@ -160,9 +217,10 @@ def fock_factors(cutoff: int) -> FockFactors:
 
     Cached per cutoff, least recently used first out past FOCK_CACHE_SIZE
     entries; ``cache_info`` and ``cache_clear`` are the ``lru_cache``'s.
-    An entry holds at most its five dense arrays and the eigenvectors of X,
-    48 (cutoff + 1)^2 bytes: 1.9 MB at cutoff 200 and 79 MB at 1280; the
-    six cutoffs 40 ... 1280 of the default doubling chain take 105 MB.
+    An entry holds at most its five dense arrays, the eigenvectors of X and
+    the frame's four half-size arrays, 56 (cutoff + 1)^2 bytes: 2.3 MB at
+    cutoff 200 and 92 MB at 1280; the six cutoffs 40 ... 1280 of the
+    default doubling chain take 123 MB.
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
@@ -203,28 +261,20 @@ def real_quadrature_functions(cutoff: int, f) -> Tuple[np.ndarray, ...]:
     """g(X) for X = a + a^dag and each value array g(x) that ``f`` returns
     on :func:`quadrature_values`, as real symmetric float64 arrays.
 
-    Each g(X) is formed from the positive-sigma eigenvectors of
-    :func:`quadrature_eig` by Fock parity, as three half-size products:
-    g_ee = U g+ U^T, g_oo = W g+ W^T and g_eo = U g- W^T, U and W being the
-    eigenvectors' even- and odd-level parts scaled to orthonormal columns
-    (U also holds the zero mode at odd dimension), g+ and g- the even and
-    odd parts of g on sigma.  A part that is zero on every sigma (g- of
-    cos, g+ of sin) is not multiplied, so its entries are exactly 0.0.
+    Each g(X) is formed from the frame of :func:`fock_factors` by Fock
+    parity, as three half-size products: g_ee = U g+ U^T, g_oo = W g+ W^T
+    and g_eo = U g- W^T, g+ and g- being the even and odd parts of g on the
+    frame's modes (``FockFactors.parity_parts``).  A part that is zero on
+    every mode (g- of cos, g+ of sin) is not multiplied, so its entries are
+    exactly 0.0.
     """
-    dim = cutoff + 1
-    pairs, zero = dim // 2, dim % 2
-    v = quadrature_eig(cutoff).eigenvectors
-    # columns pairs.. of v: the zero mode (at odd dimension), then +sigma
-    U = v[0::2, pairs:] * np.sqrt(2.0)
-    U[:, :zero] = v[0::2, pairs:pairs + zero]
-    W = v[1::2, pairs + zero:] * np.sqrt(2.0)
+    frame = fock_factors(cutoff)
+    U, W = frame.U, frame.W
+    zero = (cutoff + 1) % 2
     out = []
     for g in f(quadrature_values(cutoff)):
-        g = np.asarray(g, dtype=float)
-        mirror = g[::-1][pairs:]
-        even = (g[pairs:] + mirror) / 2.0
-        odd = (g[pairs + zero:] - mirror[zero:]) / 2.0
-        full = np.zeros((dim, dim))
+        even, odd = frame.parity_parts(g)
+        full = np.zeros((cutoff + 1, cutoff + 1))
         if even.any():
             ee = (U * even) @ U.T
             oo = (W * even[zero:]) @ W.T

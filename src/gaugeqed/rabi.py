@@ -28,7 +28,7 @@ runs and its Taylor models' node values from one table per order.
 A caller picks the writer where it picks the solve:
 ``linalg.kron_sum(terms)`` writes the dense matter (x) field matrix, and
 ``linalg.parity_block_sum(terms)`` the two real parity blocks
-(``linalg.ParityBlocks``) the sweeps and studies solve.  ``build_H_D``,
+(``linalg.ParityBlocks``), which the alpha study solves.  ``build_H_D``,
 ``build_H_C_standard``, ``build_H_C_correct`` and ``build_H_C_taylor`` are
 that dense writer on the first four lists (read-only complex arrays);
 ``check_gauge_theorem`` calls two, and the benchmark tracer hooks all four.
@@ -64,6 +64,20 @@ diag(i^n).
 models as their two real parity chains in band storage (tri- and
 pentadiagonal), straight from closed forms, for the sweeps' banded solve.
 
+The rotated models have a block writer of their own,
+``rotated_parity_blocks``, which works in the quadrature frame of
+``qops.fock_factors``: X's eigenvectors split by Fock parity.  There cos
+and sin of phi X are diagonal and only a^dag a is dense, and a^dag a does
+not depend on the coupling, so it is cached per cutoff; a build copies it
+and adds the node values on diagonals, and makes no dense cos/sin.
+``blocks_H_C_correct`` (Rabi and Dicke) and ``blocks_H_C_rotated`` (the
+Taylor study's rows) write with it, and so does
+``fluxonium.blocks_flux_charge_correct``.  Its blocks are orthogonally
+similar to ``parity_block_sum``'s of the same terms: the same levels to
+roundoff, not the same entries.  The sweeps, the Taylor study and
+``cli fluxonium`` solve them; the term lists stay the dense reference of
+``check_gauge_theorem`` and of the tests.
+
 Derived parameters: omega_10 = 1 + detuning, g_D = eta and
 g_C = eta omega_10.  Every model drops state-independent constants, so
 physical statements are about transition energies E_n - E_0; raw
@@ -80,7 +94,8 @@ import numpy as np
 
 # hermitian_eig is not called here; it stays importable as rabi.hermitian_eig,
 # which the benchmark tracer's tests rebind and restore
-from .linalg import ParityBands, check_dim, conjugate, hermitian_eig, kron_sum, unitary_exp
+from .linalg import (HERMITICITY_RTOL, ParityBands, ParityBlocks, ParityError, check_dim,
+                     conjugate, hermitian_eig, kron_sum, phased_entries, unitary_exp)
 from .qops import (FockFactors, _spin_arrays, fock_factors, quadrature_values,
                    real_quadrature_functions)
 
@@ -179,6 +194,87 @@ def _rotated_terms(s: _RealParts, omega_c: float, omega_10: float, cos: np.ndarr
     return [(omega_c * s.eye_spin, s.f.n), (omega_10 * s.jz, cos), (omega_10 * s.jy, sin)]
 
 
+def _frame_entries(t: int, S: np.ndarray, keep: np.ndarray, drop: np.ndarray):
+    """The phased entries of term t's spin coefficient S (``phased_entries``)
+    after the parity check on its field factor's parts: ``keep``, the part
+    that stays in the parity blocks, and ``drop``, the part they have no
+    room for.  ParityError when max|S| max|drop| exceeds
+    HERMITICITY_RTOL * max(max|S| max|g|, 1), g both parts, the rule of
+    ``linalg.parity_block_sum`` on the field factor's spectrum."""
+    s_max = float(np.abs(S).max())
+    g_keep, g_drop = (float(np.abs(g).max(initial=0.0)) for g in (keep, drop))
+    limit = HERMITICITY_RTOL * max(s_max * max(g_keep, g_drop), 1.0)
+    if s_max * g_drop > limit:
+        raise ParityError(f"term {t} leaves the parity blocks: max|S| max|F| = "
+                          f"{s_max * g_drop:.3e} over the dropped entries exceeds {limit:.3e}")
+    return phased_entries(S, t)
+
+
+def _diagonal(block: np.ndarray, row: int, col: int, count: int) -> np.ndarray:
+    """The writable view of the entries block[row + k, col + k], k < count."""
+    step = block.shape[1] + 1
+    at = row * block.shape[1] + col
+    return block.reshape(-1)[at:at + count * step:step]
+
+
+def rotated_parity_blocks(two_j: int, cutoff: int, omega_c: float, omega_10: float,
+                          f) -> ParityBlocks:
+    """The real parity blocks of the rotated terms (``_rotated_terms``),
+    omega_c 1 (x) n + omega_10 (J_z (x) cos + J_y (x) sin) at spin two_j / 2,
+    cos and sin being the functions of X = a + a^dag whose values on its
+    spectrum are the pair that ``f`` returns on
+    ``qops.quadrature_values(cutoff)``, written in the quadrature frame.
+
+    Each block has the rows of ``linalg.parity_block_sum``'s, one slot per
+    spin level m with the Fock levels of parity (m + c) mod 2, but each slot
+    is turned by the frame of ``qops.fock_factors``, U on an even slot and W
+    on an odd one, so the block is orthogonally similar to that writer's
+    and has its eigenvalues.  There cos and sin are diagonal: a slot holds
+    omega_c times the cached frame number block, plus
+    omega_10 J_z[m, m] times the even part of cos on its diagonal, and the
+    slots of m and m + 1 share omega_10 times the phased J_y[m, m + 1]
+    times the odd part of sin, on the entries that pair a +sigma mode of
+    one parity with the same mode of the other, written alike into both
+    triangles.  So each block is exactly symmetric, and a build makes no
+    dense array but the blocks.
+
+    DimensionOverflowError, before any array is made, when
+    (two_j + 1)(cutoff + 1) exceeds the cap; ParityError when cos has an
+    odd part or sin an even part above the rule of ``_frame_entries``
+    (a part below it is dropped), or when a phased spin entry is not real.
+    """
+    check_dim((two_j + 1) * (cutoff + 1))
+    frame = fock_factors(cutoff)
+    cos, sin = f(quadrature_values(cutoff))
+    cos_even, cos_odd = frame.parity_parts(cos)
+    sin_even, sin_odd = frame.parity_parts(sin)
+    _, jy, jz = _spin_arrays(two_j)
+    z = _frame_entries(1, omega_10 * jz, cos_even, cos_odd)
+    y = _frame_entries(2, omega_10 * jy, sin_odd, sin_even)
+    pairs, zero = divmod(cutoff + 1, 2)
+    size, diagonal, n_frame = (pairs + zero, pairs), (cos_even, cos_even[zero:]), frame.n_frame
+    blocks = []
+    for c in (0, 1):
+        parity = [(m + c) % 2 for m in range(two_j + 1)]
+        edges = np.cumsum([0] + [size[q] for q in parity]).tolist()
+        block = np.zeros((edges[-1], edges[-1]))
+        for i, q in enumerate(parity):
+            slot = slice(edges[i], edges[i + 1])
+            np.multiply(n_frame[q], omega_c, out=block[slot, slot])
+        for i, _, v in zip(*(a.tolist() for a in z)):
+            d = _diagonal(block, edges[i], edges[i], size[parity[i]])
+            d += v * diagonal[parity[i]]
+        for i, i2, v in zip(*(a.tolist() for a in y)):
+            if i < i2:
+                # the +sigma modes of the even slot against those of the odd one
+                e, o = (i, i2) if parity[i] == 0 else (i2, i)
+                w = v * sin_odd
+                _diagonal(block, edges[e] + zero, edges[o], pairs)[:] = w
+                _diagonal(block, edges[o], edges[e] + zero, pairs)[:] = w
+        blocks.append(block)
+    return ParityBlocks(tuple(blocks))
+
+
 def _dipole_terms(s: _RealParts, p: RabiParams) -> list:
     """The bare terms plus the dipole coupling 2 g_D J_x (x) i(a^dag - a),
     entered as i J_x (x) (a^dag - a), whose phased spin part is real."""
@@ -200,9 +296,14 @@ def _check_one_dipole(p: RabiParams) -> None:
         raise ValueError(f"this model is written for one dipole (two_j = 1), got two_j = {p.two_j}")
 
 
+def _cos_sin(k: float):
+    """The values of cos(k x) and sin(k x) on an array x."""
+    return lambda x: (np.cos(k * x), np.sin(k * x))
+
+
 def _real_cos_sin(cutoff: int, k: float):
     """cos(k X) and sin(k X), real, for X = a + a^dag."""
-    return real_quadrature_functions(cutoff, lambda x: (np.cos(k * x), np.sin(k * x)))
+    return real_quadrature_functions(cutoff, _cos_sin(k))
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +343,12 @@ def terms_H_C_correct(p: RabiParams) -> list:
     """
     s = _real_parts(p.two_j, p.cutoff)
     return _rotated_terms(s, 1.0, p.omega_10, *_real_cos_sin(p.cutoff, 2.0 * p.eta))
+
+
+def blocks_H_C_correct(p: RabiParams) -> ParityBlocks:
+    """The parity blocks of ``terms_H_C_correct``, at spin ``p.two_j / 2``,
+    written in the quadrature frame by :func:`rotated_parity_blocks`."""
+    return rotated_parity_blocks(p.two_j, p.cutoff, 1.0, p.omega_10, _cos_sin(2.0 * p.eta))
 
 
 def build_H_D(p: RabiParams) -> np.ndarray:
@@ -394,6 +501,14 @@ def terms_H_C_rotated(p: RabiParams, f) -> list:
     _check_one_dipole(p)
     s = _real_parts(1, p.cutoff)
     return _rotated_terms(s, 1.0, p.omega_10, *real_quadrature_functions(p.cutoff, f))
+
+
+def blocks_H_C_rotated(p: RabiParams, f) -> ParityBlocks:
+    """The parity blocks of ``terms_H_C_rotated(p, f)``, written in the
+    quadrature frame by :func:`rotated_parity_blocks`; the Taylor study
+    passes the rows of its per-order table."""
+    _check_one_dipole(p)
+    return rotated_parity_blocks(1, p.cutoff, 1.0, p.omega_10, f)
 
 
 def terms_H_C_taylor(p: RabiParams, order: int) -> list:

@@ -571,7 +571,7 @@ def logged(log):
 
 def test_taylor_study_threads_and_lazy_exact(monkeypatch, tmp_path):
     calls, maclaurin = tmp_path / "exact.log", []
-    logging_calls(monkeypatch, rabi_mod, "terms_H_C_correct", calls, lambda p: p.eta)
+    logging_calls(monkeypatch, rabi_mod, "blocks_H_C_correct", calls, lambda p: p.eta)
     counting(monkeypatch, rabi_mod, "maclaurin_cos_sin", maclaurin, lambda v, n: n)
     grid = TAYLOR_GRID
     orders = (2, 3, 4, 5, 6, 10, 60)
@@ -597,8 +597,8 @@ def test_taylor_study_threads_and_lazy_exact(monkeypatch, tmp_path):
 
 def test_taylor_study_skips_bit_identical_points(monkeypatch):
     taylor, correct, maclaurin = [], [], []
-    counting(monkeypatch, rabi_mod, "terms_H_C_rotated", taylor, lambda p, f: p.eta)
-    counting(monkeypatch, rabi_mod, "terms_H_C_correct", correct, lambda p: p.eta)
+    counting(monkeypatch, rabi_mod, "blocks_H_C_rotated", taylor, lambda p, f: p.eta)
+    counting(monkeypatch, rabi_mod, "blocks_H_C_correct", correct, lambda p: p.eta)
     counting(monkeypatch, rabi_mod, "maclaurin_cos_sin", maclaurin, lambda v, n: (n, v.shape))
     study = taylor_study((60,), eta_grid=TAYLOR_GRID, cutoff=30, levels=3)
     assert study.exact_points == (6,) and study.scanned(0) == 13
@@ -616,7 +616,9 @@ def test_taylor_study_skips_bit_identical_points(monkeypatch):
 def test_taylor_study_table_matches_per_point_evaluation():
     """The per-order table gives what one evaluation per point gives: the
     leading run of ``taylor_is_exact`` points, and past it the error of a
-    ``terms_H_C_taylor`` solve at each scanned point, bit for bit."""
+    per-point solve at each scanned point, bit for bit: the blocks of the
+    study's writer at the point's own Maclaurin values, as
+    ``terms_H_C_taylor`` takes them, against the corrected model's."""
     orders = (3, 10, 60)
     study = taylor_study(orders, eta_grid=TAYLOR_GRID, cutoff=30, levels=3)
     assert study.exact_points[2] == 6 and study.scanned(2) == 13  # the run ends mid-grid
@@ -626,10 +628,10 @@ def test_taylor_study_table_matches_per_point_evaluation():
                    len(params))
         assert study.exact_points[i] == run
         for k in range(run, study.scanned(i)):
-            t = lowest_transitions(
-                linalg_mod.parity_block_sum(rabi_mod.terms_H_C_taylor(params[k], n)), 3)
-            ref = lowest_transitions(
-                linalg_mod.parity_block_sum(rabi_mod.terms_H_C_correct(params[k])), 3)
+            p = params[k]
+            t = lowest_transitions(rabi_mod.blocks_H_C_rotated(
+                p, lambda x: rabi_mod.maclaurin_cos_sin(2.0 * p.eta * x, n)), 3)
+            ref = lowest_transitions(rabi_mod.blocks_H_C_correct(p), 3)
             assert study.errors[i][k] == float(np.max(np.abs(t - ref) / np.maximum(ref, 1.0)))
 
 

@@ -99,3 +99,18 @@ def test_one_owner_names_each_solver_and_the_ladder(owned, owner):
     assert "eigh" not in names('"""numpy.linalg.eigh"""\n')
     naming = sorted(p.name for p in SRC.glob("*.py") if names(p.read_text()) & owned)
     assert naming == [owner]
+
+
+def test_one_owner_slices_the_quadrature_frame():
+    """Only qops reads X's eigendecomposition (``FockFactors.eig``,
+    ``quadrature_eig``) and so only qops slices its eigenvectors by Fock
+    parity into the quadrature frame; every other module takes the frame,
+    its number blocks and the parity parts of node values from
+    ``FockFactors``.  ``__init__`` only re-exports ``quadrature_eig``."""
+    assert "eig" in names("spec = fock_factors(4).eig\n")
+    owned = {"eig", "quadrature_eig"}
+    naming = sorted(m for m in MODULES if names((SRC / m).read_text()) & owned)
+    assert naming == ["qops.py"]
+    readers = sorted(m for m in MODULES
+                     if names((SRC / m).read_text()) & {"n_frame", "parity_parts"})
+    assert readers == ["qops.py", "rabi.py"]

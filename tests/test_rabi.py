@@ -12,10 +12,15 @@ from hypothesis import strategies as st
 import oracles
 from conftest import SIGMA_Y, SIGMA_Z, conjugated, phased_blocks
 from gaugeqed import (
+    DickeParams,
     DimensionOverflowError,
+    FluxoniumParams,
+    ParityError,
     RabiParams,
     bands_H_C_standard,
     bands_H_D,
+    blocks_flux_charge_correct,
+    blocks_H_C_correct,
     build_H_C_correct,
     build_H_C_standard,
     build_H_C_taylor,
@@ -26,6 +31,8 @@ from gaugeqed import (
     maclaurin_cos_sin,
     parity_block_sum,
     parity_eigvalsh,
+    solve_fluxonium,
+    terms_flux_charge_correct,
     terms_H_alpha,
     terms_H_C_correct,
     terms_H_C_standard,
@@ -395,7 +402,7 @@ def test_builders_enforce_dimension_cap():
     p = RabiParams(eta=0.3, cutoff=2048)
     for build in (build_H_D, build_H_C_standard, build_H_C_correct,
                   lambda q: build_H_C_taylor(q, 3), lambda q: kron_sum(terms_H_alpha(q, 0.5)),
-                  bands_H_D, bands_H_C_standard):
+                  bands_H_D, bands_H_C_standard, blocks_H_C_correct):
         with pytest.raises(DimensionOverflowError):
             build(p)
 
@@ -405,6 +412,8 @@ def test_builders_enforce_dimension_cap():
 # ---------------------------------------------------------------------------
 
 DENSE_FACTORS = {"n", "X", "P", "eye", "X2"}
+# the quadrature frame: X's eigenvectors split by Fock parity, and n in it
+FRAME = {"U", "W", "n_frame"}
 
 
 def test_shared_factors_are_read_only_and_built_once(monkeypatch):
@@ -415,9 +424,9 @@ def test_shared_factors_are_read_only_and_built_once(monkeypatch):
     terms_H_alpha(p, 0.5)
     f = fock_factors(20)
     built = dict(vars(f))
-    assert DENSE_FACTORS <= set(built)
+    assert DENSE_FACTORS | {"U", "W"} <= set(built)
     arrays = [a for a in built.values() if isinstance(a, np.ndarray)]
-    assert len(arrays) == 5 and not any(a.flags.writeable for a in arrays)
+    assert len(arrays) == 7 and not any(a.flags.writeable for a in arrays)
     assert not any(a.flags.writeable for a in (f.eig.eigenvalues, f.eig.eigenvectors))
     with pytest.raises(ValueError, match="read-only"):
         f.X[0, 1] = 0.0
@@ -452,15 +461,16 @@ def test_shared_factors_are_read_only_and_built_once(monkeypatch):
 @pytest.mark.parametrize("model, reads", [
     (terms_H_D, {"n", "eye", "P"}),
     (terms_H_C_standard, {"n", "eye", "X", "X2"}),
-    (terms_H_C_correct, {"n", "X", "_eig"}),
-    (lambda p: terms_H_C_taylor(p, 4), {"n", "X", "_eig"}),
-    (lambda p: terms_H_alpha(p, 0.5), {"n", "P", "X", "_eig"}),
+    (terms_H_C_correct, {"n", "X", "_eig", "U", "W"}),
+    (lambda p: terms_H_C_taylor(p, 4), {"n", "X", "_eig", "U", "W"}),
+    (lambda p: terms_H_alpha(p, 0.5), {"n", "P", "X", "_eig", "U", "W"}),
+    (blocks_H_C_correct, {"X", "_eig", "U", "W", "n_frame"}),
 ])
 def test_models_build_only_the_factors_they_read(model, reads):
     fock_factors.cache_clear()
     model(RabiParams(eta=0.3, cutoff=12))
     built = {k for k, v in vars(fock_factors(12)).items() if v is not None}
-    assert built & (DENSE_FACTORS | {"_eig"}) == reads
+    assert built & (DENSE_FACTORS | FRAME | {"_eig"}) == reads
 
 
 def test_factor_cache_evicts_past_its_bound():
@@ -525,6 +535,130 @@ def test_bands_match_dense_builders(eta, cutoff):
             assert wb.shape == (k,) and not wb.flags.writeable
             dev = np.abs(wb - w[:k]).max()
             assert dev <= bound, (name, count, dev)
+
+
+# ---------------------------------------------------------------------------
+# the quadrature-frame writer of the rotated models
+# ---------------------------------------------------------------------------
+
+def assert_same_levels(frame, written, context, scaled=False):
+    """Each frame block is exactly symmetric, has the shape of the block
+    that parity_block_sum writes and its eigenvalues to
+    1e-12 max(|lambda|, 1), or with ``scaled`` to 1e-12 max(|lambda|, max|B|)."""
+    assert len(frame.blocks) == len(written.blocks) == 2
+    for c, (got, want) in enumerate(zip(frame.blocks, written.blocks)):
+        assert got.shape == want.shape and not got.flags.writeable, (context, c)
+        assert np.array_equal(got, got.T), (context, c)
+        w = np.linalg.eigvalsh(want)
+        floor = max(np.abs(want).max(), 1.0) if scaled else 1.0
+        dev = np.abs(np.linalg.eigvalsh(got) - w) / np.maximum(np.abs(w), floor)
+        assert dev.max() <= 1e-12, (context, c, dev.max())
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 40, 41, 200])
+@pytest.mark.parametrize("two_j", [1, 2, 4])
+def test_frame_writer_matches_block_writer(two_j, cutoff):
+    """The corrected model written in the quadrature frame has the levels
+    of parity_block_sum's blocks of its terms, at both dimension parities
+    (with and without the zero mode), for one and for several dipoles;
+    detuned, so the splitting and the cavity differ."""
+    for eta in (0.0, 0.5, 3.0):
+        p = DickeParams(eta=eta, cutoff=cutoff, detuning=0.2, n_dipoles=two_j)
+        assert_same_levels(blocks_H_C_correct(p), parity_block_sum(terms_H_C_correct(p)),
+                           (two_j, cutoff, eta))
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 40, 41, 200])
+def test_frame_writer_matches_block_writer_on_rotated_values(cutoff):
+    """Node values that are no cos/sin: the order-3 Maclaurin rows, the
+    Taylor study's writer against terms_H_C_rotated's blocks.  Their cubic
+    grows to about 8e5 at eta 3 and cutoff 200, so either writer's roundoff
+    is about eps max|B| on every level, the small ones too."""
+    for eta in (0.5, 3.0):
+        p = RabiParams(eta=eta, cutoff=cutoff)
+        f = lambda x: maclaurin_cos_sin(2.0 * eta * x, 3)
+        assert_same_levels(rabi.blocks_H_C_rotated(p, f),
+                           parity_block_sum(rabi.terms_H_C_rotated(p, f)), (cutoff, eta),
+                           scaled=True)
+
+
+@pytest.fixture(scope="module")
+def flux_basis():
+    return solve_fluxonium(FluxoniumParams(e_c=1.0, e_l=0.9, e_j=3.0))
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 40, 41, 200])
+def test_fluxonium_frame_writer_matches_block_writer(cutoff, flux_basis):
+    """Fluxonium's corrected model: its own omega_c and the sign of -sin."""
+    for eta in (0.0, 0.5, 3.0):
+        p = FluxoniumParams(e_c=1.0, e_l=0.9, e_j=3.0, chi0=eta / flux_basis.phi_10,
+                            omega_c=1.3, cutoff=cutoff)
+        assert_same_levels(blocks_flux_charge_correct(p, flux_basis),
+                           parity_block_sum(terms_flux_charge_correct(p, flux_basis)),
+                           (cutoff, eta))
+
+
+@pytest.mark.parametrize("cutoff", [40, 41])
+def test_frame_writer_refuses_a_part_of_the_wrong_parity(cutoff):
+    """A cos row with an odd part, or a sin row with an even part, leaves the
+    parity blocks: ParityError past HERMITICITY_RTOL of the scale, the
+    part dropped below it."""
+    x = qops.quadrature_values(cutoff)
+    cos, sin = np.cos(x), np.sin(x)
+    write = lambda c, s: rabi.rotated_parity_blocks(2, cutoff, 1.0, 1.3, lambda _: (c, s))
+    for bad, term in (((cos + 1e-6 * x, sin), 1), ((cos, sin + 1e-6), 2)):
+        with pytest.raises(ParityError, match=f"term {term} leaves the parity blocks"):
+            write(*bad)
+    # a part far below the rule is dropped: the blocks are the clean ones
+    clean = write(cos, sin)
+    for c, s in ((cos + 1e-17 * x, sin), (cos, sin + 1e-17)):
+        assert all(np.array_equal(a, b) for a, b in zip(write(c, s).blocks, clean.blocks))
+    with pytest.raises(ValueError, match=f"need {cutoff + 1} values"):
+        write(cos[1:], sin[1:])
+
+
+def test_frame_writer_checks_the_dimension_first(monkeypatch):
+    """The dimension cap fails before the frame, the spectrum of X or the
+    node values are reached."""
+    def unreachable(*args):
+        raise AssertionError("reached past the dimension cap")
+
+    monkeypatch.setattr(rabi, "fock_factors", unreachable)
+    monkeypatch.setattr(rabi, "quadrature_values", unreachable)
+    # 5 (818 + 1) = 4095 fits the cap of 4096; one Fock level more does not
+    with pytest.raises(DimensionOverflowError, match="4100 exceeds"):
+        rabi.rotated_parity_blocks(4, 819, 1.0, 1.0, unreachable)
+    with pytest.raises(DimensionOverflowError):
+        blocks_H_C_correct(RabiParams(eta=0.3, cutoff=2048))
+
+
+def test_frame_is_built_once_per_cutoff(monkeypatch):
+    """Every build at a cutoff, of either writer, reads the one frame of its
+    Fock factors: X is solved once and U, W and the number blocks are made
+    once, read-only; another cutoff has its own."""
+    fock_factors.cache_clear()
+    solves = []
+    eig = qops.hermitian_eig
+    monkeypatch.setattr(qops, "hermitian_eig", lambda *a: solves.append(a) or eig(*a))
+    blocks_H_C_correct(RabiParams(eta=0.3, cutoff=20))
+    f = fock_factors(20)
+    frame = {k: vars(f)[k] for k in FRAME}
+    for eta in (0.0, 0.7, 2.0):
+        blocks_H_C_correct(DickeParams(eta=eta, cutoff=20, n_dipoles=3))
+        terms_H_C_correct(RabiParams(eta=eta, cutoff=20))
+        rabi.blocks_H_C_rotated(RabiParams(eta=eta, cutoff=20),
+                                lambda x: maclaurin_cos_sin(2.0 * eta * x, 5))
+    assert len(solves) == 1
+    assert fock_factors(20) is f and all(vars(f)[k] is v for k, v in frame.items())
+    U, W = frame["U"], frame["W"]
+    assert U.shape == (11, 11) and W.shape == (10, 10)
+    for V in (U, W):
+        assert np.abs(V.T @ V - np.eye(V.shape[0])).max() <= 1e-13
+    for a in (U, W, *frame["n_frame"]):
+        assert not a.flags.writeable
+    assert all(np.array_equal(b, b.T) for b in frame["n_frame"])
+    blocks_H_C_correct(RabiParams(eta=0.3, cutoff=21))
+    assert len(solves) == 2 and vars(fock_factors(21))["U"] is not U
 
 
 # ---------------------------------------------------------------------------
